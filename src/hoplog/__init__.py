@@ -4,7 +4,7 @@ Pipeline: parse -> type-check -> ground (bounded or demand-driven) ->
 evaluate (well-founded or perfect model) -> check extensionality.
 """
 
-from .extensionality import ExtChecker, ext_equal, reflexivity_check
+from .extensionality import ExtChecker, reflexivity_check
 from .grounder import (
     GroundAtom,
     GroundProgram,
@@ -37,7 +37,6 @@ __all__ = [
     "Program",
     "TruthValue",
     "check_program",
-    "ext_equal",
     "ground_instantiation",
     "herbrand_universe",
     "is_minimal_model",

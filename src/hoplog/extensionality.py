@@ -143,11 +143,10 @@ class ValuationOracle:
     extension is therefore sound (and kept deliberately simple).
     """
 
-    def __init__(self, program: Program, k: int, budget: int, semi_naive: bool = True):
+    def __init__(self, program: Program, k: int, budget: int):
         self.program = program
         self.k = k
         self.budget = budget
-        self.semi_naive = semi_naive
         self._roots: dict[str, Expr] = {}
         self._model: PartialInterpretation | None = None
 
@@ -166,7 +165,7 @@ class ValuationOracle:
             gp = relevant_grounding(
                 self.program, [ground_atom(e) for e in self._roots.values()], self.k
             )
-            self._model = well_founded_model(gp, semi_naive=self.semi_naive).model
+            self._model = well_founded_model(gp).model
         return self._model
 
     def value(self, atom: Expr) -> TruthValue:
@@ -184,20 +183,14 @@ class ValuationOracle:
 class ExtChecker:
     """Shared memo and universes for a family of extensionality queries."""
 
-    def __init__(
-        self,
-        program: Program,
-        k: int,
-        budget: int | None = None,
-        semi_naive: bool = True,
-    ):
+    def __init__(self, program: Program, k: int, budget: int | None = None):
         if k < 1:
             raise ValueError("depth bound k must be >= 1")
         self.program = program
         self.k = k
         self.budget = budget if budget is not None else DEFAULT_BUDGET_FACTOR * k
         self.universe = Universe(program.signature)
-        self.oracle = ValuationOracle(program, k, self.budget, semi_naive)
+        self.oracle = ValuationOracle(program, k, self.budget)
         self._memo: dict[tuple[TypeExpr, str, str], bool] = {}
         self._seeded: set[TypeExpr] = set()
 
@@ -287,7 +280,7 @@ class ExtChecker:
     def reflexivity_report(self) -> ExtReport:
         from .grounder import argument_types
 
-        report = ExtReport(self.depth_bound, self.budget)
+        report = ExtReport(self.k, self.budget)
         for rho in argument_types(self.program):
             report.checked_types.append(str(rho))
             if rho in (IOTA, OMICRON):
@@ -317,26 +310,10 @@ class ExtChecker:
                     )
         return report
 
-    @property
-    def depth_bound(self) -> int:
-        return self.k
-
 
 # ---------------------------------------------------------------------------
 # Operation-style entry points
 # ---------------------------------------------------------------------------
-
-
-def ext_equal(
-    program: Program,
-    rho: TypeExpr,
-    d: Expr,
-    dprime: Expr,
-    k: int,
-    budget: int | None = None,
-) -> bool:
-    """Bounded extensional equality of two ground terms at type rho."""
-    return ExtChecker(program, k, budget).equal(rho, d, dprime)
 
 
 def reflexivity_check(program: Program, k: int, budget: int | None = None) -> ExtReport:

@@ -15,13 +15,20 @@ exceed a size bound k.  Two groundings are offered:
 Equality literals are resolved at grounding time: syntactically identical
 sides become the constant true, different sides the constant false.  These
 constants never enter the atom table.
+
+``GroundProgram.compiled`` lowers a grounding, once, into the integer form
+that the well-founded and perfect-model engines both run on.  Only that
+form drops the dead clauses (a ``false`` literal in the body) and strips
+the ``true`` literals; the clauses, the atom table and the printed
+grounding keep them.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EmptyUniverse, GroundingLimitExceeded
 from .syntax import (
@@ -43,6 +50,7 @@ from .syntax import (
     substitute_clause,
     suffix_types,
     term_size,
+    type_size,
 )
 from .typecheck import Program
 
@@ -116,29 +124,55 @@ class GroundClause:
         return f"{self.head} <- {', '.join(str(l) for l in self.body)}."
 
 
+# A compiled clause body: (positive atom ids, negative atom ids).
+Rule = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class CompiledProgram:
+    """The integer form both engines run on.
+
+    Atom ids follow the atom table's order.  ``rules[h]`` lists one
+    ``(positive ids, negative ids)`` pair per live clause with head h;
+    ``dependents[a]`` lists the heads of the live clauses that use atom a
+    positively.  A clause with a ``false`` literal is dropped and ``true``
+    literals are stripped, so no rule carries a resolved equality.
+    """
+
+    keys: tuple[str, ...]
+    rules: tuple[tuple[Rule, ...], ...]
+    dependents: tuple[tuple[int, ...], ...]
+
+
 @dataclass
 class GroundProgram:
     """A finite propositional program over an atom table."""
 
     clauses: tuple[GroundClause, ...]
     atoms: dict[str, GroundAtom]  # the atom table, insertion-ordered
-    by_head: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.by_head:
-            index: dict[str, list[int]] = {}
-            for i, gc in enumerate(self.clauses):
-                index.setdefault(gc.head.key, []).append(i)
-            self.by_head = {k: tuple(v) for k, v in index.items()}
-
-    def clauses_for(self, key: str) -> tuple[GroundClause, ...]:
-        return tuple(self.clauses[i] for i in self.by_head.get(key, ()))
-
-    def atom_keys(self) -> tuple[str, ...]:
-        return tuple(self.atoms)
-
-    def dump(self) -> str:
-        return "\n".join(str(c) for c in self.clauses) + ("\n" if self.clauses else "")
+    @cached_property
+    def compiled(self) -> CompiledProgram:
+        """The program lowered once for the engines; the clauses and the
+        atom table stay as they are."""
+        keys = tuple(self.atoms)
+        ids = {key: i for i, key in enumerate(keys)}
+        rules: list[list[Rule]] = [[] for _ in keys]
+        dependents: list[set[int]] = [set() for _ in keys]
+        for gc in self.clauses:
+            if any(isinstance(lit, ConstLit) and not lit.value for lit in gc.body):
+                continue
+            head = ids[gc.head.key]
+            pos = tuple(ids[lit.atom.key] for lit in gc.body if isinstance(lit, PosLit))
+            neg = tuple(ids[lit.atom.key] for lit in gc.body if isinstance(lit, NegLit))
+            rules[head].append((pos, neg))
+            for a in pos:
+                dependents[a].add(head)
+        return CompiledProgram(
+            keys,
+            tuple(tuple(r) for r in rules),
+            tuple(tuple(sorted(d)) for d in dependents),
+        )
 
 
 def _make_ground_program(
@@ -383,13 +417,7 @@ def _argument_types(signature: Signature) -> tuple[TypeExpr, ...]:
 
     for _, t in signature.entries:
         visit(t)
-    return tuple(sorted(found, key=lambda t: (type_size_key(t), str(t))))
-
-
-def type_size_key(t: TypeExpr) -> int:
-    if isinstance(t, Arrow):
-        return 1 + type_size_key(t.argument) + type_size_key(t.result)
-    return 1
+    return tuple(sorted(found, key=lambda t: (type_size(t), str(t))))
 
 
 def argument_types(program: Program) -> tuple[TypeExpr, ...]:

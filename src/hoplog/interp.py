@@ -44,14 +44,6 @@ class Ordering(Enum):
     FITTING = "fitting"
 
 
-def truth_leq(a: TruthValue, b: TruthValue) -> bool:
-    return a <= b
-
-
-def fitting_leq(a: TruthValue, b: TruthValue) -> bool:
-    return a == TruthValue.UNDEFINED or a == b
-
-
 @dataclass(frozen=True)
 class PartialInterpretation:
     """<T, F> over a fixed atom table; immutable and hashable."""

@@ -12,6 +12,11 @@ its groundings: a ground atom inherits the stratum of its leftmost
 predicate constant.  The perfect model is then built stratum by stratum
 with a two-valued stage operator; the resulting stage sequence climbs in
 the Fitting order and its last element is total.
+
+The stage operator runs on the grounding's compiled form
+(``GroundProgram.compiled``), where dead clauses are already dropped, and
+its least fixed point is computed semi-naively.  ``localize`` reads the
+clauses themselves, so it checks the strata of dead clauses too.
 """
 
 from __future__ import annotations
@@ -19,14 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LocalStratificationViolation, NotIncreasing
-from .grounder import ConstLit, GroundProgram, NegLit, PosLit
+from .grounder import GroundProgram, NegLit, PosLit, Rule
 from .interp import (
     Ordering,
     PartialInterpretation,
     TruthValue,
     everything_undefined,
     leq,
-    value_of,
 )
 from .syntax import Eq, Expr, Neg, PredConst, PredVar, spine, type_geq
 from .typecheck import Program
@@ -259,8 +263,7 @@ def localize(strat: Stratification, gp: GroundProgram) -> LocalStratification:
     for gc in gp.clauses:
         head_stratum = stratum_of[gc.head.key]
         for lit in gc.body:
-            if isinstance(lit, ConstLit):
-                continue  # resolved equalities sit at stratum 0
+            # Resolved equalities sit at stratum 0 and constrain nothing.
             if isinstance(lit, PosLit):
                 if stratum_of[lit.atom.key] > head_stratum:
                     raise LocalStratificationViolation(
@@ -284,36 +287,52 @@ def localize(strat: Stratification, gp: GroundProgram) -> LocalStratification:
 # ---------------------------------------------------------------------------
 
 
+_FALSE, _TRUE = TruthValue.FALSE, TruthValue.TRUE
+
+
+def _supported(
+    rules: tuple[Rule, ...], jv: list[TruthValue], inside: list[bool]
+) -> bool:
+    """Whether some rule's body is all true: positive atoms true in J or
+    inside I, negated atoms false in J."""
+    return any(
+        all(jv[a] == _FALSE for a in neg)
+        and all(inside[a] or jv[a] == _TRUE for a in pos)
+        for pos, neg in rules
+    )
+
+
 def psi_step(
     J: PartialInterpretation, I: set[str], gp: GroundProgram
 ) -> set[str]:
     """Two-valued stage operator: heads of clauses whose body literals are
     all true in J or (for atoms) members of I."""
-    out: set[str] = set()
-    for gc in gp.clauses:
-        ok = True
-        for lit in gc.body:
-            if value_of(J, lit) == TruthValue.TRUE:
-                continue
-            if isinstance(lit, PosLit) and lit.atom.key in I:
-                continue
-            ok = False
-            break
-        if ok:
-            out.add(gc.head.key)
-    return out
+    cp = gp.compiled
+    jv = [J.value(k) for k in cp.keys]
+    inside = [k in I for k in cp.keys]
+    return {
+        key for key, rules in zip(cp.keys, cp.rules) if _supported(rules, jv, inside)
+    }
 
 
 def psi_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[set[str], int]:
-    """Least fixed point of the two-valued stage operator from the empty set."""
-    current: set[str] = set()
-    steps = 0
-    while True:
+    """Least fixed point of the two-valued stage operator from the empty set.
+
+    Each step re-checks only the heads that depend positively on the atoms
+    the previous step added, and reads only the previous step's set, so the
+    step count is that of naive iteration."""
+    cp = gp.compiled
+    jv = [J.value(k) for k in cp.keys]
+    inside = [False] * len(cp.keys)
+    fresh = [h for h, rules in enumerate(cp.rules) if _supported(rules, jv, inside)]
+    steps = 1
+    while fresh:
+        for h in fresh:
+            inside[h] = True
+        candidates = {d for a in fresh for d in cp.dependents[a] if not inside[d]}
+        fresh = [h for h in candidates if _supported(cp.rules[h], jv, inside)]
         steps += 1
-        nxt = psi_step(J, current, gp)
-        if nxt == current:
-            return current, steps
-        current = nxt
+    return {k for k, yes in zip(cp.keys, inside) if yes}, steps
 
 
 @dataclass(frozen=True)

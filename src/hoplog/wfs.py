@@ -8,12 +8,18 @@ in the Fitting order until it stabilizes.  On a finite atom table both
 iterations terminate; the final stage is the well-founded model.
 
 Negative literals are evaluated against J only; positive literals may draw
-on either J or the inner iterate.  Atoms with no clauses are false.
+on either J or the inner iterate.  Atoms with no live clauses are false.
+
+Both iterations run on the grounding's compiled form
+(``GroundProgram.compiled``): integer atom ids, per-head rules, no dead
+clauses.  The inner iteration works on value vectors indexed by atom id;
+each outer stage becomes a ``PartialInterpretation`` once.
 
 The inner loop can run naively (recompute every atom each round) or
 semi-naively (recompute only atoms whose positive body inputs changed).
-Both produce bit-identical stage sequences; the semi-naive path is the
-default and the equivalence is enforced by a differential test.
+Rounds are synchronous either way: each reads only the previous round's
+values.  Both produce bit-identical stage sequences; the semi-naive path is
+the default and the equivalence is enforced by a differential test.
 """
 
 from __future__ import annotations
@@ -21,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotIncreasing
-from .grounder import ConstLit, GroundProgram, NegLit, PosLit
+from .grounder import CompiledProgram, GroundProgram, Rule
 from .interp import (
     Ordering,
     PartialInterpretation,
     TruthValue,
     everything_undefined,
     leq,
-    value_of,
 )
 
 
@@ -50,61 +55,42 @@ class WfsResult:
     trace: ThetaTrace
 
 
-def _is_positive(lit) -> bool:
-    return isinstance(lit, (PosLit, ConstLit))
+_FALSE, _UNDEFINED, _TRUE = TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE
 
 
-def _atom_value(key: str, J: PartialInterpretation, ivals: dict[str, TruthValue], gp: GroundProgram) -> TruthValue:
-    clauses = gp.clauses_for(key)
-    gets_true = False
-    gets_false = True  # vacuously false when no clause exists
-    for gc in clauses:
-        all_true = True
-        some_false = False
-        for lit in gc.body:
-            jv = value_of(J, lit)
-            iv = None
-            if _is_positive(lit):
-                if isinstance(lit, PosLit):
-                    iv = ivals[lit.atom.key]
-                else:
-                    iv = TruthValue.TRUE if lit.value else TruthValue.FALSE
-            if not (jv == TruthValue.TRUE or iv == TruthValue.TRUE):
-                all_true = False
-            if jv == TruthValue.FALSE or iv == TruthValue.FALSE:
-                some_false = True
-        if all_true:
-            gets_true = True
-        if not some_false:
+def _head_value(
+    rules: tuple[Rule, ...], jv: list[TruthValue], iv: list[TruthValue]
+) -> TruthValue:
+    """Stage-operator value of one head, given its compiled rules, the outer
+    values jv and the inner values iv."""
+    gets_false = True  # vacuously false when no rule exists
+    for pos, neg in rules:
+        if all(jv[a] == _FALSE for a in neg) and all(
+            jv[a] == _TRUE or iv[a] == _TRUE for a in pos
+        ):
+            return _TRUE
+        if gets_false and not (
+            any(jv[a] == _TRUE for a in neg)
+            or any(jv[a] == _FALSE or iv[a] == _FALSE for a in pos)
+        ):
             gets_false = False
-    if gets_true:
-        return TruthValue.TRUE
-    if gets_false:
-        return TruthValue.FALSE
-    return TruthValue.UNDEFINED
+    return _FALSE if gets_false else _UNDEFINED
 
 
-def _to_interp(values: dict[str, TruthValue], gp: GroundProgram) -> PartialInterpretation:
-    t = frozenset(k for k, v in values.items() if v == TruthValue.TRUE)
-    f = frozenset(k for k, v in values.items() if v == TruthValue.FALSE)
-    return PartialInterpretation(t, f, frozenset(gp.atoms))
+def _to_interp(values: list[TruthValue], cp: CompiledProgram) -> PartialInterpretation:
+    t = frozenset(k for k, v in zip(cp.keys, values) if v == _TRUE)
+    f = frozenset(k for k, v in zip(cp.keys, values) if v == _FALSE)
+    return PartialInterpretation(t, f, frozenset(cp.keys))
 
 
 def theta_step(
     J: PartialInterpretation, I: PartialInterpretation, gp: GroundProgram
 ) -> PartialInterpretation:
     """One application of the stage operator under outer interpretation J."""
-    ivals = {k: I.value(k) for k in gp.atoms}
-    return _to_interp({k: _atom_value(k, J, ivals, gp) for k in gp.atoms}, gp)
-
-
-def _positive_dependents(gp: GroundProgram) -> dict[str, set[str]]:
-    deps: dict[str, set[str]] = {k: set() for k in gp.atoms}
-    for gc in gp.clauses:
-        for lit in gc.body:
-            if isinstance(lit, PosLit):
-                deps[lit.atom.key].add(gc.head.key)
-    return deps
+    cp = gp.compiled
+    jv = [J.value(k) for k in cp.keys]
+    iv = [I.value(k) for k in cp.keys]
+    return _to_interp([_head_value(rules, jv, iv) for rules in cp.rules], cp)
 
 
 def theta_lfp(
@@ -112,35 +98,31 @@ def theta_lfp(
 ) -> tuple[PartialInterpretation, int]:
     """Least fixed point of the stage operator under J, from the all-false
     start.  Returns the fixpoint and the number of rounds to stabilize."""
-    values: dict[str, TruthValue] = {k: TruthValue.FALSE for k in gp.atoms}
-    deps = _positive_dependents(gp) if semi_naive else None
-    dirty = set(gp.atoms)
+    cp = gp.compiled
+    jv = [J.value(k) for k in cp.keys]
+    n = len(cp.keys)
+    values = [_FALSE] * n
+    dirty = range(n)
     rounds = 0
-    previous = _to_interp(values, gp)
     while True:
         rounds += 1
-        recompute = dirty if semi_naive else set(gp.atoms)
-        new_values = dict(values)
-        changed: set[str] = set()
-        for key in recompute:
-            v = _atom_value(key, J, values, gp)
-            if v != values[key]:
-                new_values[key] = v
-                changed.add(key)
-        values = new_values
-        current = _to_interp(values, gp)
-        if not leq(previous, current, Ordering.TRUTH):
-            raise NotIncreasing("inner stage sequence left the truth order")
+        recompute = dirty if semi_naive else range(n)
+        changed = []
+        for h in recompute:
+            v = _head_value(cp.rules[h], jv, values)
+            if v != values[h]:
+                if v < values[h]:
+                    raise NotIncreasing("inner stage sequence left the truth order")
+                changed.append((h, v))
         if not changed:
-            return current, rounds
-        previous = current
+            return _to_interp(values, cp), rounds
+        for h, v in changed:
+            values[h] = v
         if semi_naive:
-            dirty = set()
-            for key in changed:
-                dirty |= deps[key]
+            dirty = {d for h, _ in changed for d in cp.dependents[h]}
         # A bounded chain: each atom climbs false -> undefined -> true at most
         # twice, so stabilization needs at most 2|atoms| + 1 rounds.
-        if rounds > 2 * len(gp.atoms) + 2:
+        if rounds > 2 * n + 2:
             raise NotIncreasing("inner iteration failed to stabilize")
 
 

@@ -201,3 +201,24 @@ class TestDeterminism:
         )
         assert code == 0
         assert "true" in out and "p" in out
+
+
+class TestDeadClauses:
+    SOURCE = "type p : i -> o.\ntype r : i -> o.\ntype b : i.\np X <- X = a, ~(r X)."
+
+    def test_ground_prints_dead_clauses(self, run):
+        code, out, _ = run(["ground", "--depth", "1"], program=self.SOURCE)
+        assert code == 0
+        data = payload(out)
+        assert data["atoms"] == ["p a", "p b", "r a", "r b"]
+        assert data["clauses"] == ["p a <- true, ~(r a).", "p b <- false, ~(r b)."]
+
+    @pytest.mark.parametrize("command", ["wfs", "perfect"])
+    def test_dead_only_atoms_stay_in_the_model_dump(self, run, command):
+        code, out, _ = run([command, "--depth", "1"], program=self.SOURCE)
+        assert code == 0
+        assert payload(out)["model"] == {
+            "true": ["p a"],
+            "false": ["p b", "r a", "r b"],
+            "undefined": [],
+        }

@@ -189,3 +189,25 @@ class TestTruncationReport:
     def test_finite_universe_not_truncated(self):
         program = load("type q : i -> o.\nq X <- X = a.")
         assert truncated_types(program, 5) == ()
+
+
+class TestCompiledProgram:
+    SOURCE = "type p : i -> o.\ntype r : i -> o.\ntype b : i.\np X <- X = a, ~(r X).\nr X <- p X."
+
+    def test_dead_clauses_dropped_true_literals_stripped(self):
+        gp = ground_instantiation(load(self.SOURCE), 1)
+        cp = gp.compiled
+        assert cp.keys == tuple(gp.atoms)
+        ids = {key: i for i, key in enumerate(cp.keys)}
+        # p a <- true, ~(r a) keeps only its negation; p b <- false, ... is gone.
+        assert cp.rules[ids["p a"]] == (((), (ids["r a"],)),)
+        assert cp.rules[ids["p b"]] == ()
+        assert cp.dependents[ids["p a"]] == (ids["r a"],)
+        assert cp.dependents[ids["r b"]] == ()
+
+    def test_clauses_and_atom_table_untouched(self):
+        gp = ground_instantiation(load(self.SOURCE), 1)
+        before = ([str(gc) for gc in gp.clauses], list(gp.atoms))
+        assert gp.compiled is gp.compiled  # built once per grounding
+        assert ([str(gc) for gc in gp.clauses], list(gp.atoms)) == before
+        assert "p b <- false, ~(r b)." in before[0]

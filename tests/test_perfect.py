@@ -35,6 +35,19 @@ from hoplog.wfs import well_founded_model
 
 from helpers import load, random_stratified_source
 
+# Reachability along a six-node path: the first stage's psi fixpoint
+# takes seven steps, one per path length plus the confirming step.
+PATH_REACH = "".join(f"type n{v} : i.\n" for v in range(6)) + (
+    "type edge : i -> i -> o.\ntype reach : i -> i -> o.\n"
+    "type unreach : i -> i -> o.\n"
+    + "".join(f"edge X Y <- X = n{v}, Y = n{v + 1}.\n" for v in range(5))
+    + "reach X Y <- edge X Y.\nreach X Y <- edge X Z, reach Z Y.\n"
+    "unreach X Y <- ~(reach X Y).\n"
+)
+
+# Atoms r b and p b occur only in the dead clause p b <- false, ~(r b).
+DEAD_ONLY = "type p : i -> o.\ntype r : i -> o.\ntype b : i.\np X <- X = a, ~(r X)."
+
 
 def gp_of(src: str, k: int = 1):
     return ground_instantiation(load(src), k)
@@ -131,6 +144,58 @@ class TestPsi:
         assert one == {"q"} and two == {"p", "q"}
         fix, _ = psi_lfp(J, gp)
         assert fix == {"p", "q"}
+
+
+def naive_psi_lfp(J, gp):
+    """psi_step iterated from the empty set until it repeats."""
+    current: set[str] = set()
+    steps = 0
+    while True:
+        steps += 1
+        nxt = psi_step(J, current, gp)
+        if nxt == current:
+            return current, steps
+        current = nxt
+
+
+def stratified_groundings():
+    for entry in CORPUS:
+        program = load(entry.source)
+        strat = stratify(program)
+        if isinstance(strat, Stratification) and not entry.roots:
+            yield entry.name, ground_instantiation(program, entry.depth), strat
+    program = load(PATH_REACH)
+    yield "path_reach", ground_instantiation(program, 1), stratify(program)
+    rng = random.Random(23)
+    for _ in range(20):
+        src = random_stratified_source(rng)
+        program = load(src)
+        yield src, ground_instantiation(program, 2), stratify(program)
+
+
+class TestPsiLfpMatchesNaive:
+    def test_same_fixpoint_and_step_count_under_every_stage(self):
+        checked = 0
+        for name, gp, strat in stratified_groundings():
+            for J in perfect_model(gp, localize(strat, gp)).stages:
+                assert psi_lfp(J, gp) == naive_psi_lfp(J, gp), name
+                checked += 1
+        assert checked >= 60
+
+
+class TestDeadClauses:
+    def test_dead_only_atoms_stay_in_the_model_as_false(self):
+        program = load(DEAD_ONLY)
+        gp = ground_instantiation(program, 1)
+        assert "p b <- false, ~(r b)." in [str(gc) for gc in gp.clauses]
+        perfect = perfect_model(gp, localize(stratify(program), gp)).model
+        wfs = well_founded_model(gp).model
+        for model in (perfect, wfs):
+            assert model.universe == {"p a", "p b", "r a", "r b"}
+            assert model.true_atoms == {"p a"}
+            # p b has only the dead clause; r b occurs only in its body.
+            assert model.value("p b") == TruthValue.FALSE
+            assert model.value("r b") == TruthValue.FALSE
 
 
 class TestPerfectModel:
