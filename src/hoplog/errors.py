@@ -104,6 +104,11 @@ class GroundingLimitExceeded(GroundingError):
     pass
 
 
+class TemplateMismatch(GroundingError):
+    """Internal-consistency failure: a clause template keyed a ground atom
+    differently from its canonical printing."""
+
+
 class EvalError(HoplogError):
     pass
 

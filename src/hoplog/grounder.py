@@ -10,7 +10,15 @@ exceed a size bound k.  Two groundings are offered:
 * ``relevant_grounding``    — the dependency closure of a set of root atoms.
   Head formals are bound by matching the demanded atom (and are therefore
   not size-restricted); only body-only variables range over the size-k
-  universe.  A configurable atom cap guards against runaway closures.
+  universe.  A configurable atom cap and a cap on the size of a demanded
+  atom guard against runaway closures.
+
+Both modes compile each clause once per grounding into ``str.format``
+templates, one for its head and one for each body literal, and print each
+instance's atoms from the rendered values of its variables.  The atom table
+maps each printed key to its ``GroundAtom``, which is built only the first
+time the key appears; a grounding whose clause count would pass
+``DEFAULT_MAX_CLAUSES`` is refused before it is enumerated.
 
 Equality literals are resolved at grounding time: syntactically identical
 sides become the constant true, different sides the constant false.  These
@@ -26,28 +34,32 @@ grounding keep them.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .errors import EmptyUniverse, GroundingLimitExceeded
+from .errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
 from .syntax import (
     IOTA,
     App,
     Arrow,
-    Clause,
     Eq,
     Expr,
     FunApp,
     IndConst,
     Neg,
     PredConst,
+    Rendered,
     Signature,
     TypeExpr,
+    apply_substitution,
     canonical_print,
     is_argument_type,
+    print_template,
+    render,
     spine,
-    substitute_clause,
     suffix_types,
     term_size,
     type_size,
@@ -55,6 +67,12 @@ from .syntax import (
 from .typecheck import Program
 
 DEFAULT_MAX_ATOMS = 100_000
+# Symbols in one demanded atom.  Printing, hashing and comparing a term
+# recurse once or twice per nesting level, so this keeps them far below
+# Python's default recursion limit of 1000 frames.
+DEFAULT_MAX_ATOM_SIZE = 100
+# Ground clauses in one grounding, in either mode.
+DEFAULT_MAX_CLAUSES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +193,6 @@ class GroundProgram:
         )
 
 
-def _make_ground_program(
-    clauses: list[GroundClause], extra_atoms: list[GroundAtom] = []
-) -> GroundProgram:
-    atoms: dict[str, GroundAtom] = {}
-    for a in extra_atoms:
-        atoms.setdefault(a.key, a)
-    for gc in clauses:
-        atoms.setdefault(gc.head.key, gc.head)
-        for lit in gc.body:
-            if isinstance(lit, (PosLit, NegLit)):
-                atoms.setdefault(lit.atom.key, lit.atom)
-    return GroundProgram(tuple(clauses), atoms)
-
-
 # ---------------------------------------------------------------------------
 # Herbrand universes
 # ---------------------------------------------------------------------------
@@ -296,61 +300,185 @@ def herbrand_universe(program: Program, rho: TypeExpr, k: int) -> tuple[Expr, ..
 # ---------------------------------------------------------------------------
 
 
-def _resolve_literal(lit: Expr) -> GroundLiteral:
-    if isinstance(lit, Eq):
-        return ConstLit(lit.lhs == lit.rhs)
-    if isinstance(lit, Neg):
-        return NegLit(ground_atom(lit.atom))
-    return PosLit(ground_atom(lit))
+_TRUE = ConstLit(True)
+_FALSE = ConstLit(False)
 
 
-def _instances(clause: Clause, index: int, universe: Universe, k: int, base_theta: dict):
-    """Ground instances of one clause; base_theta pre-binds matched formals."""
-    free = [(v.name, v.typ) for v in clause.variables() if v.name not in base_theta]
-    domains = []
-    for name, typ in free:
-        terms = universe.terms(typ, k)
-        if not terms:
-            raise EmptyUniverse(
-                f"variable {name} : {typ} of clause {index} has an empty "
-                f"size-{k} universe"
-            )
-        domains.append(terms)
-    for combo in itertools.product(*domains):
-        theta = dict(base_theta)
-        theta.update({name: t for (name, _), t in zip(free, combo)})
-        head, body = substitute_clause(clause, theta)
-        yield GroundClause(
-            ground_atom(head),
-            tuple(_resolve_literal(l) for l in body),
+class _Template(NamedTuple):
+    """A clause compiled once per grounding.
+
+    Field i of each format string is the i-th variable of
+    ``clause.variables()``, filled with its ``Rendered`` value.  The values
+    of the leading variables come from a matched head (demand grounding
+    binds the formals); the rest range over ``domains``.
+    """
+
+    index: int
+    theta: tuple[tuple[str, int], ...]  # (name, field), sorted by name
+    domains: tuple[tuple[Rendered, ...], ...]
+    count: int  # instances per binding of the leading variables
+    head: tuple[str, Expr]  # (format, head atom)
+    # (literal table, format, atom) for an atom or a negated atom;
+    # (None, lhs format, rhs format) for an equality
+    body: tuple[tuple, ...]
+
+
+class _Grounding:
+    """One grounding under way: rendered domains, clause templates, the
+    clauses so far and the atom table.
+
+    An instance costs one ``str.format`` per literal and a lookup in the
+    atom table.  Only a key printed for the first time builds its atom, by
+    substitution; that atom's canonical printing must equal the key, so the
+    printer stays authoritative.  Each literal over an atom is built once.
+    """
+
+    bind_formals = False
+
+    def __init__(self, program: Program, k: int):
+        self.program = program
+        self.k = k
+        self.universe = Universe(program.signature)
+        self.atoms: dict[str, GroundAtom] = {}
+        self.clauses: list[GroundClause] = []
+        self._pos: dict[str, GroundLiteral] = {}
+        self._neg: dict[str, GroundLiteral] = {}
+        self._domains: dict[TypeExpr, tuple[Rendered, ...]] = {}
+        self._templates: dict[int, _Template] = {}
+
+    def result(self) -> GroundProgram:
+        return GroundProgram(tuple(self.clauses), self.atoms)
+
+    def _domain(self, typ: TypeExpr) -> tuple[Rendered, ...]:
+        domain = self._domains.get(typ)
+        if domain is None:
+            domain = tuple(render(t) for t in self.universe.terms(typ, self.k))
+            self._domains[typ] = domain
+        return domain
+
+    def template(self, index: int) -> _Template:
+        t = self._templates.get(index)
+        if t is None:
+            t = self._templates[index] = self._compile(index)
+        return t
+
+    def _compile(self, index: int) -> _Template:
+        clause = self.program.clauses[index]
+        variables = clause.variables()
+        fields = {v.name: i for i, v in enumerate(variables)}
+        n_bound = len(clause.formals) if self.bind_formals else 0
+        domains = []
+        for v in variables[n_bound:]:
+            domain = self._domain(v.typ)
+            if not domain:
+                raise EmptyUniverse(
+                    f"variable {v.name} : {v.typ} of clause {index} has an empty "
+                    f"size-{self.k} universe"
+                )
+            domains.append(domain)
+        body = []
+        for lit in clause.body:
+            if isinstance(lit, Eq):
+                body.append(
+                    (None, print_template(lit.lhs, fields), print_template(lit.rhs, fields))
+                )
+            elif isinstance(lit, Neg):
+                body.append((self._neg, print_template(lit.atom, fields), lit.atom))
+            else:
+                body.append((self._pos, print_template(lit, fields), lit))
+        head = clause.head_atom()
+        return _Template(
             index,
-            tuple(sorted(theta.items())),
+            tuple(sorted(fields.items())),
+            tuple(domains),
+            math.prod(len(d) for d in domains),
+            (print_template(head, fields), head),
+            tuple(body),
         )
+
+    def ground(self, t: _Template, bound: tuple[Rendered, ...] = ()) -> None:
+        """Append every instance of t whose leading variables take ``bound``."""
+        total = len(self.clauses) + t.count
+        if total > DEFAULT_MAX_CLAUSES:
+            raise GroundingLimitExceeded(
+                f"clause {t.index} would bring the grounding to {total} clauses, "
+                f"over the cap of {DEFAULT_MAX_CLAUSES}"
+            )
+        atoms, append = self.atoms, self.clauses.append
+        head_format, head_expr = t.head
+        for combo in itertools.product(*t.domains):
+            values = bound + combo
+            key = head_format.format(*values)
+            head = atoms.get(key)
+            if head is None:
+                head = self._new_atom(key, head_expr, t, values)
+            body = []
+            for table, fmt, arg in t.body:
+                if table is None:
+                    body.append(_TRUE if fmt.format(*values) == arg.format(*values) else _FALSE)
+                    continue
+                key = fmt.format(*values)
+                lit = table.get(key)
+                if lit is None:
+                    atom = atoms.get(key)
+                    if atom is None:
+                        atom = self._new_atom(key, arg, t, values)
+                    lit = table[key] = (PosLit if table is self._pos else NegLit)(atom)
+                body.append(lit)
+            theta = tuple([(name, values[i].expr) for name, i in t.theta])
+            append(GroundClause(head, tuple(body), t.index, theta))
+
+    def _new_atom(
+        self, key: str, expr: Expr, t: _Template, values: tuple[Rendered, ...]
+    ) -> GroundAtom:
+        theta = {name: values[i].expr for name, i in t.theta}
+        atom = ground_atom(apply_substitution(expr, theta))
+        if atom.key != key:
+            raise TemplateMismatch(
+                f"clause {t.index}: the template printed {key!r} for the atom {atom.key!r}"
+            )
+        self._admit(atom)
+        return atom
+
+    def _admit(self, atom: GroundAtom) -> None:
+        self.atoms[atom.key] = atom
+
+
+class _DemandGrounding(_Grounding):
+    """A grounding that binds each clause's formals by matching a demanded
+    atom, and demands every atom it meets."""
+
+    bind_formals = True
+
+    def __init__(self, program: Program, k: int, max_atoms: int):
+        super().__init__(program, k)
+        self.max_atoms = max_atoms
+        self.queue: deque[GroundAtom] = deque()
+
+    def demand(self, atom: GroundAtom) -> None:
+        size = term_size(atom.expr)
+        if size > DEFAULT_MAX_ATOM_SIZE:
+            raise GroundingLimitExceeded(
+                f"a demanded {spine(atom.expr)[0].name} atom has {size} symbols, "
+                f"over the cap of {DEFAULT_MAX_ATOM_SIZE}"
+            )
+        self.atoms[atom.key] = atom
+        self.queue.append(atom)
+
+    def _admit(self, atom: GroundAtom) -> None:
+        if len(self.atoms) >= self.max_atoms:
+            raise GroundingLimitExceeded(f"dependency closure exceeded {self.max_atoms} atoms")
+        self.demand(atom)
 
 
 def ground_instantiation(program: Program, k: int) -> GroundProgram:
     """All ground instances whose substituted terms have at most k symbols."""
     if k < 1:
         raise ValueError("size bound k must be >= 1")
-    universe = Universe(program.signature)
-    clauses: list[GroundClause] = []
-    for i, clause in enumerate(program.clauses):
-        clauses.extend(_instances(clause, i, universe, k, {}))
-    return _make_ground_program(clauses)
-
-
-def _match_head(clause: Clause, atom: GroundAtom) -> dict[str, Expr] | None:
-    head, args = spine(atom.expr)
-    if not isinstance(head, PredConst) or head.name != clause.head_pred.name:
-        return None
-    if len(args) != len(clause.formals):
-        return None
-    theta: dict[str, Expr] = {}
-    for formal, value in zip(clause.formals, args):
-        if formal.typ != value.typ:
-            return None
-        theta[formal.name] = value
-    return theta
+    grounding = _Grounding(program, k)
+    for i in range(len(program.clauses)):
+        grounding.ground(grounding.template(i))
+    return grounding.result()
 
 
 def relevant_grounding(
@@ -363,35 +491,32 @@ def relevant_grounding(
 
     For every reachable atom, all ground instances whose head matches it are
     added; their body atoms become reachable in turn.  Termination is
-    enforced by ``max_atoms`` because matched head bindings are not size
-    bounded.
+    enforced by ``max_atoms`` and ``DEFAULT_MAX_ATOM_SIZE`` because matched
+    head bindings are not size bounded.  The atom table lists the roots
+    first, then the other atoms in order of first appearance.
     """
     if k < 1:
         raise ValueError("size bound k must be >= 1")
-    universe = Universe(program.signature)
-    seen: dict[str, GroundAtom] = {}
+    grounding = _DemandGrounding(program, k, max_atoms)
+    # head predicate -> (clause index, formal types), in program order
+    by_pred: dict[str, list[tuple[int, tuple[TypeExpr, ...]]]] = {}
+    for i, clause in enumerate(program.clauses):
+        formal_types = tuple(f.typ for f in clause.formals)
+        by_pred.setdefault(clause.head_pred.name, []).append((i, formal_types))
     for a in roots:
         atom = a if isinstance(a, GroundAtom) else ground_atom(a)
-        seen.setdefault(atom.key, atom)
-    queue = deque(seen.values())
-    clauses: list[GroundClause] = []
-    while queue:
-        atom = queue.popleft()
-        for i, clause in enumerate(program.clauses):
-            base = _match_head(clause, atom)
-            if base is None:
-                continue
-            for gc in _instances(clause, i, universe, k, base):
-                clauses.append(gc)
-                for lit in gc.body:
-                    if isinstance(lit, (PosLit, NegLit)) and lit.atom.key not in seen:
-                        if len(seen) >= max_atoms:
-                            raise GroundingLimitExceeded(
-                                f"dependency closure exceeded {max_atoms} atoms"
-                            )
-                        seen[lit.atom.key] = lit.atom
-                        queue.append(lit.atom)
-    return _make_ground_program(clauses, extra_atoms=list(seen.values()))
+        if atom.key not in grounding.atoms:
+            grounding.demand(atom)
+    while grounding.queue:
+        atom = grounding.queue.popleft()
+        head, args = spine(atom.expr)
+        arg_types = tuple(a.typ for a in args)
+        matching = [i for i, types in by_pred.get(head.name, ()) if types == arg_types]
+        if matching:
+            bound = tuple(render(a) for a in args)
+            for i in matching:
+                grounding.ground(grounding.template(i), bound)
+    return grounding.result()
 
 
 def truncated_types(program: Program, k: int) -> tuple[str, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
     ArityMismatch,
@@ -328,6 +328,55 @@ def canonical_print(e: Expr) -> str:
     if isinstance(e, Eq):
         return f"{canonical_print(e.lhs)} = {canonical_print(e.rhs)}"
     raise TypeError(f"not an expression: {e!r}")
+
+
+class Rendered(NamedTuple):
+    """A ground term with both of its printed forms."""
+
+    expr: Expr
+    text: str  # canonical_print(expr)
+    atomic: str  # the same, parenthesized when it would not re-parse as one argument
+
+
+def render(e: Expr) -> Rendered:
+    return Rendered(e, canonical_print(e), _atomic(e))
+
+
+def print_template(e: Expr, fields: Mapping[str, int]) -> str:
+    """A ``str.format`` template that prints the instances of the term e.
+
+    Each variable becomes the positional field ``fields[name]``, to be
+    filled with the ``Rendered`` value of the variable: its ``text`` where
+    the variable heads an application spine (or is all of e), its
+    ``atomic`` text where it is an argument.  So
+    ``print_template(e, fields).format(*values)`` equals
+    ``canonical_print(apply_substitution(e, theta))`` when theta maps each
+    variable to the ``expr`` of its value.
+    """
+
+    def literal(name: str) -> str:
+        return name.replace("{", "{{").replace("}", "}}")
+
+    def text(e: Expr) -> str:
+        if isinstance(e, (IndVar, PredVar)):
+            return f"{{{fields[e.name]}.text}}"
+        if isinstance(e, (IndConst, PredConst)):
+            return literal(e.name)
+        if isinstance(e, FunApp):
+            return " ".join([literal(e.fun)] + [atomic(a) for a in e.args])
+        if isinstance(e, App):
+            head, args = spine(e)
+            return " ".join([text(head)] + [atomic(a) for a in args])
+        raise TypeError(f"not a term: {e!r}")
+
+    def atomic(e: Expr) -> str:
+        if isinstance(e, (IndVar, PredVar)):
+            return f"{{{fields[e.name]}.atomic}}"
+        if isinstance(e, (App, FunApp)) and not (isinstance(e, FunApp) and not e.args):
+            return f"({text(e)})"
+        return text(e)
+
+    return text(e)
 
 
 # ---------------------------------------------------------------------------

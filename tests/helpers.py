@@ -5,6 +5,9 @@ fixpoint machinery:
 
 * ``enumerate_terms_closure`` grows ground terms by repeated application
   instead of by sized composition;
+* ``reference_grounding`` grounds by substituting into each clause and
+  printing every atom it meets, where the grounder prints from per-clause
+  templates and builds each distinct atom once;
 * ``classical_least_model`` is a plain two-valued immediate-consequence
   closure for negation-free ground programs;
 * ``reduct_least_model`` and ``is_three_valued_stable`` decide
@@ -19,19 +22,33 @@ from __future__ import annotations
 import itertools
 import random
 
-from hoplog.grounder import ConstLit, GroundProgram, NegLit, PosLit
+from hoplog.errors import EmptyUniverse, GroundingLimitExceeded
+from hoplog.grounder import (
+    DEFAULT_MAX_ATOM_SIZE,
+    ConstLit,
+    GroundAtom,
+    GroundClause,
+    GroundProgram,
+    NegLit,
+    PosLit,
+    Universe,
+)
 from hoplog.interp import PartialInterpretation
 from hoplog.syntax import (
     IOTA,
     OMICRON,
     App,
     Arrow,
+    Eq,
     Expr,
     FunApp,
     IndConst,
+    Neg,
     PredConst,
     TypeExpr,
     canonical_print,
+    spine,
+    substitute_clause,
     term_size,
 )
 from hoplog.typecheck import Program, load_program
@@ -94,6 +111,92 @@ def _tuples(pool, n):
     for head in pool:
         for tail in _tuples(pool, n - 1):
             yield [head] + tail
+
+
+# ---------------------------------------------------------------------------
+# Reference grounding (oracle for the template grounder)
+# ---------------------------------------------------------------------------
+
+
+def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
+    """The grounding by substitution, one instance at a time.
+
+    Each instance is ``substitute_clause`` under its theta, each atom is
+    keyed by ``canonical_print`` of the substituted expression, and each
+    equality is resolved by structural ``==``.  With ``roots=None`` every
+    clause is grounded over the size-k universe; otherwise the dependency
+    closure of the root atom expressions is, with head formals bound by
+    matching, and a demanded atom over ``DEFAULT_MAX_ATOM_SIZE`` symbols
+    is refused.  The universe terms come from ``Universe``, which
+    ``enumerate_terms_closure`` checks on its own.
+    """
+    universe = Universe(program.signature)
+
+    def instances(index: int, base: dict[str, Expr]):
+        clause = program.clauses[index]
+        free = [v for v in clause.variables() if v.name not in base]
+        domains = []
+        for v in free:
+            terms = universe.terms(v.typ, k)
+            if not terms:
+                raise EmptyUniverse(f"{v.name} : {v.typ} has no size-{k} terms")
+            domains.append(terms)
+        for combo in itertools.product(*domains):
+            theta = dict(base)
+            theta.update(zip((v.name for v in free), combo))
+            head, body = substitute_clause(clause, theta)
+            lits = []
+            for lit in body:
+                if isinstance(lit, Eq):
+                    lits.append(ConstLit(lit.lhs == lit.rhs))
+                elif isinstance(lit, Neg):
+                    lits.append(NegLit(GroundAtom(canonical_print(lit.atom), lit.atom)))
+                else:
+                    lits.append(PosLit(GroundAtom(canonical_print(lit), lit)))
+            yield GroundClause(
+                GroundAtom(canonical_print(head), head),
+                tuple(lits),
+                index,
+                tuple(sorted(theta.items())),
+            )
+
+    atoms: dict[str, GroundAtom] = {}
+    clauses: list[GroundClause] = []
+    queue: list[GroundAtom] = []
+
+    def demand(atom: GroundAtom) -> None:
+        if term_size(atom.expr) > DEFAULT_MAX_ATOM_SIZE:
+            raise GroundingLimitExceeded(f"{atom.key} is over the atom size cap")
+        atoms[atom.key] = atom
+        queue.append(atom)
+
+    if roots is None:
+        for i in range(len(program.clauses)):
+            clauses.extend(instances(i, {}))
+    else:
+        for expr in roots:
+            if canonical_print(expr) not in atoms:
+                demand(GroundAtom(canonical_print(expr), expr))
+        while queue:
+            atom = queue.pop(0)
+            head, args = spine(atom.expr)
+            for i, clause in enumerate(program.clauses):
+                if clause.head_pred != head or [f.typ for f in clause.formals] != [
+                    a.typ for a in args
+                ]:
+                    continue
+                base = {f.name: a for f, a in zip(clause.formals, args)}
+                for gc in instances(i, base):
+                    clauses.append(gc)
+                    for lit in gc.body:
+                        if isinstance(lit, (PosLit, NegLit)) and lit.atom.key not in atoms:
+                            demand(lit.atom)
+    for gc in clauses:
+        atoms.setdefault(gc.head.key, gc.head)
+        for lit in gc.body:
+            if isinstance(lit, (PosLit, NegLit)):
+                atoms.setdefault(lit.atom.key, lit.atom)
+    return GroundProgram(tuple(clauses), atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,17 @@ class TestGround:
         data = payload(out)
         assert sorted(data["clauses"]) == ["p (s p) <- s p.", "s p <- p (s p)."]
 
+    def test_clause_cap_exits_one(self, run):
+        # 8 variables over 10 individuals: 10^8 instances, refused up front.
+        program = (
+            "".join(f"type c{i} : i.\n" for i in range(10))
+            + "type q : o.\ntype r : i -> o.\n"
+            + "q <- " + ", ".join(f"r X{j}" for j in range(8)) + ".\n"
+        )
+        code, out, err = run(["ground", "--depth", "1"], program=program)
+        assert code == 1 and out == ""
+        assert json.loads(err)["rule"] == "GroundingLimitExceeded"
+
 
 class TestWfs:
     def test_model_dump_and_stage_count(self, run):
@@ -85,6 +96,16 @@ class TestWfs:
             "undefined": ["q (s q)", "s q", "w (s q)"],
         }
         assert data["stages"] == 1
+
+    def test_deep_demand_exits_one(self, run):
+        # p a demands p (f a), p (f (f a)), ...: the atom size cap stops the
+        # chain long before printing or hashing it could overflow the stack.
+        code, out, err = run(
+            ["wfs", "--depth", "1", "--roots", "p a"],
+            program="type a : i.\ntype p : i -> o.\ntype f : i -> i.\np X <- p (f X).",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["rule"] == "GroundingLimitExceeded"
 
     def test_empty_program(self, run):
         code, out, _ = run(["wfs", "--depth", "1"], program="")

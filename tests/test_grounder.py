@@ -1,9 +1,13 @@
 """Universe enumeration and the two grounding modes."""
 
+import random
+
 import pytest
 
 from hoplog.errors import EmptyUniverse, GroundingLimitExceeded
 from hoplog.grounder import (
+    DEFAULT_MAX_ATOM_SIZE,
+    DEFAULT_MAX_CLAUSES,
     ConstLit,
     Universe,
     ground_atom,
@@ -13,11 +17,17 @@ from hoplog.grounder import (
     truncated_types,
 )
 from hoplog.parser import parse_atom, parse_type
-from hoplog.programs import NONEXTENSIONAL, POSITIVE_ID
+from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
 from hoplog.syntax import IOTA, canonical_print, substitute_clause
 from hoplog.typecheck import elaborate_ground_atom
 
-from helpers import enumerate_terms_closure, load
+from helpers import (
+    enumerate_terms_closure,
+    load,
+    random_program_source,
+    random_stratified_source,
+    reference_grounding,
+)
 
 IO = parse_type("i -> o")
 OO = parse_type("o -> o")
@@ -175,6 +185,45 @@ class TestRelevantGrounding:
         with pytest.raises(GroundingLimitExceeded):
             relevant_grounding(program, [atom_of(program, "p a")], 1, max_atoms=50)
 
+    def test_deep_closure_hits_the_atom_size_cap(self):
+        # Under the default atom cap, f nests until printing or hashing the
+        # atoms would overflow the stack, unless the size cap stops it first.
+        src = "type a : i.\ntype p : i -> o.\ntype f : i -> i.\np X <- p (f X)."
+        program = load(src)
+        with pytest.raises(GroundingLimitExceeded, match=f" {DEFAULT_MAX_ATOM_SIZE + 1} symbols"):
+            relevant_grounding(program, [atom_of(program, "p a")], 1)
+
+
+# 8 variables over 10 individuals: 10^8 instances of one clause.
+WIDE_CLAUSE = (
+    "".join(f"type c{i} : i.\n" for i in range(10))
+    + "type q : o.\ntype r : i -> o.\n"
+    + "q <- " + ", ".join(f"r X{j}" for j in range(8)) + ".\n"
+)
+
+
+class TestClauseCap:
+    def test_exhaustive_grounding_refused_before_enumeration(self):
+        assert 10**8 > DEFAULT_MAX_CLAUSES
+        with pytest.raises(GroundingLimitExceeded, match="clauses"):
+            ground_instantiation(load(WIDE_CLAUSE), 1)
+
+    def test_demand_grounding_refused_before_enumeration(self):
+        program = load(WIDE_CLAUSE)
+        with pytest.raises(GroundingLimitExceeded, match="clauses"):
+            relevant_grounding(program, [atom_of(program, "q")], 1)
+
+    def test_cap_counts_the_whole_grounding(self):
+        # Clause 1 alone has exactly the cap's 10^6 instances; after the fact
+        # before it, the grounding would pass the cap, so nothing of it is built.
+        assert 10**6 == DEFAULT_MAX_CLAUSES
+        src = (
+            "".join(f"type c{i} : i.\n" for i in range(10))
+            + "type q : o.\ntype r : i -> o.\nq.\n"
+            + "q <- " + ", ".join(f"r X{j}" for j in range(6)) + ".\n"
+        )
+        with pytest.raises(GroundingLimitExceeded, match="clause 1 .* 1000001 clauses"):
+            ground_instantiation(load(src), 1)
 
 class TestTruncationReport:
     def test_function_symbols_truncate_individuals(self):
@@ -211,3 +260,89 @@ class TestCompiledProgram:
         assert gp.compiled is gp.compiled  # built once per grounding
         assert ([str(gc) for gc in gp.clauses], list(gp.atoms)) == before
         assert "p b <- false, ~(r b)." in before[0]
+
+
+class TestTemplateGrounding:
+    """The template grounder against the substitute-then-print reference."""
+
+    @staticmethod
+    def assert_same(program, k, roots=None):
+        try:
+            expected = reference_grounding(program, k, roots)
+        except (EmptyUniverse, GroundingLimitExceeded) as refused:
+            with pytest.raises(type(refused)):
+                _ground(program, k, roots)
+            return None
+        gp = _ground(program, k, roots)
+        assert [str(c) for c in gp.clauses] == [str(c) for c in expected.clauses]
+        assert [(c.source_index, c.theta) for c in gp.clauses] == [
+            (c.source_index, c.theta) for c in expected.clauses
+        ]
+        assert list(gp.atoms.items()) == list(expected.atoms.items())
+        assert gp.clauses == expected.clauses
+        assert gp.compiled == expected.compiled
+        return gp
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+    def test_corpus(self, entry):
+        program = load(entry.source)
+        for k in (1, 2, 3):
+            gp = self.assert_same(program, k)
+            if gp is not None:
+                self.assert_same(program, k, _first_atoms(gp))
+            if entry.roots:
+                roots = [elaborate_ground_atom(program, parse_atom(r)) for r in entry.roots]
+                self.assert_same(program, k, roots)
+
+    @pytest.mark.parametrize(
+        "generate", [random_program_source, random_stratified_source]
+    )
+    def test_random_programs(self, generate):
+        rng = random.Random(4)
+        for _ in range(100):
+            program = load(generate(rng))
+            for k in (1, 2):
+                gp = self.assert_same(program, k)
+                if gp is not None:
+                    self.assert_same(program, k, _first_atoms(gp))
+
+    def test_partial_application_in_spine_head(self):
+        program = load(
+            "type n0 : i.\ntype n1 : i.\n"
+            "type node : i -> o.\ntype reach : i -> i -> o.\ntype gap : (i -> o) -> o.\n"
+            "node X <- X = n0.\nreach X Y <- X = n1, Y = n0.\n"
+            "gap R <- node X, ~(R X).\n"
+        )
+        gp = self.assert_same(program, 2)
+        assert "gap (reach n1) <- node n0, ~(reach n1 n0)." in [str(c) for c in gp.clauses]
+        gp = self.assert_same(program, 2, [atom_of(program, "gap (reach n1)").expr])
+        assert [str(c) for c in gp.clauses if c.source_index == 2] == [
+            "gap (reach n1) <- node n0, ~(reach n1 n0).",
+            "gap (reach n1) <- node n1, ~(reach n1 n1).",
+        ]
+
+    def test_nested_function_term_as_argument(self):
+        program = load("type a : i.\ntype f : i -> i.\ntype p : i -> o.\np X <- p (f X).")
+        gp = self.assert_same(program, 2)
+        assert [str(c) for c in gp.clauses] == ["p a <- p (f a).", "p (f a) <- p (f (f a))."]
+        assert list(gp.atoms) == ["p a", "p (f a)", "p (f (f a))"]
+
+    def test_equality_between_function_terms(self):
+        # The formals are out of name order, and theta is sorted by name.
+        program = load("type f : i -> i.\ntype a : i.\ntype b : i.\ntype q : i -> i -> o.\nq Y X <- f Y = f X.")
+        gp = self.assert_same(program, 2)
+        rendered = [str(c) for c in gp.clauses]
+        assert "q (f a) (f a) <- true." in rendered
+        assert "q a (f a) <- false." in rendered
+        assert sum(c.body[0].value for c in gp.clauses) == 4
+        assert [name for name, _ in gp.clauses[0].theta] == ["X", "Y"]
+
+
+def _ground(program, k, roots):
+    if roots is None:
+        return ground_instantiation(program, k)
+    return relevant_grounding(program, roots, k)
+
+
+def _first_atoms(gp):
+    return [atom.expr for atom in list(gp.atoms.values())[:2]]
