@@ -15,9 +15,9 @@ exceed a size bound k.  Two groundings are offered:
 
 Both modes compile each clause once per grounding into ``str.format``
 templates, one for its head and one for each body literal, and print each
-instance's atoms from the rendered values of its variables.  The atom table
-maps each printed key to its ``GroundAtom``, which is built only the first
-time the key appears; a grounding whose clause count would pass
+instance's atoms from the printed forms of its variables' values.  The atom
+table maps each printed key to its ``GroundAtom``, which is built only the
+first time the key appears; a grounding whose clause count would pass
 ``DEFAULT_MAX_CLAUSES`` is refused before it is enumerated.
 
 Equality literals are resolved at grounding time: syntactically identical
@@ -51,14 +51,12 @@ from .syntax import (
     IndConst,
     Neg,
     PredConst,
-    Rendered,
     Signature,
     TypeExpr,
     apply_substitution,
     canonical_print,
     is_argument_type,
     print_template,
-    render,
     spine,
     suffix_types,
     term_size,
@@ -67,9 +65,10 @@ from .syntax import (
 from .typecheck import Program
 
 DEFAULT_MAX_ATOMS = 100_000
-# Symbols in one demanded atom.  Printing, hashing and comparing a term
-# recurse once or twice per nesting level, so this keeps them far below
-# Python's default recursion limit of 1000 frames.
+# Symbols in one demanded atom.  Matched head bindings are not size bounded,
+# and an atom's text grows with its size, so under the atom cap alone a chain
+# such as ``p X <- p (f X)`` would print on the order of max_atoms**2
+# characters before it stopped.
 DEFAULT_MAX_ATOM_SIZE = 100
 # Ground clauses in one grounding, in either mode.
 DEFAULT_MAX_CLAUSES = 1_000_000
@@ -308,14 +307,14 @@ class _Template(NamedTuple):
     """A clause compiled once per grounding.
 
     Field i of each format string is the i-th variable of
-    ``clause.variables()``, filled with its ``Rendered`` value.  The values
+    ``clause.variables()``, filled with its value, a ground term.  The values
     of the leading variables come from a matched head (demand grounding
     binds the formals); the rest range over ``domains``.
     """
 
     index: int
     theta: tuple[tuple[str, int], ...]  # (name, field), sorted by name
-    domains: tuple[tuple[Rendered, ...], ...]
+    domains: tuple[tuple[Expr, ...], ...]
     count: int  # instances per binding of the leading variables
     head: tuple[str, Expr]  # (format, head atom)
     # (literal table, format, atom) for an atom or a negated atom;
@@ -324,8 +323,8 @@ class _Template(NamedTuple):
 
 
 class _Grounding:
-    """One grounding under way: rendered domains, clause templates, the
-    clauses so far and the atom table.
+    """One grounding under way: clause templates, the clauses so far and
+    the atom table.
 
     An instance costs one ``str.format`` per literal and a lookup in the
     atom table.  Only a key printed for the first time builds its atom, by
@@ -343,18 +342,10 @@ class _Grounding:
         self.clauses: list[GroundClause] = []
         self._pos: dict[str, GroundLiteral] = {}
         self._neg: dict[str, GroundLiteral] = {}
-        self._domains: dict[TypeExpr, tuple[Rendered, ...]] = {}
         self._templates: dict[int, _Template] = {}
 
     def result(self) -> GroundProgram:
         return GroundProgram(tuple(self.clauses), self.atoms)
-
-    def _domain(self, typ: TypeExpr) -> tuple[Rendered, ...]:
-        domain = self._domains.get(typ)
-        if domain is None:
-            domain = tuple(render(t) for t in self.universe.terms(typ, self.k))
-            self._domains[typ] = domain
-        return domain
 
     def template(self, index: int) -> _Template:
         t = self._templates.get(index)
@@ -369,7 +360,7 @@ class _Grounding:
         n_bound = len(clause.formals) if self.bind_formals else 0
         domains = []
         for v in variables[n_bound:]:
-            domain = self._domain(v.typ)
+            domain = self.universe.terms(v.typ, self.k)
             if not domain:
                 raise EmptyUniverse(
                     f"variable {v.name} : {v.typ} of clause {index} has an empty "
@@ -396,7 +387,7 @@ class _Grounding:
             tuple(body),
         )
 
-    def ground(self, t: _Template, bound: tuple[Rendered, ...] = ()) -> None:
+    def ground(self, t: _Template, bound: tuple[Expr, ...] = ()) -> None:
         """Append every instance of t whose leading variables take ``bound``."""
         total = len(self.clauses) + t.count
         if total > DEFAULT_MAX_CLAUSES:
@@ -425,13 +416,13 @@ class _Grounding:
                         atom = self._new_atom(key, arg, t, values)
                     lit = table[key] = (PosLit if table is self._pos else NegLit)(atom)
                 body.append(lit)
-            theta = tuple([(name, values[i].expr) for name, i in t.theta])
+            theta = tuple([(name, values[i]) for name, i in t.theta])
             append(GroundClause(head, tuple(body), t.index, theta))
 
     def _new_atom(
-        self, key: str, expr: Expr, t: _Template, values: tuple[Rendered, ...]
+        self, key: str, expr: Expr, t: _Template, values: tuple[Expr, ...]
     ) -> GroundAtom:
-        theta = {name: values[i].expr for name, i in t.theta}
+        theta = {name: values[i] for name, i in t.theta}
         atom = ground_atom(apply_substitution(expr, theta))
         if atom.key != key:
             raise TemplateMismatch(
@@ -512,10 +503,8 @@ def relevant_grounding(
         head, args = spine(atom.expr)
         arg_types = tuple(a.typ for a in args)
         matching = [i for i, types in by_pred.get(head.name, ()) if types == arg_types]
-        if matching:
-            bound = tuple(render(a) for a in args)
-            for i in matching:
-                grounding.ground(grounding.template(i), bound)
+        for i in matching:
+            grounding.ground(grounding.template(i), tuple(args))
     return grounding.result()
 
 

@@ -12,13 +12,14 @@ symbols over individuals, and curried application of predicate-typed terms.
 Negation ``~`` and individual equality ``=`` exist only at the literal level.
 
 All values here are immutable and hashable; they can be shared freely.
+Terms are hash-consed: each distinct term exists once (see ``Expr``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple, Union
+import weakref
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatch,
@@ -142,68 +143,148 @@ def type_size(t: TypeExpr) -> int:
 # ---------------------------------------------------------------------------
 
 
-class Expr:
-    """Base class for terms and literal expressions. Nodes carry their type."""
+_set = object.__setattr__
 
-    __slots__ = ()
+
+class Expr:
+    """Base class for terms and literal expressions. Nodes carry their type.
+
+    Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006): constructing a node returns the one live node of
+    its class with the same fields, so equal nodes are identical and ``==``
+    is ``is``.  Each node computes, once and from its children's fields:
+
+    * ``text``: its canonical printing (see ``canonical_print``);
+    * ``atomic``: the same, parenthesized when it would not re-parse as one
+      argument;
+    * ``size``: its ``term_size``;
+    * its hash: the hash of its fields, never of its address.
+
+    So printing, sizing, hashing and comparing a node never recurse.  Each
+    class's intern table holds its nodes weakly: a node lives exactly as
+    long as something else refers to it.  The tables take no lock, so terms
+    must be built from one thread at a time.  A subclass's ``__slots__`` are
+    its fields, in constructor order.
+    """
+
+    __slots__ = ("_hash", "text", "atomic", "size", "__weakref__")
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._table = weakref.WeakValueDictionary()
+
+    @classmethod
+    def _intern(cls, fields: tuple, text: str, atomic: str, size: int) -> Expr:
+        """Build, register and return the node of this class with these
+        fields; the caller has found none in the table."""
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            _set(node, name, value)
+        _set(node, "_hash", hash(fields))
+        _set(node, "text", text)
+        _set(node, "atomic", atomic)
+        _set(node, "size", size)
+        cls._table[fields] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     @property
     def typ(self) -> TypeExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class IndConst(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> IndConst:
+        fields = (name,)
+        return cls._table.get(fields) or cls._intern(fields, name, name, 1)
 
     @property
     def typ(self) -> TypeExpr:
         return IOTA
 
 
-@dataclass(frozen=True)
 class PredConst(Expr):
-    name: str
-    ptype: TypeExpr
+    __slots__ = ("name", "ptype")
+
+    def __new__(cls, name: str, ptype: TypeExpr) -> PredConst:
+        fields = (name, ptype)
+        return cls._table.get(fields) or cls._intern(fields, name, name, 1)
 
     @property
     def typ(self) -> TypeExpr:
         return self.ptype
 
 
-@dataclass(frozen=True)
 class IndVar(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> IndVar:
+        fields = (name,)
+        return cls._table.get(fields) or cls._intern(fields, name, name, 0)
 
     @property
     def typ(self) -> TypeExpr:
         return IOTA
 
 
-@dataclass(frozen=True)
 class PredVar(Expr):
-    name: str
-    ptype: TypeExpr
+    __slots__ = ("name", "ptype")
+
+    def __new__(cls, name: str, ptype: TypeExpr) -> PredVar:
+        fields = (name, ptype)
+        return cls._table.get(fields) or cls._intern(fields, name, name, 0)
 
     @property
     def typ(self) -> TypeExpr:
         return self.ptype
 
 
-@dataclass(frozen=True)
 class FunApp(Expr):
-    fun: str
-    args: tuple[Expr, ...]
+    __slots__ = ("fun", "args")
+
+    def __new__(cls, fun: str, args: tuple[Expr, ...]) -> FunApp:
+        fields = (fun, args)
+        node = cls._table.get(fields)
+        if node is None:
+            text = " ".join([fun] + [a.atomic for a in args])
+            node = cls._intern(
+                fields, text, f"({text})" if args else text, 1 + sum(a.size for a in args)
+            )
+        return node
 
     @property
     def typ(self) -> TypeExpr:
         return IOTA
 
 
-@dataclass(frozen=True)
 class App(Expr):
-    op: Expr
-    arg: Expr
+    __slots__ = ("op", "arg")
+
+    def __new__(cls, op: Expr, arg: Expr) -> App:
+        fields = (op, arg)
+        node = cls._table.get(fields)
+        if node is None:
+            # op's text already prints the rest of the spine
+            text = f"{op.text} {arg.atomic}"
+            node = cls._intern(fields, text, f"({text})", op.size + arg.size)
+        return node
 
     @property
     def typ(self) -> TypeExpr:
@@ -213,19 +294,32 @@ class App(Expr):
         return optype.result
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    atom: Expr
+    __slots__ = ("atom",)
+
+    def __new__(cls, atom: Expr) -> Neg:
+        fields = (atom,)
+        node = cls._table.get(fields)
+        if node is None:
+            text = f"~{atom.atomic}"
+            node = cls._intern(fields, text, text, atom.size)
+        return node
 
     @property
     def typ(self) -> TypeExpr:
         return OMICRON
 
 
-@dataclass(frozen=True)
 class Eq(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
+
+    def __new__(cls, lhs: Expr, rhs: Expr) -> Eq:
+        fields = (lhs, rhs)
+        node = cls._table.get(fields)
+        if node is None:
+            text = f"{lhs.text} = {rhs.text}"
+            node = cls._intern(fields, text, text, lhs.size + rhs.size)
+        return node
 
     @property
     def typ(self) -> TypeExpr:
@@ -258,19 +352,7 @@ def build_spine(head: Expr, args: list[Expr]) -> Expr:
 
 def term_size(e: Expr) -> int:
     """Number of constant, function-symbol and predicate-constant occurrences."""
-    if isinstance(e, (IndConst, PredConst)):
-        return 1
-    if isinstance(e, (IndVar, PredVar)):
-        return 0
-    if isinstance(e, FunApp):
-        return 1 + sum(term_size(a) for a in e.args)
-    if isinstance(e, App):
-        return term_size(e.op) + term_size(e.arg)
-    if isinstance(e, Neg):
-        return term_size(e.atom)
-    if isinstance(e, Eq):
-        return term_size(e.lhs) + term_size(e.rhs)
-    raise TypeError(f"not an expression: {e!r}")
+    return e.size
 
 
 def free_vars(e: Expr) -> frozenset[Var]:
@@ -302,56 +384,25 @@ def is_ground(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _atomic(e: Expr) -> str:
-    """Render e, parenthesized when it would not re-parse as one argument."""
-    if isinstance(e, (App, FunApp)) and not (isinstance(e, FunApp) and not e.args):
-        return f"({canonical_print(e)})"
-    return canonical_print(e)
-
-
-@lru_cache(maxsize=None)
 def canonical_print(e: Expr) -> str:
     """Deterministic, re-parseable rendering with minimal parentheses.
 
     Application is printed left-associatively by juxtaposition; ``~`` binds a
     single argument; ``=`` joins two individual terms.
     """
-    if isinstance(e, (IndConst, PredConst, IndVar, PredVar)):
-        return e.name
-    if isinstance(e, FunApp):
-        return " ".join([e.fun] + [_atomic(a) for a in e.args])
-    if isinstance(e, App):
-        head, args = spine(e)
-        return " ".join([canonical_print(head)] + [_atomic(a) for a in args])
-    if isinstance(e, Neg):
-        return f"~{_atomic(e.atom)}"
-    if isinstance(e, Eq):
-        return f"{canonical_print(e.lhs)} = {canonical_print(e.rhs)}"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-class Rendered(NamedTuple):
-    """A ground term with both of its printed forms."""
-
-    expr: Expr
-    text: str  # canonical_print(expr)
-    atomic: str  # the same, parenthesized when it would not re-parse as one argument
-
-
-def render(e: Expr) -> Rendered:
-    return Rendered(e, canonical_print(e), _atomic(e))
+    return e.text
 
 
 def print_template(e: Expr, fields: Mapping[str, int]) -> str:
     """A ``str.format`` template that prints the instances of the term e.
 
     Each variable becomes the positional field ``fields[name]``, to be
-    filled with the ``Rendered`` value of the variable: its ``text`` where
-    the variable heads an application spine (or is all of e), its
-    ``atomic`` text where it is an argument.  So
+    filled with the variable's value, a ground term: its ``text`` where the
+    variable heads an application spine (or is all of e), its ``atomic``
+    text where it is an argument.  So
     ``print_template(e, fields).format(*values)`` equals
     ``canonical_print(apply_substitution(e, theta))`` when theta maps each
-    variable to the ``expr`` of its value.
+    variable to its value.
     """
 
     def literal(name: str) -> str:
@@ -393,10 +444,12 @@ class Signature:
     """Immutable symbol table: constant / function-symbol name -> type."""
 
     entries: tuple[tuple[str, TypeExpr], ...]
+    _types: dict[str, TypeExpr] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, t in self.entries:
             self.kind_of_type(name, t)
+        object.__setattr__(self, "_types", dict(self.entries))
 
     @staticmethod
     def kind_of_type(name: str, t: TypeExpr) -> str:
@@ -412,13 +465,13 @@ class Signature:
         return dict(self.entries)
 
     def lookup(self, name: str) -> TypeExpr:
-        for n, t in self.entries:
-            if n == name:
-                return t
-        raise UnboundSymbol(f"undeclared symbol: {name}")
+        t = self._types.get(name)
+        if t is None:
+            raise UnboundSymbol(f"undeclared symbol: {name}")
+        return t
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.entries)
+        return name in self._types
 
     def kind(self, name: str) -> str:
         return self.kind_of_type(name, self.lookup(name))

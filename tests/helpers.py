@@ -3,6 +3,10 @@
 The oracles here deliberately avoid the package's own enumeration and
 fixpoint machinery:
 
+* ``reference_print``, ``reference_atomic`` and ``reference_size`` print
+  and size a term by recursive ``isinstance`` dispatch, where every
+  interned ``Expr`` node carries its text, atomic text and size, computed
+  once from its children's;
 * ``enumerate_terms_closure`` grows ground terms by repeated application
   instead of by sized composition;
 * ``reference_grounding`` grounds by substituting into each clause and
@@ -43,19 +47,67 @@ from hoplog.syntax import (
     Expr,
     FunApp,
     IndConst,
+    IndVar,
     Neg,
     PredConst,
+    PredVar,
     TypeExpr,
-    canonical_print,
     spine,
     substitute_clause,
-    term_size,
 )
 from hoplog.typecheck import Program, load_program
 
 
 def load(src: str) -> Program:
     return load_program(src)
+
+
+# ---------------------------------------------------------------------------
+# Reference printer and sizer (oracles for the interned node fields)
+# ---------------------------------------------------------------------------
+
+
+def reference_print(e: Expr) -> str:
+    """Canonical text of e, recomputed from the structure on every call."""
+    if isinstance(e, (IndConst, PredConst, IndVar, PredVar)):
+        return e.name
+    if isinstance(e, FunApp):
+        return " ".join([e.fun] + [reference_atomic(a) for a in e.args])
+    if isinstance(e, App):
+        args = []
+        while isinstance(e, App):
+            args.append(e.arg)
+            e = e.op
+        return " ".join([reference_print(e)] + [reference_atomic(a) for a in reversed(args)])
+    if isinstance(e, Neg):
+        return f"~{reference_atomic(e.atom)}"
+    if isinstance(e, Eq):
+        return f"{reference_print(e.lhs)} = {reference_print(e.rhs)}"
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def reference_atomic(e: Expr) -> str:
+    """``reference_print``, parenthesized when e would not re-parse as one argument."""
+    if isinstance(e, App) or (isinstance(e, FunApp) and e.args):
+        return f"({reference_print(e)})"
+    return reference_print(e)
+
+
+def reference_size(e: Expr) -> int:
+    """Constant, function-symbol and predicate-constant occurrences in e."""
+    if isinstance(e, (IndConst, PredConst)):
+        return 1
+    if isinstance(e, (IndVar, PredVar)):
+        return 0
+    if isinstance(e, FunApp):
+        return 1 + sum(reference_size(a) for a in e.args)
+    if isinstance(e, App):
+        return reference_size(e.op) + reference_size(e.arg)
+    if isinstance(e, Neg):
+        return reference_size(e.atom)
+    if isinstance(e, Eq):
+        return reference_size(e.lhs) + reference_size(e.rhs)
+    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +127,8 @@ def enumerate_terms_closure(program: Program, rho: TypeExpr, k: int) -> set[str]
     terms: dict[str, tuple[Expr, TypeExpr]] = {}
 
     def add(e: Expr, t: TypeExpr) -> bool:
-        key = canonical_print(e)
-        if term_size(e) > k or key in terms:
+        key = reference_print(e)
+        if reference_size(e) > k or key in terms:
             return False
         terms[key] = (e, t)
         return True
@@ -122,12 +174,12 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
     """The grounding by substitution, one instance at a time.
 
     Each instance is ``substitute_clause`` under its theta, each atom is
-    keyed by ``canonical_print`` of the substituted expression, and each
-    equality is resolved by structural ``==``.  With ``roots=None`` every
-    clause is grounded over the size-k universe; otherwise the dependency
-    closure of the root atom expressions is, with head formals bound by
-    matching, and a demanded atom over ``DEFAULT_MAX_ATOM_SIZE`` symbols
-    is refused.  The universe terms come from ``Universe``, which
+    keyed by ``reference_print`` of the substituted expression, and each
+    equality is resolved by comparing the two sides' ``reference_print``
+    texts.  With ``roots=None`` every clause is grounded over the size-k
+    universe; otherwise the dependency closure of the root atom expressions
+    is, with head formals bound by matching, and a demanded atom over
+    ``DEFAULT_MAX_ATOM_SIZE`` symbols is refused.  The universe terms come from ``Universe``, which
     ``enumerate_terms_closure`` checks on its own.
     """
     universe = Universe(program.signature)
@@ -148,13 +200,13 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
             lits = []
             for lit in body:
                 if isinstance(lit, Eq):
-                    lits.append(ConstLit(lit.lhs == lit.rhs))
+                    lits.append(ConstLit(reference_print(lit.lhs) == reference_print(lit.rhs)))
                 elif isinstance(lit, Neg):
-                    lits.append(NegLit(GroundAtom(canonical_print(lit.atom), lit.atom)))
+                    lits.append(NegLit(GroundAtom(reference_print(lit.atom), lit.atom)))
                 else:
-                    lits.append(PosLit(GroundAtom(canonical_print(lit), lit)))
+                    lits.append(PosLit(GroundAtom(reference_print(lit), lit)))
             yield GroundClause(
-                GroundAtom(canonical_print(head), head),
+                GroundAtom(reference_print(head), head),
                 tuple(lits),
                 index,
                 tuple(sorted(theta.items())),
@@ -165,7 +217,7 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
     queue: list[GroundAtom] = []
 
     def demand(atom: GroundAtom) -> None:
-        if term_size(atom.expr) > DEFAULT_MAX_ATOM_SIZE:
+        if reference_size(atom.expr) > DEFAULT_MAX_ATOM_SIZE:
             raise GroundingLimitExceeded(f"{atom.key} is over the atom size cap")
         atoms[atom.key] = atom
         queue.append(atom)
@@ -175,8 +227,8 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
             clauses.extend(instances(i, {}))
     else:
         for expr in roots:
-            if canonical_print(expr) not in atoms:
-                demand(GroundAtom(canonical_print(expr), expr))
+            if reference_print(expr) not in atoms:
+                demand(GroundAtom(reference_print(expr), expr))
         while queue:
             atom = queue.pop(0)
             head, args = spine(atom.expr)

@@ -1,11 +1,22 @@
 """Command-line driver: subcommands, exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hoplog
 from hoplog.cli import main
-from hoplog.programs import NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_BAD, STRATIFIED_OK
+from hoplog.programs import (
+    CORPUS,
+    NONEXTENSIONAL,
+    POSITIVE_ID,
+    STRATIFIED_BAD,
+    STRATIFIED_OK,
+)
 
 
 @pytest.fixture
@@ -81,6 +92,22 @@ class TestGround:
         code, out, err = run(["ground", "--depth", "1"], program=program)
         assert code == 1 and out == ""
         assert json.loads(err)["rule"] == "GroundingLimitExceeded"
+
+    def test_deep_universe(self, run):
+        # The universe of i runs up to f applied 599 times; sorting, hashing
+        # and comparing such terms, and the truncation probe at size 601,
+        # must not recurse once per nesting level.
+        code, out, _ = run(
+            ["ground", "--depth", "600"],
+            program="type a : i.\ntype f : i -> i.\ntype p : i -> o.\np X <- X = a.",
+        )
+        assert code == 0
+        data = payload(out)
+        assert len(data["clauses"]) == 600 == len(data["atoms"])
+        assert data["clauses"][0] == "p a <- true."
+        assert data["clauses"][1:3] == ["p (f a) <- false.", "p (f (f a)) <- false."]
+        assert data["clauses"][-1] == "p " + "(f " * 599 + "a" + ")" * 599 + " <- false."
+        assert "i" in data["truncated_types"]
 
 
 class TestWfs:
@@ -170,6 +197,20 @@ class TestExtcheck:
         assert code == 0
         assert payload(out)["report"]["verdict"] == "extensional-at-depth-3"
 
+    def test_budget_exhaustion_reports_unknown(self, run):
+        # q (f a) needs 3 symbols against a budget of 2: the check of q is
+        # unknown, never a witness.
+        code, out, _ = run(
+            ["extcheck", "--depth", "3", "--budget", "2"],
+            program="type q : i -> o.\ntype f : i -> i.\nq X <- X = a.",
+        )
+        assert code == 0
+        report = payload(out)["report"]
+        assert report["witnesses"] == []
+        assert report["unknown"]
+        assert all(item["type"] == "i -> o" for item in report["unknown"])
+        assert report["verdict"] == "extensional-at-depth-3"
+
 
 class TestMinimal:
     def test_fitting_minimal_models(self, run):
@@ -243,3 +284,52 @@ class TestDeadClauses:
             "false": ["p b", "r a", "r b"],
             "undefined": [],
         }
+
+
+class TestHashSeed:
+    """CLI output must not depend on string hashing: run the same commands
+    under two hash seeds, each in its own interpreter, and compare stdout."""
+
+    def commands(self, tmp_path):
+        argvs = [["demo", name] for name in ("lemma1", "bezem", "stratified")]
+        for entry in CORPUS:
+            if entry.name not in ("win_move", "ho_positive", "ho_stratified", "winnow_best"):
+                continue
+            path = tmp_path / f"{entry.name}.hop"
+            path.write_text(entry.source)
+            roots = ["--roots", ", ".join(entry.roots)] if entry.roots else []
+            for command in ("ground", "wfs", "extcheck"):
+                argv = [command, str(path), "--depth", str(entry.depth)]
+                if command != "extcheck":
+                    argv += roots
+                argvs += [argv, argv + ["--format", "text"]]
+        path = tmp_path / "lemma1.hop"
+        path.write_text(NONEXTENSIONAL)
+        argvs.append(["extcheck", str(path), "--depth", "4"])
+        return argvs
+
+    def run_under_seed(self, seed: str, argvs) -> str:
+        script = (
+            "import json, sys\n"
+            "from hoplog.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = main(argv)\n"
+            "    print('$', *argv, '->', code)\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = str(Path(hoplog.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_stdout_is_independent_of_the_hash_seed(self, tmp_path):
+        argvs = self.commands(tmp_path)
+        first = self.run_under_seed("0", argvs)
+        assert first.count("\n$ ") == len(argvs)
+        assert self.run_under_seed("1", argvs) == first

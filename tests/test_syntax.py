@@ -1,19 +1,26 @@
-"""Core syntax: types, printing, substitution, free variables."""
+"""Core syntax: types, printing, substitution, free variables, interning."""
 
+import gc
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hoplog.errors import TypeMismatch
+from hoplog.errors import TypeMismatch, UnboundSymbol
+from hoplog.grounder import Universe, argument_types
 from hoplog.parser import parse_program, parse_type
+from hoplog.programs import CORPUS
 from hoplog.syntax import (
     IOTA,
     OMICRON,
     App,
     Arrow,
     Eq,
+    Expr,
+    FunApp,
     IndConst,
+    IndVar,
     Neg,
     PredConst,
     PredVar,
@@ -29,7 +36,13 @@ from hoplog.syntax import (
 )
 from hoplog.typecheck import check_program, load_program
 
-from helpers import load, random_program_source
+from helpers import (
+    load,
+    random_program_source,
+    reference_atomic,
+    reference_print,
+    reference_size,
+)
 
 O_O = Arrow(OMICRON, OMICRON)
 IO = Arrow(IOTA, OMICRON)
@@ -222,3 +235,179 @@ class TestRoundTrip:
         program = load(SIG_SRC + "\ns Q <- Q (s Q).\nw R <- ~R.\nr X <- X = a.\n")
         again = load_program(program.to_source())
         assert again == program
+
+
+NODE_CLASSES = (IndConst, PredConst, IndVar, PredVar, FunApp, App, Neg, Eq)
+
+
+def _subterms(e: Expr):
+    """e and every node below it, each once per occurrence."""
+    yield e
+    if isinstance(e, FunApp):
+        for a in e.args:
+            yield from _subterms(a)
+    elif isinstance(e, App):
+        yield from _subterms(e.op)
+        yield from _subterms(e.arg)
+    elif isinstance(e, Neg):
+        yield from _subterms(e.atom)
+    elif isinstance(e, Eq):
+        yield from _subterms(e.lhs)
+        yield from _subterms(e.rhs)
+
+
+def _structure(e: Expr) -> tuple:
+    """A plain nested tuple that two nodes share exactly when they are
+    structurally equal."""
+    if isinstance(e, (IndConst, IndVar)):
+        return (type(e).__name__, e.name)
+    if isinstance(e, (PredConst, PredVar)):
+        return (type(e).__name__, e.name, e.ptype)
+    if isinstance(e, FunApp):
+        return ("FunApp", e.fun, tuple(_structure(a) for a in e.args))
+    if isinstance(e, App):
+        return ("App", _structure(e.op), _structure(e.arg))
+    if isinstance(e, Neg):
+        return ("Neg", _structure(e.atom))
+    return ("Eq", _structure(e.lhs), _structure(e.rhs))
+
+
+def _rebuild(s: tuple) -> Expr:
+    """A fresh construction, bottom up, of the node with structure s."""
+    kind, *fields = s
+    if kind == "FunApp":
+        return FunApp(fields[0], tuple(_rebuild(a) for a in fields[1]))
+    if kind in ("App", "Neg", "Eq"):
+        return {"App": App, "Neg": Neg, "Eq": Eq}[kind](*(_rebuild(f) for f in fields))
+    return {c.__name__: c for c in NODE_CLASSES}[kind](*fields)
+
+
+def _fields(e: Expr) -> tuple:
+    return tuple(getattr(e, name) for name in type(e).__slots__)
+
+
+def _table_size() -> int:
+    gc.collect()
+    return sum(len(cls._table) for cls in NODE_CLASSES)
+
+
+def _corpus_universe_terms():
+    for entry in CORPUS:
+        program = load(entry.source)
+        universe = Universe(program.signature)
+        for rho in argument_types(program):
+            for k in (1, 2, 3):
+                yield from universe.terms(rho, k)
+
+
+def _random_program_terms():
+    rng = random.Random(5)
+    for _ in range(100):
+        program = load(random_program_source(rng))
+        for clause in program.clauses:
+            for e in (clause.head_atom(),) + clause.body:
+                yield from _subterms(e)
+
+
+class TestInterning:
+    """Each node carries its printing, size and hash, computed once at
+    construction; these must agree with the recursive reference printer and
+    sizer, and equal structures must be one node."""
+
+    def assert_agree(self, terms):
+        terms = list(terms)
+        assert terms
+        by_structure: dict[tuple, Expr] = {}
+        for e in terms:
+            assert canonical_print(e) == e.text == reference_print(e)
+            assert e.atomic == reference_atomic(e)
+            assert term_size(e) == e.size == reference_size(e)
+            assert hash(e) == hash(_fields(e))
+            s = _structure(e)
+            assert by_structure.setdefault(s, e) is e
+            again = _rebuild(s)
+            assert again is e and again == e and hash(again) == hash(e)
+        for s, e in by_structure.items():
+            assert [x == e for x in by_structure.values()].count(True) == 1
+
+    def test_corpus_universes(self):
+        self.assert_agree(_corpus_universe_terms())
+
+    def test_random_program_terms(self):
+        self.assert_agree(_random_program_terms())
+
+    def test_same_name_different_type_are_distinct(self):
+        assert PredConst("p", IO) is not PredConst("p", O_O)
+        assert PredVar("P", IO) is not PredVar("P", O_O)
+        assert PredConst("p", IO) is not PredVar("p", IO)
+        assert PredConst("p", IO) != PredVar("p", IO)
+        assert IndVar("X") is not PredVar("X", IO)
+        assert IndVar("X") != PredVar("X", IO)
+        assert IndConst("a") is not IndVar("a")
+
+    def test_independent_constructions_are_one_node(self):
+        def f_f_a():
+            return FunApp("f", (FunApp("f", (IndConst("a"),)),))
+
+        def q_f_a():
+            return App(PredConst("q", IO), FunApp("f", (IndConst("a"),)))
+
+        assert f_f_a() is f_f_a()
+        assert q_f_a() is q_f_a()
+        assert PredConst("q", parse_type("i -> o")) is PredConst("q", IO)
+        assert canonical_print(f_f_a()) == "f (f a)"
+        assert f_f_a().atomic == "(f (f a))"
+        assert canonical_print(q_f_a()) == "q (f a)"
+        assert term_size(q_f_a()) == 3
+
+    def test_table_does_not_grow_across_calls(self):
+        def build():
+            a = IndConst("interning_probe_a")
+            t = a
+            for _ in range(50):
+                t = FunApp("interning_probe_f", (t,))
+            q = PredConst("interning_probe_q", IO)
+            return [App(q, t), Neg(App(q, t)), Eq(t, a), PredVar("Interning_probe_R", IO)]
+
+        before = _table_size()
+        terms = build()
+        assert _table_size() == before + 56
+        del terms
+        assert _table_size() == before
+        build()
+        assert _table_size() == before
+
+    def test_nodes_are_immutable(self):
+        a = IndConst("a")
+        with pytest.raises(AttributeError):
+            a.name = "b"
+        with pytest.raises(AttributeError):
+            del a.text
+        assert a.name == "a" and a.text == "a"
+
+    def test_pickle_returns_the_interned_node(self):
+        e = Neg(App(PredConst("q", IO), FunApp("f", (IndConst("a"),))))
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_deep_term_needs_no_recursion(self):
+        t = IndConst("a")
+        for _ in range(5000):
+            t = FunApp("f", (t,))
+        again = IndConst("a")
+        for _ in range(5000):
+            again = FunApp("f", (again,))
+        assert again is t and again == t and hash(again) == hash(t)
+        assert term_size(t) == 5001
+        assert canonical_print(t).count("(") == 4999
+        assert {t: 1}[again] == 1
+
+
+class TestSignature:
+    def test_lookup_and_membership(self):
+        sig = _sig()
+        assert sig.lookup("p") == O_O
+        assert "id" in sig and "nope" not in sig
+        assert [n for n, _ in sig.entries] == sorted(n for n, _ in sig.entries)
+        assert sig.as_dict() == dict(sig.entries)
+        with pytest.raises(UnboundSymbol, match="^undeclared symbol: nope$"):
+            sig.lookup("nope")
