@@ -43,6 +43,10 @@ from .wfs import well_founded_model
 
 DEFAULT_BUDGET_FACTOR = 4
 
+# The class of a term whose computation met an atom over the size budget.
+_EXCEEDED = object()
+_MISSING = object()
+
 
 @dataclass(frozen=True)
 class ExtRelation:
@@ -181,7 +185,16 @@ class ValuationOracle:
 
 
 class ExtChecker:
-    """Shared memo and universes for a family of extensionality queries."""
+    """Class ids and universes shared by a family of extensionality queries.
+
+    The relations are partial equivalences (after Bezem): d and d' are
+    equal at a type exactly when both are reflexive there and have the same
+    class.  ``_class`` computes a term's class once per type, bottom-up: the
+    term itself at i, its value at o, and at sigma -> tau a small integer
+    for the tuple of tau-classes that the term takes on the sigma-classes,
+    in canonical order.  Only the search for a witness, and any decision
+    that met an atom over the size budget, scan argument pairs.
+    """
 
     def __init__(self, program: Program, k: int, budget: int | None = None):
         if k < 1:
@@ -191,16 +204,17 @@ class ExtChecker:
         self.budget = budget if budget is not None else DEFAULT_BUDGET_FACTOR * k
         self.universe = Universe(program.signature)
         self.oracle = ValuationOracle(program, k, self.budget)
-        self._memo: dict[tuple[TypeExpr, str, str], bool] = {}
-        self._seeded: set[TypeExpr] = set()
+        # per type: term -> class id, None (not reflexive) or _EXCEEDED
+        self._classes: dict[TypeExpr, dict[Expr, object]] = {}
+        # per arrow type: tuple of result-class ids -> class id
+        self._ids: dict[TypeExpr, dict[tuple, int]] = {}
+        # per argument type: class -> its reflexive size-k terms, or None
+        self._partitions: dict[TypeExpr, dict[object, list[Expr]] | None] = {}
 
     def _seed_applications(self, rho: TypeExpr) -> None:
         """Register every full application of size-k terms of type rho up
         front, so the demand grounding is solved once per type rather than
         once per atom."""
-        if rho in self._seeded:
-            return
-        self._seeded.add(rho)
         argtypes = []
         cur = rho
         while isinstance(cur, Arrow):
@@ -219,31 +233,64 @@ class ExtChecker:
                     atoms.append(e)
         self.oracle.add_atoms(atoms)
 
+    # -- classes ---------------------------------------------------------------
+
+    def _class(self, rho: TypeExpr, d: Expr) -> object:
+        """d's class at rho: None when d is not reflexive, ``_EXCEEDED`` when
+        computing it needed an atom over the size budget."""
+        if rho == IOTA:
+            return d
+        memo = self._classes.get(rho)
+        if memo is None:
+            self._seed_applications(rho)
+            memo = self._classes[rho] = {}
+        c = memo.get(d, _MISSING)
+        if c is _MISSING:
+            c = memo[d] = self._new_class(rho, d)
+        return c
+
+    def _new_class(self, rho: TypeExpr, d: Expr) -> object:
+        if rho == OMICRON:
+            try:
+                return self.oracle.value(d)
+            except DepthExceeded:
+                return _EXCEEDED
+        assert isinstance(rho, Arrow)
+        partition = self._partition(rho.argument)
+        if partition is None:
+            return _EXCEEDED
+        # Every application is classed before the verdict, so that a class
+        # other than _EXCEEDED certifies that no scan from d meets the budget.
+        key = []
+        for group in partition.values():
+            ids = {self._class(rho.result, App(d, e)) for e in group}
+            if _EXCEEDED in ids:
+                return _EXCEEDED
+            key.append(ids.pop() if len(ids) == 1 else None)
+        if None in key:
+            return None
+        ids = self._ids.setdefault(rho, {})
+        return ids.setdefault(tuple(key), len(ids))
+
+    def _partition(self, sigma: TypeExpr) -> dict[object, list[Expr]] | None:
+        """The reflexive size-k terms of sigma grouped by class, classes in
+        order of first appearance; None if a class exceeded the budget."""
+        if sigma not in self._partitions:
+            groups: dict[object, list[Expr]] = {}
+            for e in self.universe.terms(sigma, self.k):
+                c = self._class(sigma, e)
+                if c is not None:
+                    groups.setdefault(c, []).append(e)
+            self._partitions[sigma] = None if _EXCEEDED in groups else groups
+        return self._partitions[sigma]
+
     # -- the relations ---------------------------------------------------------
 
     def equal(self, rho: TypeExpr, d: Expr, dprime: Expr) -> bool:
-        dk, dpk = canonical_print(d), canonical_print(dprime)
-        if rho == IOTA:
-            return dk == dpk
-        if rho == OMICRON:
-            self._seed_applications(OMICRON)
-            return self.oracle.value(d) == self.oracle.value(dprime)
-        key = (rho, dk, dpk)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        assert isinstance(rho, Arrow)
-        self._seed_applications(rho)
-        result = True
-        for e, eprime in product(self.universe.terms(rho.argument, self.k), repeat=2):
-            if not self.equal(rho.argument, e, eprime):
-                continue
-            if not self.equal(rho.result, App(d, e), App(dprime, eprime)):
-                result = False
-                break
-        self._memo[key] = result
-        self._memo[(rho, dpk, dk)] = result  # the relations are symmetric
-        return result
+        c, cprime = self._class(rho, d), self._class(rho, dprime)
+        if c is _EXCEEDED or cprime is _EXCEEDED:
+            return self._check_reflexive(rho, d, dprime) is None
+        return c is not None and c == cprime
 
     def relation(self, rho: TypeExpr) -> ExtRelation:
         terms = self.universe.terms(rho, self.k)
@@ -256,25 +303,35 @@ class ExtChecker:
     # -- reflexivity -----------------------------------------------------------
 
     def _check_reflexive(self, rho: TypeExpr, d: Expr, dprime: Expr) -> _Fail | None:
-        """Like ``equal`` but reports the first failing branch, scanning
-        argument pairs in canonical order so witnesses are minimal."""
-        if rho == IOTA:
-            return None
+        """The first failing branch of d = d' at rho, scanning argument pairs
+        in canonical order so witnesses are minimal.
+
+        Equal classes answer at once.  Otherwise the scan visits only the
+        pairs of equal arguments, and it meets ``DepthExceeded`` at the same
+        atom as the plain pairwise scan would.
+        """
         if rho == OMICRON:
-            self._seed_applications(OMICRON)
             lv, rv = self.oracle.value(d), self.oracle.value(dprime)
             if lv != rv:
                 return _Fail(canonical_print(d), canonical_print(dprime), lv, rv)
             return None
+        c = self._class(rho, d)
+        if c is not None and c is not _EXCEEDED and c == self._class(rho, dprime):
+            return None
         assert isinstance(rho, Arrow)
-        self._seed_applications(rho)
-        for e, eprime in product(self.universe.terms(rho.argument, self.k), repeat=2):
-            if not self.equal(rho.argument, e, eprime):
-                continue
-            fail = self._check_reflexive(rho.result, App(d, e), App(dprime, eprime))
-            if fail is not None:
-                fail.pair = (canonical_print(e), canonical_print(eprime))
-                return fail
+        sigma = rho.argument
+        terms = self.universe.terms(sigma, self.k)
+        partition = self._partition(sigma)
+        for e in terms:
+            # the pairs skipped here are the ones whose classes differ
+            group = terms if partition is None else partition.get(self._class(sigma, e), ())
+            for eprime in group:
+                if not self.equal(sigma, e, eprime):
+                    continue
+                fail = self._check_reflexive(rho.result, App(d, e), App(dprime, eprime))
+                if fail is not None:
+                    fail.pair = (canonical_print(e), canonical_print(eprime))
+                    return fail
         return None
 
     def reflexivity_report(self) -> ExtReport:

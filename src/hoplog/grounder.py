@@ -13,6 +13,9 @@ exceed a size bound k.  Two groundings are offered:
   universe.  A configurable atom cap and a cap on the size of a demanded
   atom guard against runaway closures.
 
+A cap on the symbols of one universe bounds both modes, and the
+truncation probe, against deep or wide universes.
+
 Both modes compile each clause once per grounding into ``str.format``
 templates, one for its head and one for each body literal, and print each
 instance's atoms from the printed forms of its variables' values.  The atom
@@ -72,6 +75,10 @@ DEFAULT_MAX_ATOMS = 100_000
 DEFAULT_MAX_ATOM_SIZE = 100
 # Ground clauses in one grounding, in either mode.
 DEFAULT_MAX_CLAUSES = 1_000_000
+# Symbols in the terms one ``Universe`` builds, over all its types, counted
+# as they are built.  Each term holds its text, so a universe costs memory
+# in proportion to its symbols: ``f : i -> i`` at depth d builds d**2 / 2.
+DEFAULT_MAX_UNIVERSE_SYMBOLS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +208,15 @@ class Universe:
     """Size-bounded Herbrand universes per argument type, canonically ordered.
 
     Terms are ordered by symbol count first, then lexicographically by their
-    canonical text, so enlarging the bound only appends.
+    canonical text, so enlarging the bound only appends.  ``symbols`` counts
+    the symbols of every term built so far; the term that takes it past
+    ``DEFAULT_MAX_UNIVERSE_SYMBOLS`` raises ``GroundingLimitExceeded``.
     """
 
     def __init__(self, signature: Signature):
         self.signature = signature
         self._by_size: dict[tuple[TypeExpr, int], tuple[Expr, ...]] = {}
+        self.symbols = 0
         # spine heads: predicate constants with every partial-application
         # result type they can produce
         self._pred_heads: list[tuple[PredConst, tuple[TypeExpr, ...]]] = []
@@ -219,30 +229,42 @@ class Universe:
         if cached is not None:
             return cached
         found: list[Expr] = []
-        if size >= 1:
-            if rho == IOTA:
-                if size == 1:
-                    found.extend(IndConst(n) for n in self.signature.individual_constants())
-                for fname, arity in self.signature.function_symbols():
-                    for args in self._arg_tuples((IOTA,) * arity, size - 1):
-                        found.append(FunApp(fname, args))
-            for pred, suffixes in self._pred_heads:
-                for j, result in enumerate(suffixes):
-                    if result != rho:
-                        continue
-                    if j == 0:
-                        if size == 1:
-                            found.append(pred)
-                        continue
-                    argtypes = _pred_prefix(pred.ptype, j)
-                    for args in self._arg_tuples(argtypes, size - 1):
-                        e: Expr = pred
-                        for a in args:
-                            e = App(e, a)
-                        found.append(e)
+        for term in self._build(rho, size):
+            self.symbols += size
+            if self.symbols > DEFAULT_MAX_UNIVERSE_SYMBOLS:
+                raise GroundingLimitExceeded(
+                    f"the terms of type {rho} and size {size} take the universe "
+                    f"over the cap of {DEFAULT_MAX_UNIVERSE_SYMBOLS} symbols"
+                )
+            found.append(term)
         result_terms = tuple(sorted(found, key=canonical_print))
         self._by_size[key] = result_terms
         return result_terms
+
+    def _build(self, rho: TypeExpr, size: int):
+        """The terms of type rho with exactly ``size`` symbols, unordered."""
+        if size < 1:
+            return
+        if rho == IOTA:
+            if size == 1:
+                yield from (IndConst(n) for n in self.signature.individual_constants())
+            for fname, arity in self.signature.function_symbols():
+                for args in self._arg_tuples((IOTA,) * arity, size - 1):
+                    yield FunApp(fname, args)
+        for pred, suffixes in self._pred_heads:
+            for j, result in enumerate(suffixes):
+                if result != rho:
+                    continue
+                if j == 0:
+                    if size == 1:
+                        yield pred
+                    continue
+                argtypes = _pred_prefix(pred.ptype, j)
+                for args in self._arg_tuples(argtypes, size - 1):
+                    e: Expr = pred
+                    for a in args:
+                        e = App(e, a)
+                    yield e
 
     def _arg_tuples(self, argtypes: tuple[TypeExpr, ...], budget: int):
         """All tuples of ground arguments with the given types and total size."""

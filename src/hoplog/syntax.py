@@ -329,10 +329,6 @@ class Eq(Expr):
 Var = Union[IndVar, PredVar]
 
 
-def is_var(e: Expr) -> bool:
-    return isinstance(e, (IndVar, PredVar))
-
-
 def spine(e: Expr) -> tuple[Expr, list[Expr]]:
     """Decompose nested applications: spine(((h a) b)) == (h, [a, b])."""
     args: list[Expr] = []

@@ -55,13 +55,10 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class Program:
-    """A checked program: signature plus typed clauses, indexed by head predicate."""
+    """A checked program: signature plus typed clauses."""
 
     signature: Signature
     clauses: tuple[Clause, ...]
-
-    def clauses_for(self, pred_name: str) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.head_pred.name == pred_name)
 
     def to_source(self) -> str:
         """Canonical source text; parsing it back yields an equal Program."""

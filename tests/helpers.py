@@ -18,7 +18,10 @@ fixpoint machinery:
   three-valued stability (Przymusinski) by a three-valued closure over the
   reduct P/I; ``three_valued_stable_models``, ``fitting_smaller_stable``
   and ``is_fitting_minimal_stable`` walk the candidate interpretations
-  themselves instead of using the brute-force oracle in ``hoplog.interp``.
+  themselves instead of using the brute-force oracle in ``hoplog.interp``;
+* ``reference_ext_equal`` decides extensional equality by the pairwise
+  definition, scanning every argument pair, where ``ExtChecker`` compares
+  class ids.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from hoplog.errors import EmptyUniverse, GroundingLimitExceeded
+from hoplog.errors import DepthExceeded, EmptyUniverse, GroundingLimitExceeded
+from hoplog.extensionality import ValuationOracle
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
     ConstLit,
@@ -505,6 +509,56 @@ def _paren(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Reference extensional equality (the pairwise definition)
+# ---------------------------------------------------------------------------
+
+
+def reference_ext_equal(
+    oracle: ValuationOracle,
+    universe: Universe,
+    k: int,
+    rho: TypeExpr,
+    d: Expr,
+    dprime: Expr,
+    memo: dict | None = None,
+) -> bool:
+    """d = d' at rho by the bounded pairwise definition: identity at i,
+    equal value at o, and at sigma -> tau every pair of equal size-k
+    arguments, in canonical product order, gives equal applications.
+
+    Returns True or False, or raises ``DepthExceeded`` at the first atom over
+    the oracle's budget that the scan meets before it meets a failing pair.
+    ``memo`` may carry decided pairs, and raised ones, from one call to the
+    next.
+    """
+    if memo is None:
+        memo = {}
+    if rho == IOTA:
+        return reference_print(d) == reference_print(dprime)
+    if rho == OMICRON:
+        return oracle.value(d) == oracle.value(dprime)
+    assert isinstance(rho, Arrow)
+    key = (rho, reference_print(d), reference_print(dprime))
+    if key not in memo:
+        result: bool | DepthExceeded = True
+        try:
+            for e, eprime in itertools.product(universe.terms(rho.argument, k), repeat=2):
+                if not reference_ext_equal(oracle, universe, k, rho.argument, e, eprime, memo):
+                    continue
+                if not reference_ext_equal(
+                    oracle, universe, k, rho.result, App(d, e), App(dprime, eprime), memo
+                ):
+                    result = False
+                    break
+        except DepthExceeded as exc:
+            result = exc
+        memo[key] = result
+    if isinstance(memo[key], DepthExceeded):
+        raise memo[key]
+    return memo[key]
+
+
+# ---------------------------------------------------------------------------
 # Random stratified program generator
 # ---------------------------------------------------------------------------
 
@@ -611,3 +665,47 @@ def random_ground_source(rng: random.Random, n_atoms: int = 5) -> str:
         else:
             lines.append(f"{head}.")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Random lemma-1 style programs (non-extensional ones among them)
+# ---------------------------------------------------------------------------
+
+
+def random_witness_source(rng: random.Random) -> str:
+    """A higher-order program with negation through predicate variables, in
+    the spirit of lemma 1: a few ``o -> o`` predicates (plain identities,
+    identities through a pair of negations, flippers), some nullary atoms,
+    and consumers of type ``(o -> o) -> o`` that feed a predicate variable
+    an atom built from the consumer itself, such as ``s Q <- Q (s Q)``.
+    """
+    lines = []
+    clauses = []
+    atoms = [f"z{i}" for i in range(rng.randint(1, 2))]
+    for name in atoms:
+        lines.append(f"type {name} : o.")
+        clauses.append(rng.choice([f"{name}.", f"{name} <- ~{name}.", f"{name} <- {name}."]))
+    unary = [f"p{i}" for i in range(rng.randint(2, 4))]
+    for i, name in enumerate(unary):
+        lines.append(f"type {name} : o -> o.")
+        roll = rng.random()
+        if roll < 0.3:
+            clauses.append(f"{name} R <- R.")
+        elif roll < 0.7:
+            # an identity through two negations, as q in lemma 1
+            lines.append(f"type n{i} : o -> o.")
+            clauses.append(f"{name} R <- ~(n{i} R).")
+            clauses.append(f"n{i} R <- ~R.")
+        elif roll < 0.85:
+            clauses.append(f"{name} R <- ~R.")
+        else:
+            clauses.append(f"{name} R <- {rng.choice(unary)} R.")
+    for i in range(rng.randint(1, 2)):
+        name = f"s{i}"
+        lines.append(f"type {name} : (o -> o) -> o.")
+        body = rng.choice(
+            [f"Q ({name} Q)", f"~(Q ({name} Q))", f"Q ({name} Q), {rng.choice(atoms)}"]
+        )
+        clauses.append(f"{name} Q <- {body}.")
+    rng.shuffle(clauses)
+    return "\n".join(lines + clauses) + "\n"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,20 @@ class TestGround:
         assert data["clauses"][1:3] == ["p (f a) <- false.", "p (f (f a)) <- false."]
         assert data["clauses"][-1] == "p " + "(f " * 599 + "a" + ")" * 599 + " <- false."
         assert "i" in data["truncated_types"]
+
+    def test_universe_over_the_cap_is_refused(self, run):
+        # At depth 10,000 the universe of i would hold about 5 * 10**7
+        # symbols; its build stops at the cap of 10**6, at size 1414.
+        start = time.perf_counter()
+        code, out, err = run(
+            ["ground", "--depth", "10000"],
+            program="type a : i.\ntype f : i -> i.\ntype p : i -> o.\np X <- X = a.",
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["rule"] == "GroundingLimitExceeded"
+        assert "size 1414" in error["error"]
+        assert time.perf_counter() - start < 30
 
 
 class TestWfs:

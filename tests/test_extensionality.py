@@ -5,13 +5,20 @@ from itertools import product
 
 import pytest
 
-from hoplog.errors import DepthExceeded
+from hoplog.errors import DepthExceeded, GroundingLimitExceeded
 from hoplog.extensionality import ExtChecker, replay_witness
+from hoplog.grounder import argument_types
 from hoplog.parser import parse_type
-from hoplog.programs import NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_OK
-from hoplog.syntax import IndConst, PredConst
+from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_OK
+from hoplog.syntax import IOTA, OMICRON, App, IndConst, PredConst
 
-from helpers import load, random_stratified_source
+from helpers import (
+    load,
+    random_program_source,
+    random_stratified_source,
+    random_witness_source,
+    reference_ext_equal,
+)
 
 OO = parse_type("o -> o")
 HOO = parse_type("(o -> o) -> o")
@@ -141,3 +148,128 @@ class TestStratifiedFamily:
             program = load(random_stratified_source(rng))
             report = ExtChecker(program, 2).reflexivity_report()
             assert report.extensional_at_depth, program.to_source()
+
+
+def _outcome(call):
+    """A decision's result, or the reason it ran over the size budget."""
+    try:
+        return call()
+    except DepthExceeded as exc:
+        return ("unknown", str(exc))
+
+
+def assert_matches_reference(program, k, budget=None):
+    """``equal``, ``relation`` and the reflexivity report of a fresh checker
+    agree with the pairwise definition on every pair of size-k terms of
+    every argument type: verdicts, unknowns with their reasons, and each
+    witness's argument pair, the first failing one in canonical order."""
+    checker = ExtChecker(program, k, budget)
+    report = checker.reflexivity_report()
+    memo: dict = {}
+
+    def ref(rho, d, dprime):
+        return _outcome(
+            lambda: reference_ext_equal(
+                checker.oracle, checker.universe, k, rho, d, dprime, memo
+            )
+        )
+
+    witnesses, unknowns, applications = [], [], []
+    for rho in argument_types(program):
+        terms = checker.universe.terms(rho, k)
+        expected = {(d, dp): ref(rho, d, dp) for d, dp in product(terms, repeat=2)}
+        for (d, dp), want in expected.items():
+            assert _outcome(lambda: checker.equal(rho, d, dp)) == want, (str(rho), d, dp)
+        raised = [want for want in expected.values() if isinstance(want, tuple)]
+        relation = _outcome(lambda: checker.relation(rho))
+        if raised:
+            assert relation == raised[0]
+        else:
+            assert relation.pairs == {
+                (d.text, dp.text) for (d, dp), want in expected.items() if want
+            }
+        if rho in (IOTA, OMICRON):
+            continue
+        for term in terms:
+            verdict = expected[(term, term)]
+            if isinstance(verdict, tuple):
+                unknowns.append((str(rho), term.text, verdict[1]))
+            elif not verdict:
+                pairs = product(checker.universe.terms(rho.argument, k), repeat=2)
+                e, ep = next(
+                    (e, ep)
+                    for e, ep in pairs
+                    if ref(rho.argument, e, ep) is True
+                    and ref(rho.result, App(term, e), App(term, ep)) is False
+                )
+                witnesses.append((str(rho), term.text, (e.text, ep.text)))
+                applications.append((App(term, e).text, App(term, ep).text))
+    assert [(u.rho, u.term, u.reason) for u in report.unknowns] == unknowns
+    assert [(w.rho, w.term, w.pair) for w in report.witnesses] == witnesses
+    for w, (lhs, rhs) in zip(report.witnesses, applications):
+        # the witness atoms apply the term to the pair, then to more arguments
+        assert w.lhs_atom == lhs or w.lhs_atom.startswith(lhs + " ")
+        assert w.rhs_atom == rhs or w.rhs_atom.startswith(rhs + " ")
+        assert replay_witness(program, w, k, budget)
+    return report
+
+
+# An extra o -> o -> o predicate: its partial applications r x are o -> o
+# terms whose own applications run over a budget of 4 or 5, so the class of s
+# exceeds the budget too, though the scan for s fails at (p, q) first.
+LEMMA1_WITH_WIDE_TERMS = NONEXTENSIONAL + "type r : o -> o -> o.\nr X Y <- X.\n"
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
+    def test_corpus(self, entry):
+        program = load(entry.source)
+        for k in (1, 2, 3):
+            for budget in (2, 3, None):
+                assert_matches_reference(program, k, budget)
+
+    def test_random_programs(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            program = load(random_program_source(rng))
+            for k, budget in ((1, None), (2, None), (2, 3)):
+                try:
+                    assert_matches_reference(program, k, budget)
+                except GroundingLimitExceeded:
+                    break  # a runaway demand closure; the grounder's caps refuse it
+
+    def test_random_stratified_programs(self):
+        rng = random.Random(72)
+        for _ in range(15):
+            program = load(random_stratified_source(rng))
+            for k, budget in ((1, None), (2, None), (2, 3)):
+                assert_matches_reference(program, k, budget)
+
+    def test_random_lemma_programs_yield_witnesses(self):
+        rng = random.Random(73)
+        witnesses = unknowns = 0
+        for _ in range(40):
+            program = load(random_witness_source(rng))
+            for k, budget in ((1, None), (2, None), (2, 2), (2, 3)):
+                report = assert_matches_reference(program, k, budget)
+                witnesses += len(report.witnesses)
+                unknowns += len(report.unknowns)
+        assert witnesses >= 10 and unknowns >= 10
+
+    @pytest.mark.parametrize("k,budget", [(3, 3), (3, 4), (3, 5), (4, 5)])
+    def test_pinned_budget_programs(self, k, budget):
+        assert_matches_reference(load(LEMMA1_WITH_WIDE_TERMS), k, budget)
+
+    def test_budget_met_before_a_failing_pair_is_unknown(self):
+        # At budget 3 the first pair (p, p) already needs p (p (s p)).
+        report = assert_matches_reference(load(NONEXTENSIONAL), 3, 3)
+        assert report.witnesses == []
+        assert ("(o -> o) -> o", "s", "p (p (s p)) exceeds the size budget 3") in [
+            (u.rho, u.term, u.reason) for u in report.unknowns
+        ]
+
+    def test_failing_pair_met_before_the_budget_is_a_witness(self):
+        report = assert_matches_reference(load(LEMMA1_WITH_WIDE_TERMS), 3, 4)
+        assert [(w.term, w.pair) for w in report.witnesses] == [("s", ("p", "q"))]
+        assert ("o -> o", "r (s p)") in [(u.rho, u.term) for u in report.unknowns]
+        assert "s" not in [u.term for u in report.unknowns]

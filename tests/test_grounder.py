@@ -8,6 +8,7 @@ from hoplog.errors import EmptyUniverse, GroundingLimitExceeded
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
     DEFAULT_MAX_CLAUSES,
+    DEFAULT_MAX_UNIVERSE_SYMBOLS,
     ConstLit,
     Universe,
     ground_atom,
@@ -224,6 +225,26 @@ class TestClauseCap:
         )
         with pytest.raises(GroundingLimitExceeded, match="clause 1 .* 1000001 clauses"):
             ground_instantiation(load(src), 1)
+
+class TestUniverseCap:
+    def test_deep_universe_refused_at_the_first_size_over_the_cap(self):
+        # Sizes 1..1413 of f : i -> i hold 998,991 symbols; size 1414 passes
+        # the cap, and the build stops there instead of running to 10,000.
+        assert DEFAULT_MAX_UNIVERSE_SYMBOLS == 1_000_000
+        universe = Universe(load("type a : i.\ntype f : i -> i.").signature)
+        with pytest.raises(GroundingLimitExceeded, match="size 1414 .* 1000000 symbols"):
+            universe.terms(IOTA, 10_000)
+        assert universe.symbols == 1_000_405
+
+    def test_wide_universe_refused_within_one_size(self):
+        # One constant and a binary g: the 58,786 terms of size 23 would take
+        # the universe to 1.83 million symbols; the count stops at the
+        # first term over the cap, part of the way through that size.
+        universe = Universe(load("type a : i.\ntype g : i -> i -> i.").signature)
+        with pytest.raises(GroundingLimitExceeded, match="size 23 "):
+            universe.terms(IOTA, 23)
+        assert 0 < universe.symbols - DEFAULT_MAX_UNIVERSE_SYMBOLS <= 23
+
 
 class TestTruncationReport:
     def test_function_symbols_truncate_individuals(self):

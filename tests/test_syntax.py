@@ -197,7 +197,7 @@ class TestFreeVars:
         nonsubset S1 S2 <- S1 X, ~(S2 X).
         """
         program = load(src)
-        clause = program.clauses_for("nonsubset")[0]
+        (clause,) = [c for c in program.clauses if c.head_pred.name == "nonsubset"]
         first, second = clause.body
         assert {v.name for v in free_vars(first)} == {"S1", "X"}
         assert {v.name for v in free_vars(second)} == {"S2", "X"}
