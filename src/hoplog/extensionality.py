@@ -22,12 +22,12 @@ boolean-consuming types denote partial functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import DepthExceeded
 from .grounder import Universe, ground_atom, relevant_grounding
 from .interp import PartialInterpretation, TruthValue
+from .records import FrozenRecord, Record, _set
 from .syntax import (
     IOTA,
     OMICRON,
@@ -48,20 +48,21 @@ _EXCEEDED = object()
 _MISSING = object()
 
 
-@dataclass(frozen=True)
-class ExtRelation:
+class ExtRelation(FrozenRecord):
     """Pairs of size-bounded terms extensionally equal at one type."""
 
-    rho: TypeExpr
-    pairs: frozenset[tuple[str, str]]
-    bound: int
+    __slots__ = ("rho", "pairs", "bound")
+
+    def __init__(self, rho: TypeExpr, pairs: frozenset[tuple[str, str]], bound: int) -> None:
+        _set(self, "rho", rho)
+        _set(self, "pairs", pairs)
+        _set(self, "bound", bound)
 
     def holds(self, a: str, b: str) -> bool:
         return (a, b) in self.pairs
 
 
-@dataclass
-class Witness:
+class Witness(Record):
     """A replayable reflexivity failure.
 
     Applying ``term`` to the two sides of ``pair`` (then to the recorded
@@ -69,13 +70,25 @@ class Witness:
     values under the checked model.
     """
 
-    rho: str
-    term: str
-    pair: tuple[str, str]
-    lhs_atom: str
-    rhs_atom: str
-    lhs_value: str
-    rhs_value: str
+    __slots__ = ("rho", "term", "pair", "lhs_atom", "rhs_atom", "lhs_value", "rhs_value")
+
+    def __init__(
+        self,
+        rho: str,
+        term: str,
+        pair: tuple[str, str],
+        lhs_atom: str,
+        rhs_atom: str,
+        lhs_value: str,
+        rhs_value: str,
+    ) -> None:
+        self.rho = rho
+        self.term = term
+        self.pair = pair
+        self.lhs_atom = lhs_atom
+        self.rhs_atom = rhs_atom
+        self.lhs_value = lhs_value
+        self.rhs_value = rhs_value
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,24 +102,36 @@ class Witness:
         }
 
 
-@dataclass
-class UnknownItem:
-    rho: str
-    term: str
-    reason: str
+class UnknownItem(Record):
+    __slots__ = ("rho", "term", "reason")
+
+    def __init__(self, rho: str, term: str, reason: str) -> None:
+        self.rho = rho
+        self.term = term
+        self.reason = reason
 
     def to_json_dict(self) -> dict:
         return {"type": self.rho, "term": self.term, "reason": self.reason}
 
 
-@dataclass
-class ExtReport:
-    depth: int
-    budget: int
-    witnesses: list[Witness] = field(default_factory=list)
-    unknowns: list[UnknownItem] = field(default_factory=list)
-    checked_types: list[str] = field(default_factory=list)
-    checked_terms: int = 0
+class ExtReport(Record):
+    __slots__ = ("depth", "budget", "witnesses", "unknowns", "checked_types", "checked_terms")
+
+    def __init__(
+        self,
+        depth: int,
+        budget: int,
+        witnesses: list[Witness] | None = None,
+        unknowns: list[UnknownItem] | None = None,
+        checked_types: list[str] | None = None,
+        checked_terms: int = 0,
+    ) -> None:
+        self.depth = depth
+        self.budget = budget
+        self.witnesses = [] if witnesses is None else witnesses
+        self.unknowns = [] if unknowns is None else unknowns
+        self.checked_types = [] if checked_types is None else checked_types
+        self.checked_terms = checked_terms
 
     @property
     def extensional_at_depth(self) -> bool:
@@ -130,13 +155,22 @@ class ExtReport:
         }
 
 
-@dataclass
-class _Fail:
-    lhs_atom: str
-    rhs_atom: str
-    lhs_value: TruthValue
-    rhs_value: TruthValue
-    pair: tuple[str, str] | None = None
+class _Fail(Record):
+    __slots__ = ("lhs_atom", "rhs_atom", "lhs_value", "rhs_value", "pair")
+
+    def __init__(
+        self,
+        lhs_atom: str,
+        rhs_atom: str,
+        lhs_value: TruthValue,
+        rhs_value: TruthValue,
+        pair: tuple[str, str] | None = None,
+    ) -> None:
+        self.lhs_atom = lhs_atom
+        self.rhs_atom = rhs_atom
+        self.lhs_value = lhs_value
+        self.rhs_value = rhs_value
+        self.pair = pair
 
 
 class ValuationOracle:

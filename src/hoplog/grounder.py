@@ -39,11 +39,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
+from .records import FrozenRecord, Record, _set
 from .syntax import (
     IOTA,
     App,
@@ -86,12 +85,14 @@ DEFAULT_MAX_UNIVERSE_SYMBOLS = 1_000_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroundAtom:
+class GroundAtom(FrozenRecord):
     """A ground term of type o headed by a predicate constant."""
 
-    key: str
-    expr: Expr
+    __slots__ = ("key", "expr")
+
+    def __init__(self, key: str, expr: Expr) -> None:
+        _set(self, "key", key)
+        _set(self, "expr", expr)
 
     def __str__(self) -> str:
         return self.key
@@ -104,43 +105,57 @@ def ground_atom(expr: Expr) -> GroundAtom:
     return GroundAtom(canonical_print(expr), expr)
 
 
-class GroundLiteral:
+class GroundLiteral(FrozenRecord):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PosLit(GroundLiteral):
-    atom: GroundAtom
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: GroundAtom) -> None:
+        _set(self, "atom", atom)
 
     def __str__(self) -> str:
         return self.atom.key
 
 
-@dataclass(frozen=True)
 class NegLit(GroundLiteral):
-    atom: GroundAtom
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: GroundAtom) -> None:
+        _set(self, "atom", atom)
 
     def __str__(self) -> str:
         inner = self.atom.key
         return f"~({inner})" if " " in inner else f"~{inner}"
 
 
-@dataclass(frozen=True)
 class ConstLit(GroundLiteral):
     """An equality literal resolved at grounding time."""
 
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        _set(self, "value", value)
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
-class GroundClause:
-    head: GroundAtom
-    body: tuple[GroundLiteral, ...]
-    source_index: int  # clause position in the source program; -1 if synthetic
-    theta: tuple[tuple[str, Expr], ...]  # substitution that produced the instance
+class GroundClause(FrozenRecord):
+    __slots__ = ("head", "body", "source_index", "theta")
+
+    def __init__(
+        self,
+        head: GroundAtom,
+        body: tuple[GroundLiteral, ...],
+        source_index: int,  # clause position in the source program; -1 if synthetic
+        theta: tuple[tuple[str, Expr], ...],  # substitution that produced the instance
+    ) -> None:
+        _set(self, "head", head)
+        _set(self, "body", body)
+        _set(self, "source_index", source_index)
+        _set(self, "theta", theta)
 
     def __str__(self) -> str:
         if not self.body:
@@ -152,8 +167,7 @@ class GroundClause:
 Rule = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class CompiledProgram:
+class CompiledProgram(FrozenRecord):
     """The integer form both engines run on.
 
     Atom ids follow the atom table's order.  ``rules[h]`` lists one
@@ -163,22 +177,42 @@ class CompiledProgram:
     literals are stripped, so no rule carries a resolved equality.
     """
 
-    keys: tuple[str, ...]
-    rules: tuple[tuple[Rule, ...], ...]
-    dependents: tuple[tuple[int, ...], ...]
+    __slots__ = ("keys", "rules", "dependents")
+
+    def __init__(
+        self,
+        keys: tuple[str, ...],
+        rules: tuple[tuple[Rule, ...], ...],
+        dependents: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _set(self, "keys", keys)
+        _set(self, "rules", rules)
+        _set(self, "dependents", dependents)
 
 
-@dataclass
-class GroundProgram:
+class GroundProgram(Record):
     """A finite propositional program over an atom table."""
 
-    clauses: tuple[GroundClause, ...]
-    atoms: dict[str, GroundAtom]  # the atom table, insertion-ordered
+    __slots__ = ("clauses", "atoms", "_compiled")
 
-    @cached_property
+    def __init__(
+        self,
+        clauses: tuple[GroundClause, ...],
+        atoms: dict[str, GroundAtom],  # the atom table, insertion-ordered
+    ) -> None:
+        self.clauses = clauses
+        self.atoms = atoms
+        self._compiled: CompiledProgram | None = None
+
+    @property
     def compiled(self) -> CompiledProgram:
         """The program lowered once for the engines; the clauses and the
         atom table stay as they are."""
+        if self._compiled is None:
+            self._compiled = self._compile()
+        return self._compiled
+
+    def _compile(self) -> CompiledProgram:
         keys = tuple(self.atoms)
         ids = {key: i for i, key in enumerate(keys)}
         rules: list[list[Rule]] = [[] for _ in keys]
@@ -216,6 +250,8 @@ class Universe:
     def __init__(self, signature: Signature):
         self.signature = signature
         self._by_size: dict[tuple[TypeExpr, int], tuple[Expr, ...]] = {}
+        # per type: every size below this one is in _by_size
+        self._built_below: dict[TypeExpr, int] = {}
         self.symbols = 0
         # spine heads: predicate constants with every partial-application
         # result type they can produce
@@ -268,11 +304,20 @@ class Universe:
 
     def _arg_tuples(self, argtypes: tuple[TypeExpr, ...], budget: int):
         """All tuples of ground arguments with the given types and total size."""
-        if not argtypes:
-            if budget == 0:
-                yield ()
-            return
         first, rest = argtypes[0], argtypes[1:]
+        if not rest:
+            if budget < 1:
+                return
+            # The last argument takes the whole budget.  Its smaller sizes
+            # are built first, in order, so that building this size recurses
+            # once per type, never once per size.
+            below = self._built_below.get(first, 1)
+            for s in range(below, budget):
+                self._terms_exact(first, s)
+            self._built_below[first] = max(below, budget)
+            for t in self._terms_exact(first, budget):
+                yield (t,)
+            return
         max_first = budget - len(rest)
         for s in range(1, max_first + 1):
             for t in self._terms_exact(first, s):

@@ -13,11 +13,11 @@ independent of the fixpoint engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .errors import TooLarge, UnknownAtom
 from .grounder import ConstLit, GroundClause, GroundLiteral, GroundProgram, NegLit, PosLit
+from .records import FrozenRecord, _set
 
 
 class TruthValue(IntEnum):
@@ -44,19 +44,21 @@ class Ordering(Enum):
     FITTING = "fitting"
 
 
-@dataclass(frozen=True)
-class PartialInterpretation:
+class PartialInterpretation(FrozenRecord):
     """<T, F> over a fixed atom table; immutable and hashable."""
 
-    true_atoms: frozenset[str]
-    false_atoms: frozenset[str]
-    universe: frozenset[str]
+    __slots__ = ("true_atoms", "false_atoms", "universe")
 
-    def __post_init__(self) -> None:
-        if self.true_atoms & self.false_atoms:
+    def __init__(
+        self, true_atoms: frozenset[str], false_atoms: frozenset[str], universe: frozenset[str]
+    ) -> None:
+        if true_atoms & false_atoms:
             raise ValueError("T and F must be disjoint")
-        if not (self.true_atoms | self.false_atoms) <= self.universe:
+        if not (true_atoms | false_atoms) <= universe:
             raise ValueError("T and F must lie inside the atom table")
+        _set(self, "true_atoms", true_atoms)
+        _set(self, "false_atoms", false_atoms)
+        _set(self, "universe", universe)
 
     @property
     def is_total(self) -> bool:

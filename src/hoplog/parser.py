@@ -19,9 +19,8 @@ source positions, which the checker elaborates into typed syntax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DuplicateDeclaration, ParseError
+from .records import FrozenRecord, Record, _set
 from .syntax import IOTA, OMICRON, Arrow, TypeExpr
 
 RESERVED = ("type",)
@@ -32,66 +31,86 @@ RESERVED = ("type",)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pos:
-    line: int
-    column: int
+class Pos(FrozenRecord):
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int) -> None:
+        _set(self, "line", line)
+        _set(self, "column", column)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class RawName:
-    name: str
-    pos: Pos
+class RawName(FrozenRecord):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: Pos) -> None:
+        _set(self, "name", name)
+        _set(self, "pos", pos)
 
     @property
     def is_variable(self) -> bool:
         return self.name[0].isupper()
 
 
-@dataclass(frozen=True)
-class RawApp:
-    op: "RawExpr"
-    arg: "RawExpr"
-    pos: Pos
+class RawApp(FrozenRecord):
+    __slots__ = ("op", "arg", "pos")
+
+    def __init__(self, op: RawExpr, arg: RawExpr, pos: Pos) -> None:
+        _set(self, "op", op)
+        _set(self, "arg", arg)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class RawNeg:
-    atom: "RawExpr"
-    pos: Pos
+class RawNeg(FrozenRecord):
+    __slots__ = ("atom", "pos")
+
+    def __init__(self, atom: RawExpr, pos: Pos) -> None:
+        _set(self, "atom", atom)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class RawEq:
-    lhs: "RawExpr"
-    rhs: "RawExpr"
-    pos: Pos
+class RawEq(FrozenRecord):
+    __slots__ = ("lhs", "rhs", "pos")
+
+    def __init__(self, lhs: RawExpr, rhs: RawExpr, pos: Pos) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "pos", pos)
 
 
 RawExpr = "RawName | RawApp | RawNeg | RawEq"
 
 
-@dataclass(frozen=True)
-class RawClause:
-    head: "RawExpr"
-    body: tuple["RawExpr", ...]
-    pos: Pos
+class RawClause(FrozenRecord):
+    __slots__ = ("head", "body", "pos")
+
+    def __init__(self, head: RawExpr, body: tuple[RawExpr, ...], pos: Pos) -> None:
+        _set(self, "head", head)
+        _set(self, "body", body)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Declaration:
-    name: str
-    typ: TypeExpr
-    pos: Pos
+class Declaration(FrozenRecord):
+    __slots__ = ("name", "typ", "pos")
+
+    def __init__(self, name: str, typ: TypeExpr, pos: Pos) -> None:
+        _set(self, "name", name)
+        _set(self, "typ", typ)
+        _set(self, "pos", pos)
 
 
-@dataclass
-class SourceProgram:
-    declarations: list[Declaration] = field(default_factory=list)
-    clauses: list[RawClause] = field(default_factory=list)
+class SourceProgram(Record):
+    __slots__ = ("declarations", "clauses")
+
+    def __init__(
+        self,
+        declarations: list[Declaration] | None = None,
+        clauses: list[RawClause] | None = None,
+    ) -> None:
+        self.declarations = [] if declarations is None else declarations
+        self.clauses = [] if clauses is None else clauses
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +130,13 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: Pos
+class Token(FrozenRecord):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: Pos) -> None:
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[Token]:

@@ -21,8 +21,6 @@ clauses themselves, so it checks the strata of dead clauses too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LocalStratificationViolation, NotIncreasing
 from .grounder import GroundProgram, NegLit, PosLit, Rule
 from .interp import (
@@ -32,6 +30,7 @@ from .interp import (
     everything_undefined,
     leq,
 )
+from .records import FrozenRecord, _set
 from .syntax import Eq, Expr, Neg, PredConst, PredVar, spine, type_geq
 from .typecheck import Program
 
@@ -41,12 +40,14 @@ from .typecheck import Program
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(FrozenRecord):
     """Ordered partition of the predicate constants; indices start at 1."""
 
-    strata: tuple[tuple[str, ...], ...]
-    index: dict[str, int]
+    __slots__ = ("strata", "index")
+
+    def __init__(self, strata: tuple[tuple[str, ...], ...], index: dict[str, int]) -> None:
+        _set(self, "strata", strata)
+        _set(self, "index", index)
 
     @property
     def count(self) -> int:
@@ -56,12 +57,14 @@ class Stratification:
         return self.index[pred_name]
 
 
-@dataclass(frozen=True)
-class Unstratifiable:
+class Unstratifiable(FrozenRecord):
     """Witness: a dependency cycle that passes through a strict edge."""
 
-    cycle: tuple[str, ...]
-    strict_edge: tuple[str, str]
+    __slots__ = ("cycle", "strict_edge")
+
+    def __init__(self, cycle: tuple[str, ...], strict_edge: tuple[str, str]) -> None:
+        _set(self, "cycle", cycle)
+        _set(self, "strict_edge", strict_edge)
 
     def __str__(self) -> str:
         path = " -> ".join(self.cycle + (self.cycle[0],))
@@ -226,12 +229,16 @@ def stratify(program: Program) -> Stratification | Unstratifiable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalStratification:
+class LocalStratification(FrozenRecord):
     """Per-atom strata: an atom sits with its leftmost predicate constant."""
 
-    stratum_of: dict[str, int]
-    strata_atoms: tuple[tuple[str, ...], ...]
+    __slots__ = ("stratum_of", "strata_atoms")
+
+    def __init__(
+        self, stratum_of: dict[str, int], strata_atoms: tuple[tuple[str, ...], ...]
+    ) -> None:
+        _set(self, "stratum_of", stratum_of)
+        _set(self, "strata_atoms", strata_atoms)
 
     @property
     def count(self) -> int:
@@ -335,10 +342,14 @@ def psi_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[set[str], int]
     return {k for k, yes in zip(cp.keys, inside) if yes}, steps
 
 
-@dataclass(frozen=True)
-class PerfectResult:
-    model: PartialInterpretation
-    stages: tuple[PartialInterpretation, ...]
+class PerfectResult(FrozenRecord):
+    __slots__ = ("model", "stages")
+
+    def __init__(
+        self, model: PartialInterpretation, stages: tuple[PartialInterpretation, ...]
+    ) -> None:
+        _set(self, "model", model)
+        _set(self, "stages", stages)
 
     @property
     def strata_used(self) -> int:

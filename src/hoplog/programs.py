@@ -7,7 +7,7 @@ brute-force oracle limit; the test suite runs every engine over all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenRecord, _set
 
 # A unary-identity layer over a binary-negation layer: the two predicates p
 # and q agree as three-valued relations, yet feeding them to s separates
@@ -95,12 +95,16 @@ DEMOS = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    source: str
-    depth: int = 2
-    roots: tuple[str, ...] | None = None
+class CorpusEntry(FrozenRecord):
+    __slots__ = ("name", "source", "depth", "roots")
+
+    def __init__(
+        self, name: str, source: str, depth: int = 2, roots: tuple[str, ...] | None = None
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "depth", depth)
+        _set(self, "roots", roots)
 
 
 CORPUS: tuple[CorpusEntry, ...] = (

@@ -18,7 +18,6 @@ Terms are hash-consed: each distinct term exists once (see ``Expr``).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 from .errors import (
@@ -30,34 +29,70 @@ from .errors import (
     TypeMismatch,
     UnboundSymbol,
 )
+from .records import FrozenRecord, _set
 
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
 
-class TypeExpr:
-    """Base class for type expressions."""
+class TypeExpr(FrozenRecord):
+    """Base class for type expressions.
 
+    Equality is structural.  Each type computes its hash, the hash of its
+    fields, once at construction, so hashing a type never recurses, and
+    two types with different hashes compare unequal at once.  Types are
+    compared and hashed on every symbol lookup and universe probe.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init__(self) -> None:
+        _set(self, "_hash", hash(()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        # i and o have no fields
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+
+class Iota(TypeExpr):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class Iota(TypeExpr):
     def __str__(self) -> str:
         return "i"
 
 
-@dataclass(frozen=True)
 class Omicron(TypeExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "o"
 
 
-@dataclass(frozen=True)
 class Arrow(TypeExpr):
-    argument: TypeExpr
-    result: TypeExpr
+    __slots__ = ("argument", "result")
+
+    def __init__(self, argument: TypeExpr, result: TypeExpr) -> None:
+        _set(self, "argument", argument)
+        _set(self, "result", result)
+        _set(self, "_hash", hash((argument, result)))
+
+    # a class that defines __eq__ inherits no __hash__
+    __hash__ = TypeExpr.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.argument == other.argument
+            and self.result == other.result
+        )
 
     def __str__(self) -> str:
         left = str(self.argument)
@@ -143,10 +178,7 @@ def type_size(t: TypeExpr) -> int:
 # ---------------------------------------------------------------------------
 
 
-_set = object.__setattr__
-
-
-class Expr:
+class Expr(FrozenRecord):
     """Base class for terms and literal expressions. Nodes carry their type.
 
     Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
@@ -164,10 +196,12 @@ class Expr:
     class's intern table holds its nodes weakly: a node lives exactly as
     long as something else refers to it.  The tables take no lock, so terms
     must be built from one thread at a time.  A subclass's ``__slots__`` are
-    its fields, in constructor order.
+    its fields, in constructor order; ``Expr``'s own slots hold the values
+    derived from them.
     """
 
     __slots__ = ("_hash", "text", "atomic", "size", "__weakref__")
+    __eq__ = object.__eq__
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -178,7 +212,7 @@ class Expr:
         """Build, register and return the node of this class with these
         fields; the caller has found none in the table."""
         node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
+        for name, value in zip(cls._fields, fields):
             _set(node, name, value)
         _set(node, "_hash", hash(fields))
         _set(node, "text", text)
@@ -189,19 +223,6 @@ class Expr:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
     @property
     def typ(self) -> TypeExpr:
@@ -435,17 +456,16 @@ KIND_FUNCTION = "function"
 KIND_PREDICATE = "predicate"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(FrozenRecord):
     """Immutable symbol table: constant / function-symbol name -> type."""
 
-    entries: tuple[tuple[str, TypeExpr], ...]
-    _types: dict[str, TypeExpr] = field(init=False, repr=False, compare=False)
+    __slots__ = ("entries", "_types")
 
-    def __post_init__(self) -> None:
-        for name, t in self.entries:
+    def __init__(self, entries: tuple[tuple[str, TypeExpr], ...]) -> None:
+        for name, t in entries:
             self.kind_of_type(name, t)
-        object.__setattr__(self, "_types", dict(self.entries))
+        _set(self, "entries", entries)
+        _set(self, "_types", dict(entries))
 
     @staticmethod
     def kind_of_type(name: str, t: TypeExpr) -> str:
@@ -495,13 +515,17 @@ def make_signature(mapping: Mapping[str, TypeExpr]) -> Signature:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(FrozenRecord):
     """head_pred V1 ... Vn <- L1, ..., Lm with pairwise-distinct variable formals."""
 
-    head_pred: PredConst
-    formals: tuple[Var, ...]
-    body: tuple[Expr, ...]
+    __slots__ = ("head_pred", "formals", "body")
+
+    def __init__(
+        self, head_pred: PredConst, formals: tuple[Var, ...], body: tuple[Expr, ...]
+    ) -> None:
+        _set(self, "head_pred", head_pred)
+        _set(self, "formals", formals)
+        _set(self, "body", body)
 
     def head_atom(self) -> Expr:
         return build_spine(self.head_pred, list(self.formals))

@@ -9,8 +9,6 @@ reported together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     AmbiguousVariableType,
     ArityMismatch,
@@ -26,6 +24,7 @@ from .errors import (
     UnboundSymbol,
 )
 from .parser import RawApp, RawClause, RawEq, RawName, RawNeg, SourceProgram
+from .records import FrozenRecord, _set
 from .syntax import (
     IOTA,
     OMICRON,
@@ -53,12 +52,14 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(FrozenRecord):
     """A checked program: signature plus typed clauses."""
 
-    signature: Signature
-    clauses: tuple[Clause, ...]
+    __slots__ = ("signature", "clauses")
+
+    def __init__(self, signature: Signature, clauses: tuple[Clause, ...]) -> None:
+        _set(self, "signature", signature)
+        _set(self, "clauses", clauses)
 
     def to_source(self) -> str:
         """Canonical source text; parsing it back yields an equal Program."""

@@ -24,8 +24,6 @@ the default and the equivalence is enforced by a differential test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotIncreasing
 from .grounder import CompiledProgram, GroundProgram, Rule
 from .interp import (
@@ -35,24 +33,31 @@ from .interp import (
     everything_undefined,
     leq,
 )
+from .records import FrozenRecord, _set
 
 
-@dataclass(frozen=True)
-class ThetaTrace:
+class ThetaTrace(FrozenRecord):
     """Outer stages M_0..M_lambda and the inner iteration length per stage."""
 
-    stages: tuple[PartialInterpretation, ...]
-    inner_lengths: tuple[int, ...]
+    __slots__ = ("stages", "inner_lengths")
+
+    def __init__(
+        self, stages: tuple[PartialInterpretation, ...], inner_lengths: tuple[int, ...]
+    ) -> None:
+        _set(self, "stages", stages)
+        _set(self, "inner_lengths", inner_lengths)
 
     @property
     def fixpoint_stage(self) -> int:
         return len(self.stages) - 1
 
 
-@dataclass(frozen=True)
-class WfsResult:
-    model: PartialInterpretation
-    trace: ThetaTrace
+class WfsResult(FrozenRecord):
+    __slots__ = ("model", "trace")
+
+    def __init__(self, model: PartialInterpretation, trace: ThetaTrace) -> None:
+        _set(self, "model", model)
+        _set(self, "trace", trace)
 
 
 _FALSE, _UNDEFINED, _TRUE = TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE

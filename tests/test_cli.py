@@ -348,3 +348,24 @@ class TestHashSeed:
         first = self.run_under_seed("0", argvs)
         assert first.count("\n$ ") == len(argvs)
         assert self.run_under_seed("1", argvs) == first
+
+
+class TestStartup:
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # Records are plain slotted classes: defining them generates and
+        # compiles no code, and needs neither module.  -S keeps site
+        # customizations from importing either one first.
+        script = (
+            "import sys, hoplog.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hoplog.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

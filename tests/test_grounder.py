@@ -246,6 +246,17 @@ class TestUniverseCap:
         assert 0 < universe.symbols - DEFAULT_MAX_UNIVERSE_SYMBOLS <= 23
 
 
+class TestUniverseBuildOrder:
+    def test_truncation_probe_past_the_cap_needs_no_recursion(self):
+        # Probing size 3001 of a fresh chain universe builds sizes 1, 2, ...
+        # in order, each from the one below, and stops at the cap; it never
+        # descends one call per size from the top.
+        universe = Universe(load("type a : i.\ntype f : i -> i.").signature)
+        with pytest.raises(GroundingLimitExceeded, match="size 1414 "):
+            universe.is_truncated(IOTA, 3000)
+        assert universe.symbols == 1_000_405
+
+
 class TestTruncationReport:
     def test_function_symbols_truncate_individuals(self):
         src = "type q : i -> o.\ntype f : i -> i.\nq X <- X = a."

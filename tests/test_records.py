@@ -1,0 +1,335 @@
+"""The shared record base: every record class against the behaviour its
+``@dataclass`` form had, field by field."""
+
+import pickle
+
+import pytest
+
+import hoplog.cli  # noqa: F401  (imports every module that defines a record)
+from hoplog.extensionality import ExtRelation, ExtReport, UnknownItem, Witness, _Fail
+from hoplog.grounder import (
+    CompiledProgram,
+    ConstLit,
+    GroundAtom,
+    GroundClause,
+    GroundLiteral,
+    GroundProgram,
+    NegLit,
+    PosLit,
+)
+from hoplog.interp import PartialInterpretation, TruthValue
+from hoplog.parser import (
+    Declaration,
+    Pos,
+    RawApp,
+    RawClause,
+    RawEq,
+    RawName,
+    RawNeg,
+    SourceProgram,
+    Token,
+)
+from hoplog.perfect import LocalStratification, PerfectResult, Stratification, Unstratifiable
+from hoplog.programs import CorpusEntry
+from hoplog.records import FrozenRecord, Record
+from hoplog.syntax import (
+    IOTA,
+    OMICRON,
+    Arrow,
+    Clause,
+    Expr,
+    Iota,
+    Omicron,
+    PredConst,
+    PredVar,
+    Signature,
+    TypeExpr,
+)
+from hoplog.typecheck import Program
+from hoplog.wfs import ThetaTrace, WfsResult
+
+from helpers import load
+
+OO = Arrow(OMICRON, OMICRON)
+OO_REPR = "Arrow(argument=Omicron(), result=Omicron())"
+
+
+def _atom():
+    return GroundAtom("p", PredConst("p", OMICRON))
+
+
+ATOM_REPR = "GroundAtom(key='p', expr=PredConst(name='p', ptype=Omicron()))"
+
+
+def _interp():
+    return PartialInterpretation(frozenset({"p"}), frozenset(), frozenset({"p"}))
+
+
+INTERP_REPR = (
+    "PartialInterpretation(true_atoms=frozenset({'p'}), false_atoms=frozenset(), "
+    "universe=frozenset({'p'}))"
+)
+
+# One sample per record class: a factory that builds it afresh from equal
+# fields, and the repr its dataclass form printed.
+SAMPLES = {
+    Iota: (Iota, "Iota()"),
+    Omicron: (Omicron, "Omicron()"),
+    Arrow: (lambda: Arrow(Omicron(), Omicron()), OO_REPR),
+    Signature: (
+        lambda: Signature((("a", IOTA), ("p", Arrow(OMICRON, OMICRON)))),
+        f"Signature(entries=(('a', Iota()), ('p', {OO_REPR})))",
+    ),
+    Clause: (
+        lambda: Clause(PredConst("p", OO), (PredVar("X", OMICRON),), (PredVar("X", OMICRON),)),
+        f"Clause(head_pred=PredConst(name='p', ptype={OO_REPR}), "
+        "formals=(PredVar(name='X', ptype=Omicron()),), "
+        "body=(PredVar(name='X', ptype=Omicron()),))",
+    ),
+    Pos: (lambda: Pos(1, 6), "Pos(line=1, column=6)"),
+    RawName: (
+        lambda: RawName("p", Pos(1, 1)),
+        "RawName(name='p', pos=Pos(line=1, column=1))",
+    ),
+    RawApp: (
+        lambda: RawApp(RawName("p", Pos(1, 1)), RawName("X", Pos(1, 3)), Pos(1, 1)),
+        "RawApp(op=RawName(name='p', pos=Pos(line=1, column=1)), "
+        "arg=RawName(name='X', pos=Pos(line=1, column=3)), pos=Pos(line=1, column=1))",
+    ),
+    RawNeg: (
+        lambda: RawNeg(RawName("p", Pos(1, 1)), Pos(2, 1)),
+        "RawNeg(atom=RawName(name='p', pos=Pos(line=1, column=1)), pos=Pos(line=2, column=1))",
+    ),
+    RawEq: (
+        lambda: RawEq(RawName("X", Pos(1, 6)), RawName("a", Pos(1, 6)), Pos(1, 6)),
+        "RawEq(lhs=RawName(name='X', pos=Pos(line=1, column=6)), "
+        "rhs=RawName(name='a', pos=Pos(line=1, column=6)), pos=Pos(line=1, column=6))",
+    ),
+    RawClause: (
+        lambda: RawClause(RawName("p", Pos(1, 1)), (RawName("p", Pos(1, 1)),), Pos(1, 6)),
+        "RawClause(head=RawName(name='p', pos=Pos(line=1, column=1)), "
+        "body=(RawName(name='p', pos=Pos(line=1, column=1)),), pos=Pos(line=1, column=6))",
+    ),
+    Declaration: (
+        lambda: Declaration("p", Arrow(OMICRON, OMICRON), Pos(1, 6)),
+        f"Declaration(name='p', typ={OO_REPR}, pos=Pos(line=1, column=6))",
+    ),
+    SourceProgram: (SourceProgram, "SourceProgram(declarations=[], clauses=[])"),
+    Token: (
+        lambda: Token("NAME", "p", Pos(1, 6)),
+        "Token(kind='NAME', text='p', pos=Pos(line=1, column=6))",
+    ),
+    GroundAtom: (_atom, ATOM_REPR),
+    PosLit: (lambda: PosLit(_atom()), f"PosLit(atom={ATOM_REPR})"),
+    NegLit: (lambda: NegLit(_atom()), f"NegLit(atom={ATOM_REPR})"),
+    ConstLit: (lambda: ConstLit(True), "ConstLit(value=True)"),
+    GroundClause: (
+        lambda: GroundClause(_atom(), (PosLit(_atom()), ConstLit(False)), 0, (("X", IOTA),)),
+        f"GroundClause(head={ATOM_REPR}, body=(PosLit(atom={ATOM_REPR}), "
+        "ConstLit(value=False)), source_index=0, theta=(('X', Iota()),))",
+    ),
+    CompiledProgram: (
+        lambda: CompiledProgram(("p",), ((((0,), ()),),), ((0,),)),
+        "CompiledProgram(keys=('p',), rules=((((0,), ()),),), dependents=((0,),))",
+    ),
+    GroundProgram: (
+        lambda: GroundProgram((), {"p": _atom()}),
+        f"GroundProgram(clauses=(), atoms={{'p': {ATOM_REPR}}})",
+    ),
+    PartialInterpretation: (_interp, INTERP_REPR),
+    Program: (
+        lambda: Program(Signature((("a", IOTA),)), ()),
+        "Program(signature=Signature(entries=(('a', Iota()),)), clauses=())",
+    ),
+    ThetaTrace: (
+        lambda: ThetaTrace((_interp(),), (1,)),
+        f"ThetaTrace(stages=({INTERP_REPR},), inner_lengths=(1,))",
+    ),
+    WfsResult: (
+        lambda: WfsResult(_interp(), ThetaTrace((_interp(),), (1,))),
+        f"WfsResult(model={INTERP_REPR}, "
+        f"trace=ThetaTrace(stages=({INTERP_REPR},), inner_lengths=(1,)))",
+    ),
+    Stratification: (
+        lambda: Stratification((("p",),), {"p": 1}),
+        "Stratification(strata=(('p',),), index={'p': 1})",
+    ),
+    Unstratifiable: (
+        lambda: Unstratifiable(("p",), ("p", "p")),
+        "Unstratifiable(cycle=('p',), strict_edge=('p', 'p'))",
+    ),
+    LocalStratification: (
+        lambda: LocalStratification({"p": 1}, (("p",),)),
+        "LocalStratification(stratum_of={'p': 1}, strata_atoms=(('p',),))",
+    ),
+    PerfectResult: (
+        lambda: PerfectResult(_interp(), (_interp(),)),
+        f"PerfectResult(model={INTERP_REPR}, stages=({INTERP_REPR},))",
+    ),
+    ExtRelation: (
+        lambda: ExtRelation(Arrow(OMICRON, OMICRON), frozenset({("p", "p")}), 2),
+        f"ExtRelation(rho={OO_REPR}, pairs=frozenset({{('p', 'p')}}), bound=2)",
+    ),
+    Witness: (
+        lambda: Witness("o -> o", "p", ("a", "b"), "p a", "p b", "true", "false"),
+        "Witness(rho='o -> o', term='p', pair=('a', 'b'), lhs_atom='p a', "
+        "rhs_atom='p b', lhs_value='true', rhs_value='false')",
+    ),
+    UnknownItem: (
+        lambda: UnknownItem("o", "p", "too big"),
+        "UnknownItem(rho='o', term='p', reason='too big')",
+    ),
+    ExtReport: (
+        lambda: ExtReport(2, 8),
+        "ExtReport(depth=2, budget=8, witnesses=[], unknowns=[], checked_types=[], "
+        "checked_terms=0)",
+    ),
+    _Fail: (
+        lambda: _Fail("p", "q", TruthValue.TRUE, TruthValue.FALSE),
+        "_Fail(lhs_atom='p', rhs_atom='q', lhs_value=<TruthValue.TRUE: 2>, "
+        "rhs_value=<TruthValue.FALSE: 0>, pair=None)",
+    ),
+    CorpusEntry: (
+        lambda: CorpusEntry("x", "type p : o."),
+        "CorpusEntry(name='x', source='type p : o.', depth=2, roots=None)",
+    ),
+}
+
+MUTABLE = {ExtReport, Witness, UnknownItem, _Fail, GroundProgram, SourceProgram}
+# Frozen records that hold a dict, and so cannot be hashed, as before.
+HOLDS_A_DICT = {Stratification, LocalStratification}
+
+
+def _record_classes():
+    """Every concrete record class hoplog defines; hash-consed terms and
+    the abstract bases are tested elsewhere."""
+    found, todo = [], [Record]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            if sub.__module__.startswith("hoplog.") and not issubclass(sub, Expr):
+                todo.append(sub)
+                if sub not in (FrozenRecord, TypeExpr, GroundLiteral):
+                    found.append(sub)
+    return found
+
+
+def test_every_record_class_has_a_sample():
+    assert set(_record_classes()) == set(SAMPLES)
+    assert len(SAMPLES) == 35
+
+
+@pytest.fixture(params=list(SAMPLES), ids=lambda cls: cls.__name__)
+def sample(request):
+    make, text = SAMPLES[request.param]
+    return request.param, make, text
+
+
+def test_repr_is_the_dataclass_text(sample):
+    cls, make, text = sample
+    assert repr(make()) == text
+
+
+def test_slotted_and_built_afresh(sample):
+    cls, make, _ = sample
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    assert not hasattr(a, "__dict__")
+
+
+def test_equal_fields_compare_and_hash_equal(sample):
+    cls, make, _ = sample
+    a, b = make(), make()
+    assert a == b and not a != b
+    if cls in MUTABLE or cls in HOLDS_A_DICT:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+def test_frozen_records_refuse_assignment(sample):
+    cls, make, text = sample
+    a = make()
+    if cls in MUTABLE:
+        assert isinstance(a, Record) and not isinstance(a, FrozenRecord)
+        first = cls._fields[0]
+        setattr(a, first, "changed")
+        assert getattr(a, first) == "changed" and a != make()
+        return
+    assert isinstance(a, FrozenRecord)
+    for name in cls._fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert repr(a) == text
+
+
+def test_pickle_round_trip(sample):
+    cls, make, text = sample
+    a = make()
+    b = pickle.loads(pickle.dumps(a))
+    assert type(b) is cls and b == a and repr(b) == text
+
+
+def test_equality_needs_the_same_class():
+    atom = _atom()
+    assert PosLit(atom) != NegLit(atom)
+    assert not PosLit(atom) == NegLit(atom)
+    assert len({PosLit(atom), NegLit(atom)}) == 2
+    assert Iota() != Omicron()
+    assert RawNeg(RawName("p", Pos(1, 1)), Pos(1, 1)) != RawName("p", Pos(1, 1))
+    assert Pos(1, 2) != (1, 2)
+
+
+def test_defaults():
+    one, two = ExtReport(1, 4), ExtReport(1, 4)
+    assert one.witnesses == [] and one.witnesses is not two.witnesses
+    assert one.checked_terms == 0
+    assert SourceProgram().clauses is not SourceProgram().clauses
+    entry = CorpusEntry("x", "")
+    assert (entry.depth, entry.roots) == (2, None)
+    assert _Fail("p", "q", TruthValue.TRUE, TruthValue.FALSE).pair is None
+
+
+def test_interpretation_checks_run_on_construction_and_load():
+    with pytest.raises(ValueError, match="disjoint"):
+        PartialInterpretation(frozenset({"p"}), frozenset({"p"}), frozenset({"p"}))
+    with pytest.raises(ValueError, match="inside"):
+        PartialInterpretation(frozenset({"q"}), frozenset(), frozenset({"p"}))
+    good = _interp()
+    assert pickle.loads(pickle.dumps(good)) == good
+
+
+def test_signature_table_is_neither_compared_nor_printed():
+    sig = Signature((("a", IOTA),))
+    loaded = pickle.loads(pickle.dumps(sig))
+    assert loaded == sig and "_types" not in repr(sig)
+    assert loaded.lookup("a") == IOTA and "a" in loaded
+
+
+def test_compiled_program_is_cached():
+    gp = GroundProgram((), {"p": _atom()})
+    assert gp.compiled is gp.compiled
+    assert gp == pickle.loads(pickle.dumps(gp))
+    assert pickle.loads(pickle.dumps(gp)).compiled == gp.compiled
+
+
+def test_types_hash_their_fields_once():
+    deep = IOTA
+    for _ in range(50):
+        deep = Arrow(deep, OMICRON)
+    twin = IOTA
+    for _ in range(50):
+        twin = Arrow(twin, OMICRON)
+    assert deep == twin and deep is not twin
+    assert hash(deep) == hash(twin) == hash((deep.argument, deep.result))
+    assert Arrow(IOTA, OMICRON) != Arrow(OMICRON, IOTA)
+    assert Arrow(IOTA, OMICRON) != IOTA and IOTA != OMICRON
+
+
+def test_records_of_a_loaded_program_pickle():
+    program = load("type q : i -> o.\ntype f : i -> i.\nq X <- X = a.")
+    assert pickle.loads(pickle.dumps(program)) == program
