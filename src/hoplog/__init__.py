@@ -4,7 +4,7 @@ Pipeline: parse -> type-check -> ground (bounded or demand-driven) ->
 evaluate (well-founded or perfect model) -> check extensionality.
 """
 
-from .extensionality import ExtChecker, reflexivity_check
+from .extensionality import ExtChecker
 from .grounder import (
     GroundAtom,
     GroundProgram,
@@ -49,7 +49,6 @@ __all__ = [
     "parse_type",
     "perfect_model",
     "psi_step",
-    "reflexivity_check",
     "relevant_grounding",
     "stratify",
     "theta_lfp",

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import HoplogError
+from .errors import HoplogError, InvalidDepth
 from .extensionality import ExtChecker
 from .grounder import (
     GroundProgram,
@@ -50,10 +50,22 @@ def _parse_roots(program: Program, spec: str):
     return roots
 
 
+def _depth(args) -> int:
+    """The --depth bound, rejected before any grounding when below 1."""
+    if args.depth < 1:
+        raise InvalidDepth(f"--depth must be at least 1, got {args.depth}")
+    return args.depth
+
+
 def _grounding(program: Program, args) -> GroundProgram:
+    k = _depth(args)
     if args.roots:
-        return relevant_grounding(program, _parse_roots(program, args.roots), args.depth)
-    return ground_instantiation(program, args.depth)
+        return relevant_grounding(program, _parse_roots(program, args.roots), k)
+    return ground_instantiation(program, k)
+
+
+def _unstratifiable(strat: Unstratifiable) -> dict:
+    return {"cycle": list(strat.cycle), "negative_edge": list(strat.strict_edge)}
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -119,7 +131,7 @@ def cmd_ground(args) -> int:
 def cmd_wfs(args) -> int:
     program = _load(args.input)
     gp = _grounding(program, args)
-    result = well_founded_model(gp, semi_naive=not args.naive)
+    result = well_founded_model(gp)
     _emit(
         {
             "depth": args.depth,
@@ -138,10 +150,7 @@ def cmd_perfect(args) -> int:
         _emit(
             {
                 "error": "perfect-model mode needs a stratified program",
-                "unstratifiable": {
-                    "cycle": list(strat.cycle),
-                    "negative_edge": list(strat.strict_edge),
-                },
+                "unstratifiable": _unstratifiable(strat),
             },
             args.format,
         )
@@ -164,15 +173,7 @@ def cmd_stratify(args) -> int:
     program = _load(args.input)
     strat = stratify(program)
     if isinstance(strat, Unstratifiable):
-        _emit(
-            {
-                "unstratifiable": {
-                    "cycle": list(strat.cycle),
-                    "negative_edge": list(strat.strict_edge),
-                }
-            },
-            args.format,
-        )
+        _emit({"unstratifiable": _unstratifiable(strat)}, args.format)
         return 2
     _emit({"strata": [list(s) for s in strat.strata]}, args.format)
     return 0
@@ -180,7 +181,7 @@ def cmd_stratify(args) -> int:
 
 def cmd_extcheck(args) -> int:
     program = _load(args.input)
-    checker = ExtChecker(program, args.depth, args.budget)
+    checker = ExtChecker(program, _depth(args), args.budget)
     if args.roots:
         checker.oracle.add_atoms(_parse_roots(program, args.roots))
     report = checker.reflexivity_report()
@@ -281,10 +282,7 @@ def _demo_stratified() -> tuple[bool, dict]:
     bad = stratify(check_program(parse_program(DEMOS["stratified_bad"])))
     bad_ok = isinstance(bad, Unstratifiable) and bad.strict_edge == ("q", "p")
     if isinstance(bad, Unstratifiable):
-        details["rejected"] = {
-            "cycle": list(bad.cycle),
-            "negative_edge": list(bad.strict_edge),
-        }
+        details["rejected"] = _unstratifiable(bad)
     return ok and bad_ok, details
 
 
@@ -330,10 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("ground", help="dump a bounded grounding")).set_defaults(
         func=cmd_ground
     )
-    wfs_p = common(sub.add_parser("wfs", help="well-founded model"))
-    wfs_p.add_argument("--naive", action="store_true",
-                       help="disable semi-naive inner iteration")
-    wfs_p.set_defaults(func=cmd_wfs)
+    common(sub.add_parser("wfs", help="well-founded model")).set_defaults(func=cmd_wfs)
     common(sub.add_parser("perfect", help="perfect model (stratified only)")).set_defaults(
         func=cmd_perfect
     )

@@ -15,6 +15,10 @@ class HoplogError(Exception):
         return type(self).__name__
 
 
+class InvalidDepth(HoplogError):
+    """A term-size bound below 1 given on the command line."""
+
+
 class ParseError(HoplogError):
     """Concrete-syntax error with a source position."""
 

@@ -25,8 +25,9 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DepthExceeded
-from .grounder import Universe, ground_atom, relevant_grounding
+from .grounder import Universe, argument_types, ground_atom, relevant_grounding
 from .interp import PartialInterpretation, TruthValue
+from .parser import parse_atom
 from .records import FrozenRecord, Record, _set
 from .syntax import (
     IOTA,
@@ -36,9 +37,10 @@ from .syntax import (
     Expr,
     TypeExpr,
     canonical_print,
+    predicate_arg_types,
     term_size,
 )
-from .typecheck import Program
+from .typecheck import Program, elaborate_ground_atom
 from .wfs import well_founded_model
 
 DEFAULT_BUDGET_FACTOR = 4
@@ -249,15 +251,8 @@ class ExtChecker:
         """Register every full application of size-k terms of type rho up
         front, so the demand grounding is solved once per type rather than
         once per atom."""
-        argtypes = []
-        cur = rho
-        while isinstance(cur, Arrow):
-            argtypes.append(cur.argument)
-            cur = cur.result
-        if cur != OMICRON:
-            return
         atoms = []
-        pools = [self.universe.terms(t, self.k) for t in argtypes]
+        pools = [self.universe.terms(t, self.k) for t in predicate_arg_types(rho)]
         for term in self.universe.terms(rho, self.k):
             for combo in product(*pools):
                 e: Expr = term
@@ -369,8 +364,6 @@ class ExtChecker:
         return None
 
     def reflexivity_report(self) -> ExtReport:
-        from .grounder import argument_types
-
         report = ExtReport(self.k, self.budget)
         for rho in argument_types(self.program):
             report.checked_types.append(str(rho))
@@ -407,17 +400,8 @@ class ExtChecker:
 # ---------------------------------------------------------------------------
 
 
-def reflexivity_check(program: Program, k: int, budget: int | None = None) -> ExtReport:
-    """Test every size-k term of every argument type in the signature for
-    extensional self-equality; collect witnesses for each failure."""
-    return ExtChecker(program, k, budget).reflexivity_report()
-
-
 def replay_witness(program: Program, w: Witness, k: int, budget: int | None = None) -> bool:
     """Recompute the two recorded valuations; True when they match the report."""
-    from .parser import parse_atom
-    from .typecheck import elaborate_ground_atom
-
     checker = ExtChecker(program, k, budget)
     lhs = elaborate_ground_atom(program, parse_atom(w.lhs_atom))
     rhs = elaborate_ground_atom(program, parse_atom(w.rhs_atom))

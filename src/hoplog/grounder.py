@@ -58,6 +58,7 @@ from .syntax import (
     apply_substitution,
     canonical_print,
     is_argument_type,
+    peel,
     print_template,
     spine,
     suffix_types,
@@ -295,7 +296,7 @@ class Universe:
                     if size == 1:
                         yield pred
                     continue
-                argtypes = _pred_prefix(pred.ptype, j)
+                argtypes, _ = peel(pred.ptype, j)
                 for args in self._arg_tuples(argtypes, size - 1):
                     e: Expr = pred
                     for a in args:
@@ -333,16 +334,6 @@ class Universe:
     def is_truncated(self, rho: TypeExpr, k: int) -> bool:
         """True if terms of type rho exist beyond the size bound."""
         return bool(self._terms_exact(rho, k + 1))
-
-
-def _pred_prefix(ptype: TypeExpr, j: int) -> tuple[TypeExpr, ...]:
-    args = []
-    t = ptype
-    for _ in range(j):
-        assert isinstance(t, Arrow)
-        args.append(t.argument)
-        t = t.result
-    return tuple(args)
 
 
 def herbrand_universe(program: Program, rho: TypeExpr, k: int) -> tuple[Expr, ...]:
@@ -579,13 +570,13 @@ def truncated_types(program: Program, k: int) -> tuple[str, ...]:
     """Argument types whose size-k universe is a strict prefix of the full one."""
     universe = Universe(program.signature)
     out = []
-    for rho in _argument_types(program.signature):
+    for rho in argument_types(program):
         if universe.is_truncated(rho, k):
             out.append(str(rho))
     return tuple(sorted(out))
 
 
-def _argument_types(signature: Signature) -> tuple[TypeExpr, ...]:
+def argument_types(program: Program) -> tuple[TypeExpr, ...]:
     """All argument types mentioned (at any depth) by the signature."""
     found: set[TypeExpr] = set()
 
@@ -596,10 +587,6 @@ def _argument_types(signature: Signature) -> tuple[TypeExpr, ...]:
             visit(t.argument)
             visit(t.result)
 
-    for _, t in signature.entries:
+    for _, t in program.signature.entries:
         visit(t)
     return tuple(sorted(found, key=lambda t: (type_size(t), str(t))))
-
-
-def argument_types(program: Program) -> tuple[TypeExpr, ...]:
-    return _argument_types(program.signature)

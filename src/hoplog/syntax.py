@@ -146,6 +146,17 @@ def predicate_arg_types(t: TypeExpr) -> tuple[TypeExpr, ...]:
     return tuple(args)
 
 
+def peel(t: TypeExpr, n: int) -> tuple[tuple[TypeExpr, ...], TypeExpr] | None:
+    """Split r1 -> ... -> rn -> rest into ((r1..rn), rest); None if too short."""
+    args = []
+    for _ in range(n):
+        if not isinstance(t, Arrow):
+            return None
+        args.append(t.argument)
+        t = t.result
+    return tuple(args), t
+
+
 def functional_arity(t: TypeExpr) -> int:
     n = 0
     while isinstance(t, Arrow):
@@ -374,22 +385,7 @@ def term_size(e: Expr) -> int:
 
 def free_vars(e: Expr) -> frozenset[Var]:
     """The set of variables occurring in e (each carries its type)."""
-    if isinstance(e, (IndVar, PredVar)):
-        return frozenset((e,))
-    if isinstance(e, (IndConst, PredConst)):
-        return frozenset()
-    if isinstance(e, FunApp):
-        out: frozenset[Var] = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, App):
-        return free_vars(e.op) | free_vars(e.arg)
-    if isinstance(e, Neg):
-        return free_vars(e.atom)
-    if isinstance(e, Eq):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    raise TypeError(f"not an expression: {e!r}")
+    return frozenset(_vars_in_order(e))
 
 
 def is_ground(e: Expr) -> bool:
@@ -488,9 +484,6 @@ class Signature(FrozenRecord):
 
     def __contains__(self, name: str) -> bool:
         return name in self._types
-
-    def kind(self, name: str) -> str:
-        return self.kind_of_type(name, self.lookup(name))
 
     def individual_constants(self) -> tuple[str, ...]:
         return tuple(n for n, t in self.entries if t == IOTA)

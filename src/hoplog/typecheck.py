@@ -23,7 +23,7 @@ from .errors import (
     TypeCheckError,
     UnboundSymbol,
 )
-from .parser import RawApp, RawClause, RawEq, RawName, RawNeg, SourceProgram
+from .parser import RawApp, RawClause, RawEq, RawName, RawNeg, SourceProgram, parse_program
 from .records import FrozenRecord, _set
 from .syntax import (
     IOTA,
@@ -48,6 +48,7 @@ from .syntax import (
     is_ground,
     is_predicate_type,
     make_signature,
+    peel,
     predicate_arg_types,
 )
 
@@ -121,17 +122,6 @@ def _build_signature(sp: SourceProgram) -> Signature:
 # ---------------------------------------------------------------------------
 
 
-def _peel(t: TypeExpr, n: int) -> tuple[list[TypeExpr], TypeExpr] | None:
-    """Split r1 -> ... -> rn -> rest into ([r1..rn], rest); None if too short."""
-    args = []
-    for _ in range(n):
-        if not isinstance(t, Arrow):
-            return None
-        args.append(t.argument)
-        t = t.result
-    return args, t
-
-
 class _ClauseChecker:
     def __init__(self, sig: Signature, clause_text: str):
         self.sig = sig
@@ -175,7 +165,7 @@ class _ClauseChecker:
         if head.is_variable:
             known = self.env.get(head.name)
             if known is not None:
-                peeled = _peel(known, len(args))
+                peeled = peel(known, len(args))
                 if peeled is None:
                     return None  # arity error surfaces during build
                 argtypes, rest = peeled
@@ -193,7 +183,7 @@ class _ClauseChecker:
         if head.name not in self.sig:
             return None
         headtype = self.sig.lookup(head.name)
-        peeled = _peel(headtype, len(args))
+        peeled = peel(headtype, len(args))
         if peeled is None:
             return None
         argtypes, rest = peeled
@@ -391,8 +381,6 @@ def check_program(sp: SourceProgram) -> Program:
 
 def load_program(text: str) -> Program:
     """Parse and check program text in one step."""
-    from .parser import parse_program
-
     return check_program(parse_program(text))
 
 

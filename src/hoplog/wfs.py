@@ -15,11 +15,11 @@ Both iterations run on the grounding's compiled form
 clauses.  The inner iteration works on value vectors indexed by atom id;
 each outer stage becomes a ``PartialInterpretation`` once.
 
-The inner loop can run naively (recompute every atom each round) or
-semi-naively (recompute only atoms whose positive body inputs changed).
-Rounds are synchronous either way: each reads only the previous round's
-values.  Both produce bit-identical stage sequences; the semi-naive path is
-the default and the equivalence is enforced by a differential test.
+The inner loop is semi-naive: after the first round it recomputes only
+the atoms whose positive body inputs changed.  Rounds are synchronous, each
+reading only the previous round's values, so the stages and round counts
+are those of naive iteration of ``theta_step``; a differential test checks
+this against that iteration.
 """
 
 from __future__ import annotations
@@ -98,9 +98,7 @@ def theta_step(
     return _to_interp([_head_value(rules, jv, iv) for rules in cp.rules], cp)
 
 
-def theta_lfp(
-    J: PartialInterpretation, gp: GroundProgram, semi_naive: bool = True
-) -> tuple[PartialInterpretation, int]:
+def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInterpretation, int]:
     """Least fixed point of the stage operator under J, from the all-false
     start.  Returns the fixpoint and the number of rounds to stabilize."""
     cp = gp.compiled
@@ -111,9 +109,8 @@ def theta_lfp(
     rounds = 0
     while True:
         rounds += 1
-        recompute = dirty if semi_naive else range(n)
         changed = []
-        for h in recompute:
+        for h in dirty:
             v = _head_value(cp.rules[h], jv, values)
             if v != values[h]:
                 if v < values[h]:
@@ -123,15 +120,14 @@ def theta_lfp(
             return _to_interp(values, cp), rounds
         for h, v in changed:
             values[h] = v
-        if semi_naive:
-            dirty = {d for h, _ in changed for d in cp.dependents[h]}
+        dirty = {d for h, _ in changed for d in cp.dependents[h]}
         # A bounded chain: each atom climbs false -> undefined -> true at most
         # twice, so stabilization needs at most 2|atoms| + 1 rounds.
         if rounds > 2 * n + 2:
             raise NotIncreasing("inner iteration failed to stabilize")
 
 
-def well_founded_model(gp: GroundProgram, semi_naive: bool = True) -> WfsResult:
+def well_founded_model(gp: GroundProgram) -> WfsResult:
     """Iterate the outer stage sequence to its least fixpoint.
 
     The outer sequence must climb in the Fitting order; any violation is an
@@ -141,7 +137,7 @@ def well_founded_model(gp: GroundProgram, semi_naive: bool = True) -> WfsResult:
     stages = [current]
     inner_lengths = []
     while True:
-        nxt, rounds = theta_lfp(current, gp, semi_naive=semi_naive)
+        nxt, rounds = theta_lfp(current, gp)
         inner_lengths.append(rounds)
         if not leq(current, nxt, Ordering.FITTING):
             raise NotIncreasing("outer stage sequence left the Fitting order")

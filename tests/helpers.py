@@ -14,6 +14,9 @@ fixpoint machinery:
   templates and builds each distinct atom once;
 * ``classical_least_model`` is a plain two-valued immediate-consequence
   closure for negation-free ground programs;
+* ``naive_well_founded_model`` iterates ``theta_step`` from the all-false
+  start at every stage, where the engine recomputes only the atoms whose
+  positive inputs changed;
 * ``reduct_least_model`` and ``is_three_valued_stable`` decide
   three-valued stability (Przymusinski) by a three-valued closure over the
   reduct P/I; ``three_valued_stable_models``, ``fitting_smaller_stable``
@@ -41,7 +44,7 @@ from hoplog.grounder import (
     PosLit,
     Universe,
 )
-from hoplog.interp import PartialInterpretation
+from hoplog.interp import PartialInterpretation, everything_false, everything_undefined
 from hoplog.syntax import (
     IOTA,
     OMICRON,
@@ -60,6 +63,7 @@ from hoplog.syntax import (
     substitute_clause,
 )
 from hoplog.typecheck import Program, load_program
+from hoplog.wfs import ThetaTrace, WfsResult, theta_step
 
 
 def load(src: str) -> Program:
@@ -291,6 +295,39 @@ def is_negation_free(gp: GroundProgram) -> bool:
     return not any(
         isinstance(l, NegLit) for gc in gp.clauses for l in gc.body
     )
+
+
+# ---------------------------------------------------------------------------
+# Naive well-founded iteration (reference for the semi-naive inner loop)
+# ---------------------------------------------------------------------------
+
+
+def naive_theta_lfp(J: PartialInterpretation, gp: GroundProgram):
+    """theta_step iterated from the all-false interpretation until it
+    repeats; returns the fixpoint and the number of applications."""
+    current = everything_false(gp)
+    rounds = 0
+    while True:
+        rounds += 1
+        nxt = theta_step(J, current, gp)
+        if nxt == current:
+            return current, rounds
+        current = nxt
+
+
+def naive_well_founded_model(gp: GroundProgram) -> WfsResult:
+    """The outer stage sequence from everything undefined, each stage the
+    naive least fixpoint under the one before, until a stage repeats."""
+    current = everything_undefined(gp)
+    stages = [current]
+    inner_lengths = []
+    while True:
+        nxt, rounds = naive_theta_lfp(current, gp)
+        inner_lengths.append(rounds)
+        if nxt == current:
+            return WfsResult(current, ThetaTrace(tuple(stages), tuple(inner_lengths)))
+        stages.append(nxt)
+        current = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -154,11 +154,6 @@ class TestWfs:
         assert code == 0
         assert payload(out)["model"] == {"true": [], "false": [], "undefined": []}
 
-    def test_naive_flag_matches_default(self, run):
-        base = run(["wfs", "--depth", "2"], program=POSITIVE_ID)
-        naive = run(["wfs", "--depth", "2", "--naive"], program=POSITIVE_ID)
-        assert base == naive
-
     def test_stdin(self, run, monkeypatch, capsys):
         import io
         import sys
@@ -263,6 +258,20 @@ class TestDemo:
         assert details["p_extensionally_equals_q"] is True
         witness = details["report"]["witnesses"][0]
         assert witness["argument_pair"] == ["p", "q"]
+
+
+class TestDepthBelowOne:
+    @pytest.mark.parametrize("command", ["ground", "wfs", "perfect", "minimal", "extcheck"])
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_json_error_and_exit_one(self, run, command, depth):
+        code, out, err = run([command, "--depth", depth], program=STRATIFIED_OK)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": f"--depth must be at least 1, got {depth}",
+            "rule": "InvalidDepth",
+        }
 
 
 class TestDeterminism:

@@ -18,6 +18,7 @@ from hoplog.interp import (
 from hoplog.perfect import (
     Stratification,
     Unstratifiable,
+    _dependency_edges,
     localize,
     perfect_model,
     psi_lfp,
@@ -33,7 +34,7 @@ from hoplog.programs import (
 )
 from hoplog.wfs import well_founded_model
 
-from helpers import load, random_stratified_source
+from helpers import load, random_program_source, random_stratified_source
 
 # Reachability along a six-node path: the first stage's psi fixpoint
 # takes seven steps, one per path length plus the confirming step.
@@ -89,6 +90,79 @@ class TestStratify:
         assert isinstance(result, Unstratifiable)
         assert result.cycle == ("p",)
         assert result.strict_edge == ("p", "p")
+
+
+def _reaches(successors, start, goal) -> bool:
+    seen, todo = {start}, [start]
+    while todo:
+        node = todo.pop()
+        if node == goal:
+            return True
+        for succ in successors.get(node, ()):
+            if succ not in seen:
+                seen.add(succ)
+                todo.append(succ)
+    return False
+
+
+def _check_least_levels(strat, preds, edges):
+    index = strat.index
+    assert set(index) == set(preds)
+    for (src, dst), strict in edges.items():
+        assert index[dst] >= index[src] + strict, (src, dst)
+    r = strat.count
+    assert sorted(set(index.values())) == list(range(1, r + 1))
+    for level, members in enumerate(strat.strata, start=1):
+        assert members and list(members) == sorted(n for n in preds if index[n] == level)
+        if level == 1:
+            continue
+        # Each member is forced up to this level: a tight strict edge from
+        # the level below reaches it along tight positive edges.
+        forced = {dst for (src, dst), strict in edges.items()
+                  if strict and index[dst] == level and index[src] == level - 1}
+        grown = True
+        while grown:
+            grown = False
+            for (src, dst), strict in edges.items():
+                if src in forced and dst not in forced and index[dst] == level:
+                    forced.add(dst)
+                    grown = True
+        assert forced == set(members), level
+
+
+def _check_witness(result, edges):
+    successors = {}
+    for src, dst in edges:
+        successors.setdefault(src, []).append(dst)
+    cycle = result.cycle
+    src, dst = result.strict_edge
+    assert edges[(src, dst)] is True
+    assert cycle[0] == dst and cycle[-1] == src
+    assert len(set(cycle)) == len(cycle)
+    for a, b in zip(cycle, cycle[1:]):
+        assert (a, b) in edges
+    for (s, d), strict in sorted(edges.items()):
+        if (s, d) == result.strict_edge:
+            break
+        if strict:
+            assert not _reaches(successors, d, s), (s, d)
+
+
+class TestStratifyAgainstDefinition:
+    def test_least_levels_and_first_witness_on_random_programs(self):
+        kinds = {Stratification: 0, Unstratifiable: 0}
+        for generate in (random_program_source, random_stratified_source):
+            for seed in range(500):
+                program = load(generate(random.Random(seed)))
+                preds = [name for name, _ in program.signature.predicate_constants()]
+                edges = _dependency_edges(program)
+                result = stratify(program)
+                kinds[type(result)] += 1
+                if isinstance(result, Stratification):
+                    _check_least_levels(result, preds, edges)
+                else:
+                    _check_witness(result, edges)
+        assert kinds[Stratification] >= 100 and kinds[Unstratifiable] >= 100, kinds
 
 
 class TestLocalize:

@@ -18,7 +18,13 @@ from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, SUBSET, WINNOW
 from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import theta_lfp, theta_step, well_founded_model
 
-from helpers import classical_least_model, is_negation_free, load, random_ground_source
+from helpers import (
+    classical_least_model,
+    is_negation_free,
+    load,
+    naive_well_founded_model,
+    random_ground_source,
+)
 
 
 def gp_of(src: str, k: int = 1, roots=None):
@@ -170,8 +176,8 @@ class TestWellFoundedModel:
         cases = [gp for _, gp in corpus_groundings()]
         cases += [gp_of(random_ground_source(rng, n_atoms=6)) for _ in range(40)]
         for gp in cases:
-            fast = well_founded_model(gp, semi_naive=True)
-            slow = well_founded_model(gp, semi_naive=False)
+            fast = well_founded_model(gp)
+            slow = naive_well_founded_model(gp)
             assert fast.model == slow.model
             assert fast.trace.stages == slow.trace.stages
             assert fast.trace.inner_lengths == slow.trace.inner_lengths
