@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import HoplogError, InvalidDepth
+from .errors import HoplogError, InvalidBudget, InvalidDepth
 from .extensionality import ExtChecker
 from .grounder import (
     GroundProgram,
@@ -181,7 +181,10 @@ def cmd_stratify(args) -> int:
 
 def cmd_extcheck(args) -> int:
     program = _load(args.input)
-    checker = ExtChecker(program, _depth(args), args.budget)
+    k = _depth(args)
+    if args.budget is not None and args.budget < 1:
+        raise InvalidBudget(f"--budget must be at least 1, got {args.budget}")
+    checker = ExtChecker(program, k, args.budget)
     if args.roots:
         checker.oracle.add_atoms(_parse_roots(program, args.roots))
     report = checker.reflexivity_report()

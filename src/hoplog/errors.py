@@ -19,6 +19,10 @@ class InvalidDepth(HoplogError):
     """A term-size bound below 1 given on the command line."""
 
 
+class InvalidBudget(HoplogError):
+    """A valuation size budget below 1 given on the command line."""
+
+
 class ParseError(HoplogError):
     """Concrete-syntax error with a source position."""
 

@@ -24,14 +24,17 @@ first time the key appears; a grounding whose clause count would pass
 ``DEFAULT_MAX_CLAUSES`` is refused before it is enumerated.
 
 Equality literals are resolved at grounding time: syntactically identical
-sides become the constant true, different sides the constant false.  These
-constants never enter the atom table.
+sides make the literal true, different sides false.  An instance with a
+false equality is dead.  Its atoms still enter the atom table, so the model
+lists them, but it yields no rule.
 
-``GroundProgram.compiled`` lowers a grounding, once, into the integer form
-that the well-founded and perfect-model engines both run on.  Only that
-form drops the dead clauses (a ``false`` literal in the body) and strips
-the ``true`` literals; the clauses, the atom table and the printed
-grounding keep them.
+The grounding produces the integer form both engines run on
+(``GroundProgram.compiled``) as it goes: an atom gets its id when it enters
+the table, and each live instance appends its rule.  No clause object is
+built on that path.  A grounding call whose atom literals can bring no new
+atom into the table enumerates only its live instances.  ``clauses``, the
+instances as ``GroundClause`` records, dead ones included, is built the
+first time something reads it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
@@ -47,23 +51,29 @@ from .syntax import (
     IOTA,
     App,
     Arrow,
+    Clause,
     Eq,
     Expr,
     FunApp,
     IndConst,
+    IndVar,
     Neg,
     PredConst,
+    PredVar,
     Signature,
     TypeExpr,
+    Var,
     apply_substitution,
     canonical_print,
     is_argument_type,
+    is_ground,
     peel,
     print_template,
     spine,
     suffix_types,
     term_size,
     type_size,
+    vars_in_order,
 )
 from .typecheck import Program
 
@@ -191,47 +201,46 @@ class CompiledProgram(FrozenRecord):
         _set(self, "dependents", dependents)
 
 
-class GroundProgram(Record):
-    """A finite propositional program over an atom table."""
+# (head predicate, body predicate, negated): an instance's head and one of
+# its atom literals, by their leftmost predicate constants.
+PredicateEdge = tuple[str, str, bool]
 
-    __slots__ = ("clauses", "atoms", "_compiled")
+
+class GroundProgram(Record):
+    """A finite propositional program over an atom table.
+
+    ``compiled`` is the form the engines run on.  ``predicate_edges`` holds
+    each ``PredicateEdge`` of some instance, dead ones included, once, in
+    order of first appearance; ``localize`` checks strata on it.
+    ``clauses`` lists every instance, dead ones included, as a
+    ``GroundClause``.  It is given either as a tuple or as a function that
+    builds the tuple the first time ``clauses`` is read.
+    """
+
+    __slots__ = ("atoms", "compiled", "predicate_edges", "_clauses", "_build_clauses")
+    _fields = ("atoms", "compiled", "predicate_edges", "clauses")
 
     def __init__(
         self,
-        clauses: tuple[GroundClause, ...],
         atoms: dict[str, GroundAtom],  # the atom table, insertion-ordered
+        compiled: CompiledProgram,
+        predicate_edges: tuple[PredicateEdge, ...],
+        clauses: tuple[GroundClause, ...] | Callable[[], tuple[GroundClause, ...]],
     ) -> None:
-        self.clauses = clauses
         self.atoms = atoms
-        self._compiled: CompiledProgram | None = None
+        self.compiled = compiled
+        self.predicate_edges = predicate_edges
+        if callable(clauses):
+            self._clauses, self._build_clauses = None, clauses
+        else:
+            self._clauses, self._build_clauses = clauses, None
 
     @property
-    def compiled(self) -> CompiledProgram:
-        """The program lowered once for the engines; the clauses and the
-        atom table stay as they are."""
-        if self._compiled is None:
-            self._compiled = self._compile()
-        return self._compiled
-
-    def _compile(self) -> CompiledProgram:
-        keys = tuple(self.atoms)
-        ids = {key: i for i, key in enumerate(keys)}
-        rules: list[list[Rule]] = [[] for _ in keys]
-        dependents: list[set[int]] = [set() for _ in keys]
-        for gc in self.clauses:
-            if any(isinstance(lit, ConstLit) and not lit.value for lit in gc.body):
-                continue
-            head = ids[gc.head.key]
-            pos = tuple(ids[lit.atom.key] for lit in gc.body if isinstance(lit, PosLit))
-            neg = tuple(ids[lit.atom.key] for lit in gc.body if isinstance(lit, NegLit))
-            rules[head].append((pos, neg))
-            for a in pos:
-                dependents[a].add(head)
-        return CompiledProgram(
-            keys,
-            tuple(tuple(r) for r in rules),
-            tuple(tuple(sorted(d)) for d in dependents),
-        )
+    def clauses(self) -> tuple[GroundClause, ...]:
+        if self._clauses is None:
+            self._clauses = self._build_clauses()
+            self._build_clauses = None
+        return self._clauses
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +370,26 @@ _TRUE = ConstLit(True)
 _FALSE = ConstLit(False)
 
 
+class _LiveInstances(NamedTuple):
+    """What a template needs to enumerate its live instances alone.
+
+    An atom literal's projection is the set of atoms it takes over the
+    product of its own variables' domains.  ``projections`` gives, for each
+    atom literal with an unbound variable (the head first), its format with
+    the fields renumbered by first use, and per renumbered field the clause
+    field and its variable's type.  ``singles`` gives the formats of the atom
+    literals whose variables are all bound: each projects to one atom.
+    """
+
+    projections: tuple[tuple[str, tuple[tuple[int, TypeExpr], ...]], ...]
+    singles: tuple[str, ...]
+    binding_checks: tuple[tuple[str, str], ...]  # equalities over bound fields
+    domains: tuple[tuple[Expr, ...], ...]  # narrowed by each guard V = t, t ground
+    instance_checks: tuple[tuple[str, str], ...]  # every other equality
+    pos: tuple[str, ...]  # formats of the positive body atoms
+    neg: tuple[str, ...]  # formats of the negated body atoms
+
+
 class _Template(NamedTuple):
     """A clause compiled once per grounding.
 
@@ -375,19 +404,86 @@ class _Template(NamedTuple):
     domains: tuple[tuple[Expr, ...], ...]
     count: int  # instances per binding of the leading variables
     head: tuple[str, Expr]  # (format, head atom)
-    # (literal table, format, atom) for an atom or a negated atom;
+    # (negated, format, atom) for an atom or a negated atom;
     # (None, lhs format, rhs format) for an equality
     body: tuple[tuple, ...]
+    head_pred: str
+    # (field, negated) for each atom literal headed by a bound variable
+    bound_heads: tuple[tuple[int, bool], ...]
+    # None when a binding has one instance and the body no equality, so
+    # that enumerating live instances alone could save nothing
+    live: _LiveInstances | None
+
+
+def _live_instances(
+    clause: Clause,
+    variables: tuple[Var, ...],
+    fields: dict[str, int],
+    n_bound: int,
+    domains: list[tuple[Expr, ...]],
+) -> _LiveInstances:
+    projections, singles, pos, neg = [], [], [], []
+    binding_checks, instance_checks = [], []
+    narrowed = list(domains)
+
+    def project(atom: Expr) -> None:
+        order = list(dict.fromkeys(fields[v.name] for v in vars_in_order(atom)))
+        if all(f < n_bound for f in order):
+            singles.append(print_template(atom, fields))
+        else:
+            renumbered = {variables[f].name: j for j, f in enumerate(order)}
+            spec = tuple((f, variables[f].typ) for f in order)
+            projections.append((print_template(atom, renumbered), spec))
+
+    project(clause.head_atom())
+    for lit in clause.body:
+        if isinstance(lit, Eq):
+            lhs, rhs = print_template(lit.lhs, fields), print_template(lit.rhs, fields)
+            if all(fields[v.name] < n_bound for v in vars_in_order(lit)):
+                binding_checks.append((lhs, rhs))
+                continue
+            for var, other, other_format in ((lit.lhs, lit.rhs, rhs), (lit.rhs, lit.lhs, lhs)):
+                if isinstance(var, (IndVar, PredVar)) and is_ground(other):
+                    i = fields[var.name] - n_bound  # a bound var would leave no free field
+                    text = other_format.format()
+                    narrowed[i] = tuple(v for v in narrowed[i] if v.text == text)
+                    break
+            else:
+                instance_checks.append((lhs, rhs))
+            continue
+        negated = isinstance(lit, Neg)
+        atom = lit.atom if negated else lit
+        project(atom)
+        (neg if negated else pos).append(print_template(atom, fields))
+    return _LiveInstances(
+        tuple(projections),
+        tuple(singles),
+        tuple(binding_checks),
+        tuple(narrowed),
+        tuple(instance_checks),
+        tuple(pos),
+        tuple(neg),
+    )
 
 
 class _Grounding:
-    """One grounding under way: clause templates, the clauses so far and
-    the atom table.
+    """One grounding under way: clause templates, the atom table, the
+    compiled rules so far and the calls that produced them.
 
-    An instance costs one ``str.format`` per literal and a lookup in the
-    atom table.  Only a key printed for the first time builds its atom, by
-    substitution; that atom's canonical printing must equal the key, so the
-    printer stays authoritative.  Each literal over an atom is built once.
+    Each atom gets its id when it is admitted, and each live instance
+    appends its ``(positive ids, negative ids)`` rule to its head's, so the
+    compiled form comes straight out of the grounding.  An instance costs
+    one ``str.format`` per literal and a lookup in the atom table.  Only a
+    key printed for the first time builds its atom, by substitution; that
+    atom's canonical printing must equal the key, so the printer stays
+    authoritative.
+
+    A call enumerates every instance, dead ones included, so that the table
+    holds every atom of every instance, unless the projections of all its
+    atom literals are in the table already: a full enumeration fills every
+    projection it touches.  Such a call can admit nothing new, so only its
+    live instances are enumerated, and each guard ``V = t`` with t ground
+    narrows V's domain first.
     """
 
     bind_formals = False
@@ -397,21 +493,35 @@ class _Grounding:
         self.k = k
         self.universe = Universe(program.signature)
         self.atoms: dict[str, GroundAtom] = {}
-        self.clauses: list[GroundClause] = []
-        self._pos: dict[str, GroundLiteral] = {}
-        self._neg: dict[str, GroundLiteral] = {}
+        self.ids: dict[str, int] = {}
+        self.rules: list[list[Rule]] = []
+        self.edges: dict[PredicateEdge, None] = {}
+        self.calls: list[tuple[_Template, tuple[Expr, ...]]] = []
+        self.clause_count = 0
+        self._filled: set[tuple] = set()  # projections a full enumeration filled
         self._templates: dict[int, _Template] = {}
 
     def result(self) -> GroundProgram:
-        return GroundProgram(tuple(self.clauses), self.atoms)
+        dependents: list[set[int]] = [set() for _ in self.rules]
+        for head, rules in enumerate(self.rules):
+            for pos, _ in rules:
+                for a in pos:
+                    dependents[a].add(head)
+        compiled = CompiledProgram(
+            tuple(self.atoms),
+            tuple(tuple(r) for r in self.rules),
+            tuple(tuple(sorted(d)) for d in dependents),
+        )
+        calls, atoms = self.calls, self.atoms
+        return GroundProgram(atoms, compiled, tuple(self.edges), lambda: _clauses(calls, atoms))
 
     def template(self, index: int) -> _Template:
         t = self._templates.get(index)
         if t is None:
-            t = self._templates[index] = self._compile(index)
+            t = self._templates[index] = self._build_template(index)
         return t
 
-    def _compile(self, index: int) -> _Template:
+    def _build_template(self, index: int) -> _Template:
         clause = self.program.clauses[index]
         variables = clause.variables()
         fields = {v.name: i for i, v in enumerate(variables)}
@@ -425,72 +535,133 @@ class _Grounding:
                     f"size-{self.k} universe"
                 )
             domains.append(domain)
-        body = []
+        head_pred = clause.head_pred.name
+        body, bound_heads = [], []
         for lit in clause.body:
             if isinstance(lit, Eq):
                 body.append(
                     (None, print_template(lit.lhs, fields), print_template(lit.rhs, fields))
                 )
-            elif isinstance(lit, Neg):
-                body.append((self._neg, print_template(lit.atom, fields), lit.atom))
+                continue
+            negated = isinstance(lit, Neg)
+            atom = lit.atom if negated else lit
+            body.append((negated, print_template(atom, fields), atom))
+            lead, _ = spine(atom)
+            if isinstance(lead, PredConst):
+                self.edges[head_pred, lead.name, negated] = None
+            elif fields[lead.name] < n_bound:
+                bound_heads.append((fields[lead.name], negated))
             else:
-                body.append((self._pos, print_template(lit, fields), lit))
+                for value in domains[fields[lead.name] - n_bound]:
+                    self.edges[head_pred, spine(value)[0].name, negated] = None
+        count = math.prod(len(d) for d in domains)
+        live = None
+        if count > 1 or any(negated is None for negated, _, _ in body):
+            live = _live_instances(clause, variables, fields, n_bound, domains)
         head = clause.head_atom()
         return _Template(
             index,
             tuple(sorted(fields.items())),
             tuple(domains),
-            math.prod(len(d) for d in domains),
+            count,
             (print_template(head, fields), head),
             tuple(body),
+            head_pred,
+            tuple(bound_heads),
+            live,
         )
 
     def ground(self, t: _Template, bound: tuple[Expr, ...] = ()) -> None:
-        """Append every instance of t whose leading variables take ``bound``."""
-        total = len(self.clauses) + t.count
+        """Add every instance of t whose leading variables take ``bound``."""
+        total = self.clause_count + t.count
         if total > DEFAULT_MAX_CLAUSES:
             raise GroundingLimitExceeded(
                 f"clause {t.index} would bring the grounding to {total} clauses, "
                 f"over the cap of {DEFAULT_MAX_CLAUSES}"
             )
-        atoms, append = self.atoms, self.clauses.append
+        self.clause_count = total
+        self.calls.append((t, bound))
+        for field, negated in t.bound_heads:
+            self.edges[t.head_pred, spine(bound[field])[0].name, negated] = None
+        plan = t.live
+        if plan is None:
+            self._enumerate_all(t, bound)
+            return
+        n = len(bound)
+        keys = [
+            (fmt, tuple([bound[f] if f < n else typ for f, typ in spec]))
+            for fmt, spec in plan.projections
+        ]
+        ids = self.ids
+        for fmt in plan.singles:
+            if fmt.format(*bound) not in ids:
+                break
+        else:
+            if self._filled.issuperset(keys):
+                self._enumerate_live(plan, t.head[0], bound)
+                return
+        self._enumerate_all(t, bound)
+        self._filled.update(keys)
+
+    def _enumerate_all(self, t: _Template, bound: tuple[Expr, ...]) -> None:
+        """Every instance: admit each new atom, and add each live rule."""
+        ids, rules = self.ids, self.rules
         head_format, head_expr = t.head
         for combo in itertools.product(*t.domains):
             values = bound + combo
             key = head_format.format(*values)
-            head = atoms.get(key)
+            head = ids.get(key)
             if head is None:
                 head = self._new_atom(key, head_expr, t, values)
-            body = []
-            for table, fmt, arg in t.body:
-                if table is None:
-                    body.append(_TRUE if fmt.format(*values) == arg.format(*values) else _FALSE)
+            pos, neg, live = [], [], True
+            for negated, fmt, arg in t.body:
+                if negated is None:
+                    live = live and fmt.format(*values) == arg.format(*values)
                     continue
                 key = fmt.format(*values)
-                lit = table.get(key)
-                if lit is None:
-                    atom = atoms.get(key)
-                    if atom is None:
-                        atom = self._new_atom(key, arg, t, values)
-                    lit = table[key] = (PosLit if table is self._pos else NegLit)(atom)
-                body.append(lit)
-            theta = tuple([(name, values[i]) for name, i in t.theta])
-            append(GroundClause(head, tuple(body), t.index, theta))
+                a = ids.get(key)
+                if a is None:
+                    a = self._new_atom(key, arg, t, values)
+                (neg if negated else pos).append(a)
+            if live:
+                rules[head].append((tuple(pos), tuple(neg)))
+
+    def _enumerate_live(
+        self, plan: _LiveInstances, head_format: str, bound: tuple[Expr, ...]
+    ) -> None:
+        """The live instances alone; every atom they print is in the table."""
+        for lhs, rhs in plan.binding_checks:
+            if lhs.format(*bound) != rhs.format(*bound):
+                return
+        ids, rules, checks = self.ids, self.rules, plan.instance_checks
+        for combo in itertools.product(*plan.domains):
+            values = bound + combo
+            if checks and any(lhs.format(*values) != rhs.format(*values) for lhs, rhs in checks):
+                continue
+            rules[ids[head_format.format(*values)]].append(
+                (
+                    tuple([ids[fmt.format(*values)] for fmt in plan.pos]),
+                    tuple([ids[fmt.format(*values)] for fmt in plan.neg]),
+                )
+            )
 
     def _new_atom(
         self, key: str, expr: Expr, t: _Template, values: tuple[Expr, ...]
-    ) -> GroundAtom:
+    ) -> int:
         theta = {name: values[i] for name, i in t.theta}
         atom = ground_atom(apply_substitution(expr, theta))
         if atom.key != key:
             raise TemplateMismatch(
                 f"clause {t.index}: the template printed {key!r} for the atom {atom.key!r}"
             )
-        self._admit(atom)
-        return atom
+        return self._admit(atom)
 
-    def _admit(self, atom: GroundAtom) -> None:
+    def _admit(self, atom: GroundAtom) -> int:
+        """Add an atom to the table; return its id."""
+        i = self.ids[atom.key] = len(self.rules)
         self.atoms[atom.key] = atom
+        self.rules.append([])
+        return i
 
 
 class _DemandGrounding(_Grounding):
@@ -504,20 +675,48 @@ class _DemandGrounding(_Grounding):
         self.max_atoms = max_atoms
         self.queue: deque[GroundAtom] = deque()
 
-    def demand(self, atom: GroundAtom) -> None:
+    def demand(self, atom: GroundAtom) -> int:
         size = term_size(atom.expr)
         if size > DEFAULT_MAX_ATOM_SIZE:
             raise GroundingLimitExceeded(
                 f"a demanded {spine(atom.expr)[0].name} atom has {size} symbols, "
                 f"over the cap of {DEFAULT_MAX_ATOM_SIZE}"
             )
-        self.atoms[atom.key] = atom
         self.queue.append(atom)
+        return _Grounding._admit(self, atom)
 
-    def _admit(self, atom: GroundAtom) -> None:
+    def _admit(self, atom: GroundAtom) -> int:
         if len(self.atoms) >= self.max_atoms:
             raise GroundingLimitExceeded(f"dependency closure exceeded {self.max_atoms} atoms")
-        self.demand(atom)
+        return self.demand(atom)
+
+
+def _clauses(
+    calls: list[tuple[_Template, tuple[Expr, ...]]], atoms: dict[str, GroundAtom]
+) -> tuple[GroundClause, ...]:
+    """Every instance of every call, dead ones included, in order, as
+    clauses.  Each literal over an atom is built once."""
+    literals: tuple[dict, dict] = ({}, {})  # positive, negated: key -> literal
+    out = []
+    for t, bound in calls:
+        head_format = t.head[0]
+        for combo in itertools.product(*t.domains):
+            values = bound + combo
+            body = []
+            for negated, fmt, arg in t.body:
+                if negated is None:
+                    body.append(_TRUE if fmt.format(*values) == arg.format(*values) else _FALSE)
+                    continue
+                key = fmt.format(*values)
+                table = literals[negated]
+                lit = table.get(key)
+                if lit is None:
+                    lit = table[key] = (NegLit if negated else PosLit)(atoms[key])
+                body.append(lit)
+            theta = tuple([(name, values[i]) for name, i in t.theta])
+            head = atoms[head_format.format(*values)]
+            out.append(GroundClause(head, tuple(body), t.index, theta))
+    return tuple(out)
 
 
 def ground_instantiation(program: Program, k: int) -> GroundProgram:

@@ -16,13 +16,14 @@ the Fitting order and its last element is total.
 The stage operator runs on the grounding's compiled form
 (``GroundProgram.compiled``), where dead clauses are already dropped, and
 its least fixed point is computed semi-naively.  ``localize`` reads the
-clauses themselves, so it checks the strata of dead clauses too.
+grounding's predicate edges, which every instance contributes to, dead ones
+included, so it checks the strata of dead clauses too.
 """
 
 from __future__ import annotations
 
 from .errors import LocalStratificationViolation, NotIncreasing
-from .grounder import GroundProgram, NegLit, PosLit, Rule
+from .grounder import GroundProgram, Rule
 from .interp import (
     Ordering,
     PartialInterpretation,
@@ -204,27 +205,27 @@ def leftmost_predicate(expr: Expr) -> str:
 
 
 def localize(strat: Stratification, gp: GroundProgram) -> LocalStratification:
-    """Assign strata to ground atoms and re-check the conditions clause by
-    clause.  A violation here contradicts the stratification analysis and is
-    reported as an internal-consistency failure."""
+    """Assign strata to ground atoms and re-check the conditions on every
+    instance of the grounding, dead ones included.
+
+    An instance's head sits with its clause's head predicate and each atom
+    literal with its leftmost predicate constant, so the grounding's
+    predicate edges carry every condition an instance poses.  A violation
+    here contradicts the stratification analysis and is reported as an
+    internal-consistency failure."""
     stratum_of = {
         key: strat.stratum(leftmost_predicate(atom.expr))
         for key, atom in gp.atoms.items()
     }
-    for gc in gp.clauses:
-        head_stratum = stratum_of[gc.head.key]
-        for lit in gc.body:
-            # Resolved equalities sit at stratum 0 and constrain nothing.
-            if isinstance(lit, PosLit):
-                if stratum_of[lit.atom.key] > head_stratum:
-                    raise LocalStratificationViolation(
-                        f"{lit.atom} above the head of {gc}"
-                    )
-            elif isinstance(lit, NegLit):
-                if stratum_of[lit.atom.key] >= head_stratum:
-                    raise LocalStratificationViolation(
-                        f"~{lit.atom} not below the head of {gc}"
-                    )
+    for head, pred, negated in gp.predicate_edges:
+        if negated and strat.stratum(pred) >= strat.stratum(head):
+            raise LocalStratificationViolation(
+                f"a negated {pred} atom is not below the head of a {head} instance"
+            )
+        if not negated and strat.stratum(pred) > strat.stratum(head):
+            raise LocalStratificationViolation(
+                f"a {pred} atom is above the head of a {head} instance"
+            )
     buckets: list[list[str]] = [[] for _ in range(strat.count)]
     for key in gp.atoms:
         buckets[stratum_of[key] - 1].append(key)

@@ -4,6 +4,8 @@ that hoplog's value classes share.
 A record's fields are the names in its class's own ``__slots__`` that do
 not begin with ``_``, in the order its ``__init__`` takes them; a slot whose
 name begins with ``_`` holds a value derived from the fields, or a cache.
+A class whose field is a property, built the first time it is read, names
+its fields in ``_fields`` itself.
 Each record class writes its own ``__init__`` and takes everything else
 from here, so defining one runs no generated code at import time.
 """
@@ -29,9 +31,10 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(
-            name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_")
-        )
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(
+                name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_")
+            )
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -385,7 +385,7 @@ def term_size(e: Expr) -> int:
 
 def free_vars(e: Expr) -> frozenset[Var]:
     """The set of variables occurring in e (each carries its type)."""
-    return frozenset(_vars_in_order(e))
+    return frozenset(vars_in_order(e))
 
 
 def is_ground(e: Expr) -> bool:
@@ -527,7 +527,7 @@ class Clause(FrozenRecord):
         """All clause variables: formals first, then body-only ones in order of first use."""
         seen = list(self.formals)
         for lit in self.body:
-            for v in _vars_in_order(lit):
+            for v in vars_in_order(lit):
                 if v not in seen:
                     seen.append(v)
         return tuple(seen)
@@ -539,7 +539,8 @@ class Clause(FrozenRecord):
         return f"{head} <- {', '.join(canonical_print(l) for l in self.body)}."
 
 
-def _vars_in_order(e: Expr) -> list[Var]:
+def vars_in_order(e: Expr) -> list[Var]:
+    """The variable occurrences of e, left to right, repeats included."""
     if isinstance(e, (IndVar, PredVar)):
         return [e]
     if isinstance(e, (IndConst, PredConst)):
@@ -547,14 +548,14 @@ def _vars_in_order(e: Expr) -> list[Var]:
     if isinstance(e, FunApp):
         out: list[Var] = []
         for a in e.args:
-            out.extend(_vars_in_order(a))
+            out.extend(vars_in_order(a))
         return out
     if isinstance(e, App):
-        return _vars_in_order(e.op) + _vars_in_order(e.arg)
+        return vars_in_order(e.op) + vars_in_order(e.arg)
     if isinstance(e, Neg):
-        return _vars_in_order(e.atom)
+        return vars_in_order(e.atom)
     if isinstance(e, Eq):
-        return _vars_in_order(e.lhs) + _vars_in_order(e.rhs)
+        return vars_in_order(e.lhs) + vars_in_order(e.rhs)
     raise TypeError(f"not an expression: {e!r}")
 
 

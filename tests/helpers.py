@@ -17,6 +17,9 @@ fixpoint machinery:
 * ``naive_well_founded_model`` iterates ``theta_step`` from the all-false
   start at every stage, where the engine recomputes only the atoms whose
   positive inputs changed;
+* ``alternating_fixpoint`` computes the well-founded model by Van
+  Gelder's alternating fixpoint over the Gelfond-Lifschitz reduct, where
+  the engine iterates the two-level stage operators;
 * ``reduct_least_model`` and ``is_three_valued_stable`` decide
   three-valued stability (Przymusinski) by a three-valued closure over the
   reduct P/I; ``three_valued_stable_models``, ``fitting_smaller_stable``
@@ -36,6 +39,7 @@ from hoplog.errors import DepthExceeded, EmptyUniverse, GroundingLimitExceeded
 from hoplog.extensionality import ValuationOracle
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
+    CompiledProgram,
     ConstLit,
     GroundAtom,
     GroundClause,
@@ -256,7 +260,44 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
         for lit in gc.body:
             if isinstance(lit, (PosLit, NegLit)):
                 atoms.setdefault(lit.atom.key, lit.atom)
-    return GroundProgram(tuple(clauses), atoms)
+    return GroundProgram(
+        atoms, reference_compile(clauses, atoms), reference_edges(clauses), tuple(clauses)
+    )
+
+
+def reference_compile(clauses, atoms: dict[str, GroundAtom]) -> CompiledProgram:
+    """The engines' integer form by a second pass over the clauses: atom
+    ids in atom-table order, one ``(positive ids, negative ids)`` rule per
+    clause without a ``false`` literal, ``true`` literals stripped, and the
+    heads that use each atom positively."""
+    keys = tuple(atoms)
+    ids = {key: i for i, key in enumerate(keys)}
+    rules: list[list] = [[] for _ in keys]
+    dependents: list[set[int]] = [set() for _ in keys]
+    for gc in clauses:
+        if any(isinstance(lit, ConstLit) and not lit.value for lit in gc.body):
+            continue
+        head = ids[gc.head.key]
+        pos = tuple(ids[lit.atom.key] for lit in gc.body if isinstance(lit, PosLit))
+        neg = tuple(ids[lit.atom.key] for lit in gc.body if isinstance(lit, NegLit))
+        rules[head].append((pos, neg))
+        for a in pos:
+            dependents[a].add(head)
+    return CompiledProgram(
+        keys, tuple(tuple(r) for r in rules), tuple(tuple(sorted(d)) for d in dependents)
+    )
+
+
+def reference_edges(clauses) -> tuple[tuple[str, str, bool], ...]:
+    """(head predicate, literal predicate, negated) for each atom literal of
+    each clause, dead ones included, once, in order of first appearance."""
+    edges: dict[tuple[str, str, bool], None] = {}
+    for gc in clauses:
+        head = spine(gc.head.expr)[0].name
+        for lit in gc.body:
+            if isinstance(lit, (PosLit, NegLit)):
+                edges[head, spine(lit.atom.expr)[0].name, isinstance(lit, NegLit)] = None
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +369,64 @@ def naive_well_founded_model(gp: GroundProgram) -> WfsResult:
             return WfsResult(current, ThetaTrace(tuple(stages), tuple(inner_lengths)))
         stages.append(nxt)
         current = nxt
+
+
+# ---------------------------------------------------------------------------
+# Alternating fixpoint (oracle for the well-founded model at scale)
+# ---------------------------------------------------------------------------
+
+
+def alternating_fixpoint(gp: GroundProgram) -> PartialInterpretation:
+    """The well-founded model by the alternating fixpoint (Van Gelder, "The
+    alternating fixpoint of logic programs with negation", PODS 1989).
+
+    Gamma(I) is the least model of the Gelfond-Lifschitz reduct P^I: drop
+    each clause with a ``~b``, b in I, and the negative literals of the
+    rest.  Gamma is antimonotone, so Gamma^2 is monotone; the true atoms are
+    lfp(Gamma^2), and the false atoms are those outside Gamma(lfp Gamma^2).
+    Each least model counts down, per clause, the positive body atoms not
+    yet derived, so one Gamma is linear in the size of the program.
+    """
+    clauses = []  # (head, positive atoms, negated atoms) of the clauses without false
+    for gc in gp.clauses:
+        if any(isinstance(l, ConstLit) and not l.value for l in gc.body):
+            continue
+        pos = [l.atom.key for l in gc.body if isinstance(l, PosLit)]
+        neg = [l.atom.key for l in gc.body if isinstance(l, NegLit)]
+        clauses.append((gc.head.key, pos, neg))
+    watchers: dict[str, list[int]] = {key: [] for key in gp.atoms}
+    for i, (_, pos, _) in enumerate(clauses):
+        for b in pos:
+            watchers[b].append(i)
+
+    def gamma(assumed: set[str]) -> set[str]:
+        waiting = [
+            None if not assumed.isdisjoint(neg) else len(pos)
+            for _, pos, neg in clauses
+        ]
+        derived: set[str] = set()
+        todo = [head for (head, _, _), w in zip(clauses, waiting) if w == 0]
+        while todo:
+            atom = todo.pop()
+            if atom in derived:
+                continue
+            derived.add(atom)
+            for i in watchers[atom]:
+                if waiting[i] is not None:
+                    waiting[i] -= 1
+                    if waiting[i] == 0:
+                        todo.append(clauses[i][0])
+        return derived
+
+    true: set[str] = set()
+    while True:
+        nxt = gamma(gamma(true))
+        if nxt == true:
+            break
+        true = nxt
+    return PartialInterpretation(
+        frozenset(true), frozenset(gp.atoms) - frozenset(gamma(true)), frozenset(gp.atoms)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,21 @@ class TestExtcheck:
         assert all(item["type"] == "i -> o" for item in report["unknown"])
         assert report["verdict"] == "extensional-at-depth-3"
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_refused(self, run, budget):
+        # Under such a budget every item would be unknown, and the lemma 1
+        # program would read as extensional.
+        code, out, err = run(
+            ["extcheck", "--depth", "3", "--budget", budget], program=NONEXTENSIONAL
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": f"--budget must be at least 1, got {budget}",
+            "rule": "InvalidBudget",
+        }
+
 
 class TestMinimal:
     def test_fitting_minimal_models(self, run):

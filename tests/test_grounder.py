@@ -27,6 +27,8 @@ from helpers import (
     load,
     random_program_source,
     random_stratified_source,
+    reference_compile,
+    reference_edges,
     reference_grounding,
 )
 
@@ -312,7 +314,8 @@ class TestTemplateGrounding:
         ]
         assert list(gp.atoms.items()) == list(expected.atoms.items())
         assert gp.clauses == expected.clauses
-        assert gp.compiled == expected.compiled
+        assert gp.compiled == reference_compile(expected.clauses, expected.atoms)
+        assert set(gp.predicate_edges) == set(reference_edges(expected.clauses))
         return gp
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
@@ -368,6 +371,67 @@ class TestTemplateGrounding:
         assert "q a (f a) <- false." in rendered
         assert sum(c.body[0].value for c in gp.clauses) == 4
         assert [name for name, _ in gp.clauses[0].theta] == ["X", "Y"]
+
+
+class TestLiveInstances:
+    """A call whose atom projections are all in the table enumerates only
+    its live instances; the grounding must not show it."""
+
+    def test_dead_instance_still_demands_its_atoms(self):
+        src = "type p : i -> o.\ntype q : i -> o.\ntype b : i.\np X <- X = a, q X."
+        program = load(src)
+        gp = TestTemplateGrounding.assert_same(program, 1, [atom_of(program, "p b").expr])
+        assert list(gp.atoms) == ["p b", "q b"]
+        assert gp.compiled.rules == ((), ())
+
+    def test_swapped_variables_project_differently(self):
+        src = (
+            "type a : i.\ntype b : i.\ntype q : i -> i -> o.\n"
+            "type r : i -> i -> o.\ntype s : i -> i -> o.\n"
+            "r X Y <- q X Y.\ns X Y <- q Y X.\nr X Y <- q Y X.\n"
+        )
+        TestTemplateGrounding.assert_same(load(src), 1)
+        # One formal bound, one variable free: q a Y and q Y a differ.
+        src = (
+            "type a : i.\ntype b : i.\ntype q : i -> i -> o.\n"
+            "type r : i -> o.\ntype s : i -> o.\nr X <- q X Y.\ns X <- q Y X.\n"
+        )
+        program = load(src)
+        roots = [atom_of(program, "r a").expr, atom_of(program, "s a").expr]
+        gp = TestTemplateGrounding.assert_same(program, 1, roots)
+        assert {"q a b", "q b a"} <= set(gp.atoms)
+
+    def test_guards(self):
+        src = (
+            "type a : i.\ntype b : i.\ntype f : i -> i.\n"
+            "type p : i -> o.\ntype e : i -> i -> o.\n"
+            "p X <- a = X.\np X <- X = b.\n"
+            "e X Y <- X = Y.\ne X Y <- f X = f Y, p X.\ne X Y <- Y = X, X = b, ~(p Y).\n"
+        )
+        program = load(src)
+        gp = TestTemplateGrounding.assert_same(program, 2)
+        ids = {key: i for i, key in enumerate(gp.compiled.keys)}
+        rules = gp.compiled.rules
+        assert rules[ids["p a"]] == (((), ()),) and rules[ids["p (f a)"]] == ()
+        assert rules[ids["e a a"]] == (((), ()), ((ids["p a"],), ()))
+        assert rules[ids["e b b"]] == (((), ()), ((ids["p b"],), ()), ((), (ids["p b"],)))
+        assert rules[ids["e a b"]] == ()
+        for root in ("e a a", "e b b", "e (f a) b", "p (f b)"):
+            TestTemplateGrounding.assert_same(program, 2, [atom_of(program, root).expr])
+
+    @pytest.mark.parametrize(
+        "entry", [e for e in CORPUS if " = " in e.source], ids=lambda e: e.name
+    )
+    def test_clauses_read_before_or_after_the_compiled_form(self, entry):
+        program = load(entry.source)
+        expected = reference_grounding(program, entry.depth)
+        first = ground_instantiation(program, entry.depth)
+        assert first.compiled == reference_compile(expected.clauses, expected.atoms)
+        assert first.clauses == expected.clauses
+        second = ground_instantiation(program, entry.depth)
+        assert second.clauses == expected.clauses
+        assert second.compiled == first.compiled
+        assert second.clauses is second.clauses
 
 
 def _ground(program, k, roots):

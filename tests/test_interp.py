@@ -42,6 +42,7 @@ from helpers import (
     load,
     random_ground_source,
     reduct_least_model,
+    reference_compile,
     three_valued_stable_models,
 )
 
@@ -62,7 +63,7 @@ def bare_atoms(*keys: str) -> GroundProgram:
     for k in keys:
         gp = gp_of(f"type {k} : o.\ntype zzz : o.\nzzz <- {k}.")
         program_atoms[k] = gp.atoms[k]
-    return GroundProgram((), program_atoms)
+    return GroundProgram(program_atoms, reference_compile((), program_atoms), (), ())
 
 
 NEG_PAIR = "type p : o.\ntype q : o.\np <- ~q."

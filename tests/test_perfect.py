@@ -199,6 +199,28 @@ class TestLocalize:
             localize(wrong, gp)
 
 
+    def test_violation_in_dead_instances_only_is_detected(self):
+        # Every instance is dead (a = b), and the wrong stratification puts
+        # h and the q that R takes on in one stratum.
+        src = (
+            "type a : i.\ntype b : i.\ntype q : i -> o.\ntype h : (i -> o) -> o.\n"
+            "type g : o.\nq X <- X = a.\nh R <- ~(R a), a = b.\ng <- a = b, ~(q a).\n"
+        )
+        program = load(src)
+        gp = ground_instantiation(program, 1)
+        keys = list(gp.atoms)
+        assert gp.compiled.rules[keys.index("h q")] == gp.compiled.rules[keys.index("g")] == ()
+        assert perfect_model(gp, localize(stratify(program), gp)).model.is_total
+        for wrong in (
+            # ~(q a) in h q's instance, through the variable R
+            Stratification((("h", "q"), ("g",)), {"g": 2, "q": 1, "h": 1}),
+            # ~(q a) in g's instance, through the constant q
+            Stratification((("g", "q"), ("h",)), {"g": 1, "q": 1, "h": 2}),
+        ):
+            with pytest.raises(LocalStratificationViolation):
+                localize(wrong, gp)
+
+
 class TestPsi:
     def test_facts_only(self):
         gp = gp_of("type p : o.\ntype q : o.\np.\nq <- p.")

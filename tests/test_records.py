@@ -58,6 +58,10 @@ def _atom():
     return GroundAtom("p", PredConst("p", OMICRON))
 
 
+def _compiled():
+    return CompiledProgram(("p",), ((),), ((),))
+
+
 ATOM_REPR = "GroundAtom(key='p', expr=PredConst(name='p', ptype=Omicron()))"
 
 
@@ -133,8 +137,9 @@ SAMPLES = {
         "CompiledProgram(keys=('p',), rules=((((0,), ()),),), dependents=((0,),))",
     ),
     GroundProgram: (
-        lambda: GroundProgram((), {"p": _atom()}),
-        f"GroundProgram(clauses=(), atoms={{'p': {ATOM_REPR}}})",
+        lambda: GroundProgram({"p": _atom()}, _compiled(), (("p", "p", True),), ()),
+        f"GroundProgram(atoms={{'p': {ATOM_REPR}}}, compiled=CompiledProgram(keys=('p',), "
+        "rules=((),), dependents=((),)), predicate_edges=(('p', 'p', True),), clauses=())",
     ),
     PartialInterpretation: (_interp, INTERP_REPR),
     Program: (
@@ -310,11 +315,19 @@ def test_signature_table_is_neither_compared_nor_printed():
     assert loaded.lookup("a") == IOTA and "a" in loaded
 
 
-def test_compiled_program_is_cached():
-    gp = GroundProgram((), {"p": _atom()})
-    assert gp.compiled is gp.compiled
-    assert gp == pickle.loads(pickle.dumps(gp))
-    assert pickle.loads(pickle.dumps(gp)).compiled == gp.compiled
+def test_ground_program_builds_its_clauses_once():
+    built = []
+
+    def build():
+        built.append(True)
+        return ()
+
+    gp = GroundProgram({"p": _atom()}, _compiled(), (), build)
+    assert built == []
+    assert gp.clauses is gp.clauses and built == [True]
+    loaded = pickle.loads(pickle.dumps(gp))
+    assert loaded == gp and loaded.compiled == gp.compiled and loaded.clauses == ()
+    assert built == [True]
 
 
 def test_types_hash_their_fields_once():

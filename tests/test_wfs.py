@@ -1,6 +1,9 @@
 """Well-founded model engine: stage operator, fixpoints, discipline."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from hoplog.grounder import ground_atom, ground_instantiation, relevant_grounding
 from hoplog.interp import (
@@ -14,11 +17,13 @@ from hoplog.interp import (
     leq,
 )
 from hoplog.parser import parse_atom
+from hoplog.perfect import Stratification, localize, perfect_model, stratify
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, SUBSET, WINNOW
 from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import theta_lfp, theta_step, well_founded_model
 
 from helpers import (
+    alternating_fixpoint,
     classical_least_model,
     is_negation_free,
     load,
@@ -213,3 +218,55 @@ class TestWellFoundedModel:
             part = well_founded_model(relevant_grounding(program, atoms, 3)).model
             for key in part.universe:
                 assert part.value(key) == full.value(key), (root, key)
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, loaded by path and only read: its pools are
+    the benchmark's programs, with no hoplog import."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAlternatingFixpoint:
+    """The engine against Van Gelder's alternating fixpoint, which needs
+    no stage operator, at the benchmark's scale."""
+
+    def test_bench_pools(self):
+        workloads = _bench_workloads()
+        checked = stratified = 0
+        for query in workloads.game_pool(1) + workloads.strat_pool(1):
+            program = load(query.source)
+            k = int(query.args[query.args.index("--depth") + 1])
+            if "--roots" in query.args:
+                root = query.args[query.args.index("--roots") + 1]
+                atom = ground_atom(elaborate_ground_atom(program, parse_atom(root)))
+                gp = relevant_grounding(program, [atom], k)
+            else:
+                gp = ground_instantiation(program, k)
+            model = well_founded_model(gp).model
+            assert model == alternating_fixpoint(gp), query.label
+            strat = stratify(program)
+            if isinstance(strat, Stratification):
+                assert perfect_model(gp, localize(strat, gp)).model == model, query.label
+                stratified += 1
+            checked += 1
+        assert (checked, stratified) == (48, 24)
+
+    def test_random_ground_programs(self):
+        rng = random.Random(31)
+        stratified = 0
+        for _ in range(200):
+            src = random_ground_source(rng, n_atoms=rng.randint(2, 8))
+            program = load(src)
+            gp = ground_instantiation(program, 1)
+            model = well_founded_model(gp).model
+            assert model == alternating_fixpoint(gp), src
+            strat = stratify(program)
+            if isinstance(strat, Stratification):
+                assert perfect_model(gp, localize(strat, gp)).model == model, src
+                stratified += 1
+        assert stratified >= 40
