@@ -6,7 +6,6 @@ evaluate (well-founded or perfect model) -> check extensionality.
 
 from .extensionality import ExtChecker
 from .grounder import (
-    GroundAtom,
     GroundProgram,
     ground_instantiation,
     herbrand_universe,
@@ -30,7 +29,6 @@ from .wfs import theta_lfp, theta_step, well_founded_model
 
 __all__ = [
     "ExtChecker",
-    "GroundAtom",
     "GroundProgram",
     "Ordering",
     "PartialInterpretation",

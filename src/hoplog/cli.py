@@ -313,38 +313,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="program file, or - for stdin")
-        p.add_argument("--depth", type=int, default=3, metavar="K",
-                       help="term-size bound for universes (default 3)")
-        p.add_argument("--roots", default="", metavar="ATOMS",
-                       help="comma-separated ground atoms for demand grounding")
+    def command(name, func, summary, grounds=True):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("input", help="program file, or - for stdin")
+        if grounds:
+            p.add_argument("--depth", type=int, default=3, metavar="K",
+                           help="term-size bound for universes (default 3)")
+            p.add_argument("--roots", default="", metavar="ATOMS",
+                           help="comma-separated ground atoms for demand grounding")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--oracle-limit", type=int, default=12, dest="oracle_limit",
-                       help="atom cap for the brute-force oracle (default 12)")
+        p.set_defaults(func=func)
         return p
 
-    common(sub.add_parser("check", help="parse and type-check")).set_defaults(
-        func=cmd_check
-    )
-    common(sub.add_parser("ground", help="dump a bounded grounding")).set_defaults(
-        func=cmd_ground
-    )
-    common(sub.add_parser("wfs", help="well-founded model")).set_defaults(func=cmd_wfs)
-    common(sub.add_parser("perfect", help="perfect model (stratified only)")).set_defaults(
-        func=cmd_perfect
-    )
-    common(sub.add_parser("stratify", help="stratification analysis")).set_defaults(
-        func=cmd_stratify
-    )
-    ext_p = common(sub.add_parser("extcheck", help="extensionality check"))
+    command("check", cmd_check, "parse and type-check", grounds=False)
+    command("ground", cmd_ground, "dump a bounded grounding")
+    command("wfs", cmd_wfs, "well-founded model")
+    command("perfect", cmd_perfect, "perfect model (stratified only)")
+    command("stratify", cmd_stratify, "stratification analysis", grounds=False)
+    ext_p = command("extcheck", cmd_extcheck, "extensionality check")
     ext_p.add_argument("--budget", type=int, default=None,
                        help="total term-size budget for valuations (default 4*depth)")
-    ext_p.set_defaults(func=cmd_extcheck)
-    min_p = common(sub.add_parser("minimal", help="brute-force minimal models"))
+    min_p = command("minimal", cmd_minimal, "brute-force minimal models")
+    min_p.add_argument("--oracle-limit", type=int, default=12, dest="oracle_limit",
+                       help="atom cap for the brute-force oracle (default 12)")
     min_p.add_argument("--ordering", choices=("truth", "fitting"), default="fitting")
-    min_p.set_defaults(func=cmd_minimal)
     demo_p = sub.add_parser("demo", help="run a bundled demonstration")
     demo_p.add_argument("name", choices=("lemma1", "bezem", "stratified"))
     demo_p.add_argument("--format", choices=("json", "text"), default="json")
@@ -353,7 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except HoplogError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DepthExceeded
-from .grounder import Universe, argument_types, ground_atom, relevant_grounding
+from .grounder import Universe, argument_types, relevant_grounding
 from .interp import PartialInterpretation, TruthValue
 from .parser import parse_atom
 from .records import FrozenRecord, Record, _set
@@ -202,9 +202,7 @@ class ValuationOracle:
 
     def _solve(self) -> PartialInterpretation:
         if self._model is None:
-            gp = relevant_grounding(
-                self.program, [ground_atom(e) for e in self._roots.values()], self.k
-            )
+            gp = relevant_grounding(self.program, self._roots.values(), self.k)
             self._model = well_founded_model(gp).model
         return self._model
 

@@ -19,9 +19,10 @@ truncation probe, against deep or wide universes.
 Both modes compile each clause once per grounding into ``str.format``
 templates, one for its head and one for each body literal, and print each
 instance's atoms from the printed forms of its variables' values.  The atom
-table maps each printed key to its ``GroundAtom``, which is built only the
-first time the key appears; a grounding whose clause count would pass
-``DEFAULT_MAX_CLAUSES`` is refused before it is enumerated.
+table maps each printed key to its atom, the interned ground term of type o
+whose ``text`` is that key, built only the first time the key appears; a
+grounding whose clause count would pass ``DEFAULT_MAX_CLAUSES`` is refused
+before it is enumerated.
 
 Equality literals are resolved at grounding time: syntactically identical
 sides make the literal true, different sides false.  An instance with a
@@ -71,7 +72,6 @@ from .syntax import (
     print_template,
     spine,
     suffix_types,
-    term_size,
     type_size,
     vars_in_order,
 )
@@ -96,52 +96,15 @@ DEFAULT_MAX_UNIVERSE_SYMBOLS = 1_000_000
 # ---------------------------------------------------------------------------
 
 
-class GroundAtom(FrozenRecord):
-    """A ground term of type o headed by a predicate constant."""
-
-    __slots__ = ("key", "expr")
-
-    def __init__(self, key: str, expr: Expr) -> None:
-        _set(self, "key", key)
-        _set(self, "expr", expr)
-
-    def __str__(self) -> str:
-        return self.key
-
-
-def ground_atom(expr: Expr) -> GroundAtom:
+def ground_atom(expr: Expr) -> Expr:
+    """The ground atom expr itself, once it is checked to be predicate-headed."""
     head, _ = spine(expr)
     if not isinstance(head, PredConst):
         raise ValueError(f"not predicate-headed: {canonical_print(expr)}")
-    return GroundAtom(canonical_print(expr), expr)
+    return expr
 
 
-class GroundLiteral(FrozenRecord):
-    __slots__ = ()
-
-
-class PosLit(GroundLiteral):
-    __slots__ = ("atom",)
-
-    def __init__(self, atom: GroundAtom) -> None:
-        _set(self, "atom", atom)
-
-    def __str__(self) -> str:
-        return self.atom.key
-
-
-class NegLit(GroundLiteral):
-    __slots__ = ("atom",)
-
-    def __init__(self, atom: GroundAtom) -> None:
-        _set(self, "atom", atom)
-
-    def __str__(self) -> str:
-        inner = self.atom.key
-        return f"~({inner})" if " " in inner else f"~{inner}"
-
-
-class ConstLit(GroundLiteral):
+class ConstLit(FrozenRecord):
     """An equality literal resolved at grounding time."""
 
     __slots__ = ("value",)
@@ -149,7 +112,8 @@ class ConstLit(GroundLiteral):
     def __init__(self, value: bool) -> None:
         _set(self, "value", value)
 
-    def __str__(self) -> str:
+    @property
+    def text(self) -> str:
         return "true" if self.value else "false"
 
 
@@ -158,8 +122,8 @@ class GroundClause(FrozenRecord):
 
     def __init__(
         self,
-        head: GroundAtom,
-        body: tuple[GroundLiteral, ...],
+        head: Expr,  # the ground atom
+        body: tuple[Expr | ConstLit, ...],  # each an atom, its Neg, or a ConstLit
         source_index: int,  # clause position in the source program; -1 if synthetic
         theta: tuple[tuple[str, Expr], ...],  # substitution that produced the instance
     ) -> None:
@@ -170,8 +134,8 @@ class GroundClause(FrozenRecord):
 
     def __str__(self) -> str:
         if not self.body:
-            return f"{self.head}."
-        return f"{self.head} <- {', '.join(str(l) for l in self.body)}."
+            return f"{self.head.text}."
+        return f"{self.head.text} <- {', '.join([l.text for l in self.body])}."
 
 
 # A compiled clause body: (positive atom ids, negative atom ids).
@@ -222,7 +186,7 @@ class GroundProgram(Record):
 
     def __init__(
         self,
-        atoms: dict[str, GroundAtom],  # the atom table, insertion-ordered
+        atoms: dict[str, Expr],  # the atom table by text, insertion-ordered
         compiled: CompiledProgram,
         predicate_edges: tuple[PredicateEdge, ...],
         clauses: tuple[GroundClause, ...] | Callable[[], tuple[GroundClause, ...]],
@@ -492,7 +456,7 @@ class _Grounding:
         self.program = program
         self.k = k
         self.universe = Universe(program.signature)
-        self.atoms: dict[str, GroundAtom] = {}
+        self.atoms: dict[str, Expr] = {}
         self.ids: dict[str, int] = {}
         self.rules: list[list[Rule]] = []
         self.edges: dict[PredicateEdge, None] = {}
@@ -650,16 +614,16 @@ class _Grounding:
     ) -> int:
         theta = {name: values[i] for name, i in t.theta}
         atom = ground_atom(apply_substitution(expr, theta))
-        if atom.key != key:
+        if atom.text != key:
             raise TemplateMismatch(
-                f"clause {t.index}: the template printed {key!r} for the atom {atom.key!r}"
+                f"clause {t.index}: the template printed {key!r} for the atom {atom.text!r}"
             )
         return self._admit(atom)
 
-    def _admit(self, atom: GroundAtom) -> int:
+    def _admit(self, atom: Expr) -> int:
         """Add an atom to the table; return its id."""
-        i = self.ids[atom.key] = len(self.rules)
-        self.atoms[atom.key] = atom
+        i = self.ids[atom.text] = len(self.rules)
+        self.atoms[atom.text] = atom
         self.rules.append([])
         return i
 
@@ -673,30 +637,28 @@ class _DemandGrounding(_Grounding):
     def __init__(self, program: Program, k: int, max_atoms: int):
         super().__init__(program, k)
         self.max_atoms = max_atoms
-        self.queue: deque[GroundAtom] = deque()
+        self.queue: deque[Expr] = deque()
 
-    def demand(self, atom: GroundAtom) -> int:
-        size = term_size(atom.expr)
-        if size > DEFAULT_MAX_ATOM_SIZE:
+    def demand(self, atom: Expr) -> int:
+        if atom.size > DEFAULT_MAX_ATOM_SIZE:
             raise GroundingLimitExceeded(
-                f"a demanded {spine(atom.expr)[0].name} atom has {size} symbols, "
+                f"a demanded {spine(atom)[0].name} atom has {atom.size} symbols, "
                 f"over the cap of {DEFAULT_MAX_ATOM_SIZE}"
             )
         self.queue.append(atom)
         return _Grounding._admit(self, atom)
 
-    def _admit(self, atom: GroundAtom) -> int:
+    def _admit(self, atom: Expr) -> int:
         if len(self.atoms) >= self.max_atoms:
             raise GroundingLimitExceeded(f"dependency closure exceeded {self.max_atoms} atoms")
         return self.demand(atom)
 
 
 def _clauses(
-    calls: list[tuple[_Template, tuple[Expr, ...]]], atoms: dict[str, GroundAtom]
+    calls: list[tuple[_Template, tuple[Expr, ...]]], atoms: dict[str, Expr]
 ) -> tuple[GroundClause, ...]:
     """Every instance of every call, dead ones included, in order, as
-    clauses.  Each literal over an atom is built once."""
-    literals: tuple[dict, dict] = ({}, {})  # positive, negated: key -> literal
+    clauses."""
     out = []
     for t, bound in calls:
         head_format = t.head[0]
@@ -707,12 +669,8 @@ def _clauses(
                 if negated is None:
                     body.append(_TRUE if fmt.format(*values) == arg.format(*values) else _FALSE)
                     continue
-                key = fmt.format(*values)
-                table = literals[negated]
-                lit = table.get(key)
-                if lit is None:
-                    lit = table[key] = (NegLit if negated else PosLit)(atoms[key])
-                body.append(lit)
+                atom = atoms[fmt.format(*values)]
+                body.append(Neg(atom) if negated else atom)
             theta = tuple([(name, values[i]) for name, i in t.theta])
             head = atoms[head_format.format(*values)]
             out.append(GroundClause(head, tuple(body), t.index, theta))
@@ -752,12 +710,11 @@ def relevant_grounding(
         formal_types = tuple(f.typ for f in clause.formals)
         by_pred.setdefault(clause.head_pred.name, []).append((i, formal_types))
     for a in roots:
-        atom = a if isinstance(a, GroundAtom) else ground_atom(a)
-        if atom.key not in grounding.atoms:
+        atom = ground_atom(a)
+        if atom.text not in grounding.atoms:
             grounding.demand(atom)
     while grounding.queue:
-        atom = grounding.queue.popleft()
-        head, args = spine(atom.expr)
+        head, args = spine(grounding.queue.popleft())
         arg_types = tuple(a.typ for a in args)
         matching = [i for i, types in by_pred.get(head.name, ()) if types == arg_types]
         for i in matching:

@@ -16,8 +16,9 @@ from __future__ import annotations
 from enum import Enum, IntEnum
 
 from .errors import TooLarge, UnknownAtom
-from .grounder import ConstLit, GroundClause, GroundLiteral, GroundProgram, NegLit, PosLit
+from .grounder import ConstLit, GroundClause, GroundProgram
 from .records import FrozenRecord, _set
+from .syntax import Expr, Neg
 
 
 class TruthValue(IntEnum):
@@ -110,15 +111,15 @@ def everything_undefined(gp: GroundProgram) -> PartialInterpretation:
 # ---------------------------------------------------------------------------
 
 
-def value_of(i: PartialInterpretation, lit: GroundLiteral) -> TruthValue:
+def value_of(i: PartialInterpretation, lit: Expr | ConstLit) -> TruthValue:
     """Value of one ground literal: atoms look up <T, F>, negation flips
     true/false and preserves undefined, resolved equalities are fixed."""
-    if isinstance(lit, PosLit):
-        return i.value(lit.atom.key)
-    if isinstance(lit, NegLit):
-        return negate(i.value(lit.atom.key))
+    if isinstance(lit, Neg):
+        return negate(i.value(lit.atom.text))
     if isinstance(lit, ConstLit):
         return TruthValue.TRUE if lit.value else TruthValue.FALSE
+    if isinstance(lit, Expr):
+        return i.value(lit.text)
     raise TypeError(f"not a ground literal: {lit!r}")
 
 
@@ -133,7 +134,7 @@ def value_of_conj(i: PartialInterpretation, lits) -> TruthValue:
 def find_violation(i: PartialInterpretation, gp: GroundProgram) -> GroundClause | None:
     """First clause whose head value drops below its body value, if any."""
     for gc in gp.clauses:
-        if i.value(gc.head.key) < value_of_conj(i, gc.body):
+        if i.value(gc.head.text) < value_of_conj(i, gc.body):
             return gc
     return None
 
@@ -166,14 +167,14 @@ class _Compiled:
             pos = neg = 0
             dead = False
             for lit in gc.body:
-                if isinstance(lit, PosLit):
-                    pos |= 1 << self.index[lit.atom.key]
-                elif isinstance(lit, NegLit):
-                    neg |= 1 << self.index[lit.atom.key]
-                elif isinstance(lit, ConstLit) and not lit.value:
-                    dead = True  # body is false outright; clause never binds
+                if isinstance(lit, ConstLit):
+                    dead = dead or not lit.value  # a false body never binds
+                elif isinstance(lit, Neg):
+                    neg |= 1 << self.index[lit.atom.text]
+                else:
+                    pos |= 1 << self.index[lit.text]
             if not dead:
-                self.clauses.append((1 << self.index[gc.head.key], pos, neg))
+                self.clauses.append((1 << self.index[gc.head.text], pos, neg))
 
     def is_model(self, tmask: int, fmask: int) -> bool:
         for head, pos, neg in self.clauses:

@@ -214,8 +214,7 @@ def localize(strat: Stratification, gp: GroundProgram) -> LocalStratification:
     here contradicts the stratification analysis and is reported as an
     internal-consistency failure."""
     stratum_of = {
-        key: strat.stratum(leftmost_predicate(atom.expr))
-        for key, atom in gp.atoms.items()
+        key: strat.stratum(leftmost_predicate(atom)) for key, atom in gp.atoms.items()
     }
     for head, pred, negated in gp.predicate_edges:
         if negated and strat.stratum(pred) >= strat.stratum(head):

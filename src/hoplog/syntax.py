@@ -20,15 +20,7 @@ from __future__ import annotations
 import weakref
 from typing import Iterator, Mapping, Union
 
-from .errors import (
-    ArityMismatch,
-    EqOfNonIndividual,
-    IllTyped,
-    IllTypedApplication,
-    NegOfNonBoolean,
-    TypeMismatch,
-    UnboundSymbol,
-)
+from .errors import IllTyped, IllTypedApplication, TypeMismatch, UnboundSymbol
 from .records import FrozenRecord, _set
 
 # ---------------------------------------------------------------------------
@@ -598,77 +590,3 @@ def substitute_clause(clause: Clause, theta: Substitution) -> tuple[Expr, tuple[
     head = apply_substitution(clause.head_atom(), theta)
     body = tuple(apply_substitution(l, theta) for l in clause.body)
     return head, body
-
-
-# ---------------------------------------------------------------------------
-# Type computation / validation
-# ---------------------------------------------------------------------------
-
-
-def type_of(e: Expr, sig: Signature, var_env: Mapping[str, TypeExpr]) -> TypeExpr:
-    """Compute (and validate) the unique type of e against sig and var_env.
-
-    Every symbol must be bound; applications must be well-typed; ``~`` only
-    over booleans; ``=`` only over individuals.
-    """
-    if isinstance(e, IndConst):
-        declared = sig.lookup(e.name)
-        if declared != IOTA:
-            raise IllTyped(f"{e.name} declared {declared}, used as an individual")
-        return IOTA
-    if isinstance(e, PredConst):
-        declared = sig.lookup(e.name)
-        if declared != e.ptype:
-            raise IllTyped(f"{e.name} declared {declared}, annotated {e.ptype}")
-        return e.ptype
-    if isinstance(e, IndVar):
-        bound = var_env.get(e.name)
-        if bound is None:
-            raise UnboundSymbol(f"unbound variable: {e.name}")
-        if bound != IOTA:
-            raise IllTyped(f"variable {e.name} bound to {bound}, used as an individual")
-        return IOTA
-    if isinstance(e, PredVar):
-        bound = var_env.get(e.name)
-        if bound is None:
-            raise UnboundSymbol(f"unbound variable: {e.name}")
-        if bound != e.ptype:
-            raise IllTyped(f"variable {e.name} bound to {bound}, annotated {e.ptype}")
-        return e.ptype
-    if isinstance(e, FunApp):
-        declared = sig.lookup(e.fun)
-        if declared == IOTA or not is_functional_type(declared):
-            raise IllTypedApplication(f"{e.fun} is not a function symbol")
-        n = functional_arity(declared)
-        if len(e.args) != n:
-            raise ArityMismatch(f"{e.fun} expects {n} arguments, got {len(e.args)}")
-        for a in e.args:
-            if type_of(a, sig, var_env) != IOTA:
-                raise IllTypedApplication(
-                    f"argument {canonical_print(a)} of {e.fun} is not an individual"
-                )
-        return IOTA
-    if isinstance(e, App):
-        optype = type_of(e.op, sig, var_env)
-        if not isinstance(optype, Arrow) or not is_predicate_type(optype):
-            raise IllTypedApplication(
-                f"operator {canonical_print(e.op)}: {optype} cannot be applied"
-            )
-        argtype = type_of(e.arg, sig, var_env)
-        if argtype != optype.argument:
-            raise IllTypedApplication(
-                f"operand {canonical_print(e.arg)}: {argtype} where "
-                f"{optype.argument} is required"
-            )
-        return optype.result
-    if isinstance(e, Neg):
-        if isinstance(e.atom, (Neg, Eq)):
-            raise NegOfNonBoolean(f"~ applies to atoms only: {canonical_print(e)}")
-        if type_of(e.atom, sig, var_env) != OMICRON:
-            raise NegOfNonBoolean(f"~ over non-boolean: {canonical_print(e.atom)}")
-        return OMICRON
-    if isinstance(e, Eq):
-        if type_of(e.lhs, sig, var_env) != IOTA or type_of(e.rhs, sig, var_env) != IOTA:
-            raise EqOfNonIndividual(f"= compares individuals only: {canonical_print(e)}")
-        return OMICRON
-    raise TypeError(f"not an expression: {e!r}")

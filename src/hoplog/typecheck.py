@@ -315,27 +315,6 @@ def _clause_source(rc: RawClause) -> str:
     return f"the clause for '{names}' at {rc.pos}"
 
 
-def infer_var_types(rc: RawClause, sig: Signature) -> dict[str, TypeExpr]:
-    """Types of all clause variables; raises on conflict or ambiguity."""
-    checker = _ClauseChecker(sig, _clause_source(rc))
-    _check_head(rc, sig, checker)
-    checker.infer(rc.body)
-    if checker.errors:
-        raise ProgramCheckError(checker.errors)
-    for lit in rc.body:
-        for nm in _raw_names(lit):
-            if nm.is_variable and nm.name not in checker.env:
-                raise ProgramCheckError(
-                    [
-                        AmbiguousVariableType(
-                            f"{nm.pos}: the type of {nm.name} is not determined "
-                            f"by any occurrence in {_clause_source(rc)}"
-                        )
-                    ]
-                )
-    return dict(checker.env)
-
-
 def check_clause(rc: RawClause, sig: Signature) -> Clause:
     checker = _ClauseChecker(sig, _clause_source(rc))
     pred, formals = _check_head(rc, sig, checker)

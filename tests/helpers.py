@@ -41,11 +41,8 @@ from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
     CompiledProgram,
     ConstLit,
-    GroundAtom,
     GroundClause,
     GroundProgram,
-    NegLit,
-    PosLit,
     Universe,
 )
 from hoplog.interp import PartialInterpretation, everything_false, everything_undefined
@@ -213,25 +210,24 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
             for lit in body:
                 if isinstance(lit, Eq):
                     lits.append(ConstLit(reference_print(lit.lhs) == reference_print(lit.rhs)))
-                elif isinstance(lit, Neg):
-                    lits.append(NegLit(GroundAtom(reference_print(lit.atom), lit.atom)))
                 else:
-                    lits.append(PosLit(GroundAtom(reference_print(lit), lit)))
+                    lits.append(lit)
             yield GroundClause(
-                GroundAtom(reference_print(head), head),
+                head,
                 tuple(lits),
                 index,
                 tuple(sorted(theta.items())),
             )
 
-    atoms: dict[str, GroundAtom] = {}
+    atoms: dict[str, Expr] = {}
     clauses: list[GroundClause] = []
-    queue: list[GroundAtom] = []
+    queue: list[Expr] = []
 
-    def demand(atom: GroundAtom) -> None:
-        if reference_size(atom.expr) > DEFAULT_MAX_ATOM_SIZE:
-            raise GroundingLimitExceeded(f"{atom.key} is over the atom size cap")
-        atoms[atom.key] = atom
+    def demand(atom: Expr) -> None:
+        key = reference_print(atom)
+        if reference_size(atom) > DEFAULT_MAX_ATOM_SIZE:
+            raise GroundingLimitExceeded(f"{key} is over the atom size cap")
+        atoms[key] = atom
         queue.append(atom)
 
     if roots is None:
@@ -240,10 +236,9 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
     else:
         for expr in roots:
             if reference_print(expr) not in atoms:
-                demand(GroundAtom(reference_print(expr), expr))
+                demand(expr)
         while queue:
-            atom = queue.pop(0)
-            head, args = spine(atom.expr)
+            head, args = spine(queue.pop(0))
             for i, clause in enumerate(program.clauses):
                 if clause.head_pred != head or [f.typ for f in clause.formals] != [
                     a.typ for a in args
@@ -252,20 +247,33 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
                 base = {f.name: a for f, a in zip(clause.formals, args)}
                 for gc in instances(i, base):
                     clauses.append(gc)
-                    for lit in gc.body:
-                        if isinstance(lit, (PosLit, NegLit)) and lit.atom.key not in atoms:
-                            demand(lit.atom)
+                    for atom, _ in atom_literals(gc):
+                        if reference_print(atom) not in atoms:
+                            demand(atom)
     for gc in clauses:
-        atoms.setdefault(gc.head.key, gc.head)
-        for lit in gc.body:
-            if isinstance(lit, (PosLit, NegLit)):
-                atoms.setdefault(lit.atom.key, lit.atom)
+        atoms.setdefault(reference_print(gc.head), gc.head)
+        for atom, _ in atom_literals(gc):
+            atoms.setdefault(reference_print(atom), atom)
     return GroundProgram(
         atoms, reference_compile(clauses, atoms), reference_edges(clauses), tuple(clauses)
     )
 
 
-def reference_compile(clauses, atoms: dict[str, GroundAtom]) -> CompiledProgram:
+def atom_literals(gc: GroundClause):
+    """(atom, negated) for each atom literal of a ground clause's body."""
+    for lit in gc.body:
+        if isinstance(lit, Neg):
+            yield lit.atom, True
+        elif not isinstance(lit, ConstLit):
+            yield lit, False
+
+
+def is_dead(gc: GroundClause) -> bool:
+    """True if a ground clause's body holds a ``false`` literal."""
+    return any(isinstance(lit, ConstLit) and not lit.value for lit in gc.body)
+
+
+def reference_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
     """The engines' integer form by a second pass over the clauses: atom
     ids in atom-table order, one ``(positive ids, negative ids)`` rule per
     clause without a ``false`` literal, ``true`` literals stripped, and the
@@ -275,11 +283,12 @@ def reference_compile(clauses, atoms: dict[str, GroundAtom]) -> CompiledProgram:
     rules: list[list] = [[] for _ in keys]
     dependents: list[set[int]] = [set() for _ in keys]
     for gc in clauses:
-        if any(isinstance(lit, ConstLit) and not lit.value for lit in gc.body):
+        if is_dead(gc):
             continue
-        head = ids[gc.head.key]
-        pos = tuple(ids[lit.atom.key] for lit in gc.body if isinstance(lit, PosLit))
-        neg = tuple(ids[lit.atom.key] for lit in gc.body if isinstance(lit, NegLit))
+        head = ids[reference_print(gc.head)]
+        lits = [(ids[reference_print(atom)], negated) for atom, negated in atom_literals(gc)]
+        pos = tuple(a for a, negated in lits if not negated)
+        neg = tuple(a for a, negated in lits if negated)
         rules[head].append((pos, neg))
         for a in pos:
             dependents[a].add(head)
@@ -293,10 +302,9 @@ def reference_edges(clauses) -> tuple[tuple[str, str, bool], ...]:
     each clause, dead ones included, once, in order of first appearance."""
     edges: dict[tuple[str, str, bool], None] = {}
     for gc in clauses:
-        head = spine(gc.head.expr)[0].name
-        for lit in gc.body:
-            if isinstance(lit, (PosLit, NegLit)):
-                edges[head, spine(lit.atom.expr)[0].name, isinstance(lit, NegLit)] = None
+        head = spine(gc.head)[0].name
+        for atom, negated in atom_literals(gc):
+            edges[head, spine(atom)[0].name, negated] = None
     return tuple(edges)
 
 
@@ -307,35 +315,22 @@ def reference_edges(clauses) -> tuple[tuple[str, str, bool], ...]:
 
 def classical_least_model(gp: GroundProgram) -> set[str]:
     """Two-valued least-fixpoint true set; only for negation-free programs."""
-    for gc in gp.clauses:
-        assert not any(isinstance(l, NegLit) for l in gc.body)
+    assert is_negation_free(gp)
     true: set[str] = set()
     changed = True
     while changed:
         changed = False
         for gc in gp.clauses:
-            if gc.head.key in true:
+            if gc.head.text in true or is_dead(gc):
                 continue
-            ok = True
-            for lit in gc.body:
-                if isinstance(lit, PosLit):
-                    if lit.atom.key not in true:
-                        ok = False
-                        break
-                elif isinstance(lit, ConstLit):
-                    if not lit.value:
-                        ok = False
-                        break
-            if ok:
-                true.add(gc.head.key)
+            if all(atom.text in true for atom, _ in atom_literals(gc)):
+                true.add(gc.head.text)
                 changed = True
     return true
 
 
 def is_negation_free(gp: GroundProgram) -> bool:
-    return not any(
-        isinstance(l, NegLit) for gc in gp.clauses for l in gc.body
-    )
+    return not any(isinstance(l, Neg) for gc in gp.clauses for l in gc.body)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +384,11 @@ def alternating_fixpoint(gp: GroundProgram) -> PartialInterpretation:
     """
     clauses = []  # (head, positive atoms, negated atoms) of the clauses without false
     for gc in gp.clauses:
-        if any(isinstance(l, ConstLit) and not l.value for l in gc.body):
+        if is_dead(gc):
             continue
-        pos = [l.atom.key for l in gc.body if isinstance(l, PosLit)]
-        neg = [l.atom.key for l in gc.body if isinstance(l, NegLit)]
-        clauses.append((gc.head.key, pos, neg))
+        pos = [atom.text for atom, negated in atom_literals(gc) if not negated]
+        neg = [atom.text for atom, negated in atom_literals(gc) if negated]
+        clauses.append((gc.head.text, pos, neg))
     watchers: dict[str, list[int]] = {key: [] for key in gp.atoms}
     for i, (_, pos, _) in enumerate(clauses):
         for b in pos:
@@ -450,17 +445,17 @@ def reduct_least_model(gp: GroundProgram, i: PartialInterpretation) -> PartialIn
     while changed:
         changed = False
         for gc in gp.clauses:
-            head = gc.head.key
+            head = gc.head.text
             if value[head] == _TRUE:
                 continue
             body = _TRUE
             for lit in gc.body:
-                if isinstance(lit, PosLit):
-                    v = value[lit.atom.key]
-                elif isinstance(lit, NegLit):
-                    v = _TRUE - i.value(lit.atom.key)
-                else:
+                if isinstance(lit, ConstLit):
                     v = _TRUE if lit.value else _FALSE
+                elif isinstance(lit, Neg):
+                    v = _TRUE - i.value(lit.atom.text)
+                else:
+                    v = value[lit.text]
                 body = min(body, v)
                 if body == _FALSE:
                     break

@@ -289,6 +289,47 @@ class TestDepthBelowOne:
         }
 
 
+class TestUsageErrors:
+    """argparse's own errors exit 1, like every other usage error; exit 2
+    stays reserved for a failed semantic check."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wfs", "FILE", "--bogus"],  # unknown option
+            [],  # no subcommand
+            ["wfs"],  # no input
+            ["wfs", "FILE", "--depth", "abc"],  # non-integer --depth
+        ],
+        ids=["unknown-option", "no-subcommand", "no-input", "non-integer-depth"],
+    )
+    def test_usage_error_exits_one(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.hop"
+        path.write_text(STRATIFIED_OK)
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: hoplog" in captured.err and "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["wfs", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: hoplog")
+
+    # Each option a subcommand's handler never reads: 10 in all.
+    IGNORED = [
+        *((c, "--oracle-limit=2") for c in ("check", "ground", "wfs", "perfect", "stratify")),
+        ("extcheck", "--oracle-limit=2"),
+        *((c, o) for c in ("check", "stratify") for o in ("--depth=2", "--roots=p")),
+    ]
+
+    @pytest.mark.parametrize("command, option", IGNORED)
+    def test_option_the_subcommand_ignores_is_refused(self, run, command, option):
+        code, out, err = run([command, option], program=STRATIFIED_OK)
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {option}" in err
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, run):
         first = run(["extcheck", "--depth", "3"], program=NONEXTENSIONAL)
@@ -393,3 +434,8 @@ class TestStartup:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_every_exported_name_resolves(self):
+        namespace: dict = {}
+        exec("from hoplog import *", namespace)  # raises on a name that does not resolve
+        assert set(hoplog.__all__) <= set(namespace)

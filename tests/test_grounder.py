@@ -11,7 +11,6 @@ from hoplog.grounder import (
     DEFAULT_MAX_UNIVERSE_SYMBOLS,
     ConstLit,
     Universe,
-    ground_atom,
     ground_instantiation,
     herbrand_universe,
     relevant_grounding,
@@ -19,7 +18,7 @@ from hoplog.grounder import (
 )
 from hoplog.parser import parse_atom, parse_type
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
-from hoplog.syntax import IOTA, canonical_print, substitute_clause
+from hoplog.syntax import IOTA, Neg, canonical_print, substitute_clause
 from hoplog.typecheck import elaborate_ground_atom
 
 from helpers import (
@@ -42,7 +41,7 @@ def keys(terms):
 
 
 def atom_of(program, text):
-    return ground_atom(elaborate_ground_atom(program, parse_atom(text)))
+    return elaborate_ground_atom(program, parse_atom(text))
 
 
 class TestHerbrandUniverse:
@@ -133,7 +132,7 @@ class TestGroundInstantiation:
         for gc in gp.clauses:
             clause = program.clauses[gc.source_index]
             head, body = substitute_clause(clause, dict(gc.theta))
-            assert canonical_print(head) == gc.head.key
+            assert canonical_print(head) == gc.head.text
 
     def test_empty_universe_propagates(self):
         src = "type q : i -> o.\ntype foo : o.\nfoo <- q X."
@@ -313,6 +312,14 @@ class TestTemplateGrounding:
             (c.source_index, c.theta) for c in expected.clauses
         ]
         assert list(gp.atoms.items()) == list(expected.atoms.items())
+        assert all(atom.text == key for key, atom in gp.atoms.items())
+        for c in gp.clauses:
+            assert c.head is gp.atoms[c.head.text]
+            for lit in c.body:
+                if isinstance(lit, Neg):
+                    assert lit is Neg(gp.atoms[lit.atom.text])
+                elif not isinstance(lit, ConstLit):
+                    assert lit is gp.atoms[lit.text]
         assert gp.clauses == expected.clauses
         assert gp.compiled == reference_compile(expected.clauses, expected.atoms)
         assert set(gp.predicate_edges) == set(reference_edges(expected.clauses))
@@ -350,7 +357,7 @@ class TestTemplateGrounding:
         )
         gp = self.assert_same(program, 2)
         assert "gap (reach n1) <- node n0, ~(reach n1 n0)." in [str(c) for c in gp.clauses]
-        gp = self.assert_same(program, 2, [atom_of(program, "gap (reach n1)").expr])
+        gp = self.assert_same(program, 2, [atom_of(program, "gap (reach n1)")])
         assert [str(c) for c in gp.clauses if c.source_index == 2] == [
             "gap (reach n1) <- node n0, ~(reach n1 n0).",
             "gap (reach n1) <- node n1, ~(reach n1 n1).",
@@ -380,7 +387,7 @@ class TestLiveInstances:
     def test_dead_instance_still_demands_its_atoms(self):
         src = "type p : i -> o.\ntype q : i -> o.\ntype b : i.\np X <- X = a, q X."
         program = load(src)
-        gp = TestTemplateGrounding.assert_same(program, 1, [atom_of(program, "p b").expr])
+        gp = TestTemplateGrounding.assert_same(program, 1, [atom_of(program, "p b")])
         assert list(gp.atoms) == ["p b", "q b"]
         assert gp.compiled.rules == ((), ())
 
@@ -397,7 +404,7 @@ class TestLiveInstances:
             "type r : i -> o.\ntype s : i -> o.\nr X <- q X Y.\ns X <- q Y X.\n"
         )
         program = load(src)
-        roots = [atom_of(program, "r a").expr, atom_of(program, "s a").expr]
+        roots = [atom_of(program, "r a"), atom_of(program, "s a")]
         gp = TestTemplateGrounding.assert_same(program, 1, roots)
         assert {"q a b", "q b a"} <= set(gp.atoms)
 
@@ -417,7 +424,7 @@ class TestLiveInstances:
         assert rules[ids["e b b"]] == (((), ()), ((ids["p b"],), ()), ((), (ids["p b"],)))
         assert rules[ids["e a b"]] == ()
         for root in ("e a a", "e b b", "e (f a) b", "p (f b)"):
-            TestTemplateGrounding.assert_same(program, 2, [atom_of(program, root).expr])
+            TestTemplateGrounding.assert_same(program, 2, [atom_of(program, root)])
 
     @pytest.mark.parametrize(
         "entry", [e for e in CORPUS if " = " in e.source], ids=lambda e: e.name
@@ -441,4 +448,4 @@ def _ground(program, k, roots):
 
 
 def _first_atoms(gp):
-    return [atom.expr for atom in list(gp.atoms.values())[:2]]
+    return list(gp.atoms.values())[:2]

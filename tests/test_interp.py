@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hoplog.errors import TooLarge, UnknownAtom
-from hoplog.grounder import (
-    GroundProgram,
-    NegLit,
-    PosLit,
-    ground_atom,
-    ground_instantiation,
-    relevant_grounding,
-)
+from hoplog.grounder import GroundProgram, ground_instantiation, relevant_grounding
 from hoplog.interp import (
     Ordering,
     PartialInterpretation,
@@ -32,6 +25,7 @@ from hoplog.interp import (
 )
 from hoplog.parser import parse_atom
 from hoplog.programs import NONEXTENSIONAL
+from hoplog.syntax import Neg
 from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import well_founded_model
 
@@ -50,9 +44,7 @@ from helpers import (
 def gp_of(src: str, k: int = 1, roots=None) -> GroundProgram:
     program = load(src)
     if roots:
-        atoms = [
-            ground_atom(elaborate_ground_atom(program, parse_atom(r))) for r in roots
-        ]
+        atoms = [elaborate_ground_atom(program, parse_atom(r)) for r in roots]
         return relevant_grounding(program, atoms, k)
     return ground_instantiation(program, k)
 
@@ -76,8 +68,8 @@ class TestValueOf:
     def test_negation_flips_over_true(self):
         gp = gp_of(NEG_PAIR)
         i = interpretation(gp, true_atoms={"q"})
-        lit = NegLit(gp.atoms["q"])
-        assert value_of(i, PosLit(gp.atoms["q"])) == TruthValue.TRUE
+        lit = Neg(gp.atoms["q"])
+        assert value_of(i, gp.atoms["q"]) == TruthValue.TRUE
         assert value_of(i, lit) == TruthValue.FALSE
 
     def test_negation_table_exhaustive(self):
@@ -94,20 +86,20 @@ class TestValueOf:
     def test_empty_interpretation_gives_undefined(self):
         gp = gp_of(NEG_PAIR)
         i = everything_undefined(gp)
-        assert value_of(i, PosLit(gp.atoms["p"])) == TruthValue.UNDEFINED
+        assert value_of(i, gp.atoms["p"]) == TruthValue.UNDEFINED
 
     def test_unknown_atom_rejected(self):
         gp = gp_of(NEG_PAIR)
         other = gp_of("type zonly : o.\nzonly.")
         with pytest.raises(UnknownAtom):
-            value_of(everything_undefined(gp), PosLit(other.atoms["zonly"]))
+            value_of(everything_undefined(gp), other.atoms["zonly"])
 
 
 class TestConjunction:
     def test_min_in_truth_order(self):
         gp = gp_of(NEG_PAIR)
         i = interpretation(gp, true_atoms={"p"})
-        lits = [PosLit(gp.atoms["p"]), PosLit(gp.atoms["q"])]
+        lits = [gp.atoms["p"], gp.atoms["q"]]
         assert value_of_conj(i, lits) == TruthValue.UNDEFINED
 
     def test_empty_conjunction_is_true(self):
@@ -117,7 +109,7 @@ class TestConjunction:
     def test_counterexample_body_undefined_under_wfs(self):
         gp = gp_of(NONEXTENSIONAL, k=3, roots=["s q"])
         model = well_founded_model(gp).model
-        q_clause = next(c for c in gp.clauses if c.head.key == "q (s q)")
+        q_clause = next(c for c in gp.clauses if c.head.text == "q (s q)")
         assert value_of_conj(model, q_clause.body) == TruthValue.UNDEFINED
 
 
@@ -125,7 +117,7 @@ class TestIsModel:
     def test_fact_forces_head(self):
         gp = gp_of(FACT)
         violation = find_violation(everything_false(gp), gp)
-        assert violation is not None and violation.head.key == "p"
+        assert violation is not None and violation.head.text == "p"
         assert not is_model(everything_false(gp), gp)
 
     def test_wfs_model_is_model_on_counterexample_closure(self):

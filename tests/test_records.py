@@ -10,12 +10,9 @@ from hoplog.extensionality import ExtRelation, ExtReport, UnknownItem, Witness, 
 from hoplog.grounder import (
     CompiledProgram,
     ConstLit,
-    GroundAtom,
     GroundClause,
-    GroundLiteral,
     GroundProgram,
-    NegLit,
-    PosLit,
+    ground_instantiation,
 )
 from hoplog.interp import PartialInterpretation, TruthValue
 from hoplog.parser import (
@@ -39,6 +36,7 @@ from hoplog.syntax import (
     Clause,
     Expr,
     Iota,
+    Neg,
     Omicron,
     PredConst,
     PredVar,
@@ -55,14 +53,14 @@ OO_REPR = "Arrow(argument=Omicron(), result=Omicron())"
 
 
 def _atom():
-    return GroundAtom("p", PredConst("p", OMICRON))
+    return PredConst("p", OMICRON)
 
 
 def _compiled():
     return CompiledProgram(("p",), ((),), ((),))
 
 
-ATOM_REPR = "GroundAtom(key='p', expr=PredConst(name='p', ptype=Omicron()))"
+ATOM_REPR = "PredConst(name='p', ptype=Omicron())"
 
 
 def _interp():
@@ -123,13 +121,12 @@ SAMPLES = {
         lambda: Token("NAME", "p", Pos(1, 6)),
         "Token(kind='NAME', text='p', pos=Pos(line=1, column=6))",
     ),
-    GroundAtom: (_atom, ATOM_REPR),
-    PosLit: (lambda: PosLit(_atom()), f"PosLit(atom={ATOM_REPR})"),
-    NegLit: (lambda: NegLit(_atom()), f"NegLit(atom={ATOM_REPR})"),
     ConstLit: (lambda: ConstLit(True), "ConstLit(value=True)"),
     GroundClause: (
-        lambda: GroundClause(_atom(), (PosLit(_atom()), ConstLit(False)), 0, (("X", IOTA),)),
-        f"GroundClause(head={ATOM_REPR}, body=(PosLit(atom={ATOM_REPR}), "
+        lambda: GroundClause(
+            _atom(), (_atom(), Neg(_atom()), ConstLit(False)), 0, (("X", IOTA),)
+        ),
+        f"GroundClause(head={ATOM_REPR}, body=({ATOM_REPR}, Neg(atom={ATOM_REPR}), "
         "ConstLit(value=False)), source_index=0, theta=(('X', Iota()),))",
     ),
     CompiledProgram: (
@@ -214,14 +211,14 @@ def _record_classes():
         for sub in cls.__subclasses__():
             if sub.__module__.startswith("hoplog.") and not issubclass(sub, Expr):
                 todo.append(sub)
-                if sub not in (FrozenRecord, TypeExpr, GroundLiteral):
+                if sub not in (FrozenRecord, TypeExpr):
                     found.append(sub)
     return found
 
 
 def test_every_record_class_has_a_sample():
     assert set(_record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 35
+    assert len(SAMPLES) == 32
 
 
 @pytest.fixture(params=list(SAMPLES), ids=lambda cls: cls.__name__)
@@ -280,11 +277,9 @@ def test_pickle_round_trip(sample):
 
 
 def test_equality_needs_the_same_class():
-    atom = _atom()
-    assert PosLit(atom) != NegLit(atom)
-    assert not PosLit(atom) == NegLit(atom)
-    assert len({PosLit(atom), NegLit(atom)}) == 2
     assert Iota() != Omicron()
+    assert not Iota() == Omicron()
+    assert len({Iota(), Omicron()}) == 2
     assert RawNeg(RawName("p", Pos(1, 1)), Pos(1, 1)) != RawName("p", Pos(1, 1))
     assert Pos(1, 2) != (1, 2)
 
@@ -328,6 +323,16 @@ def test_ground_program_builds_its_clauses_once():
     loaded = pickle.loads(pickle.dumps(gp))
     assert loaded == gp and loaded.compiled == gp.compiled and loaded.clauses == ()
     assert built == [True]
+
+
+def test_pickled_grounding_holds_the_same_interned_nodes():
+    program = load("type p : i -> o.\ntype q : i -> o.\np X <- ~(q X), X = a.\nq X <- X = a.")
+    gp = ground_instantiation(program, 1)
+    loaded = pickle.loads(pickle.dumps(gp))
+    assert all(loaded.atoms[key] is atom for key, atom in gp.atoms.items())
+    assert [(c.head, c.body) for c in loaded.clauses] == [(c.head, c.body) for c in gp.clauses]
+    assert [str(c) for c in loaded.clauses] == ["p a <- ~(q a), true.", "q a <- true."]
+    assert loaded.clauses[0].body[0] is Neg(gp.atoms["q a"])
 
 
 def test_types_hash_their_fields_once():

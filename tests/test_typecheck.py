@@ -3,11 +3,16 @@
 import pytest
 
 from hoplog.errors import ProgramCheckError
-from hoplog.parser import parse_program
 from hoplog.syntax import IOTA, OMICRON, Arrow
-from hoplog.typecheck import infer_var_types, load_program
+from hoplog.typecheck import load_program
 
 from helpers import load
+
+
+def var_types(src: str) -> dict:
+    """The inferred type of each variable of a one-clause program."""
+    (clause,) = load(src).clauses
+    return {v.name: v.typ for v in clause.variables()}
 
 
 def rules_of(src: str) -> list[str]:
@@ -72,21 +77,15 @@ class TestHeadDiscipline:
 
 class TestInference:
     def test_self_application_variable(self):
-        sp = parse_program("type s : (o -> o) -> o.\ns Q <- Q (s Q).")
-        sig = load("type s : (o -> o) -> o.\ns Q <- Q (s Q).").signature
-        env = infer_var_types(sp.clauses[0], sig)
+        env = var_types("type s : (o -> o) -> o.\ns Q <- Q (s Q).")
         assert env == {"Q": Arrow(OMICRON, OMICRON)}
 
     def test_equality_variable(self):
-        sp = parse_program("type q : i -> o.\nq X <- X = a.")
-        sig = load("type q : i -> o.\nq X <- X = a.").signature
-        env = infer_var_types(sp.clauses[0], sig)
+        env = var_types("type q : i -> o.\nq X <- X = a.")
         assert env == {"X": IOTA}
 
     def test_bare_boolean_variable(self):
-        sp = parse_program("type w : o -> o.\nw R <- ~R.")
-        sig = load("type w : o -> o.\nw R <- ~R.").signature
-        env = infer_var_types(sp.clauses[0], sig)
+        env = var_types("type w : o -> o.\nw R <- ~R.")
         assert env == {"R": OMICRON}
 
     def test_body_only_variable_allowed(self):
