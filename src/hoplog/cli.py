@@ -196,7 +196,7 @@ def cmd_minimal(args) -> int:
     program = _load(args.input)
     gp = _grounding(program, args)
     ordering = Ordering(args.ordering)
-    models = minimal_models_bruteforce(gp, ordering, limit=args.oracle_limit)
+    models = minimal_models_bruteforce(gp, ordering)
     _emit(
         {
             "ordering": ordering.value,
@@ -334,8 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ext_p.add_argument("--budget", type=int, default=None,
                        help="total term-size budget for valuations (default 4*depth)")
     min_p = command("minimal", cmd_minimal, "brute-force minimal models")
-    min_p.add_argument("--oracle-limit", type=int, default=12, dest="oracle_limit",
-                       help="atom cap for the brute-force oracle (default 12)")
     min_p.add_argument("--ordering", choices=("truth", "fitting"), default="fitting")
     demo_p = sub.add_parser("demo", help="run a bundled demonstration")
     demo_p.add_argument("name", choices=("lemma1", "bezem", "stratified"))

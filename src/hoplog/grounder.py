@@ -146,23 +146,16 @@ class CompiledProgram(FrozenRecord):
     """The integer form both engines run on.
 
     Atom ids follow the atom table's order.  ``rules[h]`` lists one
-    ``(positive ids, negative ids)`` pair per live clause with head h;
-    ``dependents[a]`` lists the heads of the live clauses that use atom a
-    positively.  A clause with a ``false`` literal is dropped and ``true``
-    literals are stripped, so no rule carries a resolved equality.
+    ``(positive ids, negative ids)`` pair per live clause with head h.  A
+    clause with a ``false`` literal is dropped and ``true`` literals are
+    stripped, so no rule carries a resolved equality.
     """
 
-    __slots__ = ("keys", "rules", "dependents")
+    __slots__ = ("keys", "rules")
 
-    def __init__(
-        self,
-        keys: tuple[str, ...],
-        rules: tuple[tuple[Rule, ...], ...],
-        dependents: tuple[tuple[int, ...], ...],
-    ) -> None:
+    def __init__(self, keys: tuple[str, ...], rules: tuple[tuple[Rule, ...], ...]) -> None:
         _set(self, "keys", keys)
         _set(self, "rules", rules)
-        _set(self, "dependents", dependents)
 
 
 # (head predicate, body predicate, negated): an instance's head and one of
@@ -466,16 +459,7 @@ class _Grounding:
         self._templates: dict[int, _Template] = {}
 
     def result(self) -> GroundProgram:
-        dependents: list[set[int]] = [set() for _ in self.rules]
-        for head, rules in enumerate(self.rules):
-            for pos, _ in rules:
-                for a in pos:
-                    dependents[a].add(head)
-        compiled = CompiledProgram(
-            tuple(self.atoms),
-            tuple(tuple(r) for r in self.rules),
-            tuple(tuple(sorted(d)) for d in dependents),
-        )
+        compiled = CompiledProgram(tuple(self.atoms), tuple(tuple(r) for r in self.rules))
         calls, atoms = self.calls, self.atoms
         return GroundProgram(atoms, compiled, tuple(self.edges), lambda: _clauses(calls, atoms))
 

@@ -155,6 +155,10 @@ def leq(
 # Brute-force minimal-model oracle
 # ---------------------------------------------------------------------------
 
+# The oracle walks all 3^n interpretations of n atoms: at 12 that is 531,441
+# of them, a few seconds; each further atom triples time and memory.
+ORACLE_MAX_ATOMS = 12
+
 
 class _Compiled:
     """Bitmask view of a ground program for fast enumeration."""
@@ -217,7 +221,7 @@ def _all_interpretations(n: int):
 
 
 def minimal_models_bruteforce(
-    gp: GroundProgram, ordering: Ordering, limit: int = 12
+    gp: GroundProgram, ordering: Ordering
 ) -> list[PartialInterpretation]:
     """Models with no strictly smaller model, by exhaustive enumeration.
 
@@ -225,8 +229,8 @@ def minimal_models_bruteforce(
     is a desk-scale oracle, not an engine.
     """
     n = len(gp.atoms)
-    if n > limit:
-        raise TooLarge(f"{n} atoms exceed the oracle limit of {limit}")
+    if n > ORACLE_MAX_ATOMS:
+        raise TooLarge(f"{n} atoms exceed the oracle limit of {ORACLE_MAX_ATOMS}")
     compiled = _Compiled(gp)
     models = [
         (t, f) for t, f in _all_interpretations(n) if compiled.is_model(t, f)
@@ -248,7 +252,7 @@ def minimal_models_bruteforce(
 
 
 def is_minimal_model(
-    gp: GroundProgram, i: PartialInterpretation, ordering: Ordering, limit: int = 12
+    gp: GroundProgram, i: PartialInterpretation, ordering: Ordering
 ) -> bool:
     """Membership in the brute-force minimal set, computed directly.
 
@@ -256,8 +260,8 @@ def is_minimal_model(
     enumerates the interpretations below i.
     """
     n = len(gp.atoms)
-    if n > limit:
-        raise TooLarge(f"{n} atoms exceed the oracle limit of {limit}")
+    if n > ORACLE_MAX_ATOMS:
+        raise TooLarge(f"{n} atoms exceed the oracle limit of {ORACLE_MAX_ATOMS}")
     compiled = _Compiled(gp)
     tmask, fmask = compiled.masks(i)
     if not compiled.is_model(tmask, fmask):

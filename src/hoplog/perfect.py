@@ -13,27 +13,31 @@ predicate constant.  The perfect model is then built stratum by stratum
 with a two-valued stage operator; the resulting stage sequence climbs in
 the Fitting order and its last element is total.
 
-The stage operator runs on the grounding's compiled form
-(``GroundProgram.compiled``), where dead clauses are already dropped, and
-its least fixed point is computed semi-naively.  ``localize`` reads the
-grounding's predicate edges, which every instance contributes to, dead ones
-included, so it checks the strata of dead clauses too.
+The stage operator's least fixed point under the current stage J is the
+set of atoms that ``wfs.theta_lfp`` makes true under J: an atom is derived
+when some live clause has every negated atom false in J and every positive
+atom true in J or derived.  So each stage runs the well-founded engine's
+counter-driven inner loop on the grounding's compiled form, where dead
+clauses are already dropped.  ``localize`` reads the grounding's predicate
+edges, which every instance contributes to, dead ones included, so it
+checks the strata of dead clauses too.
 """
 
 from __future__ import annotations
 
 from .errors import LocalStratificationViolation, NotIncreasing
-from .grounder import GroundProgram, Rule
+from .grounder import GroundProgram
 from .interp import (
     Ordering,
     PartialInterpretation,
-    TruthValue,
     everything_undefined,
+    interpretation,
     leq,
 )
 from .records import FrozenRecord, _set
 from .syntax import Eq, Expr, Neg, PredConst, PredVar, spine, type_geq
 from .typecheck import Program
+from .wfs import theta_lfp, theta_step
 
 
 # ---------------------------------------------------------------------------
@@ -238,52 +242,14 @@ def localize(strat: Stratification, gp: GroundProgram) -> LocalStratification:
 # ---------------------------------------------------------------------------
 
 
-_FALSE, _TRUE = TruthValue.FALSE, TruthValue.TRUE
-
-
-def _supported(
-    rules: tuple[Rule, ...], jv: list[TruthValue], inside: list[bool]
-) -> bool:
-    """Whether some rule's body is all true: positive atoms true in J or
-    inside I, negated atoms false in J."""
-    return any(
-        all(jv[a] == _FALSE for a in neg)
-        and all(inside[a] or jv[a] == _TRUE for a in pos)
-        for pos, neg in rules
-    )
-
-
 def psi_step(
     J: PartialInterpretation, I: set[str], gp: GroundProgram
 ) -> set[str]:
     """Two-valued stage operator: heads of clauses whose body literals are
-    all true in J or (for atoms) members of I."""
-    cp = gp.compiled
-    jv = [J.value(k) for k in cp.keys]
-    inside = [k in I for k in cp.keys]
-    return {
-        key for key, rules in zip(cp.keys, cp.rules) if _supported(rules, jv, inside)
-    }
-
-
-def psi_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[set[str], int]:
-    """Least fixed point of the two-valued stage operator from the empty set.
-
-    Each step re-checks only the heads that depend positively on the atoms
-    the previous step added, and reads only the previous step's set, so the
-    step count is that of naive iteration."""
-    cp = gp.compiled
-    jv = [J.value(k) for k in cp.keys]
-    inside = [False] * len(cp.keys)
-    fresh = [h for h, rules in enumerate(cp.rules) if _supported(rules, jv, inside)]
-    steps = 1
-    while fresh:
-        for h in fresh:
-            inside[h] = True
-        candidates = {d for a in fresh for d in cp.dependents[a] if not inside[d]}
-        fresh = [h for h in candidates if _supported(cp.rules[h], jv, inside)]
-        steps += 1
-    return {k for k, yes in zip(cp.keys, inside) if yes}, steps
+    all true in J or (for atoms) members of I.  These are the atoms the
+    three-valued stage operator makes true, which reads I only through its
+    true atoms."""
+    return set(theta_step(J, interpretation(gp, I), gp).true_atoms)
 
 
 class PerfectResult(FrozenRecord):
@@ -308,11 +274,9 @@ def perfect_model(gp: GroundProgram, ls: LocalStratification) -> PerfectResult:
     current = everything_undefined(gp)
     stages = [current]
     for alpha in range(1, ls.count + 1):
-        derived, _ = psi_lfp(current, gp)
+        derived = theta_lfp(current, gp)[0].true_atoms
         sealed = ls.cumulative(alpha)
-        nxt = PartialInterpretation(
-            frozenset(derived), frozenset(sealed - derived), universe
-        )
+        nxt = PartialInterpretation(derived, sealed - derived, universe)
         if not leq(current, nxt, Ordering.FITTING):
             raise NotIncreasing("perfect-model stage sequence left the Fitting order")
         stages.append(nxt)

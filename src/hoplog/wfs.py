@@ -15,11 +15,11 @@ Both iterations run on the grounding's compiled form
 clauses.  The inner iteration works on value vectors indexed by atom id;
 each outer stage becomes a ``PartialInterpretation`` once.
 
-The inner loop is semi-naive: after the first round it recomputes only
-the atoms whose positive body inputs changed.  Rounds are synchronous, each
-reading only the previous round's values, so the stages and round counts
-are those of naive iteration of ``theta_step``; a differential test checks
-this against that iteration.
+The inner loop counts instead of rescanning, after Dowling and Gallier's
+linear-time Horn least model (J. Logic Programming, 1984): see
+``theta_lfp``.  Rounds are synchronous, each reading only the previous
+round's values, so the stages and round counts are those of naive
+iteration of ``theta_step``; a differential test checks this.
 """
 
 from __future__ import annotations
@@ -100,27 +100,74 @@ def theta_step(
 
 def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInterpretation, int]:
     """Least fixed point of the stage operator under J, from the all-false
-    start.  Returns the fixpoint and the number of rounds to stabilize."""
+    start.  Returns the fixpoint and the number of rounds to stabilize.
+
+    A rule with a negated atom true in J is dropped.  Each other rule counts
+    its positive atoms not yet true, in J or inside (kept when its negated
+    atoms are all false in J), and those still false inside (kept when none
+    is false in J).  Its head becomes true when the first count reaches
+    zero, and otherwise undefined when the second one does."""
     cp = gp.compiled
     jv = [J.value(k) for k in cp.keys]
+    true_in_j = {a for a, v in enumerate(jv) if v == _TRUE}
+    false_in_j = {a for a, v in enumerate(jv) if v == _FALSE}
     n = len(cp.keys)
+    # Per kept rule, [head, need_true, need_defined]: its positive atoms
+    # that must still become true, and those that must still leave false.
+    # A counter the rule does not keep starts at -1, so never reaches zero.
+    uses: list[list[list[int]]] = [[] for _ in range(n)]  # per positive atom
+    top = [_FALSE] * n  # per head, the value its rules' counters give
+    for h, rules in enumerate(cp.rules):
+        for pos, neg in rules:
+            if not true_in_j.isdisjoint(neg):
+                continue  # the rule's body is false
+            t = d = -1
+            if false_in_j.issuperset(neg):
+                t = len([a for a in pos if a not in true_in_j])
+            if false_in_j.isdisjoint(pos):
+                d = len(pos)
+            elif t < 0:
+                continue  # the rule's body is false
+            rule = [h, t, d]
+            for a in pos:
+                uses[a].append(rule)
+            if not t:
+                top[h] = _TRUE
+            elif not d and top[h] == _FALSE:
+                top[h] = _UNDEFINED
     values = [_FALSE] * n
-    dirty = range(n)
+    dirty = [h for h in range(n) if top[h]]
     rounds = 0
     while True:
         rounds += 1
+        # Value every revisited head before applying any change, so a round
+        # reads only the previous round's values, as theta_step does.
         changed = []
         for h in dirty:
-            v = _head_value(cp.rules[h], jv, values)
+            v = top[h]
             if v != values[h]:
                 if v < values[h]:
                     raise NotIncreasing("inner stage sequence left the truth order")
                 changed.append((h, v))
         if not changed:
             return _to_interp(values, cp), rounds
-        for h, v in changed:
-            values[h] = v
-        dirty = {d for h, _ in changed for d in cp.dependents[h]}
+        dirty = set()
+        for a, v in changed:
+            leaves_false = values[a] == _FALSE
+            becomes_true = v == _TRUE and a not in true_in_j
+            for rule in uses[a]:
+                h = rule[0]
+                if leaves_false:
+                    rule[2] -= 1
+                    if not rule[2] and top[h] == _FALSE:
+                        top[h] = _UNDEFINED
+                        dirty.add(h)
+                if becomes_true:
+                    rule[1] -= 1
+                    if not rule[1]:
+                        top[h] = _TRUE
+                        dirty.add(h)
+            values[a] = v
         # A bounded chain: each atom climbs false -> undefined -> true at most
         # twice, so stabilization needs at most 2|atoms| + 1 rounds.
         if rounds > 2 * n + 2:

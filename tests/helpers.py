@@ -46,6 +46,7 @@ from hoplog.grounder import (
     Universe,
 )
 from hoplog.interp import PartialInterpretation, everything_false, everything_undefined
+from hoplog.perfect import psi_step
 from hoplog.syntax import (
     IOTA,
     OMICRON,
@@ -275,13 +276,11 @@ def is_dead(gc: GroundClause) -> bool:
 
 def reference_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
     """The engines' integer form by a second pass over the clauses: atom
-    ids in atom-table order, one ``(positive ids, negative ids)`` rule per
-    clause without a ``false`` literal, ``true`` literals stripped, and the
-    heads that use each atom positively."""
+    ids in atom-table order, and one ``(positive ids, negative ids)`` rule
+    per clause without a ``false`` literal, ``true`` literals stripped."""
     keys = tuple(atoms)
     ids = {key: i for i, key in enumerate(keys)}
     rules: list[list] = [[] for _ in keys]
-    dependents: list[set[int]] = [set() for _ in keys]
     for gc in clauses:
         if is_dead(gc):
             continue
@@ -290,11 +289,7 @@ def reference_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
         pos = tuple(a for a, negated in lits if not negated)
         neg = tuple(a for a, negated in lits if negated)
         rules[head].append((pos, neg))
-        for a in pos:
-            dependents[a].add(head)
-    return CompiledProgram(
-        keys, tuple(tuple(r) for r in rules), tuple(tuple(sorted(d)) for d in dependents)
-    )
+    return CompiledProgram(keys, tuple(tuple(r) for r in rules))
 
 
 def reference_edges(clauses) -> tuple[tuple[str, str, bool], ...]:
@@ -348,6 +343,16 @@ def naive_theta_lfp(J: PartialInterpretation, gp: GroundProgram):
         nxt = theta_step(J, current, gp)
         if nxt == current:
             return current, rounds
+        current = nxt
+
+
+def naive_psi_lfp(J: PartialInterpretation, gp: GroundProgram) -> set[str]:
+    """psi_step iterated from the empty set until it repeats."""
+    current: set[str] = set()
+    while True:
+        nxt = psi_step(J, current, gp)
+        if nxt == current:
+            return current
         current = nxt
 
 

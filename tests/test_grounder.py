@@ -284,8 +284,6 @@ class TestCompiledProgram:
         # p a <- true, ~(r a) keeps only its negation; p b <- false, ... is gone.
         assert cp.rules[ids["p a"]] == (((), (ids["r a"],)),)
         assert cp.rules[ids["p b"]] == ()
-        assert cp.dependents[ids["p a"]] == (ids["r a"],)
-        assert cp.dependents[ids["r b"]] == ()
 
     def test_clauses_and_atom_table_untouched(self):
         gp = ground_instantiation(load(self.SOURCE), 1)

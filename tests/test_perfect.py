@@ -21,7 +21,6 @@ from hoplog.perfect import (
     _dependency_edges,
     localize,
     perfect_model,
-    psi_lfp,
     psi_step,
     stratify,
 )
@@ -32,9 +31,9 @@ from hoplog.programs import (
     STRATIFIED_BAD,
     STRATIFIED_OK,
 )
-from hoplog.wfs import well_founded_model
+from hoplog.wfs import theta_lfp, well_founded_model
 
-from helpers import load, random_program_source, random_stratified_source
+from helpers import load, naive_psi_lfp, random_program_source, random_stratified_source
 
 # Reachability along a six-node path: the first stage's psi fixpoint
 # takes seven steps, one per path length plus the confirming step.
@@ -238,20 +237,7 @@ class TestPsi:
         one = psi_step(J, set(), gp)
         two = psi_step(J, one, gp)
         assert one == {"q"} and two == {"p", "q"}
-        fix, _ = psi_lfp(J, gp)
-        assert fix == {"p", "q"}
-
-
-def naive_psi_lfp(J, gp):
-    """psi_step iterated from the empty set until it repeats."""
-    current: set[str] = set()
-    steps = 0
-    while True:
-        steps += 1
-        nxt = psi_step(J, current, gp)
-        if nxt == current:
-            return current, steps
-        current = nxt
+        assert theta_lfp(J, gp)[0].true_atoms == naive_psi_lfp(J, gp) == {"p", "q"}
 
 
 def stratified_groundings():
@@ -270,11 +256,14 @@ def stratified_groundings():
 
 
 class TestPsiLfpMatchesNaive:
-    def test_same_fixpoint_and_step_count_under_every_stage(self):
+    """A perfect-model stage derives the true atoms of the well-founded
+    engine's inner fixpoint under the stage before."""
+
+    def test_same_fixpoint_under_every_stage(self):
         checked = 0
         for name, gp, strat in stratified_groundings():
             for J in perfect_model(gp, localize(strat, gp)).stages:
-                assert psi_lfp(J, gp) == naive_psi_lfp(J, gp), name
+                assert theta_lfp(J, gp)[0].true_atoms == naive_psi_lfp(J, gp), name
                 checked += 1
         assert checked >= 60
 

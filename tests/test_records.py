@@ -57,7 +57,7 @@ def _atom():
 
 
 def _compiled():
-    return CompiledProgram(("p",), ((),), ((),))
+    return CompiledProgram(("p",), ((),))
 
 
 ATOM_REPR = "PredConst(name='p', ptype=Omicron())"
@@ -130,13 +130,13 @@ SAMPLES = {
         "ConstLit(value=False)), source_index=0, theta=(('X', Iota()),))",
     ),
     CompiledProgram: (
-        lambda: CompiledProgram(("p",), ((((0,), ()),),), ((0,),)),
-        "CompiledProgram(keys=('p',), rules=((((0,), ()),),), dependents=((0,),))",
+        lambda: CompiledProgram(("p",), ((((0,), ()),),)),
+        "CompiledProgram(keys=('p',), rules=((((0,), ()),),))",
     ),
     GroundProgram: (
         lambda: GroundProgram({"p": _atom()}, _compiled(), (("p", "p", True),), ()),
         f"GroundProgram(atoms={{'p': {ATOM_REPR}}}, compiled=CompiledProgram(keys=('p',), "
-        "rules=((),), dependents=((),)), predicate_edges=(('p', 'p', True),), clauses=())",
+        "rules=((),)), predicate_edges=(('p', 'p', True),), clauses=())",
     ),
     PartialInterpretation: (_interp, INTERP_REPR),
     Program: (

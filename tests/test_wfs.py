@@ -30,7 +30,10 @@ from helpers import (
     classical_least_model,
     is_fitting_minimal_stable,
     is_negation_free,
+    is_three_valued_stable,
     load,
+    naive_psi_lfp,
+    naive_theta_lfp,
     naive_well_founded_model,
     random_ground_source,
     random_program_source,
@@ -113,6 +116,36 @@ class TestThetaLfp:
             current = nxt
             seen.append(nxt)
         assert seen[-1] == theta_lfp(J, gp)[0]
+
+    def test_matches_naive_under_random_three_valued_j(self):
+        """Outer interpretations no stage reaches: a positive atom false in
+        J yet derived true inside, a negated atom undefined in J."""
+        rng = random.Random(41)
+        values = (TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE)
+        false_in_j_true_inside = negated_undefined = 0
+        for _ in range(400):
+            gp = gp_of(random_ground_source(rng, n_atoms=rng.randint(2, 8)))
+            cp = gp.compiled
+            for _ in range(5):
+                drawn = {key: rng.choice(values) for key in gp.atoms}
+                J = interpretation(
+                    gp,
+                    [k for k, v in drawn.items() if v == TruthValue.TRUE],
+                    [k for k, v in drawn.items() if v == TruthValue.FALSE],
+                )
+                fix = theta_lfp(J, gp)
+                assert fix == naive_theta_lfp(J, gp), (gp.clauses, J)
+                for pos, neg in (rule for rules in cp.rules for rule in rules):
+                    false_in_j_true_inside += any(
+                        J.value(cp.keys[a]) == TruthValue.FALSE
+                        and fix[0].value(cp.keys[a]) == TruthValue.TRUE
+                        for a in pos
+                    )
+                    negated_undefined += any(
+                        J.value(cp.keys[a]) == TruthValue.UNDEFINED for a in neg
+                    )
+        # 1,070 and 1,895 rules with this seed
+        assert false_in_j_true_inside >= 500 and negated_undefined >= 1000
 
 
 class TestWellFoundedModel:
@@ -253,11 +286,18 @@ class TestAlternatingFixpoint:
                 gp = relevant_grounding(program, [atom], k)
             else:
                 gp = ground_instantiation(program, k)
-            model = well_founded_model(gp).model
+            result = well_founded_model(gp)
+            model = result.model
             assert model == alternating_fixpoint(gp), query.label
+            assert result.trace == naive_well_founded_model(gp).trace, query.label
+            assert is_three_valued_stable(gp, model), query.label
             strat = stratify(program)
             if isinstance(strat, Stratification):
-                assert perfect_model(gp, localize(strat, gp)).model == model, query.label
+                perfect = perfect_model(gp, localize(strat, gp))
+                assert perfect.model == model, query.label
+                for J in perfect.stages:
+                    derived = theta_lfp(J, gp)[0].true_atoms
+                    assert derived == naive_psi_lfp(J, gp), query.label
                 stratified += 1
             checked += 1
         assert (checked, stratified) == (48, 24)
