@@ -1,7 +1,9 @@
 """Command-line driver.
 
-Subcommands: check, ground, wfs, perfect, stratify, extcheck, minimal and
-demo.  Exit codes: 0 when the requested property holds (or the computation
+One table, ``COMMANDS``, gives each subcommand's handler, summary and
+options; a small argv parser and the --help text both read it.  Options are
+spelled in full, as ``--opt value`` or ``--opt=value``; there is no ``--``.
+Exit codes: 0 when the requested property holds (or the computation
 succeeded), 2 when a semantic check fails (non-extensional model,
 unstratifiable program), 1 for usage, I/O, parse or type errors.  Output is
 JSON by default (stable key order, sorted arrays) or indented text.
@@ -9,9 +11,9 @@ JSON by default (stable key order, sorted arrays) or indented text.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .errors import HoplogError, InvalidBudget, InvalidDepth
 from .extensionality import ExtChecker
@@ -100,86 +102,64 @@ def _emit_text(value, indent: int, label: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     program = _load(args.input)
-    _emit(
-        {
-            "ok": True,
-            "clauses": len(program.clauses),
-            "signature": {n: str(t) for n, t in program.signature.entries},
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "ok": True,
+        "clauses": len(program.clauses),
+        "signature": {n: str(t) for n, t in program.signature.entries},
+    }, 0
 
 
-def cmd_ground(args) -> int:
+def cmd_ground(args) -> tuple[dict, int]:
     program = _load(args.input)
     gp = _grounding(program, args)
-    _emit(
-        {
-            "depth": args.depth,
-            "atoms": sorted(gp.atoms),
-            "clauses": [str(c) for c in gp.clauses],
-            "truncated_types": list(truncated_types(program, args.depth)),
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "depth": args.depth,
+        "atoms": sorted(gp.atoms),
+        "clauses": [str(c) for c in gp.clauses],
+        "truncated_types": list(truncated_types(program, args.depth)),
+    }, 0
 
 
-def cmd_wfs(args) -> int:
+def cmd_wfs(args) -> tuple[dict, int]:
     program = _load(args.input)
     gp = _grounding(program, args)
     result = well_founded_model(gp)
-    _emit(
-        {
-            "depth": args.depth,
-            "model": result.model.to_json_dict(),
-            "stages": result.trace.fixpoint_stage,
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "depth": args.depth,
+        "model": result.model.to_json_dict(),
+        "stages": result.trace.fixpoint_stage,
+    }, 0
 
 
-def cmd_perfect(args) -> int:
+def cmd_perfect(args) -> tuple[dict, int]:
     program = _load(args.input)
     strat = stratify(program)
     if isinstance(strat, Unstratifiable):
-        _emit(
-            {
-                "error": "perfect-model mode needs a stratified program",
-                "unstratifiable": _unstratifiable(strat),
-            },
-            args.format,
-        )
-        return 2
+        return {
+            "error": "perfect-model mode needs a stratified program",
+            "unstratifiable": _unstratifiable(strat),
+        }, 2
     gp = _grounding(program, args)
     ls = localize(strat, gp)
     result = perfect_model(gp, ls)
-    _emit(
-        {
-            "depth": args.depth,
-            "model": result.model.to_json_dict(),
-            "strata_used": strat.count,
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "depth": args.depth,
+        "model": result.model.to_json_dict(),
+        "strata_used": strat.count,
+    }, 0
 
 
-def cmd_stratify(args) -> int:
+def cmd_stratify(args) -> tuple[dict, int]:
     program = _load(args.input)
     strat = stratify(program)
     if isinstance(strat, Unstratifiable):
-        _emit({"unstratifiable": _unstratifiable(strat)}, args.format)
-        return 2
-    _emit({"strata": [list(s) for s in strat.strata]}, args.format)
-    return 0
+        return {"unstratifiable": _unstratifiable(strat)}, 2
+    return {"strata": [list(s) for s in strat.strata]}, 0
 
 
-def cmd_extcheck(args) -> int:
+def cmd_extcheck(args) -> tuple[dict, int]:
     program = _load(args.input)
     k = _depth(args)
     if args.budget is not None and args.budget < 1:
@@ -188,24 +168,19 @@ def cmd_extcheck(args) -> int:
     if args.roots:
         checker.oracle.add_atoms(_parse_roots(program, args.roots))
     report = checker.reflexivity_report()
-    _emit({"report": report.to_json_dict()}, args.format)
-    return 0 if report.extensional_at_depth else 2
+    return {"report": report.to_json_dict()}, 0 if report.extensional_at_depth else 2
 
 
-def cmd_minimal(args) -> int:
+def cmd_minimal(args) -> tuple[dict, int]:
     program = _load(args.input)
     gp = _grounding(program, args)
     ordering = Ordering(args.ordering)
     models = minimal_models_bruteforce(gp, ordering)
-    _emit(
-        {
-            "ordering": ordering.value,
-            "count": len(models),
-            "models": [m.to_json_dict() for m in models],
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "ordering": ordering.value,
+        "count": len(models),
+        "models": [m.to_json_dict() for m in models],
+    }, 0
 
 
 # ---------------------------------------------------------------------------
@@ -289,66 +264,130 @@ def _demo_stratified() -> tuple[bool, dict]:
     return ok and bad_ok, details
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> tuple[dict, int]:
     runners = {
         "lemma1": _demo_lemma1,
         "bezem": _demo_bezem,
         "stratified": _demo_stratified,
     }
     ok, details = runners[args.name]()
-    _emit({"demo": args.name, "ok": ok, "details": details}, args.format)
-    return 0 if ok else 1
+    return {"demo": args.name, "ok": ok, "details": details}, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Command line
 # ---------------------------------------------------------------------------
 
+# An argument is (name, type, choices, default, help); a subcommand is
+# (handler, summary, positional argument, options).
+_INPUT = ("input", str, None, None, "program file, or - for stdin")
+_FORMAT = ("--format", str, ("json", "text"), "json", "output format (default json)")
+_DEPTH = ("--depth", int, None, 3, "term-size bound for universes (default 3)")
+_ROOTS = ("--roots", str, None, "", "comma-separated ground atoms for demand grounding")
+_BUDGET = ("--budget", int, None, None, "term-size budget for valuations (default 4*depth)")
+_ORDERING = ("--ordering", str, ("truth", "fitting"), "fitting", "model order (default fitting)")
+_DEMO = ("name", str, ("lemma1", "bezem", "stratified"), None, "the demonstration to run")
+COMMANDS = {
+    "check": (cmd_check, "parse and type-check", _INPUT, (_FORMAT,)),
+    "ground": (cmd_ground, "dump a bounded grounding", _INPUT, (_DEPTH, _ROOTS, _FORMAT)),
+    "wfs": (cmd_wfs, "well-founded model", _INPUT, (_DEPTH, _ROOTS, _FORMAT)),
+    "perfect": (cmd_perfect, "perfect model (stratified only)", _INPUT, (_DEPTH, _ROOTS, _FORMAT)),
+    "stratify": (cmd_stratify, "stratification analysis", _INPUT, (_FORMAT,)),
+    "extcheck": (cmd_extcheck, "extensionality check", _INPUT, (_DEPTH, _ROOTS, _FORMAT, _BUDGET)),
+    "minimal": (cmd_minimal, "brute-force minimal models", _INPUT,
+                (_DEPTH, _ROOTS, _FORMAT, _ORDERING)),
+    "demo": (cmd_demo, "run a bundled demonstration", _DEMO, (_FORMAT,)),
+}
+_COMMAND = ("command", str, tuple(COMMANDS), None, None)
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="hoplog",
-        description="Typed higher-order logic programs: grounding, "
-        "well-founded and perfect models, extensionality checking.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, grounds=True):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("input", help="program file, or - for stdin")
-        if grounds:
-            p.add_argument("--depth", type=int, default=3, metavar="K",
-                           help="term-size bound for universes (default 3)")
-            p.add_argument("--roots", default="", metavar="ATOMS",
-                           help="comma-separated ground atoms for demand grounding")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.set_defaults(func=func)
-        return p
+class _UsageError(Exception):
+    """A malformed command line: its args are the subcommand, or None, and the message."""
 
-    command("check", cmd_check, "parse and type-check", grounds=False)
-    command("ground", cmd_ground, "dump a bounded grounding")
-    command("wfs", cmd_wfs, "well-founded model")
-    command("perfect", cmd_perfect, "perfect model (stratified only)")
-    command("stratify", cmd_stratify, "stratification analysis", grounds=False)
-    ext_p = command("extcheck", cmd_extcheck, "extensionality check")
-    ext_p.add_argument("--budget", type=int, default=None,
-                       help="total term-size budget for valuations (default 4*depth)")
-    min_p = command("minimal", cmd_minimal, "brute-force minimal models")
-    min_p.add_argument("--ordering", choices=("truth", "fitting"), default="fitting")
-    demo_p = sub.add_parser("demo", help="run a bundled demonstration")
-    demo_p.add_argument("name", choices=("lemma1", "bezem", "stratified"))
-    demo_p.add_argument("--format", choices=("json", "text"), default="json")
-    demo_p.set_defaults(func=cmd_demo)
-    return top
+
+def _is_option(token: str) -> bool:
+    return token[:1] == "-" and len(token) > 1 and not token[1:].isdecimal() and " " not in token
+
+
+def _checked(command, argument, text: str):
+    name, convert, choices = argument[:3]
+    if choices and text not in choices:
+        allowed = ", ".join(map(repr, choices))
+        raise _UsageError(command, f"argument {name}: invalid choice: {text!r} "
+                                   f"(choose from {allowed})")
+    try:
+        return convert(text)
+    except ValueError:
+        raise _UsageError(command, f"argument {name}: invalid int value: {text!r}") from None
+
+
+def _parse_argv(argv: list[str]):
+    """``(handler, args)`` for a command line, or ``(None, help text)`` if it asks for it."""
+    if not argv:
+        raise _UsageError(None, "the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        return None, _help(None)
+    command = _checked(None, _COMMAND, argv[0])
+    handler, _, positional, options = COMMANDS[command]
+    by_name = {option[0]: option for option in options}
+    values = {option[0][2:]: option[3] for option in options}
+    extra, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None, _help(command)
+        name, eq, text = token.partition("=")
+        if name in by_name:
+            text = text if eq else next(tokens, None)
+            if text is None or (not eq and _is_option(text)):
+                raise _UsageError(command, f"argument {name}: expected one argument")
+            values[name[2:]] = _checked(command, by_name[name], text)
+        elif _is_option(token) or positional[0] in values:
+            extra.append(token)
+        else:
+            values[positional[0]] = _checked(command, positional, token)
+    if positional[0] not in values:
+        raise _UsageError(command, f"the following arguments are required: {positional[0]}")
+    if extra:
+        raise _UsageError(command, "unrecognized arguments: " + " ".join(extra))
+    return handler, SimpleNamespace(**values)
+
+
+def _spelled(argument) -> str:
+    name, _, choices = argument[:3]
+    value = "{" + ",".join(choices) + "}" if choices else name.lstrip("-").upper()
+    return f"{name} {value}" if name[0] == "-" else value
+
+
+def _help(command) -> str:
+    """The --help text of a subcommand, or of hoplog for None; its first line is the usage."""
+    if command is None:
+        usage = f"hoplog [-h] {_spelled(_COMMAND)} ..."
+        summary = "typed higher-order logic programs: grounding, well-founded and perfect models"
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, summary, positional, options = COMMANDS[command]
+        flags = "".join(f" [{_spelled(option)}]" for option in options)
+        usage = f"hoplog {command} [-h]{flags} {_spelled(positional)}"
+        rows = [(_spelled(argument), argument[4]) for argument in (positional, *options)]
+    rows = [f"  {left:<21} {right}" for left, right in [("-h, --help", "show this help"), *rows]]
+    return "\n".join([f"usage: {usage}", "", summary, "", *rows])
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the usage error or the help
-        return 0 if exc.code == 0 else 1
-    try:
-        return args.func(args)
+        handler, args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if handler is None:
+            print(args)
+            return 0
+        payload, code = handler(args)
+        _emit(payload, args.format)
+        return code
+    except _UsageError as exc:
+        command, message = exc.args
+        prog = "hoplog" if command is None else f"hoplog {command}"
+        print(_help(command).partition("\n")[0], f"{prog}: error: {message}", sep="\n",
+              file=sys.stderr)
+        return 1
     except HoplogError as exc:
         print(json.dumps({"error": str(exc), "rule": exc.rule}, sort_keys=True),
               file=sys.stderr)

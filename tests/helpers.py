@@ -27,14 +27,19 @@ fixpoint machinery:
   themselves instead of using the brute-force oracle in ``hoplog.interp``;
 * ``reference_ext_equal`` decides extensional equality by the pairwise
   definition, scanning every argument pair, where ``ExtChecker`` compares
-  class ids.
+  class ids;
+* ``reference_parser`` declares hoplog's subcommands and options with
+  ``argparse``, option by option, where ``hoplog.cli`` parses argv from its
+  table ``COMMANDS``.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 
+from hoplog import cli
 from hoplog.errors import DepthExceeded, EmptyUniverse, GroundingLimitExceeded
 from hoplog.extensionality import ValuationOracle
 from hoplog.grounder import (
@@ -845,3 +850,36 @@ def random_witness_source(rng: random.Random) -> str:
         clauses.append(f"{name} Q <- {body}.")
     rng.shuffle(clauses)
     return "\n".join(lines + clauses) + "\n"
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """hoplog's command line declared with argparse, written out by hand
+    rather than read from ``cli.COMMANDS``, with prefix abbreviations
+    refused.  It still accepts ``--``, which hoplog refuses."""
+    top = argparse.ArgumentParser(prog="hoplog", allow_abbrev=False)
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def command(name, func, grounds=True):
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("input")
+        if grounds:
+            p.add_argument("--depth", type=int, default=3)
+            p.add_argument("--roots", default="")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(func=func)
+        return p
+
+    command("check", cli.cmd_check, grounds=False)
+    command("ground", cli.cmd_ground)
+    command("wfs", cli.cmd_wfs)
+    command("perfect", cli.cmd_perfect)
+    command("stratify", cli.cmd_stratify, grounds=False)
+    command("extcheck", cli.cmd_extcheck).add_argument("--budget", type=int, default=None)
+    command("minimal", cli.cmd_minimal).add_argument(
+        "--ordering", choices=("truth", "fitting"), default="fitting"
+    )
+    demo = sub.add_parser("demo", allow_abbrev=False)
+    demo.add_argument("name", choices=("lemma1", "bezem", "stratified"))
+    demo.add_argument("--format", choices=("json", "text"), default="json")
+    demo.set_defaults(func=cli.cmd_demo)
+    return top

@@ -1,7 +1,10 @@
 """Command-line driver: subcommands, exit codes, output determinism."""
 
+import argparse
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hoplog
-from hoplog.cli import main
+from hoplog.cli import COMMANDS, _parse_argv, main
 from hoplog.programs import (
     CORPUS,
     NONEXTENSIONAL,
@@ -18,6 +21,8 @@ from hoplog.programs import (
     STRATIFIED_BAD,
     STRATIFIED_OK,
 )
+
+from helpers import reference_parser
 
 
 @pytest.fixture
@@ -290,8 +295,9 @@ class TestDepthBelowOne:
 
 
 class TestUsageErrors:
-    """argparse's own errors exit 1, like every other usage error; exit 2
-    stays reserved for a failed semantic check."""
+    """A malformed command line exits 1 with a usage line and an error line
+    on stderr, and nothing on stdout; exit 2 stays reserved for a failed
+    semantic check."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -300,8 +306,25 @@ class TestUsageErrors:
             [],  # no subcommand
             ["wfs"],  # no input
             ["wfs", "FILE", "--depth", "abc"],  # non-integer --depth
+            ["wfs", "FILE", "--format", "xml"],
+            ["nosuch", "FILE"],
+            ["wfs", "FILE", "--depth"],  # missing value
+            ["wfs", "FILE", "--depth=abc"],
+            ["wfs", "FILE", "--dep", "1"],  # options are spelled in full
+            ["wfs", "--", "FILE"],  # no -- separator
         ],
-        ids=["unknown-option", "no-subcommand", "no-input", "non-integer-depth"],
+        ids=[
+            "unknown-option",
+            "no-subcommand",
+            "no-input",
+            "non-integer-depth",
+            "unknown-format",
+            "unknown-subcommand",
+            "missing-value",
+            "non-integer-depth-after-equals",
+            "abbreviated-option",
+            "double-dash",
+        ],
     )
     def test_usage_error_exits_one(self, capsys, tmp_path, argv):
         path = tmp_path / "input.hop"
@@ -311,10 +334,18 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "usage: hoplog" in captured.err and "error:" in captured.err
 
-    @pytest.mark.parametrize("argv", [["--help"], ["wfs", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["wfs", "--help"], ["wfs", "FILE", "-h"]])
     def test_help_exits_zero(self, capsys, argv):
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("usage: hoplog")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_the_options_of_the_table_entry(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        usage, _, rows = capsys.readouterr().out.partition("\n")
+        declared = {option[0] for option in COMMANDS[command][3]}
+        assert set(re.findall(r"--[a-z]+", usage)) == declared
+        assert set(re.findall(r"--[a-z]+", rows)) == declared | {"--help"}
 
     # Each option a subcommand's handler never reads: 11 in all.
     IGNORED = [
@@ -417,13 +448,14 @@ class TestHashSeed:
 
 
 class TestStartup:
-    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
-        # Records are plain slotted classes: defining them generates and
-        # compiles no code, and needs neither module.  -S keeps site
-        # customizations from importing either one first.
+    @staticmethod
+    def loaded_after_import(modules) -> list[str]:
+        """Those of ``modules`` that ``import hoplog.cli`` loads; -S keeps
+        site customizations from importing any of them first."""
         script = (
             "import sys, hoplog.cli\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+            f"loaded = sorted(m for m in {tuple(modules)!r} if m in sys.modules)\n"
+            "import json; print(json.dumps(loaded))"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(hoplog.__file__).resolve().parents[1]))
         done = subprocess.run(
@@ -434,9 +466,141 @@ class TestStartup:
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        return json.loads(done.stdout)
+
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # Records are plain slotted classes: defining them generates and
+        # compiles no code, and needs neither module.
+        assert self.loaded_after_import(("dataclasses", "inspect")) == []
+
+    def test_import_leaves_argparse_gettext_and_locale_unloaded(self):
+        # The command line is parsed from the COMMANDS table, and nothing
+        # translates its messages.
+        assert self.loaded_after_import(("argparse", "gettext", "locale")) == []
 
     def test_every_exported_name_resolves(self):
         namespace: dict = {}
         exec("from hoplog import *", namespace)  # raises on a name that does not resolve
         assert set(hoplog.__all__) <= set(namespace)
+
+
+class TestParserAgainstArgparse:
+    """``cli._parse_argv`` against ``helpers.reference_parser``: the same
+    handler and values on every well-formed command line tried, and a usage
+    error on every malformed one."""
+
+    # Two values per option, the second a negative integer where it can be;
+    # a --roots value may begin with a dash when it holds a space.
+    VALUES = {
+        "--depth": ("2", "-1"),
+        "--roots": ("p, q", "-x y"),
+        "--format": ("text", "json"),
+        "--budget": ("7", "-3"),
+        "--ordering": ("truth", "fitting"),
+    }
+
+    @staticmethod
+    def subparsers():
+        top = reference_parser()
+        (action,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+        return top, action.choices
+
+    @staticmethod
+    def options(subparser) -> list[str]:
+        names = [a.option_strings[-1] for a in subparser._actions if a.option_strings]
+        return [name for name in names if name != "--help"]
+
+    def assert_same(self, reference, argv):
+        expected = vars(reference.parse_args(argv))
+        handler, args = _parse_argv(argv)
+        assert handler is expected.pop("func"), argv
+        expected.pop("command")
+        assert vars(args) == expected, argv
+
+    def test_the_table_declares_the_reference_options(self):
+        _, subparsers = self.subparsers()
+        assert list(subparsers) == list(COMMANDS)
+        for name, subparser in subparsers.items():
+            assert [option[0] for option in COMMANDS[name][3]] == self.options(subparser)
+
+    def test_every_option_subset_form_and_placement(self):
+        reference, subparsers = self.subparsers()
+        checked = 0
+        for name, subparser in subparsers.items():
+            options = self.options(subparser)
+            inputs = ("lemma1", "stratified") if name == "demo" else ("prog.hop", "-")
+            for size in range(len(options) + 1):
+                for subset in itertools.combinations(options, size):
+                    for joined, positional in itertools.product((True, False), inputs):
+                        words = [
+                            [f"{o}={self.VALUES[o][0]}"] if joined else [o, self.VALUES[o][0]]
+                            for o in subset
+                        ]
+                        flat = [w for word in words for w in word]
+                        half = [w for word in words[: len(words) // 2] for w in word]
+                        rest = [w for word in words[len(words) // 2 :] for w in word]
+                        for argv in (
+                            [name, *flat, positional],
+                            [name, positional, *flat],
+                            [name, *half, positional, *rest],
+                        ):
+                            self.assert_same(reference, argv)
+                            checked += 1
+        assert checked == 744
+
+    def test_repeated_options_and_negative_integers(self):
+        reference, subparsers = self.subparsers()
+        for name, subparser in subparsers.items():
+            positional = "bezem" if name == "demo" else "prog.hop"
+            for option in self.options(subparser):
+                first, second = self.VALUES[option]
+                for argv in (
+                    [name, positional, option, first, option, second],
+                    [name, f"{option}={second}", positional, f"{option}={first}"],
+                    [name, option, second, positional],
+                ):
+                    self.assert_same(reference, argv)
+        self.assert_same(reference, ["wfs", "--depth", "-0", "--depth=-12", "-"])
+
+    BAD = [
+        ["wfs", "FILE", "--bogus"],
+        ["wfs", "FILE", "--bogus=2"],
+        ["wfs", "--bogus", "FILE", "extra"],
+        ["check", "FILE", "--depth=2"],
+        ["stratify", "--roots", "p", "FILE"],
+        ["extcheck", "FILE", "--ordering", "truth"],
+        ["wfs", "FILE", "FILE"],
+        ["wfs", "FILE", "--dep", "1"],
+        ["nosuch", "FILE"],
+        [],
+        ["wfs"],
+        ["wfs", "--depth", "2"],
+        ["wfs", "FILE", "--depth"],
+        ["wfs", "FILE", "--depth", "--format", "json"],
+        ["wfs", "FILE", "--depth=abc"],
+        ["wfs", "FILE", "--depth", "1.5"],
+        ["extcheck", "FILE", "--budget", "x"],
+        ["wfs", "FILE", "--format", "xml"],
+        ["minimal", "FILE", "--ordering", "bogus"],
+        ["demo", "nosuch"],
+        ["demo", "lemma1", "bezem"],
+        ["--depth", "1", "wfs", "FILE"],
+    ]
+
+    @pytest.mark.parametrize("argv", BAD, ids=lambda argv: " ".join(argv) or "empty")
+    def test_both_refuse(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.hop"
+        path.write_text(STRATIFIED_OK)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as refused:
+            reference_parser().parse_args(argv)
+        assert refused.value.code == 2
+        expected = capsys.readouterr().err
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: hoplog")
+        error = [line for line in captured.err.splitlines() if "error: " in line]
+        assert len(error) == 1
+        if "unrecognized arguments" in expected:
+            assert error[0].split("error: ", 1)[1] == expected.split("error: ", 1)[1].strip()
