@@ -5,13 +5,15 @@ options; a small argv parser and the --help text both read it.  Options are
 spelled in full, as ``--opt value`` or ``--opt=value``; there is no ``--``.
 Exit codes: 0 when the requested property holds (or the computation
 succeeded), 2 when a semantic check fails (non-extensional model,
-unstratifiable program), 1 for usage, I/O, parse or type errors.  Output is
+unstratifiable program), 1 for usage, I/O, parse or type errors.  Output
+into a pipe whose reader has gone stops quietly, with exit 0.  Output is
 JSON by default (stable key order, sorted arrays) or indented text.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -378,9 +380,11 @@ def main(argv=None) -> int:
         handler, args = _parse_argv(sys.argv[1:] if argv is None else argv)
         if handler is None:
             print(args)
-            return 0
-        payload, code = handler(args)
-        _emit(payload, args.format)
+            code = 0
+        else:
+            payload, code = handler(args)
+            _emit(payload, args.format)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except _UsageError as exc:
         command, message = exc.args
@@ -392,6 +396,12 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "rule": exc.rule}, sort_keys=True),
               file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader has gone, as under ``| head -1``: stop writing.  Point
+        # stdout at the null device so the interpreter's flush at exit of
+        # what is left unwritten meets no closed pipe either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -17,34 +17,23 @@ A cap on the symbols of one universe bounds both modes, and the
 truncation probe, against deep or wide universes.
 
 Both modes compile each clause once per grounding into ``str.format``
-templates, one for its head and one for each body literal, and print each
-instance's atoms from the printed forms of its variables' values.  The atom
-table maps each printed key to its atom, the interned ground term of type o
-whose ``text`` is that key, built only the first time the key appears; a
-grounding whose clause count would pass ``DEFAULT_MAX_CLAUSES`` is refused
-before it is enumerated.
-
-Equality literals are resolved at grounding time: syntactically identical
-sides make the literal true, different sides false.  An instance with a
-false equality is dead.  Its atoms still enter the atom table, so the model
-lists them, but it yields no rule.
-
-The grounding produces the integer form both engines run on
-(``GroundProgram.compiled``) as it goes: an atom gets its id when it enters
-the table, and each live instance appends its rule.  No clause object is
-built on that path.  A grounding call whose atom literals can bring no new
-atom into the table enumerates only its live instances.  ``clauses``, the
-instances as ``GroundClause`` records, dead ones included, is built the
-first time something reads it.
+templates.  The atom table maps each printed key to its atom, the interned
+ground term of type o with that ``text``; it holds every atom of every
+instance, filled from each atom literal's projection.  Equalities resolve
+at grounding time; an instance with a false one is dead.  The engines' form
+(``GroundProgram.compiled``) comes from semi-naive joins over the
+possibly-true atoms, so it holds only rules that can fire.  ``clauses``, the
+instances as ``GroundClause`` records, is enumerated when first read.  A
+grounding whose instance count would pass ``DEFAULT_MAX_CLAUSES`` is refused
+before any of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable
-from typing import NamedTuple
 
 from .errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
 from .records import FrozenRecord, Record, _set
@@ -52,7 +41,6 @@ from .syntax import (
     IOTA,
     App,
     Arrow,
-    Clause,
     Eq,
     Expr,
     FunApp,
@@ -63,8 +51,8 @@ from .syntax import (
     PredVar,
     Signature,
     TypeExpr,
-    Var,
     apply_substitution,
+    build_spine,
     canonical_print,
     is_argument_type,
     is_ground,
@@ -146,9 +134,9 @@ class CompiledProgram(FrozenRecord):
     """The integer form both engines run on.
 
     Atom ids follow the atom table's order.  ``rules[h]`` lists one
-    ``(positive ids, negative ids)`` pair per live clause with head h.  A
-    clause with a ``false`` literal is dropped and ``true`` literals are
-    stripped, so no rule carries a resolved equality.
+    ``(positive ids, negative ids)`` pair per live instance with head h
+    whose positive atoms can all be true; ``true`` literals are stripped,
+    so no rule carries a resolved equality.
     """
 
     __slots__ = ("keys", "rules")
@@ -219,6 +207,7 @@ class Universe:
         self._by_size: dict[tuple[TypeExpr, int], tuple[Expr, ...]] = {}
         # per type: every size below this one is in _by_size
         self._built_below: dict[TypeExpr, int] = {}
+        self._terms: dict[tuple[TypeExpr, int], tuple[Expr, ...]] = {}  # of terms(rho, k)
         self.symbols = 0
         # spine heads: predicate constants with every partial-application
         # result type they can produce
@@ -292,10 +281,10 @@ class Universe:
                     yield (t,) + tail
 
     def terms(self, rho: TypeExpr, k: int) -> tuple[Expr, ...]:
-        out: list[Expr] = []
-        for s in range(1, k + 1):
-            out.extend(self._terms_exact(rho, s))
-        return tuple(out)
+        if (rho, k) not in self._terms:
+            sizes = [self._terms_exact(rho, s) for s in range(1, k + 1)]
+            self._terms[rho, k] = tuple(itertools.chain.from_iterable(sizes))
+        return self._terms[rho, k]
 
     def is_truncated(self, rho: TypeExpr, k: int) -> bool:
         """True if terms of type rho exist beyond the size bound."""
@@ -327,200 +316,142 @@ _TRUE = ConstLit(True)
 _FALSE = ConstLit(False)
 
 
-class _LiveInstances(NamedTuple):
-    """What a template needs to enumerate its live instances alone.
+class _Template:
+    """A clause compiled once per grounding.  Field i of each format string
+    is the i-th variable of ``clause.variables()``, filled with its value, a
+    ground term.  The ``n_bound`` leading variables take a matched head's
+    arguments (demand grounding binds the formals); the rest range over
+    ``domains``.  A projection format numbers a literal's unbound variables
+    after the bound ones, by first use, as its tuples give their values."""
 
-    An atom literal's projection is the set of atoms it takes over the
-    product of its own variables' domains.  ``projections`` gives, for each
-    atom literal with an unbound variable (the head first), its format with
-    the fields renumbered by first use, and per renumbered field the clause
-    field and its variable's type.  ``singles`` gives the formats of the atom
-    literals whose variables are all bound: each projects to one atom.
-    """
-
-    projections: tuple[tuple[str, tuple[tuple[int, TypeExpr], ...]], ...]
-    singles: tuple[str, ...]
-    binding_checks: tuple[tuple[str, str], ...]  # equalities over bound fields
-    domains: tuple[tuple[Expr, ...], ...]  # narrowed by each guard V = t, t ground
-    instance_checks: tuple[tuple[str, str], ...]  # every other equality
-    pos: tuple[str, ...]  # formats of the positive body atoms
-    neg: tuple[str, ...]  # formats of the negated body atoms
-
-
-class _Template(NamedTuple):
-    """A clause compiled once per grounding.
-
-    Field i of each format string is the i-th variable of
-    ``clause.variables()``, filled with its value, a ground term.  The values
-    of the leading variables come from a matched head (demand grounding
-    binds the formals); the rest range over ``domains``.
-    """
-
-    index: int
-    theta: tuple[tuple[str, int], ...]  # (name, field), sorted by name
-    domains: tuple[tuple[Expr, ...], ...]
-    count: int  # instances per binding of the leading variables
-    head: tuple[str, Expr]  # (format, head atom)
-    # (negated, format, atom) for an atom or a negated atom;
-    # (None, lhs format, rhs format) for an equality
-    body: tuple[tuple, ...]
-    head_pred: str
-    # (field, negated) for each atom literal headed by a bound variable
-    bound_heads: tuple[tuple[int, bool], ...]
-    # None when a binding has one instance and the body no equality, so
-    # that enumerating live instances alone could save nothing
-    live: _LiveInstances | None
-
-
-def _live_instances(
-    clause: Clause,
-    variables: tuple[Var, ...],
-    fields: dict[str, int],
-    n_bound: int,
-    domains: list[tuple[Expr, ...]],
-) -> _LiveInstances:
-    projections, singles, pos, neg = [], [], [], []
-    binding_checks, instance_checks = [], []
-    narrowed = list(domains)
-
-    def project(atom: Expr) -> None:
-        order = list(dict.fromkeys(fields[v.name] for v in vars_in_order(atom)))
-        if all(f < n_bound for f in order):
-            singles.append(print_template(atom, fields))
-        else:
-            renumbered = {variables[f].name: j for j, f in enumerate(order)}
-            spec = tuple((f, variables[f].typ) for f in order)
-            projections.append((print_template(atom, renumbered), spec))
-
-    project(clause.head_atom())
-    for lit in clause.body:
-        if isinstance(lit, Eq):
-            lhs, rhs = print_template(lit.lhs, fields), print_template(lit.rhs, fields)
-            if all(fields[v.name] < n_bound for v in vars_in_order(lit)):
-                binding_checks.append((lhs, rhs))
-                continue
-            for var, other, other_format in ((lit.lhs, lit.rhs, rhs), (lit.rhs, lit.lhs, lhs)):
-                if isinstance(var, (IndVar, PredVar)) and is_ground(other):
-                    i = fields[var.name] - n_bound  # a bound var would leave no free field
-                    text = other_format.format()
-                    narrowed[i] = tuple(v for v in narrowed[i] if v.text == text)
-                    break
-            else:
-                instance_checks.append((lhs, rhs))
-            continue
-        negated = isinstance(lit, Neg)
-        atom = lit.atom if negated else lit
-        project(atom)
-        (neg if negated else pos).append(print_template(atom, fields))
-    return _LiveInstances(
-        tuple(projections),
-        tuple(singles),
-        tuple(binding_checks),
-        tuple(narrowed),
-        tuple(instance_checks),
-        tuple(pos),
-        tuple(neg),
-    )
-
-
-class _Grounding:
-    """One grounding under way: clause templates, the atom table, the
-    compiled rules so far and the calls that produced them.
-
-    Each atom gets its id when it is admitted, and each live instance
-    appends its ``(positive ids, negative ids)`` rule to its head's, so the
-    compiled form comes straight out of the grounding.  An instance costs
-    one ``str.format`` per literal and a lookup in the atom table.  Only a
-    key printed for the first time builds its atom, by substitution; that
-    atom's canonical printing must equal the key, so the printer stays
-    authoritative.
-
-    A call enumerates every instance, dead ones included, so that the table
-    holds every atom of every instance, unless the projections of all its
-    atom literals are in the table already: a full enumeration fills every
-    projection it touches.  Such a call can admit nothing new, so only its
-    live instances are enumerated, and each guard ``V = t`` with t ground
-    narrows V's domain first.
-    """
-
-    bind_formals = False
-
-    def __init__(self, program: Program, k: int):
-        self.program = program
-        self.k = k
-        self.universe = Universe(program.signature)
-        self.atoms: dict[str, Expr] = {}
-        self.ids: dict[str, int] = {}
-        self.rules: list[list[Rule]] = []
-        self.edges: dict[PredicateEdge, None] = {}
-        self.calls: list[tuple[_Template, tuple[Expr, ...]]] = []
-        self.clause_count = 0
-        self._filled: set[tuple] = set()  # projections a full enumeration filled
-        self._templates: dict[int, _Template] = {}
-
-    def result(self) -> GroundProgram:
-        compiled = CompiledProgram(tuple(self.atoms), tuple(tuple(r) for r in self.rules))
-        calls, atoms = self.calls, self.atoms
-        return GroundProgram(atoms, compiled, tuple(self.edges), lambda: _clauses(calls, atoms))
-
-    def template(self, index: int) -> _Template:
-        t = self._templates.get(index)
-        if t is None:
-            t = self._templates[index] = self._build_template(index)
-        return t
-
-    def _build_template(self, index: int) -> _Template:
-        clause = self.program.clauses[index]
-        variables = clause.variables()
+    def __init__(self, g: _Grounding, index: int) -> None:
+        clause, k = g.program.clauses[index], g.k
+        n_bound = len(clause.formals) if g.bind_formals else 0
+        self.index = index
+        self.variables = variables = clause.variables()
         fields = {v.name: i for i, v in enumerate(variables)}
-        n_bound = len(clause.formals) if self.bind_formals else 0
-        domains = []
+        self.domains = domains = []
         for v in variables[n_bound:]:
-            domain = self.universe.terms(v.typ, self.k)
-            if not domain:
-                raise EmptyUniverse(
-                    f"variable {v.name} : {v.typ} of clause {index} has an empty "
-                    f"size-{self.k} universe"
-                )
-            domains.append(domain)
-        head_pred = clause.head_pred.name
-        body, bound_heads = [], []
+            domains.append(g.universe.terms(v.typ, k))
+            if not domains[-1]:
+                raise EmptyUniverse(f"variable {v.name} : {v.typ} of clause {index} has an "
+                                    f"empty size-{k} universe")
+        self.count = math.prod(len(d) for d in domains)  # instances per call
+        head = clause.head_atom()
+        self.head = print_template(head, fields)
+        self.head_pred = head_pred = clause.head_pred.name
+        self.body = body = []  # (negated, format, atom), or (None, lhs, rhs) for an equality
+        self.bound_heads = []  # (field, negated) per literal a bound variable heads
+        # per atom literal, the head first unless it is demanded: (projection
+        # format, atom, its unbound variables' fields, and a spine to build it)
+        literals = [] if g.bind_formals else [_literal(head, self.head, fields, n_bound)]
+        self.literals = literals
+        self.binding_checks, self.checks = [], []  # equalities over bound fields alone; others
+        self.pos = []  # the literals of the positive atoms
+        guards: dict[int, set[str]] = {}  # per field, the texts guards require
         for lit in clause.body:
             if isinstance(lit, Eq):
-                body.append(
-                    (None, print_template(lit.lhs, fields), print_template(lit.rhs, fields))
-                )
+                lhs, rhs = print_template(lit.lhs, fields), print_template(lit.rhs, fields)
+                body.append((None, lhs, rhs))
+                for var, other, text in ((lit.lhs, lit.rhs, rhs), (lit.rhs, lit.lhs, lhs)):
+                    if isinstance(var, (IndVar, PredVar)) and is_ground(other):
+                        guards.setdefault(fields[var.name], set()).add(text.format())
+                        break
+                bound = all(fields[v.name] < n_bound for v in vars_in_order(lit))
+                (self.binding_checks if bound else self.checks).append((lhs, rhs))
                 continue
             negated = isinstance(lit, Neg)
             atom = lit.atom if negated else lit
             body.append((negated, print_template(atom, fields), atom))
+            if not negated:
+                self.pos.append(len(literals))
+            literals.append(_literal(atom, body[-1][1], fields, n_bound))
             lead, _ = spine(atom)
             if isinstance(lead, PredConst):
-                self.edges[head_pred, lead.name, negated] = None
+                g.edges[head_pred, lead.name, negated] = None
             elif fields[lead.name] < n_bound:
-                bound_heads.append((fields[lead.name], negated))
+                self.bound_heads.append((fields[lead.name], negated))
             else:
                 for value in domains[fields[lead.name] - n_bound]:
-                    self.edges[head_pred, spine(value)[0].name, negated] = None
-        count = math.prod(len(d) for d in domains)
-        live = None
-        if count > 1 or any(negated is None for negated, _, _ in body):
-            live = _live_instances(clause, variables, fields, n_bound, domains)
-        head = clause.head_atom()
-        return _Template(
-            index,
-            tuple(sorted(fields.items())),
-            tuple(domains),
-            count,
-            (print_template(head, fields), head),
-            tuple(body),
-            head_pred,
-            tuple(bound_heads),
-            live,
+                    g.edges[head_pred, spine(value)[0].name, negated] = None
+        self.bound_guards = [(f, t) for f, ts in sorted(guards.items()) if f < n_bound for t in ts]
+        self.neg = [fmt for negated, fmt, _ in body if negated]  # formats of negated atoms
+        # plans[q] joins a tuple of positive atom q with the others in body
+        # order.  A step (r, key positions, their fields, (field, position)
+        # per field it binds) looks r's tuples up by the fields bound so far.
+        lvs = [literals[i][2] for i in self.pos]
+        self.plans = []
+        for q, lv in enumerate(lvs):
+            seen, steps = set(lv), []
+            for r, other in enumerate(lvs):
+                if r != q:
+                    keys = tuple(p for p, f in enumerate(other) if f in seen)
+                    binds = tuple((f, p) for p, f in enumerate(other) if f not in seen)
+                    steps.append((r, keys, tuple(other[p] for p in keys), binds))
+                    seen.update(other)
+            self.plans.append(steps)
+        # per positive atom, the key positions its tuples are indexed by
+        self.slots = [{s[1] for p in self.plans for s in p if s[0] == q} for q in range(len(lvs))]
+        joined = set(range(n_bound)).union(*lvs)
+        self.rest = [f for f in range(len(variables)) if f not in joined]  # fields no join binds
+        self.rest_domains = [  # narrowed by their guards V = t, t ground
+            [v for v in domains[f - n_bound] if len(guards[f]) == 1 and v.text in guards[f]]
+            if f in guards else domains[f - n_bound] for f in self.rest
+        ]
+
+
+def _literal(atom: Expr, fmt: str, fields: dict[str, int], n_bound: int) -> tuple:
+    names = tuple(dict.fromkeys(v.name for v in vars_in_order(atom)))
+    own = tuple(fields[name] for name in names if fields[name] >= n_bound)
+    number = {f: n_bound + j for j, f in enumerate(own)}  # bound fields keep theirs
+    if any(number[f] != f for f in own):
+        fmt = print_template(atom, {x: number.get(fields[x], fields[x]) for x in names})
+    head, args = spine(atom)  # a predicate constant on variables alone: build it directly
+    if isinstance(head, PredConst) and all(isinstance(a, (IndVar, PredVar)) for a in args):
+        return fmt, atom, own, head, [number.get(fields[a.name], fields[a.name]) for a in args]
+    return fmt, atom, own, None, None
+
+
+class _Grounding:
+    """One grounding under way: clause templates, the atom table and the
+    compiled rules.  A literal's projection, its atoms over the product of
+    its own variables' values, holds those of all instances, dead ones
+    included.  A key printed for the first time builds its atom, whose
+    canonical printing must equal the key: the printer stays authoritative."""
+
+    bind_formals = False
+
+    def __init__(self, program: Program, k: int):
+        self.program, self.k = program, k
+        self.universe = Universe(program.signature)
+        self.table: list[Expr] = []  # the atoms by id
+        self.ids: dict[str, int] = {}
+        self.rules: list[list[Rule]] = []
+        self.edges: dict[PredicateEdge, None] = {}
+        self.clause_count = 0
+        self._templates: dict[int, _Template] = {}
+        self._projections: dict[tuple, list[tuple[tuple[Expr, ...], int]]] = {}
+        # (template, bound values) per call that can live; per atom id,
+        # (call, positive atom, tuple) for each positive atom taking it
+        self._live: list[tuple[_Template, tuple[Expr, ...]]] = []
+        self._uses: defaultdict[int, list] = defaultdict(list)
+
+    def result(self, calls, calls_of=None, roots=()) -> GroundProgram:
+        self._solve()
+        atoms = {atom.text: atom for atom in self.table}
+        compiled = CompiledProgram(tuple(atoms), tuple(tuple(r) for r in self.rules))
+        return GroundProgram(
+            atoms, compiled, tuple(self.edges), lambda: _clauses(atoms, calls, calls_of, roots)
         )
 
+    def template(self, index: int) -> _Template:
+        t = self._templates.get(index)
+        if t is None:
+            t = self._templates[index] = _Template(self, index)
+        return t
+
     def ground(self, t: _Template, bound: tuple[Expr, ...] = ()) -> None:
-        """Add every instance of t whose leading variables take ``bound``."""
+        """Count t's instances under ``bound``, admit its projections, keep a live call."""
         total = self.clause_count + t.count
         if total > DEFAULT_MAX_CLAUSES:
             raise GroundingLimitExceeded(
@@ -528,93 +459,128 @@ class _Grounding:
                 f"over the cap of {DEFAULT_MAX_CLAUSES}"
             )
         self.clause_count = total
-        self.calls.append((t, bound))
         for field, negated in t.bound_heads:
             self.edges[t.head_pred, spine(bound[field])[0].name, negated] = None
-        plan = t.live
-        if plan is None:
-            self._enumerate_all(t, bound)
+        projected, ids, uses = [], self.ids, self._uses
+        for literal in t.literals:  # an atom with no free variable is likely known
+            a = None if literal[2] else ids.get(literal[0].format(*bound))
+            projected.append(self._project(t, literal, bound) if a is None else [((), a)])
+        checks = t.binding_checks
+        if checks and any(lhs.format(*bound) != rhs.format(*bound) for lhs, rhs in checks):
             return
-        n = len(bound)
-        keys = [
-            (fmt, tuple([bound[f] if f < n else typ for f, typ in spec]))
-            for fmt, spec in plan.projections
-        ]
-        ids = self.ids
-        for fmt in plan.singles:
-            if fmt.format(*bound) not in ids:
-                break
-        else:
-            if self._filled.issuperset(keys):
-                self._enumerate_live(plan, t.head[0], bound)
-                return
-        self._enumerate_all(t, bound)
-        self._filled.update(keys)
+        c = len(self._live)
+        self._live.append((t, bound))
+        for q, i in enumerate(t.pos):
+            for tup, a in projected[i]:
+                uses[a].append((c, q, tup))
 
-    def _enumerate_all(self, t: _Template, bound: tuple[Expr, ...]) -> None:
-        """Every instance: admit each new atom, and add each live rule."""
-        ids, rules = self.ids, self.rules
-        head_format, head_expr = t.head
-        for combo in itertools.product(*t.domains):
-            values = bound + combo
-            key = head_format.format(*values)
-            head = ids.get(key)
-            if head is None:
-                head = self._new_atom(key, head_expr, t, values)
-            pos, neg, live = [], [], True
-            for negated, fmt, arg in t.body:
-                if negated is None:
-                    live = live and fmt.format(*values) == arg.format(*values)
-                    continue
-                key = fmt.format(*values)
-                a = ids.get(key)
-                if a is None:
-                    a = self._new_atom(key, arg, t, values)
-                (neg if negated else pos).append(a)
-            if live:
-                rules[head].append((tuple(pos), tuple(neg)))
+    def _project(self, t: _Template, literal: tuple, bound: tuple[Expr, ...]) -> list:
+        """(values of its unbound variables, atom id) per atom of a literal's
+        projection, admitting each new atom; computed once if one is free."""
+        fmt, expr, free, head, args = literal
+        if free:
+            key = (fmt, bound, tuple([t.variables[f].typ for f in free]))
+            found = self._projections.get(key)
+            if found is not None:
+                return found
+        n, found, ids = len(bound), [], self.ids
+        for tup in itertools.product(*[t.domains[f - n] for f in free]) if free else [()]:
+            text = fmt.format(*bound, *tup)
+            a = ids.get(text)
+            if a is None:
+                values = bound + tup
+                if head is not None:
+                    atom = build_spine(head, [values[i] for i in args])
+                else:
+                    theta = {t.variables[f].name: v for f, v in zip((*range(n), *free), values)}
+                    atom = ground_atom(apply_substitution(expr, theta))
+                if atom.text != text:
+                    raise TemplateMismatch(f"clause {t.index}: the template printed "
+                                           f"{text!r} for the atom {atom.text!r}")
+                a = self._admit(atom)
+            found.append((tup, a))
+        if free:
+            self._projections[key] = found
+        return found
 
-    def _enumerate_live(
-        self, plan: _LiveInstances, head_format: str, bound: tuple[Expr, ...]
-    ) -> None:
-        """The live instances alone; every atom they print is in the table."""
-        for lhs, rhs in plan.binding_checks:
-            if lhs.format(*bound) != rhs.format(*bound):
-                return
-        ids, rules, checks = self.ids, self.rules, plan.instance_checks
-        for combo in itertools.product(*plan.domains):
-            values = bound + combo
-            if checks and any(lhs.format(*values) != rhs.format(*values) for lhs, rhs in checks):
-                continue
-            rules[ids[head_format.format(*values)]].append(
-                (
-                    tuple([ids[fmt.format(*values)] for fmt in plan.pos]),
-                    tuple([ids[fmt.format(*values)] for fmt in plan.neg]),
-                )
-            )
-
-    def _new_atom(
-        self, key: str, expr: Expr, t: _Template, values: tuple[Expr, ...]
-    ) -> int:
-        theta = {name: values[i] for name, i in t.theta}
-        atom = ground_atom(apply_substitution(expr, theta))
-        if atom.text != key:
-            raise TemplateMismatch(
-                f"clause {t.index}: the template printed {key!r} for the atom {atom.text!r}"
-            )
-        return self._admit(atom)
-
-    def _admit(self, atom: Expr) -> int:
-        """Add an atom to the table; return its id."""
-        i = self.ids[atom.text] = len(self.rules)
-        self.atoms[atom.text] = atom
+    def _admit(self, atom: Expr) -> int:  # the new atom's id
+        i = self.ids[atom.text] = len(self.table)
+        self.table.append(atom)
         self.rules.append([])
         return i
+
+    def _solve(self) -> None:
+        """Add the rule of each live instance whose positive atoms are all
+        possibly true: in the least model of the live instances with their
+        negated atoms dropped.  No other rule fires in any stage of either
+        engine.  Semi-naive: instances without a positive atom come first;
+        then each atom found possibly true joins each tuple it gives a
+        positive atom q with those the call's other positive atoms take from
+        atoms found before it, or from it after q, so an instance is built
+        once, with its last positive atom; a one-instance call counts them."""
+        ids, rules, live, uses = self.ids, self.rules, self._live, self._uses
+        indexes: dict[tuple, dict] = {}  # (call, positive atom, key positions) -> tuples by key
+        possible = bytearray(len(rules))
+        pending = [len(t.pos) for t, _ in live]  # positive atoms not yet found, per call
+        queue: deque[int] = deque()
+
+        def fire(t: _Template, values: list, pos_ids: tuple[int, ...]) -> None:
+            for combo in itertools.product(*t.rest_domains):
+                for f, v in zip(t.rest, combo):
+                    values[f] = v
+                if t.checks and any(l.format(*values) != r.format(*values) for l, r in t.checks):
+                    continue
+                h = ids[t.head.format(*values)]
+                rules[h].append((pos_ids, tuple([ids[fmt.format(*values)] for fmt in t.neg])))
+                if not possible[h]:
+                    possible[h] = 1
+                    queue.append(h)
+
+        def join(t, c, steps, values, pos_ids, a, q) -> None:
+            if not steps:
+                fire(t, values, tuple(pos_ids))
+                return
+            r, keys, key_fields, binds = steps[0]
+            index = indexes.get((c, r, keys), {})
+            for tup, b in index.get(tuple([values[f] for f in key_fields]), ()):
+                if b != a or r > q:
+                    for f, p in binds:
+                        values[f] = tup[p]
+                    pos_ids[r] = b
+                    join(t, c, steps[1:], values, pos_ids, a, q)
+
+        for t, bound in live:  # the instances without a positive atom
+            if not t.pos:
+                fire(t, list(bound) + [None] * len(t.domains), ())
+        while queue:
+            a = queue.popleft()
+            for c, q, tup in uses.get(a, ()):
+                t, bound = live[c]
+                pending[c] -= 1
+                if not t.domains:  # one instance: counted, not joined
+                    if not pending[c]:
+                        pos = [ids[t.literals[i][0].format(*bound)] for i in t.pos]
+                        fire(t, list(bound), tuple(pos))
+                    continue
+                for keys in t.slots[q]:
+                    index = indexes.setdefault((c, q, keys), {})
+                    index.setdefault(tuple([tup[p] for p in keys]), []).append((tup, a))
+            for c, q, tup in uses.get(a, ()):
+                t, bound = live[c]
+                if not t.domains:
+                    continue
+                values = list(bound) + [None] * len(t.domains)
+                for f, v in zip(t.literals[t.pos[q]][2], tup):
+                    values[f] = v
+                join(t, c, t.plans[q], values, [a] * len(t.pos), a, q)
 
 
 class _DemandGrounding(_Grounding):
     """A grounding that binds each clause's formals by matching a demanded
-    atom, and demands every atom it meets."""
+    atom, and demands every atom it meets.  A clause with no atom literal in
+    its body is indexed by the values its guards require of its formals: a
+    demanded atom meets only those it can match, as no other would admit an
+    atom or have a live instance."""
 
     bind_formals = True
 
@@ -622,6 +588,12 @@ class _DemandGrounding(_Grounding):
         super().__init__(program, k)
         self.max_atoms = max_atoms
         self.queue: deque[Expr] = deque()
+        # (head predicate, arity), which fix the argument types -> clauses
+        self.by_head: dict[tuple[str, int], list[int]] = {}
+        for i, clause in enumerate(program.clauses):
+            self.by_head.setdefault((clause.head_pred.name, len(clause.formals)), []).append(i)
+        # per key met: (instances per atom, {guarded fields: {texts: templates}})
+        self.groups: dict[tuple, tuple[int, dict]] = {}
 
     def demand(self, atom: Expr) -> int:
         if atom.size > DEFAULT_MAX_ATOM_SIZE:
@@ -633,19 +605,41 @@ class _DemandGrounding(_Grounding):
         return _Grounding._admit(self, atom)
 
     def _admit(self, atom: Expr) -> int:
-        if len(self.atoms) >= self.max_atoms:
+        if len(self.table) >= self.max_atoms:
             raise GroundingLimitExceeded(f"dependency closure exceeded {self.max_atoms} atoms")
         return self.demand(atom)
 
+    def close(self) -> None:
+        while self.queue:
+            head, args = spine(self.queue.popleft())
+            args = tuple(args)
+            key = (head.name, len(args))
+            group = self.groups.get(key)
+            if group is None or self.clause_count + group[0] > DEFAULT_MAX_CLAUSES:
+                before, index = self.clause_count, {}
+                for i in self.by_head.get(key, ()):  # in order: the first over a cap is named
+                    t = self.template(i)
+                    self.ground(t, args)
+                    indexed = t.bound_guards and not t.literals  # the head is all it has
+                    fields, texts = zip(*t.bound_guards) if indexed else ((), ())  # () fits all
+                    index.setdefault(fields, {}).setdefault(texts, []).append(t)
+                self.groups[key] = (self.clause_count - before, index)
+                continue
+            count, index = group
+            calls = [t for fields, table in index.items()
+                     for t in table.get(tuple([args[f].text for f in fields]), ())]
+            self.clause_count += count - sum(t.count for t in calls)
+            for t in calls:
+                self.ground(t, args)
 
-def _clauses(
-    calls: list[tuple[_Template, tuple[Expr, ...]]], atoms: dict[str, Expr]
-) -> tuple[GroundClause, ...]:
-    """Every instance of every call, dead ones included, in order, as
-    clauses."""
-    out = []
+
+def _clauses(atoms: dict[str, Expr], calls: list, calls_of=None, roots=()) -> tuple:
+    """Every instance of every call, dead ones included, in order.  Given
+    ``calls_of``, the calls are a demand grounding's: the roots', then each
+    atom's, after the instance that meets it first."""
+    out, met = [], {atom.text for atom in roots}
+    calls = list(calls) + [call for atom in roots for call in calls_of(atom)]
     for t, bound in calls:
-        head_format = t.head[0]
         for combo in itertools.product(*t.domains):
             values = bound + combo
             body = []
@@ -654,10 +648,12 @@ def _clauses(
                     body.append(_TRUE if fmt.format(*values) == arg.format(*values) else _FALSE)
                     continue
                 atom = atoms[fmt.format(*values)]
+                if calls_of is not None and atom.text not in met:
+                    met.add(atom.text)
+                    calls.extend(calls_of(atom))
                 body.append(Neg(atom) if negated else atom)
-            theta = tuple([(name, values[i]) for name, i in t.theta])
-            head = atoms[head_format.format(*values)]
-            out.append(GroundClause(head, tuple(body), t.index, theta))
+            theta = tuple(sorted(zip([v.name for v in t.variables], values)))
+            out.append(GroundClause(atoms[t.head.format(*values)], tuple(body), t.index, theta))
     return tuple(out)
 
 
@@ -668,7 +664,7 @@ def ground_instantiation(program: Program, k: int) -> GroundProgram:
     grounding = _Grounding(program, k)
     for i in range(len(program.clauses)):
         grounding.ground(grounding.template(i))
-    return grounding.result()
+    return grounding.result([(grounding.template(i), ()) for i in range(len(program.clauses))])
 
 
 def relevant_grounding(
@@ -683,27 +679,24 @@ def relevant_grounding(
     added; their body atoms become reachable in turn.  Termination is
     enforced by ``max_atoms`` and ``DEFAULT_MAX_ATOM_SIZE`` because matched
     head bindings are not size bounded.  The atom table lists the roots
-    first, then the other atoms in order of first appearance.
+    first, then the other atoms in the order their projections admit them.
     """
     if k < 1:
         raise ValueError("size bound k must be >= 1")
     grounding = _DemandGrounding(program, k, max_atoms)
-    # head predicate -> (clause index, formal types), in program order
-    by_pred: dict[str, list[tuple[int, tuple[TypeExpr, ...]]]] = {}
-    for i, clause in enumerate(program.clauses):
-        formal_types = tuple(f.typ for f in clause.formals)
-        by_pred.setdefault(clause.head_pred.name, []).append((i, formal_types))
     for a in roots:
         atom = ground_atom(a)
-        if atom.text not in grounding.atoms:
+        if atom.text not in grounding.ids:
             grounding.demand(atom)
-    while grounding.queue:
-        head, args = spine(grounding.queue.popleft())
-        arg_types = tuple(a.typ for a in args)
-        matching = [i for i, types in by_pred.get(head.name, ()) if types == arg_types]
-        for i in matching:
-            grounding.ground(grounding.template(i), tuple(args))
-    return grounding.result()
+    demanded = list(grounding.queue)
+    grounding.close()
+    templates, by_head = grounding._templates, grounding.by_head
+
+    def calls_of(atom: Expr) -> list[tuple[_Template, tuple[Expr, ...]]]:
+        head, args = spine(atom)
+        return [(templates[i], tuple(args)) for i in by_head.get((head.name, len(args)), ())]
+
+    return grounding.result([], calls_of, demanded)
 
 
 def truncated_types(program: Program, k: int) -> tuple[str, ...]:

@@ -12,6 +12,9 @@ fixpoint machinery:
 * ``reference_grounding`` grounds by substituting into each clause and
   printing every atom it meets, where the grounder prints from per-clause
   templates and builds each distinct atom once;
+* ``possibly_true`` closes the live ground clauses with their negated
+  atoms dropped, one clause at a time, where the grounder joins positive
+  atoms semi-naively; ``reference_compile`` keeps the rules it allows;
 * ``classical_least_model`` is a plain two-valued immediate-consequence
   closure for negation-free ground programs;
 * ``naive_well_founded_model`` iterates ``theta_step`` from the all-false
@@ -279,10 +282,38 @@ def is_dead(gc: GroundClause) -> bool:
     return any(isinstance(lit, ConstLit) and not lit.value for lit in gc.body)
 
 
+def possibly_true(clauses) -> set[str]:
+    """The least model of the live clauses with their negated atoms
+    dropped: the atoms some stage of either engine can make true."""
+    live = [gc for gc in clauses if not is_dead(gc)]
+    true: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for gc in live:
+            if gc.head.text not in true and all(
+                atom.text in true for atom, negated in atom_literals(gc) if not negated
+            ):
+                true.add(gc.head.text)
+                changed = True
+    return true
+
+
 def reference_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
     """The engines' integer form by a second pass over the clauses: atom
     ids in atom-table order, and one ``(positive ids, negative ids)`` rule
-    per clause without a ``false`` literal, ``true`` literals stripped."""
+    per clause without a ``false`` literal whose positive atoms are all
+    ``possibly_true``, ``true`` literals stripped."""
+    possible = possibly_true(clauses)
+    return unfiltered_compile(
+        [gc for gc in clauses if all(a.text in possible for a, neg in atom_literals(gc) if not neg)],
+        atoms,
+    )
+
+
+def unfiltered_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
+    """``reference_compile`` without the possibly-true filter: one rule per
+    clause without a ``false`` literal."""
     keys = tuple(atoms)
     ids = {key: i for i, key in enumerate(keys)}
     rules: list[list] = [[] for _ in keys]
@@ -295,6 +326,18 @@ def reference_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
         neg = tuple(a for a, negated in lits if negated)
         rules[head].append((pos, neg))
     return CompiledProgram(keys, tuple(tuple(r) for r in rules))
+
+
+def compiled_by_key(cp: CompiledProgram) -> dict[str, list]:
+    """Per head key, the sorted rules as (positive keys, negative keys):
+    the compiled form with atom ids and rule order factored out."""
+    def keys_of(ids):
+        return tuple(cp.keys[a] for a in ids)
+
+    return {
+        cp.keys[h]: sorted((keys_of(pos), keys_of(neg)) for pos, neg in rules)
+        for h, rules in enumerate(cp.rules)
+    }
 
 
 def reference_edges(clauses) -> tuple[tuple[str, str, bool], ...]:

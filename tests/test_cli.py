@@ -447,6 +447,28 @@ class TestHashSeed:
         assert self.run_under_seed("1", argvs) == first
 
 
+class TestClosedPipe:
+    """Output into a pipe whose reader has gone, as under ``| head -1``."""
+
+    @pytest.mark.parametrize("argv", [["demo", "lemma1"], ["--help"]], ids=" ".join)
+    def test_exits_zero_with_nothing_on_stderr(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(hoplog.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hoplog.cli", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before hoplog writes a byte
+        try:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
+
+
 class TestStartup:
     @staticmethod
     def loaded_after_import(modules) -> list[str]:
