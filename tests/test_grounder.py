@@ -293,6 +293,11 @@ class TestCompiledProgram:
         assert ([str(gc) for gc in gp.clauses], list(gp.atoms)) == before
         assert "p b <- false, ~(r b)." in before[0]
 
+
+class TestCompiledForm:
+    """Every corpus program with equality gives the same clauses whether they
+    are read before or after its compiled form is built."""
+
     @pytest.mark.parametrize(
         "entry", [e for e in CORPUS if " = " in e.source], ids=lambda e: e.name
     )
