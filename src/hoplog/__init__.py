@@ -19,8 +19,6 @@ from .interp import (
     is_model,
     leq,
     minimal_models_bruteforce,
-    value_of,
-    value_of_conj,
 )
 from .parser import parse_program, parse_type
 from .perfect import localize, perfect_model, psi_step, stratify
@@ -51,7 +49,5 @@ __all__ = [
     "stratify",
     "theta_lfp",
     "theta_step",
-    "value_of",
-    "value_of_conj",
     "well_founded_model",
 ]

@@ -68,7 +68,7 @@ from .typecheck import Program
 DEFAULT_MAX_ATOMS = 100_000
 # Symbols in one demanded atom.  Matched head bindings are not size bounded,
 # and an atom's text grows with its size, so under the atom cap alone a chain
-# such as ``p X <- p (f X)`` would print on the order of max_atoms**2
+# such as ``p X <- p (f X)`` would print on the order of DEFAULT_MAX_ATOMS**2
 # characters before it stopped.
 DEFAULT_MAX_ATOM_SIZE = 100
 # Ground clauses in one grounding, in either mode.
@@ -584,9 +584,8 @@ class _DemandGrounding(_Grounding):
 
     bind_formals = True
 
-    def __init__(self, program: Program, k: int, max_atoms: int):
+    def __init__(self, program: Program, k: int):
         super().__init__(program, k)
-        self.max_atoms = max_atoms
         self.queue: deque[Expr] = deque()
         # (head predicate, arity), which fix the argument types -> clauses
         self.by_head: dict[tuple[str, int], list[int]] = {}
@@ -605,8 +604,8 @@ class _DemandGrounding(_Grounding):
         return _Grounding._admit(self, atom)
 
     def _admit(self, atom: Expr) -> int:
-        if len(self.table) >= self.max_atoms:
-            raise GroundingLimitExceeded(f"dependency closure exceeded {self.max_atoms} atoms")
+        if len(self.table) >= DEFAULT_MAX_ATOMS:
+            raise GroundingLimitExceeded(f"dependency closure exceeded {DEFAULT_MAX_ATOMS} atoms")
         return self.demand(atom)
 
     def close(self) -> None:
@@ -667,23 +666,18 @@ def ground_instantiation(program: Program, k: int) -> GroundProgram:
     return grounding.result([(grounding.template(i), ()) for i in range(len(program.clauses))])
 
 
-def relevant_grounding(
-    program: Program,
-    roots,
-    k: int,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> GroundProgram:
+def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
     """Dependency closure of the root atoms.
 
     For every reachable atom, all ground instances whose head matches it are
     added; their body atoms become reachable in turn.  Termination is
-    enforced by ``max_atoms`` and ``DEFAULT_MAX_ATOM_SIZE`` because matched
-    head bindings are not size bounded.  The atom table lists the roots
+    enforced by ``DEFAULT_MAX_ATOMS`` and ``DEFAULT_MAX_ATOM_SIZE`` because
+    matched head bindings are not size bounded.  The atom table lists the roots
     first, then the other atoms in the order their projections admit them.
     """
     if k < 1:
         raise ValueError("size bound k must be >= 1")
-    grounding = _DemandGrounding(program, k, max_atoms)
+    grounding = _DemandGrounding(program, k)
     for a in roots:
         atom = ground_atom(a)
         if atom.text not in grounding.ids:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from enum import Enum, IntEnum
 
 from .errors import TooLarge, UnknownAtom
-from .grounder import ConstLit, GroundClause, GroundProgram
+from .grounder import ConstLit, GroundProgram
 from .records import FrozenRecord, _set
-from .syntax import Expr, Neg
+from .syntax import Neg
 
 
 class TruthValue(IntEnum):
@@ -30,14 +30,6 @@ class TruthValue(IntEnum):
 
     def __str__(self) -> str:
         return {0: "false", 1: "undefined", 2: "true"}[self.value]
-
-
-def negate(v: TruthValue) -> TruthValue:
-    if v == TruthValue.TRUE:
-        return TruthValue.FALSE
-    if v == TruthValue.FALSE:
-        return TruthValue.TRUE
-    return TruthValue.UNDEFINED
 
 
 class Ordering(Enum):
@@ -106,43 +98,6 @@ def everything_undefined(gp: GroundProgram) -> PartialInterpretation:
     return interpretation(gp)
 
 
-# ---------------------------------------------------------------------------
-# Valuation
-# ---------------------------------------------------------------------------
-
-
-def value_of(i: PartialInterpretation, lit: Expr | ConstLit) -> TruthValue:
-    """Value of one ground literal: atoms look up <T, F>, negation flips
-    true/false and preserves undefined, resolved equalities are fixed."""
-    if isinstance(lit, Neg):
-        return negate(i.value(lit.atom.text))
-    if isinstance(lit, ConstLit):
-        return TruthValue.TRUE if lit.value else TruthValue.FALSE
-    if isinstance(lit, Expr):
-        return i.value(lit.text)
-    raise TypeError(f"not a ground literal: {lit!r}")
-
-
-def value_of_conj(i: PartialInterpretation, lits) -> TruthValue:
-    """Minimum under the truth order; the empty conjunction is true."""
-    out = TruthValue.TRUE
-    for lit in lits:
-        out = min(out, value_of(i, lit))
-    return out
-
-
-def find_violation(i: PartialInterpretation, gp: GroundProgram) -> GroundClause | None:
-    """First clause whose head value drops below its body value, if any."""
-    for gc in gp.clauses:
-        if i.value(gc.head.text) < value_of_conj(i, gc.body):
-            return gc
-    return None
-
-
-def is_model(i: PartialInterpretation, gp: GroundProgram) -> bool:
-    return find_violation(i, gp) is None
-
-
 def leq(
     i1: PartialInterpretation, i2: PartialInterpretation, ordering: Ordering
 ) -> bool:
@@ -198,11 +153,20 @@ class _Compiled:
 
     def masks(self, i: PartialInterpretation) -> tuple[int, int]:
         t = f = 0
-        for k in i.true_atoms:
-            t |= 1 << self.index[k]
-        for k in i.false_atoms:
-            f |= 1 << self.index[k]
+        try:
+            for k in i.true_atoms:
+                t |= 1 << self.index[k]
+            for k in i.false_atoms:
+                f |= 1 << self.index[k]
+        except KeyError as exc:
+            raise UnknownAtom(f"atom {exc.args[0]} is outside the atom table") from None
         return t, f
+
+
+def is_model(i: PartialInterpretation, gp: GroundProgram) -> bool:
+    """Whether no clause of gp has a head value below its body's under i."""
+    compiled = _Compiled(gp)
+    return compiled.is_model(*compiled.masks(i))
 
 
 def _submasks(mask: int):

@@ -19,6 +19,8 @@ source positions, which the checker elaborates into typed syntax.
 
 from __future__ import annotations
 
+import re
+
 from .errors import DuplicateDeclaration, ParseError
 from .records import FrozenRecord, Record, _set
 from .syntax import IOTA, OMICRON, Arrow, TypeExpr
@@ -129,56 +131,38 @@ _PUNCT = {
     ":": "COLON",
 }
 
+# A newline; blanks (str.isspace() but the newline); a comment; punctuation;
+# a word (str.isalnum() or "_"); any other character.
+_TOKEN = re.compile(r"(\n)|([^\S\n]+)|(%[^\n]*)|(->|<-|[(),.~=:])|(\w+)|(.)")
 
-class Token(FrozenRecord):
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: Pos) -> None:
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "pos", pos)
+# Nesting levels in one clause head, body literal, root atom or declared
+# type: each parenthesis, each argument of an application and each arrow
+# counts one, wherever it sits.  The count bounds the depth of the trees,
+# which the passes after the parser recurse over.
+MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+def _tokenize(text: str) -> list[tuple[str, str, Pos]]:
+    """``(kind, text, position)`` of each token, then an ``EOF`` token."""
+    tokens = []
+    line, start = 1, 0  # start: offset of the line's first character
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i) or text.startswith("<-", i):
-            two = text[i : i + 2]
-            tokens.append(Token(_PUNCT[two], two, Pos(line, col)))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, Pos(line, col)))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], Pos(line, col)))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", Pos(line, col)))
+            start = m.end()
+        elif group > 3:
+            word = m.group()
+            col = m.start() - start + 1
+            if group == 4:
+                tokens.append((_PUNCT[word], word, Pos(line, col)))
+            elif group == 5 and word[0].isalpha():
+                tokens.append(("NAME", word, Pos(line, col)))
+            else:
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+    # A comment that ends the text leaves the end at its "%".
+    end = text.find("%", start)
+    tokens.append(("EOF", "", Pos(line, (len(text) if end < 0 else end) - start + 1)))
     return tokens
 
 
@@ -191,121 +175,126 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple[str, str, Pos]:
         return self.tokens[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> tuple[str, str, Pos]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind.lower()}, found {tok.text or 'end of input'!r}",
-                tok.pos.line,
-                tok.pos.column,
-            )
+    def expect(self, kind: str) -> tuple[str, str, Pos]:
+        found, text, _ = self.peek()
+        if found != kind:
+            raise self.fail(f"expected {kind.lower()}, found {text or 'end of input'!r}")
         return self.next()
 
     def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.pos.line, tok.pos.column)
+        pos = self.peek()[2]
+        return ParseError(message, pos.line, pos.column)
+
+    def deeper(self) -> None:
+        """Count one nesting level at the next token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> TypeExpr:
         left = self.parse_type_atom()
-        if self.peek().kind == "ARROW":
+        if self.peek()[0] == "ARROW":
+            self.deeper()
             self.next()
             return Arrow(left, self.parse_type())
         return left
 
     def parse_type_atom(self) -> TypeExpr:
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.text == "i":
+        kind, text, _ = self.peek()
+        if kind == "NAME" and text == "i":
             self.next()
             return IOTA
-        if tok.kind == "NAME" and tok.text == "o":
+        if kind == "NAME" and text == "o":
             self.next()
             return OMICRON
-        if tok.kind == "LPAREN":
+        if kind == "LPAREN":
+            self.deeper()
             self.next()
             inner = self.parse_type()
             self.expect("RPAREN")
             return inner
-        raise self.fail(f"expected a type, found {tok.text or 'end of input'!r}")
+        raise self.fail(f"expected a type, found {text or 'end of input'!r}")
 
     # -- terms and literals ---------------------------------------------------
 
     def parse_name(self) -> RawName:
-        tok = self.expect("NAME")
-        if tok.text in RESERVED:
-            raise ParseError(f"{tok.text!r} is reserved", tok.pos.line, tok.pos.column)
-        return RawName(tok.text, tok.pos)
+        _, text, pos = self.expect("NAME")
+        if text in RESERVED:
+            raise ParseError(f"{text!r} is reserved", pos.line, pos.column)
+        return RawName(text, pos)
 
     def parse_arg(self):
-        tok = self.peek()
-        if tok.kind == "NAME":
+        kind, text, _ = self.peek()
+        if kind == "NAME":
             return self.parse_name()
-        if tok.kind == "LPAREN":
+        if kind == "LPAREN":
+            self.deeper()
             self.next()
             inner = self.parse_atom()
             self.expect("RPAREN")
             return inner
-        raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+        raise self.fail(f"expected a term, found {text or 'end of input'!r}")
 
     def parse_atom(self):
-        pos = self.peek().pos
+        pos = self.peek()[2]
         out = self.parse_arg()
-        while self.peek().kind in ("NAME", "LPAREN"):
+        while self.peek()[0] in ("NAME", "LPAREN"):
+            self.deeper()
             out = RawApp(out, self.parse_arg(), pos)
         return out
 
     def parse_literal(self):
-        tok = self.peek()
-        if tok.kind == "TILDE":
+        self.depth = 0
+        kind, _, pos = self.peek()
+        if kind == "TILDE":
             self.next()
-            return RawNeg(self.parse_arg(), tok.pos)
+            return RawNeg(self.parse_arg(), pos)
         lhs = self.parse_atom()
-        if self.peek().kind == "EQUALS":
-            eq = self.next()
-            return RawEq(lhs, self.parse_atom(), eq.pos)
+        if self.peek()[0] == "EQUALS":
+            eq = self.next()[2]
+            return RawEq(lhs, self.parse_atom(), eq)
         return lhs
 
     # -- declarations and clauses ---------------------------------------------
 
     def parse_decl(self, seen: dict[str, Pos]) -> Declaration:
-        kw = self.expect("NAME")  # the "type" keyword, checked by caller
-        name_tok = self.expect("NAME")
-        if name_tok.text in RESERVED:
-            raise ParseError(
-                f"{name_tok.text!r} is reserved", name_tok.pos.line, name_tok.pos.column
-            )
+        self.next()  # the "type" keyword, checked by the caller
+        name = self.parse_name()
         self.expect("COLON")
+        self.depth = 0
         typ = self.parse_type()
         self.expect("DOT")
-        if name_tok.text in seen:
+        if name.name in seen:
             raise DuplicateDeclaration(
-                f"{name_tok.text} already declared at {seen[name_tok.text]}",
-                name_tok.pos.line,
-                name_tok.pos.column,
+                f"{name.name} already declared at {seen[name.name]}",
+                name.pos.line,
+                name.pos.column,
             )
-        del kw
-        return Declaration(name_tok.text, typ, name_tok.pos)
+        return Declaration(name.name, typ, name.pos)
 
     def parse_clause(self) -> RawClause:
-        pos = self.peek().pos
+        pos = self.peek()[2]
+        self.depth = 0
         head = self.parse_atom()
         body: list = []
-        if self.peek().kind == "LARROW":
+        if self.peek()[0] == "LARROW":
             self.next()
             # An empty body after <- is allowed: "p <- ." means the fact "p."
-            if self.peek().kind != "DOT":
+            if self.peek()[0] != "DOT":
                 body.append(self.parse_literal())
-                while self.peek().kind == "COMMA":
+                while self.peek()[0] == "COMMA":
                     self.next()
                     body.append(self.parse_literal())
         self.expect("DOT")
@@ -314,9 +303,9 @@ class _Parser:
     def parse_program(self) -> SourceProgram:
         sp = SourceProgram()
         seen: dict[str, Pos] = {}
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind == "NAME" and tok.text == "type":
+        while self.peek()[0] != "EOF":
+            kind, text, _ = self.peek()
+            if kind == "NAME" and text == "type":
                 decl = self.parse_decl(seen)
                 seen[decl.name] = decl.pos
                 sp.declarations.append(decl)

@@ -123,11 +123,19 @@ def _build_signature(sp: SourceProgram) -> Signature:
 
 
 class _ClauseChecker:
-    def __init__(self, sig: Signature, clause_text: str):
+    def __init__(self, sig: Signature, clause: RawClause | None):
         self.sig = sig
-        self.where = clause_text
+        self.clause = clause  # None for a root atom
         self.env: dict[str, TypeExpr] = {}
         self.errors: list[TypeCheckError] = []
+
+    @property
+    def where(self) -> str:
+        """The clause or atom checked, as error messages name it."""
+        if self.clause is None:
+            return "a root atom"
+        names = " ".join(dict.fromkeys(n.name for n in _raw_names(self.clause.head)))
+        return f"the clause for '{names}' at {self.clause.pos}"
 
     def error(self, exc: TypeCheckError) -> None:
         self.errors.append(exc)
@@ -192,12 +200,12 @@ class _ClauseChecker:
         return rest
 
     def infer(self, body) -> None:
-        for _ in range(len(self.env) + sum(1 for lit in body for _ in _raw_names(lit)) + 2):
-            before = dict(self.env)
+        # bind never overwrites, so a pass that binds nothing is the last.
+        bound = -1
+        while bound < len(self.env):
+            bound = len(self.env)
             for lit in body:
                 self.walk(lit, OMICRON)
-            if self.env == before:
-                return
 
     # -- build pass -----------------------------------------------------------
 
@@ -310,13 +318,8 @@ def _check_head(rc: RawClause, sig: Signature, checker: _ClauseChecker):
     return pred, tuple(formals)
 
 
-def _clause_source(rc: RawClause) -> str:
-    names = " ".join(dict.fromkeys(n.name for n in _raw_names(rc.head)))
-    return f"the clause for '{names}' at {rc.pos}"
-
-
 def check_clause(rc: RawClause, sig: Signature) -> Clause:
-    checker = _ClauseChecker(sig, _clause_source(rc))
+    checker = _ClauseChecker(sig, rc)
     pred, formals = _check_head(rc, sig, checker)
     checker.infer(rc.body)
     body: list[Expr] = []
@@ -365,7 +368,7 @@ def load_program(text: str) -> Program:
 
 def elaborate_ground_atom(program: Program, raw) -> Expr:
     """Typed ground atom from a raw tree (for roots given on the command line)."""
-    checker = _ClauseChecker(program.signature, "a root atom")
+    checker = _ClauseChecker(program.signature, None)
     atom = checker.build(raw)
     if checker.errors:
         raise ProgramCheckError(checker.errors)

@@ -33,17 +33,22 @@ fixpoint machinery:
   class ids;
 * ``reference_parser`` declares hoplog's subcommands and options with
   ``argparse``, option by option, where ``hoplog.cli`` parses argv from its
-  table ``COMMANDS``.
+  table ``COMMANDS``;
+* ``reference_tokenize`` scans source text character by character, where
+  the parser's tokenizer matches one regular expression.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from hoplog import cli
-from hoplog.errors import DepthExceeded, EmptyUniverse, GroundingLimitExceeded
+from hoplog.errors import DepthExceeded, EmptyUniverse, GroundingLimitExceeded, ParseError
 from hoplog.extensionality import ValuationOracle
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
@@ -926,3 +931,81 @@ def reference_parser() -> argparse.ArgumentParser:
     demo.add_argument("--format", choices=("json", "text"), default="json")
     demo.set_defaults(func=cli.cmd_demo)
     return top
+
+
+_PUNCT = {
+    "->": "ARROW",
+    "<-": "LARROW",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    ",": "COMMA",
+    ".": "DOT",
+    "~": "TILDE",
+    "=": "EQUALS",
+    ":": "COLON",
+}
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, column)`` of each token and the ``EOF`` token,
+    by a character loop; raises the parser's ``ParseError`` texts."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("->", i) or text.startswith("<-", i):
+            two = text[i : i + 2]
+            tokens.append((_PUNCT[two], two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _PUNCT:
+            tokens.append((_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+def nested_term(levels: int) -> str:
+    """An individual term whose nesting is exactly ``levels`` by the
+    parser's count: ``f (f (... a))``, each ``f (`` two levels."""
+    text = "a" if levels % 2 == 0 else "f a"
+    for _ in range(levels // 2):
+        text = f"f ({text})"
+    return text
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded by path and only read: its pools are
+    the benchmark's programs, with no hoplog import."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    spec.loader.exec_module(module)
+    return module

@@ -14,6 +14,7 @@ import pytest
 
 import hoplog
 from hoplog.cli import COMMANDS, _parse_argv, main
+from hoplog.parser import MAX_NESTING
 from hoplog.programs import (
     CORPUS,
     NONEXTENSIONAL,
@@ -22,7 +23,7 @@ from hoplog.programs import (
     STRATIFIED_OK,
 )
 
-from helpers import reference_parser
+from helpers import nested_term, reference_parser
 
 
 @pytest.fixture
@@ -67,6 +68,60 @@ class TestCheck:
     def test_missing_file(self, run):
         code, _, err = run(["check", "/nonexistent/path.hop"])
         assert code == 1
+
+
+def _parens(n: int, inner: str) -> str:
+    return "(" * n + inner + ")" * n
+
+
+# Each shape nested n levels deep, as (program, root or None).
+NESTED = {
+    "term_parens": lambda n: (f"type p : o.\ntype q : o.\nq.\np <- {_parens(n, 'q')}.", None),
+    "type_parens": lambda n: (f"type p : {_parens(n, 'o')}.\np.", None),
+    "arrows": lambda n: (
+        f"type a : i.\ntype q : {'i -> ' * n}o.\nq {' '.join(f'X{j}' for j in range(n))}.",
+        None,
+    ),
+    "arguments": lambda n: (
+        f"type p : o.\ntype q : {'i -> ' * MAX_NESTING}o.\np <- q{' a' * n}.", None
+    ),
+    "root": lambda n: (
+        "type f : i -> i.\ntype p : i -> o.\np X <- X = a.", f"p ({nested_term(n - 2)})"
+    ),
+    "function_term": lambda n: (
+        f"type f : i -> i.\ntype q : i -> o.\nq X <- X = {nested_term(n)}.", None
+    ),
+}
+
+
+class TestNestingLimit:
+    """Input nested past ``MAX_NESTING`` is a ParseError, not a crash; input
+    at the limit checks, grounds and prints."""
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_at_the_limit(self, run, shape):
+        program, root = NESTED[shape](MAX_NESTING)
+        roots = [] if root is None else ["--roots", root]
+        assert run(["check"], program=program)[0] == 0
+        for argv in (["ground"], ["wfs"], ["ground", "--format", "text"]):
+            code, out, err = run(argv + ["--depth", "1"] + roots, program=program)
+            assert (code, err) == (0, ""), argv
+            assert out
+
+    @pytest.mark.parametrize("deeper", [1, 2900])
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_past_the_limit(self, run, shape, deeper):
+        program, root = NESTED[shape](MAX_NESTING + deeper)
+        if root is None:
+            commands = [["check"], ["ground", "--depth", "1"]]
+        else:
+            commands = [["wfs", "--depth", "1", "--roots", root]]
+        for argv in commands:
+            code, out, err = run(argv, program=program)
+            assert (code, out) == (1, ""), argv
+            error = json.loads(err)
+            assert error["rule"] == "ParseError"
+            assert error["error"].endswith(f": nesting deeper than {MAX_NESTING} levels")
 
 
 class TestGround:

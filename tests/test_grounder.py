@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hoplog import grounder
 from hoplog.errors import EmptyUniverse, GroundingLimitExceeded
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
@@ -182,11 +183,12 @@ class TestRelevantGrounding:
             }
             assert part <= full
 
-    def test_runaway_closure_hits_the_guard(self):
+    def test_runaway_closure_hits_the_guard(self, monkeypatch):
+        monkeypatch.setattr(grounder, "DEFAULT_MAX_ATOMS", 50)
         src = "type a : i.\ntype p : i -> o.\ntype f : i -> i.\np X <- p (f X)."
         program = load(src)
         with pytest.raises(GroundingLimitExceeded):
-            relevant_grounding(program, [atom_of(program, "p a")], 1, max_atoms=50)
+            relevant_grounding(program, [atom_of(program, "p a")], 1)
 
     def test_deep_closure_hits_the_atom_size_cap(self):
         # Under the default atom cap, f nests until printing or hashing the

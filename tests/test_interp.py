@@ -13,19 +13,14 @@ from hoplog.interp import (
     TruthValue,
     everything_false,
     everything_undefined,
-    find_violation,
     interpretation,
     is_minimal_model,
     is_model,
     leq,
     minimal_models_bruteforce,
-    negate,
-    value_of,
-    value_of_conj,
 )
 from hoplog.parser import parse_atom
 from hoplog.programs import NONEXTENSIONAL
-from hoplog.syntax import Neg
 from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import well_founded_model
 
@@ -64,61 +59,90 @@ EVEN_LOOP = "type p : o.\ntype q : o.\np <- ~q.\nq <- ~p."
 ODD_LOOP = "type p : o.\np <- ~p."
 
 
+def table(gp, values: dict[str, TruthValue]) -> PartialInterpretation:
+    """The interpretation giving each named atom its value; the rest undefined."""
+    return interpretation(
+        gp,
+        true_atoms={k for k, v in values.items() if v == TruthValue.TRUE},
+        false_atoms={k for k, v in values.items() if v == TruthValue.FALSE},
+    )
+
+
+def flipped(v: TruthValue) -> TruthValue:
+    return TruthValue(2 - v)
+
+
 class TestValueOf:
+    """Literal values as the model check reads them: a clause holds when its
+    head's value is at least its body's in the truth order."""
+
     def test_negation_flips_over_true(self):
-        gp = gp_of(NEG_PAIR)
-        i = interpretation(gp, true_atoms={"q"})
-        lit = Neg(gp.atoms["q"])
-        assert value_of(i, gp.atoms["q"]) == TruthValue.TRUE
-        assert value_of(i, lit) == TruthValue.FALSE
+        gp = gp_of(NEG_PAIR)  # p <- ~q
+        assert is_model(table(gp, {"q": TruthValue.TRUE, "p": TruthValue.FALSE}), gp)
+        assert not is_model(table(gp, {"q": TruthValue.FALSE, "p": TruthValue.FALSE}), gp)
 
     def test_negation_table_exhaustive(self):
-        assert negate(TruthValue.TRUE) == TruthValue.FALSE
-        assert negate(TruthValue.FALSE) == TruthValue.TRUE
-        assert negate(TruthValue.UNDEFINED) == TruthValue.UNDEFINED
+        gp = gp_of(NEG_PAIR)
+        for p in TruthValue:
+            for q in TruthValue:
+                assert is_model(table(gp, {"p": p, "q": q}), gp) == (p >= flipped(q)), (p, q)
 
     def test_resolved_equality_constant(self):
         gp = gp_of("type q : i -> o.\nq X <- X = a.")
-        i = everything_undefined(gp)
         (clause,) = gp.clauses
-        assert value_of(i, clause.body[0]) == TruthValue.TRUE
+        head = clause.head.text
+        assert not is_model(everything_undefined(gp), gp)
+        assert is_model(table(gp, {head: TruthValue.TRUE}), gp)
+        dead = gp_of("type q : i -> o.\ntype b : i.\nq X <- X = a, X = b.")
+        assert is_model(everything_false(dead), dead)
 
     def test_empty_interpretation_gives_undefined(self):
-        gp = gp_of(NEG_PAIR)
-        i = everything_undefined(gp)
-        assert value_of(i, gp.atoms["p"]) == TruthValue.UNDEFINED
+        gp = gp_of("type p : o.\ntype q : o.\np <- q.")
+        assert is_model(everything_undefined(gp), gp)
+        assert not is_model(table(gp, {"p": TruthValue.FALSE}), gp)
 
     def test_unknown_atom_rejected(self):
         gp = gp_of(NEG_PAIR)
         other = gp_of("type zonly : o.\nzonly.")
-        with pytest.raises(UnknownAtom):
-            value_of(everything_undefined(gp), other.atoms["zonly"])
+        for outside in (
+            interpretation(other, true_atoms={"zonly"}),
+            interpretation(other, false_atoms={"zonly"}),
+        ):
+            with pytest.raises(UnknownAtom, match="zonly is outside the atom table"):
+                is_model(outside, gp)
+            for ordering in Ordering:
+                with pytest.raises(UnknownAtom, match="zonly is outside the atom table"):
+                    is_minimal_model(gp, outside, ordering)
 
 
 class TestConjunction:
     def test_min_in_truth_order(self):
-        gp = gp_of(NEG_PAIR)
-        i = interpretation(gp, true_atoms={"p"})
-        lits = [gp.atoms["p"], gp.atoms["q"]]
-        assert value_of_conj(i, lits) == TruthValue.UNDEFINED
+        gp = gp_of("type p : o.\ntype q : o.\ntype r : o.\nr <- p, q.")
+        for p in TruthValue:
+            for q in TruthValue:
+                for r in TruthValue:
+                    values = {"p": p, "q": q, "r": r}
+                    assert is_model(table(gp, values), gp) == (r >= min(p, q)), values
 
     def test_empty_conjunction_is_true(self):
         gp = gp_of(FACT)
-        assert value_of_conj(everything_undefined(gp), []) == TruthValue.TRUE
+        assert not is_model(everything_undefined(gp), gp)
+        assert is_model(table(gp, {"p": TruthValue.TRUE}), gp)
 
     def test_counterexample_body_undefined_under_wfs(self):
         gp = gp_of(NONEXTENSIONAL, k=3, roots=["s q"])
         model = well_founded_model(gp).model
-        q_clause = next(c for c in gp.clauses if c.head.text == "q (s q)")
-        assert value_of_conj(model, q_clause.body) == TruthValue.UNDEFINED
+        assert model == everything_undefined(gp) and is_model(model, gp)
+        # The body ~(w (s q)) of the clause for q (s q) is undefined, so the
+        # head may not be false.
+        assert not is_model(table(gp, {"q (s q)": TruthValue.FALSE}), gp)
 
 
 class TestIsModel:
     def test_fact_forces_head(self):
         gp = gp_of(FACT)
-        violation = find_violation(everything_false(gp), gp)
-        assert violation is not None and violation.head.text == "p"
         assert not is_model(everything_false(gp), gp)
+        assert is_model(table(gp, {"p": TruthValue.TRUE}), gp)
 
     def test_wfs_model_is_model_on_counterexample_closure(self):
         for root in ("s p", "s q"):

@@ -5,19 +5,23 @@ import string
 
 import pytest
 
+from hoplog import parser
 from hoplog.errors import DuplicateDeclaration, HoplogError, ParseError
 from hoplog.parser import (
+    MAX_NESTING,
     RawApp,
     RawEq,
     RawName,
     RawNeg,
+    _tokenize,
     parse_atom,
     parse_program,
     parse_type,
 )
+from hoplog.programs import CORPUS, DEMOS
 from hoplog.syntax import IOTA, OMICRON, Arrow
 
-from helpers import load
+from helpers import bench_workloads, load, nested_term, reference_tokenize
 
 
 class TestParseType:
@@ -132,3 +136,94 @@ class TestSourceRoundTrip:
         """
         program = load(src)
         assert load(program.to_source()) == program
+
+
+def _stream(tokenize, text: str):
+    """The ``(kind, text, line, column)`` tokens of text, or its ParseError."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _tokenize_flat(text: str):
+    return [(kind, word, pos.line, pos.column) for kind, word, pos in _tokenize(text)]
+
+
+def _bench_sources() -> tuple[list[str], list[str]]:
+    """The sources and roots of the seed-1 bench pools."""
+    workloads = bench_workloads()
+    queries = workloads.game_pool(1) + workloads.strat_pool(1) + workloads.ext_pool(1)
+    roots = [q.args[q.args.index("--roots") + 1] for q in queries if "--roots" in q.args]
+    return [q.source for q in queries], roots
+
+
+class TestTokenizerAgainstReference:
+    """The one-pattern tokenizer against the character loop in helpers."""
+
+    ALPHABET = string.ascii_letters + string.digits + " ()~=<->.,:%\n\t_\r\u2028\u3000é²Ⅷ"
+
+    def test_corpus_demos_and_bench_pools(self):
+        sources, roots = _bench_sources()
+        sources += [e.source for e in CORPUS] + list(DEMOS.values()) + roots
+        for text in sources:
+            assert _stream(_tokenize_flat, text) == _stream(reference_tokenize, text)
+
+    def test_fuzz(self):
+        rng = random.Random(20261018)
+        refused = 0
+        for _ in range(20_000):
+            text = "".join(rng.choice(self.ALPHABET) for _ in range(rng.randint(0, 40)))
+            if rng.random() < 0.2:  # a comment that ends the text
+                text += "%" + "".join(rng.choice(self.ALPHABET) for _ in range(3)).split("\n")[0]
+            expected = _stream(reference_tokenize, text)
+            assert _stream(_tokenize_flat, text) == expected, repr(text)
+            refused += isinstance(expected, str)
+        assert 2_000 < refused < 18_000  # both outcomes are exercised
+
+    def test_quirks(self):
+        # A word must start with a letter; the end of a text that closes
+        # with a comment sits at the comment's "%".
+        for text in ("1a", "p _x", "p\n ²"):
+            assert "unexpected character" in _stream(_tokenize_flat, text)
+        assert _tokenize_flat("p. % done")[-1] == ("EOF", "", 1, 4)
+        assert _tokenize_flat("p.\n\u3000\r% done")[-1] == ("EOF", "", 2, 3)
+
+
+class TestNestingLimit:
+    def test_parentheses_arguments_and_arrows_count(self):
+        parse_program("p <- " + "(" * MAX_NESTING + "q" + ")" * MAX_NESTING + ".")
+        parse_type("(" * MAX_NESTING + "o" + ")" * MAX_NESTING)
+        parse_type("i -> " * MAX_NESTING + "o")
+        parse_atom("q" + " a" * MAX_NESTING)
+        parse_atom(nested_term(MAX_NESTING))
+        with pytest.raises(ParseError, match=f"^1:{MAX_NESTING + 6}: nesting deeper than"):
+            parse_program("p <- " + "(" * (MAX_NESTING + 1) + "q" + ")" * (MAX_NESTING + 1) + ".")
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+            parse_type("(" * (MAX_NESTING + 1) + "o" + ")" * (MAX_NESTING + 1))
+        with pytest.raises(ParseError, match=f"^1:{5 * MAX_NESTING + 3}: nesting deeper"):
+            parse_type("i -> " * (MAX_NESTING + 1) + "o")
+        with pytest.raises(ParseError, match=f"^1:{2 * MAX_NESTING + 3}: nesting deeper"):
+            parse_atom("q" + " a" * (MAX_NESTING + 1))
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+            parse_atom(nested_term(MAX_NESTING + 1))
+
+    def test_each_part_counts_on_its_own(self):
+        # Each head, body literal, root atom and declared type counts from
+        # zero; within one, every parenthesis, argument and arrow adds up.
+        arrows = "i -> " * MAX_NESTING
+        deep = nested_term(MAX_NESTING)
+        parse_program(f"type q : {arrows}o.\ntype r : {arrows}o.\np <- {deep}, {deep}.")
+        half = nested_term(MAX_NESTING // 2)
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+            parse_atom(f"q ({half}) ({half})")
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+            parse_type(f"({arrows[: len(arrows) // 2]}o) -> {arrows[: len(arrows) // 2]}o")
+
+    def test_sources_stay_far_below_the_limit(self, monkeypatch):
+        monkeypatch.setattr(parser, "MAX_NESTING", MAX_NESTING // 4)
+        sources, roots = _bench_sources()
+        for text in sources + [e.source for e in CORPUS] + list(DEMOS.values()):
+            parse_program(text)
+        for root in roots + [r for e in CORPUS for r in e.roots or ()]:
+            parse_atom(root)

@@ -24,7 +24,6 @@ from hoplog.parser import (
     RawName,
     RawNeg,
     SourceProgram,
-    Token,
 )
 from hoplog.perfect import LocalStratification, PerfectResult, Stratification, Unstratifiable
 from hoplog.programs import CorpusEntry
@@ -117,10 +116,6 @@ SAMPLES = {
         f"Declaration(name='p', typ={OO_REPR}, pos=Pos(line=1, column=6))",
     ),
     SourceProgram: (SourceProgram, "SourceProgram(declarations=[], clauses=[])"),
-    Token: (
-        lambda: Token("NAME", "p", Pos(1, 6)),
-        "Token(kind='NAME', text='p', pos=Pos(line=1, column=6))",
-    ),
     ConstLit: (lambda: ConstLit(True), "ConstLit(value=True)"),
     GroundClause: (
         lambda: GroundClause(
@@ -218,7 +213,7 @@ def _record_classes():
 
 def test_every_record_class_has_a_sample():
     assert set(_record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 32
+    assert len(SAMPLES) == 31
 
 
 @pytest.fixture(params=list(SAMPLES), ids=lambda cls: cls.__name__)

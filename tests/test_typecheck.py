@@ -2,9 +2,10 @@
 
 import pytest
 
-from hoplog.errors import ProgramCheckError
+from hoplog.errors import AmbiguousVariableType, ProgramCheckError
+from hoplog.parser import parse_atom
 from hoplog.syntax import IOTA, OMICRON, Arrow
-from hoplog.typecheck import load_program
+from hoplog.typecheck import elaborate_ground_atom, load_program
 
 from helpers import load
 
@@ -105,12 +106,51 @@ class TestInference:
         (lit,) = clause.body
         assert lit.typ == OMICRON
 
+    def test_later_literals_type_earlier_variables(self):
+        # A pass types only what the bindings before it determine: Q waits
+        # for R, which waits for S, which the last literal binds.
+        env = var_types("type foo : o.\ntype q : (i -> o) -> o.\nfoo <- Q R, R S, q S.")
+        s_type = Arrow(IOTA, OMICRON)
+        r_type = Arrow(s_type, OMICRON)
+        assert env == {"Q": Arrow(r_type, OMICRON), "R": r_type, "S": s_type}
+
     def test_ambiguous_variable(self):
         assert "AmbiguousVariableType" in rules_of("type foo : o.\nfoo <- Q R.")
 
     def test_conflicting_variable(self):
         src = "type foo : o.\ntype q : i -> o.\nfoo <- q X, X."
         assert "ConflictingVariableType" in rules_of(src)
+
+
+class TestInferenceMessages:
+    """The clause or root atom that an inference error names."""
+
+    def messages(self, src: str) -> list[str]:
+        with pytest.raises(ProgramCheckError) as err:
+            load_program(src)
+        return [str(e) for e in err.value.errors]
+
+    def test_conflicting_variable(self):
+        src = "p X <- q X, X.\ntype p : i -> o.\ntype q : i -> o."
+        assert self.messages(src) == [
+            "1:13: variable X used both at i and at o in the clause for 'p X' at 1:1",
+            "1:1: body literal X has type i, not o",
+        ]
+
+    def test_ambiguous_variable(self):
+        src = "p X <- Q R, p X.\ntype p : i -> o."
+        assert self.messages(src) == [
+            "1:8: the type of Q is not determined by any occurrence"
+            " in the clause for 'p X' at 1:1"
+        ]
+
+    def test_ambiguous_variable_in_a_root_atom(self):
+        program = load_program("type p : i -> o.\np X <- X = a.")
+        with pytest.raises(
+            AmbiguousVariableType,
+            match="^1:3: the type of X is not determined by any occurrence in a root atom$",
+        ):
+            elaborate_ground_atom(program, parse_atom("p X"))
 
 
 class TestExpressionErrors:

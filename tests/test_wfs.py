@@ -1,9 +1,6 @@
 """Well-founded model engine: stage operator, fixpoints, discipline."""
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +24,7 @@ from hoplog.wfs import theta_lfp, theta_step, well_founded_model
 
 from helpers import (
     alternating_fixpoint,
+    bench_workloads,
     classical_least_model,
     is_fitting_minimal_stable,
     is_negation_free,
@@ -260,23 +258,12 @@ class TestWellFoundedModel:
                 assert part.value(key) == full.value(key), (root, key)
 
 
-def _bench_workloads():
-    """``bench/workloads.py``, loaded by path and only read: its pools are
-    the benchmark's programs, with no hoplog import."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks its module up
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestAlternatingFixpoint:
     """The engine against Van Gelder's alternating fixpoint, which needs
     no stage operator, at the benchmark's scale."""
 
     def test_bench_pools(self):
-        workloads = _bench_workloads()
+        workloads = bench_workloads()
         checked = stratified = 0
         for query in workloads.game_pool(1) + workloads.strat_pool(1):
             program = load(query.source)
@@ -381,7 +368,7 @@ class TestPossiblyTrueFilter:
         return sum(map(len, full.rules)) - sum(map(len, gp.compiled.rules))
 
     def test_bench_pools(self):
-        workloads = _bench_workloads()
+        workloads = bench_workloads()
         for pool in (workloads.game_pool(1), workloads.strat_pool(1)):
             dropped = 0
             for query in pool:
