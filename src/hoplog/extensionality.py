@@ -157,24 +157,6 @@ class ExtReport(Record):
         }
 
 
-class _Fail(Record):
-    __slots__ = ("lhs_atom", "rhs_atom", "lhs_value", "rhs_value", "pair")
-
-    def __init__(
-        self,
-        lhs_atom: str,
-        rhs_atom: str,
-        lhs_value: TruthValue,
-        rhs_value: TruthValue,
-        pair: tuple[str, str] | None = None,
-    ) -> None:
-        self.lhs_atom = lhs_atom
-        self.rhs_atom = rhs_atom
-        self.lhs_value = lhs_value
-        self.rhs_value = rhs_value
-        self.pair = pair
-
-
 class ValuationOracle:
     """Well-founded values over a growing demand grounding.
 
@@ -329,9 +311,10 @@ class ExtChecker:
 
     # -- reflexivity -----------------------------------------------------------
 
-    def _check_reflexive(self, rho: TypeExpr, d: Expr, dprime: Expr) -> _Fail | None:
+    def _check_reflexive(self, rho: TypeExpr, d: Expr, dprime: Expr) -> tuple | None:
         """The first failing branch of d = d' at rho, scanning argument pairs
-        in canonical order so witnesses are minimal.
+        in canonical order so witnesses are minimal: None, or the tuple
+        (outermost argument pair, lhs atom, rhs atom, lhs value, rhs value).
 
         Equal classes answer at once.  Otherwise the scan visits only the
         pairs of equal arguments, and it meets ``DepthExceeded`` at the same
@@ -340,7 +323,7 @@ class ExtChecker:
         if rho == OMICRON:
             lv, rv = self.oracle.value(d), self.oracle.value(dprime)
             if lv != rv:
-                return _Fail(canonical_print(d), canonical_print(dprime), lv, rv)
+                return None, canonical_print(d), canonical_print(dprime), lv, rv
             return None
         c = self._class(rho, d)
         if c is not None and c is not _EXCEEDED and c == self._class(rho, dprime):
@@ -357,8 +340,7 @@ class ExtChecker:
                     continue
                 fail = self._check_reflexive(rho.result, App(d, e), App(dprime, eprime))
                 if fail is not None:
-                    fail.pair = (canonical_print(e), canonical_print(eprime))
-                    return fail
+                    return (canonical_print(e), canonical_print(eprime)), *fail[1:]
         return None
 
     def reflexivity_report(self) -> ExtReport:
@@ -379,16 +361,9 @@ class ExtChecker:
                     )
                     continue
                 if fail is not None:
+                    pair, lhs, rhs, lv, rv = fail
                     report.witnesses.append(
-                        Witness(
-                            str(rho),
-                            canonical_print(term),
-                            fail.pair or ("", ""),
-                            fail.lhs_atom,
-                            fail.rhs_atom,
-                            str(fail.lhs_value),
-                            str(fail.rhs_value),
-                        )
+                        Witness(str(rho), canonical_print(term), pair, lhs, rhs, str(lv), str(rv))
                     )
         return report
 

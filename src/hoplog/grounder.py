@@ -60,7 +60,6 @@ from .syntax import (
     print_template,
     spine,
     suffix_types,
-    type_size,
     vars_in_order,
 )
 from .typecheck import Program
@@ -716,4 +715,4 @@ def argument_types(program: Program) -> tuple[TypeExpr, ...]:
 
     for _, t in program.signature.entries:
         visit(t)
-    return tuple(sorted(found, key=lambda t: (type_size(t), str(t))))
+    return tuple(sorted(found, key=lambda t: (t.size, t.text)))

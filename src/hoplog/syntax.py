@@ -12,7 +12,7 @@ symbols over individuals, and curried application of predicate-typed terms.
 Negation ``~`` and individual equality ``=`` exist only at the literal level.
 
 All values here are immutable and hashable; they can be shared freely.
-Terms are hash-consed: each distinct term exists once (see ``Expr``).
+Types and terms are hash-consed: each distinct one exists once (see ``Interned``).
 """
 
 from __future__ import annotations
@@ -24,73 +24,96 @@ from .errors import IllTyped, IllTypedApplication, TypeMismatch, UnboundSymbol
 from .records import FrozenRecord, _set
 
 # ---------------------------------------------------------------------------
-# Types
+# Hash-consed nodes
 # ---------------------------------------------------------------------------
 
 
-class TypeExpr(FrozenRecord):
-    """Base class for type expressions.
+class Interned(FrozenRecord):
+    """Base class for hash-consed nodes: types and expressions.
 
-    Equality is structural.  Each type computes its hash, the hash of its
-    fields, once at construction, so hashing a type never recurses, and
-    two types with different hashes compare unequal at once.  Types are
-    compared and hashed on every symbol lookup and universe probe.
+    Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006): constructing a node returns the one live node of
+    its class with the same fields, so equal nodes are identical and ``==``
+    is ``is``.  Each node computes, once and from its children's fields:
+
+    * ``text``: its canonical printing;
+    * ``atomic``: the same, parenthesized when it would not re-parse as one
+      argument;
+    * ``size``: its size;
+    * its hash: the hash of its fields, never of its address.
+
+    So printing, sizing, hashing and comparing a node never recurse.  Each
+    class's intern table holds its nodes weakly: a node lives exactly as
+    long as something else refers to it.  The tables take no lock, so nodes
+    must be built from one thread at a time.  A subclass's ``__slots__`` are
+    its fields, in constructor order; ``Interned``'s own slots hold the
+    values derived from them.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "text", "atomic", "size", "__weakref__")
+    __eq__ = object.__eq__
 
-    def __init__(self) -> None:
-        _set(self, "_hash", hash(()))
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._table = weakref.WeakValueDictionary()
+
+    @classmethod
+    def _intern(cls, fields: tuple, text: str, atomic: str, size: int):
+        """Build, register and return the node of this class with these
+        fields; the caller has found none in the table."""
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            _set(node, name, value)
+        _set(node, "_hash", hash(fields))
+        _set(node, "text", text)
+        _set(node, "atomic", atomic)
+        _set(node, "size", size)
+        cls._table[fields] = node
+        return node
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other):
-        # i and o have no fields
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
+
+# ---------------------------------------------------------------------------
+# Types
+# ---------------------------------------------------------------------------
+
+
+class TypeExpr(Interned):
+    """Base class for type expressions; a type's size counts its arrows and
+    base types."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return self.text
 
 
 class Iota(TypeExpr):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return "i"
+    def __new__(cls) -> Iota:
+        return cls._table.get(()) or cls._intern((), "i", "i", 1)
 
 
 class Omicron(TypeExpr):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return "o"
+    def __new__(cls) -> Omicron:
+        return cls._table.get(()) or cls._intern((), "o", "o", 1)
 
 
 class Arrow(TypeExpr):
     __slots__ = ("argument", "result")
 
-    def __init__(self, argument: TypeExpr, result: TypeExpr) -> None:
-        _set(self, "argument", argument)
-        _set(self, "result", result)
-        _set(self, "_hash", hash((argument, result)))
-
-    # a class that defines __eq__ inherits no __hash__
-    __hash__ = TypeExpr.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not Arrow:
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash
-            and self.argument == other.argument
-            and self.result == other.result
-        )
-
-    def __str__(self) -> str:
-        left = str(self.argument)
-        if isinstance(self.argument, Arrow):
-            left = f"({left})"
-        return f"{left} -> {self.result}"
+    def __new__(cls, argument: TypeExpr, result: TypeExpr) -> Arrow:
+        fields = (argument, result)
+        node = cls._table.get(fields)
+        if node is None:
+            text = f"{argument.atomic} -> {result.text}"
+            node = cls._intern(fields, text, f"({text})", 1 + argument.size + result.size)
+        return node
 
 
 IOTA = Iota()
@@ -170,62 +193,19 @@ def type_geq(t1: TypeExpr, t2: TypeExpr) -> bool:
     return any(s == t2 for s in suffix_types(t1))
 
 
-def type_size(t: TypeExpr) -> int:
-    if isinstance(t, Arrow):
-        return 1 + type_size(t.argument) + type_size(t.result)
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Terms and expressions
 # ---------------------------------------------------------------------------
 
 
-class Expr(FrozenRecord):
+class Expr(Interned):
     """Base class for terms and literal expressions. Nodes carry their type.
 
-    Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
-    hash-consing", 2006): constructing a node returns the one live node of
-    its class with the same fields, so equal nodes are identical and ``==``
-    is ``is``.  Each node computes, once and from its children's fields:
-
-    * ``text``: its canonical printing (see ``canonical_print``);
-    * ``atomic``: the same, parenthesized when it would not re-parse as one
-      argument;
-    * ``size``: its ``term_size``;
-    * its hash: the hash of its fields, never of its address.
-
-    So printing, sizing, hashing and comparing a node never recurse.  Each
-    class's intern table holds its nodes weakly: a node lives exactly as
-    long as something else refers to it.  The tables take no lock, so terms
-    must be built from one thread at a time.  A subclass's ``__slots__`` are
-    its fields, in constructor order; ``Expr``'s own slots hold the values
-    derived from them.
+    Nodes are hash-consed (see ``Interned``): ``text`` is the node's
+    ``canonical_print`` and ``size`` its ``term_size``.
     """
 
-    __slots__ = ("_hash", "text", "atomic", "size", "__weakref__")
-    __eq__ = object.__eq__
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._table = weakref.WeakValueDictionary()
-
-    @classmethod
-    def _intern(cls, fields: tuple, text: str, atomic: str, size: int) -> Expr:
-        """Build, register and return the node of this class with these
-        fields; the caller has found none in the table."""
-        node = object.__new__(cls)
-        for name, value in zip(cls._fields, fields):
-            _set(node, name, value)
-        _set(node, "_hash", hash(fields))
-        _set(node, "text", text)
-        _set(node, "atomic", atomic)
-        _set(node, "size", size)
-        cls._table[fields] = node
-        return node
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ()
 
     @property
     def typ(self) -> TypeExpr:
@@ -439,10 +419,6 @@ def print_template(e: Expr, fields: Mapping[str, int]) -> str:
 # Signatures
 # ---------------------------------------------------------------------------
 
-KIND_INDIVIDUAL = "individual"
-KIND_FUNCTION = "function"
-KIND_PREDICATE = "predicate"
-
 
 class Signature(FrozenRecord):
     """Immutable symbol table: constant / function-symbol name -> type."""
@@ -456,14 +432,10 @@ class Signature(FrozenRecord):
         _set(self, "_types", dict(entries))
 
     @staticmethod
-    def kind_of_type(name: str, t: TypeExpr) -> str:
-        if t == IOTA:
-            return KIND_INDIVIDUAL
-        if is_functional_type(t):
-            return KIND_FUNCTION
-        if is_predicate_type(t):
-            return KIND_PREDICATE
-        raise IllTyped(f"{name}: {t} is neither a functional nor a predicate type")
+    def kind_of_type(name: str, t: TypeExpr) -> None:
+        """Reject a type that is neither functional nor a predicate type."""
+        if not (is_functional_type(t) or is_predicate_type(t)):
+            raise IllTyped(f"{name}: {t} is neither a functional nor a predicate type")
 
     def as_dict(self) -> dict[str, TypeExpr]:
         return dict(self.entries)

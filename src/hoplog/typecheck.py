@@ -128,6 +128,7 @@ class _ClauseChecker:
         self.clause = clause  # None for a root atom
         self.env: dict[str, TypeExpr] = {}
         self.errors: list[TypeCheckError] = []
+        self.conflicts: set = set()  # positions whose conflict is reported
 
     @property
     def where(self) -> str:
@@ -146,7 +147,9 @@ class _ClauseChecker:
         known = self.env.get(name)
         if known is None:
             self.env[name] = typ
-        elif known != typ:
+        elif known != typ and pos not in self.conflicts:
+            # every inference pass meets the occurrence again
+            self.conflicts.add(pos)
             self.error(
                 ConflictingVariableType(
                     f"{pos}: variable {name} used both at {known} and at {typ}"

@@ -6,7 +6,8 @@ fixpoint machinery:
 * ``reference_print``, ``reference_atomic`` and ``reference_size`` print
   and size a term by recursive ``isinstance`` dispatch, where every
   interned ``Expr`` node carries its text, atomic text and size, computed
-  once from its children's;
+  once from its children's; ``reference_type_text`` and
+  ``reference_type_size`` do the same for types;
 * ``enumerate_terms_closure`` grows ground terms by repeated application
   instead of by sized composition;
 * ``reference_grounding`` grounds by substituting into each clause and
@@ -131,6 +132,27 @@ def reference_size(e: Expr) -> int:
     if isinstance(e, Eq):
         return reference_size(e.lhs) + reference_size(e.rhs)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def reference_type_text(t: TypeExpr) -> str:
+    """The text of t, an arrow argument parenthesized when it is an arrow."""
+    if isinstance(t, Arrow):
+        left = reference_type_text(t.argument)
+        if isinstance(t.argument, Arrow):
+            left = f"({left})"
+        return f"{left} -> {reference_type_text(t.result)}"
+    if t == IOTA:
+        return "i"
+    if t == OMICRON:
+        return "o"
+    raise TypeError(f"not a type: {t!r}")
+
+
+def reference_type_size(t: TypeExpr) -> int:
+    """Arrows and base types in t."""
+    if isinstance(t, Arrow):
+        return 1 + reference_type_size(t.argument) + reference_type_size(t.result)
+    return 1
 
 
 # ---------------------------------------------------------------------------

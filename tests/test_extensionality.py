@@ -64,6 +64,16 @@ class TestReflexivityCheck:
         assert witness.lhs_atom == "s p" and witness.rhs_atom == "s q"
         assert witness.lhs_value == "false" and witness.rhs_value == "undefined"
 
+    def test_witness_names_the_outermost_argument_pair(self):
+        # t fails at its second argument, on (p, q); the witness names the
+        # pair of its first argument, (p, p), as the pairwise definition does
+        source = NONEXTENSIONAL + "type t : (o -> o) -> (o -> o) -> o.\nt P Q <- s Q.\n"
+        report = assert_matches_reference(load(source), 1)
+        witness = report.witnesses[1]
+        assert (witness.rho, witness.term) == ("(o -> o) -> (o -> o) -> o", "t")
+        assert witness.pair == ("p", "p")
+        assert (witness.lhs_atom, witness.rhs_atom) == ("t p p", "t p q")
+
     def test_stratified_example_is_extensional_at_depth(self):
         report = ExtChecker(load(STRATIFIED_OK), 3).reflexivity_report()
         assert report.verdict == "extensional-at-depth-3"

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 import hoplog.cli  # noqa: F401  (imports every module that defines a record)
-from hoplog.extensionality import ExtRelation, ExtReport, UnknownItem, Witness, _Fail
+from hoplog.extensionality import ExtRelation, ExtReport, UnknownItem, Witness
 from hoplog.grounder import (
     CompiledProgram,
     ConstLit,
@@ -14,7 +14,7 @@ from hoplog.grounder import (
     GroundProgram,
     ground_instantiation,
 )
-from hoplog.interp import PartialInterpretation, TruthValue
+from hoplog.interp import PartialInterpretation
 from hoplog.parser import (
     Declaration,
     Pos,
@@ -34,6 +34,7 @@ from hoplog.syntax import (
     Arrow,
     Clause,
     Expr,
+    Interned,
     Iota,
     Neg,
     Omicron,
@@ -181,39 +182,35 @@ SAMPLES = {
         "ExtReport(depth=2, budget=8, witnesses=[], unknowns=[], checked_types=[], "
         "checked_terms=0)",
     ),
-    _Fail: (
-        lambda: _Fail("p", "q", TruthValue.TRUE, TruthValue.FALSE),
-        "_Fail(lhs_atom='p', rhs_atom='q', lhs_value=<TruthValue.TRUE: 2>, "
-        "rhs_value=<TruthValue.FALSE: 0>, pair=None)",
-    ),
     CorpusEntry: (
         lambda: CorpusEntry("x", "type p : o."),
         "CorpusEntry(name='x', source='type p : o.', depth=2, roots=None)",
     ),
 }
 
-MUTABLE = {ExtReport, Witness, UnknownItem, _Fail, GroundProgram, SourceProgram}
+MUTABLE = {ExtReport, Witness, UnknownItem, GroundProgram, SourceProgram}
 # Frozen records that hold a dict, and so cannot be hashed, as before.
 HOLDS_A_DICT = {Stratification, LocalStratification}
 
 
 def _record_classes():
     """Every concrete record class hoplog defines; hash-consed terms and
-    the abstract bases are tested elsewhere."""
+    the abstract bases are tested elsewhere.  Hash-consed types are
+    included: records whose constructor returns the interned node."""
     found, todo = [], [Record]
     while todo:
         cls = todo.pop()
         for sub in cls.__subclasses__():
             if sub.__module__.startswith("hoplog.") and not issubclass(sub, Expr):
                 todo.append(sub)
-                if sub not in (FrozenRecord, TypeExpr):
+                if sub not in (FrozenRecord, Interned, TypeExpr):
                     found.append(sub)
     return found
 
 
 def test_every_record_class_has_a_sample():
     assert set(_record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 31
+    assert len(SAMPLES) == 30
 
 
 @pytest.fixture(params=list(SAMPLES), ids=lambda cls: cls.__name__)
@@ -230,7 +227,8 @@ def test_repr_is_the_dataclass_text(sample):
 def test_slotted_and_built_afresh(sample):
     cls, make, _ = sample
     a, b = make(), make()
-    assert type(a) is cls and a is not b
+    # a type is interned: equal fields build the one live node
+    assert type(a) is cls and (a is b) == issubclass(cls, TypeExpr)
     assert not hasattr(a, "__dict__")
 
 
@@ -286,7 +284,6 @@ def test_defaults():
     assert SourceProgram().clauses is not SourceProgram().clauses
     entry = CorpusEntry("x", "")
     assert (entry.depth, entry.roots) == (2, None)
-    assert _Fail("p", "q", TruthValue.TRUE, TruthValue.FALSE).pair is None
 
 
 def test_interpretation_checks_run_on_construction_and_load():
@@ -337,8 +334,9 @@ def test_types_hash_their_fields_once():
     twin = IOTA
     for _ in range(50):
         twin = Arrow(twin, OMICRON)
-    assert deep == twin and deep is not twin
+    assert deep is twin and deep == twin
     assert hash(deep) == hash(twin) == hash((deep.argument, deep.result))
+    assert hash(IOTA) == hash(OMICRON) == hash(())
     assert Arrow(IOTA, OMICRON) != Arrow(OMICRON, IOTA)
     assert Arrow(IOTA, OMICRON) != IOTA and IOTA != OMICRON
 

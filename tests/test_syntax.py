@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from hoplog.errors import TypeMismatch, UnboundSymbol
 from hoplog.grounder import Universe, argument_types
 from hoplog.parser import parse_program, parse_type
-from hoplog.programs import CORPUS
+from hoplog.programs import CORPUS, DEMOS
 from hoplog.syntax import (
     IOTA,
     OMICRON,
@@ -21,9 +21,12 @@ from hoplog.syntax import (
     FunApp,
     IndConst,
     IndVar,
+    Iota,
     Neg,
+    Omicron,
     PredConst,
     PredVar,
+    TypeExpr,
     apply_substitution,
     canonical_print,
     free_vars,
@@ -36,11 +39,14 @@ from hoplog.syntax import (
 from hoplog.typecheck import check_program, load_program
 
 from helpers import (
+    bench_workloads,
     load,
     random_program_source,
     reference_atomic,
     reference_print,
     reference_size,
+    reference_type_size,
+    reference_type_text,
 )
 
 O_O = Arrow(OMICRON, OMICRON)
@@ -79,6 +85,12 @@ class TestTypes:
         assert type_geq(IO, IO)
         assert not type_geq(Arrow(IO, OMICRON), IO)
         assert type_geq(O_O, OMICRON)
+
+    def test_argument_types_sort_by_size_then_text(self):
+        program = load("type s : (o -> o) -> o.\ntype r : i -> o.\ntype f : i -> i.")
+        assert [t.text for t in argument_types(program)] == [
+            "i", "o", "i -> o", "o -> o", "(o -> o) -> o"
+        ]
 
 
 SIG_SRC = """
@@ -398,6 +410,106 @@ class TestInterning:
         assert term_size(t) == 5001
         assert canonical_print(t).count("(") == 4999
         assert {t: 1}[again] == 1
+
+
+def _type_parts(t: TypeExpr):
+    """t and every type below it."""
+    yield t
+    if isinstance(t, Arrow):
+        yield from _type_parts(t.argument)
+        yield from _type_parts(t.result)
+
+
+def _declared_types():
+    """Every type declared in the corpus, the demos and the bench pools of
+    seeds 1-3, with its parts."""
+    workloads = bench_workloads()
+    sources = [e.source for e in CORPUS] + list(DEMOS.values())
+    for seed in (1, 2, 3):
+        for pool in (workloads.game_pool, workloads.strat_pool, workloads.ext_pool):
+            sources += [q.source for q in pool(seed)]
+    for source in sources:
+        for decl in parse_program(source).declarations:
+            yield from _type_parts(decl.typ)
+
+
+def _random_type_tree(rng: random.Random, depth: int):
+    """A plain nested tuple: "i", "o" or ("->", argument, result)."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice("io")
+    return ("->", _random_type_tree(rng, depth - 1), _random_type_tree(rng, depth - 1))
+
+
+def _build_type(tree) -> TypeExpr:
+    """A fresh construction, bottom up, of the type with this tree."""
+    if tree == "i":
+        return Iota()
+    if tree == "o":
+        return Omicron()
+    return Arrow(_build_type(tree[1]), _build_type(tree[2]))
+
+
+class TestTypeInterning:
+    """Types are hash-consed like terms: their text and size agree with the
+    recursive reference printer and sizer, and equal types are one node."""
+
+    def assert_agree(self, types):
+        types = list(types)
+        assert types
+        for t in types:
+            assert t.text == str(t) == reference_type_text(t)
+            assert t.atomic == (f"({t.text})" if isinstance(t, Arrow) else t.text)
+            assert t.size == reference_type_size(t)
+            assert parse_type(t.text) is t
+            fields = (t.argument, t.result) if isinstance(t, Arrow) else ()
+            assert hash(t) == hash(fields)
+
+    def test_declared_types(self):
+        self.assert_agree(_declared_types())
+
+    def test_random_types(self):
+        rng = random.Random(15)
+        # five levels at most: the parser caps a type at 100 arrows and parentheses
+        trees = [_random_type_tree(rng, rng.randint(1, 5)) for _ in range(6000)]
+        assert len({repr(tree) for tree in trees if isinstance(tree, tuple)}) >= 2000
+        types = [_build_type(tree) for tree in trees]
+        self.assert_agree(types)
+        for tree, t in zip(trees, types):
+            assert _build_type(tree) is t
+
+    def test_independent_constructions_are_one_node(self):
+        assert Iota() is IOTA and Omicron() is OMICRON and IOTA is not OMICRON
+        assert Arrow(IOTA, OMICRON) is Arrow(IOTA, OMICRON) is IO
+        assert Arrow(IO, O_O) is parse_type("(i -> o) -> o -> o")
+        assert Arrow(IOTA, OMICRON) is not Arrow(OMICRON, IOTA)
+        assert Arrow(IOTA, OMICRON) != Arrow(OMICRON, IOTA)
+
+    def test_pickle_returns_the_interned_node(self):
+        t = Arrow(Arrow(IOTA, OMICRON), OMICRON)
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert pickle.loads(pickle.dumps(IOTA)) is IOTA
+
+    def test_unreferenced_arrow_leaves_the_table(self):
+        gc.collect()
+        before = len(Arrow._table)
+        probe = Arrow(OMICRON, IOTA)  # no program declares o -> i
+        for _ in range(40):
+            probe = Arrow(probe, OMICRON)
+        gc.collect()
+        assert len(Arrow._table) == before + 41
+        del probe
+        gc.collect()
+        assert len(Arrow._table) == before
+
+    def test_deep_type_needs_no_recursion(self):
+        t = OMICRON
+        for _ in range(5000):
+            t = Arrow(IOTA, t)
+        again = OMICRON
+        for _ in range(5000):
+            again = Arrow(IOTA, again)
+        assert again is t and {t: 1}[again] == 1
+        assert t.size == 10001 and t.text == "i -> " * 5000 + "o"
 
 
 class TestSignature:

@@ -137,6 +137,14 @@ class TestInferenceMessages:
             "1:1: body literal X has type i, not o",
         ]
 
+    def test_conflict_met_on_every_pass_is_reported_once(self):
+        # the second pass binds nothing new but meets the conflict again
+        src = "type foo : o. type q : i -> o. foo <- q X, X."
+        assert self.messages(src) == [
+            "1:44: variable X used both at i and at o in the clause for 'foo' at 1:32",
+            "1:32: body literal X has type i, not o",
+        ]
+
     def test_ambiguous_variable(self):
         src = "p X <- Q R, p X.\ntype p : i -> o."
         assert self.messages(src) == [
