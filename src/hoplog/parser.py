@@ -136,9 +136,11 @@ _PUNCT = {
 _TOKEN = re.compile(r"(\n)|([^\S\n]+)|(%[^\n]*)|(->|<-|[(),.~=:])|(\w+)|(.)")
 
 # Nesting levels in one clause head, body literal, root atom or declared
-# type: each parenthesis, each argument of an application and each arrow
-# counts one, wherever it sits.  The count bounds the depth of the trees,
-# which the passes after the parser recurse over.
+# type: the levels on the deepest path of its tree, where each parenthesis,
+# each application and each arrow counts one.  An application leans left,
+# so a spine's head sits one level down per argument; an arrow leans right.
+# The count bounds the depth of the trees, which the passes after the
+# parser recurse over.
 MAX_NESTING = 100
 
 
@@ -175,7 +177,6 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.depth = 0
 
     def peek(self) -> tuple[str, str, Pos]:
         return self.tokens[self.i]
@@ -195,36 +196,38 @@ class _Parser:
         pos = self.peek()[2]
         return ParseError(message, pos.line, pos.column)
 
-    def deeper(self) -> None:
-        """Count one nesting level at the next token."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+    def reach(self, depth: int, height: int) -> None:
+        """Refuse the next token when it makes a tree ``height`` levels high,
+        with its root ``depth`` levels down, too deep.  The parse methods
+        take the depth of what they parse and return it with its height."""
+        if depth + height > MAX_NESTING:
             raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     # -- types --------------------------------------------------------------
 
-    def parse_type(self) -> TypeExpr:
-        left = self.parse_type_atom()
-        if self.peek()[0] == "ARROW":
-            self.deeper()
-            self.next()
-            return Arrow(left, self.parse_type())
-        return left
+    def parse_type(self, depth: int = 0) -> tuple[TypeExpr, int]:
+        left, height = self.parse_type_atom(depth)
+        if self.peek()[0] != "ARROW":
+            return left, height
+        self.reach(depth, height + 1)
+        self.next()
+        right, right_height = self.parse_type(depth + 1)
+        return Arrow(left, right), 1 + max(height, right_height)
 
-    def parse_type_atom(self) -> TypeExpr:
+    def parse_type_atom(self, depth: int) -> tuple[TypeExpr, int]:
         kind, text, _ = self.peek()
         if kind == "NAME" and text == "i":
             self.next()
-            return IOTA
+            return IOTA, 0
         if kind == "NAME" and text == "o":
             self.next()
-            return OMICRON
+            return OMICRON, 0
         if kind == "LPAREN":
-            self.deeper()
+            self.reach(depth, 1)
             self.next()
-            inner = self.parse_type()
+            inner, height = self.parse_type(depth + 1)
             self.expect("RPAREN")
-            return inner
+            return inner, height + 1
         raise self.fail(f"expected a type, found {text or 'end of input'!r}")
 
     # -- terms and literals ---------------------------------------------------
@@ -235,36 +238,37 @@ class _Parser:
             raise ParseError(f"{text!r} is reserved", pos.line, pos.column)
         return RawName(text, pos)
 
-    def parse_arg(self):
+    def parse_arg(self, depth: int):
         kind, text, _ = self.peek()
         if kind == "NAME":
-            return self.parse_name()
+            return self.parse_name(), 0
         if kind == "LPAREN":
-            self.deeper()
+            self.reach(depth, 1)
             self.next()
-            inner = self.parse_atom()
+            inner, height = self.parse_atom(depth + 1)
             self.expect("RPAREN")
-            return inner
+            return inner, height + 1
         raise self.fail(f"expected a term, found {text or 'end of input'!r}")
 
-    def parse_atom(self):
+    def parse_atom(self, depth: int = 0):
         pos = self.peek()[2]
-        out = self.parse_arg()
+        out, height = self.parse_arg(depth)
         while self.peek()[0] in ("NAME", "LPAREN"):
-            self.deeper()
-            out = RawApp(out, self.parse_arg(), pos)
-        return out
+            self.reach(depth, height + 1)  # the spine so far sinks one level
+            arg, arg_height = self.parse_arg(depth + 1)
+            out = RawApp(out, arg, pos)
+            height = 1 + max(height, arg_height)
+        return out, height
 
     def parse_literal(self):
-        self.depth = 0
         kind, _, pos = self.peek()
         if kind == "TILDE":
             self.next()
-            return RawNeg(self.parse_arg(), pos)
-        lhs = self.parse_atom()
+            return RawNeg(self.parse_arg(0)[0], pos)
+        lhs = self.parse_atom()[0]
         if self.peek()[0] == "EQUALS":
             eq = self.next()[2]
-            return RawEq(lhs, self.parse_atom(), eq)
+            return RawEq(lhs, self.parse_atom()[0], eq)
         return lhs
 
     # -- declarations and clauses ---------------------------------------------
@@ -273,8 +277,7 @@ class _Parser:
         self.next()  # the "type" keyword, checked by the caller
         name = self.parse_name()
         self.expect("COLON")
-        self.depth = 0
-        typ = self.parse_type()
+        typ = self.parse_type()[0]
         self.expect("DOT")
         if name.name in seen:
             raise DuplicateDeclaration(
@@ -286,8 +289,7 @@ class _Parser:
 
     def parse_clause(self) -> RawClause:
         pos = self.peek()[2]
-        self.depth = 0
-        head = self.parse_atom()
+        head = self.parse_atom()[0]
         body: list = []
         if self.peek()[0] == "LARROW":
             self.next()
@@ -321,7 +323,7 @@ def parse_program(text: str) -> SourceProgram:
 
 def parse_type(text: str) -> TypeExpr:
     p = _Parser(text)
-    typ = p.parse_type()
+    typ = p.parse_type()[0]
     p.expect("EOF")
     return typ
 
@@ -329,6 +331,6 @@ def parse_type(text: str) -> TypeExpr:
 def parse_atom(text: str):
     """Parse a single atom (used for --roots arguments)."""
     p = _Parser(text)
-    atom = p.parse_atom()
+    atom = p.parse_atom()[0]
     p.expect("EOF")
     return atom

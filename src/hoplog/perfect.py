@@ -13,31 +13,28 @@ predicate constant.  The perfect model is then built stratum by stratum
 with a two-valued stage operator; the resulting stage sequence climbs in
 the Fitting order and its last element is total.
 
-The stage operator's least fixed point under the current stage J is the
-set of atoms that ``wfs.theta_lfp`` makes true under J: an atom is derived
-when some live clause has every negated atom false in J and every positive
-atom true in J or derived.  So each stage runs the well-founded engine's
-counter-driven inner loop on the grounding's compiled form, where dead
-clauses are already dropped.  ``localize`` reads the grounding's predicate
-edges, which every instance contributes to, dead ones included, so it
-checks the strata of dead clauses too.
+The stage operator's least fixed point under the current stage J holds
+the atoms of some live clause with every negated atom false in J and
+every positive atom derived.  It grows with J in the Fitting order, so
+``perfect_model`` computes all stages in one countdown on the grounding's
+compiled form, where dead clauses are already dropped, with the
+well-founded engine's counter records (``wfs.occurrences``): each rule's
+counter is paid once, not once a stratum.  ``localize`` reads the
+grounding's predicate edges, which every instance contributes to, dead
+ones included, so it checks the strata of dead clauses too.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import LocalStratificationViolation, NotIncreasing
 from .grounder import GroundProgram
-from .interp import (
-    Ordering,
-    PartialInterpretation,
-    everything_undefined,
-    interpretation,
-    leq,
-)
+from .interp import PartialInterpretation, everything_undefined, interpretation
 from .records import FrozenRecord, _set
 from .syntax import Eq, Expr, Neg, PredConst, PredVar, spine, type_geq
 from .typecheck import Program
-from .wfs import theta_lfp, theta_step
+from .wfs import occurrences, theta_step
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +190,6 @@ class LocalStratification(FrozenRecord):
     def count(self) -> int:
         return len(self.strata_atoms)
 
-    def cumulative(self, alpha: int) -> frozenset[str]:
-        """Atoms of strata 1..alpha."""
-        out: set[str] = set()
-        for s in self.strata_atoms[:alpha]:
-            out.update(s)
-        return frozenset(out)
-
 
 def leftmost_predicate(expr: Expr) -> str:
     head, _ = spine(expr)
@@ -269,16 +259,44 @@ class PerfectResult(FrozenRecord):
 def perfect_model(gp: GroundProgram, ls: LocalStratification) -> PerfectResult:
     """Stage through the strata: stage a derives every currently supported
     atom and seals the falsehood of the unsupported atoms in strata 1..a.
-    The sequence climbs in the Fitting order; its last stage is total."""
-    universe = frozenset(gp.atoms)
-    current = everything_undefined(gp)
-    stages = [current]
-    for alpha in range(1, ls.count + 1):
-        derived = theta_lfp(current, gp)[0].true_atoms
-        sealed = ls.cumulative(alpha)
-        nxt = PartialInterpretation(derived, sealed - derived, universe)
-        if not leq(current, nxt, Ordering.FITTING):
-            raise NotIncreasing("perfect-model stage sequence left the Fitting order")
-        stages.append(nxt)
-        current = nxt
-    return PerfectResult(current, tuple(stages))
+    The sequence climbs in the Fitting order; its last stage is total.
+
+    In one countdown, a rule waits on each positive atom until it is
+    derived, and on each negated atom until it is sealed false.  Stage a
+    seals the atoms of stratum a - 1 still underived, then derives."""
+    cp = gp.compiled
+    keys = cp.keys
+    records, uses = occurrences(cp)
+    negated: list[list[list]] = [[] for _ in keys]
+    for rule in records:
+        rule[1] = len(rule[3]) + len(rule[4])  # the body atoms it waits on
+        for a in rule[4]:
+            negated[a].append(rule)
+    todo = [rule[0] for rule in records if not rule[1]]  # heads to derive
+    ids = {key: a for a, key in enumerate(keys)}
+    derived = [False] * len(keys)
+    sealed = [False] * len(keys)
+    false_keys: list[str] = []
+    stages = [everything_undefined(gp)]
+
+    def count_down(rules: list[list]) -> None:
+        for rule in rules:
+            rule[1] -= 1
+            if not rule[1]:
+                todo.append(rule[0])
+
+    for stratum in ls.strata_atoms:
+        while todo:
+            h = todo.pop()
+            if sealed[h]:
+                raise NotIncreasing("perfect-model stage sequence left the Fitting order")
+            if not derived[h]:
+                derived[h] = True
+                count_down(uses[h])
+        closing = [key for key in stratum if not derived[ids[key]]]
+        false_keys += closing
+        stages.append(interpretation(gp, compress(keys, derived), false_keys))
+        for key in closing:
+            sealed[ids[key]] = True
+            count_down(negated[ids[key]])
+    return PerfectResult(stages[-1], tuple(stages))

@@ -12,14 +12,15 @@ on either J or the inner iterate.  Atoms with no live clauses are false.
 
 Both iterations run on the grounding's compiled form
 (``GroundProgram.compiled``): integer atom ids, per-head rules, no dead
-clauses.  The inner iteration works on value vectors indexed by atom id;
-each outer stage becomes a ``PartialInterpretation`` once.
+clauses.  J and the stages are value vectors indexed by atom id; a stage
+becomes a ``PartialInterpretation`` once, for the trace.
 
 The inner loop counts instead of rescanning, after Dowling and Gallier's
-linear-time Horn least model (J. Logic Programming, 1984): see
-``theta_lfp``.  Rounds are synchronous, each reading only the previous
-round's values, so the stages and round counts are those of naive
-iteration of ``theta_step``; a differential test checks this.
+linear-time Horn least model (J. Logic Programming, 1984): see ``_lfp``.
+The counter records are built once per model and reset at each stage.
+Rounds are synchronous, each reading only the previous round's values, so
+the stages and round counts are those of naive iteration of
+``theta_step``; a differential test checks this.
 """
 
 from __future__ import annotations
@@ -98,43 +99,48 @@ def theta_step(
     return _to_interp([_head_value(rules, jv, iv) for rules in cp.rules], cp)
 
 
-def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInterpretation, int]:
-    """Least fixed point of the stage operator under J, from the all-false
-    start.  Returns the fixpoint and the number of rounds to stabilize.
+def occurrences(cp: CompiledProgram) -> tuple[list[list], list[list[list]]]:
+    """A record ``[head, need_true, need_defined, positive ids, negative
+    ids]`` per rule, counters unset, and per atom id the records of the
+    rules that hold it positively, once per occurrence."""
+    uses: list[list[list]] = [[] for _ in cp.keys]
+    records = []
+    for h, rules in enumerate(cp.rules):
+        for pos, neg in rules:
+            rule = [h, -1, -1, pos, neg]
+            records.append(rule)
+            for a in pos:
+                uses[a].append(rule)
+    return records, uses
+
+
+def _lfp(jv: list[TruthValue], records: list, uses: list) -> tuple[list[TruthValue], int]:
+    """Least fixed point of the stage operator under the outer values jv,
+    from the all-false start, and the number of rounds to stabilize.
 
     A rule with a negated atom true in J is dropped.  Each other rule counts
     its positive atoms not yet true, in J or inside (kept when its negated
     atoms are all false in J), and those still false inside (kept when none
     is false in J).  Its head becomes true when the first count reaches
     zero, and otherwise undefined when the second one does."""
-    cp = gp.compiled
-    jv = [J.value(k) for k in cp.keys]
     true_in_j = {a for a, v in enumerate(jv) if v == _TRUE}
     false_in_j = {a for a, v in enumerate(jv) if v == _FALSE}
-    n = len(cp.keys)
-    # Per kept rule, [head, need_true, need_defined]: its positive atoms
-    # that must still become true, and those that must still leave false.
-    # A counter the rule does not keep starts at -1, so never reaches zero.
-    uses: list[list[list[int]]] = [[] for _ in range(n)]  # per positive atom
+    n = len(jv)
+    # A counter the rule does not keep is -1, so never reaches zero.
     top = [_FALSE] * n  # per head, the value its rules' counters give
-    for h, rules in enumerate(cp.rules):
-        for pos, neg in rules:
-            if not true_in_j.isdisjoint(neg):
-                continue  # the rule's body is false
-            t = d = -1
+    for rule in records:
+        h, _, _, pos, neg = rule
+        t = d = -1
+        if true_in_j.isdisjoint(neg):  # else the rule's body is false
             if false_in_j.issuperset(neg):
                 t = len([a for a in pos if a not in true_in_j])
             if false_in_j.isdisjoint(pos):
                 d = len(pos)
-            elif t < 0:
-                continue  # the rule's body is false
-            rule = [h, t, d]
-            for a in pos:
-                uses[a].append(rule)
-            if not t:
-                top[h] = _TRUE
-            elif not d and top[h] == _FALSE:
-                top[h] = _UNDEFINED
+        rule[1], rule[2] = t, d
+        if not t:
+            top[h] = _TRUE
+        elif not d and top[h] == _FALSE:
+            top[h] = _UNDEFINED
     values = [_FALSE] * n
     dirty = [h for h in range(n) if top[h]]
     rounds = 0
@@ -150,7 +156,7 @@ def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInter
                     raise NotIncreasing("inner stage sequence left the truth order")
                 changed.append((h, v))
         if not changed:
-            return _to_interp(values, cp), rounds
+            return values, rounds
         dirty = set()
         for a, v in changed:
             leaves_false = values[a] == _FALSE
@@ -174,21 +180,33 @@ def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInter
             raise NotIncreasing("inner iteration failed to stabilize")
 
 
+def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInterpretation, int]:
+    """Least fixed point of the stage operator under J, from the all-false
+    start.  Returns the fixpoint and the number of rounds to stabilize."""
+    cp = gp.compiled
+    values, rounds = _lfp([J.value(k) for k in cp.keys], *occurrences(cp))
+    return _to_interp(values, cp), rounds
+
+
 def well_founded_model(gp: GroundProgram) -> WfsResult:
     """Iterate the outer stage sequence to its least fixpoint.
 
     The outer sequence must climb in the Fitting order; any violation is an
     internal-consistency failure, not a recoverable condition.
     """
+    cp = gp.compiled
+    records, uses = occurrences(cp)
+    jv = [_UNDEFINED] * len(cp.keys)
     current = everything_undefined(gp)
     stages = [current]
     inner_lengths = []
     while True:
-        nxt, rounds = theta_lfp(current, gp)
+        values, rounds = _lfp(jv, records, uses)
         inner_lengths.append(rounds)
+        if values == jv:
+            return WfsResult(current, ThetaTrace(tuple(stages), tuple(inner_lengths)))
+        nxt = _to_interp(values, cp)
         if not leq(current, nxt, Ordering.FITTING):
             raise NotIncreasing("outer stage sequence left the Fitting order")
-        if nxt == current:
-            return WfsResult(current, ThetaTrace(tuple(stages), tuple(inner_lengths)))
         stages.append(nxt)
-        current = nxt
+        current, jv = nxt, values

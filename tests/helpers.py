@@ -21,6 +21,8 @@ fixpoint machinery:
 * ``naive_well_founded_model`` iterates ``theta_step`` from the all-false
   start at every stage, where the engine recomputes only the atoms whose
   positive inputs changed;
+* ``naive_perfect_model`` iterates ``psi_step`` from the empty set at
+  every stratum, where the engine counts down once over all strata;
 * ``alternating_fixpoint`` computes the well-founded model by Van
   Gelder's alternating fixpoint over the Gelfond-Lifschitz reduct, where
   the engine iterates the two-level stage operators;
@@ -60,7 +62,7 @@ from hoplog.grounder import (
     Universe,
 )
 from hoplog.interp import PartialInterpretation, everything_false, everything_undefined
-from hoplog.perfect import psi_step
+from hoplog.perfect import LocalStratification, psi_step
 from hoplog.syntax import (
     IOTA,
     OMICRON,
@@ -444,6 +446,25 @@ def naive_well_founded_model(gp: GroundProgram) -> WfsResult:
             return WfsResult(current, ThetaTrace(tuple(stages), tuple(inner_lengths)))
         stages.append(nxt)
         current = nxt
+
+
+def naive_perfect_model(
+    gp: GroundProgram, ls: LocalStratification
+) -> tuple[PartialInterpretation, ...]:
+    """The perfect-model stages from everything undefined: per stratum
+    alpha, the naive psi fixpoint under the stage before, with the other
+    atoms of strata 1..alpha false."""
+    current = everything_undefined(gp)
+    stages = [current]
+    sealed: set[str] = set()
+    for atoms in ls.strata_atoms:
+        derived = naive_psi_lfp(current, gp)
+        sealed.update(atoms)
+        current = PartialInterpretation(
+            frozenset(derived), frozenset(sealed - derived), current.universe
+        )
+        stages.append(current)
+    return tuple(stages)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,6 +1040,17 @@ def nested_term(levels: int) -> str:
     text = "a" if levels % 2 == 0 else "f a"
     for _ in range(levels // 2):
         text = f"f ({text})"
+    return text
+
+
+def sinking_term(levels: int, width: int) -> str:
+    """``g (g (... a ...) a ...) a ...``: at each of ``levels`` levels, a
+    parenthesised argument and ``width`` more after it.  An application
+    leans left, so each level sits ``width + 2`` levels below the one
+    that holds it."""
+    text = "a"
+    for _ in range(levels):
+        text = f"g ({text})" + " a" * width
     return text
 
 

@@ -23,7 +23,7 @@ from hoplog.programs import (
     STRATIFIED_OK,
 )
 
-from helpers import nested_term, reference_parser
+from helpers import nested_term, reference_parser, sinking_term
 
 
 @pytest.fixture
@@ -122,6 +122,22 @@ class TestNestingLimit:
             error = json.loads(err)
             assert error["rule"] == "ParseError"
             assert error["error"].endswith(f": nesting deeper than {MAX_NESTING} levels")
+
+    def test_wide_and_shallow_input_checks(self, run):
+        program = (
+            f"type h : {'(i -> o) -> ' * 34}o.\ntype p : {'i -> ' * 60}o.\n"
+            f"q <- p{' (a)' * 60}.\ntype q : o."
+        )
+        assert run(["check"], program=program)[0] == 0
+
+    def test_sinking_arguments_are_refused(self, run):
+        program = (
+            f"type g : {'i -> ' * 31}i.\ntype p : i -> o.\n"
+            f"p X <- X = {sinking_term(35, 30)}."
+        )
+        code, out, err = run(["check"], program=program)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["rule"] == "ParseError"
 
 
 class TestGround:

@@ -21,7 +21,7 @@ from hoplog.parser import (
 from hoplog.programs import CORPUS, DEMOS
 from hoplog.syntax import IOTA, OMICRON, Arrow
 
-from helpers import bench_workloads, load, nested_term, reference_tokenize
+from helpers import bench_workloads, load, nested_term, reference_tokenize, sinking_term
 
 
 class TestParseType:
@@ -209,16 +209,45 @@ class TestNestingLimit:
             parse_atom(nested_term(MAX_NESTING + 1))
 
     def test_each_part_counts_on_its_own(self):
-        # Each head, body literal, root atom and declared type counts from
-        # zero; within one, every parenthesis, argument and arrow adds up.
+        # Each head, body literal, root atom and declared type counts from zero.
         arrows = "i -> " * MAX_NESTING
         deep = nested_term(MAX_NESTING)
         parse_program(f"type q : {arrows}o.\ntype r : {arrows}o.\np <- {deep}, {deep}.")
+
+    def test_wide_and_shallow_input_parses(self):
+        # A closed group gives its levels back: only the deepest path counts.
+        parse_type("(i -> o) -> " * 34 + "o")  # 36 levels
+        parse_type("(i -> o) -> " * (MAX_NESTING - 2) + "o")
+        parse_atom("p" + " (a)" * 60)  # 61 levels
+        parse_atom("p" + " (a)" * (MAX_NESTING - 1))
         half = nested_term(MAX_NESTING // 2)
+        parse_atom(f"q ({half}) ({half})")
+        arrows = "i -> " * (MAX_NESTING // 2)
+        parse_type(f"({arrows}o) -> {arrows}o")
+
+    def test_arguments_and_arrows_still_count_one_each(self):
+        wide = "(i -> o) -> " * (MAX_NESTING - 1) + "o"
+        column = len("(i -> o) -> " * (MAX_NESTING - 2) + "(i -> o) ") + 1
+        with pytest.raises(ParseError, match=f"^1:{column}: nesting deeper than"):
+            parse_type(wide)
+        for arg in (" a", " (a)"):
+            text = "p" + arg * (MAX_NESTING + 1)
+            with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+                parse_atom(text)
+        column = len("p" + " (a)" * (MAX_NESTING - 1)) + 2
+        with pytest.raises(ParseError, match=f"^1:{column}: nesting deeper than"):
+            parse_atom("p" + " (a)" * MAX_NESTING)
+
+    def test_later_arguments_sink_the_earlier_ones(self):
+        # An application leans left: q (T) a a a puts T three levels below
+        # where q (T) does, and the parenthesis and q's argument add two.
+        deep = nested_term(MAX_NESTING - 5)
+        parse_atom(f"q ({deep}) a a a")
+        with pytest.raises(ParseError, match=f"^1:{len(deep) + 12}: nesting deeper than"):
+            parse_atom(f"q ({deep}) a a a a")
+        # Each level of g (...) a ... a is far deeper than its parentheses.
         with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
-            parse_atom(f"q ({half}) ({half})")
-        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
-            parse_type(f"({arrows[: len(arrows) // 2]}o) -> {arrows[: len(arrows) // 2]}o")
+            parse_atom(sinking_term(35, 30))
 
     def test_sources_stay_far_below_the_limit(self, monkeypatch):
         monkeypatch.setattr(parser, "MAX_NESTING", MAX_NESTING // 4)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hoplog.errors import LocalStratificationViolation
+from hoplog.errors import LocalStratificationViolation, NotIncreasing
 from hoplog.grounder import ground_instantiation
 from hoplog.interp import (
     Ordering,
@@ -16,6 +16,7 @@ from hoplog.interp import (
     leq,
 )
 from hoplog.perfect import (
+    LocalStratification,
     Stratification,
     Unstratifiable,
     _dependency_edges,
@@ -33,7 +34,14 @@ from hoplog.programs import (
 )
 from hoplog.wfs import theta_lfp, well_founded_model
 
-from helpers import load, naive_psi_lfp, random_program_source, random_stratified_source
+from helpers import (
+    bench_workloads,
+    load,
+    naive_perfect_model,
+    naive_psi_lfp,
+    random_program_source,
+    random_stratified_source,
+)
 
 # Reachability along a six-node path: the first stage's psi fixpoint
 # takes seven steps, one per path length plus the confirming step.
@@ -338,6 +346,14 @@ class TestPerfectModel:
         b = perfect_model(gp, localize(padded, gp)).model
         assert a == b
 
+    def test_deriving_a_sealed_atom_raises(self):
+        # Not a stratification: p sits below the r it negates.  Stage 1
+        # seals p false, stage 2 seals r, and stage 3 would derive p.
+        gp = gp_of("type p : o.\ntype r : o.\np <- ~r.")
+        ls = LocalStratification({"p": 1, "r": 2}, (("p",), ("r",), ()))
+        with pytest.raises(NotIncreasing):
+            perfect_model(gp, ls)
+
     def test_corpus_stratified_entries_match_wfs(self):
         for entry in CORPUS:
             program = load(entry.source)
@@ -365,3 +381,52 @@ class TestPerfectModel:
             result = perfect_model(gp, localize(strat, gp))
             assert result.model == well_founded_model(gp).model, src
             assert result.model.is_total, src
+
+
+class TestStagesMatchNaive:
+    """Every perfect-model stage against the stage-by-stage reference,
+    which iterates psi_step afresh at each stratum."""
+
+    @staticmethod
+    def check(gp, ls, name):
+        assert perfect_model(gp, ls).stages == naive_perfect_model(gp, ls), name
+
+    def test_stratified_corpus(self):
+        checked = 0
+        for entry in CORPUS:
+            program = load(entry.source)
+            strat = stratify(program)
+            if isinstance(strat, Stratification):
+                gp = ground_instantiation(program, entry.depth)
+                self.check(gp, localize(strat, gp), entry.name)
+                checked += 1
+        assert checked >= 10
+
+    def test_bench_pools(self):
+        workloads = bench_workloads()
+        checked = 0
+        for seed in (1, 2, 3):
+            for query in workloads.strat_pool(seed):
+                assert "--roots" not in query.args, query.label
+                program = load(query.source)
+                k = int(query.args[query.args.index("--depth") + 1])
+                gp = ground_instantiation(program, k)
+                self.check(gp, localize(stratify(program), gp), query.label)
+                checked += 1
+        assert checked == 72
+
+    def test_random_stratified_programs(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            src = random_stratified_source(rng)
+            program = load(src)
+            gp = ground_instantiation(program, 2)
+            self.check(gp, localize(stratify(program), gp), src)
+
+    def test_padded_stratification(self):
+        src = "type p : o.\ntype q : o.\ntype r : o.\np <- ~q.\nq <- ~r.\nr."
+        gp = gp_of(src)
+        padded = Stratification((("r",), ("q",), (), ("p",)), {"r": 1, "q": 2, "p": 4})
+        ls = localize(padded, gp)
+        self.check(gp, ls, src)
+        assert perfect_model(gp, ls).strata_used == 4

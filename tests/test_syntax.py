@@ -440,6 +440,15 @@ def _random_type_tree(rng: random.Random, depth: int):
     return ("->", _random_type_tree(rng, depth - 1), _random_type_tree(rng, depth - 1))
 
 
+def _random_type_path(rng: random.Random, depth: int):
+    """A tree of ``depth`` arrows, each with a leaf on one side."""
+    tree = rng.choice("io")
+    for _ in range(depth):
+        leaf = rng.choice("io")
+        tree = ("->", tree, leaf) if rng.random() < 0.5 else ("->", leaf, tree)
+    return tree
+
+
 def _build_type(tree) -> TypeExpr:
     """A fresh construction, bottom up, of the type with this tree."""
     if tree == "i":
@@ -469,9 +478,11 @@ class TestTypeInterning:
 
     def test_random_types(self):
         rng = random.Random(15)
-        # five levels at most: the parser caps a type at 100 arrows and parentheses
-        trees = [_random_type_tree(rng, rng.randint(1, 5)) for _ in range(6000)]
+        trees = [_random_type_tree(rng, rng.randint(1, 8)) for _ in range(6000)]
         assert len({repr(tree) for tree in trees if isinstance(tree, tuple)}) >= 2000
+        # Deep and narrow: a left argument costs two levels, its parentheses
+        # and its arrow, so 49 arrows stay within the parser's 100.
+        trees += [_random_type_path(rng, rng.randint(10, 49)) for _ in range(500)]
         types = [_build_type(tree) for tree in trees]
         self.assert_agree(types)
         for tree, t in zip(trees, types):
