@@ -10,17 +10,19 @@ exceed a size bound k.  Two groundings are offered:
 * ``relevant_grounding``    — the dependency closure of a set of root atoms.
   Head formals are bound by matching the demanded atom (and are therefore
   not size-restricted); only body-only variables range over the size-k
-  universe.  A configurable atom cap and a cap on the size of a demanded
-  atom guard against runaway closures.
+  universe.  A cap on the atoms and one on the size of a demanded atom
+  guard against runaway closures.
 
 A cap on the symbols of one universe bounds both modes, and the
 truncation probe, against deep or wide universes.
 
-Both modes compile each clause once per grounding into ``str.format``
-templates.  The atom table maps each printed key to its atom, the interned
-ground term of type o with that ``text``; it holds every atom of every
-instance, filled from each atom literal's projection.  Equalities resolve
-at grounding time; an instance with a false one is dead.  The engines' form
+Clauses that differ only in the ground sides t of their guards V = t share
+a shape, compiled once per grounding into ``str.format`` templates and atom
+builders, with one row of guard constants per clause.  The atom table maps
+each printed key to its atom, the interned ground term of type o with that
+``text``, built from field values; it holds every atom of every instance,
+filled from each atom literal's projection.  Equalities resolve at grounding
+time; an instance with a false one is dead.  The engines' form
 (``GroundProgram.compiled``) comes from semi-naive joins over the
 possibly-true atoms, so it holds only rules that can fire.  ``clauses``, the
 instances as ``GroundClause`` records, is enumerated when first read.  A
@@ -34,12 +36,12 @@ import itertools
 import math
 from collections import defaultdict, deque
 from collections.abc import Callable
+from operator import itemgetter
 
 from .errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
 from .records import FrozenRecord, Record, _set
 from .syntax import (
     IOTA,
-    App,
     Arrow,
     Eq,
     Expr,
@@ -51,11 +53,10 @@ from .syntax import (
     PredVar,
     Signature,
     TypeExpr,
-    apply_substitution,
     build_spine,
     canonical_print,
+    instance_builder,
     is_argument_type,
-    is_ground,
     peel,
     print_template,
     spine,
@@ -210,9 +211,8 @@ class Universe:
         self.symbols = 0
         # spine heads: predicate constants with every partial-application
         # result type they can produce
-        self._pred_heads: list[tuple[PredConst, tuple[TypeExpr, ...]]] = []
-        for name, ptype in signature.predicate_constants():
-            self._pred_heads.append((PredConst(name, ptype), tuple(suffix_types(ptype))))
+        self._pred_heads = [(PredConst(name, ptype), tuple(suffix_types(ptype)))
+                            for name, ptype in signature.predicate_constants()]
 
     def _terms_exact(self, rho: TypeExpr, size: int) -> tuple[Expr, ...]:
         key = (rho, size)
@@ -228,9 +228,8 @@ class Universe:
                     f"over the cap of {DEFAULT_MAX_UNIVERSE_SYMBOLS} symbols"
                 )
             found.append(term)
-        result_terms = tuple(sorted(found, key=canonical_print))
-        self._by_size[key] = result_terms
-        return result_terms
+        terms = self._by_size[key] = tuple(sorted(found, key=canonical_print))
+        return terms
 
     def _build(self, rho: TypeExpr, size: int):
         """The terms of type rho with exactly ``size`` symbols, unordered."""
@@ -252,10 +251,7 @@ class Universe:
                     continue
                 argtypes, _ = peel(pred.ptype, j)
                 for args in self._arg_tuples(argtypes, size - 1):
-                    e: Expr = pred
-                    for a in args:
-                        e = App(e, a)
-                    yield e
+                    yield build_spine(pred, args)
 
     def _arg_tuples(self, argtypes: tuple[TypeExpr, ...], budget: int):
         """All tuples of ground arguments with the given types and total size."""
@@ -311,22 +307,23 @@ def herbrand_universe(program: Program, rho: TypeExpr, k: int) -> tuple[Expr, ..
 # ---------------------------------------------------------------------------
 
 
-_TRUE = ConstLit(True)
-_FALSE = ConstLit(False)
+_TRUE, _FALSE = ConstLit(True), ConstLit(False)
 
 
 class _Template:
-    """A clause compiled once per grounding.  Field i of each format string
-    is the i-th variable of ``clause.variables()``, filled with its value, a
-    ground term.  The ``n_bound`` leading variables take a matched head's
-    arguments (demand grounding binds the formals); the rest range over
-    ``domains``.  A projection format numbers a literal's unbound variables
-    after the bound ones, by first use, as its tuples give their values."""
+    """A clause shape compiled once per grounding, with a row per clause of
+    the shape: (its index, its guards' ground sides, ``rest``'s domains
+    narrowed by its guards).  Field i of each format string and builder is
+    the i-th variable of ``clause.variables()``, filled with its value, a
+    ground term; field ``len(variables) + j`` is the j-th guard's ground
+    side.  The ``n_bound`` leading variables take a matched head's arguments
+    (demand grounding binds the formals); the rest range over ``domains``.
+    A projection numbers a literal's unbound variables after the bound ones."""
 
-    def __init__(self, g: _Grounding, index: int) -> None:
+    def __init__(self, g: _Grounding, index: int, shape: tuple) -> None:
         clause, k = g.program.clauses[index], g.k
         n_bound = len(clause.formals) if g.bind_formals else 0
-        self.index = index
+        self.index, self.rows = index, []
         self.variables = variables = clause.variables()
         fields = {v.name: i for i, v in enumerate(variables)}
         self.domains = domains = []
@@ -336,34 +333,27 @@ class _Template:
                 raise EmptyUniverse(f"variable {v.name} : {v.typ} of clause {index} has an "
                                     f"empty size-{k} universe")
         self.count = math.prod(len(d) for d in domains)  # instances per call
-        head = clause.head_atom()
-        self.head = print_template(head, fields)
         self.head_pred = head_pred = clause.head_pred.name
         self.body = body = []  # (negated, format, atom), or (None, lhs, rhs) for an equality
         self.bound_heads = []  # (field, negated) per literal a bound variable heads
-        # per atom literal, the head first unless it is demanded: (projection
-        # format, atom, its unbound variables' fields, and a spine to build it)
-        literals = [] if g.bind_formals else [_literal(head, self.head, fields, n_bound)]
-        self.literals = literals
-        self.binding_checks, self.checks = [], []  # equalities over bound fields alone; others
-        self.pos = []  # the literals of the positive atoms
-        guards: dict[int, set[str]] = {}  # per field, the texts guards require
-        for lit in clause.body:
-            if isinstance(lit, Eq):
-                lhs, rhs = print_template(lit.lhs, fields), print_template(lit.rhs, fields)
-                body.append((None, lhs, rhs))
-                for var, other, text in ((lit.lhs, lit.rhs, rhs), (lit.rhs, lit.lhs, lhs)):
-                    if isinstance(var, (IndVar, PredVar)) and is_ground(other):
-                        guards.setdefault(fields[var.name], set()).add(text.format())
-                        break
-                bound = all(fields[v.name] < n_bound for v in vars_in_order(lit))
-                (self.binding_checks if bound else self.checks).append((lhs, rhs))
+        # per atom literal, the head first: (projection format, free fields, builder)
+        head = clause.head_atom()
+        self.literals = literals = [_literal(head, print_template(head, fields), fields, n_bound)]
+        self.checks, self.guards = [], []  # the equalities' formats; per guard, its field
+        self.pos, looked_up = [], [0]  # the positive atoms' literals; the head's and negated ones'
+        for lit in shape[2]:
+            if isinstance(lit, (tuple, Eq)):  # a guard's ground side is the next parameter
+                param = f"{{{len(variables) + len(self.guards)}.text}}"
+                sides = lit if isinstance(lit, tuple) else (lit.lhs, lit.rhs)
+                self.checks.append(tuple(print_template(s, fields) if s else param for s in sides))
+                body.append((None, *self.checks[-1]))
+                if isinstance(lit, tuple):
+                    self.guards.append(fields[(lit[0] or lit[1]).name])
                 continue
             negated = isinstance(lit, Neg)
             atom = lit.atom if negated else lit
             body.append((negated, print_template(atom, fields), atom))
-            if not negated:
-                self.pos.append(len(literals))
+            (looked_up if negated else self.pos).append(len(literals))
             literals.append(_literal(atom, body[-1][1], fields, n_bound))
             lead, _ = spine(atom)
             if isinstance(lead, PredConst):
@@ -373,12 +363,11 @@ class _Template:
             else:
                 for value in domains[fields[lead.name] - n_bound]:
                     g.edges[head_pred, spine(value)[0].name, negated] = None
-        self.bound_guards = [(f, t) for f, ts in sorted(guards.items()) if f < n_bound for t in ts]
-        self.neg = [fmt for negated, fmt, _ in body if negated]  # formats of negated atoms
+        self.looked_up = [(i, literals[i][1] and _key(literals[i][1])) for i in looked_up]
         # plans[q] joins a tuple of positive atom q with the others in body
-        # order.  A step (r, key positions, their fields, (field, position)
-        # per field it binds) looks r's tuples up by the fields bound so far.
-        lvs = [literals[i][2] for i in self.pos]
+        # order.  A step (r, key positions, the key of their fields, (field,
+        # position) per field it binds) looks r's tuples up by the fields bound so far.
+        lvs = [literals[i][1] for i in self.pos]
         self.plans = []
         for q, lv in enumerate(lvs):
             seen, steps = set(lv), []
@@ -386,37 +375,47 @@ class _Template:
                 if r != q:
                     keys = tuple(p for p, f in enumerate(other) if f in seen)
                     binds = tuple((f, p) for p, f in enumerate(other) if f not in seen)
-                    steps.append((r, keys, tuple(other[p] for p in keys), binds))
+                    steps.append((r, keys, _key(tuple(other[p] for p in keys)), binds))
                     seen.update(other)
             self.plans.append(steps)
-        # per positive atom, the key positions its tuples are indexed by
-        self.slots = [{s[1] for p in self.plans for s in p if s[0] == q} for q in range(len(lvs))]
+        # per positive atom, the key positions its tuples are indexed by, with their key
+        self.slots = [{s[1]: _key(s[1]) for p in self.plans for s in p if s[0] == q}
+                      for q in range(len(lvs))]
         joined = set(range(n_bound)).union(*lvs)
         self.rest = [f for f in range(len(variables)) if f not in joined]  # fields no join binds
-        self.rest_domains = [  # narrowed by their guards V = t, t ground
-            [v for v in domains[f - n_bound] if len(guards[f]) == 1 and v.text in guards[f]]
-            if f in guards else domains[f - n_bound] for f in self.rest
-        ]
+        self.rest_domains = [domains[f - n_bound] for f in self.rest]
+
+    def add(self, index: int, consts: tuple[Expr, ...]) -> int:
+        """Add clause ``index``, with ``consts`` its guards' ground sides, as a row."""
+        texts = [{c.text for c, g in zip(consts, self.guards) if g == f} for f in self.rest]
+        self.rows.append((index, consts, [[v for v in d if len(ts) == 1 and v.text in ts] if ts
+                                          else d for d, ts in zip(self.rest_domains, texts)]))
+        return len(self.rows) - 1
 
 
 def _literal(atom: Expr, fmt: str, fields: dict[str, int], n_bound: int) -> tuple:
-    names = tuple(dict.fromkeys(v.name for v in vars_in_order(atom)))
-    own = tuple(fields[name] for name in names if fields[name] >= n_bound)
-    number = {f: n_bound + j for j, f in enumerate(own)}  # bound fields keep theirs
-    if any(number[f] != f for f in own):
-        fmt = print_template(atom, {x: number.get(fields[x], fields[x]) for x in names})
-    head, args = spine(atom)  # a predicate constant on variables alone: build it directly
-    if isinstance(head, PredConst) and all(isinstance(a, (IndVar, PredVar)) for a in args):
-        return fmt, atom, own, head, [number.get(fields[a.name], fields[a.name]) for a in args]
-    return fmt, atom, own, None, None
+    names = dict.fromkeys(v.name for v in vars_in_order(atom))
+    own = tuple(fields[x] for x in names if fields[x] >= n_bound)
+    number = {x: n_bound + own.index(fields[x]) if fields[x] >= n_bound else fields[x]
+              for x in names}  # bound fields keep theirs
+    if number != {x: fields[x] for x in names}:
+        fmt = print_template(atom, number)
+    return fmt, own, instance_builder(atom, number)
+
+
+def _key(fields: tuple[int, ...]) -> Callable[[list], tuple]:
+    """The function from field values to the tuple of those of ``fields``."""
+    if len(fields) > 1:
+        return itemgetter(*fields)
+    return (lambda values, f=fields[0]: (values[f],)) if fields else lambda values: ()
 
 
 class _Grounding:
-    """One grounding under way: clause templates, the atom table and the
-    compiled rules.  A literal's projection, its atoms over the product of
-    its own variables' values, holds those of all instances, dead ones
-    included.  A key printed for the first time builds its atom, whose
-    canonical printing must equal the key: the printer stays authoritative."""
+    """One grounding under way: shape templates, the atom table and the
+    compiled rules.  A literal's projection, its atoms by its own variables'
+    values, holds those of all instances, dead ones included.  A key printed
+    the first time builds its atom, whose canonical printing must equal the
+    key: the printer stays authoritative."""
 
     bind_formals = False
 
@@ -428,11 +427,11 @@ class _Grounding:
         self.rules: list[list[Rule]] = []
         self.edges: dict[PredicateEdge, None] = {}
         self.clause_count = 0
-        self._templates: dict[int, _Template] = {}
-        self._projections: dict[tuple, list[tuple[tuple[Expr, ...], int]]] = {}
-        # (template, bound values) per call that can live; per atom id,
-        # (call, positive atom, tuple) for each positive atom taking it
-        self._live: list[tuple[_Template, tuple[Expr, ...]]] = []
+        self._shapes, self._templates = {}, {}  # per shape, its template; per clause, it and a row
+        self._projections: dict[tuple, dict[tuple[Expr, ...], int]] = {}
+        # per call, (template, row, bound values, per literal its atom id or projection);
+        # per atom id, (call, positive atom, tuple) per use
+        self._live: list[tuple[_Template, int, tuple, tuple]] = []
         self._uses: defaultdict[int, list] = defaultdict(list)
 
     def result(self, calls, calls_of=None, roots=()) -> GroundProgram:
@@ -443,64 +442,69 @@ class _Grounding:
             atoms, compiled, tuple(self.edges), lambda: _clauses(atoms, calls, calls_of, roots)
         )
 
-    def template(self, index: int) -> _Template:
-        t = self._templates.get(index)
-        if t is None:
-            t = self._templates[index] = _Template(self, index)
-        return t
+    def template(self, index: int) -> tuple[_Template, int]:
+        """The template of clause ``index``'s shape, and the clause's row in it: the
+        shape is the clause with each guard V = t (t ground) as (V, None) or (None, V)."""
+        found = self._templates.get(index)
+        if found is None:
+            clause, body, consts = self.program.clauses[index], [], []
+            for lit in clause.body:
+                if isinstance(lit, Eq):
+                    for var, t in ((lit.lhs, lit.rhs), (lit.rhs, lit.lhs)):
+                        if isinstance(var, (IndVar, PredVar)) and not vars_in_order(t):
+                            lit = (var, None) if var is lit.lhs else (None, var)
+                            consts.append(t)
+                            break
+                body.append(lit)
+            shape = (clause.head_pred, clause.formals, tuple(body))
+            t = self._shapes.get(shape)
+            if t is None:
+                t = self._shapes[shape] = _Template(self, index, shape)
+            found = self._templates[index] = (t, t.add(index, tuple(consts)))
+        return found
 
-    def ground(self, t: _Template, bound: tuple[Expr, ...] = ()) -> None:
-        """Count t's instances under ``bound``, admit its projections, keep a live call."""
+    def ground(self, t: _Template, r: int, bound: tuple[Expr, ...] = (), head=None) -> None:
+        """Count row r's instances, admit its projections, keep a live call; head: its known id."""
         total = self.clause_count + t.count
         if total > DEFAULT_MAX_CLAUSES:
-            raise GroundingLimitExceeded(
-                f"clause {t.index} would bring the grounding to {total} clauses, "
-                f"over the cap of {DEFAULT_MAX_CLAUSES}"
-            )
+            raise GroundingLimitExceeded(f"clause {t.rows[r][0]} would bring the grounding to "
+                                         f"{total} clauses, over the cap of {DEFAULT_MAX_CLAUSES}")
         self.clause_count = total
         for field, negated in t.bound_heads:
             self.edges[t.head_pred, spine(bound[field])[0].name, negated] = None
-        projected, ids, uses = [], self.ids, self._uses
-        for literal in t.literals:  # an atom with no free variable is likely known
-            a = None if literal[2] else ids.get(literal[0].format(*bound))
-            projected.append(self._project(t, literal, bound) if a is None else [((), a)])
-        checks = t.binding_checks
-        if checks and any(lhs.format(*bound) != rhs.format(*bound) for lhs, rhs in checks):
-            return
+        ids, projected = self.ids, [] if head is None else [head]
+        for literal in t.literals[len(projected):]:  # an atom with no free variable is likely known
+            a = None if literal[1] else ids.get(literal[0].format(*bound))
+            projected.append(self._project(t, literal, bound) if a is None else a)
         c = len(self._live)
-        self._live.append((t, bound))
+        self._live.append((t, r, bound, tuple(projected)))
         for q, i in enumerate(t.pos):
-            for tup, a in projected[i]:
-                uses[a].append((c, q, tup))
+            for tup, a in projected[i].items() if t.literals[i][1] else [((), projected[i])]:
+                self._uses[a].append((c, q, tup))
 
-    def _project(self, t: _Template, literal: tuple, bound: tuple[Expr, ...]) -> list:
-        """(values of its unbound variables, atom id) per atom of a literal's
-        projection, admitting each new atom; computed once if one is free."""
-        fmt, expr, free, head, args = literal
+    def _project(self, t: _Template, literal: tuple, bound: tuple[Expr, ...]) -> int | dict:
+        """The atom id of a literal with no free variable, else its projection, computed
+        once: the atom id per tuple of its free variables' values.  New atoms are admitted."""
+        fmt, free, build = literal
         if free:
             key = (fmt, bound, tuple([t.variables[f].typ for f in free]))
             found = self._projections.get(key)
             if found is not None:
                 return found
-        n, found, ids = len(bound), [], self.ids
-        for tup in itertools.product(*[t.domains[f - n] for f in free]) if free else [()]:
+        n, found, ids = len(bound), {}, self.ids
+        for tup in itertools.product(*[t.domains[f - n] for f in free]):  # () if none is free
             text = fmt.format(*bound, *tup)
             a = ids.get(text)
             if a is None:
-                values = bound + tup
-                if head is not None:
-                    atom = build_spine(head, [values[i] for i in args])
-                else:
-                    theta = {t.variables[f].name: v for f, v in zip((*range(n), *free), values)}
-                    atom = ground_atom(apply_substitution(expr, theta))
+                atom = build(bound + tup)
                 if atom.text != text:
                     raise TemplateMismatch(f"clause {t.index}: the template printed "
                                            f"{text!r} for the atom {atom.text!r}")
                 a = self._admit(atom)
-            found.append((tup, a))
+            found[tup] = a
         if free:
             self._projections[key] = found
-        return found
+        return found if free else found[()]
 
     def _admit(self, atom: Expr) -> int:  # the new atom's id
         i = self.ids[atom.text] = len(self.table)
@@ -509,69 +513,73 @@ class _Grounding:
         return i
 
     def _solve(self) -> None:
-        """Add the rule of each live instance whose positive atoms are all
-        possibly true: in the least model of the live instances with their
-        negated atoms dropped.  No other rule fires in any stage of either
-        engine.  Semi-naive: instances without a positive atom come first;
-        then each atom found possibly true joins each tuple it gives a
-        positive atom q with those the call's other positive atoms take from
-        atoms found before it, or from it after q, so an instance is built
-        once, with its last positive atom; a one-instance call counts them."""
-        ids, rules, live, uses = self.ids, self.rules, self._live, self._uses
+        """Add the rule of each live instance whose positive atoms are all possibly
+        true: in the least model of the live instances with their negated atoms
+        dropped.  No other rule fires in any stage of either engine.  Semi-naive:
+        instances without a positive atom come first; then each atom found
+        possibly true joins each tuple it gives a positive atom q with those the
+        call's other positive atoms take from atoms found before it, or from it
+        after q, so an instance is built once, with its last positive atom; a
+        one-instance call counts them.  A rule's ids come from the projections."""
+        rules, live, uses = self.rules, self._live, self._uses
         indexes: dict[tuple, dict] = {}  # (call, positive atom, key positions) -> tuples by key
         possible = bytearray(len(rules))
-        pending = [len(t.pos) for t, _ in live]  # positive atoms not yet found, per call
+        pending = [len(t.pos) for t, *_ in live]  # positive atoms not yet found, per call
         queue: deque[int] = deque()
 
-        def fire(t: _Template, values: list, pos_ids: tuple[int, ...]) -> None:
-            for combo in itertools.product(*t.rest_domains):
+        def start(c: int) -> list:  # a call's field values, the free ones None
+            t, r, bound, _ = live[c]
+            return [*bound, *[None] * len(t.domains), *t.rows[r][1]]
+
+        def fire(c: int, values: list, pos_ids: tuple[int, ...]) -> None:
+            t, r, _, at = live[c]
+            for combo in itertools.product(*t.rows[r][2]):
                 for f, v in zip(t.rest, combo):
                     values[f] = v
-                if t.checks and any(l.format(*values) != r.format(*values) for l, r in t.checks):
+                if t.checks and any(x.format(*values) != y.format(*values) for x, y in t.checks):
                     continue
-                h = ids[t.head.format(*values)]
-                rules[h].append((pos_ids, tuple([ids[fmt.format(*values)] for fmt in t.neg])))
+                h, *neg = [at[i][key(values)] if key else at[i] for i, key in t.looked_up]
+                rules[h].append((pos_ids, tuple(neg)))
                 if not possible[h]:
                     possible[h] = 1
                     queue.append(h)
 
-        def join(t, c, steps, values, pos_ids, a, q) -> None:
+        def join(c, steps, values, pos_ids, a, q) -> None:
             if not steps:
-                fire(t, values, tuple(pos_ids))
+                fire(c, values, tuple(pos_ids))
                 return
-            r, keys, key_fields, binds = steps[0]
+            r, keys, key, binds = steps[0]
             index = indexes.get((c, r, keys), {})
-            for tup, b in index.get(tuple([values[f] for f in key_fields]), ()):
+            for tup, b in index.get(key(values), ()):
                 if b != a or r > q:
                     for f, p in binds:
                         values[f] = tup[p]
                     pos_ids[r] = b
-                    join(t, c, steps[1:], values, pos_ids, a, q)
+                    join(c, steps[1:], values, pos_ids, a, q)
 
-        for t, bound in live:  # the instances without a positive atom
+        for c, (t, *_) in enumerate(live):  # the instances without a positive atom
             if not t.pos:
-                fire(t, list(bound) + [None] * len(t.domains), ())
+                fire(c, start(c), ())
         while queue:
             a = queue.popleft()
             for c, q, tup in uses.get(a, ()):
-                t, bound = live[c]
+                t, _, _, projected = live[c]
                 pending[c] -= 1
                 if not t.domains:  # one instance: counted, not joined
                     if not pending[c]:
-                        pos = [ids[t.literals[i][0].format(*bound)] for i in t.pos]
-                        fire(t, list(bound), tuple(pos))
+                        fire(c, start(c), tuple([projected[i] for i in t.pos]))
                     continue
-                for keys in t.slots[q]:
+                for keys, key in t.slots[q].items():
                     index = indexes.setdefault((c, q, keys), {})
-                    index.setdefault(tuple([tup[p] for p in keys]), []).append((tup, a))
+                    index.setdefault(key(tup), []).append((tup, a))
             for c, q, tup in uses.get(a, ()):
-                t, bound = live[c]
+                t = live[c][0]
                 if not t.domains:
                     continue
-                values = list(bound) + [None] * len(t.domains)
-                for f, v in zip(t.literals[t.pos[q]][2], tup):
+                values = start(c)
+                for f, v in zip(t.literals[t.pos[q]][1], tup):
                     values[f] = v
-                join(t, c, t.plans[q], values, [a] * len(t.pos), a, q)
+                join(c, t.plans[q], values, [a] * len(t.pos), a, q)
 
 
 class _DemandGrounding(_Grounding):
@@ -590,7 +598,7 @@ class _DemandGrounding(_Grounding):
         self.by_head: dict[tuple[str, int], list[int]] = {}
         for i, clause in enumerate(program.clauses):
             self.by_head.setdefault((clause.head_pred.name, len(clause.formals)), []).append(i)
-        # per key met: (instances per atom, {guarded fields: {texts: templates}})
+        # per key met: (instances per atom, {guarded fields: {texts: (template, row)s}})
         self.groups: dict[tuple, tuple[int, dict]] = {}
 
     def demand(self, atom: Expr) -> int:
@@ -607,28 +615,32 @@ class _DemandGrounding(_Grounding):
             raise GroundingLimitExceeded(f"dependency closure exceeded {DEFAULT_MAX_ATOMS} atoms")
         return self.demand(atom)
 
+    def calls_of(self, atom: Expr):
+        """A call of each clause whose head can match the atom, in order."""
+        head, args = spine(atom)
+        for i in self.by_head.get((head.name, len(args)), ()):
+            yield (*self.template(i), tuple(args))
+
     def close(self) -> None:
         while self.queue:
-            head, args = spine(self.queue.popleft())
-            args = tuple(args)
-            key = (head.name, len(args))
+            head, args = spine(atom := self.queue.popleft())
+            key, args, a = (head.name, len(args)), tuple(args), self.ids[atom.text]
             group = self.groups.get(key)
             if group is None or self.clause_count + group[0] > DEFAULT_MAX_CLAUSES:
                 before, index = self.clause_count, {}
-                for i in self.by_head.get(key, ()):  # in order: the first over a cap is named
-                    t = self.template(i)
-                    self.ground(t, args)
-                    indexed = t.bound_guards and not t.literals  # the head is all it has
-                    fields, texts = zip(*t.bound_guards) if indexed else ((), ())  # () fits all
-                    index.setdefault(fields, {}).setdefault(texts, []).append(t)
+                for t, r, _ in self.calls_of(atom):  # in order: the first over a cap is named
+                    self.ground(t, r, args, a)
+                    pairs = [(f, c.text) for f, c in zip(t.guards, t.rows[r][1]) if f < len(args)]
+                    fields, texts = zip(*pairs) if pairs and len(t.literals) == 1 else ((), ())
+                    index.setdefault(fields, {}).setdefault(texts, []).append((t, r))
                 self.groups[key] = (self.clause_count - before, index)
                 continue
             count, index = group
-            calls = [t for fields, table in index.items()
-                     for t in table.get(tuple([args[f].text for f in fields]), ())]
-            self.clause_count += count - sum(t.count for t in calls)
-            for t in calls:
-                self.ground(t, args)
+            calls = [call for fields, table in index.items()
+                     for call in table.get(tuple([args[f].text for f in fields]), ())]
+            self.clause_count += count - sum(t.count for t, _ in calls)
+            for t, r in calls:
+                self.ground(t, r, args, a)
 
 
 def _clauses(atoms: dict[str, Expr], calls: list, calls_of=None, roots=()) -> tuple:
@@ -637,9 +649,9 @@ def _clauses(atoms: dict[str, Expr], calls: list, calls_of=None, roots=()) -> tu
     atom's, after the instance that meets it first."""
     out, met = [], {atom.text for atom in roots}
     calls = list(calls) + [call for atom in roots for call in calls_of(atom)]
-    for t, bound in calls:
+    for t, r, bound in calls:
         for combo in itertools.product(*t.domains):
-            values = bound + combo
+            values = bound + combo + t.rows[r][1]
             body = []
             for negated, fmt, arg in t.body:
                 if negated is None:
@@ -651,7 +663,8 @@ def _clauses(atoms: dict[str, Expr], calls: list, calls_of=None, roots=()) -> tu
                     calls.extend(calls_of(atom))
                 body.append(Neg(atom) if negated else atom)
             theta = tuple(sorted(zip([v.name for v in t.variables], values)))
-            out.append(GroundClause(atoms[t.head.format(*values)], tuple(body), t.index, theta))
+            head = atoms[t.literals[0][0].format(*values)]
+            out.append(GroundClause(head, tuple(body), t.rows[r][0], theta))
     return tuple(out)
 
 
@@ -659,10 +672,11 @@ def ground_instantiation(program: Program, k: int) -> GroundProgram:
     """All ground instances whose substituted terms have at most k symbols."""
     if k < 1:
         raise ValueError("size bound k must be >= 1")
-    grounding = _Grounding(program, k)
+    grounding, calls = _Grounding(program, k), []
     for i in range(len(program.clauses)):
-        grounding.ground(grounding.template(i))
-    return grounding.result([(grounding.template(i), ()) for i in range(len(program.clauses))])
+        calls.append((*grounding.template(i), ()))
+        grounding.ground(*calls[-1])
+    return grounding.result(calls)
 
 
 def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
@@ -683,36 +697,22 @@ def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
             grounding.demand(atom)
     demanded = list(grounding.queue)
     grounding.close()
-    templates, by_head = grounding._templates, grounding.by_head
-
-    def calls_of(atom: Expr) -> list[tuple[_Template, tuple[Expr, ...]]]:
-        head, args = spine(atom)
-        return [(templates[i], tuple(args)) for i in by_head.get((head.name, len(args)), ())]
-
-    return grounding.result([], calls_of, demanded)
+    return grounding.result([], grounding.calls_of, demanded)
 
 
 def truncated_types(program: Program, k: int) -> tuple[str, ...]:
     """Argument types whose size-k universe is a strict prefix of the full one."""
     universe = Universe(program.signature)
-    out = []
-    for rho in argument_types(program):
-        if universe.is_truncated(rho, k):
-            out.append(str(rho))
-    return tuple(sorted(out))
+    return tuple(sorted(str(t) for t in argument_types(program) if universe.is_truncated(t, k)))
 
 
 def argument_types(program: Program) -> tuple[TypeExpr, ...]:
     """All argument types mentioned (at any depth) by the signature."""
-    found: set[TypeExpr] = set()
-
-    def visit(t: TypeExpr) -> None:
+    found, stack = set(), [t for _, t in program.signature.entries]
+    while stack:
+        t = stack.pop()
         if is_argument_type(t):
             found.add(t)
         if isinstance(t, Arrow):
-            visit(t.argument)
-            visit(t.result)
-
-    for _, t in program.signature.entries:
-        visit(t)
+            stack += (t.argument, t.result)
     return tuple(sorted(found, key=lambda t: (t.size, t.text)))

@@ -1,4 +1,4 @@
-"""Typed abstract syntax: types, terms, literals, clauses, substitutions.
+"""Typed abstract syntax: types, terms, literals, clauses, printing.
 
 The type system has two base types, ``i`` (individuals) and ``o`` (booleans).
 Composite types split into three classes:
@@ -18,9 +18,11 @@ Types and terms are hash-consed: each distinct one exists once (see ``Interned``
 from __future__ import annotations
 
 import weakref
-from typing import Iterator, Mapping, Union
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Union
 
-from .errors import IllTyped, IllTypedApplication, TypeMismatch, UnboundSymbol
+from .errors import IllTyped, IllTypedApplication, UnboundSymbol
 from .records import FrozenRecord, _set
 
 # ---------------------------------------------------------------------------
@@ -43,9 +45,10 @@ class Interned(FrozenRecord):
     * its hash: the hash of its fields, never of its address.
 
     So printing, sizing, hashing and comparing a node never recurse.  Each
-    class's intern table holds its nodes weakly: a node lives exactly as
-    long as something else refers to it.  The tables take no lock, so nodes
-    must be built from one thread at a time.  A subclass's ``__slots__`` are
+    class's intern table maps a node's fields to a weak reference to it: a
+    node lives exactly as long as something else refers to it, and then its
+    reference's callback drops its entry.  The tables take no lock, so
+    nodes must be built from one thread at a time.  A subclass's ``__slots__`` are
     its fields, in constructor order; ``Interned``'s own slots hold the
     values derived from them.
     """
@@ -55,7 +58,19 @@ class Interned(FrozenRecord):
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._table = weakref.WeakValueDictionary()
+        table = cls._table = {}  # fields -> a weak reference to the node
+
+        def drop(ref: _Ref) -> None:  # a node died: unless a newer node holds its entry
+            if table.get(ref.fields) is ref:
+                del table[ref.fields]
+
+        cls._drop = staticmethod(drop)
+
+    @classmethod
+    def _find(cls, fields: tuple):
+        """The live node of this class with these fields, or None."""
+        ref = cls._table.get(fields)
+        return None if ref is None else ref()
 
     @classmethod
     def _intern(cls, fields: tuple, text: str, atomic: str, size: int):
@@ -68,11 +83,18 @@ class Interned(FrozenRecord):
         _set(node, "text", text)
         _set(node, "atomic", atomic)
         _set(node, "size", size)
-        cls._table[fields] = node
+        ref = cls._table[fields] = _Ref(node, cls._drop)
+        ref.fields = fields
         return node
 
     def __hash__(self) -> int:
         return self._hash
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a node, with the node's fields: its table key."""
+
+    __slots__ = ("fields",)
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +116,14 @@ class Iota(TypeExpr):
     __slots__ = ()
 
     def __new__(cls) -> Iota:
-        return cls._table.get(()) or cls._intern((), "i", "i", 1)
+        return cls._find(()) or cls._intern((), "i", "i", 1)
 
 
 class Omicron(TypeExpr):
     __slots__ = ()
 
     def __new__(cls) -> Omicron:
-        return cls._table.get(()) or cls._intern((), "o", "o", 1)
+        return cls._find(()) or cls._intern((), "o", "o", 1)
 
 
 class Arrow(TypeExpr):
@@ -109,7 +131,7 @@ class Arrow(TypeExpr):
 
     def __new__(cls, argument: TypeExpr, result: TypeExpr) -> Arrow:
         fields = (argument, result)
-        node = cls._table.get(fields)
+        node = cls._find(fields)
         if node is None:
             text = f"{argument.atomic} -> {result.text}"
             node = cls._intern(fields, text, f"({text})", 1 + argument.size + result.size)
@@ -217,7 +239,7 @@ class IndConst(Expr):
 
     def __new__(cls, name: str) -> IndConst:
         fields = (name,)
-        return cls._table.get(fields) or cls._intern(fields, name, name, 1)
+        return cls._find(fields) or cls._intern(fields, name, name, 1)
 
     @property
     def typ(self) -> TypeExpr:
@@ -229,7 +251,7 @@ class PredConst(Expr):
 
     def __new__(cls, name: str, ptype: TypeExpr) -> PredConst:
         fields = (name, ptype)
-        return cls._table.get(fields) or cls._intern(fields, name, name, 1)
+        return cls._find(fields) or cls._intern(fields, name, name, 1)
 
     @property
     def typ(self) -> TypeExpr:
@@ -241,7 +263,7 @@ class IndVar(Expr):
 
     def __new__(cls, name: str) -> IndVar:
         fields = (name,)
-        return cls._table.get(fields) or cls._intern(fields, name, name, 0)
+        return cls._find(fields) or cls._intern(fields, name, name, 0)
 
     @property
     def typ(self) -> TypeExpr:
@@ -253,7 +275,7 @@ class PredVar(Expr):
 
     def __new__(cls, name: str, ptype: TypeExpr) -> PredVar:
         fields = (name, ptype)
-        return cls._table.get(fields) or cls._intern(fields, name, name, 0)
+        return cls._find(fields) or cls._intern(fields, name, name, 0)
 
     @property
     def typ(self) -> TypeExpr:
@@ -265,7 +287,7 @@ class FunApp(Expr):
 
     def __new__(cls, fun: str, args: tuple[Expr, ...]) -> FunApp:
         fields = (fun, args)
-        node = cls._table.get(fields)
+        node = cls._find(fields)
         if node is None:
             text = " ".join([fun] + [a.atomic for a in args])
             node = cls._intern(
@@ -283,7 +305,7 @@ class App(Expr):
 
     def __new__(cls, op: Expr, arg: Expr) -> App:
         fields = (op, arg)
-        node = cls._table.get(fields)
+        node = cls._find(fields)
         if node is None:
             # op's text already prints the rest of the spine
             text = f"{op.text} {arg.atomic}"
@@ -303,7 +325,7 @@ class Neg(Expr):
 
     def __new__(cls, atom: Expr) -> Neg:
         fields = (atom,)
-        node = cls._table.get(fields)
+        node = cls._find(fields)
         if node is None:
             text = f"~{atom.atomic}"
             node = cls._intern(fields, text, text, atom.size)
@@ -319,7 +341,7 @@ class Eq(Expr):
 
     def __new__(cls, lhs: Expr, rhs: Expr) -> Eq:
         fields = (lhs, rhs)
-        node = cls._table.get(fields)
+        node = cls._find(fields)
         if node is None:
             text = f"{lhs.text} = {rhs.text}"
             node = cls._intern(fields, text, text, lhs.size + rhs.size)
@@ -386,8 +408,7 @@ def print_template(e: Expr, fields: Mapping[str, int]) -> str:
     variable heads an application spine (or is all of e), its ``atomic``
     text where it is an argument.  So
     ``print_template(e, fields).format(*values)`` equals
-    ``canonical_print(apply_substitution(e, theta))`` when theta maps each
-    variable to its value.
+    ``instance_builder(e, fields)(values).text``.
     """
 
     def literal(name: str) -> str:
@@ -413,6 +434,21 @@ def print_template(e: Expr, fields: Mapping[str, int]) -> str:
         return text(e)
 
     return text(e)
+
+
+def instance_builder(e: Expr, fields: Mapping[str, int]) -> Callable[[Sequence[Expr]], Expr]:
+    """The function from field values to the instance of the term e, in
+    which each variable takes the value ``values[fields[name]]``, a ground
+    term of its type."""
+    if isinstance(e, (IndVar, PredVar)):
+        return itemgetter(fields[e.name])
+    if isinstance(e, FunApp):
+        args = [instance_builder(a, fields) for a in e.args]
+        return lambda values: FunApp(e.fun, tuple([a(values) for a in args]))
+    if isinstance(e, App):
+        op, arg = instance_builder(e.op, fields), instance_builder(e.arg, fields)
+        return lambda values: App(op(values), arg(values))
+    return lambda values: e
 
 
 # ---------------------------------------------------------------------------
@@ -521,44 +557,3 @@ def vars_in_order(e: Expr) -> list[Var]:
     if isinstance(e, Eq):
         return vars_in_order(e.lhs) + vars_in_order(e.rhs)
     raise TypeError(f"not an expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-# ---------------------------------------------------------------------------
-
-# A substitution maps variable names to terms; each variable's type must
-# match its replacement's type, which is checked at application sites.
-Substitution = Mapping[str, Expr]
-
-
-def apply_substitution(e: Expr, theta: Substitution) -> Expr:
-    """Structural replacement of variables; unmapped variables stay put."""
-    if isinstance(e, (IndConst, PredConst)):
-        return e
-    if isinstance(e, (IndVar, PredVar)):
-        replacement = theta.get(e.name)
-        if replacement is None:
-            return e
-        if replacement.typ != e.typ:
-            raise TypeMismatch(
-                f"substitution maps {e.name}: {e.typ} to "
-                f"{canonical_print(replacement)}: {replacement.typ}"
-            )
-        return replacement
-    if isinstance(e, FunApp):
-        return FunApp(e.fun, tuple(apply_substitution(a, theta) for a in e.args))
-    if isinstance(e, App):
-        return App(apply_substitution(e.op, theta), apply_substitution(e.arg, theta))
-    if isinstance(e, Neg):
-        return Neg(apply_substitution(e.atom, theta))
-    if isinstance(e, Eq):
-        return Eq(apply_substitution(e.lhs, theta), apply_substitution(e.rhs, theta))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def substitute_clause(clause: Clause, theta: Substitution) -> tuple[Expr, tuple[Expr, ...]]:
-    """Instance of a clause under theta: (head atom, body literals)."""
-    head = apply_substitution(clause.head_atom(), theta)
-    body = tuple(apply_substitution(l, theta) for l in clause.body)
-    return head, body

@@ -10,9 +10,12 @@ fixpoint machinery:
   ``reference_type_size`` do the same for types;
 * ``enumerate_terms_closure`` grows ground terms by repeated application
   instead of by sized composition;
+* ``apply_substitution`` and ``substitute_clause`` replace variables by
+  walking a term, where the grounder builds each atom from field values
+  through a builder compiled once per literal;
 * ``reference_grounding`` grounds by substituting into each clause and
-  printing every atom it meets, where the grounder prints from per-clause
-  templates and builds each distinct atom once;
+  printing every atom it meets, where the grounder prints from templates
+  shared by the clauses of one shape and builds each distinct atom once;
 * ``possibly_true`` closes the live ground clauses with their negated
   atoms dropped, one clause at a time, where the grounder joins positive
   atoms semi-naively; ``reference_compile`` keeps the rules it allows;
@@ -51,7 +54,13 @@ import sys
 from pathlib import Path
 
 from hoplog import cli
-from hoplog.errors import DepthExceeded, EmptyUniverse, GroundingLimitExceeded, ParseError
+from hoplog.errors import (
+    DepthExceeded,
+    EmptyUniverse,
+    GroundingLimitExceeded,
+    ParseError,
+    TypeMismatch,
+)
 from hoplog.extensionality import ValuationOracle
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
@@ -78,7 +87,6 @@ from hoplog.syntax import (
     PredVar,
     TypeExpr,
     spine,
-    substitute_clause,
 )
 from hoplog.typecheck import Program, load_program
 from hoplog.wfs import ThetaTrace, WfsResult, theta_step
@@ -210,6 +218,47 @@ def _tuples(pool, n):
     for head in pool:
         for tail in _tuples(pool, n - 1):
             yield [head] + tail
+
+
+# ---------------------------------------------------------------------------
+# Substitution (oracle for the grounder's atom builders)
+# ---------------------------------------------------------------------------
+
+# A substitution maps variable names to terms; each variable's type must
+# match its replacement's type, which is checked at application sites.
+Substitution = dict[str, Expr]
+
+
+def apply_substitution(e: Expr, theta: Substitution) -> Expr:
+    """Structural replacement of variables; unmapped variables stay put."""
+    if isinstance(e, (IndConst, PredConst)):
+        return e
+    if isinstance(e, (IndVar, PredVar)):
+        replacement = theta.get(e.name)
+        if replacement is None:
+            return e
+        if replacement.typ != e.typ:
+            raise TypeMismatch(
+                f"substitution maps {e.name}: {e.typ} to "
+                f"{reference_print(replacement)}: {replacement.typ}"
+            )
+        return replacement
+    if isinstance(e, FunApp):
+        return FunApp(e.fun, tuple(apply_substitution(a, theta) for a in e.args))
+    if isinstance(e, App):
+        return App(apply_substitution(e.op, theta), apply_substitution(e.arg, theta))
+    if isinstance(e, Neg):
+        return Neg(apply_substitution(e.atom, theta))
+    if isinstance(e, Eq):
+        return Eq(apply_substitution(e.lhs, theta), apply_substitution(e.rhs, theta))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def substitute_clause(clause, theta: Substitution) -> tuple[Expr, tuple[Expr, ...]]:
+    """Instance of a clause under theta: (head atom, body literals)."""
+    head = apply_substitution(clause.head_atom(), theta)
+    body = tuple(apply_substitution(l, theta) for l in clause.body)
+    return head, body
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from hoplog import grounder
-from hoplog.errors import EmptyUniverse, GroundingLimitExceeded
+from hoplog import grounder, syntax
+from hoplog.errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
     DEFAULT_MAX_CLAUSES,
@@ -19,7 +19,7 @@ from hoplog.grounder import (
 )
 from hoplog.parser import parse_atom, parse_type
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
-from hoplog.syntax import IOTA, Neg, canonical_print, substitute_clause
+from hoplog.syntax import IOTA, Neg, canonical_print
 from hoplog.typecheck import elaborate_ground_atom
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     reference_compile,
     reference_edges,
     reference_grounding,
+    substitute_clause,
 )
 
 IO = parse_type("i -> o")
@@ -229,6 +230,26 @@ class TestClauseCap:
         )
         with pytest.raises(GroundingLimitExceeded, match="clause 1 .* 1000001 clauses"):
             ground_instantiation(load(src), 1)
+
+    @pytest.mark.parametrize("demand,free", [(False, 4), (True, 5)])
+    def test_cap_names_the_first_clause_over_it_within_a_shape(self, demand, free):
+        # Clauses 1-12 share one shape, ``q X <- X = cI, Y1 = Y1, ...``, with
+        # 10^(free + 1) instances exhaustively and 10^free under a bound X.
+        # Clause 0 adds 10 (1 on demand); clause 10, the shape's tenth row,
+        # is the first to pass the cap.
+        ys = ", ".join(f"Y{j} = Y{j}" for j in range(free))
+        src = (
+            "".join(f"type c{i} : i.\n" for i in range(10))
+            + "type q : i -> o.\nq X <- X = c0.\n"
+            + "".join(f"q X <- X = c{i % 10}, {ys}.\n" for i in range(1, 13))
+        )
+        program = load(src)
+        total = 1 + 10 * 10**free if demand else 10 + 10 * 10 ** (free + 1)
+        with pytest.raises(GroundingLimitExceeded, match=f"clause 10 .* {total} clauses"):
+            if demand:
+                relevant_grounding(program, [atom_of(program, "q c3")], 1)
+            else:
+                ground_instantiation(program, 1)
 
 class TestUniverseCap:
     def test_deep_universe_refused_at_the_first_size_over_the_cap(self):
@@ -449,6 +470,93 @@ class TestGuardsAndProjections:
         assert rules["e a b"] == []
         for root in ("e a a", "e b b", "e (f a) b", "p (f b)"):
             TestTemplateGrounding.assert_same(program, 2, [atom_of(program, root)])
+
+
+class TestShapes:
+    """Clauses that differ only in the ground sides of their guards share one
+    template, a row each; every atom is built from field values."""
+
+    SAME_SHAPE = {
+        "guard outside the universe": (
+            "type a : i.\ntype b : i.\ntype f : i -> i.\ntype p : i -> o.\n"
+            "p X <- X = f (f a).\np X <- X = a.\np X <- X = f b.\n",
+            ("p a", "p (f a)", "p (f (f a))"),
+        ),
+        "two guards on one variable": (
+            "type a : i.\ntype b : i.\ntype p : i -> o.\ntype q : i -> o.\n"
+            "p X <- X = a, X = b.\np X <- X = a, X = a.\np X <- X = b, X = a.\n"
+            "q X <- X = a, X = b, p X.\nq X <- X = b, X = b, p X.\n",
+            ("p a", "p b", "q a", "q b"),
+        ),
+        "guards written both ways": (
+            "type a : i.\ntype b : i.\ntype p : i -> o.\n"
+            "p X <- a = X.\np X <- X = b.\np X <- b = X.\np X <- X = a.\n",
+            ("p a", "p b"),
+        ),
+        "a body atom beside the guard": (
+            "type a : i.\ntype b : i.\ntype u0 : i -> o.\ntype e : i -> i -> o.\n"
+            "u0 X <- X = a.\ne X Y <- u0 X, Y = a.\ne X Y <- u0 X, Y = b.\n",
+            ("e a a", "e a b", "e b a"),
+        ),
+        "rows interleaved with other clauses": (
+            "type a : i.\ntype b : i.\ntype c : i.\ntype e : i -> i -> o.\n"
+            "type r : i -> i -> o.\n"
+            "e X Y <- X = a, Y = b.\nr X Y <- e X Y.\ne X Y <- X = b, Y = c.\n"
+            "r X Y <- e X Z, r Z Y.\ne X Y <- X = c, Y = a.\ne Y X <- X = a, Y = c.\n",
+            ("r a a", "r c b", "e a c"),
+        ),
+    }
+
+    BUILDERS = {
+        "function term": (
+            "type c0 : i.\ntype c1 : i.\ntype f0 : i -> i -> i.\ntype p0 : i -> o.\n"
+            "type q0 : i -> o.\nq0 V10 <- V10 = f0 c1 c1.\nq0 V10 <- V10 = c0.\n"
+            "p0 V10 <- ~(q0 (f0 V10 c0)), q0 (f0 c1 V10).\n",
+            ("p0 c0", "p0 c1", "p0 (f0 c1 c0)"),
+        ),
+        "variable head": (NONEXTENSIONAL, ("s p", "s q", "s w")),
+        "partial application in the head position": (
+            "type a : i.\ntype b : i.\ntype r : i -> i -> o.\ntype h : (i -> o) -> o.\n"
+            "r X Y <- X = a, Y = b.\nh R <- R a, ~(R b).\nh R <- R b.\n",
+            ("h (r a)", "h (r b)"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted({**SAME_SHAPE, **BUILDERS}))
+    def test_against_the_reference(self, case):
+        source, roots = {**self.SAME_SHAPE, **self.BUILDERS}[case]
+        program = load(source)
+        for k in (1, 2):
+            TestTemplateGrounding.assert_same(program, k)
+            for root in roots:
+                TestTemplateGrounding.assert_same(program, k, [atom_of(program, root)])
+            TestTemplateGrounding.assert_same(program, k, [atom_of(program, r) for r in roots])
+
+    def test_same_shape_clauses_share_a_template(self, monkeypatch):
+        compiled = []
+        original = grounder._Template.__init__
+
+        def counting(self, g, index, shape):
+            compiled.append(index)
+            original(self, g, index, shape)
+
+        monkeypatch.setattr(grounder._Template, "__init__", counting)
+        source, _ = self.SAME_SHAPE["rows interleaved with other clauses"]
+        gp = ground_instantiation(load(source), 1)
+        assert compiled == [0, 1, 3, 5]  # e X Y, r X Y <- e X Y, r X Y <- e X Z, r Z Y, e Y X
+        assert [c.source_index for c in gp.clauses[:9]] == [0] * 9
+        assert gp.clauses[9].source_index == 1
+
+    def test_a_key_the_atom_does_not_print_is_refused(self, monkeypatch):
+        def misprint(e, fields):
+            return syntax.print_template(e, fields).replace(" ", "  ")
+
+        monkeypatch.setattr(grounder, "print_template", misprint)
+        program = load("type a : i.\ntype p : i -> o.\ntype q : i -> o.\np X <- X = a, q X.")
+        with pytest.raises(TemplateMismatch, match="'p  a' for the atom 'p a'"):
+            ground_instantiation(program, 1)
+        with pytest.raises(TemplateMismatch, match="'q  a' for the atom 'q a'"):
+            relevant_grounding(program, [atom_of(program, "p a")], 1)
 
 
 def _ground(program, k, roots):

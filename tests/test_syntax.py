@@ -27,7 +27,6 @@ from hoplog.syntax import (
     PredConst,
     PredVar,
     TypeExpr,
-    apply_substitution,
     canonical_print,
     free_vars,
     is_argument_type,
@@ -39,6 +38,7 @@ from hoplog.syntax import (
 from hoplog.typecheck import check_program, load_program
 
 from helpers import (
+    apply_substitution,
     bench_workloads,
     load,
     random_program_source,
