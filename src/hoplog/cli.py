@@ -26,7 +26,7 @@ from .grounder import (
     truncated_types,
 )
 from .interp import Ordering, minimal_models_bruteforce
-from .parser import parse_atom, parse_program
+from .parser import parse_program
 from .perfect import Stratification, Unstratifiable, localize, perfect_model, stratify
 from .programs import DEMOS
 from .syntax import PredConst
@@ -50,7 +50,7 @@ def _parse_roots(program: Program, spec: str):
     for part in spec.split(","):
         part = part.strip()
         if part:
-            roots.append(elaborate_ground_atom(program, parse_atom(part)))
+            roots.append(elaborate_ground_atom(program, part))
     return roots
 
 

@@ -27,7 +27,6 @@ from itertools import product
 from .errors import DepthExceeded
 from .grounder import Universe, argument_types, relevant_grounding
 from .interp import PartialInterpretation, TruthValue
-from .parser import parse_atom
 from .records import FrozenRecord, Record, _set
 from .syntax import (
     IOTA,
@@ -376,8 +375,8 @@ class ExtChecker:
 def replay_witness(program: Program, w: Witness, k: int, budget: int | None = None) -> bool:
     """Recompute the two recorded valuations; True when they match the report."""
     checker = ExtChecker(program, k, budget)
-    lhs = elaborate_ground_atom(program, parse_atom(w.lhs_atom))
-    rhs = elaborate_ground_atom(program, parse_atom(w.rhs_atom))
+    lhs = elaborate_ground_atom(program, w.lhs_atom)
+    rhs = elaborate_ground_atom(program, w.rhs_atom)
     lv = checker.oracle.value(lhs)
     rv = checker.oracle.value(rhs)
     return str(lv) == w.lhs_value and str(rv) == w.rhs_value and lv != rv

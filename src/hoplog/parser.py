@@ -13,8 +13,9 @@ Grammar::
 
 Comments run from ``%`` to end of line.  Names starting with an uppercase
 letter are variables; all other names are constants or function symbols.
-``type`` is reserved.  The parser is untyped: it produces raw trees with
-source positions, which the checker elaborates into typed syntax.
+``type`` is reserved.  The parser is untyped: it produces raw trees whose
+positions are offsets into the source, which the checker elaborates into
+typed syntax.
 """
 
 from __future__ import annotations
@@ -31,44 +32,46 @@ RESERVED = ("type",)
 # ---------------------------------------------------------------------------
 # Raw (untyped) syntax trees
 # ---------------------------------------------------------------------------
+#
+# A position is the offset of a token in the source text; ``position``
+# turns it into a line and a column when an error is reported.
 
 
-class Pos(FrozenRecord):
-    __slots__ = ("line", "column")
-
-    def __init__(self, line: int, column: int) -> None:
-        _set(self, "line", line)
-        _set(self, "column", column)
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.column}"
+def position(text: str, offset: int) -> tuple[int, int]:
+    """Line and column, both from 1, of the character at offset in text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class RawName(FrozenRecord):
-    __slots__ = ("name", "pos")
+    """A bare name: a spine with no arguments."""
 
-    def __init__(self, name: str, pos: Pos) -> None:
+    __slots__ = ("name", "pos")
+    args = ()
+
+    def __init__(self, name: str, pos: int) -> None:
         _set(self, "name", name)
         _set(self, "pos", pos)
 
-    @property
-    def is_variable(self) -> bool:
-        return self.name[0].isupper()
-
 
 class RawApp(FrozenRecord):
-    __slots__ = ("op", "arg", "pos")
+    """A spine: ``name args[0] ... args[n-1]``, a name applied to one or
+    more arguments.  ``pos`` is the name's offset."""
 
-    def __init__(self, op: RawExpr, arg: RawExpr, pos: Pos) -> None:
-        _set(self, "op", op)
-        _set(self, "arg", arg)
+    __slots__ = ("name", "args", "pos")
+
+    def __init__(self, name: str, args: tuple[RawSpine, ...], pos: int) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
         _set(self, "pos", pos)
+
+
+RawSpine = "RawName | RawApp"
 
 
 class RawNeg(FrozenRecord):
     __slots__ = ("atom", "pos")
 
-    def __init__(self, atom: RawExpr, pos: Pos) -> None:
+    def __init__(self, atom: RawSpine, pos: int) -> None:
         _set(self, "atom", atom)
         _set(self, "pos", pos)
 
@@ -76,19 +79,19 @@ class RawNeg(FrozenRecord):
 class RawEq(FrozenRecord):
     __slots__ = ("lhs", "rhs", "pos")
 
-    def __init__(self, lhs: RawExpr, rhs: RawExpr, pos: Pos) -> None:
+    def __init__(self, lhs: RawSpine, rhs: RawSpine, pos: int) -> None:
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
         _set(self, "pos", pos)
 
 
-RawExpr = "RawName | RawApp | RawNeg | RawEq"
+RawLiteral = "RawSpine | RawNeg | RawEq"
 
 
 class RawClause(FrozenRecord):
     __slots__ = ("head", "body", "pos")
 
-    def __init__(self, head: RawExpr, body: tuple[RawExpr, ...], pos: Pos) -> None:
+    def __init__(self, head: RawSpine, body: tuple[RawLiteral, ...], pos: int) -> None:
         _set(self, "head", head)
         _set(self, "body", body)
         _set(self, "pos", pos)
@@ -97,22 +100,29 @@ class RawClause(FrozenRecord):
 class Declaration(FrozenRecord):
     __slots__ = ("name", "typ", "pos")
 
-    def __init__(self, name: str, typ: TypeExpr, pos: Pos) -> None:
+    def __init__(self, name: str, typ: TypeExpr, pos: int) -> None:
         _set(self, "name", name)
         _set(self, "typ", typ)
         _set(self, "pos", pos)
 
 
 class SourceProgram(Record):
-    __slots__ = ("declarations", "clauses")
+    """A parsed text: its declarations and clauses, every name it uses in
+    order of first use, and the text itself, which error positions read."""
+
+    __slots__ = ("declarations", "clauses", "names", "text")
 
     def __init__(
         self,
         declarations: list[Declaration] | None = None,
         clauses: list[RawClause] | None = None,
+        names: dict[str, None] | None = None,
+        text: str = "",
     ) -> None:
         self.declarations = [] if declarations is None else declarations
         self.clauses = [] if clauses is None else clauses
+        self.names = {} if names is None else names
+        self.text = text
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +141,9 @@ _PUNCT = {
     ":": "COLON",
 }
 
-# A newline; blanks (str.isspace() but the newline); a comment; punctuation;
-# a word (str.isalnum() or "_"); any other character.
-_TOKEN = re.compile(r"(\n)|([^\S\n]+)|(%[^\n]*)|(->|<-|[(),.~=:])|(\w+)|(.)")
+# Blanks (str.isspace()) and comments, skipped; then a token: punctuation,
+# a word (str.isalnum() or "_"), any other character, or the end.
+_TOKEN = re.compile(r"(?:\s+|%[^\n]*)*(?:(->|<-|[(),.~=:])|(\w+)|(.)|\Z)")
 
 # Nesting levels in one clause head, body literal, root atom or declared
 # type: the levels on the deepest path of its tree, where each parenthesis,
@@ -144,27 +154,23 @@ _TOKEN = re.compile(r"(\n)|([^\S\n]+)|(%[^\n]*)|(->|<-|[(),.~=:])|(\w+)|(.)")
 MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[tuple[str, str, Pos]]:
-    """``(kind, text, position)`` of each token, then an ``EOF`` token."""
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` of each token, then an ``EOF`` token."""
     tokens = []
-    line, start = 1, 0  # start: offset of the line's first character
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         if group == 1:
-            line += 1
-            start = m.end()
-        elif group > 3:
-            word = m.group()
-            col = m.start() - start + 1
-            if group == 4:
-                tokens.append((_PUNCT[word], word, Pos(line, col)))
-            elif group == 5 and word[0].isalpha():
-                tokens.append(("NAME", word, Pos(line, col)))
-            else:
-                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            word = m[1]
+            tokens.append((_PUNCT[word], word, m.start(1)))
+        elif group == 2 and m[2][0].isalpha():
+            tokens.append(("NAME", m[2], m.start(2)))
+        elif group:
+            raise ParseError(
+                f"unexpected character {m[group][0]!r}", *position(text, m.start(group))
+            )
     # A comment that ends the text leaves the end at its "%".
-    end = text.find("%", start)
-    tokens.append(("EOF", "", Pos(line, (len(text) if end < 0 else end) - start + 1)))
+    end = text.find("%", text.rfind("\n") + 1)
+    tokens.append(("EOF", "", len(text) if end < 0 else end))
     return tokens
 
 
@@ -175,26 +181,25 @@ def _tokenize(text: str) -> list[tuple[str, str, Pos]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.text = text
+        self.tokens = iter(_tokenize(text))
+        self.tok = next(self.tokens)  # the next token, EOF at the end
+        self.names: dict[str, None] = {}  # every name parsed, in order
 
-    def peek(self) -> tuple[str, str, Pos]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, Pos]:
-        tok = self.tokens[self.i]
-        self.i += 1
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tok
+        self.tok = next(self.tokens, tok)
         return tok
 
-    def expect(self, kind: str) -> tuple[str, str, Pos]:
-        found, text, _ = self.peek()
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        found, text, _ = self.tok
         if found != kind:
             raise self.fail(f"expected {kind.lower()}, found {text or 'end of input'!r}")
         return self.next()
 
     def fail(self, message: str) -> ParseError:
-        pos = self.peek()[2]
-        return ParseError(message, pos.line, pos.column)
+        """The error at the next token."""
+        return ParseError(message, *position(self.text, self.tok[2]))
 
     def reach(self, depth: int, height: int) -> None:
         """Refuse the next token when it makes a tree ``height`` levels high,
@@ -207,7 +212,7 @@ class _Parser:
 
     def parse_type(self, depth: int = 0) -> tuple[TypeExpr, int]:
         left, height = self.parse_type_atom(depth)
-        if self.peek()[0] != "ARROW":
+        if self.tok[0] != "ARROW":
             return left, height
         self.reach(depth, height + 1)
         self.next()
@@ -215,7 +220,7 @@ class _Parser:
         return Arrow(left, right), 1 + max(height, right_height)
 
     def parse_type_atom(self, depth: int) -> tuple[TypeExpr, int]:
-        kind, text, _ = self.peek()
+        kind, text, _ = self.tok
         if kind == "NAME" and text == "i":
             self.next()
             return IOTA, 0
@@ -232,16 +237,20 @@ class _Parser:
 
     # -- terms and literals ---------------------------------------------------
 
-    def parse_name(self) -> RawName:
+    def parse_name(self) -> tuple[str, int]:
+        if self.tok[1] in RESERVED:
+            raise self.fail(f"{self.tok[1]!r} is reserved")
         _, text, pos = self.expect("NAME")
-        if text in RESERVED:
-            raise ParseError(f"{text!r} is reserved", pos.line, pos.column)
-        return RawName(text, pos)
+        return text, pos
 
-    def parse_arg(self, depth: int):
-        kind, text, _ = self.peek()
+    def parse_arg(self, depth: int) -> tuple[RawSpine, int]:
+        kind, text, pos = self.tok
         if kind == "NAME":
-            return self.parse_name(), 0
+            if text in RESERVED:
+                raise self.fail(f"{text!r} is reserved")
+            self.names[text] = None
+            self.next()
+            return RawName(text, pos), 0
         if kind == "LPAREN":
             self.reach(depth, 1)
             self.next()
@@ -250,63 +259,64 @@ class _Parser:
             return inner, height + 1
         raise self.fail(f"expected a term, found {text or 'end of input'!r}")
 
-    def parse_atom(self, depth: int = 0):
-        pos = self.peek()[2]
-        out, height = self.parse_arg(depth)
-        while self.peek()[0] in ("NAME", "LPAREN"):
+    def parse_atom(self, depth: int = 0) -> tuple[RawSpine, int]:
+        head, height = self.parse_arg(depth)
+        args = []
+        while self.tok[0] in ("NAME", "LPAREN"):
             self.reach(depth, height + 1)  # the spine so far sinks one level
             arg, arg_height = self.parse_arg(depth + 1)
-            out = RawApp(out, arg, pos)
+            args.append(arg)
             height = 1 + max(height, arg_height)
-        return out, height
+        if not args:
+            return head, height
+        return RawApp(head.name, head.args + tuple(args), head.pos), height
 
-    def parse_literal(self):
-        kind, _, pos = self.peek()
+    def parse_literal(self) -> RawLiteral:
+        kind, _, pos = self.tok
         if kind == "TILDE":
             self.next()
             return RawNeg(self.parse_arg(0)[0], pos)
         lhs = self.parse_atom()[0]
-        if self.peek()[0] == "EQUALS":
+        if self.tok[0] == "EQUALS":
             eq = self.next()[2]
             return RawEq(lhs, self.parse_atom()[0], eq)
         return lhs
 
     # -- declarations and clauses ---------------------------------------------
 
-    def parse_decl(self, seen: dict[str, Pos]) -> Declaration:
+    def parse_decl(self, seen: dict[str, int]) -> Declaration:
         self.next()  # the "type" keyword, checked by the caller
-        name = self.parse_name()
+        name, pos = self.parse_name()
         self.expect("COLON")
         typ = self.parse_type()[0]
         self.expect("DOT")
-        if name.name in seen:
+        if name in seen:
             raise DuplicateDeclaration(
-                f"{name.name} already declared at {seen[name.name]}",
-                name.pos.line,
-                name.pos.column,
+                "%s already declared at %d:%d" % (name, *position(self.text, seen[name])),
+                *position(self.text, pos),
             )
-        return Declaration(name.name, typ, name.pos)
+        return Declaration(name, typ, pos)
 
     def parse_clause(self) -> RawClause:
-        pos = self.peek()[2]
+        pos = self.tok[2]
         head = self.parse_atom()[0]
         body: list = []
-        if self.peek()[0] == "LARROW":
+        if self.tok[0] == "LARROW":
             self.next()
             # An empty body after <- is allowed: "p <- ." means the fact "p."
-            if self.peek()[0] != "DOT":
+            if self.tok[0] != "DOT":
                 body.append(self.parse_literal())
-                while self.peek()[0] == "COMMA":
+                while self.tok[0] == "COMMA":
                     self.next()
                     body.append(self.parse_literal())
         self.expect("DOT")
         return RawClause(head, tuple(body), pos)
 
     def parse_program(self) -> SourceProgram:
-        sp = SourceProgram()
-        seen: dict[str, Pos] = {}
-        while self.peek()[0] != "EOF":
-            kind, text, _ = self.peek()
+        sp = SourceProgram(names=self.names, text=self.text)
+        seen: dict[str, int] = {}
+        while self.tok[0] != "EOF":
+            kind, text, _ = self.tok
             if kind == "NAME" and text == "type":
                 decl = self.parse_decl(seen)
                 seen[decl.name] = decl.pos
@@ -328,7 +338,7 @@ def parse_type(text: str) -> TypeExpr:
     return typ
 
 
-def parse_atom(text: str):
+def parse_atom(text: str) -> RawSpine:
     """Parse a single atom (used for --roots arguments)."""
     p = _Parser(text)
     atom = p.parse_atom()[0]

@@ -23,7 +23,17 @@ from .errors import (
     TypeCheckError,
     UnboundSymbol,
 )
-from .parser import RawApp, RawClause, RawEq, RawName, RawNeg, SourceProgram, parse_program
+from .parser import (
+    RawClause,
+    RawEq,
+    RawLiteral,
+    RawNeg,
+    RawSpine,
+    SourceProgram,
+    parse_atom,
+    parse_program,
+    position,
+)
 from .records import FrozenRecord, _set
 from .syntax import (
     IOTA,
@@ -70,50 +80,22 @@ class Program(FrozenRecord):
 
 
 # ---------------------------------------------------------------------------
-# Raw-tree helpers
+# Signature
 # ---------------------------------------------------------------------------
-
-
-def _flatten(raw) -> tuple[RawName, list]:
-    args: list = []
-    while isinstance(raw, RawApp):
-        args.append(raw.arg)
-        raw = raw.op
-    args.reverse()
-    if not isinstance(raw, RawName):
-        raise IllTyped("an application must start with a name")
-    return raw, args
-
-
-def _raw_names(raw):
-    if isinstance(raw, RawName):
-        yield raw
-    elif isinstance(raw, RawApp):
-        yield from _raw_names(raw.op)
-        yield from _raw_names(raw.arg)
-    elif isinstance(raw, RawNeg):
-        yield from _raw_names(raw.atom)
-    elif isinstance(raw, RawEq):
-        yield from _raw_names(raw.lhs)
-        yield from _raw_names(raw.rhs)
 
 
 def _build_signature(sp: SourceProgram) -> Signature:
     mapping: dict[str, TypeExpr] = {}
     for decl in sp.declarations:
         if decl.name[0].isupper():
-            raise IllTyped(f"{decl.pos}: cannot declare variable {decl.name}")
+            at = "%d:%d" % position(sp.text, decl.pos)
+            raise IllTyped(f"{at}: cannot declare variable {decl.name}")
         Signature.kind_of_type(decl.name, decl.typ)  # reject malformed types
         mapping[decl.name] = decl.typ
     # Undeclared lowercase nullary symbols default to individual constants.
-    for rc in sp.clauses:
-        for nm in _raw_names(rc.head):
-            if not nm.is_variable and nm.name not in mapping:
-                mapping[nm.name] = IOTA
-        for lit in rc.body:
-            for nm in _raw_names(lit):
-                if not nm.is_variable and nm.name not in mapping:
-                    mapping[nm.name] = IOTA
+    for name in sp.names:
+        if name not in mapping and not name[0].isupper():
+            mapping[name] = IOTA
     return make_signature(mapping)
 
 
@@ -123,220 +105,199 @@ def _build_signature(sp: SourceProgram) -> Signature:
 
 
 class _ClauseChecker:
-    def __init__(self, sig: Signature, clause: RawClause | None):
-        self.sig = sig
+    def __init__(self, types: dict[str, TypeExpr], clause: RawClause | None, text: str):
+        self.types = types  # the signature's
         self.clause = clause  # None for a root atom
+        self.text = text  # the source the positions are offsets into
         self.env: dict[str, TypeExpr] = {}
         self.errors: list[TypeCheckError] = []
-        self.conflicts: set = set()  # positions whose conflict is reported
+        self.conflicts: set[int] = set()  # positions whose conflict is reported
+
+    def at(self, pos: int) -> str:
+        """``line:column`` of an offset into the checked source."""
+        return "%d:%d" % position(self.text, pos)
 
     @property
     def where(self) -> str:
         """The clause or atom checked, as error messages name it."""
         if self.clause is None:
             return "a root atom"
-        names = " ".join(dict.fromkeys(n.name for n in _raw_names(self.clause.head)))
-        return f"the clause for '{names}' at {self.clause.pos}"
+        head = self.clause.head  # checked: distinct variables follow the name
+        names = " ".join([head.name] + [a.name for a in head.args])
+        return f"the clause for '{names}' at {self.at(self.clause.pos)}"
 
-    def error(self, exc: TypeCheckError) -> None:
-        self.errors.append(exc)
+    def check_head(self) -> tuple[PredConst, tuple[Var, ...]]:
+        rc = self.clause
+        name, args, at = rc.head.name, rc.head.args, self.at
+        if name[0].isupper():
+            raise IllTyped(f"{at(rc.head.pos)}: clause head must start with a predicate constant")
+        typ = self.types.get(name)
+        if typ is None or not is_predicate_type(typ):
+            raise IllTyped(f"{at(rc.head.pos)}: head symbol {name} is not a declared predicate")
+        argtypes = predicate_arg_types(typ)
+        if len(args) != len(argtypes):
+            raise ArityMismatch(
+                f"{at(rc.head.pos)}: {name} : {typ} takes {len(argtypes)} "
+                f"arguments, head has {len(args)}"
+            )
+        formals: list[Var] = []
+        for a, t in zip(args, argtypes):
+            if a.args or not a.name[0].isupper():
+                raise NonVariableHeadArgument(
+                    f"{at(rc.pos)}: head argument of {name} must be a variable"
+                )
+            if a.name in self.env:
+                raise RepeatedHeadVariable(
+                    f"{at(a.pos)}: variable {a.name} appears twice in the head of {name}"
+                )
+            self.env[a.name] = t
+            formals.append(IndVar(a.name) if t is IOTA else PredVar(a.name, t))
+        return PredConst(name, typ), tuple(formals)
 
     # -- binding pass ---------------------------------------------------------
 
-    def bind(self, name: str, typ: TypeExpr, pos) -> None:
+    def bind(self, name: str, typ: TypeExpr, pos: int) -> None:
         known = self.env.get(name)
         if known is None:
             self.env[name] = typ
-        elif known != typ and pos not in self.conflicts:
+        elif known is not typ and pos not in self.conflicts:
             # every inference pass meets the occurrence again
             self.conflicts.add(pos)
-            self.error(
+            self.errors.append(
                 ConflictingVariableType(
-                    f"{pos}: variable {name} used both at {known} and at {typ}"
+                    f"{self.at(pos)}: variable {name} used both at {known} and at {typ}"
                     f" in {self.where}"
                 )
             )
 
-    def walk(self, raw, expected: TypeExpr | None) -> TypeExpr | None:
+    def walk(self, raw: RawSpine, expected: TypeExpr | None) -> TypeExpr | None:
         """Propagate type information; returns the type when determinable."""
-        if isinstance(raw, RawNeg):
-            self.walk(raw.atom, OMICRON)
-            return OMICRON
-        if isinstance(raw, RawEq):
-            self.walk(raw.lhs, IOTA)
-            self.walk(raw.rhs, IOTA)
-            return OMICRON
-        head, args = _flatten(raw)
-        if not args:
-            if head.is_variable:
-                if expected is not None:
-                    self.bind(head.name, expected, head.pos)
-                return self.env.get(head.name)
-            return self.sig.lookup(head.name) if head.name in self.sig else None
-        if head.is_variable:
-            known = self.env.get(head.name)
-            if known is not None:
-                peeled = peel(known, len(args))
-                if peeled is None:
-                    return None  # arity error surfaces during build
-                argtypes, rest = peeled
-                for a, t in zip(args, argtypes):
-                    self.walk(a, t)
-                return rest
-            argtypes = [self.walk(a, None) for a in args]
-            if expected is not None and all(t is not None for t in argtypes):
-                typ: TypeExpr = expected
+        name, args = raw.name, raw.args
+        if not name[0].isupper():
+            known = self.types.get(name)
+        elif not args:
+            if expected is not None:
+                self.bind(name, expected, raw.pos)
+            return self.env.get(name)
+        else:
+            known = self.env.get(name)
+            if known is None:
+                argtypes = [self.walk(a, None) for a in args]
+                if expected is None or None in argtypes:
+                    return None
+                typ = expected
                 for t in reversed(argtypes):
-                    typ = Arrow(t, typ)  # type: ignore[arg-type]
-                self.bind(head.name, typ, head.pos)
+                    typ = Arrow(t, typ)
+                self.bind(name, typ, raw.pos)
                 return expected
-            return None
-        if head.name not in self.sig:
-            return None
-        headtype = self.sig.lookup(head.name)
-        peeled = peel(headtype, len(args))
+        if known is None or not args:
+            return known
+        peeled = peel(known, len(args))
         if peeled is None:
-            return None
-        argtypes, rest = peeled
-        for a, t in zip(args, argtypes):
+            return None  # an arity error surfaces during build
+        for a, t in zip(args, peeled[0]):
             self.walk(a, t)
-        return rest
+        return peeled[1]
 
-    def infer(self, body) -> None:
+    def infer(self, body: tuple[RawLiteral, ...]) -> None:
         # bind never overwrites, so a pass that binds nothing is the last.
         bound = -1
         while bound < len(self.env):
             bound = len(self.env)
             for lit in body:
-                self.walk(lit, OMICRON)
+                if isinstance(lit, RawNeg):
+                    self.walk(lit.atom, OMICRON)
+                elif isinstance(lit, RawEq):
+                    self.walk(lit.lhs, IOTA)
+                    self.walk(lit.rhs, IOTA)
+                else:
+                    self.walk(lit, OMICRON)
 
     # -- build pass -----------------------------------------------------------
 
-    def build(self, raw) -> Expr:
+    def build_literal(self, raw: RawLiteral) -> Expr:
         if isinstance(raw, RawNeg):
             atom = self.build(raw.atom)
-            if atom.typ != OMICRON:
+            if atom.typ is not OMICRON:
                 raise NegOfNonBoolean(
-                    f"{raw.pos}: ~ over {canonical_print(atom)} : {atom.typ}"
+                    f"{self.at(raw.pos)}: ~ over {canonical_print(atom)} : {atom.typ}"
                 )
             return Neg(atom)
         if isinstance(raw, RawEq):
-            lhs = self.build(raw.lhs)
-            rhs = self.build(raw.rhs)
-            if lhs.typ != IOTA or rhs.typ != IOTA:
+            lhs, rhs = self.build(raw.lhs), self.build(raw.rhs)
+            if lhs.typ is not IOTA or rhs.typ is not IOTA:
                 raise EqOfNonIndividual(
-                    f"{raw.pos}: = compares individuals, got {lhs.typ} and {rhs.typ}"
+                    f"{self.at(raw.pos)}: = compares individuals, got {lhs.typ} and {rhs.typ}"
                 )
             return Eq(lhs, rhs)
-        head, args = _flatten(raw)
-        # Fully applied function symbols produce individuals.
-        if not head.is_variable and head.name in self.sig:
-            headtype = self.sig.lookup(head.name)
-            if headtype != IOTA and is_functional_type(headtype):
-                n = functional_arity(headtype)
+        return self.build(raw)
+
+    def build(self, raw: RawSpine) -> Expr:
+        name, args, at = raw.name, raw.args, self.at
+        if name[0].isupper():
+            typ = self.env.get(name)
+            if typ is None:
+                raise AmbiguousVariableType(
+                    f"{at(raw.pos)}: the type of {name} is not determined by any "
+                    f"occurrence in {self.where}"
+                )
+            out = IndVar(name) if typ is IOTA else PredVar(name, typ)
+        else:
+            typ = self.types.get(name)
+            if typ is None:
+                raise UnboundSymbol(f"{at(raw.pos)}: undeclared symbol {name}")
+            if typ is not IOTA and is_functional_type(typ):
+                # a function symbol, fully applied, makes an individual
+                n = functional_arity(typ)
                 if len(args) != n:
                     raise ArityMismatch(
-                        f"{head.pos}: function symbol {head.name} expects {n} "
+                        f"{at(raw.pos)}: function symbol {name} expects {n} "
                         f"arguments, got {len(args)}"
                     )
                 built = []
                 for a in args:
-                    ax = self.build(a)
-                    if ax.typ != IOTA:
+                    built.append(self.build(a))
+                    if built[-1].typ is not IOTA:
                         raise IllTypedApplication(
-                            f"{head.pos}: argument {canonical_print(ax)} of "
-                            f"{head.name} is not an individual"
+                            f"{at(raw.pos)}: argument {canonical_print(built[-1])} of "
+                            f"{name} is not an individual"
                         )
-                    built.append(ax)
-                return FunApp(head.name, tuple(built))
-        head_expr = self.build_name(head)
-        if isinstance(head_expr, (IndConst, IndVar)) and args:
-            raise IllTypedApplication(
-                f"{head.pos}: individual {head.name} cannot be applied"
-            )
-        out = head_expr
+                return FunApp(name, tuple(built))
+            out = IndConst(name) if typ is IOTA else PredConst(name, typ)
+        if args and typ is IOTA:
+            raise IllTypedApplication(f"{at(raw.pos)}: individual {name} cannot be applied")
         for a in args:
             optype = out.typ
             if not isinstance(optype, Arrow):
                 raise IllTypedApplication(
-                    f"{head.pos}: {canonical_print(out)} : {optype} cannot be applied"
+                    f"{at(raw.pos)}: {canonical_print(out)} : {optype} cannot be applied"
                 )
             ax = self.build(a)
-            if ax.typ != optype.argument:
+            if ax.typ is not optype.argument:
                 raise IllTypedApplication(
-                    f"{head.pos}: {canonical_print(out)} expects {optype.argument}, "
+                    f"{at(raw.pos)}: {canonical_print(out)} expects {optype.argument}, "
                     f"got {canonical_print(ax)} : {ax.typ}"
                 )
             out = App(out, ax)
         return out
 
-    def build_name(self, nm: RawName) -> Expr:
-        if nm.is_variable:
-            typ = self.env.get(nm.name)
-            if typ is None:
-                raise AmbiguousVariableType(
-                    f"{nm.pos}: the type of {nm.name} is not determined by any "
-                    f"occurrence in {self.where}"
-                )
-            return IndVar(nm.name) if typ == IOTA else PredVar(nm.name, typ)
-        if nm.name not in self.sig:
-            raise UnboundSymbol(f"{nm.pos}: undeclared symbol {nm.name}")
-        typ = self.sig.lookup(nm.name)
-        if typ == IOTA:
-            return IndConst(nm.name)
-        if is_predicate_type(typ):
-            return PredConst(nm.name, typ)
-        raise IllTypedApplication(
-            f"{nm.pos}: function symbol {nm.name} must be fully applied"
-        )
 
-
-def _check_head(rc: RawClause, sig: Signature, checker: _ClauseChecker):
-    head, args = _flatten(rc.head)
-    if head.is_variable:
-        raise IllTyped(f"{head.pos}: clause head must start with a predicate constant")
-    if head.name not in sig or not is_predicate_type(sig.lookup(head.name)):
-        raise IllTyped(f"{head.pos}: head symbol {head.name} is not a declared predicate")
-    pred = PredConst(head.name, sig.lookup(head.name))
-    argtypes = predicate_arg_types(pred.ptype)
-    if len(args) != len(argtypes):
-        raise ArityMismatch(
-            f"{head.pos}: {head.name} : {pred.ptype} takes {len(argtypes)} "
-            f"arguments, head has {len(args)}"
-        )
-    formals: list[Var] = []
-    seen: set[str] = set()
-    for a, t in zip(args, argtypes):
-        if not isinstance(a, RawName) or not a.is_variable:
-            raise NonVariableHeadArgument(
-                f"{rc.pos}: head argument of {head.name} must be a variable"
-            )
-        if a.name in seen:
-            raise RepeatedHeadVariable(
-                f"{a.pos}: variable {a.name} appears twice in the head of {head.name}"
-            )
-        seen.add(a.name)
-        checker.bind(a.name, t, a.pos)
-        formals.append(IndVar(a.name) if t == IOTA else PredVar(a.name, t))
-    return pred, tuple(formals)
-
-
-def check_clause(rc: RawClause, sig: Signature) -> Clause:
-    checker = _ClauseChecker(sig, rc)
-    pred, formals = _check_head(rc, sig, checker)
+def check_clause(rc: RawClause, types: dict[str, TypeExpr], text: str) -> Clause:
+    """The typed clause of rc under the signature's types; rc's positions
+    are offsets into text."""
+    checker = _ClauseChecker(types, rc, text)
+    pred, formals = checker.check_head()
     checker.infer(rc.body)
     body: list[Expr] = []
     for lit in rc.body:
         try:
-            built = checker.build(lit)
-            if built.typ != OMICRON:
+            built = checker.build_literal(lit)
+            if built.typ is not OMICRON:
                 raise IllTyped(
-                    f"{rc.pos}: body literal {canonical_print(built)} has type "
+                    f"{checker.at(rc.pos)}: body literal {canonical_print(built)} has type "
                     f"{built.typ}, not o"
                 )
             body.append(built)
-        except ProgramCheckError as exc:
-            checker.errors.extend(exc.errors)
         except TypeCheckError as exc:
             checker.errors.append(exc)
     if checker.errors:
@@ -351,10 +312,11 @@ def check_program(sp: SourceProgram) -> Program:
         sig = _build_signature(sp)
     except TypeCheckError as exc:
         raise ProgramCheckError([exc]) from exc
+    types = sig.as_dict()
     clauses: list[Clause] = []
     for rc in sp.clauses:
         try:
-            clauses.append(check_clause(rc, sig))
+            clauses.append(check_clause(rc, types, sp.text))
         except ProgramCheckError as exc:
             errors.extend(exc.errors)
         except TypeCheckError as exc:
@@ -369,16 +331,11 @@ def load_program(text: str) -> Program:
     return check_program(parse_program(text))
 
 
-def elaborate_ground_atom(program: Program, raw) -> Expr:
-    """Typed ground atom from a raw tree (for roots given on the command line)."""
-    checker = _ClauseChecker(program.signature, None)
-    atom = checker.build(raw)
-    if checker.errors:
-        raise ProgramCheckError(checker.errors)
-    if atom.typ != OMICRON:
+def elaborate_ground_atom(program: Program, text: str) -> Expr:
+    """Typed ground atom from its text (for roots given on the command line)."""
+    atom = _ClauseChecker(program.signature.as_dict(), None, text).build(parse_atom(text))
+    if atom.typ is not OMICRON:
         raise IllTyped(f"root {canonical_print(atom)} has type {atom.typ}, not o")
     if not is_ground(atom):
         raise IllTyped(f"root {canonical_print(atom)} is not ground")
-    if isinstance(atom, (Neg, Eq)):
-        raise IllTyped("roots must be plain atoms")
     return atom

@@ -25,7 +25,7 @@ from hoplog.interp import (
     is_model,
     leq,
 )
-from hoplog.parser import parse_atom, parse_program
+from hoplog.parser import parse_program
 from hoplog.perfect import Stratification, Unstratifiable, localize, perfect_model, stratify
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_BAD, STRATIFIED_OK
 from hoplog.syntax import PredConst
@@ -50,7 +50,7 @@ def _grounding(entry):
     program = load(entry.source)
     if entry.roots:
         roots = [
-            ground_atom(elaborate_ground_atom(program, parse_atom(r)))
+            ground_atom(elaborate_ground_atom(program, r))
             for r in entry.roots
         ]
         return program, relevant_grounding(program, roots, entry.depth)
@@ -61,7 +61,7 @@ def test_criterion_1_counterexample_reproduction():
     started = time.perf_counter()
     program = load(NONEXTENSIONAL)
     roots = [
-        ground_atom(elaborate_ground_atom(program, parse_atom(r)))
+        ground_atom(elaborate_ground_atom(program, r))
         for r in ("s p", "s q")
     ]
     gp = relevant_grounding(program, roots, 3)

@@ -17,12 +17,13 @@ from hoplog.grounder import (
     relevant_grounding,
     truncated_types,
 )
-from hoplog.parser import parse_atom, parse_type
+from hoplog.parser import parse_type
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
 from hoplog.syntax import IOTA, Neg, canonical_print
 from hoplog.typecheck import elaborate_ground_atom
 
 from helpers import (
+    bench_workloads,
     compiled_by_key,
     enumerate_terms_closure,
     load,
@@ -44,7 +45,7 @@ def keys(terms):
 
 
 def atom_of(program, text):
-    return elaborate_ground_atom(program, parse_atom(text))
+    return elaborate_ground_atom(program, text)
 
 
 class TestHerbrandUniverse:
@@ -379,7 +380,7 @@ class TestTemplateGrounding:
             if gp is not None:
                 self.assert_same(program, k, _first_atoms(gp))
             if entry.roots:
-                roots = [elaborate_ground_atom(program, parse_atom(r)) for r in entry.roots]
+                roots = [elaborate_ground_atom(program, r) for r in entry.roots]
                 self.assert_same(program, k, roots)
 
     @pytest.mark.parametrize(
@@ -546,6 +547,30 @@ class TestShapes:
         assert compiled == [0, 1, 3, 5]  # e X Y, r X Y <- e X Y, r X Y <- e X Z, r Z Y, e Y X
         assert [c.source_index for c in gp.clauses[:9]] == [0] * 9
         assert gp.clauses[9].source_index == 1
+
+    def test_guards_narrow_each_row_to_its_constants(self, monkeypatch):
+        # The facts of a strat-perfect query, edge X Y <- X = nA, Y = nB and
+        # node X <- X = nA: each row ranges over its guards' constants alone,
+        # so it fires one instance, not one per node or pair of nodes.
+        rows = []
+        add = grounder._Template.add
+
+        def recording(self, index, consts):
+            rows.append((self, add(self, index, consts)))
+            return rows[-1][1]
+
+        monkeypatch.setattr(grounder._Template, "add", recording)
+        query = next(q for q in bench_workloads().strat_pool(1) if q.label == "strat-n11-0")
+        k = int(query.args[query.args.index("--depth") + 1])
+        ground_instantiation(load(query.source), k)
+        facts = [(t, r) for t, r in rows if t.head_pred in ("edge", "node")]
+        assert {len(d) for t, _ in facts for d in t.rest_domains} == {11}  # the nodes
+        lines = query.source.splitlines()
+        assert len(facts) == sum(line.startswith(("edge X Y <-", "node X <-")) for line in lines)
+        for t, r in facts:
+            _, consts, domains = t.rows[r]
+            assert len(t.rest) == len(consts) and not t.pos
+            assert domains == [[c] for c in consts]
 
     def test_a_key_the_atom_does_not_print_is_refused(self, monkeypatch):
         def misprint(e, fields):

@@ -19,7 +19,6 @@ from hoplog.interp import (
     leq,
     minimal_models_bruteforce,
 )
-from hoplog.parser import parse_atom
 from hoplog.programs import NONEXTENSIONAL
 from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import well_founded_model
@@ -39,7 +38,7 @@ from helpers import (
 def gp_of(src: str, k: int = 1, roots=None) -> GroundProgram:
     program = load(src)
     if roots:
-        atoms = [elaborate_ground_atom(program, parse_atom(r)) for r in roots]
+        atoms = [elaborate_ground_atom(program, r) for r in roots]
         return relevant_grounding(program, atoms, k)
     return ground_instantiation(program, k)
 

@@ -50,8 +50,9 @@ class TestParseProgram:
         assert sp.declarations[0].typ == Arrow(OMICRON, OMICRON)
         assert len(sp.clauses) == 1
         clause = sp.clauses[0]
-        assert isinstance(clause.head, RawApp)
-        assert clause.body == (RawName("R", clause.body[0].pos),)
+        assert clause.head == RawApp("p", (RawName("R", 20),), 18)
+        assert clause.body == (RawName("R", 25),)
+        assert list(sp.names) == ["p", "R"]
 
     def test_empty_text(self):
         sp = parse_program("")
@@ -62,7 +63,8 @@ class TestParseProgram:
         (clause,) = sp.clauses
         (lit,) = clause.body
         assert isinstance(lit, RawNeg)
-        assert isinstance(lit.atom, RawApp)
+        assert lit.atom.name == "nonsubset"
+        assert [a.name for a in lit.atom.args] == ["S1", "S2"]
 
     def test_equality_literal(self):
         sp = parse_program("q X <- X = a.")
@@ -74,11 +76,17 @@ class TestParseProgram:
         assert len(sp.declarations) == 1 and len(sp.clauses) == 1
 
     def test_juxtaposition_is_left_associative(self):
-        sp = parse_program("id q a.")
-        head = sp.clauses[0].head
-        assert isinstance(head, RawApp)
-        assert isinstance(head.op, RawApp)
-        assert head.arg == RawName("a", head.arg.pos)
+        # id q a is (id q) a: the name and all its arguments in one record
+        q, a = RawName("q", 3), RawName("a", 5)
+        assert parse_program("id q a.").clauses[0].head == RawApp("id", (q, a), 0)
+        q, a = RawName("q", 4), RawName("a", 7)
+        assert parse_program("(id q) a.").clauses[0].head == RawApp("id", (q, a), 1)
+        q, a = RawName("q", 6), RawName("a", 9)
+        assert parse_program("((id) q) a.").clauses[0].head == RawApp("id", (q, a), 2)
+
+    def test_names_in_order_of_first_use(self):
+        sp = parse_program("type q : i -> o.\nq X <- r X, ~(q a), X = b.\nr Y <- q a.\n")
+        assert list(sp.names) == ["q", "X", "r", "a", "b", "Y"]
 
     def test_duplicate_declaration(self):
         with pytest.raises(DuplicateDeclaration):
@@ -100,7 +108,7 @@ class TestParseProgram:
 
     def test_parse_atom_helper(self):
         atom = parse_atom("s (p q)")
-        assert isinstance(atom, RawApp)
+        assert atom == RawApp("s", (RawApp("p", (RawName("q", 5),), 3),), 0)
         with pytest.raises(ParseError):
             parse_atom("s p,")
 
@@ -146,8 +154,14 @@ def _stream(tokenize, text: str):
         return str(exc)
 
 
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    lines = text[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
 def _tokenize_flat(text: str):
-    return [(kind, word, pos.line, pos.column) for kind, word, pos in _tokenize(text)]
+    """The tokens with each offset turned into a line and a column."""
+    return [(kind, word, *_line_column(text, offset)) for kind, word, offset in _tokenize(text)]
 
 
 def _bench_sources() -> tuple[list[str], list[str]]:
@@ -156,6 +170,15 @@ def _bench_sources() -> tuple[list[str], list[str]]:
     queries = workloads.game_pool(1) + workloads.strat_pool(1) + workloads.ext_pool(1)
     roots = [q.args[q.args.index("--roots") + 1] for q in queries if "--roots" in q.args]
     return [q.source for q in queries], roots
+
+
+class TestPositions:
+    def test_position_of_every_offset(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            text = "".join(rng.choice("ab \n\r\t%") for _ in range(rng.randint(0, 30)))
+            for offset in range(len(text) + 1):
+                assert parser.position(text, offset) == _line_column(text, offset), repr(text)
 
 
 class TestTokenizerAgainstReference:

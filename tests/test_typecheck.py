@@ -3,7 +3,6 @@
 import pytest
 
 from hoplog.errors import AmbiguousVariableType, ProgramCheckError
-from hoplog.parser import parse_atom
 from hoplog.syntax import IOTA, OMICRON, Arrow
 from hoplog.typecheck import elaborate_ground_atom, load_program
 
@@ -114,6 +113,10 @@ class TestInference:
         r_type = Arrow(s_type, OMICRON)
         assert env == {"Q": Arrow(r_type, OMICRON), "R": r_type, "S": s_type}
 
+    def test_parentheses_around_an_applied_head_change_nothing(self):
+        src = "type p : i -> i -> o.\ntype q : o.\nq <- {}.\n"
+        assert load(src.format("(p a) b")) == load(src.format("p a b"))
+
     def test_ambiguous_variable(self):
         assert "AmbiguousVariableType" in rules_of("type foo : o.\nfoo <- Q R.")
 
@@ -158,7 +161,7 @@ class TestInferenceMessages:
             AmbiguousVariableType,
             match="^1:3: the type of X is not determined by any occurrence in a root atom$",
         ):
-            elaborate_ground_atom(program, parse_atom("p X"))
+            elaborate_ground_atom(program, "p X")
 
 
 class TestExpressionErrors:

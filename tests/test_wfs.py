@@ -16,7 +16,6 @@ from hoplog.interp import (
     is_model,
     leq,
 )
-from hoplog.parser import parse_atom
 from hoplog.perfect import Stratification, localize, perfect_model, stratify
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, SUBSET, WINNOW
 from hoplog.typecheck import elaborate_ground_atom
@@ -44,7 +43,7 @@ def gp_of(src: str, k: int = 1, roots=None):
     program = load(src)
     if roots:
         atoms = [
-            ground_atom(elaborate_ground_atom(program, parse_atom(r))) for r in roots
+            ground_atom(elaborate_ground_atom(program, r)) for r in roots
         ]
         return relevant_grounding(program, atoms, k)
     return ground_instantiation(program, k)
@@ -252,7 +251,7 @@ class TestWellFoundedModel:
         program = load(NONEXTENSIONAL)
         full = well_founded_model(ground_instantiation(program, 3)).model
         for root in ("s p", "s q"):
-            atoms = [ground_atom(elaborate_ground_atom(program, parse_atom(root)))]
+            atoms = [ground_atom(elaborate_ground_atom(program, root))]
             part = well_founded_model(relevant_grounding(program, atoms, 3)).model
             for key in part.universe:
                 assert part.value(key) == full.value(key), (root, key)
@@ -270,7 +269,7 @@ class TestAlternatingFixpoint:
             k = int(query.args[query.args.index("--depth") + 1])
             if "--roots" in query.args:
                 root = query.args[query.args.index("--roots") + 1]
-                atom = ground_atom(elaborate_ground_atom(program, parse_atom(root)))
+                atom = ground_atom(elaborate_ground_atom(program, root))
                 gp = relevant_grounding(program, [atom], k)
             else:
                 gp = ground_instantiation(program, k)
@@ -376,7 +375,7 @@ class TestPossiblyTrueFilter:
                 k = int(query.args[query.args.index("--depth") + 1])
                 if "--roots" in query.args:
                     root = query.args[query.args.index("--roots") + 1]
-                    atom = ground_atom(elaborate_ground_atom(program, parse_atom(root)))
+                    atom = ground_atom(elaborate_ground_atom(program, root))
                     gp = relevant_grounding(program, [atom], k)
                 else:
                     gp = ground_instantiation(program, k)
