@@ -12,6 +12,7 @@ JSON by default (stable key order, sorted arrays) or indented text.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -79,24 +80,20 @@ def _emit(payload: dict, fmt: str) -> None:
         _emit_text(payload, indent=0)
 
 
-def _emit_text(value, indent: int, label: str = "") -> None:
+def _emit_text(value, indent: int) -> None:
+    """Print a dict's keys, sorted, or a list's items, each marked ``-``, one
+    a line at this indent; a dict or list they hold follows one level deeper."""
     pad = "  " * indent
-    prefix = f"{pad}{label}: " if label else pad
     if isinstance(value, dict):
-        if label:
-            print(f"{pad}{label}:")
-        for key in sorted(value):
-            _emit_text(value[key], indent + (1 if label else 0), key)
-    elif isinstance(value, list):
-        if label:
-            print(f"{pad}{label}:")
-        for item in value:
-            if isinstance(item, (dict, list)):
-                _emit_text(item, indent + 1)
-            else:
-                print(f"{'  ' * (indent + 1)}- {item}")
+        items = [(f"{key}:", value[key]) for key in sorted(value)]
     else:
-        print(f"{prefix}{value}")
+        items = [("-", item) for item in value]
+    for head, item in items:
+        if isinstance(item, (dict, list)):
+            print(f"{pad}{head}")
+            _emit_text(item, indent + 1)
+        else:
+            print(f"{pad}{head} {item}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +344,8 @@ def _parse_argv(argv: list[str]):
             extra.append(token)
         else:
             values[positional[0]] = _checked(command, positional, token)
+    if values.get("roots") and not any(part.strip() for part in values["roots"].split(",")):
+        raise _UsageError(command, f"argument --roots: names no atom: {values['roots']!r}")
     if positional[0] not in values:
         raise _UsageError(command, f"the following arguments are required: {positional[0]}")
     if extra:
@@ -375,7 +374,16 @@ def _help(command) -> str:
     return "\n".join([f"usage: {usage}", "", summary, "", *rows])
 
 
+# The collector's generation-0 threshold while a command runs (the
+# interpreter's default is 700).  A run frees its objects by reference
+# counting and leaves next to no cyclic garbage, so the default's passes
+# over the young objects, several a query, would find nothing to free.
+COLLECTOR_THRESHOLD = 50_000
+
+
 def main(argv=None) -> int:
+    thresholds = gc.get_threshold()
+    gc.set_threshold(COLLECTOR_THRESHOLD, *thresholds[1:])
     try:
         handler, args = _parse_argv(sys.argv[1:] if argv is None else argv)
         if handler is None:
@@ -405,6 +413,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

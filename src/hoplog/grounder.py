@@ -544,19 +544,6 @@ class _Grounding:
                     possible[h] = 1
                     queue.append(h)
 
-        def join(c, steps, values, pos_ids, a, q) -> None:
-            if not steps:
-                fire(c, values, tuple(pos_ids))
-                return
-            r, keys, key, binds = steps[0]
-            index = indexes.get((c, r, keys), {})
-            for tup, b in index.get(key(values), ()):
-                if b != a or r > q:
-                    for f, p in binds:
-                        values[f] = tup[p]
-                    pos_ids[r] = b
-                    join(c, steps[1:], values, pos_ids, a, q)
-
         for c, (t, *_) in enumerate(live):  # the instances without a positive atom
             if not t.pos:
                 fire(c, start(c), ())
@@ -579,7 +566,24 @@ class _Grounding:
                 values = start(c)
                 for f, v in zip(t.literals[t.pos[q]][1], tup):
                     values[f] = v
-                join(c, t.plans[q], values, [a] * len(t.pos), a, q)
+                _join(fire, indexes, c, t.plans[q], values, [a] * len(t.pos), a, q)
+
+
+def _join(fire, indexes: dict, c: int, steps, values: list, pos_ids: list, a: int, q: int) -> None:
+    """Fire call c's instances for each choice of a tuple per step that the
+    step's index holds for the fields bound so far.  A function of the
+    module, not a closure in ``_solve``, so that no closure refers to itself
+    and the grounding is freed as soon as it is dropped."""
+    if not steps:
+        fire(c, values, tuple(pos_ids))
+        return
+    r, keys, key, binds = steps[0]
+    for tup, b in indexes.get((c, r, keys), {}).get(key(values), ()):
+        if b != a or r > q:
+            for f, p in binds:
+                values[f] = tup[p]
+            pos_ids[r] = b
+            _join(fire, indexes, c, steps[1:], values, pos_ids, a, q)
 
 
 class _DemandGrounding(_Grounding):

@@ -17,6 +17,7 @@ Types and terms are hash-consed: each distinct one exists once (see ``Interned``
 
 from __future__ import annotations
 
+import sys
 import weakref
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from operator import itemgetter
@@ -45,12 +46,17 @@ class Interned(FrozenRecord):
     * its hash: the hash of its fields, never of its address.
 
     So printing, sizing, hashing and comparing a node never recurse.  Each
-    class's intern table maps a node's fields to a weak reference to it: a
-    node lives exactly as long as something else refers to it, and then its
-    reference's callback drops its entry.  The tables take no lock, so
-    nodes must be built from one thread at a time.  A subclass's ``__slots__`` are
-    its fields, in constructor order; ``Interned``'s own slots hold the
-    values derived from them.
+    class's intern table maps a key to a weak reference to the node: a node
+    lives exactly as long as something else refers to it, and then its
+    reference's callback drops its entry.  A leaf's key is its fields.  A
+    compound node's key is one int made of its children's ``id()``s (and of
+    the interned name of a function symbol), so a lookup hashes no node.
+    That is sound because a node holds its children, and its entry is
+    dropped before they can be freed: an address in a live key belongs to
+    the child it was taken from.  The tables take no lock, so nodes must be
+    built from one thread at a time.  A subclass's ``__slots__`` are its
+    fields, in constructor order; ``Interned``'s own slots hold the values
+    derived from them.
     """
 
     __slots__ = ("_hash", "text", "atomic", "size", "__weakref__")
@@ -58,24 +64,24 @@ class Interned(FrozenRecord):
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        table = cls._table = {}  # fields -> a weak reference to the node
+        table = cls._table = {}  # key -> a weak reference to the node
 
         def drop(ref: _Ref) -> None:  # a node died: unless a newer node holds its entry
-            if table.get(ref.fields) is ref:
-                del table[ref.fields]
+            if table.get(ref.key) is ref:
+                del table[ref.key]
 
         cls._drop = staticmethod(drop)
 
     @classmethod
-    def _find(cls, fields: tuple):
-        """The live node of this class with these fields, or None."""
-        ref = cls._table.get(fields)
+    def _find(cls, key):
+        """The live node of this class with this key, or None."""
+        ref = cls._table.get(key)
         return None if ref is None else ref()
 
     @classmethod
-    def _intern(cls, fields: tuple, text: str, atomic: str, size: int):
-        """Build, register and return the node of this class with these
-        fields; the caller has found none in the table."""
+    def _intern(cls, key, fields: tuple, text: str, atomic: str, size: int):
+        """Build, register under ``key`` and return the node of this class
+        with these fields; the caller has found none in the table."""
         node = object.__new__(cls)
         for name, value in zip(cls._fields, fields):
             _set(node, name, value)
@@ -83,8 +89,8 @@ class Interned(FrozenRecord):
         _set(node, "text", text)
         _set(node, "atomic", atomic)
         _set(node, "size", size)
-        ref = cls._table[fields] = _Ref(node, cls._drop)
-        ref.fields = fields
+        ref = cls._table[key] = _Ref(node, cls._drop)
+        ref.key = key
         return node
 
     def __hash__(self) -> int:
@@ -92,9 +98,9 @@ class Interned(FrozenRecord):
 
 
 class _Ref(weakref.ref):
-    """A weak reference to a node, with the node's fields: its table key."""
+    """A weak reference to a node, with the node's key in its table."""
 
-    __slots__ = ("fields",)
+    __slots__ = ("key",)
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +122,26 @@ class Iota(TypeExpr):
     __slots__ = ()
 
     def __new__(cls) -> Iota:
-        return cls._find(()) or cls._intern((), "i", "i", 1)
+        return cls._find(()) or cls._intern((), (), "i", "i", 1)
 
 
 class Omicron(TypeExpr):
     __slots__ = ()
 
     def __new__(cls) -> Omicron:
-        return cls._find(()) or cls._intern((), "o", "o", 1)
+        return cls._find(()) or cls._intern((), (), "o", "o", 1)
 
 
 class Arrow(TypeExpr):
     __slots__ = ("argument", "result")
 
     def __new__(cls, argument: TypeExpr, result: TypeExpr) -> Arrow:
-        fields = (argument, result)
-        node = cls._find(fields)
-        if node is None:
+        key = id(argument) << 64 | id(result)
+        ref = cls._table.get(key)
+        if ref is None or (node := ref()) is None:
             text = f"{argument.atomic} -> {result.text}"
-            node = cls._intern(fields, text, f"({text})", 1 + argument.size + result.size)
+            node = cls._intern(key, (argument, result), text, f"({text})",
+                               1 + argument.size + result.size)
         return node
 
 
@@ -239,7 +246,7 @@ class IndConst(Expr):
 
     def __new__(cls, name: str) -> IndConst:
         fields = (name,)
-        return cls._find(fields) or cls._intern(fields, name, name, 1)
+        return cls._find(fields) or cls._intern(fields, fields, name, name, 1)
 
     @property
     def typ(self) -> TypeExpr:
@@ -251,7 +258,7 @@ class PredConst(Expr):
 
     def __new__(cls, name: str, ptype: TypeExpr) -> PredConst:
         fields = (name, ptype)
-        return cls._find(fields) or cls._intern(fields, name, name, 1)
+        return cls._find(fields) or cls._intern(fields, fields, name, name, 1)
 
     @property
     def typ(self) -> TypeExpr:
@@ -263,7 +270,7 @@ class IndVar(Expr):
 
     def __new__(cls, name: str) -> IndVar:
         fields = (name,)
-        return cls._find(fields) or cls._intern(fields, name, name, 0)
+        return cls._find(fields) or cls._intern(fields, fields, name, name, 0)
 
     @property
     def typ(self) -> TypeExpr:
@@ -275,7 +282,7 @@ class PredVar(Expr):
 
     def __new__(cls, name: str, ptype: TypeExpr) -> PredVar:
         fields = (name, ptype)
-        return cls._find(fields) or cls._intern(fields, name, name, 0)
+        return cls._find(fields) or cls._intern(fields, fields, name, name, 0)
 
     @property
     def typ(self) -> TypeExpr:
@@ -286,13 +293,14 @@ class FunApp(Expr):
     __slots__ = ("fun", "args")
 
     def __new__(cls, fun: str, args: tuple[Expr, ...]) -> FunApp:
-        fields = (fun, args)
-        node = cls._find(fields)
-        if node is None:
+        key = id(fun := sys.intern(fun))  # the node holds this one copy of its name
+        for a in args:
+            key = key << 64 | id(a)
+        ref = cls._table.get(key)
+        if ref is None or (node := ref()) is None:
             text = " ".join([fun] + [a.atomic for a in args])
-            node = cls._intern(
-                fields, text, f"({text})" if args else text, 1 + sum(a.size for a in args)
-            )
+            node = cls._intern(key, (fun, args), text, f"({text})" if args else text,
+                               1 + sum(a.size for a in args))
         return node
 
     @property
@@ -304,12 +312,12 @@ class App(Expr):
     __slots__ = ("op", "arg")
 
     def __new__(cls, op: Expr, arg: Expr) -> App:
-        fields = (op, arg)
-        node = cls._find(fields)
-        if node is None:
+        key = id(op) << 64 | id(arg)
+        ref = cls._table.get(key)
+        if ref is None or (node := ref()) is None:
             # op's text already prints the rest of the spine
             text = f"{op.text} {arg.atomic}"
-            node = cls._intern(fields, text, f"({text})", op.size + arg.size)
+            node = cls._intern(key, (op, arg), text, f"({text})", op.size + arg.size)
         return node
 
     @property
@@ -324,11 +332,11 @@ class Neg(Expr):
     __slots__ = ("atom",)
 
     def __new__(cls, atom: Expr) -> Neg:
-        fields = (atom,)
-        node = cls._find(fields)
-        if node is None:
+        key = id(atom)
+        ref = cls._table.get(key)
+        if ref is None or (node := ref()) is None:
             text = f"~{atom.atomic}"
-            node = cls._intern(fields, text, text, atom.size)
+            node = cls._intern(key, (atom,), text, text, atom.size)
         return node
 
     @property
@@ -340,11 +348,11 @@ class Eq(Expr):
     __slots__ = ("lhs", "rhs")
 
     def __new__(cls, lhs: Expr, rhs: Expr) -> Eq:
-        fields = (lhs, rhs)
-        node = cls._find(fields)
-        if node is None:
+        key = id(lhs) << 64 | id(rhs)
+        ref = cls._table.get(key)
+        if ref is None or (node := ref()) is None:
             text = f"{lhs.text} = {rhs.text}"
-            node = cls._intern(fields, text, text, lhs.size + rhs.size)
+            node = cls._intern(key, (lhs, rhs), text, text, lhs.size + rhs.size)
         return node
 
     @property
@@ -410,30 +418,31 @@ def print_template(e: Expr, fields: Mapping[str, int]) -> str:
     ``print_template(e, fields).format(*values)`` equals
     ``instance_builder(e, fields)(values).text``.
     """
+    return _template(e, fields, "text")
 
-    def literal(name: str) -> str:
-        return name.replace("{", "{{").replace("}", "}}")
 
-    def text(e: Expr) -> str:
-        if isinstance(e, (IndVar, PredVar)):
-            return f"{{{fields[e.name]}.text}}"
-        if isinstance(e, (IndConst, PredConst)):
-            return literal(e.name)
-        if isinstance(e, FunApp):
-            return " ".join([literal(e.fun)] + [atomic(a) for a in e.args])
-        if isinstance(e, App):
-            head, args = spine(e)
-            return " ".join([text(head)] + [atomic(a) for a in args])
+def _template(e: Expr, fields: Mapping[str, int], form: str) -> str:
+    """``print_template`` of e, printed as its ``text`` or as its ``atomic``
+    text: ``form`` names which."""
+    if isinstance(e, (IndVar, PredVar)):
+        return f"{{{fields[e.name]}.{form}}}"
+    if isinstance(e, (IndConst, PredConst)):
+        return _literal(e.name)
+    if isinstance(e, FunApp):
+        if not e.args:
+            return _literal(e.fun)
+        head, args = _literal(e.fun), e.args
+    elif isinstance(e, App):
+        lead, args = spine(e)
+        head = _template(lead, fields, "text")
+    else:
         raise TypeError(f"not a term: {e!r}")
+    text = " ".join([head] + [_template(a, fields, "atomic") for a in args])
+    return f"({text})" if form == "atomic" else text
 
-    def atomic(e: Expr) -> str:
-        if isinstance(e, (IndVar, PredVar)):
-            return f"{{{fields[e.name]}.atomic}}"
-        if isinstance(e, (App, FunApp)) and not (isinstance(e, FunApp) and not e.args):
-            return f"({text(e)})"
-        return text(e)
 
-    return text(e)
+def _literal(name: str) -> str:
+    return name.replace("{", "{{").replace("}", "}}")
 
 
 def instance_builder(e: Expr, fields: Mapping[str, int]) -> Callable[[Sequence[Expr]], Expr]:

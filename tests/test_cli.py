@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, exit codes, output determinism."""
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -23,7 +24,7 @@ from hoplog.programs import (
     STRATIFIED_OK,
 )
 
-from helpers import nested_term, reference_parser, sinking_term
+from helpers import bench_workloads, nested_term, reference_parser, sinking_term
 
 
 @pytest.fixture
@@ -433,6 +434,38 @@ class TestUsageErrors:
         assert f"unrecognized arguments: {option}" in err
 
 
+ROOTS_COMMANDS = [name for name, entry in COMMANDS.items()
+                  if any(option[0] == "--roots" for option in entry[3])]
+
+
+class TestRootsNamingNoAtom:
+    """A ``--roots`` value whose comma-separated parts are all blank names no
+    atom: a usage error, where ``--roots ""`` grounds exhaustively."""
+
+    def test_the_subcommands_that_take_roots(self):
+        assert ROOTS_COMMANDS == ["ground", "wfs", "perfect", "extcheck", "minimal"]
+
+    @pytest.mark.parametrize("command", ROOTS_COMMANDS)
+    @pytest.mark.parametrize("roots", [",", " ", " , ,"])
+    def test_usage_error_exits_one(self, run, command, roots):
+        for argv in ([command, "--roots", roots], [command, f"--roots={roots}"]):
+            code, out, err = run(argv, program=STRATIFIED_OK)
+            assert code == 1 and out == ""
+            usage, error = err.splitlines()
+            assert usage.startswith(f"usage: hoplog {command} ")
+            assert error == f"hoplog {command}: error: argument --roots: names no atom: {roots!r}"
+
+    @pytest.mark.parametrize("command", ROOTS_COMMANDS)
+    def test_empty_roots_ground_exhaustively(self, run, command):
+        program = "type a : i.\ntype b : i.\ntype p : i -> o.\ntype q : i -> o.\n" \
+                  "p X <- ~(q X).\nq X <- X = a."
+        exhaustive = run([command], program=program)
+        assert exhaustive[0] in (0, 2) and exhaustive[1]
+        assert run([command, "--roots", ""], program=program) == exhaustive
+        assert run([command, "--roots", "p b, "], program=program) == \
+               run([command, "--roots", "p b"], program=program)
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, run):
         first = run(["extcheck", "--depth", "3"], program=NONEXTENSIONAL)
@@ -446,6 +479,88 @@ class TestDeterminism:
         )
         assert code == 0
         assert "true" in out and "p" in out
+
+
+def read_text(text: str):
+    """The tree that ``--format text`` printed, read back: dicts and lists,
+    each scalar as its printed string, each empty dict or list as None."""
+    lines = [(len(line) - len(line.lstrip(" ")), line.lstrip(" ")) for line in text.splitlines()]
+
+    def block(i: int, indent: int):  # the value whose lines start at i; the next line's index
+        if i == len(lines) or lines[i][0] < indent:
+            return None, i
+        out = [] if lines[i][1].startswith("-") else {}
+        while i < len(lines) and lines[i][0] == indent:
+            line = lines[i][1]
+            if isinstance(out, list):
+                key, nested, scalar = None, line == "-", line[2:]
+            else:
+                key, sep, scalar = line.partition(": ")
+                nested = not sep
+                key = key[:-1] if nested else key
+            value, i = block(i + 1, indent + 2) if nested else (scalar, i + 1)
+            if key is None:
+                out.append(value)
+            else:
+                out[key] = value
+        return out, i
+
+    tree, end = block(0, 0)
+    assert end == len(lines) and lines[0][0] == 0, text
+    return tree
+
+
+def printed(value):
+    """A JSON payload as the text form shows it: see ``read_text``."""
+    if isinstance(value, dict):
+        return {k: printed(v) for k, v in value.items()} or None
+    if isinstance(value, list):
+        return [printed(v) for v in value] or None
+    return str(value)
+
+
+class TestTextFormat:
+    """``--format text`` renders the JSON tree as indented lines: a dict's
+    keys and a list's ``-`` items one a line, and the dict or list an item
+    holds one level below its line."""
+
+    def test_each_model_is_one_item(self, run):
+        program = "type p : o.\ntype q : o.\np <- ~q.\nq <- ~p.\n"
+        code, out, _ = run(["minimal", "--ordering", "truth", "--format", "text"], program=program)
+        assert code == 0
+        assert out == (
+            "count: 3\nmodels:\n"
+            "  -\n    false:\n    true:\n    undefined:\n      - p\n      - q\n"
+            "  -\n    false:\n      - q\n    true:\n      - p\n    undefined:\n"
+            "  -\n    false:\n      - p\n    true:\n      - q\n    undefined:\n"
+            "ordering: truth\n"
+        )
+
+    def test_two_strata_differ_from_one(self, run):
+        two = run(["stratify", "--format", "text"], program="type p : o.\ntype q : o.\np <- ~q.\nq.")
+        one = run(["stratify", "--format", "text"], program="type p : o.\ntype q : o.\np <- q.\nq <- p.")
+        assert two == (0, "strata:\n  -\n    - q\n  -\n    - p\n", "")
+        assert one == (0, "strata:\n  -\n    - p\n    - q\n", "")
+
+    def test_text_reads_back_as_the_json_tree(self, run, tmp_path):
+        checked = 0
+        for entry in CORPUS:
+            path = tmp_path / f"{entry.name}.hop"
+            path.write_text(entry.source)
+            for command in ("check", "stratify", "ground", "wfs", "perfect", "extcheck", "minimal"):
+                argv = [command, str(path)]
+                if command not in ("check", "stratify"):
+                    argv += ["--depth", str(entry.depth)]
+                code, json_out, _ = run(argv)
+                text_code, text_out, _ = run(argv + ["--format", "text"])
+                assert text_code == code and bool(text_out) == bool(json_out), argv
+                if json_out:
+                    assert read_text(text_out) == printed(json.loads(json_out)), argv
+                    checked += 1
+        for name in ("lemma1", "bezem", "stratified"):
+            _, json_out, _ = run(["demo", name])
+            assert read_text(run(["demo", name, "--format", "text"])[1]) == printed(json.loads(json_out))
+        assert checked > 150
 
 
 class TestDeadClauses:
@@ -516,6 +631,59 @@ class TestHashSeed:
         first = self.run_under_seed("0", argvs)
         assert first.count("\n$ ") == len(argvs)
         assert self.run_under_seed("1", argvs) == first
+
+
+def _from_hoplog(obj) -> bool:
+    """obj is an instance of a hoplog class, or a hoplog function, method,
+    frame or generator."""
+    code = getattr(obj, "f_code", None) or getattr(obj, "gi_code", None)
+    modules = [type(obj).__module__, getattr(obj, "__module__", None),
+               code and Path(code.co_filename).parent.name]
+    return any(isinstance(m, str) and m.split(".")[0] == "hoplog" for m in modules)
+
+
+class TestCycleFree:
+    """A run frees what it builds by reference counting alone: with the
+    collector off, no object of hoplog's is left in a reference cycle.  The
+    standard library's JSON pretty-printer leaves one cycle of its own a run."""
+
+    def argvs(self, tmp_path) -> list[list[str]]:
+        argvs = [["demo", name] for name in ("lemma1", "bezem", "stratified")]
+        for entry in CORPUS:
+            path = tmp_path / f"{entry.name}.hop"
+            path.write_text(entry.source)
+            roots = ["--roots", ", ".join(entry.roots)] if entry.roots else []
+            argvs += [["check", str(path)], ["stratify", str(path)]]
+            for command in ROOTS_COMMANDS:
+                argvs.append([command, str(path), "--depth", str(entry.depth), *roots])
+        workloads = bench_workloads()
+        for pool in (workloads.game_pool, workloads.strat_pool, workloads.ext_pool):
+            for i, query in enumerate(pool(1)):
+                path = tmp_path / f"{pool.__name__}-{i}.hop"
+                path.write_text(query.source)
+                argvs.append([str(path) if a == "{input}" else a for a in query.args])
+        return argvs
+
+    def test_no_hoplog_object_is_cyclic_garbage(self, tmp_path, capsys):
+        argvs = self.argvs(tmp_path)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            codes = [main(argv) for argv in argvs]
+            capsys.readouterr()
+            gc.collect()
+            found = [repr(obj)[:120] for obj in gc.garbage if _from_hoplog(obj)]
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert len(argvs) > 200 and codes.count(0) > 150
+        assert garbage <= 40 * len(argvs)  # the JSON encoder's closures, about 33 a run
+        assert found == []
 
 
 class TestClosedPipe:

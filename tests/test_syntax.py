@@ -412,6 +412,64 @@ class TestInterning:
         assert {t: 1}[again] == 1
 
 
+def _same_children(node, fields: tuple) -> bool:
+    """node's fields are these: each child node itself, a name or a tuple of
+    arguments equal to the given one and holding the given nodes."""
+    for held, given in zip(_fields(node), fields, strict=True):
+        if isinstance(given, tuple):
+            if len(held) != len(given) or any(h is not g for h, g in zip(held, given)):
+                return False
+        elif held is not given and not (isinstance(given, str) and held == given):
+            return False
+    return True
+
+
+class TestAddressReuse:
+    """A compound node is found by its children's ``id()``s.  Nodes of every
+    compound class are built over freshly built children and dropped, again
+    and again, so that the allocator hands their addresses to other nodes;
+    the nodes of the last few rounds stay alive beside the new ones.  Each
+    construction must return a node whose fields are the given children,
+    and equal constructions one node."""
+
+    def test_every_compound_class(self):
+        rng = random.Random(19)
+        before, seen, reused = _table_size(), set(), 0
+        live: list[list] = []  # the cases of the last rounds
+        for _ in range(3000):
+            # A name built at run time is a fresh string, and so is each node over it.
+            c = IndConst(f"reuse_c{rng.randrange(3)}")
+            d = IndConst(f"reuse_c{rng.randrange(3)}")
+            f = f"reuse_f{rng.randrange(2)}"
+            args = (c, d)[: rng.randrange(1, 3)]
+            t = FunApp(f, args)
+            q = PredConst(f"reuse_q{rng.randrange(2)}", Arrow(IOTA, Arrow(IOTA, OMICRON)))
+            atom = App(App(q, t), rng.choice((c, d, t)))
+            base = rng.choice((IOTA, OMICRON))
+            typ = Arrow(Arrow(base, rng.choice((IOTA, OMICRON))), base)
+            cases = [
+                (FunApp, (f, args), t),
+                (App, (atom.op.op, atom.op.arg), atom.op),
+                (App, (atom.op, atom.arg), atom),
+                (Neg, (atom,), Neg(atom)),
+                (Eq, (t, c), Eq(t, c)),
+                (Eq, (c, t), Eq(c, t)),
+                (Arrow, (typ.argument, typ.result), typ),
+                (Arrow, (typ, typ.argument), Arrow(typ, typ.argument)),
+            ]
+            reused += sum(id(node) in seen for _, _, node in cases)
+            seen.update(id(node) for _, _, node in cases)
+            live = [cases, *live[:3]]
+            for cls, fields, node in (case for round_ in live for case in round_):
+                assert type(node) is cls and _same_children(node, fields)
+                assert cls(*fields) is node
+            assert q.ptype is Arrow(IOTA, Arrow(IOTA, OMICRON))
+            del c, d, args, t, q, atom, typ, cases, node
+        del live
+        assert reused > 1000  # the addresses did come round again
+        assert _table_size() == before
+
+
 def _type_parts(t: TypeExpr):
     """t and every type below it."""
     yield t
