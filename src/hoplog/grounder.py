@@ -39,7 +39,7 @@ from collections.abc import Callable
 from operator import itemgetter
 
 from .errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
-from .records import FrozenRecord, Record, _set
+from .records import FrozenRecord, Record, _set, built_when_read
 from .syntax import (
     IOTA,
     Arrow,
@@ -162,8 +162,9 @@ class GroundProgram(Record):
     builds the tuple the first time ``clauses`` is read.
     """
 
-    __slots__ = ("atoms", "compiled", "predicate_edges", "_clauses", "_build_clauses")
+    __slots__ = ("atoms", "compiled", "predicate_edges", "_clauses")
     _fields = ("atoms", "compiled", "predicate_edges", "clauses")
+    clauses = built_when_read("_clauses")
 
     def __init__(
         self,
@@ -175,17 +176,7 @@ class GroundProgram(Record):
         self.atoms = atoms
         self.compiled = compiled
         self.predicate_edges = predicate_edges
-        if callable(clauses):
-            self._clauses, self._build_clauses = None, clauses
-        else:
-            self._clauses, self._build_clauses = clauses, None
-
-    @property
-    def clauses(self) -> tuple[GroundClause, ...]:
-        if self._clauses is None:
-            self._clauses = self._build_clauses()
-            self._build_clauses = None
-        return self._clauses
+        self._clauses = clauses
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +425,12 @@ class _Grounding:
         self._live: list[tuple[_Template, int, tuple, tuple]] = []
         self._uses: defaultdict[int, list] = defaultdict(list)
 
-    def result(self, calls, calls_of=None, roots=()) -> GroundProgram:
+    def result(self, calls, heads=None, roots=()) -> GroundProgram:
         self._solve()
         atoms = {atom.text: atom for atom in self.table}
         compiled = CompiledProgram(tuple(atoms), tuple(tuple(r) for r in self.rules))
         return GroundProgram(
-            atoms, compiled, tuple(self.edges), lambda: _clauses(atoms, calls, calls_of, roots)
+            atoms, compiled, tuple(self.edges), lambda: _clauses(atoms, calls, heads, roots)
         )
 
     def template(self, index: int) -> tuple[_Template, int]:
@@ -619,12 +610,6 @@ class _DemandGrounding(_Grounding):
             raise GroundingLimitExceeded(f"dependency closure exceeded {DEFAULT_MAX_ATOMS} atoms")
         return self.demand(atom)
 
-    def calls_of(self, atom: Expr):
-        """A call of each clause whose head can match the atom, in order."""
-        head, args = spine(atom)
-        for i in self.by_head.get((head.name, len(args)), ()):
-            yield (*self.template(i), tuple(args))
-
     def close(self) -> None:
         while self.queue:
             head, args = spine(atom := self.queue.popleft())
@@ -632,7 +617,8 @@ class _DemandGrounding(_Grounding):
             group = self.groups.get(key)
             if group is None or self.clause_count + group[0] > DEFAULT_MAX_CLAUSES:
                 before, index = self.clause_count, {}
-                for t, r, _ in self.calls_of(atom):  # in order: the first over a cap is named
+                for i in self.by_head.get(key, ()):  # in order: the first over a cap is named
+                    t, r = self.template(i)
                     self.ground(t, r, args, a)
                     pairs = [(f, c.text) for f, c in zip(t.guards, t.rows[r][1]) if f < len(args)]
                     fields, texts = zip(*pairs) if pairs and len(t.literals) == 1 else ((), ())
@@ -647,10 +633,16 @@ class _DemandGrounding(_Grounding):
                 self.ground(t, r, args, a)
 
 
-def _clauses(atoms: dict[str, Expr], calls: list, calls_of=None, roots=()) -> tuple:
+def _clauses(atoms: dict[str, Expr], calls: list, heads=None, roots=()) -> tuple:
     """Every instance of every call, dead ones included, in order.  Given
-    ``calls_of``, the calls are a demand grounding's: the roots', then each
-    atom's, after the instance that meets it first."""
+    ``heads``, the (template, row)s per (head predicate, arity) of a closed
+    demand grounding, the calls are its: the roots', then each atom's, after
+    the instance that meets it first."""
+
+    def calls_of(atom: Expr) -> list:
+        head, args = spine(atom)
+        return [(t, r, tuple(args)) for t, r in heads.get((head.name, len(args)), ())]
+
     out, met = [], {atom.text for atom in roots}
     calls = list(calls) + [call for atom in roots for call in calls_of(atom)]
     for t, r, bound in calls:
@@ -662,7 +654,7 @@ def _clauses(atoms: dict[str, Expr], calls: list, calls_of=None, roots=()) -> tu
                     body.append(_TRUE if fmt.format(*values) == arg.format(*values) else _FALSE)
                     continue
                 atom = atoms[fmt.format(*values)]
-                if calls_of is not None and atom.text not in met:
+                if heads is not None and atom.text not in met:
                     met.add(atom.text)
                     calls.extend(calls_of(atom))
                 body.append(Neg(atom) if negated else atom)
@@ -701,7 +693,10 @@ def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
             grounding.demand(atom)
     demanded = list(grounding.queue)
     grounding.close()
-    return grounding.result([], grounding.calls_of, demanded)
+    # Only these calls outlive the grounding: every key met has its templates.
+    heads = {key: [grounding.template(i) for i in grounding.by_head.get(key, ())]
+             for key in grounding.groups}
+    return grounding.result([], heads, demanded)
 
 
 def truncated_types(program: Program, k: int) -> tuple[str, ...]:

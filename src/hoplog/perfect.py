@@ -19,19 +19,21 @@ every positive atom derived.  It grows with J in the Fitting order, so
 ``perfect_model`` computes all stages in one countdown on the grounding's
 compiled form, where dead clauses are already dropped, with the
 well-founded engine's counter records (``wfs.occurrences``): each rule's
-counter is paid once, not once a stratum.  ``localize`` reads the
-grounding's predicate edges, which every instance contributes to, dead
-ones included, so it checks the strata of dead clauses too.
+counter is paid once, not once a stratum, and only the model becomes a
+``PartialInterpretation`` at once: the stages are built when read.
+``localize`` reads the grounding's predicate edges, which every instance
+contributes to, dead ones included, so it checks the strata of dead
+clauses too.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from collections.abc import Callable
 
 from .errors import LocalStratificationViolation, NotIncreasing
 from .grounder import GroundProgram
-from .interp import PartialInterpretation, everything_undefined, interpretation
-from .records import FrozenRecord, _set
+from .interp import PartialInterpretation, interpretation
+from .records import FrozenRecord, _set, built_when_read
 from .syntax import Eq, Expr, Neg, PredConst, PredVar, spine, type_geq
 from .typecheck import Program
 from .wfs import occurrences, theta_step
@@ -243,13 +245,21 @@ def psi_step(
 
 
 class PerfectResult(FrozenRecord):
-    __slots__ = ("model", "stages")
+    """The perfect model and the stages M_0..M_n, one per stratum after
+    M_0.  ``stages`` is given either as a tuple or as a function that
+    builds the tuple the first time ``stages`` is read."""
+
+    __slots__ = ("model", "_stages")
+    _fields = ("model", "stages")
+    stages = built_when_read("_stages")
 
     def __init__(
-        self, model: PartialInterpretation, stages: tuple[PartialInterpretation, ...]
+        self,
+        model: PartialInterpretation,
+        stages: tuple[PartialInterpretation, ...] | Callable[[], tuple[PartialInterpretation, ...]],
     ) -> None:
         _set(self, "model", model)
-        _set(self, "stages", stages)
+        _set(self, "_stages", stages)
 
     @property
     def strata_used(self) -> int:
@@ -263,7 +273,9 @@ def perfect_model(gp: GroundProgram, ls: LocalStratification) -> PerfectResult:
 
     In one countdown, a rule waits on each positive atom until it is
     derived, and on each negated atom until it is sealed false.  Stage a
-    seals the atoms of stratum a - 1 still underived, then derives."""
+    seals the atoms of stratum a - 1 still underived, then derives.  The
+    atoms are kept in the order they are derived and sealed, and a mark per
+    stratum counts both by its stage, so each stage is a pair of prefixes."""
     cp = gp.compiled
     keys = cp.keys
     records, uses = occurrences(cp)
@@ -276,8 +288,9 @@ def perfect_model(gp: GroundProgram, ls: LocalStratification) -> PerfectResult:
     ids = {key: a for a, key in enumerate(keys)}
     derived = [False] * len(keys)
     sealed = [False] * len(keys)
-    false_keys: list[str] = []
-    stages = [everything_undefined(gp)]
+    true_keys: list[str] = []  # in the order they are derived
+    false_keys: list[str] = []  # in the order they are sealed
+    marks: list[tuple[int, int]] = []  # per stratum: atoms derived, atoms sealed
 
     def count_down(rules: list[list]) -> None:
         for rule in rules:
@@ -292,11 +305,16 @@ def perfect_model(gp: GroundProgram, ls: LocalStratification) -> PerfectResult:
                 raise NotIncreasing("perfect-model stage sequence left the Fitting order")
             if not derived[h]:
                 derived[h] = True
+                true_keys.append(keys[h])
                 count_down(uses[h])
         closing = [key for key in stratum if not derived[ids[key]]]
         false_keys += closing
-        stages.append(interpretation(gp, compress(keys, derived), false_keys))
+        marks.append((len(true_keys), len(false_keys)))
         for key in closing:
             sealed[ids[key]] = True
             count_down(negated[ids[key]])
-    return PerfectResult(stages[-1], tuple(stages))
+    model = interpretation(gp, true_keys, false_keys)
+    return PerfectResult(model, lambda: tuple(
+        PartialInterpretation(frozenset(true_keys[:d]), frozenset(false_keys[:f]), model.universe)
+        for d, f in [(0, 0), *marks]
+    ))

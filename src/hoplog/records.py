@@ -4,8 +4,8 @@ that hoplog's value classes share.
 A record's fields are the names in its class's own ``__slots__`` that do
 not begin with ``_``, in the order its ``__init__`` takes them; a slot whose
 name begins with ``_`` holds a value derived from the fields, or a cache.
-A class whose field is a property, built the first time it is read, names
-its fields in ``_fields`` itself.
+A class whose field is a property, built the first time it is read
+(``built_when_read``), names its fields in ``_fields`` itself.
 Each record class writes its own ``__init__`` and takes everything else
 from here, so defining one runs no generated code at import time.
 """
@@ -13,6 +13,20 @@ from here, so defining one runs no generated code at import time.
 from __future__ import annotations
 
 _set = object.__setattr__
+
+
+def built_when_read(slot: str) -> property:
+    """A field kept in ``slot`` either as its value or as a function that
+    builds the value, called the first time the field is read."""
+
+    def read(self):
+        value = getattr(self, slot)
+        if callable(value):
+            value = value()
+            _set(self, slot, value)
+        return value
+
+    return property(read)
 
 
 class Record:

@@ -12,45 +12,52 @@ on either J or the inner iterate.  Atoms with no live clauses are false.
 
 Both iterations run on the grounding's compiled form
 (``GroundProgram.compiled``): integer atom ids, per-head rules, no dead
-clauses.  J and the stages are value vectors indexed by atom id; a stage
-becomes a ``PartialInterpretation`` once, for the trace.
+clauses.  J and the stages are value vectors indexed by atom id.  Only the
+model becomes a ``PartialInterpretation`` at once; the trace's stages are
+built from their vectors the first time they are read.
 
 The inner loop counts instead of rescanning, after Dowling and Gallier's
 linear-time Horn least model (J. Logic Programming, 1984): see ``_lfp``.
-The counter records are built once per model and reset at each stage.
-Rounds are synchronous, each reading only the previous round's values, so
-the stages and round counts are those of naive iteration of
+The counter records are built once per model and reset at each stage, so a
+stage's Python-level loops run over the rules and the atoms that change;
+the atom table is met only by whole-list operations, such as comparing
+stages.  Rounds are synchronous, each reading only the previous round's
+values, so the stages and round counts are those of naive iteration of
 ``theta_step``; a differential test checks this.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from itertools import compress
+from operator import ne
+
 from .errors import NotIncreasing
 from .grounder import CompiledProgram, GroundProgram, Rule
-from .interp import (
-    Ordering,
-    PartialInterpretation,
-    TruthValue,
-    everything_undefined,
-    leq,
-)
-from .records import FrozenRecord, _set
+from .interp import PartialInterpretation, TruthValue
+from .records import FrozenRecord, _set, built_when_read
 
 
 class ThetaTrace(FrozenRecord):
-    """Outer stages M_0..M_lambda and the inner iteration length per stage."""
+    """Outer stages M_0..M_lambda and the inner iteration length per stage.
+    ``stages`` is given either as a tuple or as a function that builds the
+    tuple the first time ``stages`` is read."""
 
-    __slots__ = ("stages", "inner_lengths")
+    __slots__ = ("_stages", "inner_lengths")
+    _fields = ("stages", "inner_lengths")
+    stages = built_when_read("_stages")
 
     def __init__(
-        self, stages: tuple[PartialInterpretation, ...], inner_lengths: tuple[int, ...]
+        self,
+        stages: tuple[PartialInterpretation, ...] | Callable[[], tuple[PartialInterpretation, ...]],
+        inner_lengths: tuple[int, ...],
     ) -> None:
-        _set(self, "stages", stages)
+        _set(self, "_stages", stages)
         _set(self, "inner_lengths", inner_lengths)
 
     @property
     def fixpoint_stage(self) -> int:
-        return len(self.stages) - 1
+        return len(self.inner_lengths) - 1
 
 
 class WfsResult(FrozenRecord):
@@ -123,26 +130,30 @@ def _lfp(jv: list[TruthValue], records: list, uses: list) -> tuple[list[TruthVal
     atoms are all false in J), and those still false inside (kept when none
     is false in J).  Its head becomes true when the first count reaches
     zero, and otherwise undefined when the second one does."""
-    true_in_j = {a for a, v in enumerate(jv) if v == _TRUE}
-    false_in_j = {a for a, v in enumerate(jv) if v == _FALSE}
-    n = len(jv)
+    n, get = len(jv), jv.__getitem__
     # A counter the rule does not keep is -1, so never reaches zero.
     top = [_FALSE] * n  # per head, the value its rules' counters give
+    dirty = []  # the heads that top raises above false, once each
     for rule in records:
         h, _, _, pos, neg = rule
         t = d = -1
-        if true_in_j.isdisjoint(neg):  # else the rule's body is false
-            if false_in_j.issuperset(neg):
-                t = len([a for a in pos if a not in true_in_j])
-            if false_in_j.isdisjoint(pos):
-                d = len(pos)
+        most = max(map(get, neg)) if neg else _FALSE  # the negated atoms' top value in J
+        if most != _TRUE:  # else the rule's body is false
+            if pos:
+                in_j = list(map(get, pos))
+                if most == _FALSE:
+                    t = len(pos) - in_j.count(_TRUE)
+                if _FALSE not in in_j:
+                    d = len(pos)
+            else:  # no positive atom to count
+                t, d = (0 if most == _FALSE else -1), 0
         rule[1], rule[2] = t, d
-        if not t:
-            top[h] = _TRUE
-        elif not d and top[h] == _FALSE:
-            top[h] = _UNDEFINED
+        v = _TRUE if not t else _UNDEFINED if not d else _FALSE
+        if v > top[h]:
+            if not top[h]:
+                dirty.append(h)
+            top[h] = v
     values = [_FALSE] * n
-    dirty = [h for h in range(n) if top[h]]
     rounds = 0
     while True:
         rounds += 1
@@ -160,7 +171,7 @@ def _lfp(jv: list[TruthValue], records: list, uses: list) -> tuple[list[TruthVal
         dirty = set()
         for a, v in changed:
             leaves_false = values[a] == _FALSE
-            becomes_true = v == _TRUE and a not in true_in_j
+            becomes_true = v == _TRUE and jv[a] != _TRUE
             for rule in uses[a]:
                 h = rule[0]
                 if leaves_false:
@@ -197,16 +208,18 @@ def well_founded_model(gp: GroundProgram) -> WfsResult:
     cp = gp.compiled
     records, uses = occurrences(cp)
     jv = [_UNDEFINED] * len(cp.keys)
-    current = everything_undefined(gp)
-    stages = [current]
-    inner_lengths = []
+    stages, inner_lengths = [jv], []
     while True:
         values, rounds = _lfp(jv, records, uses)
         inner_lengths.append(rounds)
         if values == jv:
-            return WfsResult(current, ThetaTrace(tuple(stages), tuple(inner_lengths)))
-        nxt = _to_interp(values, cp)
-        if not leq(current, nxt, Ordering.FITTING):
+            break
+        # Every atom whose value changed was undefined in J.
+        if not {_UNDEFINED}.issuperset(compress(jv, map(ne, jv, values))):
             raise NotIncreasing("outer stage sequence left the Fitting order")
-        stages.append(nxt)
-        current, jv = nxt, values
+        stages.append(values)
+        jv = values
+    return WfsResult(
+        _to_interp(jv, cp),
+        ThetaTrace(lambda: tuple(_to_interp(v, cp) for v in stages), tuple(inner_lengths)),
+    )

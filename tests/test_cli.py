@@ -15,6 +15,7 @@ import pytest
 
 import hoplog
 from hoplog.cli import COMMANDS, _parse_argv, main
+from hoplog.interp import PartialInterpretation
 from hoplog.parser import MAX_NESTING
 from hoplog.programs import (
     CORPUS,
@@ -255,6 +256,42 @@ class TestPerfect:
         assert code == 2
         data = payload(out)
         assert "unstratifiable" in data
+
+
+class TestOneInterpretation:
+    """A `wfs` or `perfect` run builds one `PartialInterpretation`, the
+    model: the stages run on value vectors, and the trace is never read."""
+
+    def test_each_run_builds_only_the_model(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = PartialInterpretation.__init__
+
+        def counting(self, *args):
+            built.append(True)
+            init(self, *args)
+
+        monkeypatch.setattr(PartialInterpretation, "__init__", counting)
+        argvs = []
+        for entry in CORPUS:
+            path = tmp_path / f"{entry.name}.hop"
+            path.write_text(entry.source)
+            roots = ["--roots", ", ".join(entry.roots)] if entry.roots else []
+            for command in ("wfs", "perfect"):
+                argv = [command, str(path), "--depth", str(entry.depth)]
+                argvs += [argv, argv + roots, argv + ["--format", "text"]]
+        workloads = bench_workloads()
+        for pool in (workloads.game_pool, workloads.strat_pool):
+            for i, query in enumerate(pool(1)):
+                path = tmp_path / f"{pool.__name__}-{i}.hop"
+                path.write_text(query.source)
+                argvs.append([str(path) if a == "{input}" else a for a in query.args])
+        codes = []
+        for argv in argvs:
+            built.clear()
+            codes.append(main(argv))
+            assert len(built) == (codes[-1] == 0), argv
+        capsys.readouterr()
+        assert codes.count(0) > 100 and codes.count(2) > 10
 
 
 class TestStratify:
@@ -596,11 +633,12 @@ class TestHashSeed:
             path = tmp_path / f"{entry.name}.hop"
             path.write_text(entry.source)
             roots = ["--roots", ", ".join(entry.roots)] if entry.roots else []
-            for command in ("ground", "wfs", "extcheck"):
+            for command in ("ground", "wfs", "perfect", "extcheck"):
                 argv = [command, str(path), "--depth", str(entry.depth)]
                 if command != "extcheck":
                     argv += roots
                 argvs += [argv, argv + ["--format", "text"]]
+            argvs += [["stratify", str(path)], ["stratify", str(path), "--format", "text"]]
         path = tmp_path / "lemma1.hop"
         path.write_text(NONEXTENSIONAL)
         argvs.append(["extcheck", str(path), "--depth", "4"])

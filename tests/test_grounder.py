@@ -1,6 +1,8 @@
 """Universe enumeration and the two grounding modes."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -191,6 +193,35 @@ class TestRelevantGrounding:
         program = load(src)
         with pytest.raises(GroundingLimitExceeded):
             relevant_grounding(program, [atom_of(program, "p a")], 1)
+
+    def test_grounding_is_freed_when_it_returns(self, monkeypatch):
+        """A demand grounding keeps no reference to its work: the lazy
+        ``clauses`` hold only the calls, so the grounding goes with
+        reference counting alone, before ``clauses`` is read."""
+        made = []
+
+        class Spy(grounder._DemandGrounding):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(grounder, "_DemandGrounding", Spy)
+        bench = bench_workloads()
+        game = next(q for q in bench.game_pool(1) if "--roots" in q.args)
+        cases = [(load(e.source), e.roots or [], e.depth) for e in CORPUS]
+        cases.append((load(game.source), ["win n0"], 1))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for program, roots, k in cases:
+                made.clear()
+                gp = relevant_grounding(program, [atom_of(program, r) for r in roots], k)
+                assert len(made) == 1 and made[0]() is None
+                assert all(c.head.text in gp.atoms for c in gp.clauses)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(gp.clauses) == 2016  # the 12-node game's instances, dead ones included
 
     def test_deep_closure_hits_the_atom_size_cap(self):
         # Under the default atom cap, f nests until printing or hashing the

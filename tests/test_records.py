@@ -339,6 +339,39 @@ def test_types_hash_their_fields_once():
     assert Arrow(IOTA, OMICRON) != IOTA and IOTA != OMICRON
 
 
+# Records whose stages may be given as a function that builds them the first
+# time they are read: per class, a factory taking that function, and the
+# stages of its eager sample.
+LAZY = {
+    ThetaTrace: (lambda build: ThetaTrace(build, (1,)), (_interp(),)),
+    PerfectResult: (lambda build: PerfectResult(_interp(), build), (_interp(),)),
+}
+
+
+@pytest.mark.parametrize("cls", list(LAZY), ids=lambda cls: cls.__name__)
+def test_lazy_stages_match_the_eager_form(cls):
+    make_lazy, stages = LAZY[cls]
+    built = []
+
+    def build():
+        built.append(True)
+        return stages
+
+    eager, text = SAMPLES[cls][0](), SAMPLES[cls][1]
+    lazy = make_lazy(build)
+    if cls is ThetaTrace:  # counted from inner_lengths, without the stages
+        assert lazy.fixpoint_stage == eager.fixpoint_stage
+    assert built == []
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    assert repr(lazy) == text and lazy.stages is lazy.stages and built == [True]
+    loaded = pickle.loads(pickle.dumps(make_lazy(build)))
+    assert type(loaded) is cls and loaded == eager and repr(loaded) == text
+    assert len(built) == 2
+    assert {lazy, eager, loaded} == {eager}
+    with pytest.raises(AttributeError):
+        lazy.stages = ()
+
+
 def test_records_of_a_loaded_program_pickle():
     program = load("type q : i -> o.\ntype f : i -> i.\nq X <- X = a.")
     assert pickle.loads(pickle.dumps(program)) == program

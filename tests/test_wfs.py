@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hoplog.errors import EmptyUniverse, GroundingLimitExceeded
+from hoplog import wfs
+from hoplog.errors import EmptyUniverse, GroundingLimitExceeded, NotIncreasing
 from hoplog.grounder import GroundProgram, ground_atom, ground_instantiation, relevant_grounding
 from hoplog.interp import (
     Ordering,
@@ -180,6 +182,36 @@ class TestWellFoundedModel:
             trace = well_founded_model(gp).trace
             for earlier, later in zip(trace.stages, trace.stages[1:]):
                 assert leq(earlier, later, Ordering.FITTING), name
+
+    @pytest.mark.parametrize(
+        "key, value, at",
+        [("p", TruthValue.FALSE, 2), ("q", TruthValue.TRUE, 3), ("s", TruthValue.TRUE, 2)],
+    )
+    def test_a_stage_leaving_the_fitting_order_raises(self, monkeypatch, key, value, at):
+        """The outer check on the stage vectors: a defined atom that changes
+        its value at a later stage raises, whether true or false before, and
+        whether it heads a rule or, like r and s (whose one clause is dead),
+        none."""
+        gp = gp_of("type p : o.\ntype q : o.\ntype r : o.\ntype s : o.\np.\nq <- ~p.\nr <- s.")
+        assert [s.to_json_dict() for s in well_founded_model(gp).trace.stages[1:]] == [
+            {"true": ["p"], "false": ["r", "s"], "undefined": ["q"]},
+            {"true": ["p"], "false": ["q", "r", "s"], "undefined": []},
+        ]
+        assert gp.compiled.rules[gp.compiled.keys.index("s")] == ()
+        atom = gp.compiled.keys.index(key)
+        lfp, calls = wfs._lfp, []
+
+        def corrupted(jv, records, uses):
+            values, rounds = lfp(jv, records, uses)
+            calls.append(values)
+            if len(calls) == at:
+                values = values[:atom] + [value] + values[atom + 1:]
+            return values, rounds
+
+        monkeypatch.setattr(wfs, "_lfp", corrupted)
+        with pytest.raises(NotIncreasing, match="outer stage sequence"):
+            well_founded_model(gp)
+        assert len(calls) == at  # refused at the stage that left the order
 
     def test_model_property_across_corpus(self):
         for name, gp in corpus_groundings():
