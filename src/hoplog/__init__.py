@@ -5,12 +5,7 @@ evaluate (well-founded or perfect model) -> check extensionality.
 """
 
 from .extensionality import ExtChecker
-from .grounder import (
-    GroundProgram,
-    ground_instantiation,
-    herbrand_universe,
-    relevant_grounding,
-)
+from .grounder import GroundProgram, ground_instantiation, relevant_grounding
 from .interp import (
     Ordering,
     PartialInterpretation,
@@ -21,7 +16,7 @@ from .interp import (
     minimal_models_bruteforce,
 )
 from .parser import parse_program, parse_type
-from .perfect import localize, perfect_model, psi_step, stratify
+from .perfect import localize, perfect_model, stratify
 from .typecheck import Program, check_program, load_program
 from .wfs import theta_lfp, theta_step, well_founded_model
 
@@ -34,7 +29,6 @@ __all__ = [
     "TruthValue",
     "check_program",
     "ground_instantiation",
-    "herbrand_universe",
     "is_minimal_model",
     "is_model",
     "leq",
@@ -44,7 +38,6 @@ __all__ = [
     "parse_program",
     "parse_type",
     "perfect_model",
-    "psi_step",
     "relevant_grounding",
     "stratify",
     "theta_lfp",

@@ -38,7 +38,7 @@ from .wfs import well_founded_model
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return fh.read()
 
 
@@ -141,8 +141,7 @@ def cmd_perfect(args) -> tuple[dict, int]:
             "unstratifiable": _unstratifiable(strat),
         }, 2
     gp = _grounding(program, args)
-    ls = localize(strat, gp)
-    result = perfect_model(gp, ls)
+    result = perfect_model(gp, localize(strat, gp))
     return {
         "depth": args.depth,
         "model": result.model.to_json_dict(),
@@ -239,8 +238,7 @@ def _demo_stratified() -> tuple[bool, dict]:
     details: dict = {}
     if isinstance(strat, Stratification):
         gp = ground_instantiation(program, 3)
-        ls = localize(strat, gp)
-        perfect = perfect_model(gp, ls).model
+        perfect = perfect_model(gp, localize(strat, gp)).model
         wfs = well_founded_model(gp).model
         report = ExtChecker(program, 3).reflexivity_report()
         ok = (
@@ -410,7 +408,7 @@ def main(argv=None) -> int:
         # what is left unwritten meets no closed pipe either.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     finally:

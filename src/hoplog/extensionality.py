@@ -27,7 +27,7 @@ from itertools import product
 from .errors import DepthExceeded
 from .grounder import Universe, argument_types, relevant_grounding
 from .interp import PartialInterpretation, TruthValue
-from .records import FrozenRecord, Record, _set
+from .records import Record
 from .syntax import (
     IOTA,
     OMICRON,
@@ -35,11 +35,9 @@ from .syntax import (
     Arrow,
     Expr,
     TypeExpr,
-    canonical_print,
     predicate_arg_types,
-    term_size,
 )
-from .typecheck import Program, elaborate_ground_atom
+from .typecheck import Program
 from .wfs import well_founded_model
 
 DEFAULT_BUDGET_FACTOR = 4
@@ -47,20 +45,6 @@ DEFAULT_BUDGET_FACTOR = 4
 # The class of a term whose computation met an atom over the size budget.
 _EXCEEDED = object()
 _MISSING = object()
-
-
-class ExtRelation(FrozenRecord):
-    """Pairs of size-bounded terms extensionally equal at one type."""
-
-    __slots__ = ("rho", "pairs", "bound")
-
-    def __init__(self, rho: TypeExpr, pairs: frozenset[tuple[str, str]], bound: int) -> None:
-        _set(self, "rho", rho)
-        _set(self, "pairs", pairs)
-        _set(self, "bound", bound)
-
-    def holds(self, a: str, b: str) -> bool:
-        return (a, b) in self.pairs
 
 
 class Witness(Record):
@@ -174,8 +158,8 @@ class ValuationOracle:
     def add_atoms(self, atoms) -> None:
         added = False
         for expr in atoms:
-            key = canonical_print(expr)
-            if key not in self._roots and term_size(expr) <= self.budget:
+            key = expr.text
+            if key not in self._roots and expr.size <= self.budget:
                 self._roots[key] = expr
                 added = True
         if added:
@@ -188,11 +172,11 @@ class ValuationOracle:
         return self._model
 
     def value(self, atom: Expr) -> TruthValue:
-        if term_size(atom) > self.budget:
+        if atom.size > self.budget:
             raise DepthExceeded(
-                f"{canonical_print(atom)} exceeds the size budget {self.budget}"
+                f"{atom.text} exceeds the size budget {self.budget}"
             )
-        key = canonical_print(atom)
+        key = atom.text
         if key not in self._roots:
             self.add_atoms([atom])
         model = self._solve()
@@ -237,7 +221,7 @@ class ExtChecker:
                 e: Expr = term
                 for a in combo:
                     e = App(e, a)
-                if term_size(e) <= self.budget:
+                if e.size <= self.budget:
                     atoms.append(e)
         self.oracle.add_atoms(atoms)
 
@@ -300,14 +284,6 @@ class ExtChecker:
             return self._check_reflexive(rho, d, dprime) is None
         return c is not None and c == cprime
 
-    def relation(self, rho: TypeExpr) -> ExtRelation:
-        terms = self.universe.terms(rho, self.k)
-        pairs = set()
-        for d, dprime in product(terms, repeat=2):
-            if self.equal(rho, d, dprime):
-                pairs.add((canonical_print(d), canonical_print(dprime)))
-        return ExtRelation(rho, frozenset(pairs), self.k)
-
     # -- reflexivity -----------------------------------------------------------
 
     def _check_reflexive(self, rho: TypeExpr, d: Expr, dprime: Expr) -> tuple | None:
@@ -322,7 +298,7 @@ class ExtChecker:
         if rho == OMICRON:
             lv, rv = self.oracle.value(d), self.oracle.value(dprime)
             if lv != rv:
-                return None, canonical_print(d), canonical_print(dprime), lv, rv
+                return None, d.text, dprime.text, lv, rv
             return None
         c = self._class(rho, d)
         if c is not None and c is not _EXCEEDED and c == self._class(rho, dprime):
@@ -339,7 +315,7 @@ class ExtChecker:
                     continue
                 fail = self._check_reflexive(rho.result, App(d, e), App(dprime, eprime))
                 if fail is not None:
-                    return (canonical_print(e), canonical_print(eprime)), *fail[1:]
+                    return (e.text, eprime.text), *fail[1:]
         return None
 
     def reflexivity_report(self) -> ExtReport:
@@ -356,27 +332,12 @@ class ExtChecker:
                     fail = self._check_reflexive(rho, term, term)
                 except DepthExceeded as exc:
                     report.unknowns.append(
-                        UnknownItem(str(rho), canonical_print(term), str(exc))
+                        UnknownItem(str(rho), term.text, str(exc))
                     )
                     continue
                 if fail is not None:
                     pair, lhs, rhs, lv, rv = fail
                     report.witnesses.append(
-                        Witness(str(rho), canonical_print(term), pair, lhs, rhs, str(lv), str(rv))
+                        Witness(str(rho), term.text, pair, lhs, rhs, str(lv), str(rv))
                     )
         return report
-
-
-# ---------------------------------------------------------------------------
-# Operation-style entry points
-# ---------------------------------------------------------------------------
-
-
-def replay_witness(program: Program, w: Witness, k: int, budget: int | None = None) -> bool:
-    """Recompute the two recorded valuations; True when they match the report."""
-    checker = ExtChecker(program, k, budget)
-    lhs = elaborate_ground_atom(program, w.lhs_atom)
-    rhs = elaborate_ground_atom(program, w.rhs_atom)
-    lv = checker.oracle.value(lhs)
-    rv = checker.oracle.value(rhs)
-    return str(lv) == w.lhs_value and str(rv) == w.rhs_value and lv != rv

@@ -22,12 +22,12 @@ builders, with one row of guard constants per clause.  The atom table maps
 each printed key to its atom, the interned ground term of type o with that
 ``text``, built from field values; it holds every atom of every instance,
 filled from each atom literal's projection.  Equalities resolve at grounding
-time; an instance with a false one is dead.  The engines' form
-(``GroundProgram.compiled``) comes from semi-naive joins over the
-possibly-true atoms, so it holds only rules that can fire.  ``clauses``, the
-instances as ``GroundClause`` records, is enumerated when first read.  A
-grounding whose instance count would pass ``DEFAULT_MAX_CLAUSES`` is refused
-before any of it.
+time; an instance with a false one is dead.  The engines' form,
+``GroundProgram.rules`` over atom ids in atom-table order, comes from
+semi-naive joins over the possibly-true atoms, so it holds only rules that
+can fire.  ``clauses``, the instances as ``GroundClause`` records, is
+enumerated when first read.  A grounding whose instance count would pass
+``DEFAULT_MAX_CLAUSES`` is refused before any of it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import itertools
 import math
 from collections import defaultdict, deque
 from collections.abc import Callable
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
 from .records import FrozenRecord, Record, _set, built_when_read
@@ -54,7 +54,6 @@ from .syntax import (
     Signature,
     TypeExpr,
     build_spine,
-    canonical_print,
     instance_builder,
     is_argument_type,
     peel,
@@ -88,7 +87,7 @@ def ground_atom(expr: Expr) -> Expr:
     """The ground atom expr itself, once it is checked to be predicate-headed."""
     head, _ = spine(expr)
     if not isinstance(head, PredConst):
-        raise ValueError(f"not predicate-headed: {canonical_print(expr)}")
+        raise ValueError(f"not predicate-headed: {expr.text}")
     return expr
 
 
@@ -112,7 +111,7 @@ class GroundClause(FrozenRecord):
         self,
         head: Expr,  # the ground atom
         body: tuple[Expr | ConstLit, ...],  # each an atom, its Neg, or a ConstLit
-        source_index: int,  # clause position in the source program; -1 if synthetic
+        source_index: int,  # clause position in the source program
         theta: tuple[tuple[str, Expr], ...],  # substitution that produced the instance
     ) -> None:
         _set(self, "head", head)
@@ -130,22 +129,6 @@ class GroundClause(FrozenRecord):
 Rule = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class CompiledProgram(FrozenRecord):
-    """The integer form both engines run on.
-
-    Atom ids follow the atom table's order.  ``rules[h]`` lists one
-    ``(positive ids, negative ids)`` pair per live instance with head h
-    whose positive atoms can all be true; ``true`` literals are stripped,
-    so no rule carries a resolved equality.
-    """
-
-    __slots__ = ("keys", "rules")
-
-    def __init__(self, keys: tuple[str, ...], rules: tuple[tuple[Rule, ...], ...]) -> None:
-        _set(self, "keys", keys)
-        _set(self, "rules", rules)
-
-
 # (head predicate, body predicate, negated): an instance's head and one of
 # its atom literals, by their leftmost predicate constants.
 PredicateEdge = tuple[str, str, bool]
@@ -154,27 +137,31 @@ PredicateEdge = tuple[str, str, bool]
 class GroundProgram(Record):
     """A finite propositional program over an atom table.
 
-    ``compiled`` is the form the engines run on.  ``predicate_edges`` holds
-    each ``PredicateEdge`` of some instance, dead ones included, once, in
-    order of first appearance; ``localize`` checks strata on it.
-    ``clauses`` lists every instance, dead ones included, as a
-    ``GroundClause``.  It is given either as a tuple or as a function that
-    builds the tuple the first time ``clauses`` is read.
+    ``rules`` is the integer form both engines run on.  Atom ids follow the
+    atom table's order.  ``rules[h]`` lists one ``(positive ids, negative
+    ids)`` pair per live instance with head h whose positive atoms can all
+    be true; ``true`` literals are stripped, so no rule carries a resolved
+    equality.  ``predicate_edges`` holds each ``PredicateEdge`` of some
+    instance, dead ones included, once, in order of first appearance;
+    ``localize`` checks strata on it.  ``clauses`` lists every instance,
+    dead ones included, as a ``GroundClause``.  It is given either as a
+    tuple or as a function that builds the tuple the first time
+    ``clauses`` is read.
     """
 
-    __slots__ = ("atoms", "compiled", "predicate_edges", "_clauses")
-    _fields = ("atoms", "compiled", "predicate_edges", "clauses")
+    __slots__ = ("atoms", "rules", "predicate_edges", "_clauses")
+    _fields = ("atoms", "rules", "predicate_edges", "clauses")
     clauses = built_when_read("_clauses")
 
     def __init__(
         self,
         atoms: dict[str, Expr],  # the atom table by text, insertion-ordered
-        compiled: CompiledProgram,
+        rules: tuple[tuple[Rule, ...], ...],  # per atom id
         predicate_edges: tuple[PredicateEdge, ...],
         clauses: tuple[GroundClause, ...] | Callable[[], tuple[GroundClause, ...]],
     ) -> None:
         self.atoms = atoms
-        self.compiled = compiled
+        self.rules = rules
         self.predicate_edges = predicate_edges
         self._clauses = clauses
 
@@ -219,7 +206,7 @@ class Universe:
                     f"over the cap of {DEFAULT_MAX_UNIVERSE_SYMBOLS} symbols"
                 )
             found.append(term)
-        terms = self._by_size[key] = tuple(sorted(found, key=canonical_print))
+        terms = self._by_size[key] = tuple(sorted(found, key=attrgetter("text")))
         return terms
 
     def _build(self, rho: TypeExpr, size: int):
@@ -275,22 +262,6 @@ class Universe:
     def is_truncated(self, rho: TypeExpr, k: int) -> bool:
         """True if terms of type rho exist beyond the size bound."""
         return bool(self._terms_exact(rho, k + 1))
-
-
-def herbrand_universe(program: Program, rho: TypeExpr, k: int) -> tuple[Expr, ...]:
-    """Ground terms of argument type rho with at most k symbol occurrences.
-
-    An empty universe at type i is reported as an error rather than papered
-    over with an invented constant.
-    """
-    if k < 1:
-        raise ValueError("size bound k must be >= 1")
-    if not is_argument_type(rho):
-        raise ValueError(f"{rho} is not an argument type")
-    terms = Universe(program.signature).terms(rho, k)
-    if rho == IOTA and not terms:
-        raise EmptyUniverse("the program has no individual constants")
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +399,8 @@ class _Grounding:
     def result(self, calls, heads=None, roots=()) -> GroundProgram:
         self._solve()
         atoms = {atom.text: atom for atom in self.table}
-        compiled = CompiledProgram(tuple(atoms), tuple(tuple(r) for r in self.rules))
-        return GroundProgram(
-            atoms, compiled, tuple(self.edges), lambda: _clauses(atoms, calls, heads, roots)
-        )
+        return GroundProgram(atoms, tuple(map(tuple, self.rules)), tuple(self.edges),
+                             lambda: _clauses(atoms, calls, heads, roots))
 
     def template(self, index: int) -> tuple[_Template, int]:
         """The template of clause ``index``'s shape, and the clause's row in it: the

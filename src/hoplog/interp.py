@@ -74,13 +74,6 @@ class PartialInterpretation(FrozenRecord):
             "undefined": sorted(undef),
         }
 
-    def __str__(self) -> str:
-        d = self.to_json_dict()
-        return (
-            f"<T={{{', '.join(d['true'])}}}, F={{{', '.join(d['false'])}}}, "
-            f"0={{{', '.join(d['undefined'])}}}>"
-        )
-
 
 def interpretation(
     gp: GroundProgram, true_atoms=(), false_atoms=()
@@ -92,10 +85,6 @@ def interpretation(
 
 def everything_false(gp: GroundProgram) -> PartialInterpretation:
     return interpretation(gp, (), gp.atoms.keys())
-
-
-def everything_undefined(gp: GroundProgram) -> PartialInterpretation:
-    return interpretation(gp)
 
 
 def leq(
@@ -119,8 +108,7 @@ class _Compiled:
     """Bitmask view of a ground program for fast enumeration."""
 
     def __init__(self, gp: GroundProgram):
-        self.keys = tuple(gp.atoms)
-        self.index = {k: n for n, k in enumerate(self.keys)}
+        self.index = {k: n for n, k in enumerate(gp.atoms)}
         self.clauses: list[tuple[int, int, int]] = []  # (head bit, pos mask, neg mask)
         for gc in gp.clauses:
             pos = neg = 0
@@ -147,9 +135,8 @@ class _Compiled:
         return True
 
     def to_interpretation(self, gp: GroundProgram, tmask: int, fmask: int):
-        t = frozenset(k for k, n in self.index.items() if tmask >> n & 1)
-        f = frozenset(k for k, n in self.index.items() if fmask >> n & 1)
-        return PartialInterpretation(t, f, frozenset(gp.atoms))
+        return interpretation(gp, [k for k, n in self.index.items() if tmask >> n & 1],
+                              [k for k, n in self.index.items() if fmask >> n & 1])
 
     def masks(self, i: PartialInterpretation) -> tuple[int, int]:
         t = f = 0

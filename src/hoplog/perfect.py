@@ -9,21 +9,22 @@ argument types.
 
 A stratification of the program induces a local stratification of any of
 its groundings: a ground atom inherits the stratum of its leftmost
-predicate constant.  The perfect model is then built stratum by stratum
-with a two-valued stage operator; the resulting stage sequence climbs in
-the Fitting order and its last element is total.
+predicate constant.  ``localize`` gives each stratum's atom ids.  The
+perfect model is then built stratum by stratum with a two-valued stage
+operator, the true atoms of ``wfs.theta_step``; the resulting stage
+sequence climbs in the Fitting order and its last element is total.
 
 The stage operator's least fixed point under the current stage J holds
 the atoms of some live clause with every negated atom false in J and
 every positive atom derived.  It grows with J in the Fitting order, so
 ``perfect_model`` computes all stages in one countdown on the grounding's
-compiled form, where dead clauses are already dropped, with the
-well-founded engine's counter records (``wfs.occurrences``): each rule's
-counter is paid once, not once a stratum, and only the model becomes a
-``PartialInterpretation`` at once: the stages are built when read.
-``localize`` reads the grounding's predicate edges, which every instance
-contributes to, dead ones included, so it checks the strata of dead
-clauses too.
+rules (``GroundProgram.rules``), where dead clauses are already dropped,
+with the well-founded engine's counter records (``wfs.occurrences``): each
+rule's counter is paid once, not once a stratum, and only the model
+becomes a ``PartialInterpretation`` at once: the stages are built when
+read.  ``localize`` reads the grounding's predicate edges, which every
+instance contributes to, dead ones included, so it checks the strata of
+dead clauses too.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .interp import PartialInterpretation, interpretation
 from .records import FrozenRecord, _set, built_when_read
 from .syntax import Eq, Expr, Neg, PredConst, PredVar, spine, type_geq
 from .typecheck import Program
-from .wfs import occurrences, theta_step
+from .wfs import occurrences
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +58,6 @@ class Stratification(FrozenRecord):
     def count(self) -> int:
         return len(self.strata)
 
-    def stratum(self, pred_name: str) -> int:
-        return self.index[pred_name]
-
 
 class Unstratifiable(FrozenRecord):
     """Witness: a dependency cycle that passes through a strict edge."""
@@ -69,11 +67,6 @@ class Unstratifiable(FrozenRecord):
     def __init__(self, cycle: tuple[str, ...], strict_edge: tuple[str, str]) -> None:
         _set(self, "cycle", cycle)
         _set(self, "strict_edge", strict_edge)
-
-    def __str__(self) -> str:
-        path = " -> ".join(self.cycle + (self.cycle[0],))
-        q, p = self.strict_edge
-        return f"cycle {path} contains the negative dependency {q} < {p}"
 
 
 def _literal_sources(lit: Expr, program: Program) -> tuple[tuple[str, ...], bool]:
@@ -177,71 +170,35 @@ def stratify(program: Program) -> Stratification | Unstratifiable:
 # ---------------------------------------------------------------------------
 
 
-class LocalStratification(FrozenRecord):
-    """Per-atom strata: an atom sits with its leftmost predicate constant."""
-
-    __slots__ = ("stratum_of", "strata_atoms")
-
-    def __init__(
-        self, stratum_of: dict[str, int], strata_atoms: tuple[tuple[str, ...], ...]
-    ) -> None:
-        _set(self, "stratum_of", stratum_of)
-        _set(self, "strata_atoms", strata_atoms)
-
-    @property
-    def count(self) -> int:
-        return len(self.strata_atoms)
-
-
-def leftmost_predicate(expr: Expr) -> str:
-    head, _ = spine(expr)
-    if not isinstance(head, PredConst):
-        raise ValueError("ground atoms start with a predicate constant")
-    return head.name
-
-
-def localize(strat: Stratification, gp: GroundProgram) -> LocalStratification:
-    """Assign strata to ground atoms and re-check the conditions on every
-    instance of the grounding, dead ones included.
+def localize(strat: Stratification, gp: GroundProgram) -> tuple[tuple[int, ...], ...]:
+    """The atom ids of each stratum, in order: an atom sits with its leftmost
+    predicate constant.  The conditions are re-checked on every instance of
+    the grounding, dead ones included.
 
     An instance's head sits with its clause's head predicate and each atom
     literal with its leftmost predicate constant, so the grounding's
     predicate edges carry every condition an instance poses.  A violation
     here contradicts the stratification analysis and is reported as an
     internal-consistency failure."""
-    stratum_of = {
-        key: strat.stratum(leftmost_predicate(atom)) for key, atom in gp.atoms.items()
-    }
+    index = strat.index
     for head, pred, negated in gp.predicate_edges:
-        if negated and strat.stratum(pred) >= strat.stratum(head):
+        if negated and index[pred] >= index[head]:
             raise LocalStratificationViolation(
                 f"a negated {pred} atom is not below the head of a {head} instance"
             )
-        if not negated and strat.stratum(pred) > strat.stratum(head):
+        if not negated and index[pred] > index[head]:
             raise LocalStratificationViolation(
                 f"a {pred} atom is above the head of a {head} instance"
             )
-    buckets: list[list[str]] = [[] for _ in range(strat.count)]
-    for key in gp.atoms:
-        buckets[stratum_of[key] - 1].append(key)
-    return LocalStratification(
-        stratum_of, tuple(tuple(sorted(b)) for b in buckets)
-    )
+    strata: list[list[int]] = [[] for _ in range(strat.count)]
+    for a, atom in enumerate(gp.atoms.values()):
+        strata[index[spine(atom)[0].name] - 1].append(a)
+    return tuple(map(tuple, strata))
 
 
 # ---------------------------------------------------------------------------
 # Perfect model
 # ---------------------------------------------------------------------------
-
-
-def psi_step(
-    J: PartialInterpretation, I: set[str], gp: GroundProgram
-) -> set[str]:
-    """Two-valued stage operator: heads of clauses whose body literals are
-    all true in J or (for atoms) members of I.  These are the atoms the
-    three-valued stage operator makes true, which reads I only through its
-    true atoms."""
-    return set(theta_step(J, interpretation(gp, I), gp).true_atoms)
 
 
 class PerfectResult(FrozenRecord):
@@ -266,7 +223,7 @@ class PerfectResult(FrozenRecord):
         return len(self.stages) - 1
 
 
-def perfect_model(gp: GroundProgram, ls: LocalStratification) -> PerfectResult:
+def perfect_model(gp: GroundProgram, strata: tuple[tuple[int, ...], ...]) -> PerfectResult:
     """Stage through the strata: stage a derives every currently supported
     atom and seals the falsehood of the unsupported atoms in strata 1..a.
     The sequence climbs in the Fitting order; its last stage is total.
@@ -276,16 +233,14 @@ def perfect_model(gp: GroundProgram, ls: LocalStratification) -> PerfectResult:
     seals the atoms of stratum a - 1 still underived, then derives.  The
     atoms are kept in the order they are derived and sealed, and a mark per
     stratum counts both by its stage, so each stage is a pair of prefixes."""
-    cp = gp.compiled
-    keys = cp.keys
-    records, uses = occurrences(cp)
+    keys = tuple(gp.atoms)
+    records, uses = occurrences(gp)
     negated: list[list[list]] = [[] for _ in keys]
     for rule in records:
         rule[1] = len(rule[3]) + len(rule[4])  # the body atoms it waits on
         for a in rule[4]:
             negated[a].append(rule)
     todo = [rule[0] for rule in records if not rule[1]]  # heads to derive
-    ids = {key: a for a, key in enumerate(keys)}
     derived = [False] * len(keys)
     sealed = [False] * len(keys)
     true_keys: list[str] = []  # in the order they are derived
@@ -298,7 +253,7 @@ def perfect_model(gp: GroundProgram, ls: LocalStratification) -> PerfectResult:
             if not rule[1]:
                 todo.append(rule[0])
 
-    for stratum in ls.strata_atoms:
+    for stratum in strata:
         while todo:
             h = todo.pop()
             if sealed[h]:
@@ -307,12 +262,12 @@ def perfect_model(gp: GroundProgram, ls: LocalStratification) -> PerfectResult:
                 derived[h] = True
                 true_keys.append(keys[h])
                 count_down(uses[h])
-        closing = [key for key in stratum if not derived[ids[key]]]
-        false_keys += closing
+        closing = [a for a in stratum if not derived[a]]
+        false_keys += [keys[a] for a in closing]
         marks.append((len(true_keys), len(false_keys)))
-        for key in closing:
-            sealed[ids[key]] = True
-            count_down(negated[ids[key]])
+        for a in closing:
+            sealed[a] = True
+            count_down(negated[a])
     model = interpretation(gp, true_keys, false_keys)
     return PerfectResult(model, lambda: tuple(
         PartialInterpretation(frozenset(true_keys[:d]), frozenset(false_keys[:f]), model.universe)

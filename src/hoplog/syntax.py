@@ -39,10 +39,10 @@ class Interned(FrozenRecord):
     its class with the same fields, so equal nodes are identical and ``==``
     is ``is``.  Each node computes, once and from its children's fields:
 
-    * ``text``: its canonical printing;
+    * ``text``: its canonical printing, deterministic and re-parseable;
     * ``atomic``: the same, parenthesized when it would not re-parse as one
       argument;
-    * ``size``: its size;
+    * ``size``: its size (see ``TypeExpr`` and ``Expr``);
     * its hash: the hash of its fields, never of its address.
 
     So printing, sizing, hashing and comparing a node never recurse.  Each
@@ -149,16 +149,6 @@ IOTA = Iota()
 OMICRON = Omicron()
 
 
-def arrow(*types: TypeExpr) -> TypeExpr:
-    """Right-associated arrow chain: arrow(a, b, c) == a -> (b -> c)."""
-    if not types:
-        raise ValueError("arrow() needs at least one type")
-    out = types[-1]
-    for t in reversed(types[:-1]):
-        out = Arrow(t, out)
-    return out
-
-
 def is_functional_type(t: TypeExpr) -> bool:
     while isinstance(t, Arrow):
         if t.argument != IOTA:
@@ -230,8 +220,11 @@ def type_geq(t1: TypeExpr, t2: TypeExpr) -> bool:
 class Expr(Interned):
     """Base class for terms and literal expressions. Nodes carry their type.
 
-    Nodes are hash-consed (see ``Interned``): ``text`` is the node's
-    ``canonical_print`` and ``size`` its ``term_size``.
+    Nodes are hash-consed (see ``Interned``).  ``text`` prints application
+    left-associatively by juxtaposition, with minimal parentheses; ``~``
+    binds a single argument and ``=`` joins two individual terms.  ``size``
+    counts the occurrences of constants, function symbols and predicate
+    constants.
     """
 
     __slots__ = ()
@@ -324,7 +317,7 @@ class App(Expr):
     def typ(self) -> TypeExpr:
         optype = self.op.typ
         if not isinstance(optype, Arrow):
-            raise IllTypedApplication(f"operator {canonical_print(self.op)} has non-arrow type {optype}")
+            raise IllTypedApplication(f"operator {self.op.text} has non-arrow type {optype}")
         return optype.result
 
 
@@ -380,32 +373,9 @@ def build_spine(head: Expr, args: list[Expr]) -> Expr:
     return out
 
 
-def term_size(e: Expr) -> int:
-    """Number of constant, function-symbol and predicate-constant occurrences."""
-    return e.size
-
-
-def free_vars(e: Expr) -> frozenset[Var]:
-    """The set of variables occurring in e (each carries its type)."""
-    return frozenset(vars_in_order(e))
-
-
-def is_ground(e: Expr) -> bool:
-    return not free_vars(e)
-
-
 # ---------------------------------------------------------------------------
 # Canonical printing
 # ---------------------------------------------------------------------------
-
-
-def canonical_print(e: Expr) -> str:
-    """Deterministic, re-parseable rendering with minimal parentheses.
-
-    Application is printed left-associatively by juxtaposition; ``~`` binds a
-    single argument; ``=`` joins two individual terms.
-    """
-    return e.text
 
 
 def print_template(e: Expr, fields: Mapping[str, int]) -> str:
@@ -508,10 +478,6 @@ class Signature(FrozenRecord):
         return tuple((n, t) for n, t in self.entries if is_predicate_type(t))
 
 
-def make_signature(mapping: Mapping[str, TypeExpr]) -> Signature:
-    return Signature(tuple(sorted(mapping.items())))
-
-
 # ---------------------------------------------------------------------------
 # Clauses
 # ---------------------------------------------------------------------------
@@ -542,10 +508,10 @@ class Clause(FrozenRecord):
         return tuple(seen)
 
     def __str__(self) -> str:
-        head = canonical_print(self.head_atom())
+        head = self.head_atom().text
         if not self.body:
             return f"{head}."
-        return f"{head} <- {', '.join(canonical_print(l) for l in self.body)}."
+        return f"{head} <- {', '.join(l.text for l in self.body)}."
 
 
 def vars_in_order(e: Expr) -> list[Var]:

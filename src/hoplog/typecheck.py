@@ -52,14 +52,12 @@ from .syntax import (
     Signature,
     TypeExpr,
     Var,
-    canonical_print,
     functional_arity,
     is_functional_type,
-    is_ground,
     is_predicate_type,
-    make_signature,
     peel,
     predicate_arg_types,
+    vars_in_order,
 )
 
 
@@ -96,7 +94,7 @@ def _build_signature(sp: SourceProgram) -> Signature:
     for name in sp.names:
         if name not in mapping and not name[0].isupper():
             mapping[name] = IOTA
-    return make_signature(mapping)
+    return Signature(tuple(sorted(mapping.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ class _ClauseChecker:
             atom = self.build(raw.atom)
             if atom.typ is not OMICRON:
                 raise NegOfNonBoolean(
-                    f"{self.at(raw.pos)}: ~ over {canonical_print(atom)} : {atom.typ}"
+                    f"{self.at(raw.pos)}: ~ over {atom.text} : {atom.typ}"
                 )
             return Neg(atom)
         if isinstance(raw, RawEq):
@@ -259,7 +257,7 @@ class _ClauseChecker:
                     built.append(self.build(a))
                     if built[-1].typ is not IOTA:
                         raise IllTypedApplication(
-                            f"{at(raw.pos)}: argument {canonical_print(built[-1])} of "
+                            f"{at(raw.pos)}: argument {built[-1].text} of "
                             f"{name} is not an individual"
                         )
                 return FunApp(name, tuple(built))
@@ -270,13 +268,13 @@ class _ClauseChecker:
             optype = out.typ
             if not isinstance(optype, Arrow):
                 raise IllTypedApplication(
-                    f"{at(raw.pos)}: {canonical_print(out)} : {optype} cannot be applied"
+                    f"{at(raw.pos)}: {out.text} : {optype} cannot be applied"
                 )
             ax = self.build(a)
             if ax.typ is not optype.argument:
                 raise IllTypedApplication(
-                    f"{at(raw.pos)}: {canonical_print(out)} expects {optype.argument}, "
-                    f"got {canonical_print(ax)} : {ax.typ}"
+                    f"{at(raw.pos)}: {out.text} expects {optype.argument}, "
+                    f"got {ax.text} : {ax.typ}"
                 )
             out = App(out, ax)
         return out
@@ -294,7 +292,7 @@ def check_clause(rc: RawClause, types: dict[str, TypeExpr], text: str) -> Clause
             built = checker.build_literal(lit)
             if built.typ is not OMICRON:
                 raise IllTyped(
-                    f"{checker.at(rc.pos)}: body literal {canonical_print(built)} has type "
+                    f"{checker.at(rc.pos)}: body literal {built.text} has type "
                     f"{built.typ}, not o"
                 )
             body.append(built)
@@ -335,7 +333,7 @@ def elaborate_ground_atom(program: Program, text: str) -> Expr:
     """Typed ground atom from its text (for roots given on the command line)."""
     atom = _ClauseChecker(program.signature.as_dict(), None, text).build(parse_atom(text))
     if atom.typ is not OMICRON:
-        raise IllTyped(f"root {canonical_print(atom)} has type {atom.typ}, not o")
-    if not is_ground(atom):
-        raise IllTyped(f"root {canonical_print(atom)} is not ground")
+        raise IllTyped(f"root {atom.text} has type {atom.typ}, not o")
+    if vars_in_order(atom):
+        raise IllTyped(f"root {atom.text} is not ground")
     return atom

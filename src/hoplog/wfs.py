@@ -10,11 +10,11 @@ iterations terminate; the final stage is the well-founded model.
 Negative literals are evaluated against J only; positive literals may draw
 on either J or the inner iterate.  Atoms with no live clauses are false.
 
-Both iterations run on the grounding's compiled form
-(``GroundProgram.compiled``): integer atom ids, per-head rules, no dead
-clauses.  J and the stages are value vectors indexed by atom id.  Only the
-model becomes a ``PartialInterpretation`` at once; the trace's stages are
-built from their vectors the first time they are read.
+Both iterations run on the grounding's rules (``GroundProgram.rules``):
+integer atom ids, per-head rules, no dead clauses.  J and the stages are
+value vectors indexed by atom id.  Only the model becomes a
+``PartialInterpretation`` at once; the trace's stages are built from their
+vectors the first time they are read.
 
 The inner loop counts instead of rescanning, after Dowling and Gallier's
 linear-time Horn least model (J. Logic Programming, 1984): see ``_lfp``.
@@ -33,8 +33,8 @@ from itertools import compress
 from operator import ne
 
 from .errors import NotIncreasing
-from .grounder import CompiledProgram, GroundProgram, Rule
-from .interp import PartialInterpretation, TruthValue
+from .grounder import GroundProgram, Rule
+from .interp import PartialInterpretation, TruthValue, interpretation
 from .records import FrozenRecord, _set, built_when_read
 
 
@@ -90,29 +90,27 @@ def _head_value(
     return _FALSE if gets_false else _UNDEFINED
 
 
-def _to_interp(values: list[TruthValue], cp: CompiledProgram) -> PartialInterpretation:
-    t = frozenset(k for k, v in zip(cp.keys, values) if v == _TRUE)
-    f = frozenset(k for k, v in zip(cp.keys, values) if v == _FALSE)
-    return PartialInterpretation(t, f, frozenset(cp.keys))
+def _to_interp(values: list[TruthValue], gp: GroundProgram) -> PartialInterpretation:
+    return interpretation(gp, [k for k, v in zip(gp.atoms, values) if v == _TRUE],
+                          [k for k, v in zip(gp.atoms, values) if v == _FALSE])
 
 
 def theta_step(
     J: PartialInterpretation, I: PartialInterpretation, gp: GroundProgram
 ) -> PartialInterpretation:
     """One application of the stage operator under outer interpretation J."""
-    cp = gp.compiled
-    jv = [J.value(k) for k in cp.keys]
-    iv = [I.value(k) for k in cp.keys]
-    return _to_interp([_head_value(rules, jv, iv) for rules in cp.rules], cp)
+    jv = [J.value(k) for k in gp.atoms]
+    iv = [I.value(k) for k in gp.atoms]
+    return _to_interp([_head_value(rules, jv, iv) for rules in gp.rules], gp)
 
 
-def occurrences(cp: CompiledProgram) -> tuple[list[list], list[list[list]]]:
+def occurrences(gp: GroundProgram) -> tuple[list[list], list[list[list]]]:
     """A record ``[head, need_true, need_defined, positive ids, negative
     ids]`` per rule, counters unset, and per atom id the records of the
     rules that hold it positively, once per occurrence."""
-    uses: list[list[list]] = [[] for _ in cp.keys]
+    uses: list[list[list]] = [[] for _ in gp.rules]
     records = []
-    for h, rules in enumerate(cp.rules):
+    for h, rules in enumerate(gp.rules):
         for pos, neg in rules:
             rule = [h, -1, -1, pos, neg]
             records.append(rule)
@@ -194,9 +192,8 @@ def _lfp(jv: list[TruthValue], records: list, uses: list) -> tuple[list[TruthVal
 def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInterpretation, int]:
     """Least fixed point of the stage operator under J, from the all-false
     start.  Returns the fixpoint and the number of rounds to stabilize."""
-    cp = gp.compiled
-    values, rounds = _lfp([J.value(k) for k in cp.keys], *occurrences(cp))
-    return _to_interp(values, cp), rounds
+    values, rounds = _lfp([J.value(k) for k in gp.atoms], *occurrences(gp))
+    return _to_interp(values, gp), rounds
 
 
 def well_founded_model(gp: GroundProgram) -> WfsResult:
@@ -205,9 +202,8 @@ def well_founded_model(gp: GroundProgram) -> WfsResult:
     The outer sequence must climb in the Fitting order; any violation is an
     internal-consistency failure, not a recoverable condition.
     """
-    cp = gp.compiled
-    records, uses = occurrences(cp)
-    jv = [_UNDEFINED] * len(cp.keys)
+    records, uses = occurrences(gp)
+    jv = [_UNDEFINED] * len(gp.rules)
     stages, inner_lengths = [jv], []
     while True:
         values, rounds = _lfp(jv, records, uses)
@@ -220,6 +216,6 @@ def well_founded_model(gp: GroundProgram) -> WfsResult:
         stages.append(values)
         jv = values
     return WfsResult(
-        _to_interp(jv, cp),
-        ThetaTrace(lambda: tuple(_to_interp(v, cp) for v in stages), tuple(inner_lengths)),
+        _to_interp(jv, gp),
+        ThetaTrace(lambda: tuple(_to_interp(v, gp) for v in stages), tuple(inner_lengths)),
     )

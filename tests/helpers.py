@@ -24,8 +24,9 @@ fixpoint machinery:
 * ``naive_well_founded_model`` iterates ``theta_step`` from the all-false
   start at every stage, where the engine recomputes only the atoms whose
   positive inputs changed;
-* ``naive_perfect_model`` iterates ``psi_step`` from the empty set at
-  every stratum, where the engine counts down once over all strata;
+* ``naive_perfect_model`` iterates the true atoms of ``theta_step`` from
+  the empty set at every stratum, where the engine counts down once over
+  all strata;
 * ``alternating_fixpoint`` computes the well-founded model by Van
   Gelder's alternating fixpoint over the Gelfond-Lifschitz reduct, where
   the engine iterates the two-level stage operators;
@@ -36,7 +37,8 @@ fixpoint machinery:
   themselves instead of using the brute-force oracle in ``hoplog.interp``;
 * ``reference_ext_equal`` decides extensional equality by the pairwise
   definition, scanning every argument pair, where ``ExtChecker`` compares
-  class ids;
+  class ids; ``replay_witness`` recomputes a witness's two valuations on a
+  fresh checker;
 * ``reference_parser`` declares hoplog's subcommands and options with
   ``argparse``, option by option, where ``hoplog.cli`` parses argv from its
   table ``COMMANDS``;
@@ -61,17 +63,15 @@ from hoplog.errors import (
     ParseError,
     TypeMismatch,
 )
-from hoplog.extensionality import ValuationOracle
+from hoplog.extensionality import ExtChecker, ValuationOracle, Witness
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
-    CompiledProgram,
     ConstLit,
     GroundClause,
     GroundProgram,
     Universe,
 )
-from hoplog.interp import PartialInterpretation, everything_false, everything_undefined
-from hoplog.perfect import LocalStratification, psi_step
+from hoplog.interp import PartialInterpretation, everything_false, interpretation
 from hoplog.syntax import (
     IOTA,
     OMICRON,
@@ -88,7 +88,7 @@ from hoplog.syntax import (
     TypeExpr,
     spine,
 )
-from hoplog.typecheck import Program, load_program
+from hoplog.typecheck import Program, elaborate_ground_atom, load_program
 from hoplog.wfs import ThetaTrace, WfsResult, theta_step
 
 
@@ -377,8 +377,8 @@ def possibly_true(clauses) -> set[str]:
     return true
 
 
-def reference_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
-    """The engines' integer form by a second pass over the clauses: atom
+def reference_compile(clauses, atoms: dict[str, Expr]) -> tuple:
+    """The engines' rules by a second pass over the clauses: atom
     ids in atom-table order, and one ``(positive ids, negative ids)`` rule
     per clause without a ``false`` literal whose positive atoms are all
     ``possibly_true``, ``true`` literals stripped."""
@@ -389,7 +389,7 @@ def reference_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
     )
 
 
-def unfiltered_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
+def unfiltered_compile(clauses, atoms: dict[str, Expr]) -> tuple:
     """``reference_compile`` without the possibly-true filter: one rule per
     clause without a ``false`` literal."""
     keys = tuple(atoms)
@@ -403,18 +403,21 @@ def unfiltered_compile(clauses, atoms: dict[str, Expr]) -> CompiledProgram:
         pos = tuple(a for a, negated in lits if not negated)
         neg = tuple(a for a, negated in lits if negated)
         rules[head].append((pos, neg))
-    return CompiledProgram(keys, tuple(tuple(r) for r in rules))
+    return tuple(tuple(r) for r in rules)
 
 
-def compiled_by_key(cp: CompiledProgram) -> dict[str, list]:
+def compiled_by_key(rules: tuple, keys) -> dict[str, list]:
     """Per head key, the sorted rules as (positive keys, negative keys):
-    the compiled form with atom ids and rule order factored out."""
+    the rules, over atom ids in the order of ``keys``, with atom ids and
+    rule order factored out."""
+    keys = tuple(keys)
+
     def keys_of(ids):
-        return tuple(cp.keys[a] for a in ids)
+        return tuple(keys[a] for a in ids)
 
     return {
-        cp.keys[h]: sorted((keys_of(pos), keys_of(neg)) for pos, neg in rules)
-        for h, rules in enumerate(cp.rules)
+        keys[h]: sorted((keys_of(pos), keys_of(neg)) for pos, neg in head_rules)
+        for h, head_rules in enumerate(rules)
     }
 
 
@@ -473,10 +476,12 @@ def naive_theta_lfp(J: PartialInterpretation, gp: GroundProgram):
 
 
 def naive_psi_lfp(J: PartialInterpretation, gp: GroundProgram) -> set[str]:
-    """psi_step iterated from the empty set until it repeats."""
+    """The two-valued stage operator, the atoms ``theta_step`` makes true
+    (it reads the iterate only through its true atoms), iterated from the
+    empty set until it repeats."""
     current: set[str] = set()
     while True:
-        nxt = psi_step(J, current, gp)
+        nxt = set(theta_step(J, interpretation(gp, current), gp).true_atoms)
         if nxt == current:
             return current
         current = nxt
@@ -485,7 +490,7 @@ def naive_psi_lfp(J: PartialInterpretation, gp: GroundProgram) -> set[str]:
 def naive_well_founded_model(gp: GroundProgram) -> WfsResult:
     """The outer stage sequence from everything undefined, each stage the
     naive least fixpoint under the one before, until a stage repeats."""
-    current = everything_undefined(gp)
+    current = interpretation(gp)
     stages = [current]
     inner_lengths = []
     while True:
@@ -498,17 +503,18 @@ def naive_well_founded_model(gp: GroundProgram) -> WfsResult:
 
 
 def naive_perfect_model(
-    gp: GroundProgram, ls: LocalStratification
+    gp: GroundProgram, strata: tuple[tuple[int, ...], ...]
 ) -> tuple[PartialInterpretation, ...]:
     """The perfect-model stages from everything undefined: per stratum
-    alpha, the naive psi fixpoint under the stage before, with the other
-    atoms of strata 1..alpha false."""
-    current = everything_undefined(gp)
+    alpha, given as atom ids, the naive psi fixpoint under the stage before,
+    with the other atoms of strata 1..alpha false."""
+    keys = tuple(gp.atoms)
+    current = interpretation(gp)
     stages = [current]
     sealed: set[str] = set()
-    for atoms in ls.strata_atoms:
+    for ids in strata:
         derived = naive_psi_lfp(current, gp)
-        sealed.update(atoms)
+        sealed.update(keys[a] for a in ids)
         current = PartialInterpretation(
             frozenset(derived), frozenset(sealed - derived), current.universe
         )
@@ -837,6 +843,16 @@ def reference_ext_equal(
     if isinstance(memo[key], DepthExceeded):
         raise memo[key]
     return memo[key]
+
+
+def replay_witness(program: Program, w: Witness, k: int, budget: int | None = None) -> bool:
+    """Recompute the two recorded valuations; True when they match the report."""
+    checker = ExtChecker(program, k, budget)
+    lhs = elaborate_ground_atom(program, w.lhs_atom)
+    rhs = elaborate_ground_atom(program, w.rhs_atom)
+    lv = checker.oracle.value(lhs)
+    rv = checker.oracle.value(rhs)
+    return str(lv) == w.lhs_value and str(rv) == w.rhs_value and lv != rv
 
 
 # ---------------------------------------------------------------------------

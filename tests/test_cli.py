@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import io
 import itertools
 import json
 import os
@@ -70,6 +71,57 @@ class TestCheck:
     def test_missing_file(self, run):
         code, _, err = run(["check", "/nonexistent/path.hop"])
         assert code == 1
+
+
+class TestUndecodableInput:
+    """A program that is not valid UTF-8 is refused at the offending byte's
+    L:C, from a file as from stdin, and never with a traceback."""
+
+    DATA = b"type p : o.\np. \xff\n"
+
+    @staticmethod
+    def hoplog(argv, stdin=b""):
+        # UTF-8 mode: stdin decodes with surrogateescape, as under the POSIX
+        # and C.UTF-8 locales
+        env = dict(os.environ, PYTHONPATH=str(Path(hoplog.__file__).resolve().parents[1]),
+                   PYTHONUTF8="1")
+        return subprocess.run([sys.executable, "-m", "hoplog.cli", *argv], input=stdin,
+                              env=env, capture_output=True, timeout=60)
+
+    def test_file_and_stdin_give_the_same_error(self, tmp_path):
+        path = tmp_path / "bad.hop"
+        path.write_bytes(self.DATA)
+        from_file = self.hoplog(["check", str(path)])
+        from_stdin = self.hoplog(["check", "-"], self.DATA)
+        for done in (from_file, from_stdin):
+            assert done.returncode == 1 and done.stdout == b""
+            assert b"Traceback" not in done.stderr
+        assert from_file.stderr == from_stdin.stderr
+        assert json.loads(from_file.stderr) == {
+            "error": r"2:4: unexpected character '\udcff'", "rule": "ParseError"
+        }
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "demo"])
+    def test_every_subcommand_reads_a_file_as_it_reads_stdin(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "bad.hop"
+        path.write_bytes(self.DATA)
+        assert main([command, str(path)]) == 1
+        from_file = capsys.readouterr()
+        stdin = io.TextIOWrapper(io.BytesIO(self.DATA), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main([command, "-"]) == 1
+        assert capsys.readouterr() == from_file
+        assert from_file.out == "" and json.loads(from_file.err)["rule"] == "ParseError"
+
+    def test_strictly_decoded_stdin_exits_one(self, monkeypatch, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(self.DATA), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["check", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "can't decode byte 0xff" in json.loads(captured.err)["error"]
 
 
 def _parens(n: int, inner: str) -> str:

@@ -15,13 +15,12 @@ from hoplog.grounder import (
     ConstLit,
     Universe,
     ground_instantiation,
-    herbrand_universe,
     relevant_grounding,
     truncated_types,
 )
 from hoplog.parser import parse_type
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
-from hoplog.syntax import IOTA, Neg, canonical_print
+from hoplog.syntax import IOTA, Neg
 from hoplog.typecheck import elaborate_ground_atom
 
 from helpers import (
@@ -43,7 +42,7 @@ O = parse_type("o")
 
 
 def keys(terms):
-    return [canonical_print(t) for t in terms]
+    return [t.text for t in terms]
 
 
 def atom_of(program, text):
@@ -53,15 +52,15 @@ def atom_of(program, text):
 class TestHerbrandUniverse:
     def test_individuals_of_positive_program(self):
         program = load(POSITIVE_ID)
-        assert keys(herbrand_universe(program, IOTA, 1)) == ["a", "b"]
+        assert keys(Universe(program.signature).terms(IOTA, 1)) == ["a", "b"]
 
     def test_unary_booleans_of_counterexample(self):
         program = load(NONEXTENSIONAL)
-        assert keys(herbrand_universe(program, OO, 1)) == ["p", "q", "w"]
+        assert keys(Universe(program.signature).terms(OO, 1)) == ["p", "q", "w"]
 
     def test_atoms_of_counterexample_at_two(self):
         program = load(NONEXTENSIONAL)
-        assert keys(herbrand_universe(program, O, 2)) == ["s p", "s q", "s w"]
+        assert keys(Universe(program.signature).terms(O, 2)) == ["s p", "s q", "s w"]
 
     @pytest.mark.parametrize("rho,k", [(O, 3), (OO, 3), (IO, 2), (IOTA, 2)])
     def test_matches_independent_closure_enumeration(self, rho, k):
@@ -74,29 +73,20 @@ class TestHerbrandUniverse:
     def test_function_symbols_enumerate_by_size(self):
         src = "type q : i -> o.\ntype f : i -> i.\nq X <- X = a."
         program = load(src)
-        assert keys(herbrand_universe(program, IOTA, 3)) == ["a", "f a", "f (f a)"]
+        assert keys(Universe(program.signature).terms(IOTA, 3)) == ["a", "f a", "f (f a)"]
         oracle = enumerate_terms_closure(program, IOTA, 3)
-        assert set(keys(herbrand_universe(program, IOTA, 3))) == oracle
-
-    def test_empty_individual_universe_is_an_error(self):
-        program = load(NONEXTENSIONAL)
-        with pytest.raises(EmptyUniverse):
-            herbrand_universe(program, IOTA, 3)
+        assert set(keys(Universe(program.signature).terms(IOTA, 3))) == oracle
 
     def test_empty_predicate_universe_is_not_an_error(self):
         program = load("type q : i -> o.\nq X <- X = a.")
-        assert herbrand_universe(program, OO, 3) == ()
+        assert Universe(program.signature).terms(OO, 3) == ()
 
     def test_prefix_monotone_in_k(self):
         program = load(POSITIVE_ID)
         for rho in (IOTA, IO, O):
-            small = keys(herbrand_universe(program, rho, 2))
-            big = keys(herbrand_universe(program, rho, 3))
+            small = keys(Universe(program.signature).terms(rho, 2))
+            big = keys(Universe(program.signature).terms(rho, 3))
             assert big[: len(small)] == small
-
-    def test_bad_bound_rejected(self):
-        with pytest.raises(ValueError):
-            herbrand_universe(load(POSITIVE_ID), IOTA, 0)
 
 
 class TestGroundInstantiation:
@@ -138,7 +128,7 @@ class TestGroundInstantiation:
         for gc in gp.clauses:
             clause = program.clauses[gc.source_index]
             head, body = substitute_clause(clause, dict(gc.theta))
-            assert canonical_print(head) == gc.head.text
+            assert head.text == gc.head.text
 
     def test_empty_universe_propagates(self):
         src = "type q : i -> o.\ntype foo : o.\nfoo <- q X."
@@ -334,17 +324,16 @@ class TestCompiledProgram:
 
     def test_dead_clauses_dropped_true_literals_stripped(self):
         gp = ground_instantiation(load(self.SOURCE), 1)
-        cp = gp.compiled
-        assert cp.keys == tuple(gp.atoms)
-        ids = {key: i for i, key in enumerate(cp.keys)}
+        assert len(gp.rules) == len(gp.atoms)
+        ids = {key: i for i, key in enumerate(gp.atoms)}
         # p a <- true, ~(r a) keeps only its negation; p b <- false, ... is gone.
-        assert cp.rules[ids["p a"]] == (((), (ids["r a"],)),)
-        assert cp.rules[ids["p b"]] == ()
+        assert gp.rules[ids["p a"]] == (((), (ids["r a"],)),)
+        assert gp.rules[ids["p b"]] == ()
 
     def test_clauses_and_atom_table_untouched(self):
         gp = ground_instantiation(load(self.SOURCE), 1)
         before = ([str(gc) for gc in gp.clauses], list(gp.atoms))
-        assert gp.compiled is gp.compiled  # built once per grounding
+        assert gp.rules is gp.rules  # one rules tuple per grounding
         assert ([str(gc) for gc in gp.clauses], list(gp.atoms)) == before
         assert "p b <- false, ~(r b)." in before[0]
 
@@ -360,13 +349,13 @@ class TestCompiledForm:
         program = load(entry.source)
         expected = reference_grounding(program, entry.depth)
         first = ground_instantiation(program, entry.depth)
-        assert compiled_by_key(first.compiled) == compiled_by_key(
-            reference_compile(expected.clauses, expected.atoms)
+        assert compiled_by_key(first.rules, first.atoms) == compiled_by_key(
+            reference_compile(expected.clauses, expected.atoms), expected.atoms
         )
         assert first.clauses == expected.clauses
         second = ground_instantiation(program, entry.depth)
         assert second.clauses == expected.clauses
-        assert second.compiled == first.compiled
+        assert second.rules == first.rules
         assert second.clauses is second.clauses
 
 
@@ -396,9 +385,9 @@ class TestTemplateGrounding:
                 elif not isinstance(lit, ConstLit):
                     assert lit is gp.atoms[lit.text]
         assert gp.clauses == expected.clauses
-        assert gp.compiled.keys == tuple(gp.atoms)
-        assert compiled_by_key(gp.compiled) == compiled_by_key(
-            reference_compile(expected.clauses, expected.atoms)
+        assert len(gp.rules) == len(gp.atoms)
+        assert compiled_by_key(gp.rules, gp.atoms) == compiled_by_key(
+            reference_compile(expected.clauses, expected.atoms), expected.atoms
         )
         assert set(gp.predicate_edges) == set(reference_edges(expected.clauses))
         return gp
@@ -467,7 +456,7 @@ class TestGuardsAndProjections:
         program = load(src)
         gp = TestTemplateGrounding.assert_same(program, 1, [atom_of(program, "p b")])
         assert list(gp.atoms) == ["p b", "q b"]
-        assert gp.compiled.rules == ((), ())
+        assert gp.rules == ((), ())
 
     def test_swapped_variables_project_differently(self):
         src = (
@@ -495,7 +484,7 @@ class TestGuardsAndProjections:
         )
         program = load(src)
         gp = TestTemplateGrounding.assert_same(program, 2)
-        rules = compiled_by_key(gp.compiled)
+        rules = compiled_by_key(gp.rules, gp.atoms)
         assert rules["p a"] == [((), ())] and rules["p (f a)"] == []
         assert rules["e a a"] == sorted([((), ()), (("p a",), ())])
         assert rules["e b b"] == sorted([((), ()), (("p b",), ()), ((), ("p b",))])

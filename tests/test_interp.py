@@ -12,7 +12,6 @@ from hoplog.interp import (
     PartialInterpretation,
     TruthValue,
     everything_false,
-    everything_undefined,
     interpretation,
     is_minimal_model,
     is_model,
@@ -90,14 +89,14 @@ class TestValueOf:
         gp = gp_of("type q : i -> o.\nq X <- X = a.")
         (clause,) = gp.clauses
         head = clause.head.text
-        assert not is_model(everything_undefined(gp), gp)
+        assert not is_model(interpretation(gp), gp)
         assert is_model(table(gp, {head: TruthValue.TRUE}), gp)
         dead = gp_of("type q : i -> o.\ntype b : i.\nq X <- X = a, X = b.")
         assert is_model(everything_false(dead), dead)
 
     def test_empty_interpretation_gives_undefined(self):
         gp = gp_of("type p : o.\ntype q : o.\np <- q.")
-        assert is_model(everything_undefined(gp), gp)
+        assert is_model(interpretation(gp), gp)
         assert not is_model(table(gp, {"p": TruthValue.FALSE}), gp)
 
     def test_unknown_atom_rejected(self):
@@ -125,13 +124,13 @@ class TestConjunction:
 
     def test_empty_conjunction_is_true(self):
         gp = gp_of(FACT)
-        assert not is_model(everything_undefined(gp), gp)
+        assert not is_model(interpretation(gp), gp)
         assert is_model(table(gp, {"p": TruthValue.TRUE}), gp)
 
     def test_counterexample_body_undefined_under_wfs(self):
         gp = gp_of(NONEXTENSIONAL, k=3, roots=["s q"])
         model = well_founded_model(gp).model
-        assert model == everything_undefined(gp) and is_model(model, gp)
+        assert model == interpretation(gp) and is_model(model, gp)
         # The body ~(w (s q)) of the clause for q (s q) is undefined, so the
         # head may not be false.
         assert not is_model(table(gp, {"q (s q)": TruthValue.FALSE}), gp)
@@ -192,7 +191,7 @@ class TestOrderings:
 
     def test_bottom_elements(self):
         gp = self.GP
-        bottom_f = everything_undefined(gp)
+        bottom_f = interpretation(gp)
         bottom_t = everything_false(gp)
         for other in (
             interpretation(gp, true_atoms={"p"}),
@@ -245,7 +244,7 @@ class TestBruteForceOracle:
     def test_counterexample_closure_minimality(self):
         gp = gp_of(NONEXTENSIONAL, k=3, roots=["s q"])
         wfs = well_founded_model(gp).model
-        assert wfs == everything_undefined(gp)
+        assert wfs == interpretation(gp)
         assert wfs in minimal_models_bruteforce(gp, Ordering.FITTING)
 
     def test_too_large(self):
@@ -257,7 +256,7 @@ class TestBruteForceOracle:
         with pytest.raises(TooLarge):
             minimal_models_bruteforce(gp, Ordering.FITTING)
         with pytest.raises(TooLarge):
-            is_minimal_model(gp, everything_undefined(gp), Ordering.FITTING)
+            is_minimal_model(gp, interpretation(gp), Ordering.FITTING)
 
     @pytest.mark.parametrize("ordering", list(Ordering))
     def test_membership_check_agrees_with_full_set(self, ordering):
@@ -267,7 +266,7 @@ class TestBruteForceOracle:
             full = minimal_models_bruteforce(gp, ordering)
             wfs = well_founded_model(gp).model
             assert is_minimal_model(gp, wfs, ordering) == (wfs in full)
-            probe = everything_undefined(gp)
+            probe = interpretation(gp)
             assert is_minimal_model(gp, probe, ordering) == (probe in full)
 
 
@@ -283,7 +282,7 @@ class TestThreeValuedStableOracle:
         ]
         # All-undefined is a model, but P/I is `p <- undefined` with no
         # clause for q, whose least model makes q false: not stable.
-        bottom = everything_undefined(gp)
+        bottom = interpretation(gp)
         assert is_model(bottom, gp)
         assert reduct_least_model(gp, bottom).to_json_dict() == {
             "true": [],
@@ -308,10 +307,10 @@ class TestThreeValuedStableOracle:
         assert is_minimal_model(gp, over, Ordering.TRUTH)
         assert is_three_valued_stable(gp, over)
         # ... but the all-undefined stable model lies Fitting-below it.
-        assert fitting_smaller_stable(gp, over) == everything_undefined(gp)
+        assert fitting_smaller_stable(gp, over) == interpretation(gp)
         assert not is_fitting_minimal_stable(gp, over)
         wfs = well_founded_model(gp).model
-        assert wfs == everything_undefined(gp)
+        assert wfs == interpretation(gp)
         assert is_fitting_minimal_stable(gp, wfs)
 
     def test_odd_loop_only_all_undefined(self):

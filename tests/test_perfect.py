@@ -5,24 +5,21 @@ import random
 import pytest
 
 from hoplog.errors import LocalStratificationViolation, NotIncreasing
-from hoplog.grounder import ground_instantiation
+from hoplog.grounder import ground_instantiation, relevant_grounding
 from hoplog.interp import (
     Ordering,
     TruthValue,
-    everything_undefined,
     interpretation,
     is_minimal_model,
     is_model,
     leq,
 )
 from hoplog.perfect import (
-    LocalStratification,
     Stratification,
     Unstratifiable,
     _dependency_edges,
     localize,
     perfect_model,
-    psi_step,
     stratify,
 )
 from hoplog.programs import (
@@ -32,7 +29,9 @@ from hoplog.programs import (
     STRATIFIED_BAD,
     STRATIFIED_OK,
 )
-from hoplog.wfs import theta_lfp, well_founded_model
+from hoplog.syntax import spine
+from hoplog.typecheck import elaborate_ground_atom
+from hoplog.wfs import theta_lfp, theta_step, well_founded_model
 
 from helpers import (
     bench_workloads,
@@ -66,7 +65,7 @@ class TestStratify:
         strat = stratify(load(STRATIFIED_OK))
         assert isinstance(strat, Stratification)
         assert strat.strata == (("q",), ("p",))
-        assert strat.stratum("q") == 1 and strat.stratum("p") == 2
+        assert strat.index["q"] == 1 and strat.index["p"] == 2
 
     def test_type_cycle_through_negation_rejected(self):
         result = stratify(load(STRATIFIED_BAD))
@@ -177,15 +176,46 @@ class TestLocalize:
         program = load(STRATIFIED_OK)
         strat = stratify(program)
         gp = ground_instantiation(program, 3)
-        ls = localize(strat, gp)
-        assert ls.stratum_of["q a"] == 1
-        assert ls.stratum_of["p q"] == 2
+        strata = localize(strat, gp)
+        ids = {key: a for a, key in enumerate(gp.atoms)}
+        assert ids["q a"] in strata[0]
+        assert ids["p q"] in strata[1]
+
+    def test_strata_partition_the_atoms_by_leftmost_predicate(self):
+        """Over the stratified corpus, exhaustively and from its roots, and
+        the strat-perfect bench pools of seeds 1-3: the strata partition the
+        atom ids, and each id sits in the stratum of its atom's leftmost
+        predicate constant."""
+        workloads = bench_workloads()
+        checked = 0
+        for name, gp, strat in _localized_groundings(workloads):
+            strata = localize(strat, gp)
+            assert len(strata) == strat.count, name
+            assert sorted(a for ids in strata for a in ids) == list(range(len(gp.atoms))), name
+            atoms = list(gp.atoms.values())
+            for n, ids in enumerate(strata, 1):
+                for a in ids:
+                    assert strat.index[spine(atoms[a])[0].name] == n, (name, atoms[a].text)
+            checked += 1
+        assert checked == 91, checked
+
+    def test_order_within_a_stratum_does_not_matter(self):
+        """The strata list their atom ids in atom-table order; the stages
+        are the same in any order within each stratum."""
+        rng = random.Random(5)
+        checked = 0
+        for name, gp, strat in stratified_groundings():
+            strata = localize(strat, gp)
+            shuffled = tuple(tuple(rng.sample(ids, len(ids))) for ids in strata)
+            assert perfect_model(gp, shuffled).stages == perfect_model(gp, strata).stages, name
+            checked += 1
+        assert checked == 40
 
     def test_resolved_equalities_sit_below_everything(self):
         gp = gp_of("type q : i -> o.\ntype b : i.\nq X <- X = a.")
         strat = stratify(load("type q : i -> o.\ntype b : i.\nq X <- X = a."))
-        ls = localize(strat, gp)  # bodies are only resolved constants
-        assert ls.count == 1
+        strata = localize(strat, gp)  # bodies are only resolved constants
+        assert len(strata) == 1
 
     def test_stratified_corpus_groundings_validate(self):
         for entry in CORPUS:
@@ -194,8 +224,7 @@ class TestLocalize:
             if isinstance(strat, Unstratifiable):
                 continue
             gp = ground_instantiation(program, entry.depth)
-            ls = localize(strat, gp)
-            assert ls.count == strat.count
+            assert len(localize(strat, gp)) == strat.count
 
     def test_violation_detected_for_wrong_stratification(self):
         src = "type p : o.\ntype q : o.\np <- ~q.\nq."
@@ -216,7 +245,7 @@ class TestLocalize:
         program = load(src)
         gp = ground_instantiation(program, 1)
         keys = list(gp.atoms)
-        assert gp.compiled.rules[keys.index("h q")] == gp.compiled.rules[keys.index("g")] == ()
+        assert gp.rules[keys.index("h q")] == gp.rules[keys.index("g")] == ()
         assert perfect_model(gp, localize(stratify(program), gp)).model.is_total
         for wrong in (
             # ~(q a) in h q's instance, through the variable R
@@ -228,22 +257,48 @@ class TestLocalize:
                 localize(wrong, gp)
 
 
+def _localized_groundings(workloads):
+    """(name, grounding, stratification) for each stratified corpus entry,
+    exhaustively and, if it has roots, from them, and for each query of the
+    strat-perfect bench pools of seeds 1-3."""
+    for entry in CORPUS:
+        program = load(entry.source)
+        strat = stratify(program)
+        if isinstance(strat, Unstratifiable):
+            continue
+        yield entry.name, ground_instantiation(program, entry.depth), strat
+        if entry.roots:
+            roots = [elaborate_ground_atom(program, r) for r in entry.roots]
+            yield entry.name + " (roots)", relevant_grounding(program, roots, entry.depth), strat
+    for seed in (1, 2, 3):
+        for query in workloads.strat_pool(seed):
+            program = load(query.source)
+            k = int(query.args[query.args.index("--depth") + 1])
+            yield query.label, ground_instantiation(program, k), stratify(program)
+
+
+def _psi(J, I, gp) -> set[str]:
+    """The two-valued stage operator: the atoms ``theta_step`` makes true,
+    which reads I only through its true atoms."""
+    return set(theta_step(J, interpretation(gp, I), gp).true_atoms)
+
+
 class TestPsi:
     def test_facts_only(self):
         gp = gp_of("type p : o.\ntype q : o.\np.\nq <- p.")
-        out = psi_step(everything_undefined(gp), set(), gp)
+        out = _psi(interpretation(gp), set(), gp)
         assert out == {"p"}
 
     def test_negative_support_from_j(self):
         gp = gp_of("type p : o.\ntype q : o.\np <- ~q.")
         J = interpretation(gp, false_atoms={"q"})
-        assert psi_step(J, set(), gp) == {"p"}
+        assert _psi(J, set(), gp) == {"p"}
 
     def test_two_step_chain(self):
         gp = gp_of("type p : o.\ntype q : o.\np <- q.\nq.")
-        J = everything_undefined(gp)
-        one = psi_step(J, set(), gp)
-        two = psi_step(J, one, gp)
+        J = interpretation(gp)
+        one = _psi(J, set(), gp)
+        two = _psi(J, one, gp)
         assert one == {"q"} and two == {"p", "q"}
         assert theta_lfp(J, gp)[0].true_atoms == naive_psi_lfp(J, gp) == {"p", "q"}
 
@@ -297,8 +352,7 @@ class TestPerfectModel:
         program = load(src)
         gp = ground_instantiation(program, 1)
         strat = stratify(program)
-        ls = localize(strat, gp)
-        result = perfect_model(gp, ls)
+        result = perfect_model(gp, localize(strat, gp))
         assert result.model.value("q a") == TruthValue.TRUE
         assert result.model.value("q b") == TruthValue.FALSE
         assert result.model.value("p") == TruthValue.TRUE
@@ -350,9 +404,9 @@ class TestPerfectModel:
         # Not a stratification: p sits below the r it negates.  Stage 1
         # seals p false, stage 2 seals r, and stage 3 would derive p.
         gp = gp_of("type p : o.\ntype r : o.\np <- ~r.")
-        ls = LocalStratification({"p": 1, "r": 2}, (("p",), ("r",), ()))
+        ids = {key: a for a, key in enumerate(gp.atoms)}
         with pytest.raises(NotIncreasing):
-            perfect_model(gp, ls)
+            perfect_model(gp, ((ids["p"],), (ids["r"],), ()))
 
     def test_corpus_stratified_entries_match_wfs(self):
         for entry in CORPUS:
@@ -385,11 +439,11 @@ class TestPerfectModel:
 
 class TestStagesMatchNaive:
     """Every perfect-model stage against the stage-by-stage reference,
-    which iterates psi_step afresh at each stratum."""
+    which iterates the two-valued stage operator afresh at each stratum."""
 
     @staticmethod
-    def check(gp, ls, name):
-        assert perfect_model(gp, ls).stages == naive_perfect_model(gp, ls), name
+    def check(gp, strata, name):
+        assert perfect_model(gp, strata).stages == naive_perfect_model(gp, strata), name
 
     def test_stratified_corpus(self):
         checked = 0
@@ -427,6 +481,6 @@ class TestStagesMatchNaive:
         src = "type p : o.\ntype q : o.\ntype r : o.\np <- ~q.\nq <- ~r.\nr."
         gp = gp_of(src)
         padded = Stratification((("r",), ("q",), (), ("p",)), {"r": 1, "q": 2, "p": 4})
-        ls = localize(padded, gp)
-        self.check(gp, ls, src)
-        assert perfect_model(gp, ls).strata_used == 4
+        strata = localize(padded, gp)
+        self.check(gp, strata, src)
+        assert perfect_model(gp, strata).strata_used == 4

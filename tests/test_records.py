@@ -6,14 +6,8 @@ import pickle
 import pytest
 
 import hoplog.cli  # noqa: F401  (imports every module that defines a record)
-from hoplog.extensionality import ExtRelation, ExtReport, UnknownItem, Witness
-from hoplog.grounder import (
-    CompiledProgram,
-    ConstLit,
-    GroundClause,
-    GroundProgram,
-    ground_instantiation,
-)
+from hoplog.extensionality import ExtReport, UnknownItem, Witness
+from hoplog.grounder import ConstLit, GroundClause, GroundProgram, ground_instantiation
 from hoplog.interp import PartialInterpretation
 from hoplog.parser import (
     Declaration,
@@ -24,7 +18,7 @@ from hoplog.parser import (
     RawNeg,
     SourceProgram,
 )
-from hoplog.perfect import LocalStratification, PerfectResult, Stratification, Unstratifiable
+from hoplog.perfect import PerfectResult, Stratification, Unstratifiable
 from hoplog.programs import CorpusEntry
 from hoplog.records import FrozenRecord, Record
 from hoplog.syntax import (
@@ -53,10 +47,6 @@ OO_REPR = "Arrow(argument=Omicron(), result=Omicron())"
 
 def _atom():
     return PredConst("p", OMICRON)
-
-
-def _compiled():
-    return CompiledProgram(("p",), ((),))
 
 
 ATOM_REPR = "PredConst(name='p', ptype=Omicron())"
@@ -122,14 +112,10 @@ SAMPLES = {
         f"GroundClause(head={ATOM_REPR}, body=({ATOM_REPR}, Neg(atom={ATOM_REPR}), "
         "ConstLit(value=False)), source_index=0, theta=(('X', Iota()),))",
     ),
-    CompiledProgram: (
-        lambda: CompiledProgram(("p",), ((((0,), ()),),)),
-        "CompiledProgram(keys=('p',), rules=((((0,), ()),),))",
-    ),
     GroundProgram: (
-        lambda: GroundProgram({"p": _atom()}, _compiled(), (("p", "p", True),), ()),
-        f"GroundProgram(atoms={{'p': {ATOM_REPR}}}, compiled=CompiledProgram(keys=('p',), "
-        "rules=((),)), predicate_edges=(('p', 'p', True),), clauses=())",
+        lambda: GroundProgram({"p": _atom()}, ((),), (("p", "p", True),), ()),
+        f"GroundProgram(atoms={{'p': {ATOM_REPR}}}, rules=((),), "
+        "predicate_edges=(('p', 'p', True),), clauses=())",
     ),
     PartialInterpretation: (_interp, INTERP_REPR),
     Program: (
@@ -153,17 +139,9 @@ SAMPLES = {
         lambda: Unstratifiable(("p",), ("p", "p")),
         "Unstratifiable(cycle=('p',), strict_edge=('p', 'p'))",
     ),
-    LocalStratification: (
-        lambda: LocalStratification({"p": 1}, (("p",),)),
-        "LocalStratification(stratum_of={'p': 1}, strata_atoms=(('p',),))",
-    ),
     PerfectResult: (
         lambda: PerfectResult(_interp(), (_interp(),)),
         f"PerfectResult(model={INTERP_REPR}, stages=({INTERP_REPR},))",
-    ),
-    ExtRelation: (
-        lambda: ExtRelation(Arrow(OMICRON, OMICRON), frozenset({("p", "p")}), 2),
-        f"ExtRelation(rho={OO_REPR}, pairs=frozenset({{('p', 'p')}}), bound=2)",
     ),
     Witness: (
         lambda: Witness("o -> o", "p", ("a", "b"), "p a", "p b", "true", "false"),
@@ -187,7 +165,7 @@ SAMPLES = {
 
 MUTABLE = {ExtReport, Witness, UnknownItem, GroundProgram, SourceProgram}
 # Frozen records that hold a dict, and so cannot be hashed, as before.
-HOLDS_A_DICT = {Stratification, LocalStratification}
+HOLDS_A_DICT = {Stratification}
 
 
 def _record_classes():
@@ -207,7 +185,7 @@ def _record_classes():
 
 def test_every_record_class_has_a_sample():
     assert set(_record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 29
+    assert len(SAMPLES) == 26
 
 
 @pytest.fixture(params=list(SAMPLES), ids=lambda cls: cls.__name__)
@@ -307,11 +285,11 @@ def test_ground_program_builds_its_clauses_once():
         built.append(True)
         return ()
 
-    gp = GroundProgram({"p": _atom()}, _compiled(), (), build)
+    gp = GroundProgram({"p": _atom()}, ((),), (), build)
     assert built == []
     assert gp.clauses is gp.clauses and built == [True]
     loaded = pickle.loads(pickle.dumps(gp))
-    assert loaded == gp and loaded.compiled == gp.compiled and loaded.clauses == ()
+    assert loaded == gp and loaded.rules == gp.rules and loaded.clauses == ()
     assert built == [True]
 
 

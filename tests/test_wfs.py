@@ -12,7 +12,6 @@ from hoplog.interp import (
     Ordering,
     TruthValue,
     everything_false,
-    everything_undefined,
     interpretation,
     is_minimal_model,
     is_model,
@@ -59,7 +58,7 @@ def corpus_groundings():
 class TestThetaStep:
     def test_fact_fires_negation_waits(self):
         gp = gp_of("type p : o.\ntype q : o.\np <- ~q.\nq.")
-        J = everything_undefined(gp)
+        J = interpretation(gp)
         I = everything_false(gp)
         out = theta_step(J, I, gp)
         assert out.value("q") == TruthValue.TRUE  # empty body
@@ -68,12 +67,12 @@ class TestThetaStep:
     def test_clauseless_atom_false_under_any_inputs(self):
         gp = gp_of("type p : o.\ntype q : o.\np <- q.")
         J = interpretation(gp, true_atoms={"q"})  # even a generous J
-        out = theta_step(J, everything_undefined(gp), gp)
+        out = theta_step(J, interpretation(gp), gp)
         assert out.value("q") == TruthValue.FALSE
 
     def test_false_loop_stays_false_at_every_inner_stage(self):
         gp = gp_of(NONEXTENSIONAL, k=3, roots=["s p"])
-        J = everything_undefined(gp)  # the first outer stage
+        J = interpretation(gp)  # the first outer stage
         current = everything_false(gp)
         for _ in range(2 * len(gp.atoms) + 2):
             assert current.value("s p") == TruthValue.FALSE
@@ -85,13 +84,13 @@ class TestThetaStep:
 class TestThetaLfp:
     def test_false_loop_resolves_false_in_first_stage(self):
         gp = gp_of(NONEXTENSIONAL, k=3, roots=["s p"])
-        fix, _ = theta_lfp(everything_undefined(gp), gp)
+        fix, _ = theta_lfp(interpretation(gp), gp)
         assert fix.value("s p") == TruthValue.FALSE
         assert fix.value("p (s p)") == TruthValue.FALSE
 
     def test_facts_only_program(self):
         gp = gp_of("type p : o.\ntype q : o.\ntype r : o.\np.\nq.\nr <- zz.\ntype zz : o.")
-        for J in (everything_undefined(gp), everything_false(gp)):
+        for J in (interpretation(gp), everything_false(gp)):
             fix, _ = theta_lfp(J, gp)
             assert fix.value("p") == TruthValue.TRUE
             assert fix.value("q") == TruthValue.TRUE
@@ -99,13 +98,13 @@ class TestThetaLfp:
 
     def test_negation_loop_all_undefined_in_first_stage(self):
         gp = gp_of(NONEXTENSIONAL, k=3, roots=["s q"])
-        fix, _ = theta_lfp(everything_undefined(gp), gp)
+        fix, _ = theta_lfp(interpretation(gp), gp)
         for key in ("s q", "q (s q)", "w (s q)"):
             assert fix.value(key) == TruthValue.UNDEFINED
 
     def test_inner_sequence_is_truth_increasing(self):
         gp = gp_of("type p : o.\ntype q : o.\ntype r : o.\np <- q, ~r.\nq.\nr <- r.")
-        J = everything_undefined(gp)
+        J = interpretation(gp)
         current = everything_false(gp)
         seen = [current]
         for _ in range(2 * len(gp.atoms) + 2):
@@ -125,7 +124,7 @@ class TestThetaLfp:
         false_in_j_true_inside = negated_undefined = 0
         for _ in range(400):
             gp = gp_of(random_ground_source(rng, n_atoms=rng.randint(2, 8)))
-            cp = gp.compiled
+            keys = tuple(gp.atoms)
             for _ in range(5):
                 drawn = {key: rng.choice(values) for key in gp.atoms}
                 J = interpretation(
@@ -135,14 +134,14 @@ class TestThetaLfp:
                 )
                 fix = theta_lfp(J, gp)
                 assert fix == naive_theta_lfp(J, gp), (gp.clauses, J)
-                for pos, neg in (rule for rules in cp.rules for rule in rules):
+                for pos, neg in (rule for rules in gp.rules for rule in rules):
                     false_in_j_true_inside += any(
-                        J.value(cp.keys[a]) == TruthValue.FALSE
-                        and fix[0].value(cp.keys[a]) == TruthValue.TRUE
+                        J.value(keys[a]) == TruthValue.FALSE
+                        and fix[0].value(keys[a]) == TruthValue.TRUE
                         for a in pos
                     )
                     negated_undefined += any(
-                        J.value(cp.keys[a]) == TruthValue.UNDEFINED for a in neg
+                        J.value(keys[a]) == TruthValue.UNDEFINED for a in neg
                     )
         # 791 and 1,238 rules with this seed
         assert false_in_j_true_inside >= 500 and negated_undefined >= 1000
@@ -197,8 +196,8 @@ class TestWellFoundedModel:
             {"true": ["p"], "false": ["r", "s"], "undefined": ["q"]},
             {"true": ["p"], "false": ["q", "r", "s"], "undefined": []},
         ]
-        assert gp.compiled.rules[gp.compiled.keys.index("s")] == ()
-        atom = gp.compiled.keys.index(key)
+        assert gp.rules[tuple(gp.atoms).index("s")] == ()
+        atom = tuple(gp.atoms).index(key)
         lfp, calls = wfs._lfp, []
 
         def corrupted(jv, records, uses):
@@ -394,9 +393,9 @@ class TestPossiblyTrueFilter:
         assert well_founded_model(gp) == well_founded_model(unfiltered)
         strat = stratify(program)
         if isinstance(strat, Stratification):
-            ls = localize(strat, gp)
-            assert perfect_model(gp, ls).stages == perfect_model(unfiltered, ls).stages
-        return sum(map(len, full.rules)) - sum(map(len, gp.compiled.rules))
+            strata = localize(strat, gp)
+            assert perfect_model(gp, strata).stages == perfect_model(unfiltered, strata).stages
+        return sum(map(len, full)) - sum(map(len, gp.rules))
 
     def test_bench_pools(self):
         workloads = bench_workloads()
