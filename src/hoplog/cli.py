@@ -36,7 +36,9 @@ from .wfs import well_founded_model
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
+    if path == "-":  # stdin's bytes are decoded as a file's, whatever the locale
+        if hasattr(sys.stdin, "buffer"):
+            return sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return fh.read()

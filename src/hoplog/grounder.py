@@ -386,7 +386,6 @@ class _Grounding:
         self.universe = Universe(program.signature)
         self.table: list[Expr] = []  # the atoms by id
         self.ids: dict[str, int] = {}
-        self.rules: list[list[Rule]] = []
         self.edges: dict[PredicateEdge, None] = {}
         self.clause_count = 0
         self._shapes, self._templates = {}, {}  # per shape, its template; per clause, it and a row
@@ -397,9 +396,8 @@ class _Grounding:
         self._uses: defaultdict[int, list] = defaultdict(list)
 
     def result(self, calls, heads=None, roots=()) -> GroundProgram:
-        self._solve()
         atoms = {atom.text: atom for atom in self.table}
-        return GroundProgram(atoms, tuple(map(tuple, self.rules)), tuple(self.edges),
+        return GroundProgram(atoms, self._solve(), tuple(self.edges),
                              lambda: _clauses(atoms, calls, heads, roots))
 
     def template(self, index: int) -> tuple[_Template, int]:
@@ -469,21 +467,22 @@ class _Grounding:
     def _admit(self, atom: Expr) -> int:  # the new atom's id
         i = self.ids[atom.text] = len(self.table)
         self.table.append(atom)
-        self.rules.append([])
         return i
 
-    def _solve(self) -> None:
-        """Add the rule of each live instance whose positive atoms are all possibly
-        true: in the least model of the live instances with their negated atoms
-        dropped.  No other rule fires in any stage of either engine.  Semi-naive:
-        instances without a positive atom come first; then each atom found
-        possibly true joins each tuple it gives a positive atom q with those the
-        call's other positive atoms take from atoms found before it, or from it
-        after q, so an instance is built once, with its last positive atom; a
-        one-instance call counts them.  A rule's ids come from the projections."""
-        rules, live, uses = self.rules, self._live, self._uses
+    def _solve(self) -> tuple:
+        """The rules per atom id: one for each live instance whose positive atoms
+        are all possibly true, in the least model of the live instances with
+        their negated atoms dropped.  No other rule fires in any stage of either
+        engine.  Semi-naive: instances without a positive atom come first; then
+        each atom found possibly true joins each tuple it gives a positive atom q
+        with those the call's other positive atoms take from atoms found before
+        it, or from it after q, so an instance is built once, with its last
+        positive atom; a one-instance call counts them.  A rule's ids come from
+        the projections.  An atom gets a list with its first rule, when it is
+        found possibly true; every other atom keeps the empty tuple."""
+        live, uses = self._live, self._uses
+        rules = [()] * len(self.table)
         indexes: dict[tuple, dict] = {}  # (call, positive atom, key positions) -> tuples by key
-        possible = bytearray(len(rules))
         pending = [len(t.pos) for t, *_ in live]  # positive atoms not yet found, per call
         queue: deque[int] = deque()
 
@@ -499,10 +498,10 @@ class _Grounding:
                 if t.checks and any(x.format(*values) != y.format(*values) for x, y in t.checks):
                     continue
                 h, *neg = [at[i][key(values)] if key else at[i] for i, key in t.looked_up]
-                rules[h].append((pos_ids, tuple(neg)))
-                if not possible[h]:
-                    possible[h] = 1
+                if not rules[h]:  # h is found possibly true
+                    rules[h] = []
                     queue.append(h)
+                rules[h].append((pos_ids, tuple(neg)))
 
         for c, (t, *_) in enumerate(live):  # the instances without a positive atom
             if not t.pos:
@@ -527,6 +526,7 @@ class _Grounding:
                 for f, v in zip(t.literals[t.pos[q]][1], tup):
                     values[f] = v
                 _join(fire, indexes, c, t.plans[q], values, [a] * len(t.pos), a, q)
+        return tuple(map(tuple, rules))
 
 
 def _join(fire, indexes: dict, c: int, steps, values: list, pos_ids: list, a: int, q: int) -> None:

@@ -37,15 +37,21 @@ class Interned(FrozenRecord):
     Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
     hash-consing", 2006): constructing a node returns the one live node of
     its class with the same fields, so equal nodes are identical and ``==``
-    is ``is``.  Each node computes, once and from its children's fields:
+    is ``is``.  A node stores, computed once from its children's fields:
 
     * ``text``: its canonical printing, deterministic and re-parseable;
     * ``atomic``: the same, parenthesized when it would not re-parse as one
-      argument;
+      argument.  A leaf's is its ``text``, the same string.  An ``App``
+      derives its own each time it is read, and leaves the slot empty;
     * ``size``: its size (see ``TypeExpr`` and ``Expr``);
-    * its hash: the hash of its fields, never of its address.
+    * its hash: the hash of its fields, never of its address, computed when
+      the node is built.  An ``App`` computes it the first time it is asked
+      for and keeps it; its slot holds None until then.
 
-    So printing, sizing, hashing and comparing a node never recurse.  Each
+    So printing, sizing and comparing a node never recurse.  Hashing one
+    recurses only through applications not hashed before, which the nesting
+    cap (``parser.MAX_NESTING``) keeps at most 100 deep in a parsed program
+    and its groundings; a ``FunApp`` chain of any depth hashes at once.  Each
     class's intern table maps a key to a weak reference to the node: a node
     lives exactly as long as something else refers to it, and then its
     reference's callback drops its entry.  A leaf's key is its fields.  A
@@ -224,7 +230,12 @@ class Expr(Interned):
     left-associatively by juxtaposition, with minimal parentheses; ``~``
     binds a single argument and ``=`` joins two individual terms.  ``size``
     counts the occurrences of constants, function symbols and predicate
-    constants.
+    constants.  Every node stores ``text`` and ``size``.  Each also stores
+    ``atomic`` and its hash, except an ``App``: an atom is almost never an
+    argument, and most atoms of a grounding are never hashed, so an ``App``
+    derives ``atomic`` when it is read and its hash when first asked for.
+    A ``FunApp`` stores both, since universe terms are printed as arguments
+    again and again, and a chain of them can be thousands deep.
     """
 
     __slots__ = ()
@@ -308,10 +319,24 @@ class App(Expr):
         key = id(op) << 64 | id(arg)
         ref = cls._table.get(key)
         if ref is None or (node := ref()) is None:
-            # op's text already prints the rest of the spine
-            text = f"{op.text} {arg.atomic}"
-            node = cls._intern(key, (op, arg), text, f"({text})", op.size + arg.size)
+            node = object.__new__(cls)
+            _set(node, "op", op)
+            _set(node, "arg", arg)
+            _set(node, "_hash", None)
+            _set(node, "text", f"{op.text} {arg.atomic}")  # op's text prints the rest of the spine
+            _set(node, "size", op.size + arg.size)
+            ref = cls._table[key] = _Ref(node, cls._drop)
+            ref.key = key
         return node
+
+    @property
+    def atomic(self) -> str:
+        return f"({self.text})"
+
+    def __hash__(self):
+        if self._hash is None:  # asked for the first time
+            _set(self, "_hash", hash((self.op, self.arg)))
+        return self._hash
 
     @property
     def typ(self) -> TypeExpr:
@@ -424,9 +449,17 @@ def instance_builder(e: Expr, fields: Mapping[str, int]) -> Callable[[Sequence[E
     if isinstance(e, FunApp):
         args = [instance_builder(a, fields) for a in e.args]
         return lambda values: FunApp(e.fun, tuple([a(values) for a in args]))
-    if isinstance(e, App):
-        op, arg = instance_builder(e.op, fields), instance_builder(e.arg, fields)
-        return lambda values: App(op(values), arg(values))
+    if isinstance(e, App):  # the whole spine in one loop, not a closure per application
+        lead, args = spine(e)
+        head, parts = instance_builder(lead, fields), [instance_builder(a, fields) for a in args]
+
+        def build(values):
+            out = head(values)
+            for part in parts:
+                out = App(out, part(values))
+            return out
+
+        return build
     return lambda values: e
 
 

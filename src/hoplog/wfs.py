@@ -91,8 +91,10 @@ def _head_value(
 
 
 def _to_interp(values: list[TruthValue], gp: GroundProgram) -> PartialInterpretation:
-    return interpretation(gp, [k for k, v in zip(gp.atoms, values) if v == _TRUE],
-                          [k for k, v in zip(gp.atoms, values) if v == _FALSE])
+    split = ([], [], [])  # the keys valued false, undefined and true, in one pass
+    for k, v in zip(gp.atoms, values):
+        split[v].append(k)
+    return interpretation(gp, split[_TRUE], split[_FALSE])
 
 
 def theta_step(
@@ -104,18 +106,22 @@ def theta_step(
     return _to_interp([_head_value(rules, jv, iv) for rules in gp.rules], gp)
 
 
-def occurrences(gp: GroundProgram) -> tuple[list[list], list[list[list]]]:
+def occurrences(gp: GroundProgram) -> tuple[list[list], list]:
     """A record ``[head, need_true, need_defined, positive ids, negative
     ids]`` per rule, counters unset, and per atom id the records of the
-    rules that hold it positively, once per occurrence."""
-    uses: list[list[list]] = [[] for _ in gp.rules]
+    rules that hold it positively, once per occurrence: a list only for an
+    atom that some rule holds so, the empty tuple for any other."""
+    uses = [()] * len(gp.rules)
     records = []
-    for h, rules in enumerate(gp.rules):
-        for pos, neg in rules:
+    for h in compress(range(len(gp.rules)), gp.rules):  # the heads of rules
+        for pos, neg in gp.rules[h]:
             rule = [h, -1, -1, pos, neg]
             records.append(rule)
             for a in pos:
-                uses[a].append(rule)
+                if uses[a]:
+                    uses[a].append(rule)
+                else:
+                    uses[a] = [rule]
     return records, uses
 
 

@@ -115,13 +115,33 @@ class TestUndecodableInput:
         assert capsys.readouterr() == from_file
         assert from_file.out == "" and json.loads(from_file.err)["rule"] == "ParseError"
 
-    def test_strictly_decoded_stdin_exits_one(self, monkeypatch, capsys):
-        stdin = io.TextIOWrapper(io.BytesIO(self.DATA), encoding="utf-8", errors="strict")
-        monkeypatch.setattr(sys, "stdin", stdin)
-        assert main(["check", "-"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "can't decode byte 0xff" in json.loads(captured.err)["error"]
+    def test_stdin_wrapper_of_any_encoding_gives_the_files_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "bad.hop"
+        path.write_bytes(self.DATA)
+        assert main(["check", str(path)]) == 1
+        from_file = capsys.readouterr()
+        assert json.loads(from_file.err)["rule"] == "ParseError"
+        for encoding, errors in [("utf-8", "strict"), ("latin-1", "strict"), ("ascii", "replace")]:
+            stdin = io.TextIOWrapper(io.BytesIO(self.DATA), encoding=encoding, errors=errors)
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert main(["check", "-"]) == 1
+            assert capsys.readouterr() == from_file
+
+    def test_valid_utf8_from_stdin_under_a_latin1_locale(self, tmp_path):
+        data = "type café : o.\ncafé.\n".encode()
+        path = tmp_path / "cafe.hop"
+        path.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=str(Path(hoplog.__file__).resolve().parents[1]),
+                   PYTHONIOENCODING="latin-1")
+        runs = [subprocess.run([sys.executable, "-m", "hoplog.cli", "wfs", name, "--depth", "1"],
+                               input=data, env=env, capture_output=True, timeout=60)
+                for name in (str(path), "-")]
+        for done in runs:
+            assert done.returncode == 0 and done.stderr == b""
+        assert runs[0].stdout == runs[1].stdout
+        assert json.loads(runs[0].stdout.decode("latin-1"))["model"]["true"] == ["café"]
 
 
 def _parens(n: int, inner: str) -> str:

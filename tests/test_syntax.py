@@ -1,15 +1,16 @@
 """Core syntax: types, printing, substitution, free variables, interning."""
 
 import gc
+import itertools
 import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hoplog.errors import TypeMismatch, UnboundSymbol
+from hoplog.errors import ParseError, TypeMismatch, UnboundSymbol
 from hoplog.grounder import Universe, argument_types
-from hoplog.parser import parse_program, parse_type
+from hoplog.parser import MAX_NESTING, parse_program, parse_type
 from hoplog.programs import CORPUS, DEMOS
 from hoplog.syntax import (
     IOTA,
@@ -27,9 +28,12 @@ from hoplog.syntax import (
     PredConst,
     PredVar,
     TypeExpr,
+    build_spine,
+    instance_builder,
     is_argument_type,
     is_functional_type,
     is_predicate_type,
+    spine,
     type_geq,
     vars_in_order,
 )
@@ -318,31 +322,42 @@ def _random_program_terms():
 
 
 class TestInterning:
-    """Each node carries its printing, size and hash, computed once at
-    construction; these must agree with the recursive reference printer and
-    sizer, and equal structures must be one node."""
+    """Each node carries its printing, size and hash, computed once (an
+    ``App``'s ``atomic`` text on each read, and its hash when first asked
+    for); these must agree with the recursive reference printer and sizer,
+    the hash with that of the node's fields before and after the first
+    hash, and equal structures must be one node."""
 
-    def assert_agree(self, terms):
+    def assert_agree(self, terms) -> tuple[set, set]:
+        """The classes met, and those met before their first hash."""
         terms = list(terms)
         assert terms
         by_structure: dict[tuple, Expr] = {}
+        met, unhashed = set(), set()
         for e in terms:
+            met.add(type(e))
+            if e._hash is None:
+                unhashed.add(type(e))
             assert e.text == reference_print(e)
-            assert e.atomic == reference_atomic(e)
+            assert e.atomic == reference_atomic(e) == e.atomic  # an App's, derived twice
             assert e.size == reference_size(e)
             assert hash(e) == hash(_fields(e))
+            assert hash(e) == e._hash  # kept after the first hash
             s = _structure(e)
             assert by_structure.setdefault(s, e) is e
             again = _rebuild(s)
             assert again is e and again == e and hash(again) == hash(e)
         for s, e in by_structure.items():
             assert [x == e for x in by_structure.values()].count(True) == 1
+        return met, unhashed
 
     def test_corpus_universes(self):
-        self.assert_agree(_corpus_universe_terms())
+        _, unhashed = self.assert_agree(_corpus_universe_terms())
+        assert unhashed == {App}
 
     def test_random_program_terms(self):
-        self.assert_agree(_random_program_terms())
+        met, unhashed = self.assert_agree(_random_program_terms())
+        assert {FunApp, App, Neg, Eq} <= met and unhashed == {App}
 
     def test_same_name_different_type_are_distinct(self):
         assert PredConst("p", IO) is not PredConst("p", O_O)
@@ -408,6 +423,72 @@ class TestInterning:
         assert t.size == 5001
         assert t.text.count("(") == 4999
         assert {t: 1}[again] == 1
+        atom = App(PredConst("q", IO), t)  # its hash is its first, over the chain's stored one
+        assert atom._hash is None and hash(atom) == hash((atom.op, t))
+
+
+class TestDerivedFields:
+    """An ``App`` derives ``atomic`` each time it is read and its hash the
+    first time it is asked for; the other compound classes store both
+    (``TestInterning`` checks the values on the corpus and random terms)."""
+
+    def test_only_an_application_defers_its_hash(self):
+        q = PredConst("derived_probe_q", Arrow(IOTA, Arrow(IOTA, OMICRON)))
+        a, b = IndConst("derived_probe_a"), IndConst("derived_probe_b")
+        t = FunApp("derived_probe_f", (a, b))
+        atom = App(App(q, a), t)
+        assert atom._hash is None and atom.op._hash is None
+        for node in (t, Eq(t, a), a, q):
+            assert node._hash == hash(_fields(node))
+        assert atom._hash is None and atom.op._hash is None
+        negated = Neg(atom)  # its stored hash is its atom's first
+        assert atom._hash == hash((atom.op, atom.arg)) and atom.op._hash == hash((q, a))
+        assert negated._hash == hash((atom,))
+        assert atom.atomic == f"({atom.text})" and t.atomic == f"({t.text})"
+
+    def test_unhashed_node_pickles_back_to_itself(self):
+        q = PredConst("pickle_probe_q", Arrow(IOTA, Arrow(IOTA, OMICRON)))
+        atom = App(App(q, IndConst("pickle_probe_a")), IndConst("pickle_probe_b"))
+        assert atom._hash is None
+        again = pickle.loads(pickle.dumps(atom))
+        assert again is atom and again._hash is None
+        assert hash(again) == hash((atom.op, atom.arg))
+        assert pickle.loads(pickle.dumps(atom)) is atom
+
+    def test_deepest_application_hashes_without_recursion(self):
+        typ = parse_type("i -> " * MAX_NESTING + "o")
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_type("i -> " * (MAX_NESTING + 1) + "o")
+        args = [IndConst(f"deep_probe_c{i}") for i in range(MAX_NESTING)]
+        atom = build_spine(PredConst("deep_probe_p", typ), args)
+        assert atom._hash is None and atom.size == MAX_NESTING + 1
+        assert hash(atom) == hash((atom.op, atom.arg))
+        assert {atom: 1}[build_spine(PredConst("deep_probe_p", typ), args)] == 1
+
+    def test_one_loop_builder_matches_build_spine(self):
+        """Every atom literal of the corpus, built from field values by its
+        ``instance_builder``, is the node ``build_spine`` rebuilds from its
+        instantiated head and arguments."""
+        checked = 0
+        for entry in CORPUS:
+            program = load(entry.source)
+            universe = Universe(program.signature)
+            for clause in program.clauses:
+                variables = clause.variables()
+                fields = {v.name: i for i, v in enumerate(variables)}
+                domains = [universe.terms(v.typ, 2) for v in variables]
+                atoms = [lit.atom if isinstance(lit, Neg) else lit
+                         for lit in (clause.head_atom(), *clause.body) if not isinstance(lit, Eq)]
+                for atom in atoms:
+                    lead, args = spine(atom)
+                    build = instance_builder(atom, fields)
+                    for values in itertools.islice(itertools.product(*domains), 40):
+                        theta = {v.name: x for v, x in zip(variables, values)}
+                        expected = build_spine(apply_substitution(lead, theta),
+                                               [apply_substitution(a, theta) for a in args])
+                        assert build(values) is expected
+                        checked += 1
+        assert checked > 300  # not vacuous
 
 
 def _same_children(node, fields: tuple) -> bool:
