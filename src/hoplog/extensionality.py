@@ -57,24 +57,6 @@ class Witness(Record):
 
     __slots__ = ("rho", "term", "pair", "lhs_atom", "rhs_atom", "lhs_value", "rhs_value")
 
-    def __init__(
-        self,
-        rho: str,
-        term: str,
-        pair: tuple[str, str],
-        lhs_atom: str,
-        rhs_atom: str,
-        lhs_value: str,
-        rhs_value: str,
-    ) -> None:
-        self.rho = rho
-        self.term = term
-        self.pair = pair
-        self.lhs_atom = lhs_atom
-        self.rhs_atom = rhs_atom
-        self.lhs_value = lhs_value
-        self.rhs_value = rhs_value
-
     def to_json_dict(self) -> dict:
         return {
             "type": self.rho,
@@ -89,11 +71,6 @@ class Witness(Record):
 
 class UnknownItem(Record):
     __slots__ = ("rho", "term", "reason")
-
-    def __init__(self, rho: str, term: str, reason: str) -> None:
-        self.rho = rho
-        self.term = term
-        self.reason = reason
 
     def to_json_dict(self) -> dict:
         return {"type": self.rho, "term": self.term, "reason": self.reason}

@@ -39,7 +39,7 @@ from collections.abc import Callable
 from operator import attrgetter, itemgetter
 
 from .errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
-from .records import FrozenRecord, Record, _set, built_when_read
+from .records import FrozenRecord, Record, built_when_read
 from .syntax import (
     IOTA,
     Arrow,
@@ -96,28 +96,19 @@ class ConstLit(FrozenRecord):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: bool) -> None:
-        _set(self, "value", value)
-
     @property
     def text(self) -> str:
         return "true" if self.value else "false"
 
 
 class GroundClause(FrozenRecord):
-    __slots__ = ("head", "body", "source_index", "theta")
+    """A ground instance of a source clause.  ``head`` is its ground atom;
+    each of ``body`` is an atom, its ``Neg``, or a ``ConstLit``.
+    ``source_index`` is the source clause's position in the program, and
+    ``theta`` the substitution that produced the instance, as
+    ``(variable name, ground term)`` pairs."""
 
-    def __init__(
-        self,
-        head: Expr,  # the ground atom
-        body: tuple[Expr | ConstLit, ...],  # each an atom, its Neg, or a ConstLit
-        source_index: int,  # clause position in the source program
-        theta: tuple[tuple[str, Expr], ...],  # substitution that produced the instance
-    ) -> None:
-        _set(self, "head", head)
-        _set(self, "body", body)
-        _set(self, "source_index", source_index)
-        _set(self, "theta", theta)
+    __slots__ = ("head", "body", "source_index", "theta")
 
     def __str__(self) -> str:
         if not self.body:
@@ -137,10 +128,12 @@ PredicateEdge = tuple[str, str, bool]
 class GroundProgram(Record):
     """A finite propositional program over an atom table.
 
-    ``rules`` is the integer form both engines run on.  Atom ids follow the
-    atom table's order.  ``rules[h]`` lists one ``(positive ids, negative
-    ids)`` pair per live instance with head h whose positive atoms can all
-    be true; ``true`` literals are stripped, so no rule carries a resolved
+    ``atoms`` is the atom table, a dict from an atom's text to the atom, in
+    insertion order.  ``rules`` is the integer form both engines run on, a
+    tuple of ``Rule`` tuples per atom id.  Atom ids follow the atom table's
+    order.  ``rules[h]`` lists one ``(positive ids, negative ids)`` pair per
+    live instance with head h whose positive atoms can all be true;
+    ``true`` literals are stripped, so no rule carries a resolved
     equality.  ``predicate_edges`` holds each ``PredicateEdge`` of some
     instance, dead ones included, once, in order of first appearance;
     ``localize`` checks strata on it.  ``clauses`` lists every instance,
@@ -152,18 +145,6 @@ class GroundProgram(Record):
     __slots__ = ("atoms", "rules", "predicate_edges", "_clauses")
     _fields = ("atoms", "rules", "predicate_edges", "clauses")
     clauses = built_when_read("_clauses")
-
-    def __init__(
-        self,
-        atoms: dict[str, Expr],  # the atom table by text, insertion-ordered
-        rules: tuple[tuple[Rule, ...], ...],  # per atom id
-        predicate_edges: tuple[PredicateEdge, ...],
-        clauses: tuple[GroundClause, ...] | Callable[[], tuple[GroundClause, ...]],
-    ) -> None:
-        self.atoms = atoms
-        self.rules = rules
-        self.predicate_edges = predicate_edges
-        self._clauses = clauses
 
 
 # ---------------------------------------------------------------------------

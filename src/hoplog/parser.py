@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .errors import DuplicateDeclaration, ParseError
-from .records import FrozenRecord, Record, _set
+from .records import FrozenRecord, Record
 from .syntax import IOTA, OMICRON, Arrow, TypeExpr
 
 RESERVED = ("type",)
@@ -48,21 +48,12 @@ class RawName(FrozenRecord):
     __slots__ = ("name", "pos")
     args = ()
 
-    def __init__(self, name: str, pos: int) -> None:
-        _set(self, "name", name)
-        _set(self, "pos", pos)
-
 
 class RawApp(FrozenRecord):
     """A spine: ``name args[0] ... args[n-1]``, a name applied to one or
     more arguments.  ``pos`` is the name's offset."""
 
     __slots__ = ("name", "args", "pos")
-
-    def __init__(self, name: str, args: tuple[RawSpine, ...], pos: int) -> None:
-        _set(self, "name", name)
-        _set(self, "args", args)
-        _set(self, "pos", pos)
 
 
 RawSpine = "RawName | RawApp"
@@ -71,18 +62,9 @@ RawSpine = "RawName | RawApp"
 class RawNeg(FrozenRecord):
     __slots__ = ("atom", "pos")
 
-    def __init__(self, atom: RawSpine, pos: int) -> None:
-        _set(self, "atom", atom)
-        _set(self, "pos", pos)
-
 
 class RawEq(FrozenRecord):
     __slots__ = ("lhs", "rhs", "pos")
-
-    def __init__(self, lhs: RawSpine, rhs: RawSpine, pos: int) -> None:
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "pos", pos)
 
 
 RawLiteral = "RawSpine | RawNeg | RawEq"
@@ -91,19 +73,9 @@ RawLiteral = "RawSpine | RawNeg | RawEq"
 class RawClause(FrozenRecord):
     __slots__ = ("head", "body", "pos")
 
-    def __init__(self, head: RawSpine, body: tuple[RawLiteral, ...], pos: int) -> None:
-        _set(self, "head", head)
-        _set(self, "body", body)
-        _set(self, "pos", pos)
-
 
 class Declaration(FrozenRecord):
     __slots__ = ("name", "typ", "pos")
-
-    def __init__(self, name: str, typ: TypeExpr, pos: int) -> None:
-        _set(self, "name", name)
-        _set(self, "typ", typ)
-        _set(self, "pos", pos)
 
 
 class SourceProgram(Record):

@@ -29,12 +29,11 @@ dead clauses too.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 
 from .errors import LocalStratificationViolation, NotIncreasing
 from .grounder import GroundProgram
 from .interp import PartialInterpretation, interpretation
-from .records import FrozenRecord, _set, built_when_read
+from .records import FrozenRecord, built_when_read
 from .syntax import Eq, Expr, Neg, PredConst, PredVar, spine, type_geq
 from .typecheck import Program
 from .wfs import occurrences
@@ -50,10 +49,6 @@ class Stratification(FrozenRecord):
 
     __slots__ = ("strata", "index")
 
-    def __init__(self, strata: tuple[tuple[str, ...], ...], index: dict[str, int]) -> None:
-        _set(self, "strata", strata)
-        _set(self, "index", index)
-
     @property
     def count(self) -> int:
         return len(self.strata)
@@ -63,10 +58,6 @@ class Unstratifiable(FrozenRecord):
     """Witness: a dependency cycle that passes through a strict edge."""
 
     __slots__ = ("cycle", "strict_edge")
-
-    def __init__(self, cycle: tuple[str, ...], strict_edge: tuple[str, str]) -> None:
-        _set(self, "cycle", cycle)
-        _set(self, "strict_edge", strict_edge)
 
 
 def _literal_sources(lit: Expr, program: Program) -> tuple[tuple[str, ...], bool]:
@@ -209,14 +200,6 @@ class PerfectResult(FrozenRecord):
     __slots__ = ("model", "_stages")
     _fields = ("model", "stages")
     stages = built_when_read("_stages")
-
-    def __init__(
-        self,
-        model: PartialInterpretation,
-        stages: tuple[PartialInterpretation, ...] | Callable[[], tuple[PartialInterpretation, ...]],
-    ) -> None:
-        _set(self, "model", model)
-        _set(self, "_stages", stages)
 
     @property
     def strata_used(self) -> int:

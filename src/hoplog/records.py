@@ -6,8 +6,10 @@ not begin with ``_``, in the order its ``__init__`` takes them; a slot whose
 name begins with ``_`` holds a value derived from the fields, or a cache.
 A class whose field is a property, built the first time it is read
 (``built_when_read``), names its fields in ``_fields`` itself.
-Each record class writes its own ``__init__`` and takes everything else
-from here, so defining one runs no generated code at import time.
+``Record.__init__`` stores one positional argument per own slot, in
+``__slots__`` order, so each field's place is stated once.  Only a class
+that checks or defaults its arguments writes its own ``__init__``.  Defining
+a record runs no generated code at import time.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ class Record:
                 name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_")
             )
 
+    def __init__(self, *values, **keywords) -> None:
+        """Store one positional argument per own slot, in ``__slots__`` order."""
+        slots = self.__slots__
+        if keywords or len(values) != len(slots):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(slots)} positional arguments "
+                f"({', '.join(self._fields)}): got {len(values)}, and {len(keywords)} by keyword"
+            )
+        for name, value in zip(slots, values):
+            _set(self, name, value)
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
@@ -67,7 +80,7 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """An immutable record, hashed by its fields.  Its ``__init__`` sets
+    """An immutable record, hashed by its fields.  An ``__init__`` sets
     each slot with ``object.__setattr__``."""
 
     __slots__ = ()

@@ -41,8 +41,10 @@ class Interned(FrozenRecord):
 
     * ``text``: its canonical printing, deterministic and re-parseable;
     * ``atomic``: the same, parenthesized when it would not re-parse as one
-      argument.  A leaf's is its ``text``, the same string.  An ``App``
-      derives its own each time it is read, and leaves the slot empty;
+      argument.  A leaf's is its ``text``, the same string.  An ``App`` has
+      no ``atomic`` slot: it derives its own each time it is read.  The
+      slot is declared below ``Interned``, on ``TypeExpr`` and on
+      ``_StoredAtomic``, the base of every other expression class;
     * ``size``: its size (see ``TypeExpr`` and ``Expr``);
     * its hash: the hash of its fields, never of its address, computed when
       the node is built.  An ``App`` computes it the first time it is asked
@@ -61,12 +63,14 @@ class Interned(FrozenRecord):
     dropped before they can be freed: an address in a live key belongs to
     the child it was taken from.  The tables take no lock, so nodes must be
     built from one thread at a time.  A subclass's ``__slots__`` are its
-    fields, in constructor order; ``Interned``'s own slots hold the values
-    derived from them.
+    fields, in constructor order; ``Interned``'s own slots, and ``atomic``,
+    hold the values derived from them.  A node is built by its class's
+    ``__new__``, so no Python-level ``__init__`` runs after it.
     """
 
-    __slots__ = ("_hash", "text", "atomic", "size", "__weakref__")
+    __slots__ = ("_hash", "text", "size", "__weakref__")
     __eq__ = object.__eq__
+    __init__ = object.__init__
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -118,7 +122,8 @@ class TypeExpr(Interned):
     """Base class for type expressions; a type's size counts its arrows and
     base types."""
 
-    __slots__ = ()
+    __slots__ = ("atomic",)
+    _fields = ()  # atomic is derived, not a field
 
     def __str__(self) -> str:
         return self.text
@@ -233,9 +238,10 @@ class Expr(Interned):
     constants.  Every node stores ``text`` and ``size``.  Each also stores
     ``atomic`` and its hash, except an ``App``: an atom is almost never an
     argument, and most atoms of a grounding are never hashed, so an ``App``
-    derives ``atomic`` when it is read and its hash when first asked for.
-    A ``FunApp`` stores both, since universe terms are printed as arguments
-    again and again, and a chain of them can be thousands deep.
+    has no ``atomic`` slot, derives ``atomic`` when it is read, and computes
+    its hash when first asked for.  A ``FunApp`` stores both, since universe
+    terms are printed as arguments again and again, and a chain of them can
+    be thousands deep.
     """
 
     __slots__ = ()
@@ -245,7 +251,15 @@ class Expr(Interned):
         raise NotImplementedError
 
 
-class IndConst(Expr):
+class _StoredAtomic(Expr):
+    """Base class of every expression class but ``App``: one that stores
+    its ``atomic`` text."""
+
+    __slots__ = ("atomic",)
+    _fields = ()  # atomic is derived, not a field
+
+
+class IndConst(_StoredAtomic):
     __slots__ = ("name",)
 
     def __new__(cls, name: str) -> IndConst:
@@ -257,7 +271,7 @@ class IndConst(Expr):
         return IOTA
 
 
-class PredConst(Expr):
+class PredConst(_StoredAtomic):
     __slots__ = ("name", "ptype")
 
     def __new__(cls, name: str, ptype: TypeExpr) -> PredConst:
@@ -269,7 +283,7 @@ class PredConst(Expr):
         return self.ptype
 
 
-class IndVar(Expr):
+class IndVar(_StoredAtomic):
     __slots__ = ("name",)
 
     def __new__(cls, name: str) -> IndVar:
@@ -281,7 +295,7 @@ class IndVar(Expr):
         return IOTA
 
 
-class PredVar(Expr):
+class PredVar(_StoredAtomic):
     __slots__ = ("name", "ptype")
 
     def __new__(cls, name: str, ptype: TypeExpr) -> PredVar:
@@ -293,7 +307,7 @@ class PredVar(Expr):
         return self.ptype
 
 
-class FunApp(Expr):
+class FunApp(_StoredAtomic):
     __slots__ = ("fun", "args")
 
     def __new__(cls, fun: str, args: tuple[Expr, ...]) -> FunApp:
@@ -346,7 +360,7 @@ class App(Expr):
         return optype.result
 
 
-class Neg(Expr):
+class Neg(_StoredAtomic):
     __slots__ = ("atom",)
 
     def __new__(cls, atom: Expr) -> Neg:
@@ -362,7 +376,7 @@ class Neg(Expr):
         return OMICRON
 
 
-class Eq(Expr):
+class Eq(_StoredAtomic):
     __slots__ = ("lhs", "rhs")
 
     def __new__(cls, lhs: Expr, rhs: Expr) -> Eq:
@@ -520,13 +534,6 @@ class Clause(FrozenRecord):
     """head_pred V1 ... Vn <- L1, ..., Lm with pairwise-distinct variable formals."""
 
     __slots__ = ("head_pred", "formals", "body")
-
-    def __init__(
-        self, head_pred: PredConst, formals: tuple[Var, ...], body: tuple[Expr, ...]
-    ) -> None:
-        _set(self, "head_pred", head_pred)
-        _set(self, "formals", formals)
-        _set(self, "body", body)
 
     def head_atom(self) -> Expr:
         return build_spine(self.head_pred, list(self.formals))

@@ -34,7 +34,7 @@ from .parser import (
     parse_program,
     position,
 )
-from .records import FrozenRecord, _set
+from .records import FrozenRecord
 from .syntax import (
     IOTA,
     OMICRON,
@@ -65,10 +65,6 @@ class Program(FrozenRecord):
     """A checked program: signature plus typed clauses."""
 
     __slots__ = ("signature", "clauses")
-
-    def __init__(self, signature: Signature, clauses: tuple[Clause, ...]) -> None:
-        _set(self, "signature", signature)
-        _set(self, "clauses", clauses)
 
     def to_source(self) -> str:
         """Canonical source text; parsing it back yields an equal Program."""

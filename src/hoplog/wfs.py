@@ -28,14 +28,13 @@ values, so the stages and round counts are those of naive iteration of
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from itertools import compress
 from operator import ne
 
 from .errors import NotIncreasing
 from .grounder import GroundProgram, Rule
 from .interp import PartialInterpretation, TruthValue, interpretation
-from .records import FrozenRecord, _set, built_when_read
+from .records import FrozenRecord, built_when_read
 
 
 class ThetaTrace(FrozenRecord):
@@ -47,14 +46,6 @@ class ThetaTrace(FrozenRecord):
     _fields = ("stages", "inner_lengths")
     stages = built_when_read("_stages")
 
-    def __init__(
-        self,
-        stages: tuple[PartialInterpretation, ...] | Callable[[], tuple[PartialInterpretation, ...]],
-        inner_lengths: tuple[int, ...],
-    ) -> None:
-        _set(self, "_stages", stages)
-        _set(self, "inner_lengths", inner_lengths)
-
     @property
     def fixpoint_stage(self) -> int:
         return len(self.inner_lengths) - 1
@@ -62,10 +53,6 @@ class ThetaTrace(FrozenRecord):
 
 class WfsResult(FrozenRecord):
     __slots__ = ("model", "trace")
-
-    def __init__(self, model: PartialInterpretation, trace: ThetaTrace) -> None:
-        _set(self, "model", model)
-        _set(self, "trace", trace)
 
 
 _FALSE, _UNDEFINED, _TRUE = TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE

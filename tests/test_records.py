@@ -1,10 +1,13 @@
 """The shared record base: every record class against the behaviour its
 ``@dataclass`` form had, field by field."""
 
+import ast
 import pickle
+from pathlib import Path
 
 import pytest
 
+import hoplog
 import hoplog.cli  # noqa: F401  (imports every module that defines a record)
 from hoplog.extensionality import ExtReport, UnknownItem, Witness
 from hoplog.grounder import ConstLit, GroundClause, GroundProgram, ground_instantiation
@@ -353,3 +356,89 @@ def test_lazy_stages_match_the_eager_form(cls):
 def test_records_of_a_loaded_program_pickle():
     program = load("type q : i -> o.\ntype f : i -> i.\nq X <- X = a.")
     assert pickle.loads(pickle.dumps(program)) == program
+
+
+# The record classes whose ``__init__`` is the shared one: each stores one
+# positional argument per own slot, in ``__slots__`` order.
+SHARED_INIT = [cls for cls in SAMPLES if cls.__init__ is Record.__init__]
+
+
+def test_only_classes_that_check_or_default_write_an_init():
+    own = {cls for cls in SAMPLES if cls not in SHARED_INIT and not issubclass(cls, Interned)}
+    assert own == {PartialInterpretation, Signature, ExtReport, SourceProgram, CorpusEntry}
+    assert len(SHARED_INIT) == 18
+
+
+@pytest.mark.parametrize("cls", SHARED_INIT, ids=lambda cls: cls.__name__)
+def test_shared_init_refuses_a_wrong_call(cls):
+    values = SAMPLES[cls][0]()._values()
+    assert repr(cls(*values)) == SAMPLES[cls][1]
+    last = cls._fields[-1]
+    for args, keywords in [
+        (values[:-1], {}),
+        (values + (None,), {}),
+        (values[:-1], {last: values[-1]}),
+    ]:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) takes {len(values)} ") as err:
+            cls(*args, **keywords)
+        assert ", ".join(cls._fields) in str(err.value)
+
+
+def test_interned_nodes_run_no_python_init():
+    todo, seen = [Interned], []
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert len(seen) > 10
+    assert all(cls.__init__ is object.__init__ for cls in seen)
+
+
+def _stores_only_its_parameters(init: ast.FunctionDef) -> bool:
+    """Whether ``init`` takes no defaults and its body, past a docstring,
+    only stores its parameters on ``self``: the ``__init__`` that
+    ``Record.__init__`` makes unnecessary."""
+    args = init.args
+    if args.defaults or args.kw_defaults or args.vararg or args.kwarg or args.kwonlyargs:
+        return False
+    params = {a.arg for a in args.args[1:]}
+    body = init.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):  # self.name = param
+            target, value = stmt.targets[0], stmt.value
+            stored = isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):  # _set(self, "name", param)
+            call = stmt.value
+            value = call.args[-1] if len(call.args) == 3 else None
+            stored = ast.unparse(call.func) in ("_set", "object.__setattr__")
+        else:
+            return False
+        if not (stored and isinstance(value, ast.Name) and value.id in params):
+            return False
+    return bool(body)
+
+
+def test_no_record_writes_an_init_that_only_stores_its_arguments():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(hoplog.__file__).parent.glob("*.py")]
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    records, grew = {"Record"}, True
+    while grew:  # every class with a record among its bases, by name
+        found = {c.name for c in classes if any(ast.unparse(b) in records for b in c.bases)}
+        grew, records = not found <= records, records | found
+    assert {"FrozenRecord", "Interned", "App", "Witness", "GroundProgram"} <= records
+    boilerplate = [
+        c.name for c in classes if c.name in records
+        for f in c.body
+        if isinstance(f, ast.FunctionDef) and f.name == "__init__" and _stores_only_its_parameters(f)
+    ]
+    assert boilerplate == []
+    for text, expected in [
+        ("def __init__(self, a, b):\n    _set(self, 'a', a)\n    self.b = b", True),
+        ('def __init__(self, a):\n    "Doc."\n    object.__setattr__(self, "a", a)', True),
+        ("def __init__(self, a, b=None):\n    self.a = a\n    self.b = b", False),
+        ("def __init__(self, a):\n    self.a = list(a)", False),
+    ]:
+        assert _stores_only_its_parameters(ast.parse(text).body[0]) is expected

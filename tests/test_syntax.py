@@ -1,9 +1,12 @@
 """Core syntax: types, printing, substitution, free variables, interning."""
 
 import gc
+import inspect
 import itertools
 import pickle
 import random
+import struct
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -489,6 +492,36 @@ class TestDerivedFields:
                         assert build(values) is expected
                         checked += 1
         assert checked > 300  # not vacuous
+
+    def test_only_an_application_has_no_atomic_slot(self):
+        """No class in an ``App``'s MRO declares an ``atomic`` slot, so an
+        ``App`` is one pointer smaller than a ``FunApp`` and reads ``atomic``
+        from a property; every other node class reads the value it stored."""
+        assert not any("atomic" in vars(cls).get("__slots__", ()) for cls in App.__mro__)
+        assert App.__basicsize__ == FunApp.__basicsize__ - struct.calcsize("P")
+        a, x = IndConst("slot_probe_a"), IndVar("slot_probe_X")
+        q, v = PredConst("slot_probe_q", IO), PredVar("slot_probe_Q", IO)
+        f = FunApp("slot_probe_f", (a,))
+        nodes = [IOTA, OMICRON, IO, a, x, q, v, f, FunApp("slot_probe_c", ()),
+                 App(q, f), Neg(App(q, a)), Eq(x, f)]
+        leaves, todo = set(), [Expr, TypeExpr]
+        while todo:  # every concrete node class
+            cls = todo.pop()
+            subclasses = cls.__subclasses__()
+            todo.extend(subclasses)
+            if not subclasses:
+                leaves.add(cls)
+        assert {type(node) for node in nodes} == leaves
+        for node in nodes:
+            slot = inspect.getattr_static(type(node), "atomic")
+            if isinstance(node, App):
+                assert isinstance(slot, property) and node.atomic == f"({node.text})"
+            else:
+                assert isinstance(slot, types.MemberDescriptorType)
+                assert node.atomic is slot.__get__(node)
+                if isinstance(node, Expr):  # TestTypeInterning checks a type's
+                    assert node.atomic == reference_atomic(node)
+                assert "atomic" not in type(node)._fields
 
 
 def _same_children(node, fields: tuple) -> bool:
