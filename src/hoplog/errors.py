@@ -112,11 +112,6 @@ class GroundingLimitExceeded(GroundingError):
     pass
 
 
-class TemplateMismatch(GroundingError):
-    """Internal-consistency failure: a clause template keyed a ground atom
-    differently from its canonical printing."""
-
-
 class EvalError(HoplogError):
     pass
 

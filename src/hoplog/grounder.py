@@ -17,12 +17,12 @@ A cap on the symbols of one universe bounds both modes, and the
 truncation probe, against deep or wide universes.
 
 Clauses that differ only in the ground sides t of their guards V = t share
-a shape, compiled once per grounding into ``str.format`` templates and atom
-builders, with one row of guard constants per clause.  The atom table maps
-each printed key to its atom, the interned ground term of type o with that
-``text``, built from field values; it holds every atom of every instance,
-filled from each atom literal's projection.  Equalities resolve at grounding
-time; an instance with a false one is dead.  The engines' form,
+a shape, compiled once per grounding into atom builders, with one row of
+guard constants per clause.  The atom table maps each atom's ``text`` to the
+atom, the interned ground term of type o built from field values; it holds
+every atom of every instance, filled from each atom literal's projection.
+Equalities resolve at grounding time, by the identity of the interned terms
+on their two sides; an instance with a false one is dead.  The engines' form,
 ``GroundProgram.rules`` over atom ids in atom-table order, comes from
 semi-naive joins over the possibly-true atoms, so it holds only rules that
 can fire.  ``clauses``, the instances as ``GroundClause`` records, is
@@ -38,10 +38,11 @@ from collections import defaultdict, deque
 from collections.abc import Callable
 from operator import attrgetter, itemgetter
 
-from .errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
+from .errors import EmptyUniverse, GroundingLimitExceeded
 from .records import FrozenRecord, Record, built_when_read
 from .syntax import (
     IOTA,
+    App,
     Arrow,
     Eq,
     Expr,
@@ -57,7 +58,6 @@ from .syntax import (
     instance_builder,
     is_argument_type,
     peel,
-    print_template,
     spine,
     suffix_types,
     vars_in_order,
@@ -256,19 +256,19 @@ _TRUE, _FALSE = ConstLit(True), ConstLit(False)
 class _Template:
     """A clause shape compiled once per grounding, with a row per clause of
     the shape: (its index, its guards' ground sides, ``rest``'s domains
-    narrowed by its guards).  Field i of each format string and builder is
-    the i-th variable of ``clause.variables()``, filled with its value, a
-    ground term; field ``len(variables) + j`` is the j-th guard's ground
-    side.  The ``n_bound`` leading variables take a matched head's arguments
-    (demand grounding binds the formals); the rest range over ``domains``.
-    A projection numbers a literal's unbound variables after the bound ones."""
+    narrowed by its guards).  Field i of each builder is the i-th variable
+    of ``clause.variables()``, filled with its value, a ground term; field
+    ``len(variables) + j`` is the j-th guard's ground side.  The ``n_bound``
+    leading variables take a matched head's arguments (demand grounding binds
+    the formals); the rest range over ``domains``.  A projection numbers a
+    literal's unbound variables after the bound ones."""
 
     def __init__(self, g: _Grounding, index: int, shape: tuple) -> None:
         clause, k = g.program.clauses[index], g.k
         n_bound = len(clause.formals) if g.bind_formals else 0
         self.index, self.rows = index, []
         self.variables = variables = clause.variables()
-        fields = {v.name: i for i, v in enumerate(variables)}
+        self.fields = fields = {v.name: i for i, v in enumerate(variables)}
         self.domains = domains = []
         for v in variables[n_bound:]:
             domains.append(g.universe.terms(v.typ, k))
@@ -277,27 +277,26 @@ class _Template:
                                     f"empty size-{k} universe")
         self.count = math.prod(len(d) for d in domains)  # instances per call
         self.head_pred = head_pred = clause.head_pred.name
-        self.body = body = []  # (negated, format, atom), or (None, lhs, rhs) for an equality
+        self.body = body = []  # (negated, atom), or (None, (lhs, rhs) builders) for an equality
         self.bound_heads = []  # (field, negated) per literal a bound variable heads
-        # per atom literal, the head first: (projection format, free fields, builder)
-        head = clause.head_atom()
-        self.literals = literals = [_literal(head, print_template(head, fields), fields, n_bound)]
-        self.checks, self.guards = [], []  # the equalities' formats; per guard, its field
+        # per atom literal, the head first: (projection pattern, free fields, builder)
+        self.literals = literals = [_literal(clause.head_atom(), fields, n_bound)]
+        self.checks, self.guards = [], []  # the equalities' builder pairs; per guard, its field
         self.pos, looked_up = [], [0]  # the positive atoms' literals; the head's and negated ones'
         for lit in shape[2]:
             if isinstance(lit, (tuple, Eq)):  # a guard's ground side is the next parameter
-                param = f"{{{len(variables) + len(self.guards)}.text}}"
+                param = itemgetter(len(variables) + len(self.guards))
                 sides = lit if isinstance(lit, tuple) else (lit.lhs, lit.rhs)
-                self.checks.append(tuple(print_template(s, fields) if s else param for s in sides))
-                body.append((None, *self.checks[-1]))
+                self.checks.append(tuple(instance_builder(s, fields) if s else param for s in sides))
+                body.append((None, self.checks[-1]))
                 if isinstance(lit, tuple):
                     self.guards.append(fields[(lit[0] or lit[1]).name])
                 continue
             negated = isinstance(lit, Neg)
             atom = lit.atom if negated else lit
-            body.append((negated, print_template(atom, fields), atom))
+            body.append((negated, atom))
             (looked_up if negated else self.pos).append(len(literals))
-            literals.append(_literal(atom, body[-1][1], fields, n_bound))
+            literals.append(_literal(atom, fields, n_bound))
             lead, _ = spine(atom)
             if isinstance(lead, PredConst):
                 g.edges[head_pred, lead.name, negated] = None
@@ -329,21 +328,38 @@ class _Template:
         self.rest_domains = [domains[f - n_bound] for f in self.rest]
 
     def add(self, index: int, consts: tuple[Expr, ...]) -> int:
-        """Add clause ``index``, with ``consts`` its guards' ground sides, as a row."""
-        texts = [{c.text for c, g in zip(consts, self.guards) if g == f} for f in self.rest]
-        self.rows.append((index, consts, [[v for v in d if len(ts) == 1 and v.text in ts] if ts
-                                          else d for d, ts in zip(self.rest_domains, texts)]))
+        """Add clause ``index``, with ``consts`` its guards' ground sides, as a row.  A
+        field keeps the values that are each of its guards' sides: interned terms, alive
+        in the row and the universe, so ``is`` compares them."""
+        guarded = [[c for c, g in zip(consts, self.guards) if g == f] for f in self.rest]
+        self.rows.append((index, consts, [[v for v in d if all(v is c for c in cs)] if cs
+                                          else d for d, cs in zip(self.rest_domains, guarded)]))
         return len(self.rows) - 1
 
 
-def _literal(atom: Expr, fmt: str, fields: dict[str, int], n_bound: int) -> tuple:
+def _literal(atom: Expr, fields: dict[str, int], n_bound: int) -> tuple:
+    """(pattern, free fields, builder) of an atom literal.  The builder takes the bound
+    fields, then the free ones in order of first use; the pattern, which keys the
+    literal's projection, is the atom with each variable its builder's field."""
     names = dict.fromkeys(v.name for v in vars_in_order(atom))
     own = tuple(fields[x] for x in names if fields[x] >= n_bound)
     number = {x: n_bound + own.index(fields[x]) if fields[x] >= n_bound else fields[x]
               for x in names}  # bound fields keep theirs
-    if number != {x: fields[x] for x in names}:
-        fmt = print_template(atom, number)
-    return fmt, own, instance_builder(atom, number)
+    return _pattern(atom, number), own, instance_builder(atom, number)
+
+
+def _pattern(e: Expr, number: dict[str, int]):
+    """The term e up to its variables' names: a variable is its field and type,
+    an application a pair, a function term its symbol and its arguments', and
+    a constant itself.  Literals of one pattern thus share their projection:
+    ``edge X Y`` as a head and ``edge X Z`` in a body."""
+    if isinstance(e, (IndVar, PredVar)):
+        return number[e.name], e.typ
+    if isinstance(e, App):
+        return _pattern(e.op, number), _pattern(e.arg, number)
+    if isinstance(e, FunApp):
+        return (e.fun, *[_pattern(a, number) for a in e.args])
+    return e
 
 
 def _key(fields: tuple[int, ...]) -> Callable[[list], tuple]:
@@ -356,9 +372,8 @@ def _key(fields: tuple[int, ...]) -> Callable[[list], tuple]:
 class _Grounding:
     """One grounding under way: shape templates, the atom table and the
     compiled rules.  A literal's projection, its atoms by its own variables'
-    values, holds those of all instances, dead ones included.  A key printed
-    the first time builds its atom, whose canonical printing must equal the
-    key: the printer stays authoritative."""
+    values, holds those of all instances, dead ones included.  Every atom is
+    built by its literal's builder and found in the table by its own text."""
 
     bind_formals = False
 
@@ -377,9 +392,8 @@ class _Grounding:
         self._uses: defaultdict[int, list] = defaultdict(list)
 
     def result(self, calls, heads=None, roots=()) -> GroundProgram:
-        atoms = {atom.text: atom for atom in self.table}
-        return GroundProgram(atoms, self._solve(), tuple(self.edges),
-                             lambda: _clauses(atoms, calls, heads, roots))
+        return GroundProgram({atom.text: atom for atom in self.table}, self._solve(),
+                             tuple(self.edges), lambda: _clauses(calls, heads, roots))
 
     def template(self, index: int) -> tuple[_Template, int]:
         """The template of clause ``index``'s shape, and the clause's row in it: the
@@ -412,38 +426,32 @@ class _Grounding:
         for field, negated in t.bound_heads:
             self.edges[t.head_pred, spine(bound[field])[0].name, negated] = None
         ids, projected = self.ids, [] if head is None else [head]
-        for literal in t.literals[len(projected):]:  # an atom with no free variable is likely known
-            a = None if literal[1] else ids.get(literal[0].format(*bound))
-            projected.append(self._project(t, literal, bound) if a is None else a)
+        for literal in t.literals[len(projected):]:
+            if literal[1]:
+                projected.append(self._project(t, literal, bound))
+                continue
+            atom = literal[2](bound)  # no free variable: one atom, likely known
+            a = ids.get(atom.text)
+            projected.append(self._admit(atom) if a is None else a)
         c = len(self._live)
         self._live.append((t, r, bound, tuple(projected)))
         for q, i in enumerate(t.pos):
             for tup, a in projected[i].items() if t.literals[i][1] else [((), projected[i])]:
                 self._uses[a].append((c, q, tup))
 
-    def _project(self, t: _Template, literal: tuple, bound: tuple[Expr, ...]) -> int | dict:
-        """The atom id of a literal with no free variable, else its projection, computed
-        once: the atom id per tuple of its free variables' values.  New atoms are admitted."""
-        fmt, free, build = literal
-        if free:
-            key = (fmt, bound, tuple([t.variables[f].typ for f in free]))
-            found = self._projections.get(key)
-            if found is not None:
-                return found
-        n, found, ids = len(bound), {}, self.ids
-        for tup in itertools.product(*[t.domains[f - n] for f in free]):  # () if none is free
-            text = fmt.format(*bound, *tup)
-            a = ids.get(text)
-            if a is None:
+    def _project(self, t: _Template, literal: tuple, bound: tuple[Expr, ...]) -> dict:
+        """A literal's projection, computed once per pattern and bound values: the atom
+        id per tuple of its free variables' values.  New atoms are admitted."""
+        pattern, free, build = literal
+        found = self._projections.get(key := (pattern, bound))
+        if found is None:
+            n, found, ids = len(bound), {}, self.ids
+            for tup in itertools.product(*[t.domains[f - n] for f in free]):
                 atom = build(bound + tup)
-                if atom.text != text:
-                    raise TemplateMismatch(f"clause {t.index}: the template printed "
-                                           f"{text!r} for the atom {atom.text!r}")
-                a = self._admit(atom)
-            found[tup] = a
-        if free:
+                a = ids.get(atom.text)
+                found[tup] = self._admit(atom) if a is None else a
             self._projections[key] = found
-        return found if free else found[()]
+        return found
 
     def _admit(self, atom: Expr) -> int:  # the new atom's id
         i = self.ids[atom.text] = len(self.table)
@@ -476,7 +484,7 @@ class _Grounding:
             for combo in itertools.product(*t.rows[r][2]):
                 for f, v in zip(t.rest, combo):
                     values[f] = v
-                if t.checks and any(x.format(*values) != y.format(*values) for x, y in t.checks):
+                if t.checks and any(x(values) is not y(values) for x, y in t.checks):
                     continue
                 h, *neg = [at[i][key(values)] if key else at[i] for i, key in t.looked_up]
                 if not rules[h]:  # h is found possibly true
@@ -583,33 +591,38 @@ class _DemandGrounding(_Grounding):
                 self.ground(t, r, args, a)
 
 
-def _clauses(atoms: dict[str, Expr], calls: list, heads=None, roots=()) -> tuple:
+def _clauses(calls: list, heads=None, roots=()) -> tuple:
     """Every instance of every call, dead ones included, in order.  Given
     ``heads``, the (template, row)s per (head predicate, arity) of a closed
     demand grounding, the calls are its: the roots', then each atom's, after
-    the instance that meets it first."""
+    the instance that meets it first.  Each atom is built anew: it is the
+    atom-table node, which the ``GroundProgram`` keeps alive."""
 
     def calls_of(atom: Expr) -> list:
         head, args = spine(atom)
         return [(t, r, tuple(args)) for t, r in heads.get((head.name, len(args)), ())]
 
-    out, met = [], {atom.text for atom in roots}
+    out, met, builders = [], {atom.text for atom in roots}, {}
     calls = list(calls) + [call for atom in roots for call in calls_of(atom)]
     for t, r, bound in calls:
+        if t not in builders:  # each atom literal's builder over all of t's fields
+            builders[t] = [(negated, part if negated is None else instance_builder(part, t.fields))
+                           for negated, part in t.body]
         for combo in itertools.product(*t.domains):
             values = bound + combo + t.rows[r][1]
             body = []
-            for negated, fmt, arg in t.body:
+            for negated, build in builders[t]:
                 if negated is None:
-                    body.append(_TRUE if fmt.format(*values) == arg.format(*values) else _FALSE)
+                    lhs, rhs = build
+                    body.append(_TRUE if lhs(values) is rhs(values) else _FALSE)
                     continue
-                atom = atoms[fmt.format(*values)]
+                atom = build(values)
                 if heads is not None and atom.text not in met:
                     met.add(atom.text)
                     calls.extend(calls_of(atom))
                 body.append(Neg(atom) if negated else atom)
             theta = tuple(sorted(zip([v.name for v in t.variables], values)))
-            head = atoms[t.literals[0][0].format(*values)]
+            head = t.literals[0][2](values)
             out.append(GroundClause(head, tuple(body), t.rows[r][0], theta))
     return tuple(out)
 

@@ -413,45 +413,8 @@ def build_spine(head: Expr, args: list[Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Canonical printing
+# Instances
 # ---------------------------------------------------------------------------
-
-
-def print_template(e: Expr, fields: Mapping[str, int]) -> str:
-    """A ``str.format`` template that prints the instances of the term e.
-
-    Each variable becomes the positional field ``fields[name]``, to be
-    filled with the variable's value, a ground term: its ``text`` where the
-    variable heads an application spine (or is all of e), its ``atomic``
-    text where it is an argument.  So
-    ``print_template(e, fields).format(*values)`` equals
-    ``instance_builder(e, fields)(values).text``.
-    """
-    return _template(e, fields, "text")
-
-
-def _template(e: Expr, fields: Mapping[str, int], form: str) -> str:
-    """``print_template`` of e, printed as its ``text`` or as its ``atomic``
-    text: ``form`` names which."""
-    if isinstance(e, (IndVar, PredVar)):
-        return f"{{{fields[e.name]}.{form}}}"
-    if isinstance(e, (IndConst, PredConst)):
-        return _literal(e.name)
-    if isinstance(e, FunApp):
-        if not e.args:
-            return _literal(e.fun)
-        head, args = _literal(e.fun), e.args
-    elif isinstance(e, App):
-        lead, args = spine(e)
-        head = _template(lead, fields, "text")
-    else:
-        raise TypeError(f"not a term: {e!r}")
-    text = " ".join([head] + [_template(a, fields, "atomic") for a in args])
-    return f"({text})" if form == "atomic" else text
-
-
-def _literal(name: str) -> str:
-    return name.replace("{", "{{").replace("}", "}}")
 
 
 def instance_builder(e: Expr, fields: Mapping[str, int]) -> Callable[[Sequence[Expr]], Expr]:

@@ -6,8 +6,8 @@ import weakref
 
 import pytest
 
-from hoplog import grounder, syntax
-from hoplog.errors import EmptyUniverse, GroundingLimitExceeded, TemplateMismatch
+from hoplog import grounder
+from hoplog.errors import EmptyUniverse, GroundingLimitExceeded
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
     DEFAULT_MAX_CLAUSES,
@@ -20,7 +20,7 @@ from hoplog.grounder import (
 )
 from hoplog.parser import parse_type
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
-from hoplog.syntax import IOTA, Neg
+from hoplog.syntax import IOTA, FunApp, IndConst, Neg, PredConst, build_spine, spine
 from hoplog.typecheck import elaborate_ground_atom
 
 from helpers import (
@@ -592,16 +592,113 @@ class TestShapes:
             assert len(t.rest) == len(consts) and not t.pos
             assert domains == [[c] for c in consts]
 
-    def test_a_key_the_atom_does_not_print_is_refused(self, monkeypatch):
-        def misprint(e, fields):
-            return syntax.print_template(e, fields).replace(" ", "  ")
+    def test_guard_on_a_function_term_narrows_to_that_term(self, monkeypatch):
+        rows = []
+        add = grounder._Template.add
 
-        monkeypatch.setattr(grounder, "print_template", misprint)
-        program = load("type a : i.\ntype p : i -> o.\ntype q : i -> o.\np X <- X = a, q X.")
-        with pytest.raises(TemplateMismatch, match="'p  a' for the atom 'p a'"):
-            ground_instantiation(program, 1)
-        with pytest.raises(TemplateMismatch, match="'q  a' for the atom 'q a'"):
-            relevant_grounding(program, [atom_of(program, "p a")], 1)
+        def recording(self, index, consts):
+            rows.append((self, add(self, index, consts)))
+            return rows[-1][1]
+
+        monkeypatch.setattr(grounder._Template, "add", recording)
+        ground_instantiation(load("type a : i.\ntype f : i -> i.\ntype p : i -> o.\np X <- X = f a."), 2)
+        ((t, r),) = rows
+        _, consts, domains = t.rows[r]
+        f_a = FunApp("f", (IndConst("a"),))
+        assert consts == (f_a,) and len(domains) == 1 and len(domains[0]) == 1
+        assert domains[0][0] is f_a
+        # two guards on one variable: a value must be each guard's side
+        rows.clear()
+        ground_instantiation(load(
+            "type a : i.\ntype f : i -> i.\ntype p : i -> o.\n"
+            "p X <- X = f a, X = a.\np X <- f a = X, X = f a.\n"
+        ), 2)
+        assert [t.rows[r][2] for t, r in rows] == [[[]], [[f_a]]]
+
+    def test_every_key_is_its_atoms_text(self):
+        def check(program, k, roots=None):
+            try:
+                gp = _ground(program, k, roots)
+            except (EmptyUniverse, GroundingLimitExceeded):
+                return None
+            for key, atom in gp.atoms.items():
+                assert key == atom.text
+                assert gp.atoms[key] is build_spine(*spine(atom))
+            return gp
+
+        programs = [load(entry.source) for entry in CORPUS]
+        rng = random.Random(24)
+        for generate in (random_program_source, random_stratified_source):
+            programs += [load(generate(rng)) for _ in range(50)]
+        for program in programs:
+            for k in (1, 2):
+                gp = check(program, k)
+                if gp is not None:
+                    check(program, k, _first_atoms(gp))
+        for entry in CORPUS:
+            if entry.roots:
+                program = load(entry.source)
+                check(program, 2, [elaborate_ground_atom(program, r) for r in entry.roots])
+
+
+class TestProjections:
+    """A literal's projection is computed once per pattern: literals that
+    differ only in their variables' names, in any clause shape, share it."""
+
+    @staticmethod
+    def projections(monkeypatch):
+        found = []
+        result = grounder._Grounding.result
+
+        def recording(self, *args):
+            found.append(list(self._projections))
+            return result(self, *args)
+
+        monkeypatch.setattr(grounder._Grounding, "result", recording)
+        return found
+
+    def test_one_pattern_in_different_shapes_shares_a_projection(self, monkeypatch):
+        found = self.projections(monkeypatch)
+        # edge X Y as a head and in a body, edge X Z in another body; reach
+        # X Y as a head, reach Z Y in a body: two patterns, two projections
+        program = load(
+            "type a : i.\ntype b : i.\ntype c : i.\n"
+            "type edge : i -> i -> o.\ntype reach : i -> i -> o.\n"
+            "edge X Y <- X = a, Y = b.\nreach X Y <- edge X Y.\nreach X Y <- edge X Z, reach Z Y.\n"
+        )
+        TestTemplateGrounding.assert_same(program, 1)
+        edge, reach = (PredConst(name, parse_type("i -> i -> o")) for name in ("edge", "reach"))
+        assert found == [[(((edge, (0, IOTA)), (1, IOTA)), ()), (((reach, (0, IOTA)), (1, IOTA)), ())]]
+
+    def test_one_shape_over_other_types_projects_apart(self, monkeypatch):
+        found = self.projections(monkeypatch)
+        # R X and Q P: a variable applied to a variable, at two types
+        program = load(
+            "type a : i.\ntype p : i -> o.\ntype g : (i -> o) -> o.\n"
+            "type t : i -> o.\ntype u : (i -> o) -> o.\nt X <- R X.\nu P <- Q P.\n"
+        )
+        for k in (1, 2):
+            TestTemplateGrounding.assert_same(program, k)
+        assert [len(keys) for keys in found] == [4, 4]
+
+    def test_bound_fields_keep_their_numbers(self, monkeypatch):
+        found = self.projections(monkeypatch)
+        program = load(
+            "type a : i.\ntype b : i.\ntype q : i -> i -> o.\n"
+            "type r : i -> o.\ntype s : i -> o.\nr X <- q X Y.\ns X <- q Y X.\n"
+        )
+        roots = [atom_of(program, "r a"), atom_of(program, "s a")]
+        TestTemplateGrounding.assert_same(program, 1, roots)
+        q, a = PredConst("q", parse_type("i -> i -> o")), IndConst("a")
+        # r X <- q X Y and s X <- q Y X, with X bound to a: q a Y and q Y a
+        assert found == [[(((q, (0, IOTA)), (1, IOTA)), (a,)), (((q, (1, IOTA)), (0, IOTA)), (a,))]]
+
+    def test_strat_perfect_seed_1_computes_nine_projections_a_query(self, monkeypatch):
+        found = self.projections(monkeypatch)
+        pool = bench_workloads().strat_pool(1)
+        for query in pool:
+            ground_instantiation(load(query.source), int(query.args[query.args.index("--depth") + 1]))
+        assert len(pool) == 24 and [len(keys) for keys in found] == [9] * 24
 
 
 def _ground(program, k, roots):
