@@ -35,6 +35,7 @@ from .syntax import (
     Arrow,
     Expr,
     TypeExpr,
+    build_spine,
     predicate_arg_types,
 )
 from .typecheck import Program
@@ -195,9 +196,7 @@ class ExtChecker:
         pools = [self.universe.terms(t, self.k) for t in predicate_arg_types(rho)]
         for term in self.universe.terms(rho, self.k):
             for combo in product(*pools):
-                e: Expr = term
-                for a in combo:
-                    e = App(e, a)
+                e = build_spine(term, combo)
                 if e.size <= self.budget:
                     atoms.append(e)
         self.oracle.add_atoms(atoms)

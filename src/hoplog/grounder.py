@@ -13,8 +13,8 @@ exceed a size bound k.  Two groundings are offered:
   universe.  A cap on the atoms and one on the size of a demanded atom
   guard against runaway closures.
 
-A cap on the symbols of one universe bounds both modes, and the
-truncation probe, against deep or wide universes.
+A cap on the symbols of one universe bounds both modes against deep or
+wide universes.
 
 Clauses that differ only in the ground sides t of their guards V = t share
 a shape, compiled once per grounding into atom builders, with one row of
@@ -239,10 +239,6 @@ class Universe:
             sizes = [self._terms_exact(rho, s) for s in range(1, k + 1)]
             self._terms[rho, k] = tuple(itertools.chain.from_iterable(sizes))
         return self._terms[rho, k]
-
-    def is_truncated(self, rho: TypeExpr, k: int) -> bool:
-        """True if terms of type rho exist beyond the size bound."""
-        return bool(self._terms_exact(rho, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +553,7 @@ class _DemandGrounding(_Grounding):
     def demand(self, atom: Expr) -> int:
         if atom.size > DEFAULT_MAX_ATOM_SIZE:
             raise GroundingLimitExceeded(
-                f"a demanded {spine(atom)[0].name} atom has {atom.size} symbols, "
+                f"a demanded {spine(atom)[0].text} atom has {atom.size} symbols, "
                 f"over the cap of {DEFAULT_MAX_ATOM_SIZE}"
             )
         self.queue.append(atom)
@@ -571,6 +567,8 @@ class _DemandGrounding(_Grounding):
     def close(self) -> None:
         while self.queue:
             head, args = spine(atom := self.queue.popleft())
+            if not isinstance(head, PredConst):  # only a root can be headed otherwise
+                raise ValueError(f"not predicate-headed: {atom.text}")
             key, args, a = (head.name, len(args)), tuple(args), self.ids[atom.text]
             group = self.groups.get(key)
             if group is None or self.clause_count + group[0] > DEFAULT_MAX_CLAUSES:
@@ -650,8 +648,7 @@ def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
     if k < 1:
         raise ValueError("size bound k must be >= 1")
     grounding = _DemandGrounding(program, k)
-    for a in roots:
-        atom = ground_atom(a)
+    for atom in roots:
         if atom.text not in grounding.ids:
             grounding.demand(atom)
     demanded = list(grounding.queue)
@@ -663,9 +660,29 @@ def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
 
 
 def truncated_types(program: Program, k: int) -> tuple[str, ...]:
-    """Argument types whose size-k universe is a strict prefix of the full one."""
-    universe = Universe(program.signature)
-    return tuple(sorted(str(t) for t in argument_types(program) if universe.is_truncated(t, k)))
+    """Argument types whose size-k universe is a strict prefix of the full
+    one: the universe is infinite, or its largest term has more than k
+    symbols.
+
+    Each signature entry ``s : r1 -> ... -> rm -> t`` gives one rule per j:
+    s applied to terms of types r1 .. rj is a term of type
+    ``r(j+1) -> ... -> t``.  (A function symbol's partial applications get
+    rules too, but their types are no argument types, so no other rule
+    takes them.)  With n the number of types the rules build, n rounds over
+    the rules size the largest term of every finite universe, whose terms
+    are at most n deep.  A type with a term more than n deep repeats a type
+    along one path, so it has ever deeper terms and no largest."""
+    rules = [(result, peel(t, j)[0]) for _, t in program.signature.entries
+             for j, result in enumerate(suffix_types(t))]
+    types, largest = {t for t, _ in rules}, {}  # type -> symbols of its largest term found
+    for _ in types:
+        for t, way in rules:
+            if largest.keys() >= set(way):
+                largest[t] = max(largest.get(t, 0), 1 + sum([largest[a] for a in way]))
+    deep = set(largest)  # after round r: the types with a term more than r deep
+    for _ in types:
+        deep = {t for t, way in rules if largest.keys() >= set(way) and not deep.isdisjoint(way)}
+    return tuple(sorted(str(t) for t in argument_types(program) if t in deep or largest.get(t, 0) > k))
 
 
 def argument_types(program: Program) -> tuple[TypeExpr, ...]:

@@ -17,7 +17,6 @@ Types and terms are hash-consed: each distinct one exists once (see ``Interned``
 
 from __future__ import annotations
 
-import sys
 import weakref
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from operator import itemgetter
@@ -36,8 +35,9 @@ class Interned(FrozenRecord):
 
     Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
     hash-consing", 2006): constructing a node returns the one live node of
-    its class with the same fields, so equal nodes are identical and ``==``
-    is ``is``.  A node stores, computed once from its children's fields:
+    its class with the same fields, so equal nodes are identical, ``==`` is
+    ``is``, and a node hashes by its identity.  A node stores, computed once
+    from its children's fields:
 
     * ``text``: its canonical printing, deterministic and re-parseable;
     * ``atomic``: the same, parenthesized when it would not re-parse as one
@@ -45,36 +45,28 @@ class Interned(FrozenRecord):
       no ``atomic`` slot: it derives its own each time it is read.  The
       slot is declared below ``Interned``, on ``TypeExpr`` and on
       ``_StoredAtomic``, the base of every other expression class;
-    * ``size``: its size (see ``TypeExpr`` and ``Expr``);
-    * its hash: the hash of its fields, never of its address, computed when
-      the node is built.  An ``App`` computes it the first time it is asked
-      for and keeps it; its slot holds None until then.
+    * ``size``: its size (see ``TypeExpr`` and ``Expr``).
 
-    So printing, sizing and comparing a node never recurse.  Hashing one
-    recurses only through applications not hashed before, which the nesting
-    cap (``parser.MAX_NESTING``) keeps at most 100 deep in a parsed program
-    and its groundings; a ``FunApp`` chain of any depth hashes at once.  Each
-    class's intern table maps a key to a weak reference to the node: a node
-    lives exactly as long as something else refers to it, and then its
-    reference's callback drops its entry.  A leaf's key is its fields.  A
-    compound node's key is one int made of its children's ``id()``s (and of
-    the interned name of a function symbol), so a lookup hashes no node.
-    That is sound because a node holds its children, and its entry is
-    dropped before they can be freed: an address in a live key belongs to
-    the child it was taken from.  The tables take no lock, so nodes must be
-    built from one thread at a time.  A subclass's ``__slots__`` are its
-    fields, in constructor order; ``Interned``'s own slots, and ``atomic``,
-    hold the values derived from them.  A node is built by its class's
-    ``__new__``, so no Python-level ``__init__`` runs after it.
+    So printing, sizing, comparing and hashing a node never recurse.  Each
+    class's intern table maps a node's fields tuple to a weak reference to
+    the node: a node lives exactly as long as something else refers to it,
+    and then its reference's callback drops its entry.  A fields tuple
+    hashes and compares its child nodes by identity, so a lookup never
+    walks a term.  The tables take no lock, so nodes must be built from one
+    thread at a time.  A subclass's ``__slots__`` are its fields, in
+    constructor order; ``Interned``'s own slots, and ``atomic``, hold the
+    values derived from them.  A node is built by its class's ``__new__``,
+    so no Python-level ``__init__`` runs after it.
     """
 
-    __slots__ = ("_hash", "text", "size", "__weakref__")
+    __slots__ = ("text", "size", "__weakref__")
     __eq__ = object.__eq__
+    __hash__ = object.__hash__
     __init__ = object.__init__
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        table = cls._table = {}  # key -> a weak reference to the node
+        table = cls._table = {}  # fields -> a weak reference to the node
 
         def drop(ref: _Ref) -> None:  # a node died: unless a newer node holds its entry
             if table.get(ref.key) is ref:
@@ -83,28 +75,24 @@ class Interned(FrozenRecord):
         cls._drop = staticmethod(drop)
 
     @classmethod
-    def _find(cls, key):
-        """The live node of this class with this key, or None."""
-        ref = cls._table.get(key)
+    def _find(cls, fields: tuple):
+        """The live node of this class with these fields, or None."""
+        ref = cls._table.get(fields)
         return None if ref is None else ref()
 
     @classmethod
-    def _intern(cls, key, fields: tuple, text: str, atomic: str, size: int):
-        """Build, register under ``key`` and return the node of this class
-        with these fields; the caller has found none in the table."""
+    def _intern(cls, fields: tuple, text: str, atomic: str, size: int):
+        """Build, register and return the node of this class with these
+        fields; the caller has found none in the table."""
         node = object.__new__(cls)
         for name, value in zip(cls._fields, fields):
             _set(node, name, value)
-        _set(node, "_hash", hash(fields))
         _set(node, "text", text)
         _set(node, "atomic", atomic)
         _set(node, "size", size)
-        ref = cls._table[key] = _Ref(node, cls._drop)
-        ref.key = key
+        ref = cls._table[fields] = _Ref(node, cls._drop)
+        ref.key = fields
         return node
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class _Ref(weakref.ref):
@@ -133,26 +121,25 @@ class Iota(TypeExpr):
     __slots__ = ()
 
     def __new__(cls) -> Iota:
-        return cls._find(()) or cls._intern((), (), "i", "i", 1)
+        return cls._find(()) or cls._intern((), "i", "i", 1)
 
 
 class Omicron(TypeExpr):
     __slots__ = ()
 
     def __new__(cls) -> Omicron:
-        return cls._find(()) or cls._intern((), (), "o", "o", 1)
+        return cls._find(()) or cls._intern((), "o", "o", 1)
 
 
 class Arrow(TypeExpr):
     __slots__ = ("argument", "result")
 
     def __new__(cls, argument: TypeExpr, result: TypeExpr) -> Arrow:
-        key = id(argument) << 64 | id(result)
-        ref = cls._table.get(key)
-        if ref is None or (node := ref()) is None:
+        fields = (argument, result)
+        node = cls._find(fields)
+        if node is None:
             text = f"{argument.atomic} -> {result.text}"
-            node = cls._intern(key, (argument, result), text, f"({text})",
-                               1 + argument.size + result.size)
+            node = cls._intern(fields, text, f"({text})", 1 + argument.size + result.size)
         return node
 
 
@@ -236,12 +223,10 @@ class Expr(Interned):
     binds a single argument and ``=`` joins two individual terms.  ``size``
     counts the occurrences of constants, function symbols and predicate
     constants.  Every node stores ``text`` and ``size``.  Each also stores
-    ``atomic`` and its hash, except an ``App``: an atom is almost never an
-    argument, and most atoms of a grounding are never hashed, so an ``App``
-    has no ``atomic`` slot, derives ``atomic`` when it is read, and computes
-    its hash when first asked for.  A ``FunApp`` stores both, since universe
-    terms are printed as arguments again and again, and a chain of them can
-    be thousands deep.
+    ``atomic``, except an ``App``: an atom is almost never an argument, so
+    an ``App`` has no ``atomic`` slot and derives ``atomic`` when it is
+    read.  A ``FunApp`` stores it, since universe terms are printed as
+    arguments again and again.
     """
 
     __slots__ = ()
@@ -264,7 +249,7 @@ class IndConst(_StoredAtomic):
 
     def __new__(cls, name: str) -> IndConst:
         fields = (name,)
-        return cls._find(fields) or cls._intern(fields, fields, name, name, 1)
+        return cls._find(fields) or cls._intern(fields, name, name, 1)
 
     @property
     def typ(self) -> TypeExpr:
@@ -276,7 +261,7 @@ class PredConst(_StoredAtomic):
 
     def __new__(cls, name: str, ptype: TypeExpr) -> PredConst:
         fields = (name, ptype)
-        return cls._find(fields) or cls._intern(fields, fields, name, name, 1)
+        return cls._find(fields) or cls._intern(fields, name, name, 1)
 
     @property
     def typ(self) -> TypeExpr:
@@ -288,7 +273,7 @@ class IndVar(_StoredAtomic):
 
     def __new__(cls, name: str) -> IndVar:
         fields = (name,)
-        return cls._find(fields) or cls._intern(fields, fields, name, name, 0)
+        return cls._find(fields) or cls._intern(fields, name, name, 0)
 
     @property
     def typ(self) -> TypeExpr:
@@ -300,7 +285,7 @@ class PredVar(_StoredAtomic):
 
     def __new__(cls, name: str, ptype: TypeExpr) -> PredVar:
         fields = (name, ptype)
-        return cls._find(fields) or cls._intern(fields, fields, name, name, 0)
+        return cls._find(fields) or cls._intern(fields, name, name, 0)
 
     @property
     def typ(self) -> TypeExpr:
@@ -311,13 +296,11 @@ class FunApp(_StoredAtomic):
     __slots__ = ("fun", "args")
 
     def __new__(cls, fun: str, args: tuple[Expr, ...]) -> FunApp:
-        key = id(fun := sys.intern(fun))  # the node holds this one copy of its name
-        for a in args:
-            key = key << 64 | id(a)
-        ref = cls._table.get(key)
-        if ref is None or (node := ref()) is None:
+        fields = (fun, args)
+        node = cls._find(fields)
+        if node is None:
             text = " ".join([fun] + [a.atomic for a in args])
-            node = cls._intern(key, (fun, args), text, f"({text})" if args else text,
+            node = cls._intern(fields, text, f"({text})" if args else text,
                                1 + sum(a.size for a in args))
         return node
 
@@ -330,13 +313,12 @@ class App(Expr):
     __slots__ = ("op", "arg")
 
     def __new__(cls, op: Expr, arg: Expr) -> App:
-        key = id(op) << 64 | id(arg)
+        key = (op, arg)
         ref = cls._table.get(key)
         if ref is None or (node := ref()) is None:
             node = object.__new__(cls)
             _set(node, "op", op)
             _set(node, "arg", arg)
-            _set(node, "_hash", None)
             _set(node, "text", f"{op.text} {arg.atomic}")  # op's text prints the rest of the spine
             _set(node, "size", op.size + arg.size)
             ref = cls._table[key] = _Ref(node, cls._drop)
@@ -346,11 +328,6 @@ class App(Expr):
     @property
     def atomic(self) -> str:
         return f"({self.text})"
-
-    def __hash__(self):
-        if self._hash is None:  # asked for the first time
-            _set(self, "_hash", hash((self.op, self.arg)))
-        return self._hash
 
     @property
     def typ(self) -> TypeExpr:
@@ -364,11 +341,11 @@ class Neg(_StoredAtomic):
     __slots__ = ("atom",)
 
     def __new__(cls, atom: Expr) -> Neg:
-        key = id(atom)
-        ref = cls._table.get(key)
-        if ref is None or (node := ref()) is None:
+        fields = (atom,)
+        node = cls._find(fields)
+        if node is None:
             text = f"~{atom.atomic}"
-            node = cls._intern(key, (atom,), text, text, atom.size)
+            node = cls._intern(fields, text, text, atom.size)
         return node
 
     @property
@@ -380,11 +357,11 @@ class Eq(_StoredAtomic):
     __slots__ = ("lhs", "rhs")
 
     def __new__(cls, lhs: Expr, rhs: Expr) -> Eq:
-        key = id(lhs) << 64 | id(rhs)
-        ref = cls._table.get(key)
-        if ref is None or (node := ref()) is None:
+        fields = (lhs, rhs)
+        node = cls._find(fields)
+        if node is None:
             text = f"{lhs.text} = {rhs.text}"
-            node = cls._intern(key, (lhs, rhs), text, text, lhs.size + rhs.size)
+            node = cls._intern(fields, text, text, lhs.size + rhs.size)
         return node
 
     @property
@@ -405,7 +382,7 @@ def spine(e: Expr) -> tuple[Expr, list[Expr]]:
     return e, args
 
 
-def build_spine(head: Expr, args: list[Expr]) -> Expr:
+def build_spine(head: Expr, args: Sequence[Expr]) -> Expr:
     out = head
     for a in args:
         out = App(out, a)

@@ -246,8 +246,7 @@ class TestGround:
 
     def test_deep_universe(self, run):
         # The universe of i runs up to f applied 599 times; sorting, hashing
-        # and comparing such terms, and the truncation probe at size 601,
-        # must not recurse once per nesting level.
+        # and comparing such terms must not recurse once per nesting level.
         code, out, _ = run(
             ["ground", "--depth", "600"],
             program="type a : i.\ntype f : i -> i.\ntype p : i -> o.\np X <- X = a.",

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import weakref
 
 import pytest
@@ -14,6 +15,8 @@ from hoplog.grounder import (
     DEFAULT_MAX_UNIVERSE_SYMBOLS,
     ConstLit,
     Universe,
+    argument_types,
+    ground_atom,
     ground_instantiation,
     relevant_grounding,
     truncated_types,
@@ -167,6 +170,16 @@ class TestRelevantGrounding:
         assert set(gp.atoms) == {"q"}
         assert gp.clauses == ()
 
+    def test_root_not_headed_by_a_predicate_constant_is_refused(self):
+        program = load("type a : i.\ntype f : i -> i.\ntype p : i -> o.\np X <- X = a.")
+        a = IndConst("a")
+        for root in (a, FunApp("f", (a,)), FunApp("f", (FunApp("f", (a,)),))):
+            with pytest.raises(ValueError, match=f"^not predicate-headed: {re.escape(root.text)}$"):
+                relevant_grounding(program, [atom_of(program, "p a"), root], 1)
+            with pytest.raises(ValueError, match="not predicate-headed"):
+                ground_atom(root)
+        assert ground_atom(atom_of(program, "p a")) is atom_of(program, "p a")
+
     def test_subset_of_full_grounding(self):
         program = load(NONEXTENSIONAL)
         full = {str(c) for c in ground_instantiation(program, 3).clauses}
@@ -295,12 +308,15 @@ class TestUniverseCap:
 
 class TestUniverseBuildOrder:
     def test_truncation_probe_past_the_cap_needs_no_recursion(self):
-        # Probing size 3001 of a fresh chain universe builds sizes 1, 2, ...
-        # in order, each from the one below, and stops at the cap; it never
-        # descends one call per size from the top.
-        universe = Universe(load("type a : i.\ntype f : i -> i.").signature)
+        # Asking a fresh chain universe for sizes up to 3000 builds sizes 1,
+        # 2, ... in order, each from the one below, and stops at the cap; it
+        # never descends one call per size from the top.  The truncation
+        # probe builds no term, so it meets no cap.
+        program = load("type a : i.\ntype f : i -> i.")
+        assert truncated_types(program, 3000) == ("i",)
+        universe = Universe(program.signature)
         with pytest.raises(GroundingLimitExceeded, match="size 1414 "):
-            universe.is_truncated(IOTA, 3000)
+            universe.terms(IOTA, 3000)
         assert universe.symbols == 1_000_405
 
 
@@ -317,6 +333,41 @@ class TestTruncationReport:
     def test_finite_universe_not_truncated(self):
         program = load("type q : i -> o.\nq X <- X = a.")
         assert truncated_types(program, 5) == ()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sizes_that_skip_a_value_are_truncated(self, k):
+        # No term of type i has size 2 and none of type o has size 3: f a a
+        # has size 3 and p (f a a) size 4, so neither universe ends at k.
+        program = load("type f : i -> i -> i.\ntype p : i -> o.\np X <- X = a.")
+        assert truncated_types(program, k) == ("i", "o")
+
+    def test_finite_universe_truncated_below_its_largest_term(self):
+        # g a a, of size 3, is the largest term of type o, and no term of
+        # type o has size 2; g a, of size 2, the largest of type i -> o.
+        program = load("type a : i.\ntype g : i -> i -> o.")
+        assert [truncated_types(program, k) for k in (1, 2, 3)] == [("i -> o", "o"), ("o",), ()]
+        # g (k a a) (k a a), of size 7, is built from types declared after g.
+        program = load("type g : (i -> o) -> (i -> o) -> o.\ntype k : i -> i -> i -> o.\n"
+                       "type a : i.")
+        assert max(t.size for t in Universe(program.signature).terms(O, 9)) == 7
+        assert [truncated_types(program, k) for k in (3, 6, 7)] == [
+            ("(i -> o) -> o", "o"), ("o",), ()]
+
+    def test_probe_agrees_with_the_universe(self):
+        # Over random programs, a type is truncated at k exactly when its
+        # size-7 universe holds a term of more than k symbols; among the
+        # truncated ones, some have no term of size k + 1.
+        rng, gaps = random.Random(3), 0
+        for _ in range(100):
+            program = load(random_program_source(rng))
+            universe = Universe(program.signature)
+            for rho in argument_types(program):
+                sizes = {t.size for t in universe.terms(rho, 7)}
+                for k in (1, 2, 3):
+                    truncated = str(rho) in truncated_types(program, k)
+                    assert truncated == any(size > k for size in sizes), (program, rho, k)
+                    gaps += truncated and k + 1 not in sizes
+        assert gaps > 20  # not vacuous
 
 
 class TestCompiledProgram:

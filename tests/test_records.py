@@ -306,7 +306,7 @@ def test_pickled_grounding_holds_the_same_interned_nodes():
     assert loaded.clauses[0].body[0] is Neg(gp.atoms["q a"])
 
 
-def test_types_hash_their_fields_once():
+def test_types_hash_by_identity():
     deep = IOTA
     for _ in range(50):
         deep = Arrow(deep, OMICRON)
@@ -314,8 +314,9 @@ def test_types_hash_their_fields_once():
     for _ in range(50):
         twin = Arrow(twin, OMICRON)
     assert deep is twin and deep == twin
-    assert hash(deep) == hash(twin) == hash((deep.argument, deep.result))
-    assert hash(IOTA) == hash(OMICRON) == hash(())
+    assert hash(deep) == hash(twin) == object.__hash__(deep)
+    assert Arrow._table[(deep.argument, deep.result)]() is deep
+    assert hash(IOTA) == object.__hash__(IOTA) != hash(OMICRON) == object.__hash__(OMICRON)
     assert Arrow(IOTA, OMICRON) != Arrow(OMICRON, IOTA)
     assert Arrow(IOTA, OMICRON) != IOTA and IOTA != OMICRON
 

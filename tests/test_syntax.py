@@ -325,42 +325,39 @@ def _random_program_terms():
 
 
 class TestInterning:
-    """Each node carries its printing, size and hash, computed once (an
-    ``App``'s ``atomic`` text on each read, and its hash when first asked
-    for); these must agree with the recursive reference printer and sizer,
-    the hash with that of the node's fields before and after the first
-    hash, and equal structures must be one node."""
+    """Each node carries its printing and size, computed once (an ``App``'s
+    ``atomic`` text on each read); these must agree with the recursive
+    reference printer and sizer.  A node hashes by its identity, its class's
+    table holds it under its own fields, and equal structures must be one
+    node."""
 
-    def assert_agree(self, terms) -> tuple[set, set]:
-        """The classes met, and those met before their first hash."""
+    def assert_agree(self, terms) -> set:
+        """The classes met."""
         terms = list(terms)
         assert terms
         by_structure: dict[tuple, Expr] = {}
-        met, unhashed = set(), set()
+        met = set()
         for e in terms:
             met.add(type(e))
-            if e._hash is None:
-                unhashed.add(type(e))
             assert e.text == reference_print(e)
             assert e.atomic == reference_atomic(e) == e.atomic  # an App's, derived twice
             assert e.size == reference_size(e)
-            assert hash(e) == hash(_fields(e))
-            assert hash(e) == e._hash  # kept after the first hash
+            assert hash(e) == object.__hash__(e)
+            assert type(e)._table[_fields(e)]() is e
             s = _structure(e)
             assert by_structure.setdefault(s, e) is e
             again = _rebuild(s)
             assert again is e and again == e and hash(again) == hash(e)
         for s, e in by_structure.items():
             assert [x == e for x in by_structure.values()].count(True) == 1
-        return met, unhashed
+        return met
 
     def test_corpus_universes(self):
-        _, unhashed = self.assert_agree(_corpus_universe_terms())
-        assert unhashed == {App}
+        assert self.assert_agree(_corpus_universe_terms()) == {IndConst, PredConst, App}
 
     def test_random_program_terms(self):
-        met, unhashed = self.assert_agree(_random_program_terms())
-        assert {FunApp, App, Neg, Eq} <= met and unhashed == {App}
+        met = self.assert_agree(_random_program_terms())
+        assert {FunApp, App, Neg, Eq} <= met
 
     def test_same_name_different_type_are_distinct(self):
         assert PredConst("p", IO) is not PredConst("p", O_O)
@@ -416,6 +413,7 @@ class TestInterning:
         assert pickle.loads(pickle.dumps(e)) is e
 
     def test_deep_term_needs_no_recursion(self):
+        before = _table_size()
         t = IndConst("a")
         for _ in range(5000):
             t = FunApp("f", (t,))
@@ -425,37 +423,35 @@ class TestInterning:
         assert again is t and again == t and hash(again) == hash(t)
         assert t.size == 5001
         assert t.text.count("(") == 4999
-        assert {t: 1}[again] == 1
-        atom = App(PredConst("q", IO), t)  # its hash is its first, over the chain's stored one
-        assert atom._hash is None and hash(atom) == hash((atom.op, t))
+        assert {t: 1}[again] == 1 and FunApp._table[("f", (t.args[0],))]() is t
+        atom = App(PredConst("q", IO), t)
+        assert hash(atom) == object.__hash__(atom) and {atom: 1}[App(PredConst("q", IO), again)] == 1
+        del t, again, atom  # the chain is freed one node after another, its keys with it
+        assert _table_size() == before
 
 
 class TestDerivedFields:
-    """An ``App`` derives ``atomic`` each time it is read and its hash the
-    first time it is asked for; the other compound classes store both
-    (``TestInterning`` checks the values on the corpus and random terms)."""
+    """An ``App`` derives ``atomic`` each time it is read; the other
+    compound classes store it.  Every node hashes by its identity and is
+    interned under its own fields (``TestInterning`` checks the values on
+    the corpus and random terms)."""
 
-    def test_only_an_application_defers_its_hash(self):
+    def test_every_node_hashes_by_identity_under_its_fields(self):
         q = PredConst("derived_probe_q", Arrow(IOTA, Arrow(IOTA, OMICRON)))
         a, b = IndConst("derived_probe_a"), IndConst("derived_probe_b")
         t = FunApp("derived_probe_f", (a, b))
         atom = App(App(q, a), t)
-        assert atom._hash is None and atom.op._hash is None
-        for node in (t, Eq(t, a), a, q):
-            assert node._hash == hash(_fields(node))
-        assert atom._hash is None and atom.op._hash is None
-        negated = Neg(atom)  # its stored hash is its atom's first
-        assert atom._hash == hash((atom.op, atom.arg)) and atom.op._hash == hash((q, a))
-        assert negated._hash == hash((atom,))
+        for node in (atom, atom.op, t, Eq(t, a), Neg(atom), a, q, q.ptype, IOTA):
+            assert type(node).__hash__ is object.__hash__ and not hasattr(node, "_hash")
+            assert type(node)._table[_fields(node)]() is node
         assert atom.atomic == f"({atom.text})" and t.atomic == f"({t.text})"
 
-    def test_unhashed_node_pickles_back_to_itself(self):
+    def test_application_pickles_back_to_itself(self):
         q = PredConst("pickle_probe_q", Arrow(IOTA, Arrow(IOTA, OMICRON)))
         atom = App(App(q, IndConst("pickle_probe_a")), IndConst("pickle_probe_b"))
-        assert atom._hash is None
         again = pickle.loads(pickle.dumps(atom))
-        assert again is atom and again._hash is None
-        assert hash(again) == hash((atom.op, atom.arg))
+        assert again is atom and hash(again) == hash(atom) == object.__hash__(atom)
+        assert App._table[(atom.op, atom.arg)]() is again
         assert pickle.loads(pickle.dumps(atom)) is atom
 
     def test_deepest_application_hashes_without_recursion(self):
@@ -464,8 +460,8 @@ class TestDerivedFields:
             parse_type("i -> " * (MAX_NESTING + 1) + "o")
         args = [IndConst(f"deep_probe_c{i}") for i in range(MAX_NESTING)]
         atom = build_spine(PredConst("deep_probe_p", typ), args)
-        assert atom._hash is None and atom.size == MAX_NESTING + 1
-        assert hash(atom) == hash((atom.op, atom.arg))
+        assert atom.size == MAX_NESTING + 1
+        assert hash(atom) == object.__hash__(atom) and App._table[(atom.op, atom.arg)]() is atom
         assert {atom: 1}[build_spine(PredConst("deep_probe_p", typ), args)] == 1
 
     def test_one_loop_builder_matches_build_spine(self):
@@ -537,7 +533,8 @@ def _same_children(node, fields: tuple) -> bool:
 
 
 class TestAddressReuse:
-    """A compound node is found by its children's ``id()``s.  Nodes of every
+    """A compound node is found under its fields tuple, which hashes its
+    child nodes by their identity, that is by address.  Nodes of every
     compound class are built over freshly built children and dropped, again
     and again, so that the allocator hands their addresses to other nodes;
     the nodes of the last few rounds stay alive beside the new ones.  Each
@@ -641,7 +638,7 @@ class TestTypeInterning:
             assert t.size == reference_type_size(t)
             assert parse_type(t.text) is t
             fields = (t.argument, t.result) if isinstance(t, Arrow) else ()
-            assert hash(t) == hash(fields)
+            assert hash(t) == object.__hash__(t) and type(t)._table[fields]() is t
 
     def test_declared_types(self):
         self.assert_agree(_declared_types())
