@@ -16,6 +16,7 @@ import gc
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .errors import HoplogError, InvalidBudget, InvalidDepth
@@ -36,12 +37,16 @@ from .wfs import well_founded_model
 
 
 def _read_input(path: str) -> str:
-    if path == "-":  # stdin's bytes are decoded as a file's, whatever the locale
-        if hasattr(sys.stdin, "buffer"):
-            return sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return fh.read()
+    """The program text of a file, or of stdin for ``-``, whatever the locale:
+    its bytes decoded as UTF-8, each undecodable byte kept as a lone
+    surrogate, and each line end, CRLF or a lone CR, made a newline."""
+    if path == "-":
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+    else:
+        with open(path, "rb", buffering=0) as fh:  # FileIO alone sizes its read by the file
+            data = fh.read()
+    text = data if isinstance(data, str) else data.decode("utf-8", "surrogateescape")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load(path: str) -> Program:
@@ -77,9 +82,31 @@ def _unstratifiable(strat: Unstratifiable) -> dict:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload, "\n"))
     else:
         _emit_text(payload, indent=0)
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a payload
+    holds: str, int (bool included), None, and lists, tuples and dicts with str
+    keys of them; ``pad`` is a newline and value's indent.  Any other type
+    raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items, ends = [_json(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):
+        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in sorted(value.items())]
+        ends = "{}"
+    elif value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
 
 def _emit_text(value, indent: int) -> None:

@@ -322,26 +322,36 @@ class _Template:
         joined = set(range(n_bound)).union(*lvs)
         self.rest = [f for f in range(len(variables)) if f not in joined]  # fields no join binds
         self.rest_domains = [domains[f - n_bound] for f in self.rest]
+        # per guarded field of rest: its place in rest, its domain's values, its guards
+        self.narrowing = [(i, set(self.rest_domains[i]),
+                           [j for j, g in enumerate(self.guards) if g == f])
+                          for i, f in enumerate(self.rest) if f in self.guards]
 
     def add(self, index: int, consts: tuple[Expr, ...]) -> int:
         """Add clause ``index``, with ``consts`` its guards' ground sides, as a row.  A
-        field keeps the values that are each of its guards' sides: interned terms, alive
-        in the row and the universe, so ``is`` compares them."""
-        guarded = [[c for c, g in zip(consts, self.guards) if g == f] for f in self.rest]
-        self.rows.append((index, consts, [[v for v in d if all(v is c for c in cs)] if cs
-                                          else d for d, cs in zip(self.rest_domains, guarded)]))
+        guarded field keeps the value that is each of its guards' sides, if its domain
+        holds it: interned terms, alive in the row and the universe, compare by identity."""
+        domains = list(self.rest_domains)
+        for i, values, guards in self.narrowing:
+            kept = {consts[j] for j in guards}
+            domains[i] = list(kept & values) if len(kept) == 1 else []
+        self.rows.append((index, consts, domains))
         return len(self.rows) - 1
 
 
 def _literal(atom: Expr, fields: dict[str, int], n_bound: int) -> tuple:
-    """(pattern, free fields, builder) of an atom literal.  The builder takes the bound
-    fields, then the free ones in order of first use; the pattern, which keys the
-    literal's projection, is the atom with each variable its builder's field."""
+    """(pattern, free fields, builder, reads) of an atom literal.  The builder takes the
+    bound fields, then the free ones in order of first use; the pattern is the atom with
+    each variable its builder's field.  The pattern and the values of the bound fields
+    the literal reads key its projection: ``reads`` picks those values out of the bound
+    ones, or is None when it reads them all."""
     names = dict.fromkeys(v.name for v in vars_in_order(atom))
     own = tuple(fields[x] for x in names if fields[x] >= n_bound)
     number = {x: n_bound + own.index(fields[x]) if fields[x] >= n_bound else fields[x]
               for x in names}  # bound fields keep theirs
-    return _pattern(atom, number), own, instance_builder(atom, number)
+    read = tuple(f for f in number.values() if f < n_bound)
+    return (_pattern(atom, number), own, instance_builder(atom, number),
+            None if len(read) == n_bound else _key(read))
 
 
 def _pattern(e: Expr, number: dict[str, int]):
@@ -436,10 +446,11 @@ class _Grounding:
                 self._uses[a].append((c, q, tup))
 
     def _project(self, t: _Template, literal: tuple, bound: tuple[Expr, ...]) -> dict:
-        """A literal's projection, computed once per pattern and bound values: the atom
-        id per tuple of its free variables' values.  New atoms are admitted."""
-        pattern, free, build = literal
-        found = self._projections.get(key := (pattern, bound))
+        """A literal's projection, computed once per pattern and values of the bound
+        fields it reads: the atom id per tuple of its free variables' values.  New atoms
+        are admitted."""
+        pattern, free, build, reads = literal
+        found = self._projections.get(key := (pattern, bound if reads is None else reads(bound)))
         if found is None:
             n, found, ids = len(bound), {}, self.ids
             for tup in itertools.product(*[t.domains[f - n] for f in free]):

@@ -23,59 +23,34 @@ from __future__ import annotations
 import re
 
 from .errors import DuplicateDeclaration, ParseError
-from .records import FrozenRecord, Record
+from .records import Record
 from .syntax import IOTA, OMICRON, Arrow, TypeExpr
 
 RESERVED = ("type",)
+_BASE_TYPES = {"i": IOTA, "o": OMICRON}
 
 
 # ---------------------------------------------------------------------------
 # Raw (untyped) syntax trees
 # ---------------------------------------------------------------------------
 #
-# A position is the offset of a token in the source text; ``position``
-# turns it into a line and a column when an error is reported.
+# Raw syntax is plain tuples.  A position is the offset of a token in the
+# source text; ``position`` turns it into a line and a column when an error
+# is reported.
+#
+# * a spine, ``name args[0] ... args[n-1]``: ``(name, args, pos)``, with
+#   ``args == ()`` for a bare name and ``pos`` the name's offset;
+# * a negation ``~ atom``: ``("~", atom, pos)``;
+# * an equality ``lhs = rhs``: ``("=", lhs, rhs, pos)``, ``pos`` the ``=``'s;
+# * a clause: ``(head, body, pos)``, ``body`` a tuple of literals;
+# * a declaration: ``(name, type, pos)``.
+#
+# A name is a word, so no spine's name is ``~`` or ``=``.
 
 
 def position(text: str, offset: int) -> tuple[int, int]:
     """Line and column, both from 1, of the character at offset in text."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
-class RawName(FrozenRecord):
-    """A bare name: a spine with no arguments."""
-
-    __slots__ = ("name", "pos")
-    args = ()
-
-
-class RawApp(FrozenRecord):
-    """A spine: ``name args[0] ... args[n-1]``, a name applied to one or
-    more arguments.  ``pos`` is the name's offset."""
-
-    __slots__ = ("name", "args", "pos")
-
-
-RawSpine = "RawName | RawApp"
-
-
-class RawNeg(FrozenRecord):
-    __slots__ = ("atom", "pos")
-
-
-class RawEq(FrozenRecord):
-    __slots__ = ("lhs", "rhs", "pos")
-
-
-RawLiteral = "RawSpine | RawNeg | RawEq"
-
-
-class RawClause(FrozenRecord):
-    __slots__ = ("head", "body", "pos")
-
-
-class Declaration(FrozenRecord):
-    __slots__ = ("name", "typ", "pos")
 
 
 class SourceProgram(Record):
@@ -86,8 +61,8 @@ class SourceProgram(Record):
 
     def __init__(
         self,
-        declarations: list[Declaration] | None = None,
-        clauses: list[RawClause] | None = None,
+        declarations: list[tuple] | None = None,
+        clauses: list[tuple] | None = None,
         names: dict[str, None] | None = None,
         text: str = "",
     ) -> None:
@@ -193,12 +168,9 @@ class _Parser:
 
     def parse_type_atom(self, depth: int) -> tuple[TypeExpr, int]:
         kind, text, _ = self.tok
-        if kind == "NAME" and text == "i":
+        if kind == "NAME" and text in _BASE_TYPES:
             self.next()
-            return IOTA, 0
-        if kind == "NAME" and text == "o":
-            self.next()
-            return OMICRON, 0
+            return _BASE_TYPES[text], 0
         if kind == "LPAREN":
             self.reach(depth, 1)
             self.next()
@@ -209,20 +181,14 @@ class _Parser:
 
     # -- terms and literals ---------------------------------------------------
 
-    def parse_name(self) -> tuple[str, int]:
-        if self.tok[1] in RESERVED:
-            raise self.fail(f"{self.tok[1]!r} is reserved")
-        _, text, pos = self.expect("NAME")
-        return text, pos
-
-    def parse_arg(self, depth: int) -> tuple[RawSpine, int]:
+    def parse_arg(self, depth: int) -> tuple[tuple, int]:
         kind, text, pos = self.tok
         if kind == "NAME":
             if text in RESERVED:
                 raise self.fail(f"{text!r} is reserved")
             self.names[text] = None
             self.next()
-            return RawName(text, pos), 0
+            return (text, (), pos), 0
         if kind == "LPAREN":
             self.reach(depth, 1)
             self.next()
@@ -231,7 +197,7 @@ class _Parser:
             return inner, height + 1
         raise self.fail(f"expected a term, found {text or 'end of input'!r}")
 
-    def parse_atom(self, depth: int = 0) -> tuple[RawSpine, int]:
+    def parse_atom(self, depth: int = 0) -> tuple[tuple, int]:
         head, height = self.parse_arg(depth)
         args = []
         while self.tok[0] in ("NAME", "LPAREN"):
@@ -241,24 +207,28 @@ class _Parser:
             height = 1 + max(height, arg_height)
         if not args:
             return head, height
-        return RawApp(head.name, head.args + tuple(args), head.pos), height
+        name, head_args, pos = head
+        return (name, head_args + tuple(args), pos), height
 
-    def parse_literal(self) -> RawLiteral:
+    def parse_literal(self) -> tuple:
         kind, _, pos = self.tok
         if kind == "TILDE":
             self.next()
-            return RawNeg(self.parse_arg(0)[0], pos)
+            return ("~", self.parse_arg(0)[0], pos)
         lhs = self.parse_atom()[0]
         if self.tok[0] == "EQUALS":
             eq = self.next()[2]
-            return RawEq(lhs, self.parse_atom()[0], eq)
+            return ("=", lhs, self.parse_atom()[0], eq)
         return lhs
 
     # -- declarations and clauses ---------------------------------------------
 
-    def parse_decl(self, seen: dict[str, int]) -> Declaration:
+    def parse_decl(self, seen: dict[str, int]) -> tuple:
+        """A declaration; ``seen`` maps each name declared before to its offset."""
         self.next()  # the "type" keyword, checked by the caller
-        name, pos = self.parse_name()
+        if self.tok[1] in RESERVED:
+            raise self.fail(f"{self.tok[1]!r} is reserved")
+        _, name, pos = self.expect("NAME")
         self.expect("COLON")
         typ = self.parse_type()[0]
         self.expect("DOT")
@@ -267,9 +237,10 @@ class _Parser:
                 "%s already declared at %d:%d" % (name, *position(self.text, seen[name])),
                 *position(self.text, pos),
             )
-        return Declaration(name, typ, pos)
+        seen[name] = pos
+        return name, typ, pos
 
-    def parse_clause(self) -> RawClause:
+    def parse_clause(self) -> tuple:
         pos = self.tok[2]
         head = self.parse_atom()[0]
         body: list = []
@@ -282,7 +253,7 @@ class _Parser:
                     self.next()
                     body.append(self.parse_literal())
         self.expect("DOT")
-        return RawClause(head, tuple(body), pos)
+        return head, tuple(body), pos
 
     def parse_program(self) -> SourceProgram:
         sp = SourceProgram(names=self.names, text=self.text)
@@ -290,9 +261,7 @@ class _Parser:
         while self.tok[0] != "EOF":
             kind, text, _ = self.tok
             if kind == "NAME" and text == "type":
-                decl = self.parse_decl(seen)
-                seen[decl.name] = decl.pos
-                sp.declarations.append(decl)
+                sp.declarations.append(self.parse_decl(seen))
             else:
                 sp.clauses.append(self.parse_clause())
         return sp
@@ -310,7 +279,7 @@ def parse_type(text: str) -> TypeExpr:
     return typ
 
 
-def parse_atom(text: str) -> RawSpine:
+def parse_atom(text: str) -> tuple:
     """Parse a single atom (used for --roots arguments)."""
     p = _Parser(text)
     atom = p.parse_atom()[0]

@@ -23,17 +23,7 @@ from .errors import (
     TypeCheckError,
     UnboundSymbol,
 )
-from .parser import (
-    RawClause,
-    RawEq,
-    RawLiteral,
-    RawNeg,
-    RawSpine,
-    SourceProgram,
-    parse_atom,
-    parse_program,
-    position,
-)
+from .parser import SourceProgram, parse_atom, parse_program, position
 from .records import FrozenRecord
 from .syntax import (
     IOTA,
@@ -54,7 +44,6 @@ from .syntax import (
     Var,
     functional_arity,
     is_functional_type,
-    is_predicate_type,
     peel,
     predicate_arg_types,
     vars_in_order,
@@ -80,12 +69,12 @@ class Program(FrozenRecord):
 
 def _build_signature(sp: SourceProgram) -> Signature:
     mapping: dict[str, TypeExpr] = {}
-    for decl in sp.declarations:
-        if decl.name[0].isupper():
-            at = "%d:%d" % position(sp.text, decl.pos)
-            raise IllTyped(f"{at}: cannot declare variable {decl.name}")
-        Signature.kind_of_type(decl.name, decl.typ)  # reject malformed types
-        mapping[decl.name] = decl.typ
+    for name, typ, pos in sp.declarations:
+        if name[0].isupper():
+            at = "%d:%d" % position(sp.text, pos)
+            raise IllTyped(f"{at}: cannot declare variable {name}")
+        Signature.kind_of_type(name, typ)  # reject malformed types
+        mapping[name] = typ
     # Undeclared lowercase nullary symbols default to individual constants.
     for name in sp.names:
         if name not in mapping and not name[0].isupper():
@@ -99,7 +88,10 @@ def _build_signature(sp: SourceProgram) -> Signature:
 
 
 class _ClauseChecker:
-    def __init__(self, types: dict[str, TypeExpr], clause: RawClause | None, text: str):
+    """Types one raw clause, ``(head, body, pos)``, or one root atom; raw
+    syntax is the parser's tuples."""
+
+    def __init__(self, types: dict[str, TypeExpr], clause: tuple | None, text: str):
         self.types = types  # the signature's
         self.clause = clause  # None for a root atom
         self.text = text  # the source the positions are offsets into
@@ -116,37 +108,38 @@ class _ClauseChecker:
         """The clause or atom checked, as error messages name it."""
         if self.clause is None:
             return "a root atom"
-        head = self.clause.head  # checked: distinct variables follow the name
-        names = " ".join([head.name] + [a.name for a in head.args])
-        return f"the clause for '{names}' at {self.at(self.clause.pos)}"
+        (name, args, _), _, pos = self.clause  # checked: distinct variables follow the name
+        names = " ".join([name] + [a[0] for a in args])
+        return f"the clause for '{names}' at {self.at(pos)}"
 
-    def check_head(self) -> tuple[PredConst, tuple[Var, ...]]:
-        rc = self.clause
-        name, args, at = rc.head.name, rc.head.args, self.at
-        if name[0].isupper():
-            raise IllTyped(f"{at(rc.head.pos)}: clause head must start with a predicate constant")
-        typ = self.types.get(name)
-        if typ is None or not is_predicate_type(typ):
-            raise IllTyped(f"{at(rc.head.pos)}: head symbol {name} is not a declared predicate")
-        argtypes = predicate_arg_types(typ)
+    def check_head(self, heads: dict) -> tuple[PredConst, tuple[Var, ...]]:
+        """The head's predicate and formals; ``heads`` maps each predicate
+        constant's name to it and its argument types."""
+        (name, args, head_pos), _, pos = self.clause
+        at = self.at
+        if name not in heads:  # no variable is declared, so none is a predicate constant
+            if name[0].isupper():
+                raise IllTyped(f"{at(head_pos)}: clause head must start with a predicate constant")
+            raise IllTyped(f"{at(head_pos)}: head symbol {name} is not a declared predicate")
+        pred, argtypes = heads[name]
         if len(args) != len(argtypes):
             raise ArityMismatch(
-                f"{at(rc.head.pos)}: {name} : {typ} takes {len(argtypes)} "
+                f"{at(head_pos)}: {name} : {pred.ptype} takes {len(argtypes)} "
                 f"arguments, head has {len(args)}"
             )
         formals: list[Var] = []
-        for a, t in zip(args, argtypes):
-            if a.args or not a.name[0].isupper():
+        for (var, var_args, var_pos), t in zip(args, argtypes):
+            if var_args or not var[0].isupper():
                 raise NonVariableHeadArgument(
-                    f"{at(rc.pos)}: head argument of {name} must be a variable"
+                    f"{at(pos)}: head argument of {name} must be a variable"
                 )
-            if a.name in self.env:
+            if var in self.env:
                 raise RepeatedHeadVariable(
-                    f"{at(a.pos)}: variable {a.name} appears twice in the head of {name}"
+                    f"{at(var_pos)}: variable {var} appears twice in the head of {name}"
                 )
-            self.env[a.name] = t
-            formals.append(IndVar(a.name) if t is IOTA else PredVar(a.name, t))
-        return PredConst(name, typ), tuple(formals)
+            self.env[var] = t
+            formals.append(IndVar(var) if t is IOTA else PredVar(var, t))
+        return pred, tuple(formals)
 
     # -- binding pass ---------------------------------------------------------
 
@@ -164,14 +157,14 @@ class _ClauseChecker:
                 )
             )
 
-    def walk(self, raw: RawSpine, expected: TypeExpr | None) -> TypeExpr | None:
-        """Propagate type information; returns the type when determinable."""
-        name, args = raw.name, raw.args
+    def walk(self, raw: tuple, expected: TypeExpr | None) -> TypeExpr | None:
+        """Propagate type information through a spine; returns its type when determinable."""
+        name, args, pos = raw
         if not name[0].isupper():
             known = self.types.get(name)
         elif not args:
             if expected is not None:
-                self.bind(name, expected, raw.pos)
+                self.bind(name, expected, pos)
             return self.env.get(name)
         else:
             known = self.env.get(name)
@@ -182,7 +175,7 @@ class _ClauseChecker:
                 typ = expected
                 for t in reversed(argtypes):
                     typ = Arrow(t, typ)
-                self.bind(name, typ, raw.pos)
+                self.bind(name, typ, pos)
                 return expected
         if known is None or not args:
             return known
@@ -193,59 +186,62 @@ class _ClauseChecker:
             self.walk(a, t)
         return peeled[1]
 
-    def infer(self, body: tuple[RawLiteral, ...]) -> None:
+    def infer(self, body: tuple) -> None:
         # bind never overwrites, so a pass that binds nothing is the last.
         bound = -1
         while bound < len(self.env):
             bound = len(self.env)
             for lit in body:
-                if isinstance(lit, RawNeg):
-                    self.walk(lit.atom, OMICRON)
-                elif isinstance(lit, RawEq):
-                    self.walk(lit.lhs, IOTA)
-                    self.walk(lit.rhs, IOTA)
+                kind = lit[0]
+                if kind == "~":
+                    self.walk(lit[1], OMICRON)
+                elif kind == "=":
+                    self.walk(lit[1], IOTA)
+                    self.walk(lit[2], IOTA)
                 else:
                     self.walk(lit, OMICRON)
 
     # -- build pass -----------------------------------------------------------
 
-    def build_literal(self, raw: RawLiteral) -> Expr:
-        if isinstance(raw, RawNeg):
-            atom = self.build(raw.atom)
+    def build_literal(self, raw: tuple) -> Expr:
+        kind = raw[0]
+        if kind == "~":
+            _, inner, pos = raw
+            atom = self.build(inner)
             if atom.typ is not OMICRON:
-                raise NegOfNonBoolean(
-                    f"{self.at(raw.pos)}: ~ over {atom.text} : {atom.typ}"
-                )
+                raise NegOfNonBoolean(f"{self.at(pos)}: ~ over {atom.text} : {atom.typ}")
             return Neg(atom)
-        if isinstance(raw, RawEq):
-            lhs, rhs = self.build(raw.lhs), self.build(raw.rhs)
+        if kind == "=":
+            _, lhs, rhs, pos = raw
+            lhs, rhs = self.build(lhs), self.build(rhs)
             if lhs.typ is not IOTA or rhs.typ is not IOTA:
                 raise EqOfNonIndividual(
-                    f"{self.at(raw.pos)}: = compares individuals, got {lhs.typ} and {rhs.typ}"
+                    f"{self.at(pos)}: = compares individuals, got {lhs.typ} and {rhs.typ}"
                 )
             return Eq(lhs, rhs)
         return self.build(raw)
 
-    def build(self, raw: RawSpine) -> Expr:
-        name, args, at = raw.name, raw.args, self.at
+    def build(self, raw: tuple) -> Expr:
+        name, args, pos = raw
+        at = self.at
         if name[0].isupper():
             typ = self.env.get(name)
             if typ is None:
                 raise AmbiguousVariableType(
-                    f"{at(raw.pos)}: the type of {name} is not determined by any "
+                    f"{at(pos)}: the type of {name} is not determined by any "
                     f"occurrence in {self.where}"
                 )
             out = IndVar(name) if typ is IOTA else PredVar(name, typ)
         else:
             typ = self.types.get(name)
             if typ is None:
-                raise UnboundSymbol(f"{at(raw.pos)}: undeclared symbol {name}")
+                raise UnboundSymbol(f"{at(pos)}: undeclared symbol {name}")
             if typ is not IOTA and is_functional_type(typ):
                 # a function symbol, fully applied, makes an individual
                 n = functional_arity(typ)
                 if len(args) != n:
                     raise ArityMismatch(
-                        f"{at(raw.pos)}: function symbol {name} expects {n} "
+                        f"{at(pos)}: function symbol {name} expects {n} "
                         f"arguments, got {len(args)}"
                     )
                 built = []
@@ -253,42 +249,43 @@ class _ClauseChecker:
                     built.append(self.build(a))
                     if built[-1].typ is not IOTA:
                         raise IllTypedApplication(
-                            f"{at(raw.pos)}: argument {built[-1].text} of "
+                            f"{at(pos)}: argument {built[-1].text} of "
                             f"{name} is not an individual"
                         )
                 return FunApp(name, tuple(built))
             out = IndConst(name) if typ is IOTA else PredConst(name, typ)
         if args and typ is IOTA:
-            raise IllTypedApplication(f"{at(raw.pos)}: individual {name} cannot be applied")
+            raise IllTypedApplication(f"{at(pos)}: individual {name} cannot be applied")
         for a in args:
             optype = out.typ
             if not isinstance(optype, Arrow):
                 raise IllTypedApplication(
-                    f"{at(raw.pos)}: {out.text} : {optype} cannot be applied"
+                    f"{at(pos)}: {out.text} : {optype} cannot be applied"
                 )
             ax = self.build(a)
             if ax.typ is not optype.argument:
                 raise IllTypedApplication(
-                    f"{at(raw.pos)}: {out.text} expects {optype.argument}, "
+                    f"{at(pos)}: {out.text} expects {optype.argument}, "
                     f"got {ax.text} : {ax.typ}"
                 )
             out = App(out, ax)
         return out
 
 
-def check_clause(rc: RawClause, types: dict[str, TypeExpr], text: str) -> Clause:
-    """The typed clause of rc under the signature's types; rc's positions
-    are offsets into text."""
+def check_clause(rc: tuple, types: dict[str, TypeExpr], text: str, heads: dict) -> Clause:
+    """The typed clause of the raw clause rc under the signature's types;
+    rc's positions are offsets into text; heads is as ``check_head`` takes it."""
     checker = _ClauseChecker(types, rc, text)
-    pred, formals = checker.check_head()
-    checker.infer(rc.body)
+    pred, formals = checker.check_head(heads)
+    _, raw_body, pos = rc
+    checker.infer(raw_body)
     body: list[Expr] = []
-    for lit in rc.body:
+    for lit in raw_body:
         try:
             built = checker.build_literal(lit)
             if built.typ is not OMICRON:
                 raise IllTyped(
-                    f"{checker.at(rc.pos)}: body literal {built.text} has type "
+                    f"{checker.at(pos)}: body literal {built.text} has type "
                     f"{built.typ}, not o"
                 )
             body.append(built)
@@ -308,9 +305,11 @@ def check_program(sp: SourceProgram) -> Program:
         raise ProgramCheckError([exc]) from exc
     types = sig.as_dict()
     clauses: list[Clause] = []
+    heads = {name: (PredConst(name, typ), predicate_arg_types(typ))
+             for name, typ in sig.predicate_constants()}
     for rc in sp.clauses:
         try:
-            clauses.append(check_clause(rc, types, sp.text))
+            clauses.append(check_clause(rc, types, sp.text, heads))
         except ProgramCheckError as exc:
             errors.extend(exc.errors)
         except TypeCheckError as exc:

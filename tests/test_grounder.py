@@ -23,7 +23,7 @@ from hoplog.grounder import (
 )
 from hoplog.parser import parse_type
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
-from hoplog.syntax import IOTA, FunApp, IndConst, Neg, PredConst, build_spine, spine
+from hoplog.syntax import IOTA, App, FunApp, IndConst, Neg, PredConst, build_spine, spine
 from hoplog.typecheck import elaborate_ground_atom
 
 from helpers import (
@@ -665,6 +665,19 @@ class TestShapes:
             "p X <- X = f a, X = a.\np X <- f a = X, X = f a.\n"
         ), 2)
         assert [t.rows[r][2] for t, r in rows] == [[[]], [[f_a]]]
+        # a guard's side over k symbols is outside the universe: no value
+        rows.clear()
+        program = load(
+            "type a : i.\ntype f : i -> i.\ntype p : i -> o.\ntype q : i -> o.\n"
+            "p X <- X = f (f a).\nq X <- X = f (f a), X = f (f a).\nq X <- X = f (f a), X = a.\n"
+        )
+        f_f_a = FunApp("f", (f_a,))
+        for k, kept in ((2, []), (3, [f_f_a])):
+            rows.clear()
+            gp = TestTemplateGrounding.assert_same(program, k)
+            assert [t.rows[r][2] for t, r in rows] == [[kept], [kept], [[]]]
+            fires = [((), ())] if k == 3 else None  # p (f (f a)) is an atom at size 3 only
+            assert compiled_by_key(gp.rules, gp.atoms).get("p (f (f a))") == fires
 
     def test_every_key_is_its_atoms_text(self):
         def check(program, k, roots=None):
@@ -744,6 +757,38 @@ class TestProjections:
         # r X <- q X Y and s X <- q Y X, with X bound to a: q a Y and q Y a
         assert found == [[(((q, (0, IOTA)), (1, IOTA)), (a,)), (((q, (1, IOTA)), (0, IOTA)), (a,))]]
 
+    def test_a_literal_projects_once_per_value_of_the_bound_fields_it_reads(self, monkeypatch):
+        # win X <- move X Y, ~(win Y) on a six-node chain, demanded from win n0:
+        # ~(win Y) reads no bound field, so its projection is built once, not
+        # once per value of X; move X Y reads X, so it keeps one per value.
+        program = load(
+            "".join(f"type n{i} : i.\n" for i in range(6))
+            + "type move : i -> i -> o.\ntype win : i -> o.\n"
+            + "".join(f"move X Y <- X = n{i}, Y = n{i + 1}.\n" for i in range(5))
+            + "win X <- move X Y, ~(win Y).\n"
+        )
+        roots = [atom_of(program, "win n0")]
+        TestTemplateGrounding.assert_same(program, 1, roots)
+        built, new = [], App.__new__
+
+        def counting(cls, op, arg):
+            built[-1] += 1
+            return new(cls, op, arg)
+
+        def ground():
+            built.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(App, "__new__", staticmethod(counting))
+                return relevant_grounding(program, roots, 1)
+
+        gp = ground()
+        # the same grounding with every projection keyed by all the bound values
+        literal = grounder._literal
+        monkeypatch.setattr(grounder, "_literal", lambda *args: (*literal(*args)[:3], None))
+        every = ground()
+        assert list(gp.atoms) == list(every.atoms) and len(gp.atoms) == 42
+        assert gp.rules == every.rules
+        assert built == [81, 111]
     def test_strat_perfect_seed_1_computes_nine_projections_a_query(self, monkeypatch):
         found = self.projections(monkeypatch)
         pool = bench_workloads().strat_pool(1)

@@ -9,10 +9,6 @@ from hoplog import parser
 from hoplog.errors import DuplicateDeclaration, HoplogError, ParseError
 from hoplog.parser import (
     MAX_NESTING,
-    RawApp,
-    RawEq,
-    RawName,
-    RawNeg,
     _tokenize,
     parse_atom,
     parse_program,
@@ -45,13 +41,10 @@ class TestParseType:
 class TestParseProgram:
     def test_decl_and_clause(self):
         sp = parse_program("type p : o -> o.  p R <- R.")
-        assert len(sp.declarations) == 1
-        assert sp.declarations[0].name == "p"
-        assert sp.declarations[0].typ == Arrow(OMICRON, OMICRON)
-        assert len(sp.clauses) == 1
-        clause = sp.clauses[0]
-        assert clause.head == RawApp("p", (RawName("R", 20),), 18)
-        assert clause.body == (RawName("R", 25),)
+        # a declaration is (name, type, pos), a clause (head, body, pos)
+        assert sp.declarations == [("p", Arrow(OMICRON, OMICRON), 5)]
+        assert sp.declarations[0][1] is Arrow(OMICRON, OMICRON)
+        assert sp.clauses == [(("p", (("R", (), 20),), 18), (("R", (), 25),), 18)]
         assert list(sp.names) == ["p", "R"]
 
     def test_empty_text(self):
@@ -61,28 +54,26 @@ class TestParseProgram:
     def test_negative_literal_clause(self):
         sp = parse_program("subset S1 S2 <- ~(nonsubset S1 S2).")
         (clause,) = sp.clauses
-        (lit,) = clause.body
-        assert isinstance(lit, RawNeg)
-        assert lit.atom.name == "nonsubset"
-        assert [a.name for a in lit.atom.args] == ["S1", "S2"]
+        (lit,) = clause[1]
+        assert lit == ("~", ("nonsubset", (("S1", (), 28), ("S2", (), 31)), 18), 16)
 
     def test_equality_literal(self):
         sp = parse_program("q X <- X = a.")
-        (lit,) = sp.clauses[0].body
-        assert isinstance(lit, RawEq)
+        (lit,) = sp.clauses[0][1]
+        assert lit == ("=", ("X", (), 7), ("a", (), 11), 9)
 
     def test_comments_ignored(self):
         sp = parse_program("% a comment\ntype p : o. % trailing\np.\n")
         assert len(sp.declarations) == 1 and len(sp.clauses) == 1
 
     def test_juxtaposition_is_left_associative(self):
-        # id q a is (id q) a: the name and all its arguments in one record
-        q, a = RawName("q", 3), RawName("a", 5)
-        assert parse_program("id q a.").clauses[0].head == RawApp("id", (q, a), 0)
-        q, a = RawName("q", 4), RawName("a", 7)
-        assert parse_program("(id q) a.").clauses[0].head == RawApp("id", (q, a), 1)
-        q, a = RawName("q", 6), RawName("a", 9)
-        assert parse_program("((id) q) a.").clauses[0].head == RawApp("id", (q, a), 2)
+        # id q a is (id q) a: the name and all its arguments in one spine
+        q, a = ("q", (), 3), ("a", (), 5)
+        assert parse_program("id q a.").clauses[0][0] == ("id", (q, a), 0)
+        q, a = ("q", (), 4), ("a", (), 7)
+        assert parse_program("(id q) a.").clauses[0][0] == ("id", (q, a), 1)
+        q, a = ("q", (), 6), ("a", (), 9)
+        assert parse_program("((id) q) a.").clauses[0][0] == ("id", (q, a), 2)
 
     def test_names_in_order_of_first_use(self):
         sp = parse_program("type q : i -> o.\nq X <- r X, ~(q a), X = b.\nr Y <- q a.\n")
@@ -108,7 +99,7 @@ class TestParseProgram:
 
     def test_parse_atom_helper(self):
         atom = parse_atom("s (p q)")
-        assert atom == RawApp("s", (RawApp("p", (RawName("q", 5),), 3),), 0)
+        assert atom == ("s", (("p", (("q", (), 5),), 3),), 0)
         with pytest.raises(ParseError):
             parse_atom("s p,")
 

@@ -1,5 +1,6 @@
 """The shared record base: every record class against the behaviour its
-``@dataclass`` form had, field by field."""
+``@dataclass`` form had, field by field; and the raw syntax tuples that
+replaced the parser's record classes, against what those records kept."""
 
 import ast
 import pickle
@@ -12,15 +13,7 @@ import hoplog.cli  # noqa: F401  (imports every module that defines a record)
 from hoplog.extensionality import ExtReport, UnknownItem, Witness
 from hoplog.grounder import ConstLit, GroundClause, GroundProgram, ground_instantiation
 from hoplog.interp import PartialInterpretation
-from hoplog.parser import (
-    Declaration,
-    RawApp,
-    RawClause,
-    RawEq,
-    RawName,
-    RawNeg,
-    SourceProgram,
-)
+from hoplog.parser import SourceProgram, parse_atom, parse_program
 from hoplog.perfect import PerfectResult, Stratification, Unstratifiable
 from hoplog.programs import CorpusEntry
 from hoplog.records import FrozenRecord, Record
@@ -79,29 +72,6 @@ SAMPLES = {
         f"Clause(head_pred=PredConst(name='p', ptype={OO_REPR}), "
         "formals=(PredVar(name='X', ptype=Omicron()),), "
         "body=(PredVar(name='X', ptype=Omicron()),))",
-    ),
-    RawName: (lambda: RawName("p", 0), "RawName(name='p', pos=0)"),
-    RawApp: (
-        lambda: RawApp("p", (RawName("X", 2),), 0),
-        "RawApp(name='p', args=(RawName(name='X', pos=2),), pos=0)",
-    ),
-    RawNeg: (
-        lambda: RawNeg(RawName("p", 1), 0),
-        "RawNeg(atom=RawName(name='p', pos=1), pos=0)",
-    ),
-    RawEq: (
-        lambda: RawEq(RawName("X", 5), RawName("a", 9), 7),
-        "RawEq(lhs=RawName(name='X', pos=5), "
-        "rhs=RawName(name='a', pos=9), pos=7)",
-    ),
-    RawClause: (
-        lambda: RawClause(RawName("p", 0), (RawName("p", 5),), 0),
-        "RawClause(head=RawName(name='p', pos=0), "
-        "body=(RawName(name='p', pos=5),), pos=0)",
-    ),
-    Declaration: (
-        lambda: Declaration("p", Arrow(OMICRON, OMICRON), 5),
-        f"Declaration(name='p', typ={OO_REPR}, pos=5)",
     ),
     SourceProgram: (
         SourceProgram,
@@ -166,6 +136,24 @@ SAMPLES = {
     ),
 }
 
+# The parser's raw syntax is plain tuples; each kind was a frozen record
+# class once, whose name it keeps here.  Per kind: a factory that parses it
+# afresh from the same text, and the tuple it gives.
+RAW_SYNTAX = {
+    "RawName": (lambda: parse_atom("p"), ("p", (), 0)),
+    "RawApp": (lambda: parse_atom("p X"), ("p", (("X", (), 2),), 0)),
+    "RawNeg": (lambda: parse_program("p <- ~p.").clauses[0][1][0], ("~", ("p", (), 6), 5)),
+    "RawEq": (
+        lambda: parse_program("p <- X = a.").clauses[0][1][0],
+        ("=", ("X", (), 5), ("a", (), 9), 7),
+    ),
+    "RawClause": (
+        lambda: parse_program("p <- p.").clauses[0],
+        (("p", (), 0), (("p", (), 5),), 0),
+    ),
+    "Declaration": (lambda: parse_program("type p : o -> o.").declarations[0], ("p", OO, 5)),
+}
+
 MUTABLE = {ExtReport, Witness, UnknownItem, GroundProgram, SourceProgram}
 # Frozen records that hold a dict, and so cannot be hashed, as before.
 HOLDS_A_DICT = {Stratification}
@@ -188,7 +176,7 @@ def _record_classes():
 
 def test_every_record_class_has_a_sample():
     assert set(_record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 26
+    assert len(SAMPLES) == 20
 
 
 @pytest.fixture(params=list(SAMPLES), ids=lambda cls: cls.__name__)
@@ -210,10 +198,21 @@ def test_slotted_and_built_afresh(sample):
     assert not hasattr(a, "__dict__")
 
 
-def test_equal_fields_compare_and_hash_equal(sample):
-    cls, make, _ = sample
+@pytest.fixture(
+    params=list(SAMPLES) + list(RAW_SYNTAX), ids=lambda kind: getattr(kind, "__name__", kind)
+)
+def value(request):
+    """A record sample, or a raw syntax kind with the tuple it parses to."""
+    make, expected = (SAMPLES if request.param in SAMPLES else RAW_SYNTAX)[request.param]
+    return request.param, make, expected
+
+
+def test_equal_fields_compare_and_hash_equal(value):
+    cls, make, expected = value
     a, b = make(), make()
     assert a == b and not a != b
+    if cls in RAW_SYNTAX:
+        assert type(a) is tuple and a == expected and a is not b
     if cls in MUTABLE or cls in HOLDS_A_DICT:
         with pytest.raises(TypeError):
             hash(a)
@@ -221,9 +220,19 @@ def test_equal_fields_compare_and_hash_equal(sample):
         assert hash(a) == hash(b)
 
 
-def test_frozen_records_refuse_assignment(sample):
-    cls, make, text = sample
+def test_frozen_records_refuse_assignment(value):
+    cls, make, text = value
     a = make()
+    if cls in RAW_SYNTAX:
+        for i in range(len(a)):
+            with pytest.raises(TypeError):
+                a[i] = None
+            with pytest.raises(TypeError):
+                del a[i]
+        with pytest.raises(AttributeError):
+            a.pos = None
+        assert a == text
+        return
     if cls in MUTABLE:
         assert isinstance(a, Record) and not isinstance(a, FrozenRecord)
         first = cls._fields[0]
@@ -240,10 +249,13 @@ def test_frozen_records_refuse_assignment(sample):
     assert repr(a) == text
 
 
-def test_pickle_round_trip(sample):
-    cls, make, text = sample
+def test_pickle_round_trip(value):
+    cls, make, text = value
     a = make()
     b = pickle.loads(pickle.dumps(a))
+    if cls in RAW_SYNTAX:
+        assert type(b) is tuple and b == a == text
+        return
     assert type(b) is cls and b == a and repr(b) == text
 
 
@@ -251,8 +263,8 @@ def test_equality_needs_the_same_class():
     assert Iota() != Omicron()
     assert not Iota() == Omicron()
     assert len({Iota(), Omicron()}) == 2
-    assert RawNeg(RawName("p", 0), 0) != RawName("p", 0)
-    assert RawName("p", 0) != ("p", 0)
+    assert Unstratifiable(("p",), ("p", "q")) != Program(("p",), ("p", "q"))
+    assert ConstLit(True) != (True,)
 
 
 def test_defaults():
@@ -367,7 +379,7 @@ SHARED_INIT = [cls for cls in SAMPLES if cls.__init__ is Record.__init__]
 def test_only_classes_that_check_or_default_write_an_init():
     own = {cls for cls in SAMPLES if cls not in SHARED_INIT and not issubclass(cls, Interned)}
     assert own == {PartialInterpretation, Signature, ExtReport, SourceProgram, CorpusEntry}
-    assert len(SHARED_INIT) == 18
+    assert len(SHARED_INIT) == 12
 
 
 @pytest.mark.parametrize("cls", SHARED_INIT, ids=lambda cls: cls.__name__)

@@ -596,8 +596,8 @@ def _declared_types():
         for pool in (workloads.game_pool, workloads.strat_pool, workloads.ext_pool):
             sources += [q.source for q in pool(seed)]
     for source in sources:
-        for decl in parse_program(source).declarations:
-            yield from _type_parts(decl.typ)
+        for _, typ, _ in parse_program(source).declarations:
+            yield from _type_parts(typ)
 
 
 def _random_type_tree(rng: random.Random, depth: int):
