@@ -57,9 +57,7 @@ from .syntax import (
     build_spine,
     instance_builder,
     is_argument_type,
-    peel,
     spine,
-    suffix_types,
     vars_in_order,
 )
 from .typecheck import Program
@@ -168,10 +166,6 @@ class Universe:
         self._built_below: dict[TypeExpr, int] = {}
         self._terms: dict[tuple[TypeExpr, int], tuple[Expr, ...]] = {}  # of terms(rho, k)
         self.symbols = 0
-        # spine heads: predicate constants with every partial-application
-        # result type they can produce
-        self._pred_heads = [(PredConst(name, ptype), tuple(suffix_types(ptype)))
-                            for name, ptype in signature.predicate_constants()]
 
     def _terms_exact(self, rho: TypeExpr, size: int) -> tuple[Expr, ...]:
         key = (rho, size)
@@ -191,26 +185,22 @@ class Universe:
         return terms
 
     def _build(self, rho: TypeExpr, size: int):
-        """The terms of type rho with exactly ``size`` symbols, unordered."""
-        if size < 1:
-            return
-        if rho == IOTA:
-            if size == 1:
-                yield from (IndConst(n) for n in self.signature.individual_constants())
-            for fname, arity in self.signature.function_symbols():
-                for args in self._arg_tuples((IOTA,) * arity, size - 1):
-                    yield FunApp(fname, args)
-        for pred, suffixes in self._pred_heads:
-            for j, result in enumerate(suffixes):
-                if result != rho:
+        """The terms of type rho with exactly ``size`` symbols, unordered: the
+        signature's producers of rho applied to arguments.  A function
+        symbol makes only individuals: its partial applications have no
+        argument type, so no variable ranges over them."""
+        sig = self.signature
+        for name, argtypes in sig.producers.get(rho, ()):
+            if rho is not IOTA:
+                if name not in sig.predicates:
                     continue
-                if j == 0:
-                    if size == 1:
-                        yield pred
-                    continue
-                argtypes, _ = peel(pred.ptype, j)
-                for args in self._arg_tuples(argtypes, size - 1):
-                    yield build_spine(pred, args)
+                pred = PredConst(name, sig.types[name])
+            if not argtypes:
+                if size == 1:
+                    yield IndConst(name) if rho is IOTA else pred
+                continue
+            for args in self._arg_tuples(argtypes, size - 1):
+                yield FunApp(name, args) if rho is IOTA else build_spine(pred, args)
 
     def _arg_tuples(self, argtypes: tuple[TypeExpr, ...], budget: int):
         """All tuples of ground arguments with the given types and total size."""
@@ -262,7 +252,7 @@ class _Template:
     def __init__(self, g: _Grounding, index: int, shape: tuple) -> None:
         clause, k = g.program.clauses[index], g.k
         n_bound = len(clause.formals) if g.bind_formals else 0
-        self.index, self.rows = index, []
+        self.rows = []
         self.variables = variables = clause.variables()
         self.fields = fields = {v.name: i for i, v in enumerate(variables)}
         self.domains = domains = []
@@ -473,13 +463,12 @@ class _Grounding:
         each atom found possibly true joins each tuple it gives a positive atom q
         with those the call's other positive atoms take from atoms found before
         it, or from it after q, so an instance is built once, with its last
-        positive atom; a one-instance call counts them.  A rule's ids come from
-        the projections.  An atom gets a list with its first rule, when it is
-        found possibly true; every other atom keeps the empty tuple."""
+        positive atom.  A rule's ids come from the projections.  An atom gets a
+        list with its first rule, when it is found possibly true; every other
+        atom keeps the empty tuple."""
         live, uses = self._live, self._uses
         rules = [()] * len(self.table)
         indexes: dict[tuple, dict] = {}  # (call, positive atom, key positions) -> tuples by key
-        pending = [len(t.pos) for t, *_ in live]  # positive atoms not yet found, per call
         queue: deque[int] = deque()
 
         def start(c: int) -> list:  # a call's field values, the free ones None
@@ -505,19 +494,11 @@ class _Grounding:
         while queue:
             a = queue.popleft()
             for c, q, tup in uses.get(a, ()):
-                t, _, _, projected = live[c]
-                pending[c] -= 1
-                if not t.domains:  # one instance: counted, not joined
-                    if not pending[c]:
-                        fire(c, start(c), tuple([projected[i] for i in t.pos]))
-                    continue
-                for keys, key in t.slots[q].items():
+                for keys, key in live[c][0].slots[q].items():
                     index = indexes.setdefault((c, q, keys), {})
                     index.setdefault(key(tup), []).append((tup, a))
             for c, q, tup in uses.get(a, ()):
                 t = live[c][0]
-                if not t.domains:
-                    continue
                 values = start(c)
                 for f, v in zip(t.literals[t.pos[q]][1], tup):
                     values[f] = v
@@ -675,17 +656,18 @@ def truncated_types(program: Program, k: int) -> tuple[str, ...]:
     one: the universe is infinite, or its largest term has more than k
     symbols.
 
-    Each signature entry ``s : r1 -> ... -> rm -> t`` gives one rule per j:
-    s applied to terms of types r1 .. rj is a term of type
-    ``r(j+1) -> ... -> t``.  (A function symbol's partial applications get
-    rules too, but their types are no argument types, so no other rule
-    takes them.)  With n the number of types the rules build, n rounds over
-    the rules size the largest term of every finite universe, whose terms
-    are at most n deep.  A type with a term more than n deep repeats a type
-    along one path, so it has ever deeper terms and no largest."""
-    rules = [(result, peel(t, j)[0]) for _, t in program.signature.entries
-             for j, result in enumerate(suffix_types(t))]
-    types, largest = {t for t, _ in rules}, {}  # type -> symbols of its largest term found
+    The signature's producers are the rules: each entry
+    ``s : r1 -> ... -> rm -> t`` gives one per j, s applied to terms of
+    types r1 .. rj is a term of type ``r(j+1) -> ... -> t``.  (A function
+    symbol's partial applications get rules too, but their types are no
+    argument types, so no other rule takes them.)  With n the number of
+    types the rules build, n rounds over the rules size the largest term of
+    every finite universe, whose terms are at most n deep.  A type with a
+    term more than n deep repeats a type along one path, so it has ever
+    deeper terms and no largest."""
+    types = program.signature.producers
+    rules = [(t, way) for t, ways in types.items() for _, way in ways]
+    largest = {}  # type -> symbols of its largest term found
     for _ in types:
         for t, way in rules:
             if largest.keys() >= set(way):

@@ -34,7 +34,7 @@ from .errors import LocalStratificationViolation, NotIncreasing
 from .grounder import GroundProgram
 from .interp import PartialInterpretation, interpretation
 from .records import FrozenRecord, built_when_read
-from .syntax import Eq, Expr, Neg, PredConst, PredVar, spine, type_geq
+from .syntax import Eq, Expr, Neg, PredConst, spine
 from .typecheck import Program
 from .wfs import occurrences
 
@@ -65,7 +65,8 @@ def _literal_sources(lit: Expr, program: Program) -> tuple[tuple[str, ...], bool
 
     A literal starting with predicate constant q depends on q alone; one
     starting with predicate variable Q depends on every predicate constant
-    whose type is >= Q's type; an equality depends on nothing.
+    whose type is >= Q's type, the signature's producers of that type (no
+    function symbol makes a predicate type); an equality depends on nothing.
     """
     strict = False
     if isinstance(lit, Neg):
@@ -76,14 +77,7 @@ def _literal_sources(lit: Expr, program: Program) -> tuple[tuple[str, ...], bool
     head, _ = spine(lit)
     if isinstance(head, PredConst):
         return (head.name,), strict
-    if isinstance(head, PredVar):
-        names = tuple(
-            name
-            for name, ptype in program.signature.predicate_constants()
-            if type_geq(ptype, head.typ)
-        )
-        return names, strict
-    return (), strict
+    return tuple([name for name, _ in program.signature.producers.get(head.ptype, ())]), strict
 
 
 def _dependency_edges(program: Program) -> dict[tuple[str, str], bool]:
@@ -130,7 +124,7 @@ def stratify(program: Program) -> Stratification | Unstratifiable:
     unstratifiable program with hundreds of predicates can take a tenth of
     a second.
     """
-    preds = [name for name, _ in program.signature.predicate_constants()]
+    preds = list(program.signature.predicates)
     edges = sorted(_dependency_edges(program).items())
     level = dict.fromkeys(preds, 1)
     for _ in range(len(preds) + 1):

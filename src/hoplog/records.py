@@ -5,7 +5,8 @@ A record's fields are the names in its class's own ``__slots__`` that do
 not begin with ``_``, in the order its ``__init__`` takes them; a slot whose
 name begins with ``_`` holds a value derived from the fields, or a cache.
 A class whose field is a property, built the first time it is read
-(``built_when_read``), names its fields in ``_fields`` itself.
+(``built_when_read``), or whose public slots hold more than its fields,
+names its fields in ``_fields`` itself.
 ``Record.__init__`` stores one positional argument per own slot, in
 ``__slots__`` order, so each field's place is stated once.  Only a class
 that checks or defaults its arguments writes its own ``__init__``.  Defining

@@ -18,7 +18,7 @@ Types and terms are hash-consed: each distinct one exists once (see ``Interned``
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from operator import itemgetter
 from typing import Union
 
@@ -147,14 +147,6 @@ IOTA = Iota()
 OMICRON = Omicron()
 
 
-def is_functional_type(t: TypeExpr) -> bool:
-    while isinstance(t, Arrow):
-        if t.argument != IOTA:
-            return False
-        t = t.result
-    return t == IOTA
-
-
 def is_predicate_type(t: TypeExpr) -> bool:
     while isinstance(t, Arrow):
         if not is_argument_type(t.argument):
@@ -187,27 +179,6 @@ def peel(t: TypeExpr, n: int) -> tuple[tuple[TypeExpr, ...], TypeExpr] | None:
         args.append(t.argument)
         t = t.result
     return tuple(args), t
-
-
-def functional_arity(t: TypeExpr) -> int:
-    n = 0
-    while isinstance(t, Arrow):
-        n += 1
-        t = t.result
-    return n
-
-
-def suffix_types(t: TypeExpr) -> Iterator[TypeExpr]:
-    """t itself and every result type reachable by peeling arguments."""
-    yield t
-    while isinstance(t, Arrow):
-        t = t.result
-        yield t
-
-
-def type_geq(t1: TypeExpr, t2: TypeExpr) -> bool:
-    """t1 >= t2: t1 equals t2 or is of the form r1 -> ... -> rn -> t2."""
-    return any(s == t2 for s in suffix_types(t1))
 
 
 # ---------------------------------------------------------------------------
@@ -423,46 +394,54 @@ def instance_builder(e: Expr, fields: Mapping[str, int]) -> Callable[[Sequence[E
 
 
 class Signature(FrozenRecord):
-    """Immutable symbol table: constant / function-symbol name -> type."""
+    """Immutable symbol table: constant / function-symbol name -> type.
 
-    __slots__ = ("entries", "_types")
+    Each entry is classified once, when the signature is built, into tables
+    that the checker, the universe, the stratifier and the truncation report
+    read:
+
+    * ``types``: name -> type;
+    * ``functions``: name -> arity, for each individual constant (arity 0)
+      and function symbol ``f : i -> ... -> i``;
+    * ``predicates``: name -> argument types, for each predicate constant
+      ``p : r1 -> ... -> rn -> o``;
+    * ``producers``: type t -> ``(name, (r1, ..., rj))`` for every entry
+      ``name : r1 -> ... -> rj -> t`` and every j, in entry order: the name
+      applied to terms of types r1 .. rj is a term of type t.
+
+    An entry of neither kind is in neither table and produces nothing.  Only
+    ``entries`` is a field: the tables are neither compared nor printed, and
+    loading a pickled signature builds them again.
+    """
+
+    __slots__ = ("entries", "types", "functions", "predicates", "producers")
+    _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[str, TypeExpr], ...]) -> None:
+        functions, predicates, producers = {}, {}, {}
         for name, t in entries:
-            self.kind_of_type(name, t)
-        _set(self, "entries", entries)
-        _set(self, "_types", dict(entries))
-
-    @staticmethod
-    def kind_of_type(name: str, t: TypeExpr) -> None:
-        """Reject a type that is neither functional nor a predicate type."""
-        if not (is_functional_type(t) or is_predicate_type(t)):
-            raise IllTyped(f"{name}: {t} is neither a functional nor a predicate type")
-
-    def as_dict(self) -> dict[str, TypeExpr]:
-        return dict(self.entries)
+            args, suffixes = [], [t]
+            while isinstance(t, Arrow):
+                args.append(t.argument)
+                t = t.result
+                suffixes.append(t)
+            if t is IOTA and all(a is IOTA for a in args):
+                functions[name] = len(args)
+            elif t is OMICRON and all(map(is_argument_type, args)):
+                predicates[name] = tuple(args)
+            else:
+                continue
+            for j, suffix in enumerate(suffixes):
+                producers.setdefault(suffix, []).append((name, tuple(args[:j])))
+        tables = (entries, dict(entries), functions, predicates, producers)
+        for slot, table in zip(self.__slots__, tables):
+            _set(self, slot, table)
 
     def lookup(self, name: str) -> TypeExpr:
-        t = self._types.get(name)
+        t = self.types.get(name)
         if t is None:
             raise UnboundSymbol(f"undeclared symbol: {name}")
         return t
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._types
-
-    def individual_constants(self) -> tuple[str, ...]:
-        return tuple(n for n, t in self.entries if t == IOTA)
-
-    def function_symbols(self) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            (n, functional_arity(t))
-            for n, t in self.entries
-            if t != IOTA and is_functional_type(t)
-        )
-
-    def predicate_constants(self) -> tuple[tuple[str, TypeExpr], ...]:
-        return tuple((n, t) for n, t in self.entries if is_predicate_type(t))
 
 
 # ---------------------------------------------------------------------------

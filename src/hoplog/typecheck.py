@@ -42,10 +42,7 @@ from .syntax import (
     Signature,
     TypeExpr,
     Var,
-    functional_arity,
-    is_functional_type,
     peel,
-    predicate_arg_types,
     vars_in_order,
 )
 
@@ -68,18 +65,21 @@ class Program(FrozenRecord):
 
 
 def _build_signature(sp: SourceProgram) -> Signature:
-    mapping: dict[str, TypeExpr] = {}
+    """The signature of the declarations, with each undeclared lowercase
+    name an individual constant; the first bad declaration in source order
+    is reported."""
+    mapping = {name: typ for name, typ, _ in sp.declarations}
+    for name in sp.names:
+        if name not in mapping and not name[0].isupper():
+            mapping[name] = IOTA
+    sig = Signature(tuple(sorted(mapping.items())))
     for name, typ, pos in sp.declarations:
         if name[0].isupper():
             at = "%d:%d" % position(sp.text, pos)
             raise IllTyped(f"{at}: cannot declare variable {name}")
-        Signature.kind_of_type(name, typ)  # reject malformed types
-        mapping[name] = typ
-    # Undeclared lowercase nullary symbols default to individual constants.
-    for name in sp.names:
-        if name not in mapping and not name[0].isupper():
-            mapping[name] = IOTA
-    return Signature(tuple(sorted(mapping.items())))
+        if name not in sig.functions and name not in sig.predicates:
+            raise IllTyped(f"{name}: {typ} is neither a functional nor a predicate type")
+    return sig
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +91,8 @@ class _ClauseChecker:
     """Types one raw clause, ``(head, body, pos)``, or one root atom; raw
     syntax is the parser's tuples."""
 
-    def __init__(self, types: dict[str, TypeExpr], clause: tuple | None, text: str):
-        self.types = types  # the signature's
+    def __init__(self, sig: Signature, clause: tuple | None, text: str):
+        self.types, self.functions = sig.types, sig.functions
         self.clause = clause  # None for a root atom
         self.text = text  # the source the positions are offsets into
         self.env: dict[str, TypeExpr] = {}
@@ -236,9 +236,8 @@ class _ClauseChecker:
             typ = self.types.get(name)
             if typ is None:
                 raise UnboundSymbol(f"{at(pos)}: undeclared symbol {name}")
-            if typ is not IOTA and is_functional_type(typ):
-                # a function symbol, fully applied, makes an individual
-                n = functional_arity(typ)
+            n = self.functions.get(name)
+            if n:  # a function symbol, fully applied, makes an individual
                 if len(args) != n:
                     raise ArityMismatch(
                         f"{at(pos)}: function symbol {name} expects {n} "
@@ -272,10 +271,10 @@ class _ClauseChecker:
         return out
 
 
-def check_clause(rc: tuple, types: dict[str, TypeExpr], text: str, heads: dict) -> Clause:
-    """The typed clause of the raw clause rc under the signature's types;
-    rc's positions are offsets into text; heads is as ``check_head`` takes it."""
-    checker = _ClauseChecker(types, rc, text)
+def check_clause(rc: tuple, sig: Signature, text: str, heads: dict) -> Clause:
+    """The typed clause of the raw clause rc under the signature sig; rc's
+    positions are offsets into text; heads is as ``check_head`` takes it."""
+    checker = _ClauseChecker(sig, rc, text)
     pred, formals = checker.check_head(heads)
     _, raw_body, pos = rc
     checker.infer(raw_body)
@@ -303,13 +302,12 @@ def check_program(sp: SourceProgram) -> Program:
         sig = _build_signature(sp)
     except TypeCheckError as exc:
         raise ProgramCheckError([exc]) from exc
-    types = sig.as_dict()
     clauses: list[Clause] = []
-    heads = {name: (PredConst(name, typ), predicate_arg_types(typ))
-             for name, typ in sig.predicate_constants()}
+    heads = {name: (PredConst(name, sig.types[name]), argtypes)
+             for name, argtypes in sig.predicates.items()}
     for rc in sp.clauses:
         try:
-            clauses.append(check_clause(rc, types, sp.text, heads))
+            clauses.append(check_clause(rc, sig, sp.text, heads))
         except ProgramCheckError as exc:
             errors.extend(exc.errors)
         except TypeCheckError as exc:
@@ -326,7 +324,7 @@ def load_program(text: str) -> Program:
 
 def elaborate_ground_atom(program: Program, text: str) -> Expr:
     """Typed ground atom from its text (for roots given on the command line)."""
-    atom = _ClauseChecker(program.signature.as_dict(), None, text).build(parse_atom(text))
+    atom = _ClauseChecker(program.signature, None, text).build(parse_atom(text))
     if atom.typ is not OMICRON:
         raise IllTyped(f"root {atom.text} has type {atom.typ}, not o")
     if vars_in_order(atom):

@@ -165,6 +165,41 @@ def reference_type_size(t: TypeExpr) -> int:
     return 1
 
 
+def reference_classify(entries) -> tuple[dict, dict, dict]:
+    """The ``functions``, ``predicates`` and ``producers`` tables of a
+    signature's entries, as ``Signature`` keeps them, by recursion on each
+    type rather than by ``Signature``'s one loop down its arrows."""
+
+    def is_functional(t: TypeExpr) -> bool:  # i -> ... -> i
+        if isinstance(t, Arrow):
+            return t.argument == IOTA and is_functional(t.result)
+        return t == IOTA
+
+    def is_predicate(t: TypeExpr) -> bool:  # r1 -> ... -> rn -> o, each ri i or a predicate type
+        if isinstance(t, Arrow):
+            return (t.argument == IOTA or is_predicate(t.argument)) and is_predicate(t.result)
+        return t == OMICRON
+
+    def arguments(t: TypeExpr) -> list[TypeExpr]:
+        return [t.argument] + arguments(t.result) if isinstance(t, Arrow) else []
+
+    def after(t: TypeExpr, j: int) -> TypeExpr:  # t with its first j arguments taken
+        return after(t.result, j - 1) if j else t
+
+    functions, predicates, producers = {}, {}, {}
+    for name, t in entries:
+        args = arguments(t)
+        if is_functional(t):
+            functions[name] = len(args)
+        elif is_predicate(t):
+            predicates[name] = tuple(args)
+        else:
+            continue
+        for j in range(len(args) + 1):
+            producers.setdefault(after(t, j), []).append((name, tuple(args[:j])))
+    return functions, predicates, producers
+
+
 # ---------------------------------------------------------------------------
 # Independent term enumeration (oracle for the universe builder)
 # ---------------------------------------------------------------------------
@@ -178,7 +213,7 @@ def enumerate_terms_closure(program: Program, rho: TypeExpr, k: int) -> set[str]
     keeping only terms within the size bound.  Equivalent to the sized
     enumeration, computed a different way.
     """
-    sig = program.signature
+    functions, predicates, _ = reference_classify(program.signature.entries)
     terms: dict[str, tuple[Expr, TypeExpr]] = {}
 
     def add(e: Expr, t: TypeExpr) -> bool:
@@ -188,15 +223,18 @@ def enumerate_terms_closure(program: Program, rho: TypeExpr, k: int) -> set[str]
         terms[key] = (e, t)
         return True
 
-    for name in sig.individual_constants():
-        add(IndConst(name), IOTA)
-    for name, t in sig.predicate_constants():
-        add(PredConst(name, t), t)
+    for name, t in program.signature.entries:
+        if functions.get(name) == 0:
+            add(IndConst(name), IOTA)
+        elif name in predicates:
+            add(PredConst(name, t), t)
     changed = True
     while changed:
         changed = False
         snapshot = list(terms.values())
-        for fname, arity in sig.function_symbols():
+        for fname, arity in functions.items():
+            if not arity:
+                continue
             pool = [e for e, t in snapshot if t == IOTA]
             for args in _tuples(pool, arity):
                 if add(FunApp(fname, tuple(args)), IOTA):

@@ -25,6 +25,7 @@ from hoplog.parser import parse_type
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
 from hoplog.syntax import IOTA, App, FunApp, IndConst, Neg, PredConst, build_spine, spine
 from hoplog.typecheck import elaborate_ground_atom
+from hoplog.wfs import well_founded_model
 
 from helpers import (
     bench_workloads,
@@ -805,3 +806,48 @@ def _ground(program, k, roots):
 
 def _first_atoms(gp):
     return list(gp.atoms.values())[:2]
+
+
+class TestCallsWithNoFreeVariable:
+    """A call whose positive atoms are all bound, by a ground clause or by a
+    demanded atom's arguments, goes through the semi-naive join like any
+    other: its rule fires once, when its last positive atom is found."""
+
+    BOUND = (
+        "type p : o.\ntype q : o.\ntype r : o.\ntype s : o.\ntype t : o.\n"
+        "p <- q, r.\np <- q, q.\ns <- q, t.\nt <- ~s, q.\nq.\nr <- q.\n"
+    )
+    DEMAND = "type p : o -> o.\ntype q : o.\np R <- R, R.\nq.\n"
+
+    @staticmethod
+    def solved(gp):
+        model = well_founded_model(gp).model
+        return (list(gp.atoms), gp.rules, sorted(model.true_atoms), sorted(model.false_atoms),
+                sorted(model.universe - model.true_atoms - model.false_atoms))
+
+    def test_exhaustive(self):
+        assert self.solved(ground_instantiation(load(self.BOUND), 2)) == (
+            ["p", "q", "r", "s", "t"],
+            ((((1, 1), ()), ((1, 2), ())), (((), ()),), (((1,), ()),), (((1, 4), ()),),
+             (((1,), (3,)),)),
+            ["p", "q", "r"], [], ["s", "t"],
+        )
+        assert self.solved(ground_instantiation(load(self.DEMAND), 2)) == (
+            ["p q", "p (p q)", "q"], ((((2, 2), ()),), (((0, 0), ()),), (((), ()),)),
+            ["p (p q)", "p q", "q"], [], [],
+        )
+
+    def test_on_demand(self):
+        program = load(self.BOUND)
+        roots = [atom_of(program, "p"), atom_of(program, "s")]
+        assert self.solved(relevant_grounding(program, roots, 2)) == (
+            ["p", "s", "q", "r", "t"],
+            ((((2, 2), ()), ((2, 3), ())), (((2, 4), ()),), (((), ()),), (((2,), ()),),
+             (((2,), (1,)),)),
+            ["p", "q", "r"], [], ["s", "t"],
+        )
+        # p R <- R, R demanded as p q: R is bound, both positive atoms are q
+        program = load(self.DEMAND)
+        assert self.solved(relevant_grounding(program, [atom_of(program, "p q")], 2)) == (
+            ["p q", "q"], ((((1, 1), ()),), (((), ()),)), ["p q", "q"], [], [],
+        )

@@ -160,7 +160,7 @@ class TestStratifyAgainstDefinition:
         for generate in (random_program_source, random_stratified_source):
             for seed in range(500):
                 program = load(generate(random.Random(seed)))
-                preds = [name for name, _ in program.signature.predicate_constants()]
+                preds = list(program.signature.predicates)
                 edges = _dependency_edges(program)
                 result = stratify(program)
                 kinds[type(result)] += 1

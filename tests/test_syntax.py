@@ -33,11 +33,10 @@ from hoplog.syntax import (
     TypeExpr,
     build_spine,
     instance_builder,
+    Signature,
     is_argument_type,
-    is_functional_type,
     is_predicate_type,
     spine,
-    type_geq,
     vars_in_order,
 )
 from hoplog.typecheck import check_program, load_program
@@ -48,6 +47,7 @@ from helpers import (
     load,
     random_program_source,
     reference_atomic,
+    reference_classify,
     reference_print,
     reference_size,
     reference_type_size,
@@ -60,21 +60,36 @@ IO = Arrow(IOTA, OMICRON)
 
 class TestTypes:
     def test_base_classification(self):
-        assert is_functional_type(IOTA) and is_argument_type(IOTA)
-        assert not is_predicate_type(IOTA)
+        assert is_argument_type(IOTA) and not is_predicate_type(IOTA)
         assert is_predicate_type(OMICRON) and is_argument_type(OMICRON)
-        assert not is_functional_type(OMICRON)
+        sig = Signature((("a", IOTA), ("z", OMICRON)))
+        assert sig.functions == {"a": 0} and sig.predicates == {"z": ()}
+        assert sig.producers == {IOTA: [("a", ())], OMICRON: [("z", ())]}
 
     def test_composite_classification(self):
         binary_fun = Arrow(IOTA, Arrow(IOTA, IOTA))
-        assert is_functional_type(binary_fun)
         assert not is_predicate_type(binary_fun)
         ho = Arrow(O_O, OMICRON)
         assert is_predicate_type(ho) and is_argument_type(ho)
-        assert not is_functional_type(ho)
         # (i -> o) -> i is neither functional nor predicate
         bad = Arrow(IO, IOTA)
-        assert not is_functional_type(bad) and not is_predicate_type(bad)
+        assert not is_predicate_type(bad)
+        sig = Signature((("bad", bad), ("f", binary_fun), ("s", ho)))
+        assert sig.types == {"bad": bad, "f": binary_fun, "s": ho}
+        assert sig.functions == {"f": 2} and sig.predicates == {"s": (O_O,)}
+        # every partial application, a function symbol's too; nothing of bad's
+        assert sig.producers == {
+            binary_fun: [("f", ())], Arrow(IOTA, IOTA): [("f", (IOTA,))],
+            IOTA: [("f", (IOTA, IOTA))], ho: [("s", ())], OMICRON: [("s", (O_O,))],
+        }
+
+    def test_producers_follow_suffix_order(self):
+        # A predicate constant produces each type that peeling its arguments reaches.
+        sig = Signature((("e", Arrow(IOTA, IO)), ("h", Arrow(IO, OMICRON)), ("r", IO)))
+        assert sig.predicates == {"e": (IOTA, IOTA), "h": (IO,), "r": (IOTA,)}
+        assert sig.producers[IO] == [("e", (IOTA,)), ("r", ())]
+        assert sig.producers[OMICRON] == [("e", (IOTA, IOTA)), ("h", (IO,)), ("r", (IOTA,))]
+        assert Arrow(IO, OMICRON) in sig.producers and Arrow(IOTA, IO) in sig.producers
 
     def test_arrow_prints_right_associatively(self):
         assert str(Arrow(IOTA, Arrow(IOTA, OMICRON))) == "i -> i -> o"
@@ -83,13 +98,6 @@ class TestTypes:
     def test_type_print_parse_round_trip(self):
         for t in (IOTA, OMICRON, O_O, Arrow(O_O, OMICRON), Arrow(IOTA, Arrow(IO, OMICRON))):
             assert parse_type(str(t)) == t
-
-    def test_type_geq_is_suffix_order(self):
-        # A type is greater when peeling arguments reaches the smaller one.
-        assert type_geq(Arrow(IOTA, Arrow(IOTA, OMICRON)), IO)
-        assert type_geq(IO, IO)
-        assert not type_geq(Arrow(IO, OMICRON), IO)
-        assert type_geq(O_O, OMICRON)
 
     def test_argument_types_sort_by_size_then_text(self):
         program = load("type s : (o -> o) -> o.\ntype r : i -> o.\ntype f : i -> i.")
@@ -694,8 +702,25 @@ class TestSignature:
     def test_lookup_and_membership(self):
         sig = _sig()
         assert sig.lookup("p") == O_O
-        assert "id" in sig and "nope" not in sig
+        assert "id" in sig.types and "nope" not in sig.types
         assert [n for n, _ in sig.entries] == sorted(n for n, _ in sig.entries)
-        assert sig.as_dict() == dict(sig.entries)
+        assert sig.types == dict(sig.entries)
         with pytest.raises(UnboundSymbol, match="^undeclared symbol: nope$"):
             sig.lookup("nope")
+
+    def test_pickling_rebuilds_the_tables(self):
+        sig = _sig()
+        loaded = pickle.loads(pickle.dumps(sig))
+        assert loaded == sig and loaded is not sig
+        tables = ("types", "functions", "predicates", "producers")
+        assert [getattr(loaded, t) for t in tables] == [getattr(sig, t) for t in tables]
+        assert loaded.producers[IO] == [("id", (IO,)), ("r", ())]
+
+    def test_tables_match_an_independent_classification(self):
+        programs = [load(entry.source) for entry in CORPUS]
+        rng = random.Random(27)
+        programs += [load(random_program_source(rng)) for _ in range(500)]
+        for program in programs:
+            sig = program.signature
+            assert (sig.functions, sig.predicates, sig.producers) == reference_classify(sig.entries)
+            assert sig.types == dict(sig.entries)

@@ -192,6 +192,22 @@ class TestExpressionErrors:
     def test_malformed_constant_type_rejected(self):
         assert rules_of("type h : (i -> o) -> i.") == ["IllTyped"]
 
+    @pytest.mark.parametrize("src, message", [
+        # the first bad declaration in source order, not in sorted order
+        ("type zz : o -> i. type aa : (i -> o) -> i.",
+         "IllTyped: zz: o -> i is neither a functional nor a predicate type"),
+        ("type aa : (i -> o) -> i. type zz : o -> i.",
+         "IllTyped: aa: (i -> o) -> i is neither a functional nor a predicate type"),
+        # a declaration's name is checked before its type
+        ("type q : o -> i. type X : o.",
+         "IllTyped: q: o -> i is neither a functional nor a predicate type"),
+        ("type X : o. type q : o -> i.", "IllTyped: 1:6: cannot declare variable X"),
+    ])
+    def test_first_bad_declaration_in_source_order_is_reported(self, src, message):
+        with pytest.raises(ProgramCheckError) as err:
+            load_program(src)
+        assert str(err.value) == message
+
 
 class TestDefaults:
     def test_undeclared_lowercase_defaults_to_individual(self):
