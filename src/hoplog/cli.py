@@ -31,7 +31,7 @@ from .interp import Ordering, minimal_models_bruteforce
 from .parser import parse_program
 from .perfect import Stratification, Unstratifiable, localize, perfect_model, stratify
 from .programs import DEMOS
-from .syntax import PredConst
+from .syntax import Const
 from .typecheck import Program, check_program, elaborate_ground_atom
 from .wfs import well_founded_model
 
@@ -230,8 +230,8 @@ def _demo_lemma1() -> tuple[bool, dict]:
     values = {key: str(model.value(key)) for key in expected}
     checker = ExtChecker(program, 3)
     ptype = program.signature.lookup("p")
-    p_const = PredConst("p", ptype)
-    q_const = PredConst("q", program.signature.lookup("q"))
+    p_const = Const("p", ptype)
+    q_const = Const("q", program.signature.lookup("q"))
     p_equals_q = checker.equal(ptype, p_const, q_const)
     report = checker.reflexivity_report()
     witness_terms = {(w.term, w.pair) for w in report.witnesses}

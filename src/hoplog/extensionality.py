@@ -80,22 +80,6 @@ class UnknownItem(Record):
 class ExtReport(Record):
     __slots__ = ("depth", "budget", "witnesses", "unknowns", "checked_types", "checked_terms")
 
-    def __init__(
-        self,
-        depth: int,
-        budget: int,
-        witnesses: list[Witness] | None = None,
-        unknowns: list[UnknownItem] | None = None,
-        checked_types: list[str] | None = None,
-        checked_terms: int = 0,
-    ) -> None:
-        self.depth = depth
-        self.budget = budget
-        self.witnesses = [] if witnesses is None else witnesses
-        self.unknowns = [] if unknowns is None else unknowns
-        self.checked_types = [] if checked_types is None else checked_types
-        self.checked_terms = checked_terms
-
     @property
     def extensional_at_depth(self) -> bool:
         return not self.witnesses
@@ -192,14 +176,9 @@ class ExtChecker:
         """Register every full application of size-k terms of type rho up
         front, so the demand grounding is solved once per type rather than
         once per atom."""
-        atoms = []
         pools = [self.universe.terms(t, self.k) for t in predicate_arg_types(rho)]
-        for term in self.universe.terms(rho, self.k):
-            for combo in product(*pools):
-                e = build_spine(term, combo)
-                if e.size <= self.budget:
-                    atoms.append(e)
-        self.oracle.add_atoms(atoms)
+        self.oracle.add_atoms([build_spine(term, combo) for term in self.universe.terms(rho, self.k)
+                               for combo in product(*pools)])
 
     # -- classes ---------------------------------------------------------------
 
@@ -295,7 +274,7 @@ class ExtChecker:
         return None
 
     def reflexivity_report(self) -> ExtReport:
-        report = ExtReport(self.k, self.budget)
+        report = ExtReport(self.k, self.budget, [], [], [], 0)
         for rho in argument_types(self.program):
             report.checked_types.append(str(rho))
             if rho in (IOTA, OMICRON):

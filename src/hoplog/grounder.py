@@ -41,22 +41,19 @@ from operator import attrgetter, itemgetter
 from .errors import EmptyUniverse, GroundingLimitExceeded
 from .records import FrozenRecord, Record, built_when_read
 from .syntax import (
-    IOTA,
     App,
     Arrow,
+    Const,
     Eq,
     Expr,
-    FunApp,
-    IndConst,
-    IndVar,
     Neg,
-    PredConst,
-    PredVar,
     Signature,
     TypeExpr,
+    Var,
     build_spine,
     instance_builder,
     is_argument_type,
+    is_predicate_type,
     spine,
     vars_in_order,
 )
@@ -82,9 +79,10 @@ DEFAULT_MAX_UNIVERSE_SYMBOLS = 1_000_000
 
 
 def ground_atom(expr: Expr) -> Expr:
-    """The ground atom expr itself, once it is checked to be predicate-headed."""
+    """The ground atom expr itself, once it is checked to be predicate-headed:
+    its head is a constant of predicate type."""
     head, _ = spine(expr)
-    if not isinstance(head, PredConst):
+    if not isinstance(head, Const) or not is_predicate_type(head.typ):
         raise ValueError(f"not predicate-headed: {expr.text}")
     return expr
 
@@ -186,21 +184,15 @@ class Universe:
 
     def _build(self, rho: TypeExpr, size: int):
         """The terms of type rho with exactly ``size`` symbols, unordered: the
-        signature's producers of rho applied to arguments.  A function
-        symbol makes only individuals: its partial applications have no
-        argument type, so no variable ranges over them."""
-        sig = self.signature
-        for name, argtypes in sig.producers.get(rho, ()):
-            if rho is not IOTA:
-                if name not in sig.predicates:
-                    continue
-                pred = PredConst(name, sig.types[name])
-            if not argtypes:
-                if size == 1:
-                    yield IndConst(name) if rho is IOTA else pred
-                continue
-            for args in self._arg_tuples(argtypes, size - 1):
-                yield FunApp(name, args) if rho is IOTA else build_spine(pred, args)
+        signature's producers of rho applied to arguments."""
+        types = self.signature.types
+        for name, argtypes in self.signature.producers.get(rho, ()):
+            head = Const(name, types[name])
+            if argtypes:
+                for args in self._arg_tuples(argtypes, size - 1):
+                    yield build_spine(head, args)
+            elif size == 1:
+                yield head
 
     def _arg_tuples(self, argtypes: tuple[TypeExpr, ...], budget: int):
         """All tuples of ground arguments with the given types and total size."""
@@ -284,7 +276,7 @@ class _Template:
             (looked_up if negated else self.pos).append(len(literals))
             literals.append(_literal(atom, fields, n_bound))
             lead, _ = spine(atom)
-            if isinstance(lead, PredConst):
+            if isinstance(lead, Const):
                 g.edges[head_pred, lead.name, negated] = None
             elif fields[lead.name] < n_bound:
                 self.bound_heads.append((fields[lead.name], negated))
@@ -346,15 +338,13 @@ def _literal(atom: Expr, fields: dict[str, int], n_bound: int) -> tuple:
 
 def _pattern(e: Expr, number: dict[str, int]):
     """The term e up to its variables' names: a variable is its field and type,
-    an application a pair, a function term its symbol and its arguments', and
-    a constant itself.  Literals of one pattern thus share their projection:
-    ``edge X Y`` as a head and ``edge X Z`` in a body."""
-    if isinstance(e, (IndVar, PredVar)):
+    an application a pair, and a constant itself.  Literals of one pattern
+    thus share their projection: ``edge X Y`` as a head and ``edge X Z`` in
+    a body."""
+    if isinstance(e, Var):
         return number[e.name], e.typ
     if isinstance(e, App):
         return _pattern(e.op, number), _pattern(e.arg, number)
-    if isinstance(e, FunApp):
-        return (e.fun, *[_pattern(a, number) for a in e.args])
     return e
 
 
@@ -400,7 +390,7 @@ class _Grounding:
             for lit in clause.body:
                 if isinstance(lit, Eq):
                     for var, t in ((lit.lhs, lit.rhs), (lit.rhs, lit.lhs)):
-                        if isinstance(var, (IndVar, PredVar)) and not vars_in_order(t):
+                        if isinstance(var, Var) and not vars_in_order(t):
                             lit = (var, None) if var is lit.lhs else (None, var)
                             consts.append(t)
                             break
@@ -542,25 +532,21 @@ class _DemandGrounding(_Grounding):
         # per key met: (instances per atom, {guarded fields: {texts: (template, row)s}})
         self.groups: dict[tuple, tuple[int, dict]] = {}
 
-    def demand(self, atom: Expr) -> int:
+    def _admit(self, atom: Expr) -> int:
+        """Admit and demand a new atom, a root or one an instance meets."""
+        if len(self.table) >= DEFAULT_MAX_ATOMS:
+            raise GroundingLimitExceeded(f"dependency closure exceeded {DEFAULT_MAX_ATOMS} atoms")
         if atom.size > DEFAULT_MAX_ATOM_SIZE:
             raise GroundingLimitExceeded(
                 f"a demanded {spine(atom)[0].text} atom has {atom.size} symbols, "
                 f"over the cap of {DEFAULT_MAX_ATOM_SIZE}"
             )
         self.queue.append(atom)
-        return _Grounding._admit(self, atom)
-
-    def _admit(self, atom: Expr) -> int:
-        if len(self.table) >= DEFAULT_MAX_ATOMS:
-            raise GroundingLimitExceeded(f"dependency closure exceeded {DEFAULT_MAX_ATOMS} atoms")
-        return self.demand(atom)
+        return super()._admit(atom)
 
     def close(self) -> None:
         while self.queue:
             head, args = spine(atom := self.queue.popleft())
-            if not isinstance(head, PredConst):  # only a root can be headed otherwise
-                raise ValueError(f"not predicate-headed: {atom.text}")
             key, args, a = (head.name, len(args)), tuple(args), self.ids[atom.text]
             group = self.groups.get(key)
             if group is None or self.clause_count + group[0] > DEFAULT_MAX_CLAUSES:
@@ -642,7 +628,7 @@ def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
     grounding = _DemandGrounding(program, k)
     for atom in roots:
         if atom.text not in grounding.ids:
-            grounding.demand(atom)
+            grounding._admit(ground_atom(atom))
     demanded = list(grounding.queue)
     grounding.close()
     # Only these calls outlive the grounding: every key met has its templates.

@@ -59,18 +59,6 @@ class SourceProgram(Record):
 
     __slots__ = ("declarations", "clauses", "names", "text")
 
-    def __init__(
-        self,
-        declarations: list[tuple] | None = None,
-        clauses: list[tuple] | None = None,
-        names: dict[str, None] | None = None,
-        text: str = "",
-    ) -> None:
-        self.declarations = [] if declarations is None else declarations
-        self.clauses = [] if clauses is None else clauses
-        self.names = {} if names is None else names
-        self.text = text
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -256,7 +244,7 @@ class _Parser:
         return head, tuple(body), pos
 
     def parse_program(self) -> SourceProgram:
-        sp = SourceProgram(names=self.names, text=self.text)
+        sp = SourceProgram([], [], self.names, self.text)
         seen: dict[str, int] = {}
         while self.tok[0] != "EOF":
             kind, text, _ = self.tok

@@ -34,7 +34,7 @@ from .errors import LocalStratificationViolation, NotIncreasing
 from .grounder import GroundProgram
 from .interp import PartialInterpretation, interpretation
 from .records import FrozenRecord, built_when_read
-from .syntax import Eq, Expr, Neg, PredConst, spine
+from .syntax import Const, Eq, Expr, Neg, spine
 from .typecheck import Program
 from .wfs import occurrences
 
@@ -75,9 +75,9 @@ def _literal_sources(lit: Expr, program: Program) -> tuple[tuple[str, ...], bool
     if isinstance(lit, Eq):
         return (), strict
     head, _ = spine(lit)
-    if isinstance(head, PredConst):
+    if isinstance(head, Const):
         return (head.name,), strict
-    return tuple([name for name, _ in program.signature.producers.get(head.ptype, ())]), strict
+    return tuple([name for name, _ in program.signature.producers.get(head.typ, ())]), strict
 
 
 def _dependency_edges(program: Program) -> dict[tuple[str, str], bool]:

@@ -7,9 +7,12 @@ Composite types split into three classes:
   predicate    p : r1 -> ... -> rn -> o (predicate symbols)
   argument     r : i or any predicate type (what predicates may consume)
 
-Terms are applicative: constants and variables, fully applied function
-symbols over individuals, and curried application of predicate-typed terms.
-Negation ``~`` and individual equality ``=`` exist only at the literal level.
+Terms are applicative.  A term is a constant, a variable or a curried
+application; a constant or variable carries its type, and the type alone
+says whether a constant is an individual, a function symbol or a predicate
+constant.  A function symbol is applied to all its arguments, and a clause
+variable ranges over an argument type.  Negation ``~`` and individual
+equality ``=`` exist only at the literal level.
 
 All values here are immutable and hashable; they can be shared freely.
 Types and terms are hash-consed: each distinct one exists once (see ``Interned``).
@@ -20,7 +23,6 @@ from __future__ import annotations
 import weakref
 from collections.abc import Callable, Mapping, Sequence
 from operator import itemgetter
-from typing import Union
 
 from .errors import IllTyped, IllTypedApplication, UnboundSymbol
 from .records import FrozenRecord, _set
@@ -189,22 +191,20 @@ def peel(t: TypeExpr, n: int) -> tuple[tuple[TypeExpr, ...], TypeExpr] | None:
 class Expr(Interned):
     """Base class for terms and literal expressions. Nodes carry their type.
 
-    Nodes are hash-consed (see ``Interned``).  ``text`` prints application
+    A term is a constant, a variable, or an application: a function term
+    ``f t1 ... tn`` is the same curried ``App`` spine as an atom.  Nodes are
+    hash-consed (see ``Interned``).  ``text`` prints application
     left-associatively by juxtaposition, with minimal parentheses; ``~``
     binds a single argument and ``=`` joins two individual terms.  ``size``
     counts the occurrences of constants, function symbols and predicate
     constants.  Every node stores ``text`` and ``size``.  Each also stores
     ``atomic``, except an ``App``: an atom is almost never an argument, so
     an ``App`` has no ``atomic`` slot and derives ``atomic`` when it is
-    read.  A ``FunApp`` stores it, since universe terms are printed as
-    arguments again and again.
+    read.  ``typ`` is a field of a constant or a variable, ``o`` for ``Neg``
+    and ``Eq``, and computed by an ``App`` from its operator's.
     """
 
     __slots__ = ()
-
-    @property
-    def typ(self) -> TypeExpr:
-        raise NotImplementedError
 
 
 class _StoredAtomic(Expr):
@@ -215,69 +215,25 @@ class _StoredAtomic(Expr):
     _fields = ()  # atomic is derived, not a field
 
 
-class IndConst(_StoredAtomic):
-    __slots__ = ("name",)
+class Const(_StoredAtomic):
+    """An individual constant, function symbol or predicate constant, as
+    its type says."""
 
-    def __new__(cls, name: str) -> IndConst:
-        fields = (name,)
+    __slots__ = ("name", "typ")
+
+    def __new__(cls, name: str, typ: TypeExpr) -> Const:
+        fields = (name, typ)
         return cls._find(fields) or cls._intern(fields, name, name, 1)
 
-    @property
-    def typ(self) -> TypeExpr:
-        return IOTA
 
+class Var(_StoredAtomic):
+    """A clause variable; its type is an argument type."""
 
-class PredConst(_StoredAtomic):
-    __slots__ = ("name", "ptype")
+    __slots__ = ("name", "typ")
 
-    def __new__(cls, name: str, ptype: TypeExpr) -> PredConst:
-        fields = (name, ptype)
-        return cls._find(fields) or cls._intern(fields, name, name, 1)
-
-    @property
-    def typ(self) -> TypeExpr:
-        return self.ptype
-
-
-class IndVar(_StoredAtomic):
-    __slots__ = ("name",)
-
-    def __new__(cls, name: str) -> IndVar:
-        fields = (name,)
+    def __new__(cls, name: str, typ: TypeExpr) -> Var:
+        fields = (name, typ)
         return cls._find(fields) or cls._intern(fields, name, name, 0)
-
-    @property
-    def typ(self) -> TypeExpr:
-        return IOTA
-
-
-class PredVar(_StoredAtomic):
-    __slots__ = ("name", "ptype")
-
-    def __new__(cls, name: str, ptype: TypeExpr) -> PredVar:
-        fields = (name, ptype)
-        return cls._find(fields) or cls._intern(fields, name, name, 0)
-
-    @property
-    def typ(self) -> TypeExpr:
-        return self.ptype
-
-
-class FunApp(_StoredAtomic):
-    __slots__ = ("fun", "args")
-
-    def __new__(cls, fun: str, args: tuple[Expr, ...]) -> FunApp:
-        fields = (fun, args)
-        node = cls._find(fields)
-        if node is None:
-            text = " ".join([fun] + [a.atomic for a in args])
-            node = cls._intern(fields, text, f"({text})" if args else text,
-                               1 + sum(a.size for a in args))
-        return node
-
-    @property
-    def typ(self) -> TypeExpr:
-        return IOTA
 
 
 class App(Expr):
@@ -310,6 +266,7 @@ class App(Expr):
 
 class Neg(_StoredAtomic):
     __slots__ = ("atom",)
+    typ = OMICRON
 
     def __new__(cls, atom: Expr) -> Neg:
         fields = (atom,)
@@ -319,13 +276,10 @@ class Neg(_StoredAtomic):
             node = cls._intern(fields, text, text, atom.size)
         return node
 
-    @property
-    def typ(self) -> TypeExpr:
-        return OMICRON
-
 
 class Eq(_StoredAtomic):
     __slots__ = ("lhs", "rhs")
+    typ = OMICRON
 
     def __new__(cls, lhs: Expr, rhs: Expr) -> Eq:
         fields = (lhs, rhs)
@@ -334,13 +288,6 @@ class Eq(_StoredAtomic):
             text = f"{lhs.text} = {rhs.text}"
             node = cls._intern(fields, text, text, lhs.size + rhs.size)
         return node
-
-    @property
-    def typ(self) -> TypeExpr:
-        return OMICRON
-
-
-Var = Union[IndVar, PredVar]
 
 
 def spine(e: Expr) -> tuple[Expr, list[Expr]]:
@@ -369,11 +316,8 @@ def instance_builder(e: Expr, fields: Mapping[str, int]) -> Callable[[Sequence[E
     """The function from field values to the instance of the term e, in
     which each variable takes the value ``values[fields[name]]``, a ground
     term of its type."""
-    if isinstance(e, (IndVar, PredVar)):
+    if isinstance(e, Var):
         return itemgetter(fields[e.name])
-    if isinstance(e, FunApp):
-        args = [instance_builder(a, fields) for a in e.args]
-        return lambda values: FunApp(e.fun, tuple([a(values) for a in args]))
     if isinstance(e, App):  # the whole spine in one loop, not a closure per application
         lead, args = spine(e)
         head, parts = instance_builder(lead, fields), [instance_builder(a, fields) for a in args]
@@ -475,15 +419,10 @@ class Clause(FrozenRecord):
 
 def vars_in_order(e: Expr) -> list[Var]:
     """The variable occurrences of e, left to right, repeats included."""
-    if isinstance(e, (IndVar, PredVar)):
+    if isinstance(e, Var):
         return [e]
-    if isinstance(e, (IndConst, PredConst)):
+    if isinstance(e, Const):
         return []
-    if isinstance(e, FunApp):
-        out: list[Var] = []
-        for a in e.args:
-            out.extend(vars_in_order(a))
-        return out
     if isinstance(e, App):
         return vars_in_order(e.op) + vars_in_order(e.arg)
     if isinstance(e, Neg):

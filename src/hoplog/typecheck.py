@@ -2,9 +2,9 @@
 
 Responsibilities: build the signature (declarations plus defaulted
 individual constants), enforce the clause-head discipline (every head
-argument a distinct variable), infer the types of clause variables, and
-produce typed clauses.  All violations in a program are collected and
-reported together.
+argument a distinct variable), infer the types of clause variables, refuse
+a variable whose type is no argument type, and produce typed clauses.  All
+violations in a program are collected and reported together.
 """
 
 from __future__ import annotations
@@ -31,17 +31,14 @@ from .syntax import (
     App,
     Arrow,
     Clause,
+    Const,
     Eq,
     Expr,
-    FunApp,
-    IndConst,
-    IndVar,
     Neg,
-    PredConst,
-    PredVar,
     Signature,
     TypeExpr,
     Var,
+    is_argument_type,
     peel,
     vars_in_order,
 )
@@ -112,7 +109,7 @@ class _ClauseChecker:
         names = " ".join([name] + [a[0] for a in args])
         return f"the clause for '{names}' at {self.at(pos)}"
 
-    def check_head(self, heads: dict) -> tuple[PredConst, tuple[Var, ...]]:
+    def check_head(self, heads: dict) -> tuple[Const, tuple[Var, ...]]:
         """The head's predicate and formals; ``heads`` maps each predicate
         constant's name to it and its argument types."""
         (name, args, head_pos), _, pos = self.clause
@@ -124,7 +121,7 @@ class _ClauseChecker:
         pred, argtypes = heads[name]
         if len(args) != len(argtypes):
             raise ArityMismatch(
-                f"{at(head_pos)}: {name} : {pred.ptype} takes {len(argtypes)} "
+                f"{at(head_pos)}: {name} : {pred.typ} takes {len(argtypes)} "
                 f"arguments, head has {len(args)}"
             )
         formals: list[Var] = []
@@ -138,7 +135,7 @@ class _ClauseChecker:
                     f"{at(var_pos)}: variable {var} appears twice in the head of {name}"
                 )
             self.env[var] = t
-            formals.append(IndVar(var) if t is IOTA else PredVar(var, t))
+            formals.append(Var(var, t))
         return pred, tuple(formals)
 
     # -- binding pass ---------------------------------------------------------
@@ -231,11 +228,16 @@ class _ClauseChecker:
                     f"{at(pos)}: the type of {name} is not determined by any "
                     f"occurrence in {self.where}"
                 )
-            out = IndVar(name) if typ is IOTA else PredVar(name, typ)
+            if not is_argument_type(typ):
+                raise IllTyped(
+                    f"{at(pos)}: variable {name} : {typ} is of no argument type in {self.where}"
+                )
+            out = Var(name, typ)
         else:
             typ = self.types.get(name)
             if typ is None:
                 raise UnboundSymbol(f"{at(pos)}: undeclared symbol {name}")
+            out = Const(name, typ)
             n = self.functions.get(name)
             if n:  # a function symbol, fully applied, makes an individual
                 if len(args) != n:
@@ -243,16 +245,14 @@ class _ClauseChecker:
                         f"{at(pos)}: function symbol {name} expects {n} "
                         f"arguments, got {len(args)}"
                     )
-                built = []
                 for a in args:
-                    built.append(self.build(a))
-                    if built[-1].typ is not IOTA:
+                    arg = self.build(a)
+                    if arg.typ is not IOTA:
                         raise IllTypedApplication(
-                            f"{at(pos)}: argument {built[-1].text} of "
-                            f"{name} is not an individual"
+                            f"{at(pos)}: argument {arg.text} of {name} is not an individual"
                         )
-                return FunApp(name, tuple(built))
-            out = IndConst(name) if typ is IOTA else PredConst(name, typ)
+                    out = App(out, arg)
+                return out
         if args and typ is IOTA:
             raise IllTypedApplication(f"{at(pos)}: individual {name} cannot be applied")
         for a in args:
@@ -303,7 +303,7 @@ def check_program(sp: SourceProgram) -> Program:
     except TypeCheckError as exc:
         raise ProgramCheckError([exc]) from exc
     clauses: list[Clause] = []
-    heads = {name: (PredConst(name, sig.types[name]), argtypes)
+    heads = {name: (Const(name, sig.types[name]), argtypes)
              for name, argtypes in sig.predicates.items()}
     for rc in sp.clauses:
         try:

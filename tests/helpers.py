@@ -77,15 +77,12 @@ from hoplog.syntax import (
     OMICRON,
     App,
     Arrow,
+    Const,
     Eq,
     Expr,
-    FunApp,
-    IndConst,
-    IndVar,
     Neg,
-    PredConst,
-    PredVar,
     TypeExpr,
+    Var,
     spine,
 )
 from hoplog.typecheck import Program, elaborate_ground_atom, load_program
@@ -103,10 +100,8 @@ def load(src: str) -> Program:
 
 def reference_print(e: Expr) -> str:
     """Canonical text of e, recomputed from the structure on every call."""
-    if isinstance(e, (IndConst, PredConst, IndVar, PredVar)):
+    if isinstance(e, (Const, Var)):
         return e.name
-    if isinstance(e, FunApp):
-        return " ".join([e.fun] + [reference_atomic(a) for a in e.args])
     if isinstance(e, App):
         args = []
         while isinstance(e, App):
@@ -122,19 +117,17 @@ def reference_print(e: Expr) -> str:
 
 def reference_atomic(e: Expr) -> str:
     """``reference_print``, parenthesized when e would not re-parse as one argument."""
-    if isinstance(e, App) or (isinstance(e, FunApp) and e.args):
+    if isinstance(e, App):
         return f"({reference_print(e)})"
     return reference_print(e)
 
 
 def reference_size(e: Expr) -> int:
     """Constant, function-symbol and predicate-constant occurrences in e."""
-    if isinstance(e, (IndConst, PredConst)):
+    if isinstance(e, Const):
         return 1
-    if isinstance(e, (IndVar, PredVar)):
+    if isinstance(e, Var):
         return 0
-    if isinstance(e, FunApp):
-        return 1 + sum(reference_size(a) for a in e.args)
     if isinstance(e, App):
         return reference_size(e.op) + reference_size(e.arg)
     if isinstance(e, Neg):
@@ -208,10 +201,11 @@ def reference_classify(entries) -> tuple[dict, dict, dict]:
 def enumerate_terms_closure(program: Program, rho: TypeExpr, k: int) -> set[str]:
     """All ground terms of type rho with at most k symbols, by closure.
 
-    Start from the bare constants and saturate under (a) every function
-    symbol applied to individual tuples and (b) single application steps,
-    keeping only terms within the size bound.  Equivalent to the sized
-    enumeration, computed a different way.
+    Start from the bare constants, function symbols and predicate
+    constants, and saturate under single application steps, keeping only
+    terms within the size bound.  A function symbol's partial applications
+    are built on the way, but no argument type is theirs.  Equivalent to
+    the sized enumeration, computed a different way.
     """
     functions, predicates, _ = reference_classify(program.signature.entries)
     terms: dict[str, tuple[Expr, TypeExpr]] = {}
@@ -224,21 +218,12 @@ def enumerate_terms_closure(program: Program, rho: TypeExpr, k: int) -> set[str]
         return True
 
     for name, t in program.signature.entries:
-        if functions.get(name) == 0:
-            add(IndConst(name), IOTA)
-        elif name in predicates:
-            add(PredConst(name, t), t)
+        if name in functions or name in predicates:
+            add(Const(name, t), t)
     changed = True
     while changed:
         changed = False
         snapshot = list(terms.values())
-        for fname, arity in functions.items():
-            if not arity:
-                continue
-            pool = [e for e, t in snapshot if t == IOTA]
-            for args in _tuples(pool, arity):
-                if add(FunApp(fname, tuple(args)), IOTA):
-                    changed = True
         for op, t_op in snapshot:
             if not isinstance(t_op, Arrow):
                 continue
@@ -247,15 +232,6 @@ def enumerate_terms_closure(program: Program, rho: TypeExpr, k: int) -> set[str]
                     if add(App(op, arg), t_op.result):
                         changed = True
     return {key for key, (_, t) in terms.items() if t == rho}
-
-
-def _tuples(pool, n):
-    if n == 0:
-        yield []
-        return
-    for head in pool:
-        for tail in _tuples(pool, n - 1):
-            yield [head] + tail
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +245,9 @@ Substitution = dict[str, Expr]
 
 def apply_substitution(e: Expr, theta: Substitution) -> Expr:
     """Structural replacement of variables; unmapped variables stay put."""
-    if isinstance(e, (IndConst, PredConst)):
+    if isinstance(e, Const):
         return e
-    if isinstance(e, (IndVar, PredVar)):
+    if isinstance(e, Var):
         replacement = theta.get(e.name)
         if replacement is None:
             return e
@@ -281,8 +257,6 @@ def apply_substitution(e: Expr, theta: Substitution) -> Expr:
                 f"{reference_print(replacement)}: {replacement.typ}"
             )
         return replacement
-    if isinstance(e, FunApp):
-        return FunApp(e.fun, tuple(apply_substitution(a, theta) for a in e.args))
     if isinstance(e, App):
         return App(apply_substitution(e.op, theta), apply_substitution(e.arg, theta))
     if isinstance(e, Neg):

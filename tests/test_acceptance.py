@@ -28,7 +28,7 @@ from hoplog.interp import (
 from hoplog.parser import parse_program
 from hoplog.perfect import Stratification, Unstratifiable, localize, perfect_model, stratify
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_BAD, STRATIFIED_OK
-from hoplog.syntax import PredConst
+from hoplog.syntax import Const
 from hoplog.typecheck import check_program, elaborate_ground_atom, load_program
 from hoplog.wfs import theta_lfp, theta_step, well_founded_model
 
@@ -74,8 +74,8 @@ def test_criterion_1_counterexample_reproduction():
         "w (s q)": "undefined",
     }
     checker = ExtChecker(program, 3)
-    p_const = PredConst("p", program.signature.lookup("p"))
-    q_const = PredConst("q", program.signature.lookup("q"))
+    p_const = Const("p", program.signature.lookup("p"))
+    q_const = Const("q", program.signature.lookup("q"))
     p_equals_q = checker.equal(program.signature.lookup("p"), p_const, q_const)
     report = checker.reflexivity_report()
     witnesses = {(w.term, w.pair, w.lhs_value, w.rhs_value) for w in report.witnesses}

@@ -556,6 +556,23 @@ class TestDepthBelowOne:
         }
 
 
+class TestVariableOfNoArgumentType:
+    """A variable inferred at a functional type ranges over no universe, so
+    the checker refuses its clause, and no subcommand runs on it."""
+
+    PROGRAM = "type a : i. type b : i. type f : i -> i. type p : o. p <- X a = b."
+
+    @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"demo"}))
+    def test_every_subcommand_exits_one(self, run, command):
+        code, out, err = run([command], program=self.PROGRAM)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "IllTyped: 1:59: variable X : i -> i is of no argument type"
+                     " in the clause for 'p' at 1:54",
+            "rule": "ProgramCheckError",
+        }
+
+
 class TestUsageErrors:
     """A malformed command line exits 1 with a usage line and an error line
     on stderr, and nothing on stdout; exit 2 stays reserved for a failed

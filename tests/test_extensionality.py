@@ -10,7 +10,7 @@ from hoplog.extensionality import ExtChecker
 from hoplog.grounder import argument_types
 from hoplog.parser import parse_type
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_OK
-from hoplog.syntax import IOTA, OMICRON, App, IndConst, PredConst
+from hoplog.syntax import IOTA, OMICRON, App, Const
 
 from helpers import (
     load,
@@ -26,7 +26,7 @@ HOO = parse_type("(o -> o) -> o")
 
 
 def pred(program, name):
-    return PredConst(name, program.signature.lookup(name))
+    return Const(name, program.signature.lookup(name))
 
 
 def equal_pairs(checker, rho):
@@ -48,8 +48,8 @@ class TestExtEqual:
     def test_syntactic_identity_at_individuals(self):
         program = load(POSITIVE_ID)
         checker = ExtChecker(program, 3)
-        assert checker.equal(parse_type("i"), IndConst("a"), IndConst("a"))
-        assert not checker.equal(parse_type("i"), IndConst("a"), IndConst("b"))
+        assert checker.equal(parse_type("i"), Const("a", IOTA), Const("a", IOTA))
+        assert not checker.equal(parse_type("i"), Const("a", IOTA), Const("b", IOTA))
 
     def test_consumer_of_equals_is_not_self_equal(self):
         program = load(NONEXTENSIONAL)
@@ -147,15 +147,16 @@ class TestDepthBudget:
         # Valuing q (f a) needs 3 symbols, above the budget of 2.
         assert report.unknowns
         assert all(u.rho == "i -> o" for u in report.unknowns)
+        # the oracle grounds from no root over the budget: it filters what it is given
+        sizes = [atom.size for atom in checker.oracle._roots.values()]
+        assert sizes and max(sizes) <= 2
 
     def test_direct_value_raises(self):
         src = "type q : i -> o.\ntype f : i -> i.\nq X <- X = a."
         program = load(src)
         checker = ExtChecker(program, 3, budget=2)
-        from hoplog.syntax import App, FunApp
-
-        q = pred(program, "q")
-        big = App(q, FunApp("f", (FunApp("f", (IndConst("a"),)),)))
+        q, f = pred(program, "q"), pred(program, "f")
+        big = App(q, App(f, App(f, Const("a", IOTA))))
         with pytest.raises(DepthExceeded):
             checker.oracle.value(big)
 

@@ -23,7 +23,7 @@ from hoplog.grounder import (
 )
 from hoplog.parser import parse_type
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
-from hoplog.syntax import IOTA, App, FunApp, IndConst, Neg, PredConst, build_spine, spine
+from hoplog.syntax import IOTA, App, Arrow, Const, Neg, build_spine, instance_builder, spine
 from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import well_founded_model
 
@@ -80,6 +80,21 @@ class TestHerbrandUniverse:
         assert keys(Universe(program.signature).terms(IOTA, 3)) == ["a", "f a", "f (f a)"]
         oracle = enumerate_terms_closure(program, IOTA, 3)
         assert set(keys(Universe(program.signature).terms(IOTA, 3))) == oracle
+
+    def test_a_function_term_is_one_node_whoever_builds_it(self):
+        """The checker, the universe and a clause's atom builder each make
+        ``f (f a)`` as the one interned ``App`` spine."""
+        program = load("type a : i.\ntype f : i -> i.\ntype p : i -> o.\ntype q : i -> o.\n"
+                       "p X <- q (f X).\nq X <- X = a.")
+        f, a = Const("f", Arrow(IOTA, IOTA)), Const("a", IOTA)
+        f_f_a = App(f, App(f, a))
+        checked = atom_of(program, "q (f (f a))").arg
+        universe = {t.text: t for t in Universe(program.signature).terms(IOTA, 3)}
+        literal = program.clauses[0].body[0]  # q (f X)
+        built = instance_builder(literal, {"X": 0})([universe["f a"]]).arg
+        grounded = ground_instantiation(program, 2).atoms["q (f (f a))"].arg
+        assert checked is universe["f (f a)"] is built is grounded is f_f_a
+        assert f_f_a.typ is IOTA and f_f_a.op.typ is Arrow(IOTA, IOTA)
 
     def test_empty_predicate_universe_is_not_an_error(self):
         program = load("type q : i -> o.\nq X <- X = a.")
@@ -173,8 +188,8 @@ class TestRelevantGrounding:
 
     def test_root_not_headed_by_a_predicate_constant_is_refused(self):
         program = load("type a : i.\ntype f : i -> i.\ntype p : i -> o.\np X <- X = a.")
-        a = IndConst("a")
-        for root in (a, FunApp("f", (a,)), FunApp("f", (FunApp("f", (a,)),))):
+        a, f = Const("a", IOTA), Const("f", Arrow(IOTA, IOTA))
+        for root in (a, App(f, a), App(f, App(f, a))):
             with pytest.raises(ValueError, match=f"^not predicate-headed: {re.escape(root.text)}$"):
                 relevant_grounding(program, [atom_of(program, "p a"), root], 1)
             with pytest.raises(ValueError, match="not predicate-headed"):
@@ -197,6 +212,14 @@ class TestRelevantGrounding:
         program = load(src)
         with pytest.raises(GroundingLimitExceeded):
             relevant_grounding(program, [atom_of(program, "p a")], 1)
+
+    def test_roots_count_toward_the_atom_cap(self, monkeypatch):
+        monkeypatch.setattr(grounder, "DEFAULT_MAX_ATOMS", 2)
+        program = load("type a : o.\ntype b : o.\ntype c : o.\na.\nb.\nc.")
+        a, b, c = (atom_of(program, name) for name in "abc")
+        assert list(relevant_grounding(program, [a, b], 1).atoms) == ["a", "b"]
+        with pytest.raises(GroundingLimitExceeded, match="^dependency closure exceeded 2 atoms$"):
+            relevant_grounding(program, [a, b, c], 1)
 
     def test_grounding_is_freed_when_it_returns(self, monkeypatch):
         """A demand grounding keeps no reference to its work: the lazy
@@ -656,7 +679,7 @@ class TestShapes:
         ground_instantiation(load("type a : i.\ntype f : i -> i.\ntype p : i -> o.\np X <- X = f a."), 2)
         ((t, r),) = rows
         _, consts, domains = t.rows[r]
-        f_a = FunApp("f", (IndConst("a"),))
+        f_a = App(Const("f", Arrow(IOTA, IOTA)), Const("a", IOTA))
         assert consts == (f_a,) and len(domains) == 1 and len(domains[0]) == 1
         assert domains[0][0] is f_a
         # two guards on one variable: a value must be each guard's side
@@ -672,7 +695,7 @@ class TestShapes:
             "type a : i.\ntype f : i -> i.\ntype p : i -> o.\ntype q : i -> o.\n"
             "p X <- X = f (f a).\nq X <- X = f (f a), X = f (f a).\nq X <- X = f (f a), X = a.\n"
         )
-        f_f_a = FunApp("f", (f_a,))
+        f_f_a = App(f_a.op, f_a)
         for k, kept in ((2, []), (3, [f_f_a])):
             rows.clear()
             gp = TestTemplateGrounding.assert_same(program, k)
@@ -732,7 +755,7 @@ class TestProjections:
             "edge X Y <- X = a, Y = b.\nreach X Y <- edge X Y.\nreach X Y <- edge X Z, reach Z Y.\n"
         )
         TestTemplateGrounding.assert_same(program, 1)
-        edge, reach = (PredConst(name, parse_type("i -> i -> o")) for name in ("edge", "reach"))
+        edge, reach = (Const(name, parse_type("i -> i -> o")) for name in ("edge", "reach"))
         assert found == [[(((edge, (0, IOTA)), (1, IOTA)), ()), (((reach, (0, IOTA)), (1, IOTA)), ())]]
 
     def test_one_shape_over_other_types_projects_apart(self, monkeypatch):
@@ -754,7 +777,7 @@ class TestProjections:
         )
         roots = [atom_of(program, "r a"), atom_of(program, "s a")]
         TestTemplateGrounding.assert_same(program, 1, roots)
-        q, a = PredConst("q", parse_type("i -> i -> o")), IndConst("a")
+        q, a = Const("q", parse_type("i -> i -> o")), Const("a", IOTA)
         # r X <- q X Y and s X <- q Y X, with X bound to a: q a Y and q Y a
         assert found == [[(((q, (0, IOTA)), (1, IOTA)), (a,)), (((q, (1, IOTA)), (0, IOTA)), (a,))]]
 

@@ -21,16 +21,13 @@ from hoplog.syntax import (
     App,
     Arrow,
     Eq,
+    Const,
     Expr,
-    FunApp,
-    IndConst,
-    IndVar,
     Iota,
     Neg,
     Omicron,
-    PredConst,
-    PredVar,
     TypeExpr,
+    Var,
     build_spine,
     instance_builder,
     Signature,
@@ -56,6 +53,8 @@ from helpers import (
 
 O_O = Arrow(OMICRON, OMICRON)
 IO = Arrow(IOTA, OMICRON)
+II = Arrow(IOTA, IOTA)
+III = Arrow(IOTA, II)
 
 
 class TestTypes:
@@ -123,77 +122,77 @@ def _sig():
 class TestPrinting:
     def test_application_chain_prints_flat(self):
         sig = _sig()
-        id_c = PredConst("id", sig.lookup("id"))
-        r = PredConst("r", sig.lookup("r"))
-        a = IndConst("a")
+        id_c = Const("id", sig.lookup("id"))
+        r = Const("r", sig.lookup("r"))
+        a = Const("a", IOTA)
         assert App(App(id_c, r), a).text == "id r a"
 
     def test_negation_parenthesizes_applications(self):
         sig = _sig()
-        w = PredConst("w", sig.lookup("w"))
-        s = PredConst("s", sig.lookup("s"))
-        q = PredConst("q", sig.lookup("q"))
+        w = Const("w", sig.lookup("w"))
+        s = Const("s", sig.lookup("s"))
+        q = Const("q", sig.lookup("q"))
         e = Neg(App(w, App(s, q)))
         assert e.text == "~(w (s q))"
-        assert Neg(PredVar("R", OMICRON)).text == "~R"
+        assert Neg(Var("R", OMICRON)).text == "~R"
 
     def test_equality_prints_infix(self):
-        a = IndConst("a")
+        a = Const("a", IOTA)
         assert Eq(a, a).text == "a = a"
 
     def test_term_size_counts_symbol_occurrences(self):
         sig = _sig()
-        s = PredConst("s", sig.lookup("s"))
-        q = PredConst("q", sig.lookup("q"))
+        s = Const("s", sig.lookup("s"))
+        q = Const("q", sig.lookup("q"))
         assert App(s, q).size == 2
         assert Neg(App(s, q)).size == 2
-        assert PredVar("Q", O_O).size == 0
+        assert Var("Q", O_O).size == 0
 
 
 class TestSubstitution:
     def test_predicate_variable_replacement(self):
         sig = _sig()
-        r = PredConst("r", sig.lookup("r"))
-        lit = App(PredVar("Q", IO), IndConst("a"))
+        r = Const("r", sig.lookup("r"))
+        lit = App(Var("Q", IO), Const("a", IOTA))
         out = apply_substitution(lit, {"Q": r})
         assert out.text == "r a"
 
     def test_ground_expression_unchanged(self):
         sig = _sig()
-        s = PredConst("s", sig.lookup("s"))
-        p = PredConst("p", sig.lookup("p"))
+        s = Const("s", sig.lookup("s"))
+        p = Const("p", sig.lookup("p"))
         e = App(s, p)
         assert apply_substitution(e, {"Q": p}) == e
 
     def test_negative_literal_substitution(self):
         sig = _sig()
-        w = PredConst("w", sig.lookup("w"))
-        s = PredConst("s", sig.lookup("s"))
-        q = PredConst("q", sig.lookup("q"))
-        lit = Neg(App(w, PredVar("R", OMICRON)))
+        w = Const("w", sig.lookup("w"))
+        s = Const("s", sig.lookup("s"))
+        q = Const("q", sig.lookup("q"))
+        lit = Neg(App(w, Var("R", OMICRON)))
         out = apply_substitution(lit, {"R": App(s, q)})
         assert out.text == "~(w (s q))"
 
     def test_type_mismatch_rejected(self):
         sig = _sig()
-        q = PredConst("q", sig.lookup("q"))
-        lit = App(PredVar("R", IO), IndConst("a"))
+        q = Const("q", sig.lookup("q"))
+        lit = App(Var("R", IO), Const("a", IOTA))
         with pytest.raises(TypeMismatch):
             apply_substitution(lit, {"R": q})  # q : o -> o, R : i -> o
 
     def test_substitution_preserves_type(self):
         sig = _sig()
-        s = PredConst("s", sig.lookup("s"))
-        p = PredConst("p", sig.lookup("p"))
-        e = App(PredVar("Q", O_O), App(s, PredVar("Q", O_O)))
+        s = Const("s", sig.lookup("s"))
+        p = Const("p", sig.lookup("p"))
+        e = App(Var("Q", O_O), App(s, Var("Q", O_O)))
         out = apply_substitution(e, {"Q": p})
         assert out.typ == e.typ == OMICRON
 
     def test_composition_on_disjoint_domains(self):
         sig = _sig()
-        s = PredConst("s", sig.lookup("s"))
-        p = PredConst("p", sig.lookup("p"))
-        e = App(PredVar("F", Arrow(O_O, OMICRON)), PredVar("Q", O_O))
+        s = Const("s", sig.lookup("s"))
+        p = Const("p", sig.lookup("p"))
+        e = App(Var("F", Arrow(O_O, OMICRON)), Var("Q", O_O))
         t1 = {"F": s}
         t2 = {"Q": p}
         combined = {**t1, **t2}
@@ -205,13 +204,13 @@ class TestSubstitution:
 class TestFreeVars:
     def test_self_application_pattern(self):
         sig = _sig()
-        s = PredConst("s", sig.lookup("s"))
-        qv = PredVar("Q", O_O)
+        s = Const("s", sig.lookup("s"))
+        qv = Var("Q", O_O)
         e = App(qv, App(s, qv))
         assert {v.name for v in vars_in_order(e)} == {"Q"}
 
     def test_constant_has_none(self):
-        assert vars_in_order(IndConst("a")) == []
+        assert vars_in_order(Const("a", IOTA)) == []
 
     def test_per_literal_sets(self):
         src = """
@@ -230,18 +229,18 @@ class TestFreeVars:
 class TestTypeOf:
     def test_examples(self):
         sig = _sig()
-        id_c = PredConst("id", sig.lookup("id"))
-        r = PredConst("r", sig.lookup("r"))
-        s = PredConst("s", sig.lookup("s"))
-        p = PredConst("p", sig.lookup("p"))
+        id_c = Const("id", sig.lookup("id"))
+        r = Const("r", sig.lookup("r"))
+        s = Const("s", sig.lookup("s"))
+        p = Const("p", sig.lookup("p"))
         assert App(id_c, r).typ == IO
-        assert IndConst("a").typ == IOTA
+        assert Const("a", IOTA).typ == IOTA
         assert App(s, p).typ == OMICRON
 
     def test_type_of_matches_cached_type_after_substitution(self):
         sig = _sig()
-        p = PredConst("p", sig.lookup("p"))
-        e = App(PredVar("Q", O_O), App(PredConst("s", sig.lookup("s")), p))
+        p = Const("p", sig.lookup("p"))
+        e = App(Var("Q", O_O), App(Const("s", sig.lookup("s")), p))
         out = apply_substitution(e, {"Q": p})
         assert out.typ == e.typ == OMICRON
 
@@ -260,16 +259,13 @@ class TestRoundTrip:
         assert again == program
 
 
-NODE_CLASSES = (IndConst, PredConst, IndVar, PredVar, FunApp, App, Neg, Eq)
+NODE_CLASSES = (Const, Var, App, Neg, Eq)
 
 
 def _subterms(e: Expr):
     """e and every node below it, each once per occurrence."""
     yield e
-    if isinstance(e, FunApp):
-        for a in e.args:
-            yield from _subterms(a)
-    elif isinstance(e, App):
+    if isinstance(e, App):
         yield from _subterms(e.op)
         yield from _subterms(e.arg)
     elif isinstance(e, Neg):
@@ -282,12 +278,8 @@ def _subterms(e: Expr):
 def _structure(e: Expr) -> tuple:
     """A plain nested tuple that two nodes share exactly when they are
     structurally equal."""
-    if isinstance(e, (IndConst, IndVar)):
-        return (type(e).__name__, e.name)
-    if isinstance(e, (PredConst, PredVar)):
-        return (type(e).__name__, e.name, e.ptype)
-    if isinstance(e, FunApp):
-        return ("FunApp", e.fun, tuple(_structure(a) for a in e.args))
+    if isinstance(e, (Const, Var)):
+        return (type(e).__name__, e.name, e.typ)
     if isinstance(e, App):
         return ("App", _structure(e.op), _structure(e.arg))
     if isinstance(e, Neg):
@@ -298,8 +290,6 @@ def _structure(e: Expr) -> tuple:
 def _rebuild(s: tuple) -> Expr:
     """A fresh construction, bottom up, of the node with structure s."""
     kind, *fields = s
-    if kind == "FunApp":
-        return FunApp(fields[0], tuple(_rebuild(a) for a in fields[1]))
     if kind in ("App", "Neg", "Eq"):
         return {"App": App, "Neg": Neg, "Eq": Eq}[kind](*(_rebuild(f) for f in fields))
     return {c.__name__: c for c in NODE_CLASSES}[kind](*fields)
@@ -361,31 +351,32 @@ class TestInterning:
         return met
 
     def test_corpus_universes(self):
-        assert self.assert_agree(_corpus_universe_terms()) == {IndConst, PredConst, App}
+        assert self.assert_agree(_corpus_universe_terms()) == {Const, App}
 
     def test_random_program_terms(self):
-        met = self.assert_agree(_random_program_terms())
-        assert {FunApp, App, Neg, Eq} <= met
+        terms = list(_random_program_terms())
+        assert self.assert_agree(terms) == {Const, Var, App, Neg, Eq}
+        assert any(isinstance(e, App) and e.typ is IOTA for e in terms)  # function terms
 
     def test_same_name_different_type_are_distinct(self):
-        assert PredConst("p", IO) is not PredConst("p", O_O)
-        assert PredVar("P", IO) is not PredVar("P", O_O)
-        assert PredConst("p", IO) is not PredVar("p", IO)
-        assert PredConst("p", IO) != PredVar("p", IO)
-        assert IndVar("X") is not PredVar("X", IO)
-        assert IndVar("X") != PredVar("X", IO)
-        assert IndConst("a") is not IndVar("a")
+        assert Const("p", IO) is not Const("p", O_O)
+        assert Var("P", IO) is not Var("P", O_O)
+        assert Const("p", IO) is not Var("p", IO)
+        assert Const("p", IO) != Var("p", IO)
+        assert Var("X", IOTA) is not Var("X", IO)
+        assert Var("X", IOTA) != Var("X", IO)
+        assert Const("a", IOTA) is not Var("a", IOTA)
 
     def test_independent_constructions_are_one_node(self):
         def f_f_a():
-            return FunApp("f", (FunApp("f", (IndConst("a"),)),))
+            return App(Const("f", II), App(Const("f", II), Const("a", IOTA)))
 
         def q_f_a():
-            return App(PredConst("q", IO), FunApp("f", (IndConst("a"),)))
+            return App(Const("q", IO), App(Const("f", II), Const("a", IOTA)))
 
         assert f_f_a() is f_f_a()
         assert q_f_a() is q_f_a()
-        assert PredConst("q", parse_type("i -> o")) is PredConst("q", IO)
+        assert Const("q", parse_type("i -> o")) is Const("q", IO)
         assert f_f_a().text == "f (f a)"
         assert f_f_a().atomic == "(f (f a))"
         assert q_f_a().text == "q (f a)"
@@ -393,23 +384,23 @@ class TestInterning:
 
     def test_table_does_not_grow_across_calls(self):
         def build():
-            a = IndConst("interning_probe_a")
-            t = a
+            a = Const("interning_probe_a", IOTA)
+            t, f = a, Const("interning_probe_f", II)
             for _ in range(50):
-                t = FunApp("interning_probe_f", (t,))
-            q = PredConst("interning_probe_q", IO)
-            return [App(q, t), Neg(App(q, t)), Eq(t, a), PredVar("Interning_probe_R", IO)]
+                t = App(f, t)
+            q = Const("interning_probe_q", IO)
+            return [App(q, t), Neg(App(q, t)), Eq(t, a), Var("Interning_probe_R", IO)]
 
         before = _table_size()
         terms = build()
-        assert _table_size() == before + 56
+        assert _table_size() == before + 57
         del terms
         assert _table_size() == before
         build()
         assert _table_size() == before
 
     def test_nodes_are_immutable(self):
-        a = IndConst("a")
+        a = Const("a", IOTA)
         with pytest.raises(AttributeError):
             a.name = "b"
         with pytest.raises(AttributeError):
@@ -417,23 +408,23 @@ class TestInterning:
         assert a.name == "a" and a.text == "a"
 
     def test_pickle_returns_the_interned_node(self):
-        e = Neg(App(PredConst("q", IO), FunApp("f", (IndConst("a"),))))
+        e = Neg(App(Const("q", IO), App(Const("f", II), Const("a", IOTA))))
         assert pickle.loads(pickle.dumps(e)) is e
 
     def test_deep_term_needs_no_recursion(self):
         before = _table_size()
-        t = IndConst("a")
+        t = Const("a", IOTA)
         for _ in range(5000):
-            t = FunApp("f", (t,))
-        again = IndConst("a")
+            t = App(Const("f", II), t)
+        again = Const("a", IOTA)
         for _ in range(5000):
-            again = FunApp("f", (again,))
+            again = App(Const("f", II), again)
         assert again is t and again == t and hash(again) == hash(t)
         assert t.size == 5001
         assert t.text.count("(") == 4999
-        assert {t: 1}[again] == 1 and FunApp._table[("f", (t.args[0],))]() is t
-        atom = App(PredConst("q", IO), t)
-        assert hash(atom) == object.__hash__(atom) and {atom: 1}[App(PredConst("q", IO), again)] == 1
+        assert {t: 1}[again] == 1 and App._table[(t.op, t.arg)]() is t
+        atom = App(Const("q", IO), t)
+        assert hash(atom) == object.__hash__(atom) and {atom: 1}[App(Const("q", IO), again)] == 1
         del t, again, atom  # the chain is freed one node after another, its keys with it
         assert _table_size() == before
 
@@ -445,18 +436,18 @@ class TestDerivedFields:
     the corpus and random terms)."""
 
     def test_every_node_hashes_by_identity_under_its_fields(self):
-        q = PredConst("derived_probe_q", Arrow(IOTA, Arrow(IOTA, OMICRON)))
-        a, b = IndConst("derived_probe_a"), IndConst("derived_probe_b")
-        t = FunApp("derived_probe_f", (a, b))
+        q = Const("derived_probe_q", Arrow(IOTA, Arrow(IOTA, OMICRON)))
+        a, b = Const("derived_probe_a", IOTA), Const("derived_probe_b", IOTA)
+        t = build_spine(Const("derived_probe_f", III), (a, b))
         atom = App(App(q, a), t)
-        for node in (atom, atom.op, t, Eq(t, a), Neg(atom), a, q, q.ptype, IOTA):
+        for node in (atom, atom.op, t, t.op, t.op.op, Eq(t, a), Neg(atom), a, q, q.typ, IOTA):
             assert type(node).__hash__ is object.__hash__ and not hasattr(node, "_hash")
             assert type(node)._table[_fields(node)]() is node
         assert atom.atomic == f"({atom.text})" and t.atomic == f"({t.text})"
 
     def test_application_pickles_back_to_itself(self):
-        q = PredConst("pickle_probe_q", Arrow(IOTA, Arrow(IOTA, OMICRON)))
-        atom = App(App(q, IndConst("pickle_probe_a")), IndConst("pickle_probe_b"))
+        q = Const("pickle_probe_q", Arrow(IOTA, Arrow(IOTA, OMICRON)))
+        atom = App(App(q, Const("pickle_probe_a", IOTA)), Const("pickle_probe_b", IOTA))
         again = pickle.loads(pickle.dumps(atom))
         assert again is atom and hash(again) == hash(atom) == object.__hash__(atom)
         assert App._table[(atom.op, atom.arg)]() is again
@@ -466,11 +457,11 @@ class TestDerivedFields:
         typ = parse_type("i -> " * MAX_NESTING + "o")
         with pytest.raises(ParseError, match="nesting deeper"):
             parse_type("i -> " * (MAX_NESTING + 1) + "o")
-        args = [IndConst(f"deep_probe_c{i}") for i in range(MAX_NESTING)]
-        atom = build_spine(PredConst("deep_probe_p", typ), args)
+        args = [Const(f"deep_probe_c{i}", IOTA) for i in range(MAX_NESTING)]
+        atom = build_spine(Const("deep_probe_p", typ), args)
         assert atom.size == MAX_NESTING + 1
         assert hash(atom) == object.__hash__(atom) and App._table[(atom.op, atom.arg)]() is atom
-        assert {atom: 1}[build_spine(PredConst("deep_probe_p", typ), args)] == 1
+        assert {atom: 1}[build_spine(Const("deep_probe_p", typ), args)] == 1
 
     def test_one_loop_builder_matches_build_spine(self):
         """Every atom literal of the corpus, built from field values by its
@@ -499,15 +490,15 @@ class TestDerivedFields:
 
     def test_only_an_application_has_no_atomic_slot(self):
         """No class in an ``App``'s MRO declares an ``atomic`` slot, so an
-        ``App`` is one pointer smaller than a ``FunApp`` and reads ``atomic``
-        from a property; every other node class reads the value it stored."""
+        ``App`` is one pointer smaller than an ``Eq``, the other node with two
+        children, and reads ``atomic`` from a property; every other node
+        class reads the value it stored."""
         assert not any("atomic" in vars(cls).get("__slots__", ()) for cls in App.__mro__)
-        assert App.__basicsize__ == FunApp.__basicsize__ - struct.calcsize("P")
-        a, x = IndConst("slot_probe_a"), IndVar("slot_probe_X")
-        q, v = PredConst("slot_probe_q", IO), PredVar("slot_probe_Q", IO)
-        f = FunApp("slot_probe_f", (a,))
-        nodes = [IOTA, OMICRON, IO, a, x, q, v, f, FunApp("slot_probe_c", ()),
-                 App(q, f), Neg(App(q, a)), Eq(x, f)]
+        assert App.__basicsize__ == Eq.__basicsize__ - struct.calcsize("P")
+        a, x = Const("slot_probe_a", IOTA), Var("slot_probe_X", IOTA)
+        q, v = Const("slot_probe_q", IO), Var("slot_probe_Q", IO)
+        f = App(Const("slot_probe_f", II), a)
+        nodes = [IOTA, OMICRON, IO, a, x, q, v, f, f.op, App(q, f), Neg(App(q, a)), Eq(x, f)]
         leaves, todo = set(), [Expr, TypeExpr]
         while todo:  # every concrete node class
             cls = todo.pop()
@@ -555,17 +546,18 @@ class TestAddressReuse:
         live: list[list] = []  # the cases of the last rounds
         for _ in range(3000):
             # A name built at run time is a fresh string, and so is each node over it.
-            c = IndConst(f"reuse_c{rng.randrange(3)}")
-            d = IndConst(f"reuse_c{rng.randrange(3)}")
-            f = f"reuse_f{rng.randrange(2)}"
+            c = Const(f"reuse_c{rng.randrange(3)}", IOTA)
+            d = Const(f"reuse_c{rng.randrange(3)}", IOTA)
             args = (c, d)[: rng.randrange(1, 3)]
-            t = FunApp(f, args)
-            q = PredConst(f"reuse_q{rng.randrange(2)}", Arrow(IOTA, Arrow(IOTA, OMICRON)))
+            f = Const(f"reuse_f{rng.randrange(2)}", III if len(args) == 2 else II)
+            t = build_spine(f, args)
+            q = Const(f"reuse_q{rng.randrange(2)}", Arrow(IOTA, Arrow(IOTA, OMICRON)))
             atom = App(App(q, t), rng.choice((c, d, t)))
             base = rng.choice((IOTA, OMICRON))
             typ = Arrow(Arrow(base, rng.choice((IOTA, OMICRON))), base)
             cases = [
-                (FunApp, (f, args), t),
+                (Const, (f.name, f.typ), f),
+                (App, (t.op, t.arg), t),
                 (App, (atom.op.op, atom.op.arg), atom.op),
                 (App, (atom.op, atom.arg), atom),
                 (Neg, (atom,), Neg(atom)),
@@ -580,8 +572,8 @@ class TestAddressReuse:
             for cls, fields, node in (case for round_ in live for case in round_):
                 assert type(node) is cls and _same_children(node, fields)
                 assert cls(*fields) is node
-            assert q.ptype is Arrow(IOTA, Arrow(IOTA, OMICRON))
-            del c, d, args, t, q, atom, typ, cases, node
+            assert q.typ is Arrow(IOTA, Arrow(IOTA, OMICRON))
+            del c, d, args, f, t, q, atom, typ, cases, node
         del live
         assert reused > 1000  # the addresses did come round again
         assert _table_size() == before

@@ -209,6 +209,18 @@ class TestExpressionErrors:
         assert str(err.value) == message
 
 
+    @pytest.mark.parametrize("src, message", [
+        ("type a : i. type b : i. type f : i -> i. type p : o. p <- X a = b.",
+         "IllTyped: 1:59: variable X : i -> i is of no argument type in the clause for 'p' at 1:54"),
+        ("type a : i. type f : i -> i. type q : i -> o. type p : o. p <- q (f (X a)).",
+         "IllTyped: 1:70: variable X : i -> i is of no argument type in the clause for 'p' at 1:59"),
+    ])
+    def test_variable_of_no_argument_type_is_refused(self, src, message):
+        with pytest.raises(ProgramCheckError) as err:
+            load_program(src)
+        assert str(err.value) == message
+
+
 class TestDefaults:
     def test_undeclared_lowercase_defaults_to_individual(self):
         program = load("type q : i -> o.\nq X <- X = a.")
