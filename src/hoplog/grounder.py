@@ -10,7 +10,10 @@ exceed a size bound k.  Two groundings are offered:
 * ``relevant_grounding``    — the dependency closure of a set of root atoms.
   Head formals are bound by matching the demanded atom (and are therefore
   not size-restricted); only body-only variables range over the size-k
-  universe.  A cap on the atoms and one on the size of a demanded atom
+  universe.  A demanded atom is split into its head and arguments once, when
+  it is admitted, and meets only the clauses of its head whose guards on the
+  formals its argument nodes match: a fact row it does not match is counted,
+  not grounded.  A cap on the atoms and one on the size of a demanded atom
   guard against runaway closures.
 
 A cap on the symbols of one universe bounds both modes against deep or
@@ -81,10 +84,16 @@ DEFAULT_MAX_UNIVERSE_SYMBOLS = 1_000_000
 def ground_atom(expr: Expr) -> Expr:
     """The ground atom expr itself, once it is checked to be predicate-headed:
     its head is a constant of predicate type."""
-    head, _ = spine(expr)
+    _predicate_spine(expr)
+    return expr
+
+
+def _predicate_spine(expr: Expr) -> tuple[Expr, list[Expr]]:
+    """``spine(expr)``, once its head is checked to be a predicate constant."""
+    head, args = spine(expr)
     if not isinstance(head, Const) or not is_predicate_type(head.typ):
         raise ValueError(f"not predicate-headed: {expr.text}")
-    return expr
+    return head, args
 
 
 class ConstLit(FrozenRecord):
@@ -382,8 +391,10 @@ class _Grounding:
                              tuple(self.edges), lambda: _clauses(calls, heads, roots))
 
     def template(self, index: int) -> tuple[_Template, int]:
-        """The template of clause ``index``'s shape, and the clause's row in it: the
-        shape is the clause with each guard V = t (t ground) as (V, None) or (None, V)."""
+        """The template of clause ``index``'s shape, and the clause's row in it, once
+        the clause's instances are counted: the clause that would take the grounding
+        over the cap is refused.  The shape is the clause with each guard V = t
+        (t ground) as (V, None) or (None, V)."""
         found = self._templates.get(index)
         if found is None:
             clause, body, consts = self.program.clauses[index], [], []
@@ -400,15 +411,15 @@ class _Grounding:
             if t is None:
                 t = self._shapes[shape] = _Template(self, index, shape)
             found = self._templates[index] = (t, t.add(index, tuple(consts)))
+        total = self.clause_count + found[0].count
+        if total > DEFAULT_MAX_CLAUSES:
+            raise GroundingLimitExceeded(f"clause {index} would bring the grounding to "
+                                         f"{total} clauses, over the cap of {DEFAULT_MAX_CLAUSES}")
+        self.clause_count = total
         return found
 
     def ground(self, t: _Template, r: int, bound: tuple[Expr, ...] = (), head=None) -> None:
-        """Count row r's instances, admit its projections, keep a live call; head: its known id."""
-        total = self.clause_count + t.count
-        if total > DEFAULT_MAX_CLAUSES:
-            raise GroundingLimitExceeded(f"clause {t.rows[r][0]} would bring the grounding to "
-                                         f"{total} clauses, over the cap of {DEFAULT_MAX_CLAUSES}")
-        self.clause_count = total
+        """Admit row r's projections and keep a live call; head: its known id."""
         for field, negated in t.bound_heads:
             self.edges[t.head_pred, spine(bound[field])[0].name, negated] = None
         ids, projected = self.ids, [] if head is None else [head]
@@ -515,68 +526,79 @@ def _join(fire, indexes: dict, c: int, steps, values: list, pos_ids: list, a: in
 
 class _DemandGrounding(_Grounding):
     """A grounding that binds each clause's formals by matching a demanded
-    atom, and demands every atom it meets.  A clause with no atom literal in
-    its body is indexed by the values its guards require of its formals: a
-    demanded atom meets only those it can match, as no other would admit an
-    atom or have a live instance."""
+    atom, and demands every atom it meets.  An atom is split into its spine
+    once, when it is admitted: its queue entry is its id, its (head predicate,
+    arity) key and its arguments.  The clauses of a key are compiled into a
+    group when its first atom is met: their (template, row)s in source order,
+    their instance count, and an index of them by the argument nodes that a
+    clause with no atom literal requires of the formals it guards, compared
+    by identity.  A demanded atom counts every clause of its group and
+    grounds only those it matches, as no other would admit an atom or have a
+    live instance."""
 
     bind_formals = True
 
     def __init__(self, program: Program, k: int):
         super().__init__(program, k)
-        self.queue: deque[Expr] = deque()
+        self.queue: deque[tuple] = deque()  # per atom to close: (id, key, arguments)
         # (head predicate, arity), which fix the argument types -> clauses
         self.by_head: dict[tuple[str, int], list[int]] = {}
         for i, clause in enumerate(program.clauses):
             self.by_head.setdefault((clause.head_pred.name, len(clause.formals)), []).append(i)
-        # per key met: (instances per atom, {guarded fields: {texts: (template, row)s}})
-        self.groups: dict[tuple, tuple[int, dict]] = {}
+        # per key met: (instances per atom, (template, row)s in source order,
+        # {guarded fields: (their getter, {their nodes: (template, row)s})})
+        self.groups: dict[tuple, tuple[int, list, dict]] = {}
 
-    def _admit(self, atom: Expr) -> int:
+    def _admit(self, atom: Expr, root: bool = False) -> int:
         """Admit and demand a new atom, a root or one an instance meets."""
+        head, args = (_predicate_spine if root else spine)(atom)
         if len(self.table) >= DEFAULT_MAX_ATOMS:
             raise GroundingLimitExceeded(f"dependency closure exceeded {DEFAULT_MAX_ATOMS} atoms")
         if atom.size > DEFAULT_MAX_ATOM_SIZE:
             raise GroundingLimitExceeded(
-                f"a demanded {spine(atom)[0].text} atom has {atom.size} symbols, "
+                f"a demanded {head.text} atom has {atom.size} symbols, "
                 f"over the cap of {DEFAULT_MAX_ATOM_SIZE}"
             )
-        self.queue.append(atom)
+        self.queue.append((len(self.table), (head.name, len(args)), tuple(args)))
         return super()._admit(atom)
 
     def close(self) -> None:
         while self.queue:
-            head, args = spine(atom := self.queue.popleft())
-            key, args, a = (head.name, len(args)), tuple(args), self.ids[atom.text]
+            a, key, args = self.queue.popleft()
             group = self.groups.get(key)
-            if group is None or self.clause_count + group[0] > DEFAULT_MAX_CLAUSES:
-                before, index = self.clause_count, {}
-                for i in self.by_head.get(key, ()):  # in order: the first over a cap is named
-                    t, r = self.template(i)
-                    self.ground(t, r, args, a)
-                    pairs = [(f, c.text) for f, c in zip(t.guards, t.rows[r][1]) if f < len(args)]
-                    fields, texts = zip(*pairs) if pairs and len(t.literals) == 1 else ((), ())
-                    index.setdefault(fields, {}).setdefault(texts, []).append((t, r))
-                self.groups[key] = (self.clause_count - before, index)
+            if group is not None and self.clause_count + group[0] <= DEFAULT_MAX_CLAUSES:
+                self.clause_count += group[0]
+                for get, table in group[2].values():
+                    for t, r in table.get(get(args), ()):
+                        self.ground(t, r, args, a)
                 continue
-            count, index = group
-            calls = [call for fields, table in index.items()
-                     for call in table.get(tuple([args[f].text for f in fields]), ())]
-            self.clause_count += count - sum(t.count for t, _ in calls)
-            for t, r in calls:
-                self.ground(t, r, args, a)
+            # The key's first atom compiles its group: each clause in order is
+            # counted, so the first over a cap is named, and grounded if the atom
+            # matches it.  An atom that would pass the clause cap walks it again.
+            before, calls, index = self.clause_count, [], {}
+            for i in self.by_head.get(key, ()):
+                t, r = self.template(i)
+                pairs = [(f, c) for f, c in zip(t.guards, t.rows[r][1]) if f < len(args)]
+                fields, nodes = zip(*pairs) if pairs and len(t.literals) == 1 else ((), ())
+                get, table = index.setdefault(fields, (_key(fields), {}))
+                table.setdefault(nodes, []).append((t, r))
+                calls.append((t, r))
+                if get(args) == nodes:
+                    self.ground(t, r, args, a)
+            self.groups[key] = (self.clause_count - before, calls, index)
 
 
 def _clauses(calls: list, heads=None, roots=()) -> tuple:
     """Every instance of every call, dead ones included, in order.  Given
-    ``heads``, the (template, row)s per (head predicate, arity) of a closed
-    demand grounding, the calls are its: the roots', then each atom's, after
-    the instance that meets it first.  Each atom is built anew: it is the
-    atom-table node, which the ``GroundProgram`` keeps alive."""
+    ``heads``, the groups of a closed demand grounding, whose second fields
+    are the (template, row)s of each key in order, the calls are its: the
+    roots', then each atom's, after the instance that meets it first.  Each
+    atom is built anew: it is the atom-table node, which the
+    ``GroundProgram`` keeps alive."""
 
     def calls_of(atom: Expr) -> list:
         head, args = spine(atom)
-        return [(t, r, tuple(args)) for t, r in heads.get((head.name, len(args)), ())]
+        return [(t, r, tuple(args)) for t, r in heads[head.name, len(args)][1]]
 
     out, met, builders = [], {atom.text for atom in roots}, {}
     calls = list(calls) + [call for atom in roots for call in calls_of(atom)]
@@ -628,13 +650,11 @@ def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
     grounding = _DemandGrounding(program, k)
     for atom in roots:
         if atom.text not in grounding.ids:
-            grounding._admit(ground_atom(atom))
-    demanded = list(grounding.queue)
+            grounding._admit(atom, root=True)
+    demanded = list(grounding.table)
     grounding.close()
-    # Only these calls outlive the grounding: every key met has its templates.
-    heads = {key: [grounding.template(i) for i in grounding.by_head.get(key, ())]
-             for key in grounding.groups}
-    return grounding.result([], heads, demanded)
+    # Only the groups outlive the grounding: every key met has one.
+    return grounding.result([], grounding.groups, demanded)
 
 
 def truncated_types(program: Program, k: int) -> tuple[str, ...]:

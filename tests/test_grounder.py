@@ -9,6 +9,7 @@ import pytest
 
 from hoplog import grounder
 from hoplog.errors import EmptyUniverse, GroundingLimitExceeded
+from hoplog.extensionality import ExtChecker
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
     DEFAULT_MAX_CLAUSES,
@@ -490,6 +491,17 @@ class TestTemplateGrounding:
                 if gp is not None:
                     self.assert_same(program, k, _first_atoms(gp))
 
+    def test_game_wfs_demand_programs(self):
+        """Groups that are mostly fact rows: 13 ``move`` facts beside one ``win`` rule."""
+        for program in _demand_games():
+            self.assert_same(program, 1, [atom_of(program, "win n0")])
+
+    def test_extcheck_seeded_roots(self, monkeypatch):
+        """The roots the extensionality checker registers up front, one
+        seed-1 extcheck-ho program of each family."""
+        for program, k, roots in _seeded_roots(monkeypatch):
+            self.assert_same(program, k, roots)
+
     def test_partial_application_in_spine_head(self):
         program = load(
             "type n0 : i.\ntype n1 : i.\n"
@@ -520,6 +532,107 @@ class TestTemplateGrounding:
         assert "q a (f a) <- false." in rendered
         assert sum(c.body[0].value for c in gp.clauses) == 4
         assert [name for name, _ in gp.clauses[0].theta] == ["X", "Y"]
+
+
+class TestDemandGroups:
+    """A demanded atom counts every clause of its (head, arity) group and
+    grounds only the clauses whose guards on the formals it matches."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The groundings made from now on, and the calls each grounds."""
+        made = []
+
+        class Spy(grounder._DemandGrounding):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.calls = []
+                made.append(self)
+
+            def ground(self, t, r, bound=(), head=None):
+                self.calls.append(t.rows[r][0])
+                super().ground(t, r, bound, head)
+
+        monkeypatch.setattr(grounder, "_DemandGrounding", Spy)
+        return made
+
+    def test_clause_count_is_the_number_of_instances(self, monkeypatch):
+        made = self.spy(monkeypatch)
+        cases = [(program, [atom_of(program, "win n0")], 1) for program in _demand_games()]
+        for entry in CORPUS:
+            program = load(entry.source)
+            for k in (1, 2, 3):
+                if entry.roots:
+                    cases.append((program, [atom_of(program, r) for r in entry.roots], k))
+                try:
+                    cases.append((program, _first_atoms(ground_instantiation(program, k)), k))
+                except EmptyUniverse:
+                    pass
+        checked = 0
+        for program, roots, k in cases:
+            made.clear()
+            try:
+                gp = relevant_grounding(program, roots, k)
+            except EmptyUniverse:
+                continue
+            assert made[0].clause_count == len(gp.clauses)
+            checked += 1
+        assert checked >= 90
+
+    def test_cap_names_the_clause_a_later_unmatched_atom_passes_it_at(self):
+        # Each q atom counts both clauses, 1 + 10^5 instances.  The tenth,
+        # q c9, is not its group's first atom and matches neither fact row;
+        # the group's second clause takes it over the cap.
+        ys = ", ".join(f"Y{j} = Y{j}" for j in range(5))
+        program = load("".join(f"type c{i} : i.\n" for i in range(10))
+                       + f"type q : i -> o.\nq X <- X = c1.\nq X <- X = c0, {ys}.\n")
+        roots = [atom_of(program, f"q c{i}") for i in range(10)]
+        message = (f"^clause 1 would bring the grounding to 1000010 clauses, "
+                   f"over the cap of {DEFAULT_MAX_CLAUSES}$")
+        with pytest.raises(GroundingLimitExceeded, match=message):
+            relevant_grounding(program, roots, 1)
+
+    def test_dead_fact_rows_are_not_grounded(self, monkeypatch):
+        """One call per win atom (12) and one per move row an atom matches
+        (13): the move atoms that match no row, the group's first among
+        them, ground nothing."""
+        made = self.spy(monkeypatch)
+        for program in _demand_games():
+            made.clear()
+            gp = relevant_grounding(program, [atom_of(program, "win n0")], 1)
+            calls = made[0].calls
+            assert len(gp.atoms) == 156 and len(calls) == 25
+            heads = [program.clauses[i].head_pred.name for i in calls]
+            assert heads.count("win") == 12 and heads.count("move") == 13
+            assert len(set(calls)) == 14  # the win rule, and each move row once
+
+
+def _demand_games():
+    """The programs of the seed-1 game-wfs queries that ground on demand."""
+    return [load(q.source) for q in bench_workloads().game_pool(1) if "--roots" in q.args]
+
+
+def _seeded_roots(monkeypatch):
+    """(program, depth, roots) for the first seed-1 extcheck-ho query of each
+    family: the atoms ``ExtChecker._seed_applications`` registers."""
+    found, seeded = {}, []
+    original = ExtChecker._seed_applications
+
+    def spy(self, rho):
+        before = set(self.oracle._roots)
+        original(self, rho)
+        seeded.extend(a for key, a in self.oracle._roots.items() if key not in before)
+
+    monkeypatch.setattr(ExtChecker, "_seed_applications", spy)
+    for query in bench_workloads().ext_pool(1):
+        family = query.label.split("-")[1]
+        if family not in found:
+            program, k = load(query.source), int(query.args[query.args.index("--depth") + 1])
+            seeded.clear()
+            ExtChecker(program, k).reflexivity_report()
+            found[family] = (program, k, list(seeded))
+    assert sorted(found) == ["lemma", "positive", "stratified"]
+    return list(found.values())
 
 
 class TestGuardsAndProjections:
