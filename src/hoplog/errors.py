@@ -2,6 +2,9 @@
 
 Every rejection carries the name of the violated rule via ``rule`` (the
 class name), so callers and tests can match on it without parsing messages.
+A grounding is refused only at a cap, with ``GroundingLimitExceeded``: a
+variable whose size-k universe is empty gives its clause no instance, not
+an error.
 """
 
 from __future__ import annotations
@@ -56,10 +59,6 @@ class EqOfNonIndividual(TypeCheckError):
     pass
 
 
-class TypeMismatch(TypeCheckError):
-    pass
-
-
 class IllTyped(TypeCheckError):
     pass
 
@@ -100,16 +99,8 @@ class ProgramCheckError(TypeCheckError):
         return [e.rule for e in self.errors]
 
 
-class GroundingError(HoplogError):
-    pass
-
-
-class EmptyUniverse(GroundingError):
-    pass
-
-
-class GroundingLimitExceeded(GroundingError):
-    pass
+class GroundingLimitExceeded(HoplogError):
+    """A grounding passed one of the grounder's caps."""
 
 
 class EvalError(HoplogError):

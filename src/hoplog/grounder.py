@@ -16,6 +16,9 @@ exceed a size bound k.  Two groundings are offered:
   not grounded.  A cap on the atoms and one on the size of a demanded atom
   guard against runaway closures.
 
+In both modes a variable ranges over its whole size-k universe, even when
+that is empty: a clause with such a variable has no instance, so it admits
+no atom and gives no predicate edge, just as the bound drops larger terms.
 A cap on the symbols of one universe bounds both modes against deep or
 wide universes.
 
@@ -41,7 +44,7 @@ from collections import defaultdict, deque
 from collections.abc import Callable
 from operator import attrgetter, itemgetter
 
-from .errors import EmptyUniverse, GroundingLimitExceeded
+from .errors import GroundingLimitExceeded
 from .records import FrozenRecord, Record, built_when_read
 from .syntax import (
     App,
@@ -79,21 +82,6 @@ DEFAULT_MAX_UNIVERSE_SYMBOLS = 1_000_000
 # ---------------------------------------------------------------------------
 # Ground atoms, literals, clauses
 # ---------------------------------------------------------------------------
-
-
-def ground_atom(expr: Expr) -> Expr:
-    """The ground atom expr itself, once it is checked to be predicate-headed:
-    its head is a constant of predicate type."""
-    _predicate_spine(expr)
-    return expr
-
-
-def _predicate_spine(expr: Expr) -> tuple[Expr, list[Expr]]:
-    """``spine(expr)``, once its head is checked to be a predicate constant."""
-    head, args = spine(expr)
-    if not isinstance(head, Const) or not is_predicate_type(head.typ):
-        raise ValueError(f"not predicate-headed: {expr.text}")
-    return head, args
 
 
 class ConstLit(FrozenRecord):
@@ -256,13 +244,8 @@ class _Template:
         self.rows = []
         self.variables = variables = clause.variables()
         self.fields = fields = {v.name: i for i, v in enumerate(variables)}
-        self.domains = domains = []
-        for v in variables[n_bound:]:
-            domains.append(g.universe.terms(v.typ, k))
-            if not domains[-1]:
-                raise EmptyUniverse(f"variable {v.name} : {v.typ} of clause {index} has an "
-                                    f"empty size-{k} universe")
-        self.count = math.prod(len(d) for d in domains)  # instances per call
+        self.domains = domains = [g.universe.terms(v.typ, k) for v in variables[n_bound:]]
+        self.count = math.prod(map(len, domains))  # instances per call: 0 if a domain is empty
         self.head_pred = head_pred = clause.head_pred.name
         self.body = body = []  # (negated, atom), or (None, (lhs, rhs) builders) for an equality
         self.bound_heads = []  # (field, negated) per literal a bound variable heads
@@ -284,6 +267,8 @@ class _Template:
             body.append((negated, atom))
             (looked_up if negated else self.pos).append(len(literals))
             literals.append(_literal(atom, fields, n_bound))
+            if not self.count:  # no instance, so no edge
+                continue
             lead, _ = spine(atom)
             if isinstance(lead, Const):
                 g.edges[head_pred, lead.name, negated] = None
@@ -419,7 +404,10 @@ class _Grounding:
         return found
 
     def ground(self, t: _Template, r: int, bound: tuple[Expr, ...] = (), head=None) -> None:
-        """Admit row r's projections and keep a live call; head: its known id."""
+        """Admit row r's projections and keep a live call; head: its known id.
+        A call with no instance admits nothing."""
+        if not t.count:
+            return
         for field, negated in t.bound_heads:
             self.edges[t.head_pred, spine(bound[field])[0].name, negated] = None
         ids, projected = self.ids, [] if head is None else [head]
@@ -549,9 +537,9 @@ class _DemandGrounding(_Grounding):
         # {guarded fields: (their getter, {their nodes: (template, row)s})})
         self.groups: dict[tuple, tuple[int, list, dict]] = {}
 
-    def _admit(self, atom: Expr, root: bool = False) -> int:
+    def _admit(self, atom: Expr) -> int:
         """Admit and demand a new atom, a root or one an instance meets."""
-        head, args = (_predicate_spine if root else spine)(atom)
+        head, args = spine(atom)
         if len(self.table) >= DEFAULT_MAX_ATOMS:
             raise GroundingLimitExceeded(f"dependency closure exceeded {DEFAULT_MAX_ATOMS} atoms")
         if atom.size > DEFAULT_MAX_ATOM_SIZE:
@@ -644,13 +632,17 @@ def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
     enforced by ``DEFAULT_MAX_ATOMS`` and ``DEFAULT_MAX_ATOM_SIZE`` because
     matched head bindings are not size bounded.  The atom table lists the roots
     first, then the other atoms in the order their projections admit them.
+    A root whose head is not a predicate constant raises ``ValueError``.
     """
     if k < 1:
         raise ValueError("size bound k must be >= 1")
     grounding = _DemandGrounding(program, k)
     for atom in roots:
         if atom.text not in grounding.ids:
-            grounding._admit(atom, root=True)
+            head = spine(atom)[0]
+            if not isinstance(head, Const) or not is_predicate_type(head.typ):
+                raise ValueError(f"not predicate-headed: {atom.text}")
+            grounding._admit(atom)
     demanded = list(grounding.table)
     grounding.close()
     # Only the groups outlive the grounding: every key met has one.

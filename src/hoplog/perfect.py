@@ -195,10 +195,6 @@ class PerfectResult(FrozenRecord):
     _fields = ("model", "stages")
     stages = built_when_read("_stages")
 
-    @property
-    def strata_used(self) -> int:
-        return len(self.stages) - 1
-
 
 def perfect_model(gp: GroundProgram, strata: tuple[tuple[int, ...], ...]) -> PerfectResult:
     """Stage through the strata: stage a derives every currently supported

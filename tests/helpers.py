@@ -56,13 +56,7 @@ import sys
 from pathlib import Path
 
 from hoplog import cli
-from hoplog.errors import (
-    DepthExceeded,
-    EmptyUniverse,
-    GroundingLimitExceeded,
-    ParseError,
-    TypeMismatch,
-)
+from hoplog.errors import DepthExceeded, GroundingLimitExceeded, ParseError
 from hoplog.extensionality import ExtChecker, ValuationOracle, Witness
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
@@ -243,6 +237,10 @@ def enumerate_terms_closure(program: Program, rho: TypeExpr, k: int) -> set[str]
 Substitution = dict[str, Expr]
 
 
+class TypeMismatch(Exception):
+    """A substitution maps a variable to a term of another type."""
+
+
 def apply_substitution(e: Expr, theta: Substitution) -> Expr:
     """Structural replacement of variables; unmapped variables stay put."""
     if isinstance(e, Const):
@@ -295,12 +293,7 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
     def instances(index: int, base: dict[str, Expr]):
         clause = program.clauses[index]
         free = [v for v in clause.variables() if v.name not in base]
-        domains = []
-        for v in free:
-            terms = universe.terms(v.typ, k)
-            if not terms:
-                raise EmptyUniverse(f"{v.name} : {v.typ} has no size-{k} terms")
-            domains.append(terms)
+        domains = [universe.terms(v.typ, k) for v in free]
         for combo in itertools.product(*domains):
             theta = dict(base)
             theta.update(zip((v.name for v in free), combo))

@@ -16,7 +16,7 @@ import pytest
 from hoplog.cli import main
 from hoplog.errors import HoplogError, ParseError, ProgramCheckError
 from hoplog.extensionality import ExtChecker
-from hoplog.grounder import ground_atom, ground_instantiation, relevant_grounding
+from hoplog.grounder import ground_instantiation, relevant_grounding
 from hoplog.interp import (
     Ordering,
     TruthValue,
@@ -49,10 +49,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 def _grounding(entry):
     program = load(entry.source)
     if entry.roots:
-        roots = [
-            ground_atom(elaborate_ground_atom(program, r))
-            for r in entry.roots
-        ]
+        roots = [elaborate_ground_atom(program, r) for r in entry.roots]
         return program, relevant_grounding(program, roots, entry.depth)
     return program, ground_instantiation(program, entry.depth)
 
@@ -60,10 +57,7 @@ def _grounding(entry):
 def test_criterion_1_counterexample_reproduction():
     started = time.perf_counter()
     program = load(NONEXTENSIONAL)
-    roots = [
-        ground_atom(elaborate_ground_atom(program, r))
-        for r in ("s p", "s q")
-    ]
+    roots = [elaborate_ground_atom(program, r) for r in ("s p", "s q")]
     gp = relevant_grounding(program, roots, 3)
     model = well_founded_model(gp).model
     values = {key: str(model.value(key)) for key in ("s p", "s q", "q (s q)", "w (s q)")}

@@ -573,6 +573,39 @@ class TestVariableOfNoArgumentType:
         }
 
 
+class TestEmptyUniverse:
+    """A clause whose variable has no term of at most K symbols has no
+    instance, as the bound drops larger terms: no subcommand refuses it."""
+
+    # R : i -> o has no term at all; Y : i has none in the second program
+    PROGRAMS = {
+        "predicate-variable": "type p : o. type h : (i -> o) -> o. h R <- R a. p <- h R.",
+        "body-only-individual": "type p : o -> o. type q : o. type r : i -> o. p X <- r Y. q.",
+    }
+
+    @pytest.mark.parametrize("command", ["ground", "wfs", "perfect", "extcheck", "minimal"])
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_every_subcommand_exits_zero(self, run, command, name):
+        code, out, err = run([command, "--depth", "2"], program=self.PROGRAMS[name])
+        assert (code, err) == (0, "")
+        assert payload(out)
+
+    def test_ground_keeps_only_the_instances(self, run):
+        grounded = [payload(run(["ground", "--depth", "2"], program=self.PROGRAMS[name])[1])
+                    for name in ("predicate-variable", "body-only-individual")]
+        assert [(g["atoms"], g["clauses"]) for g in grounded] == [([], []), (["q"], ["q."])]
+
+    def test_stratified_bad_grounds_at_depth_one(self, run):
+        code, out, err = run(["ground", "--depth", "1"], program=STRATIFIED_BAD)
+        assert (code, err) == (0, "")
+        assert payload(out) == {
+            "atoms": ["p (q a)", "q a a"],
+            "clauses": ["q a a <- true, true, p (q a)."],
+            "depth": 1,
+            "truncated_types": ["i -> o", "o"],
+        }
+
+
 class TestUsageErrors:
     """A malformed command line exits 1 with a usage line and an error line
     on stderr, and nothing on stdout; exit 2 stays reserved for a failed

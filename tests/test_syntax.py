@@ -11,7 +11,7 @@ import types
 import pytest
 from hypothesis import given, strategies as st
 
-from hoplog.errors import ParseError, TypeMismatch, UnboundSymbol
+from hoplog.errors import ParseError, UnboundSymbol
 from hoplog.grounder import Universe, argument_types
 from hoplog.parser import MAX_NESTING, parse_program, parse_type
 from hoplog.programs import CORPUS, DEMOS
@@ -39,6 +39,7 @@ from hoplog.syntax import (
 from hoplog.typecheck import check_program, load_program
 
 from helpers import (
+    TypeMismatch,
     apply_substitution,
     bench_workloads,
     load,
