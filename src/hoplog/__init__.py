@@ -6,19 +6,11 @@ evaluate (well-founded or perfect model) -> check extensionality.
 
 from .extensionality import ExtChecker
 from .grounder import GroundProgram, ground_instantiation, relevant_grounding
-from .interp import (
-    Ordering,
-    PartialInterpretation,
-    TruthValue,
-    is_minimal_model,
-    is_model,
-    leq,
-    minimal_models_bruteforce,
-)
+from .interp import Ordering, PartialInterpretation, TruthValue, minimal_models_bruteforce
 from .parser import parse_program, parse_type
 from .perfect import localize, perfect_model, stratify
-from .typecheck import Program, check_program, load_program
-from .wfs import theta_lfp, theta_step, well_founded_model
+from .typecheck import Program, check_program
+from .wfs import well_founded_model
 
 __all__ = [
     "ExtChecker",
@@ -29,10 +21,6 @@ __all__ = [
     "TruthValue",
     "check_program",
     "ground_instantiation",
-    "is_minimal_model",
-    "is_model",
-    "leq",
-    "load_program",
     "localize",
     "minimal_models_bruteforce",
     "parse_program",
@@ -40,7 +28,5 @@ __all__ = [
     "perfect_model",
     "relevant_grounding",
     "stratify",
-    "theta_lfp",
-    "theta_step",
     "well_founded_model",
 ]

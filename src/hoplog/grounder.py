@@ -128,11 +128,15 @@ class GroundProgram(Record):
     live instance with head h whose positive atoms can all be true;
     ``true`` literals are stripped, so no rule carries a resolved
     equality.  ``predicate_edges`` holds each ``PredicateEdge`` of some
-    instance, dead ones included, once, in order of first appearance;
-    ``localize`` checks strata on it.  ``clauses`` lists every instance,
-    dead ones included, as a ``GroundClause``.  It is given either as a
-    tuple or as a function that builds the tuple the first time
-    ``clauses`` is read.
+    instance, dead ones included, once, in the order the grounding first
+    records it: per clause shape as the shape is first grounded, literal by
+    literal, a literal headed by an unbound predicate variable giving one
+    edge per value of the variable, in domain order; in demand grounding, a
+    literal headed by a bound formal gives its edge per call.  ``localize``
+    checks strata on it and names the first violation in this order.
+    ``clauses`` lists every instance, dead ones included, as a
+    ``GroundClause``.  It is given either as a tuple or as a function that
+    builds the tuple the first time ``clauses`` is read.
     """
 
     __slots__ = ("atoms", "rules", "predicate_edges", "_clauses")

@@ -8,7 +8,10 @@ table; atoms in neither set are undefined.  Two partial orders matter:
 
 ``minimal_models_bruteforce`` is the desk-scale oracle: it enumerates every
 interpretation of a small atom table outright, so anything it reports is
-independent of the fixpoint engines.
+independent of the fixpoint engines.  The tests' comparison in either
+order (``leq``), model check (``is_model``) and minimality check
+(``is_minimal_model``) live in ``tests/helpers.py``; the last two run on
+this oracle's bitmask view, ``_Compiled``.
 """
 
 from __future__ import annotations
@@ -83,18 +86,6 @@ def interpretation(
     )
 
 
-def everything_false(gp: GroundProgram) -> PartialInterpretation:
-    return interpretation(gp, (), gp.atoms.keys())
-
-
-def leq(
-    i1: PartialInterpretation, i2: PartialInterpretation, ordering: Ordering
-) -> bool:
-    if ordering == Ordering.TRUTH:
-        return i1.true_atoms <= i2.true_atoms and i2.false_atoms <= i1.false_atoms
-    return i1.true_atoms <= i2.true_atoms and i1.false_atoms <= i2.false_atoms
-
-
 # ---------------------------------------------------------------------------
 # Brute-force minimal-model oracle
 # ---------------------------------------------------------------------------
@@ -137,23 +128,6 @@ class _Compiled:
     def to_interpretation(self, gp: GroundProgram, tmask: int, fmask: int):
         return interpretation(gp, [k for k, n in self.index.items() if tmask >> n & 1],
                               [k for k, n in self.index.items() if fmask >> n & 1])
-
-    def masks(self, i: PartialInterpretation) -> tuple[int, int]:
-        t = f = 0
-        try:
-            for k in i.true_atoms:
-                t |= 1 << self.index[k]
-            for k in i.false_atoms:
-                f |= 1 << self.index[k]
-        except KeyError as exc:
-            raise UnknownAtom(f"atom {exc.args[0]} is outside the atom table") from None
-        return t, f
-
-
-def is_model(i: PartialInterpretation, gp: GroundProgram) -> bool:
-    """Whether no clause of gp has a head value below its body's under i."""
-    compiled = _Compiled(gp)
-    return compiled.is_model(*compiled.masks(i))
 
 
 def _submasks(mask: int):
@@ -200,34 +174,3 @@ def minimal_models_bruteforce(
     out = [compiled.to_interpretation(gp, t, f) for t, f in minimal]
     out.sort(key=lambda i: (sorted(i.true_atoms), sorted(i.false_atoms)))
     return out
-
-
-def is_minimal_model(
-    gp: GroundProgram, i: PartialInterpretation, ordering: Ordering
-) -> bool:
-    """Membership in the brute-force minimal set, computed directly.
-
-    Equivalent to ``i in minimal_models_bruteforce(gp, ordering)`` but only
-    enumerates the interpretations below i.
-    """
-    n = len(gp.atoms)
-    if n > ORACLE_MAX_ATOMS:
-        raise TooLarge(f"{n} atoms exceed the oracle limit of {ORACLE_MAX_ATOMS}")
-    compiled = _Compiled(gp)
-    tmask, fmask = compiled.masks(i)
-    if not compiled.is_model(tmask, fmask):
-        return False
-    full = (1 << n) - 1
-    if ordering == Ordering.FITTING:
-        for t in _submasks(tmask):
-            for f in _submasks(fmask):
-                if (t, f) != (tmask, fmask) and compiled.is_model(t, f):
-                    return False
-        return True
-    for t in _submasks(tmask):
-        room = full & ~t & ~fmask
-        for extra in _submasks(room):
-            f = fmask | extra
-            if (t, f) != (tmask, fmask) and compiled.is_model(t, f):
-                return False
-    return True

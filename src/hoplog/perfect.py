@@ -11,8 +11,9 @@ A stratification of the program induces a local stratification of any of
 its groundings: a ground atom inherits the stratum of its leftmost
 predicate constant.  ``localize`` gives each stratum's atom ids.  The
 perfect model is then built stratum by stratum with a two-valued stage
-operator, the true atoms of ``wfs.theta_step``; the resulting stage
-sequence climbs in the Fitting order and its last element is total.
+operator, the true atoms of the well-founded stage operator (the reference
+``theta_step`` in ``tests/helpers.py``); the resulting stage sequence
+climbs in the Fitting order and its last element is total.
 
 The stage operator's least fixed point under the current stage J holds
 the atoms of some live clause with every negated atom false in J and

@@ -23,7 +23,7 @@ from .errors import (
     TypeCheckError,
     UnboundSymbol,
 )
-from .parser import SourceProgram, parse_atom, parse_program, position
+from .parser import SourceProgram, parse_atom, position
 from .records import FrozenRecord
 from .syntax import (
     IOTA,
@@ -48,12 +48,6 @@ class Program(FrozenRecord):
     """A checked program: signature plus typed clauses."""
 
     __slots__ = ("signature", "clauses")
-
-    def to_source(self) -> str:
-        """Canonical source text; parsing it back yields an equal Program."""
-        lines = [f"type {name} : {typ}." for name, typ in self.signature.entries]
-        lines.extend(str(c) for c in self.clauses)
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +309,6 @@ def check_program(sp: SourceProgram) -> Program:
     if errors:
         raise ProgramCheckError(errors)
     return Program(sig, tuple(clauses))
-
-
-def load_program(text: str) -> Program:
-    """Parse and check program text in one step."""
-    return check_program(parse_program(text))
 
 
 def elaborate_ground_atom(program: Program, text: str) -> Expr:

@@ -22,8 +22,9 @@ The counter records are built once per model and reset at each stage, so a
 stage's Python-level loops run over the rules and the atoms that change;
 the atom table is met only by whole-list operations, such as comparing
 stages.  Rounds are synchronous, each reading only the previous round's
-values, so the stages and round counts are those of naive iteration of
-``theta_step``; a differential test checks this.
+values, so the stages and round counts are those of naive iteration of the
+stage operator; a differential test checks this against the reference
+operator ``theta_step`` in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import compress
 from operator import ne
 
 from .errors import NotIncreasing
-from .grounder import GroundProgram, Rule
+from .grounder import GroundProgram
 from .interp import PartialInterpretation, TruthValue, interpretation
 from .records import FrozenRecord, built_when_read
 
@@ -58,39 +59,11 @@ class WfsResult(FrozenRecord):
 _FALSE, _UNDEFINED, _TRUE = TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE
 
 
-def _head_value(
-    rules: tuple[Rule, ...], jv: list[TruthValue], iv: list[TruthValue]
-) -> TruthValue:
-    """Stage-operator value of one head, given its compiled rules, the outer
-    values jv and the inner values iv."""
-    gets_false = True  # vacuously false when no rule exists
-    for pos, neg in rules:
-        if all(jv[a] == _FALSE for a in neg) and all(
-            jv[a] == _TRUE or iv[a] == _TRUE for a in pos
-        ):
-            return _TRUE
-        if gets_false and not (
-            any(jv[a] == _TRUE for a in neg)
-            or any(jv[a] == _FALSE or iv[a] == _FALSE for a in pos)
-        ):
-            gets_false = False
-    return _FALSE if gets_false else _UNDEFINED
-
-
 def _to_interp(values: list[TruthValue], gp: GroundProgram) -> PartialInterpretation:
     split = ([], [], [])  # the keys valued false, undefined and true, in one pass
     for k, v in zip(gp.atoms, values):
         split[v].append(k)
     return interpretation(gp, split[_TRUE], split[_FALSE])
-
-
-def theta_step(
-    J: PartialInterpretation, I: PartialInterpretation, gp: GroundProgram
-) -> PartialInterpretation:
-    """One application of the stage operator under outer interpretation J."""
-    jv = [J.value(k) for k in gp.atoms]
-    iv = [I.value(k) for k in gp.atoms]
-    return _to_interp([_head_value(rules, jv, iv) for rules in gp.rules], gp)
 
 
 def occurrences(gp: GroundProgram) -> tuple[list[list], list]:
@@ -149,7 +122,7 @@ def _lfp(jv: list[TruthValue], records: list, uses: list) -> tuple[list[TruthVal
     while True:
         rounds += 1
         # Value every revisited head before applying any change, so a round
-        # reads only the previous round's values, as theta_step does.
+        # reads only the previous round's values, as the stage operator does.
         changed = []
         for h in dirty:
             v = top[h]
@@ -180,13 +153,6 @@ def _lfp(jv: list[TruthValue], records: list, uses: list) -> tuple[list[TruthVal
         # twice, so stabilization needs at most 2|atoms| + 1 rounds.
         if rounds > 2 * n + 2:
             raise NotIncreasing("inner iteration failed to stabilize")
-
-
-def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInterpretation, int]:
-    """Least fixed point of the stage operator under J, from the all-false
-    start.  Returns the fixpoint and the number of rounds to stabilize."""
-    values, rounds = _lfp([J.value(k) for k in gp.atoms], *occurrences(gp))
-    return _to_interp(values, gp), rounds
 
 
 def well_founded_model(gp: GroundProgram) -> WfsResult:

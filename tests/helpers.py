@@ -21,6 +21,13 @@ fixpoint machinery:
   atoms semi-naively; ``reference_compile`` keeps the rules it allows;
 * ``classical_least_model`` is a plain two-valued immediate-consequence
   closure for negation-free ground programs;
+* ``theta_step`` is the reference stage operator: it values every head
+  afresh from its rules under the outer and inner interpretations, where
+  the engine counts down per rule;
+* ``leq`` compares two interpretations in the truth or Fitting order;
+  ``is_model`` and ``is_minimal_model`` check a model, and its minimality
+  by walking the interpretations below it, on the bitmask view of the
+  brute-force oracle in ``hoplog.interp``;
 * ``naive_well_founded_model`` iterates ``theta_step`` from the all-false
   start at every stage, where the engine recomputes only the atoms whose
   positive inputs changed;
@@ -44,6 +51,12 @@ fixpoint machinery:
   table ``COMMANDS``;
 * ``reference_tokenize`` scans source text character by character, where
   the parser's tokenizer matches one regular expression.
+
+``theta_lfp`` is no oracle but the engine under test: the well-founded
+engine's inner loop (``wfs.occurrences`` and ``wfs._lfp``) run under any
+outer interpretation, so tests can compare it with ``naive_theta_lfp``.
+``load`` parses and checks program text, and ``to_source`` prints a
+checked program back as canonical source.
 """
 
 from __future__ import annotations
@@ -56,16 +69,32 @@ import sys
 from pathlib import Path
 
 from hoplog import cli
-from hoplog.errors import DepthExceeded, GroundingLimitExceeded, ParseError
+from hoplog.errors import (
+    DepthExceeded,
+    GroundingLimitExceeded,
+    ParseError,
+    TooLarge,
+    UnknownAtom,
+)
 from hoplog.extensionality import ExtChecker, ValuationOracle, Witness
 from hoplog.grounder import (
     DEFAULT_MAX_ATOM_SIZE,
     ConstLit,
     GroundClause,
     GroundProgram,
+    Rule,
     Universe,
 )
-from hoplog.interp import PartialInterpretation, everything_false, interpretation
+from hoplog.interp import (
+    ORACLE_MAX_ATOMS,
+    Ordering,
+    PartialInterpretation,
+    TruthValue,
+    _Compiled,
+    _submasks,
+    interpretation,
+)
+from hoplog.parser import parse_program
 from hoplog.syntax import (
     IOTA,
     OMICRON,
@@ -79,12 +108,19 @@ from hoplog.syntax import (
     Var,
     spine,
 )
-from hoplog.typecheck import Program, elaborate_ground_atom, load_program
-from hoplog.wfs import ThetaTrace, WfsResult, theta_step
+from hoplog.typecheck import Program, check_program, elaborate_ground_atom
+from hoplog.wfs import ThetaTrace, WfsResult, _lfp, _to_interp, occurrences
 
 
 def load(src: str) -> Program:
-    return load_program(src)
+    return check_program(parse_program(src))
+
+
+def to_source(program: Program) -> str:
+    """Canonical source text; parsing it back yields an equal Program."""
+    lines = [f"type {name} : {typ}." for name, typ in program.signature.entries]
+    lines.extend(str(c) for c in program.clauses)
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +499,117 @@ def is_negation_free(gp: GroundProgram) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Orders and model checks on interpretations
+# ---------------------------------------------------------------------------
+
+
+def everything_false(gp: GroundProgram) -> PartialInterpretation:
+    return interpretation(gp, (), gp.atoms.keys())
+
+
+def leq(
+    i1: PartialInterpretation, i2: PartialInterpretation, ordering: Ordering
+) -> bool:
+    if ordering == Ordering.TRUTH:
+        return i1.true_atoms <= i2.true_atoms and i2.false_atoms <= i1.false_atoms
+    return i1.true_atoms <= i2.true_atoms and i1.false_atoms <= i2.false_atoms
+
+
+def masks(compiled: _Compiled, i: PartialInterpretation) -> tuple[int, int]:
+    """The bitmasks of i's true and false atoms in the oracle's view of a
+    ground program."""
+    t = f = 0
+    try:
+        for k in i.true_atoms:
+            t |= 1 << compiled.index[k]
+        for k in i.false_atoms:
+            f |= 1 << compiled.index[k]
+    except KeyError as exc:
+        raise UnknownAtom(f"atom {exc.args[0]} is outside the atom table") from None
+    return t, f
+
+
+def is_model(i: PartialInterpretation, gp: GroundProgram) -> bool:
+    """Whether no clause of gp has a head value below its body's under i."""
+    compiled = _Compiled(gp)
+    return compiled.is_model(*masks(compiled, i))
+
+
+def is_minimal_model(
+    gp: GroundProgram, i: PartialInterpretation, ordering: Ordering
+) -> bool:
+    """Membership in the brute-force minimal set, computed directly.
+
+    Equivalent to ``i in minimal_models_bruteforce(gp, ordering)`` but only
+    enumerates the interpretations below i.
+    """
+    n = len(gp.atoms)
+    if n > ORACLE_MAX_ATOMS:
+        raise TooLarge(f"{n} atoms exceed the oracle limit of {ORACLE_MAX_ATOMS}")
+    compiled = _Compiled(gp)
+    tmask, fmask = masks(compiled, i)
+    if not compiled.is_model(tmask, fmask):
+        return False
+    full = (1 << n) - 1
+    if ordering == Ordering.FITTING:
+        for t in _submasks(tmask):
+            for f in _submasks(fmask):
+                if (t, f) != (tmask, fmask) and compiled.is_model(t, f):
+                    return False
+        return True
+    for t in _submasks(tmask):
+        room = full & ~t & ~fmask
+        for extra in _submasks(room):
+            f = fmask | extra
+            if (t, f) != (tmask, fmask) and compiled.is_model(t, f):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Reference stage operator, and the engine's inner loop as a probe
+# ---------------------------------------------------------------------------
+
+_FALSE, _UNDEFINED, _TRUE = TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE
+
+
+def _head_value(
+    rules: tuple[Rule, ...], jv: list[TruthValue], iv: list[TruthValue]
+) -> TruthValue:
+    """Stage-operator value of one head, given its compiled rules, the outer
+    values jv and the inner values iv."""
+    gets_false = True  # vacuously false when no rule exists
+    for pos, neg in rules:
+        if all(jv[a] == _FALSE for a in neg) and all(
+            jv[a] == _TRUE or iv[a] == _TRUE for a in pos
+        ):
+            return _TRUE
+        if gets_false and not (
+            any(jv[a] == _TRUE for a in neg)
+            or any(jv[a] == _FALSE or iv[a] == _FALSE for a in pos)
+        ):
+            gets_false = False
+    return _FALSE if gets_false else _UNDEFINED
+
+
+def theta_step(
+    J: PartialInterpretation, I: PartialInterpretation, gp: GroundProgram
+) -> PartialInterpretation:
+    """One application of the stage operator under outer interpretation J."""
+    jv = [J.value(k) for k in gp.atoms]
+    iv = [I.value(k) for k in gp.atoms]
+    return _to_interp([_head_value(rules, jv, iv) for rules in gp.rules], gp)
+
+
+def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInterpretation, int]:
+    """The engine under test, not a reference: its inner loop run under any
+    outer interpretation J, from the all-false start.  Returns the fixpoint
+    and the number of rounds to stabilize."""
+    values, rounds = _lfp([J.value(k) for k in gp.atoms], *occurrences(gp))
+    return _to_interp(values, gp), rounds
+
+
+# ---------------------------------------------------------------------------
 # Naive well-founded iteration (reference for the semi-naive inner loop)
 # ---------------------------------------------------------------------------
 
@@ -589,9 +736,8 @@ def alternating_fixpoint(gp: GroundProgram) -> PartialInterpretation:
 # Three-valued stable models (oracle for the well-founded model)
 # ---------------------------------------------------------------------------
 
-# Truth values as integers, the order of ``TruthValue``: 0 false,
-# 1 undefined, 2 true; ~v is 2 - v.
-_FALSE, _UNDEF, _TRUE = 0, 1, 2
+# Truth values are ``TruthValue`` members, integers in the truth order
+# (``_FALSE``, ``_UNDEFINED`` and ``_TRUE`` above); ~v is 2 - v.
 
 
 def reduct_least_model(gp: GroundProgram, i: PartialInterpretation) -> PartialInterpretation:
@@ -643,7 +789,7 @@ def three_valued_stable_models(
     keys = list(gp.atoms)
     assert len(keys) <= limit, f"{len(keys)} atoms exceed the limit of {limit}"
     out = []
-    for values in itertools.product((_FALSE, _UNDEF, _TRUE), repeat=len(keys)):
+    for values in itertools.product((_FALSE, _UNDEFINED, _TRUE), repeat=len(keys)):
         i = PartialInterpretation(
             frozenset(k for k, v in zip(keys, values) if v == _TRUE),
             frozenset(k for k, v in zip(keys, values) if v == _FALSE),

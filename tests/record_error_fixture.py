@@ -1,9 +1,9 @@
 """Record ``error_fixture.json``: failing front-end inputs and their errors.
 
 Each entry holds a program text, optionally a root atom, and the rule and
-message of the error that checking them raises: ``load_program`` on the
-text, then, for an entry with a root, ``elaborate_ground_atom`` on the root's
-own text.  The inputs are
+message of the error that checking them raises: ``parse_program`` and
+``check_program`` on the text, then, for an entry with a root,
+``elaborate_ground_atom`` on the root's own text.  The inputs are
 
 * random texts over the alphabet of acceptance criterion 7,
 * ill-typed mutations of ``helpers.random_program_source`` programs: two
@@ -27,7 +27,8 @@ import string
 import sys
 
 from hoplog.errors import HoplogError
-from hoplog.typecheck import elaborate_ground_atom, load_program
+from hoplog.parser import parse_program
+from hoplog.typecheck import check_program, elaborate_ground_atom
 
 from helpers import random_program_source
 
@@ -38,7 +39,7 @@ WORD = re.compile(r"[A-Za-z]\w*")
 def outcome(source: str, root: str | None = None):
     """``(rule, message)`` of the error checking raises, or None."""
     try:
-        program = load_program(source)
+        program = check_program(parse_program(source))
         if root is not None:
             elaborate_ground_atom(program, root)
     except HoplogError as exc:

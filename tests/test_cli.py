@@ -1,6 +1,8 @@
 """Command-line driver: subcommands, exit codes, output determinism."""
 
 import argparse
+import ast
+import collections
 import enum
 import gc
 import io
@@ -985,6 +987,50 @@ class TestStartup:
         namespace: dict = {}
         exec("from hoplog import *", namespace)  # raises on a name that does not resolve
         assert set(hoplog.__all__) <= set(namespace)
+
+
+class TestShippedCode:
+    @staticmethod
+    def loads(tree) -> collections.Counter:
+        """How often each name is loaded in tree, as an ``ast.Name`` or an
+        ``ast.Attribute`` in load context."""
+        return collections.Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        )
+
+    def test_every_definition_is_loaded_outside_itself(self):
+        """Every top-level function and class, and every method but a dunder,
+        in ``src/hoplog`` is loaded by name somewhere in ``src/hoplog`` or
+        ``bench/``, outside its own definition: code that only tests run
+        belongs in ``tests/helpers.py``.  The check matches names only, so
+        any load of a same-named attribute passes a definition: a module
+        function ``is_model`` would pass on the loads of the method
+        ``_Compiled.is_model``."""
+        root = Path(__file__).resolve().parents[1]
+        package = {path: ast.parse(path.read_text(encoding="utf-8"))
+                   for path in sorted((root / "src" / "hoplog").glob("*.py"))}
+        bench = [ast.parse(path.read_text(encoding="utf-8")) for path in (root / "bench").glob("*.py")]
+        loads = sum(map(self.loads, [*package.values(), *bench]), collections.Counter())
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        unused = []
+        for path, tree in package.items():
+            for node in tree.body:
+                if not isinstance(node, (*functions, ast.ClassDef)):
+                    continue
+                definitions = [(node, node.name)]
+                if isinstance(node, ast.ClassDef):
+                    definitions += [
+                        (method, f"{node.name}.{method.name}")
+                        for method in node.body
+                        if isinstance(method, functions)
+                        and not (method.name.startswith("__") and method.name.endswith("__"))
+                    ]
+                for definition, label in definitions:
+                    if loads[definition.name] == self.loads(definition)[definition.name]:
+                        unused.append(f"{path.stem}.{label}")
+        assert unused == []
 
 
 class TestParserAgainstArgparse:

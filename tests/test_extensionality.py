@@ -19,6 +19,7 @@ from helpers import (
     random_witness_source,
     reference_ext_equal,
     replay_witness,
+    to_source,
 )
 
 OO = parse_type("o -> o")
@@ -167,7 +168,7 @@ class TestStratifiedFamily:
         for _ in range(10):
             program = load(random_stratified_source(rng))
             report = ExtChecker(program, 2).reflexivity_report()
-            assert report.extensional_at_depth, program.to_source()
+            assert report.extensional_at_depth, to_source(program)
 
 
 def _outcome(call):

@@ -535,6 +535,25 @@ class TestTemplateGrounding:
         assert sum(c.body[0].value for c in gp.clauses) == 4
         assert [name for name, _ in gp.clauses[0].theta] == ["X", "Y"]
 
+    def test_predicate_edges_in_documented_order(self):
+        """Per shape, literal by literal: the edges of the literal ``V20``,
+        one per value p0, p3 of V20, precede that of ``p1 (p1 V20)``, though
+        the instances meet (p1, p1) before (p1, p3)."""
+        program = load(random_program_source(random.Random(224)))
+        assert [str(c) for c in program.clauses[1:3]] == [
+            "p2 V10 <- p2 c0, ~(p2 V10).",
+            "p1 V20 <- V20, p1 (p1 V20), c0 = c0.",
+        ]
+        gp = self.assert_same(program, 1)
+        assert tuple(gp.predicate_edges) == (
+            ("p2", "p2", False),
+            ("p2", "p2", True),
+            ("p1", "p0", False),
+            ("p1", "p3", False),
+            ("p1", "p1", False),
+        )
+        assert reference_edges(gp.clauses).index(("p1", "p1", False)) == 3
+
 
 class TestDemandGroups:
     """A demanded atom counts every clause of its (head, arity) group and

@@ -11,11 +11,7 @@ from hoplog.interp import (
     Ordering,
     PartialInterpretation,
     TruthValue,
-    everything_false,
     interpretation,
-    is_minimal_model,
-    is_model,
-    leq,
     minimal_models_bruteforce,
 )
 from hoplog.programs import NONEXTENSIONAL
@@ -23,9 +19,13 @@ from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import well_founded_model
 
 from helpers import (
+    everything_false,
     fitting_smaller_stable,
     is_fitting_minimal_stable,
+    is_minimal_model,
+    is_model,
     is_three_valued_stable,
+    leq,
     load,
     random_ground_source,
     reduct_least_model,

@@ -17,7 +17,14 @@ from hoplog.parser import (
 from hoplog.programs import CORPUS, DEMOS
 from hoplog.syntax import IOTA, OMICRON, Arrow
 
-from helpers import bench_workloads, load, nested_term, reference_tokenize, sinking_term
+from helpers import (
+    bench_workloads,
+    load,
+    nested_term,
+    reference_tokenize,
+    sinking_term,
+    to_source,
+)
 
 
 class TestParseType:
@@ -134,7 +141,7 @@ class TestSourceRoundTrip:
         p R <- R.
         """
         program = load(src)
-        assert load(program.to_source()) == program
+        assert load(to_source(program)) == program
 
 
 def _stream(tokenize, text: str):

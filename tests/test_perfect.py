@@ -6,14 +6,7 @@ import pytest
 
 from hoplog.errors import LocalStratificationViolation, NotIncreasing
 from hoplog.grounder import ground_instantiation, relevant_grounding
-from hoplog.interp import (
-    Ordering,
-    TruthValue,
-    interpretation,
-    is_minimal_model,
-    is_model,
-    leq,
-)
+from hoplog.interp import Ordering, TruthValue, interpretation
 from hoplog.perfect import (
     Stratification,
     Unstratifiable,
@@ -31,15 +24,20 @@ from hoplog.programs import (
 )
 from hoplog.syntax import spine
 from hoplog.typecheck import elaborate_ground_atom
-from hoplog.wfs import theta_lfp, theta_step, well_founded_model
+from hoplog.wfs import well_founded_model
 
 from helpers import (
     bench_workloads,
+    is_minimal_model,
+    is_model,
+    leq,
     load,
     naive_perfect_model,
     naive_psi_lfp,
     random_program_source,
     random_stratified_source,
+    theta_lfp,
+    theta_step,
 )
 
 # Reachability along a six-node path: the first stage's psi fixpoint

@@ -36,7 +36,7 @@ from hoplog.syntax import (
     spine,
     vars_in_order,
 )
-from hoplog.typecheck import check_program, load_program
+from hoplog.typecheck import check_program
 
 from helpers import (
     TypeMismatch,
@@ -50,6 +50,7 @@ from helpers import (
     reference_size,
     reference_type_size,
     reference_type_text,
+    to_source,
 )
 
 O_O = Arrow(OMICRON, OMICRON)
@@ -251,12 +252,12 @@ class TestRoundTrip:
     def test_program_print_parse_round_trip(self, seed):
         src = random_program_source(random.Random(seed))
         program = check_program(parse_program(src))
-        again = check_program(parse_program(program.to_source()))
+        again = check_program(parse_program(to_source(program)))
         assert again == program
 
     def test_round_trip_on_clause_text(self):
         program = load(SIG_SRC + "\ns Q <- Q (s Q).\nw R <- ~R.\nr X <- X = a.\n")
-        again = load_program(program.to_source())
+        again = load(to_source(program))
         assert again == program
 
 

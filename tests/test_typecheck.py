@@ -4,9 +4,9 @@ import pytest
 
 from hoplog.errors import AmbiguousVariableType, ProgramCheckError
 from hoplog.syntax import IOTA, OMICRON, Arrow
-from hoplog.typecheck import elaborate_ground_atom, load_program
+from hoplog.typecheck import elaborate_ground_atom
 
-from helpers import load
+from helpers import load, to_source
 
 
 def var_types(src: str) -> dict:
@@ -17,7 +17,7 @@ def var_types(src: str) -> dict:
 
 def rules_of(src: str) -> list[str]:
     with pytest.raises(ProgramCheckError) as err:
-        load_program(src)
+        load(src)
     return err.value.rules
 
 
@@ -130,7 +130,7 @@ class TestInferenceMessages:
 
     def messages(self, src: str) -> list[str]:
         with pytest.raises(ProgramCheckError) as err:
-            load_program(src)
+            load(src)
         return [str(e) for e in err.value.errors]
 
     def test_conflicting_variable(self):
@@ -156,7 +156,7 @@ class TestInferenceMessages:
         ]
 
     def test_ambiguous_variable_in_a_root_atom(self):
-        program = load_program("type p : i -> o.\np X <- X = a.")
+        program = load("type p : i -> o.\np X <- X = a.")
         with pytest.raises(
             AmbiguousVariableType,
             match="^1:3: the type of X is not determined by any occurrence in a root atom$",
@@ -205,7 +205,7 @@ class TestExpressionErrors:
     ])
     def test_first_bad_declaration_in_source_order_is_reported(self, src, message):
         with pytest.raises(ProgramCheckError) as err:
-            load_program(src)
+            load(src)
         assert str(err.value) == message
 
 
@@ -217,7 +217,7 @@ class TestExpressionErrors:
     ])
     def test_variable_of_no_argument_type_is_refused(self, src, message):
         with pytest.raises(ProgramCheckError) as err:
-            load_program(src)
+            load(src)
         assert str(err.value) == message
 
 
@@ -242,6 +242,6 @@ class TestIdempotence:
         q X <- X = a.
         """
         once = load(src)
-        twice = load(once.to_source())
+        twice = load(to_source(once))
         assert once == twice
-        assert load(twice.to_source()) == twice
+        assert load(to_source(twice)) == twice

@@ -8,27 +8,23 @@ from hypothesis import given, settings, strategies as st
 from hoplog import wfs
 from hoplog.errors import GroundingLimitExceeded, NotIncreasing
 from hoplog.grounder import GroundProgram, ground_instantiation, relevant_grounding
-from hoplog.interp import (
-    Ordering,
-    TruthValue,
-    everything_false,
-    interpretation,
-    is_minimal_model,
-    is_model,
-    leq,
-)
+from hoplog.interp import Ordering, TruthValue, interpretation
 from hoplog.perfect import Stratification, localize, perfect_model, stratify
 from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, SUBSET, WINNOW
 from hoplog.typecheck import elaborate_ground_atom
-from hoplog.wfs import theta_lfp, theta_step, well_founded_model
+from hoplog.wfs import well_founded_model
 
 from helpers import (
     alternating_fixpoint,
     bench_workloads,
     classical_least_model,
+    everything_false,
     is_fitting_minimal_stable,
+    is_minimal_model,
+    is_model,
     is_negation_free,
     is_three_valued_stable,
+    leq,
     load,
     naive_psi_lfp,
     naive_theta_lfp,
@@ -36,6 +32,8 @@ from helpers import (
     random_ground_source,
     random_program_source,
     random_stratified_source,
+    theta_lfp,
+    theta_step,
     unfiltered_compile,
 )
 
