@@ -7,7 +7,7 @@ evaluate (well-founded or perfect model) -> check extensionality.
 from .extensionality import ExtChecker
 from .grounder import GroundProgram, ground_instantiation, relevant_grounding
 from .interp import Ordering, PartialInterpretation, TruthValue, minimal_models_bruteforce
-from .parser import parse_program, parse_type
+from .parser import parse_program
 from .perfect import localize, perfect_model, stratify
 from .typecheck import Program, check_program
 from .wfs import well_founded_model
@@ -24,7 +24,6 @@ __all__ = [
     "localize",
     "minimal_models_bruteforce",
     "parse_program",
-    "parse_type",
     "perfect_model",
     "relevant_grounding",
     "stratify",

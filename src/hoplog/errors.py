@@ -94,36 +94,28 @@ class ProgramCheckError(TypeCheckError):
         self.errors = errors
         super().__init__("; ".join(f"{e.rule}: {e}" for e in errors))
 
-    @property
-    def rules(self) -> list[str]:
-        return [e.rule for e in self.errors]
-
 
 class GroundingLimitExceeded(HoplogError):
     """A grounding passed one of the grounder's caps."""
 
 
-class EvalError(HoplogError):
+class UnknownAtom(HoplogError):
     pass
 
 
-class UnknownAtom(EvalError):
+class TooLarge(HoplogError):
     pass
 
 
-class TooLarge(EvalError):
-    pass
-
-
-class NotIncreasing(EvalError):
+class NotIncreasing(HoplogError):
     """Internal-consistency failure: a stage sequence left its ordering."""
 
 
-class LocalStratificationViolation(EvalError):
+class LocalStratificationViolation(HoplogError):
     """Internal-consistency failure: a ground clause breaks the strata."""
 
 
-class DepthExceeded(EvalError):
+class DepthExceeded(HoplogError):
     """A required valuation left the configured size budget.
 
     Reported to callers as "unknown at this depth"; never conflated with a

@@ -96,21 +96,14 @@ class ConstLit(FrozenRecord):
 
 class GroundClause(FrozenRecord):
     """A ground instance of a source clause.  ``head`` is its ground atom;
-    each of ``body`` is an atom, its ``Neg``, or a ``ConstLit``.
-    ``source_index`` is the source clause's position in the program, and
-    ``theta`` the substitution that produced the instance, as
-    ``(variable name, ground term)`` pairs."""
+    each of ``body`` is an atom, its ``Neg``, or a ``ConstLit``."""
 
-    __slots__ = ("head", "body", "source_index", "theta")
+    __slots__ = ("head", "body")
 
     def __str__(self) -> str:
         if not self.body:
             return f"{self.head.text}."
         return f"{self.head.text} <- {', '.join([l.text for l in self.body])}."
-
-
-# A compiled clause body: (positive atom ids, negative atom ids).
-Rule = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 # (head predicate, body predicate, negated): an instance's head and one of
@@ -123,8 +116,8 @@ class GroundProgram(Record):
 
     ``atoms`` is the atom table, a dict from an atom's text to the atom, in
     insertion order.  ``rules`` is the integer form both engines run on, a
-    tuple of ``Rule`` tuples per atom id.  Atom ids follow the atom table's
-    order.  ``rules[h]`` lists one ``(positive ids, negative ids)`` pair per
+    tuple of rules per atom id.  Atom ids follow the atom table's order.
+    ``rules[h]`` lists one rule, a ``(positive ids, negative ids)`` pair, per
     live instance with head h whose positive atoms can all be true;
     ``true`` literals are stripped, so no rule carries a resolved
     equality.  ``predicate_edges`` holds each ``PredicateEdge`` of some
@@ -234,9 +227,9 @@ _TRUE, _FALSE = ConstLit(True), ConstLit(False)
 
 class _Template:
     """A clause shape compiled once per grounding, with a row per clause of
-    the shape: (its index, its guards' ground sides, ``rest``'s domains
-    narrowed by its guards).  Field i of each builder is the i-th variable
-    of ``clause.variables()``, filled with its value, a ground term; field
+    the shape: (its guards' ground sides, ``rest``'s domains narrowed by its
+    guards).  Field i of each builder is the i-th variable of
+    ``clause.variables()``, filled with its value, a ground term; field
     ``len(variables) + j`` is the j-th guard's ground side.  The ``n_bound``
     leading variables take a matched head's arguments (demand grounding binds
     the formals); the rest range over ``domains``.  A projection numbers a
@@ -246,7 +239,7 @@ class _Template:
         clause, k = g.program.clauses[index], g.k
         n_bound = len(clause.formals) if g.bind_formals else 0
         self.rows = []
-        self.variables = variables = clause.variables()
+        variables = clause.variables()
         self.fields = fields = {v.name: i for i, v in enumerate(variables)}
         self.domains = domains = [g.universe.terms(v.typ, k) for v in variables[n_bound:]]
         self.count = math.prod(map(len, domains))  # instances per call: 0 if a domain is empty
@@ -307,15 +300,15 @@ class _Template:
                            [j for j, g in enumerate(self.guards) if g == f])
                           for i, f in enumerate(self.rest) if f in self.guards]
 
-    def add(self, index: int, consts: tuple[Expr, ...]) -> int:
-        """Add clause ``index``, with ``consts`` its guards' ground sides, as a row.  A
-        guarded field keeps the value that is each of its guards' sides, if its domain
-        holds it: interned terms, alive in the row and the universe, compare by identity."""
+    def add(self, consts: tuple[Expr, ...]) -> int:
+        """Add a clause, with ``consts`` its guards' ground sides, as a row.  A guarded
+        field keeps the value that is each of its guards' sides, if its domain holds
+        it: interned terms, alive in the row and the universe, compare by identity."""
         domains = list(self.rest_domains)
         for i, values, guards in self.narrowing:
             kept = {consts[j] for j in guards}
             domains[i] = list(kept & values) if len(kept) == 1 else []
-        self.rows.append((index, consts, domains))
+        self.rows.append((consts, domains))
         return len(self.rows) - 1
 
 
@@ -399,7 +392,7 @@ class _Grounding:
             t = self._shapes.get(shape)
             if t is None:
                 t = self._shapes[shape] = _Template(self, index, shape)
-            found = self._templates[index] = (t, t.add(index, tuple(consts)))
+            found = self._templates[index] = (t, t.add(tuple(consts)))
         total = self.clause_count + found[0].count
         if total > DEFAULT_MAX_CLAUSES:
             raise GroundingLimitExceeded(f"clause {index} would bring the grounding to "
@@ -448,7 +441,7 @@ class _Grounding:
         self.table.append(atom)
         return i
 
-    def _solve(self) -> tuple:
+    def _solve(self) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
         """The rules per atom id: one for each live instance whose positive atoms
         are all possibly true, in the least model of the live instances with
         their negated atoms dropped.  No other rule fires in any stage of either
@@ -466,11 +459,11 @@ class _Grounding:
 
         def start(c: int) -> list:  # a call's field values, the free ones None
             t, r, bound, _ = live[c]
-            return [*bound, *[None] * len(t.domains), *t.rows[r][1]]
+            return [*bound, *[None] * len(t.domains), *t.rows[r][0]]
 
         def fire(c: int, values: list, pos_ids: tuple[int, ...]) -> None:
             t, r, _, at = live[c]
-            for combo in itertools.product(*t.rows[r][2]):
+            for combo in itertools.product(*t.rows[r][1]):
                 for f, v in zip(t.rest, combo):
                     values[f] = v
                 if t.checks and any(x(values) is not y(values) for x, y in t.checks):
@@ -570,7 +563,7 @@ class _DemandGrounding(_Grounding):
             before, calls, index = self.clause_count, [], {}
             for i in self.by_head.get(key, ()):
                 t, r = self.template(i)
-                pairs = [(f, c) for f, c in zip(t.guards, t.rows[r][1]) if f < len(args)]
+                pairs = [(f, c) for f, c in zip(t.guards, t.rows[r][0]) if f < len(args)]
                 fields, nodes = zip(*pairs) if pairs and len(t.literals) == 1 else ((), ())
                 get, table = index.setdefault(fields, (_key(fields), {}))
                 table.setdefault(nodes, []).append((t, r))
@@ -599,7 +592,7 @@ def _clauses(calls: list, heads=None, roots=()) -> tuple:
             builders[t] = [(negated, part if negated is None else instance_builder(part, t.fields))
                            for negated, part in t.body]
         for combo in itertools.product(*t.domains):
-            values = bound + combo + t.rows[r][1]
+            values = bound + combo + t.rows[r][0]
             body = []
             for negated, build in builders[t]:
                 if negated is None:
@@ -611,9 +604,7 @@ def _clauses(calls: list, heads=None, roots=()) -> tuple:
                     met.add(atom.text)
                     calls.extend(calls_of(atom))
                 body.append(Neg(atom) if negated else atom)
-            theta = tuple(sorted(zip([v.name for v in t.variables], values)))
-            head = t.literals[0][2](values)
-            out.append(GroundClause(head, tuple(body), t.rows[r][0], theta))
+            out.append(GroundClause(t.literals[0][2](values), tuple(body)))
     return tuple(out)
 
 

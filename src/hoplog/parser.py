@@ -260,13 +260,6 @@ def parse_program(text: str) -> SourceProgram:
     return _Parser(text).parse_program()
 
 
-def parse_type(text: str) -> TypeExpr:
-    p = _Parser(text)
-    typ = p.parse_type()[0]
-    p.expect("EOF")
-    return typ
-
-
 def parse_atom(text: str) -> tuple:
     """Parse a single atom (used for --roots arguments)."""
     p = _Parser(text)

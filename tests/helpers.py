@@ -55,8 +55,8 @@ fixpoint machinery:
 ``theta_lfp`` is no oracle but the engine under test: the well-founded
 engine's inner loop (``wfs.occurrences`` and ``wfs._lfp``) run under any
 outer interpretation, so tests can compare it with ``naive_theta_lfp``.
-``load`` parses and checks program text, and ``to_source`` prints a
-checked program back as canonical source.
+``load`` parses and checks program text, ``parse_type`` parses a type's
+text, and ``to_source`` prints a checked program back as canonical source.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from hoplog.grounder import (
     ConstLit,
     GroundClause,
     GroundProgram,
-    Rule,
     Universe,
 )
 from hoplog.interp import (
@@ -94,7 +93,7 @@ from hoplog.interp import (
     _submasks,
     interpretation,
 )
-from hoplog.parser import parse_program
+from hoplog.parser import _Parser, parse_program
 from hoplog.syntax import (
     IOTA,
     OMICRON,
@@ -114,6 +113,13 @@ from hoplog.wfs import ThetaTrace, WfsResult, _lfp, _to_interp, occurrences
 
 def load(src: str) -> Program:
     return check_program(parse_program(src))
+
+
+def parse_type(text: str) -> TypeExpr:
+    p = _Parser(text)
+    typ = p.parse_type()[0]
+    p.expect("EOF")
+    return typ
 
 
 def to_source(program: Program) -> str:
@@ -340,12 +346,7 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
                     lits.append(ConstLit(reference_print(lit.lhs) == reference_print(lit.rhs)))
                 else:
                     lits.append(lit)
-            yield GroundClause(
-                head,
-                tuple(lits),
-                index,
-                tuple(sorted(theta.items())),
-            )
+            yield GroundClause(head, tuple(lits))
 
     atoms: dict[str, Expr] = {}
     clauses: list[GroundClause] = []
@@ -574,10 +575,13 @@ _FALSE, _UNDEFINED, _TRUE = TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.T
 
 
 def _head_value(
-    rules: tuple[Rule, ...], jv: list[TruthValue], iv: list[TruthValue]
+    rules: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+    jv: list[TruthValue],
+    iv: list[TruthValue],
 ) -> TruthValue:
-    """Stage-operator value of one head, given its compiled rules, the outer
-    values jv and the inner values iv."""
+    """Stage-operator value of one head, given its compiled rules, each a
+    (positive atom ids, negative atom ids) pair, the outer values jv and the
+    inner values iv."""
     gets_false = True  # vacuously false when no rule exists
     for pos, neg in rules:
         if all(jv[a] == _FALSE for a in neg) and all(

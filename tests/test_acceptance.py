@@ -20,11 +20,12 @@ from hoplog.grounder import ground_instantiation, relevant_grounding
 from hoplog.interp import Ordering, TruthValue
 from hoplog.parser import parse_program
 from hoplog.perfect import Stratification, Unstratifiable, localize, perfect_model, stratify
-from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_BAD, STRATIFIED_OK
+from hoplog.programs import NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_BAD, STRATIFIED_OK
 from hoplog.syntax import Const
 from hoplog.typecheck import check_program, elaborate_ground_atom
 from hoplog.wfs import well_founded_model
 
+from corpus import CORPUS
 from helpers import (
     everything_false,
     fitting_smaller_stable,
@@ -273,12 +274,12 @@ def test_criterion_7_front_end_conformance():
         load(
             "type q : i -> o.\ntype r : (i -> o) -> o.\nq a.\nr q."
         )
-    assert "NonVariableHeadArgument" in err.value.rules
+    assert "NonVariableHeadArgument" in [e.rule for e in err.value.errors]
     with pytest.raises(ProgramCheckError) as err:
         load(
             "type p : (i -> o) -> (i -> o) -> o.\np Q Q <- Q a."
         )
-    assert "RepeatedHeadVariable" in err.value.rules
+    assert "RepeatedHeadVariable" in [e.rule for e in err.value.errors]
 
     # Round-trip on 1,000 generated well-typed programs.
     for seed in range(1000):

@@ -23,14 +23,9 @@ from hoplog import cli
 from hoplog.cli import COMMANDS, _parse_argv, main
 from hoplog.interp import PartialInterpretation
 from hoplog.parser import MAX_NESTING
-from hoplog.programs import (
-    CORPUS,
-    NONEXTENSIONAL,
-    POSITIVE_ID,
-    STRATIFIED_BAD,
-    STRATIFIED_OK,
-)
+from hoplog.programs import NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_BAD, STRATIFIED_OK
 
+from corpus import CORPUS
 from helpers import bench_workloads, nested_term, reference_parser, sinking_term
 
 
@@ -990,46 +985,123 @@ class TestStartup:
 
 
 class TestShippedCode:
+    """Every definition in ``src/hoplog`` is read somewhere in ``src/hoplog``
+    or ``bench/``, outside its own definition: code and data that only
+    tests read belong in ``tests/``.  Four kinds of definition count:
+
+    * a method, a property among them, but not a dunder: matched by name
+      alone, so any load of a same-named name or attribute passes it (the
+      method ``_Parser.next`` passes on the loads of the builtin ``next``);
+    * a public slot of a record: read when some attribute load has its name;
+    * a top-level function or class, and a module-level name other than a
+      dunder: read by a load of its own name, in its module or in a file
+      that imports it from there, or as an attribute of its module in a
+      file that imports the module.  A same-named method or attribute does
+      not pass it."""
+
+    FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
     @staticmethod
-    def loads(tree) -> collections.Counter:
-        """How often each name is loaded in tree, as an ``ast.Name`` or an
-        ``ast.Attribute`` in load context."""
+    def loaded(tree):
+        """Every ``ast.Name`` and ``ast.Attribute`` in load context in tree."""
+        return [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+
+    def loads(self, tree) -> collections.Counter:
+        """How often each name is loaded in tree, as a name or an attribute."""
         return collections.Counter(
-            node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            node.id if isinstance(node, ast.Name) else node.attr for node in self.loaded(tree)
         )
 
+    @staticmethod
+    def bindings(tree, stems) -> dict:
+        """What each name that a file imports from hoplog stands for: a
+        module, by its stem (``""`` for the package), or ``(stem, name)`` for
+        a name defined in a module."""
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if parts[0] == "hoplog":
+                        bound[alias.asname or "hoplog"] = "".join(parts[1:]) if alias.asname else ""
+            elif isinstance(node, ast.ImportFrom):
+                parts = node.module.split(".") if node.module else []
+                if not node.level:
+                    if parts[:1] != ["hoplog"]:
+                        continue
+                    parts = parts[1:]
+                for alias in node.names:
+                    if not parts and alias.name in stems:
+                        target = alias.name
+                    else:
+                        target = (parts[-1] if parts else "__init__", alias.name)
+                    bound[alias.asname or alias.name] = target
+        return bound
+
+    def own_loads(self, tree, module, bound) -> collections.Counter:
+        """Loads of module-level names in tree, by (module stem, name): a
+        name is its module's own, or what it was imported as; an attribute
+        of a module is that module's.  ``module`` is None outside hoplog."""
+
+        def module_of(node):
+            if isinstance(node, ast.Name):
+                target = bound.get(node.id)
+                return target if isinstance(target, str) else None
+            if isinstance(node, ast.Attribute) and module_of(node.value) == "":
+                return node.attr
+            return None
+
+        found = collections.Counter()
+        for node in self.loaded(tree):
+            if isinstance(node, ast.Name):
+                target = bound.get(node.id, (module, node.id) if module else None)
+                if isinstance(target, tuple):
+                    found[target] += 1
+            elif base := module_of(node.value):
+                found[base, node.attr] += 1
+        return found
+
     def test_every_definition_is_loaded_outside_itself(self):
-        """Every top-level function and class, and every method but a dunder,
-        in ``src/hoplog`` is loaded by name somewhere in ``src/hoplog`` or
-        ``bench/``, outside its own definition: code that only tests run
-        belongs in ``tests/helpers.py``.  The check matches names only, so
-        any load of a same-named attribute passes a definition: a module
-        function ``is_model`` would pass on the loads of the method
-        ``_Compiled.is_model``."""
         root = Path(__file__).resolve().parents[1]
-        package = {path: ast.parse(path.read_text(encoding="utf-8"))
-                   for path in sorted((root / "src" / "hoplog").glob("*.py"))}
-        bench = [ast.parse(path.read_text(encoding="utf-8")) for path in (root / "bench").glob("*.py")]
-        loads = sum(map(self.loads, [*package.values(), *bench]), collections.Counter())
-        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        package = sorted((root / "src" / "hoplog").glob("*.py"))
+        stems = {path.stem for path in package}
+        files = []  # (module stem or None, tree, its bindings)
+        for path in package + sorted((root / "bench").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            files.append((path.stem if path in package else None, tree, self.bindings(tree, stems)))
+        names, attributes, own = collections.Counter(), collections.Counter(), collections.Counter()
+        for module, tree, bound in files:
+            names += self.loads(tree)
+            attributes.update(node.attr for node in self.loaded(tree) if isinstance(node, ast.Attribute))
+            own += self.own_loads(tree, module, bound)
+
+        def dunder(name: str) -> bool:
+            return name.startswith("__") and name.endswith("__")
+
         unused = []
-        for path, tree in package.items():
+        for module, tree, bound in files[: len(package)]:
             for node in tree.body:
-                if not isinstance(node, (*functions, ast.ClassDef)):
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                elif isinstance(node, (*self.FUNCTIONS, ast.ClassDef)):
+                    defined = [node.name]
+                else:
                     continue
-                definitions = [(node, node.name)]
-                if isinstance(node, ast.ClassDef):
-                    definitions += [
-                        (method, f"{node.name}.{method.name}")
-                        for method in node.body
-                        if isinstance(method, functions)
-                        and not (method.name.startswith("__") and method.name.endswith("__"))
-                    ]
-                for definition, label in definitions:
-                    if loads[definition.name] == self.loads(definition)[definition.name]:
-                        unused.append(f"{path.stem}.{label}")
+                inside = self.own_loads(node, module, bound)
+                unused += [f"{module}.{name}" for name in defined
+                           if not dunder(name) and own[module, name] == inside[module, name]]
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                for member in node.body:
+                    if isinstance(member, self.FUNCTIONS) and not dunder(member.name):
+                        if names[member.name] == self.loads(member)[member.name]:
+                            unused.append(f"{module}.{node.name}.{member.name}")
+                    elif isinstance(member, ast.Assign) and ast.unparse(member.targets[0]) == "__slots__":
+                        unused += [f"{module}.{node.name}.{slot}"
+                                   for slot in ast.literal_eval(member.value)
+                                   if not slot.startswith("_") and not attributes[slot]]
         assert unused == []
 
 

@@ -8,12 +8,13 @@ import pytest
 from hoplog.errors import DepthExceeded, GroundingLimitExceeded
 from hoplog.extensionality import ExtChecker
 from hoplog.grounder import argument_types
-from hoplog.parser import parse_type
-from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_OK
+from hoplog.programs import NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_OK
 from hoplog.syntax import IOTA, OMICRON, App, Const
 
+from corpus import CORPUS
 from helpers import (
     load,
+    parse_type,
     random_program_source,
     random_stratified_source,
     random_witness_source,

@@ -22,23 +22,23 @@ from hoplog.grounder import (
     truncated_types,
 )
 from hoplog.interp import TruthValue
-from hoplog.parser import parse_type
-from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID
+from hoplog.programs import NONEXTENSIONAL, POSITIVE_ID
 from hoplog.syntax import IOTA, App, Arrow, Const, Neg, build_spine, instance_builder, spine
 from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import well_founded_model
 
+from corpus import CORPUS
 from helpers import (
     bench_workloads,
     compiled_by_key,
     enumerate_terms_closure,
     load,
+    parse_type,
     random_program_source,
     random_stratified_source,
     reference_compile,
     reference_edges,
     reference_grounding,
-    substitute_clause,
 )
 
 IO = parse_type("i -> o")
@@ -141,14 +141,6 @@ class TestGroundInstantiation:
         small = {str(c) for c in ground_instantiation(program, 1).clauses}
         big = {str(c) for c in ground_instantiation(program, 2).clauses}
         assert small <= big
-
-    def test_provenance_replays(self):
-        program = load(NONEXTENSIONAL)
-        gp = ground_instantiation(program, 3)
-        for gc in gp.clauses:
-            clause = program.clauses[gc.source_index]
-            head, body = substitute_clause(clause, dict(gc.theta))
-            assert head.text == gc.head.text
 
     def test_empty_universe_gives_no_instance(self):
         # X : i but the program has no individual constants at all, so the
@@ -450,9 +442,6 @@ class TestTemplateGrounding:
             return None
         gp = _ground(program, k, roots)
         assert [str(c) for c in gp.clauses] == [str(c) for c in expected.clauses]
-        assert [(c.source_index, c.theta) for c in gp.clauses] == [
-            (c.source_index, c.theta) for c in expected.clauses
-        ]
         assert set(gp.atoms.items()) == set(expected.atoms.items())
         assert all(atom.text == key for key, atom in gp.atoms.items())
         for c in gp.clauses:
@@ -514,7 +503,7 @@ class TestTemplateGrounding:
         gp = self.assert_same(program, 2)
         assert "gap (reach n1) <- node n0, ~(reach n1 n0)." in [str(c) for c in gp.clauses]
         gp = self.assert_same(program, 2, [atom_of(program, "gap (reach n1)")])
-        assert [str(c) for c in gp.clauses if c.source_index == 2] == [
+        assert [str(c) for c in gp.clauses if spine(c.head)[0].name == "gap"] == [
             "gap (reach n1) <- node n0, ~(reach n1 n0).",
             "gap (reach n1) <- node n1, ~(reach n1 n1).",
         ]
@@ -526,14 +515,13 @@ class TestTemplateGrounding:
         assert list(gp.atoms) == ["p a", "p (f a)", "p (f (f a))"]
 
     def test_equality_between_function_terms(self):
-        # The formals are out of name order, and theta is sorted by name.
+        # The formals are out of name order.
         program = load("type f : i -> i.\ntype a : i.\ntype b : i.\ntype q : i -> i -> o.\nq Y X <- f Y = f X.")
         gp = self.assert_same(program, 2)
         rendered = [str(c) for c in gp.clauses]
         assert "q (f a) (f a) <- true." in rendered
         assert "q a (f a) <- false." in rendered
         assert sum(c.body[0].value for c in gp.clauses) == 4
-        assert [name for name, _ in gp.clauses[0].theta] == ["X", "Y"]
 
     def test_predicate_edges_in_documented_order(self):
         """Per shape, literal by literal: the edges of the literal ``V20``,
@@ -561,17 +549,23 @@ class TestDemandGroups:
 
     @staticmethod
     def spy(monkeypatch):
-        """The groundings made from now on, and the calls each grounds."""
+        """The groundings made from now on, and the calls each grounds, by
+        the index of the clause whose template and row it grounds."""
         made = []
 
         class Spy(grounder._DemandGrounding):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.calls = []
+                self.calls, self.clause_of = [], {}
                 made.append(self)
 
+            def template(self, index):
+                found = super().template(index)
+                self.clause_of[found] = index
+                return found
+
             def ground(self, t, r, bound=(), head=None):
-                self.calls.append(t.rows[r][0])
+                self.calls.append(self.clause_of[t, r])
                 super().ground(t, r, bound, head)
 
         monkeypatch.setattr(grounder, "_DemandGrounding", Spy)
@@ -766,8 +760,8 @@ class TestShapes:
         source, _ = self.SAME_SHAPE["rows interleaved with other clauses"]
         gp = ground_instantiation(load(source), 1)
         assert compiled == [0, 1, 3, 5]  # e X Y, r X Y <- e X Y, r X Y <- e X Z, r Z Y, e Y X
-        assert [c.source_index for c in gp.clauses[:9]] == [0] * 9
-        assert gp.clauses[9].source_index == 1
+        # clause 0's nine instances, then clause 1's first
+        assert [spine(c.head)[0].name for c in gp.clauses[:10]] == ["e"] * 9 + ["r"]
 
     def test_guards_narrow_each_row_to_its_constants(self, monkeypatch):
         # The facts of a strat-perfect query, edge X Y <- X = nA, Y = nB and
@@ -776,8 +770,8 @@ class TestShapes:
         rows = []
         add = grounder._Template.add
 
-        def recording(self, index, consts):
-            rows.append((self, add(self, index, consts)))
+        def recording(self, consts):
+            rows.append((self, add(self, consts)))
             return rows[-1][1]
 
         monkeypatch.setattr(grounder._Template, "add", recording)
@@ -789,7 +783,7 @@ class TestShapes:
         lines = query.source.splitlines()
         assert len(facts) == sum(line.startswith(("edge X Y <-", "node X <-")) for line in lines)
         for t, r in facts:
-            _, consts, domains = t.rows[r]
+            consts, domains = t.rows[r]
             assert len(t.rest) == len(consts) and not t.pos
             assert domains == [[c] for c in consts]
 
@@ -797,14 +791,14 @@ class TestShapes:
         rows = []
         add = grounder._Template.add
 
-        def recording(self, index, consts):
-            rows.append((self, add(self, index, consts)))
+        def recording(self, consts):
+            rows.append((self, add(self, consts)))
             return rows[-1][1]
 
         monkeypatch.setattr(grounder._Template, "add", recording)
         ground_instantiation(load("type a : i.\ntype f : i -> i.\ntype p : i -> o.\np X <- X = f a."), 2)
         ((t, r),) = rows
-        _, consts, domains = t.rows[r]
+        consts, domains = t.rows[r]
         f_a = App(Const("f", Arrow(IOTA, IOTA)), Const("a", IOTA))
         assert consts == (f_a,) and len(domains) == 1 and len(domains[0]) == 1
         assert domains[0][0] is f_a
@@ -814,7 +808,7 @@ class TestShapes:
             "type a : i.\ntype f : i -> i.\ntype p : i -> o.\n"
             "p X <- X = f a, X = a.\np X <- f a = X, X = f a.\n"
         ), 2)
-        assert [t.rows[r][2] for t, r in rows] == [[[]], [[f_a]]]
+        assert [t.rows[r][1] for t, r in rows] == [[[]], [[f_a]]]
         # a guard's side over k symbols is outside the universe: no value
         rows.clear()
         program = load(
@@ -825,7 +819,7 @@ class TestShapes:
         for k, kept in ((2, []), (3, [f_f_a])):
             rows.clear()
             gp = TestTemplateGrounding.assert_same(program, k)
-            assert [t.rows[r][2] for t, r in rows] == [[kept], [kept], [[]]]
+            assert [t.rows[r][1] for t, r in rows] == [[kept], [kept], [[]]]
             fires = [((), ())] if k == 3 else None  # p (f (f a)) is an atom at size 3 only
             assert compiled_by_key(gp.rules, gp.atoms).get("p (f (f a))") == fires
 

@@ -12,15 +12,16 @@ from hoplog.parser import (
     _tokenize,
     parse_atom,
     parse_program,
-    parse_type,
 )
-from hoplog.programs import CORPUS, DEMOS
+from hoplog.programs import DEMOS
 from hoplog.syntax import IOTA, OMICRON, Arrow
 
+from corpus import CORPUS
 from helpers import (
     bench_workloads,
     load,
     nested_term,
+    parse_type,
     reference_tokenize,
     sinking_term,
     to_source,

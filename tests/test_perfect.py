@@ -15,17 +15,12 @@ from hoplog.perfect import (
     perfect_model,
     stratify,
 )
-from hoplog.programs import (
-    CORPUS,
-    NONEXTENSIONAL,
-    POSITIVE_ID,
-    STRATIFIED_BAD,
-    STRATIFIED_OK,
-)
+from hoplog.programs import NONEXTENSIONAL, POSITIVE_ID, STRATIFIED_BAD, STRATIFIED_OK
 from hoplog.syntax import spine
 from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import well_founded_model
 
+from corpus import CORPUS
 from helpers import (
     bench_workloads,
     is_minimal_model,

@@ -15,7 +15,6 @@ from hoplog.grounder import ConstLit, GroundClause, GroundProgram, ground_instan
 from hoplog.interp import PartialInterpretation
 from hoplog.parser import SourceProgram, parse_atom, parse_program
 from hoplog.perfect import PerfectResult, Stratification, Unstratifiable
-from hoplog.programs import CorpusEntry
 from hoplog.records import FrozenRecord, Record
 from hoplog.syntax import (
     IOTA,
@@ -35,6 +34,7 @@ from hoplog.syntax import (
 from hoplog.typecheck import Program
 from hoplog.wfs import ThetaTrace, WfsResult
 
+from corpus import CorpusEntry
 from helpers import load
 
 OO = Arrow(OMICRON, OMICRON)
@@ -79,11 +79,9 @@ SAMPLES = {
     ),
     ConstLit: (lambda: ConstLit(True), "ConstLit(value=True)"),
     GroundClause: (
-        lambda: GroundClause(
-            _atom(), (_atom(), Neg(_atom()), ConstLit(False)), 0, (("X", IOTA),)
-        ),
+        lambda: GroundClause(_atom(), (_atom(), Neg(_atom()), ConstLit(False))),
         f"GroundClause(head={ATOM_REPR}, body=({ATOM_REPR}, Neg(atom={ATOM_REPR}), "
-        "ConstLit(value=False)), source_index=0, theta=(('X', Iota()),))",
+        "ConstLit(value=False)))",
     ),
     GroundProgram: (
         lambda: GroundProgram({"p": _atom()}, ((),), (("p", "p", True),), ()),
@@ -130,10 +128,6 @@ SAMPLES = {
         "ExtReport(depth=2, budget=8, witnesses=[], unknowns=[], checked_types=[], "
         "checked_terms=0)",
     ),
-    CorpusEntry: (
-        lambda: CorpusEntry("x", "type p : o."),
-        "CorpusEntry(name='x', source='type p : o.', depth=2, roots=None)",
-    ),
 }
 
 # The parser's raw syntax is plain tuples; each kind was a frozen record
@@ -176,7 +170,7 @@ def _record_classes():
 
 def test_every_record_class_has_a_sample():
     assert set(_record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 20
+    assert len(SAMPLES) == 19
 
 
 @pytest.fixture(params=list(SAMPLES), ids=lambda cls: cls.__name__)
@@ -375,7 +369,7 @@ SHARED_INIT = [cls for cls in SAMPLES if cls.__init__ is Record.__init__]
 
 def test_only_classes_that_check_or_default_write_an_init():
     own = {cls for cls in SAMPLES if cls not in SHARED_INIT and not issubclass(cls, Interned)}
-    assert own == {PartialInterpretation, Signature, CorpusEntry}
+    assert own == {PartialInterpretation, Signature}
     assert len(SHARED_INIT) == 14
 
 

@@ -13,8 +13,8 @@ from hypothesis import given, strategies as st
 
 from hoplog.errors import ParseError, UnboundSymbol
 from hoplog.grounder import Universe, argument_types
-from hoplog.parser import MAX_NESTING, parse_program, parse_type
-from hoplog.programs import CORPUS, DEMOS
+from hoplog.parser import MAX_NESTING, parse_program
+from hoplog.programs import DEMOS
 from hoplog.syntax import (
     IOTA,
     OMICRON,
@@ -38,11 +38,13 @@ from hoplog.syntax import (
 )
 from hoplog.typecheck import check_program
 
+from corpus import CORPUS
 from helpers import (
     TypeMismatch,
     apply_substitution,
     bench_workloads,
     load,
+    parse_type,
     random_program_source,
     reference_atomic,
     reference_classify,

@@ -18,7 +18,7 @@ def var_types(src: str) -> dict:
 def rules_of(src: str) -> list[str]:
     with pytest.raises(ProgramCheckError) as err:
         load(src)
-    return err.value.rules
+    return [e.rule for e in err.value.errors]
 
 
 ILLEGAL_CONSTANT_ARG = """

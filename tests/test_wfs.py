@@ -10,10 +10,11 @@ from hoplog.errors import GroundingLimitExceeded, NotIncreasing
 from hoplog.grounder import GroundProgram, ground_instantiation, relevant_grounding
 from hoplog.interp import Ordering, TruthValue, interpretation
 from hoplog.perfect import Stratification, localize, perfect_model, stratify
-from hoplog.programs import CORPUS, NONEXTENSIONAL, POSITIVE_ID, SUBSET, WINNOW
+from hoplog.programs import NONEXTENSIONAL, POSITIVE_ID
 from hoplog.typecheck import elaborate_ground_atom
 from hoplog.wfs import well_founded_model
 
+from corpus import CORPUS, SUBSET, WINNOW
 from helpers import (
     alternating_fixpoint,
     bench_workloads,
