@@ -163,7 +163,7 @@ class ExtChecker:
         self.program = program
         self.k = k
         self.budget = budget if budget is not None else DEFAULT_BUDGET_FACTOR * k
-        self.universe = Universe(program.signature)
+        self.universe = Universe(program.signature, k)
         self.oracle = ValuationOracle(program, k, self.budget)
         # per type: term -> class id, None (not reflexive) or _EXCEEDED
         self._classes: dict[TypeExpr, dict[Expr, object]] = {}
@@ -176,8 +176,8 @@ class ExtChecker:
         """Register every full application of size-k terms of type rho up
         front, so the demand grounding is solved once per type rather than
         once per atom."""
-        pools = [self.universe.terms(t, self.k) for t in predicate_arg_types(rho)]
-        self.oracle.add_atoms([build_spine(term, combo) for term in self.universe.terms(rho, self.k)
+        pools = [self.universe.terms(t) for t in predicate_arg_types(rho)]
+        self.oracle.add_atoms([build_spine(term, combo) for term in self.universe.terms(rho)
                                for combo in product(*pools)])
 
     # -- classes ---------------------------------------------------------------
@@ -224,7 +224,7 @@ class ExtChecker:
         order of first appearance; None if a class exceeded the budget."""
         if sigma not in self._partitions:
             groups: dict[object, list[Expr]] = {}
-            for e in self.universe.terms(sigma, self.k):
+            for e in self.universe.terms(sigma):
                 c = self._class(sigma, e)
                 if c is not None:
                     groups.setdefault(c, []).append(e)
@@ -260,7 +260,7 @@ class ExtChecker:
             return None
         assert isinstance(rho, Arrow)
         sigma = rho.argument
-        terms = self.universe.terms(sigma, self.k)
+        terms = self.universe.terms(sigma)
         partition = self._partition(sigma)
         for e in terms:
             # the pairs skipped here are the ones whose classes differ
@@ -279,9 +279,9 @@ class ExtChecker:
             report.checked_types.append(str(rho))
             if rho in (IOTA, OMICRON):
                 # Reflexive outright: identity at i, v(E) = v(E) at o.
-                report.checked_terms += len(self.universe.terms(rho, self.k))
+                report.checked_terms += len(self.universe.terms(rho))
                 continue
-            for term in self.universe.terms(rho, self.k):
+            for term in self.universe.terms(rho):
                 report.checked_terms += 1
                 try:
                     fail = self._check_reflexive(rho, term, term)

@@ -16,11 +16,14 @@ exceed a size bound k.  Two groundings are offered:
   not grounded.  A cap on the atoms and one on the size of a demanded atom
   guard against runaway closures.
 
-In both modes a variable ranges over its whole size-k universe, even when
-that is empty: a clause with such a variable has no instance, so it admits
-no atom and gives no predicate edge, just as the bound drops larger terms.
-A cap on the symbols of one universe bounds both modes against deep or
-wide universes.
+Each grounding builds one ``Universe`` for its bound k: per argument type,
+the terms of each size, built in order from size 1, each size from the
+producers of the type applied to arguments of smaller sizes.  In both modes
+a variable ranges over its whole size-k universe, even when that is empty:
+a clause with such a variable has no instance, so it admits no atom and
+gives no predicate edge, just as the bound drops larger terms.  A cap on
+the symbols of one universe bounds both modes against deep or wide
+universes.
 
 Clauses that differ only in the ground sides t of their guards V = t share
 a shape, compiled once per grounding into atom builders, with one row of
@@ -143,78 +146,61 @@ class GroundProgram(Record):
 
 
 class Universe:
-    """Size-bounded Herbrand universes per argument type, canonically ordered.
+    """Size-bounded Herbrand universes per argument type, for one bound k.
 
-    Terms are ordered by symbol count first, then lexicographically by their
-    canonical text, so enlarging the bound only appends.  ``symbols`` counts
-    the symbols of every term built so far; the term that takes it past
-    ``DEFAULT_MAX_UNIVERSE_SYMBOLS`` raises ``GroundingLimitExceeded``.
+    A type's terms are kept per size, and its sizes are built in order, from
+    1 up: the terms of size s are the signature's producers of the type
+    applied to argument tuples of total size s - 1 (a constant to the empty
+    tuple), and asking for an argument's size builds that type's sizes below
+    it first.  So building a size reads only sizes already built, and a deep
+    universe never recurses once per size.  ``terms(rho)`` lists rho's terms
+    of sizes 1 .. k, ordered by size, then by canonical text, so a larger
+    bound only appends.  ``symbols``
+    counts the symbols of every term built so far; the term that takes it
+    past ``DEFAULT_MAX_UNIVERSE_SYMBOLS`` raises ``GroundingLimitExceeded``.
     """
 
-    def __init__(self, signature: Signature):
-        self.signature = signature
-        self._by_size: dict[tuple[TypeExpr, int], tuple[Expr, ...]] = {}
-        # per type: every size below this one is in _by_size
-        self._built_below: dict[TypeExpr, int] = {}
-        self._terms: dict[tuple[TypeExpr, int], tuple[Expr, ...]] = {}  # of terms(rho, k)
+    def __init__(self, signature: Signature, k: int):
+        self.signature, self.k = signature, k
+        self._sizes: dict[TypeExpr, list[tuple[Expr, ...]]] = {}  # per type: its terms by size
+        self._terms: dict[TypeExpr, tuple[Expr, ...]] = {}  # of terms(rho)
         self.symbols = 0
 
-    def _terms_exact(self, rho: TypeExpr, size: int) -> tuple[Expr, ...]:
-        key = (rho, size)
-        cached = self._by_size.get(key)
-        if cached is not None:
-            return cached
-        found: list[Expr] = []
-        for term in self._build(rho, size):
-            self.symbols += size
-            if self.symbols > DEFAULT_MAX_UNIVERSE_SYMBOLS:
-                raise GroundingLimitExceeded(
-                    f"the terms of type {rho} and size {size} take the universe "
-                    f"over the cap of {DEFAULT_MAX_UNIVERSE_SYMBOLS} symbols"
-                )
-            found.append(term)
-        terms = self._by_size[key] = tuple(sorted(found, key=attrgetter("text")))
-        return terms
-
-    def _build(self, rho: TypeExpr, size: int):
-        """The terms of type rho with exactly ``size`` symbols, unordered: the
-        signature's producers of rho applied to arguments."""
-        types = self.signature.types
-        for name, argtypes in self.signature.producers.get(rho, ()):
-            head = Const(name, types[name])
-            if argtypes:
-                for args in self._arg_tuples(argtypes, size - 1):
-                    yield build_spine(head, args)
-            elif size == 1:
-                yield head
+    def _sized(self, rho: TypeExpr, size: int) -> tuple[Expr, ...]:
+        """The terms of type rho with exactly ``size`` symbols, by text."""
+        sizes = self._sizes.setdefault(rho, [()])  # no term has size 0
+        while len(sizes) <= size:
+            s, found = len(sizes), []
+            for name, argtypes in self.signature.producers.get(rho, ()):
+                head = Const(name, self.signature.types[name])
+                for args in self._arg_tuples(argtypes, s - 1):
+                    self.symbols += s
+                    if self.symbols > DEFAULT_MAX_UNIVERSE_SYMBOLS:
+                        raise GroundingLimitExceeded(
+                            f"the terms of type {rho} and size {s} take the universe "
+                            f"over the cap of {DEFAULT_MAX_UNIVERSE_SYMBOLS} symbols"
+                        )
+                    found.append(build_spine(head, args))
+            sizes.append(tuple(sorted(found, key=attrgetter("text"))))
+        return sizes[size]
 
     def _arg_tuples(self, argtypes: tuple[TypeExpr, ...], budget: int):
         """All tuples of ground arguments with the given types and total size."""
-        first, rest = argtypes[0], argtypes[1:]
-        if not rest:
-            if budget < 1:
-                return
-            # The last argument takes the whole budget.  Its smaller sizes
-            # are built first, in order, so that building this size recurses
-            # once per type, never once per size.
-            below = self._built_below.get(first, 1)
-            for s in range(below, budget):
-                self._terms_exact(first, s)
-            self._built_below[first] = max(below, budget)
-            for t in self._terms_exact(first, budget):
-                yield (t,)
+        if not argtypes:
+            if budget == 0:
+                yield ()
             return
-        max_first = budget - len(rest)
-        for s in range(1, max_first + 1):
-            for t in self._terms_exact(first, s):
+        rest = argtypes[1:]
+        for s in range(1, budget - len(rest) + 1):
+            for t in self._sized(argtypes[0], s):
                 for tail in self._arg_tuples(rest, budget - s):
                     yield (t,) + tail
 
-    def terms(self, rho: TypeExpr, k: int) -> tuple[Expr, ...]:
-        if (rho, k) not in self._terms:
-            sizes = [self._terms_exact(rho, s) for s in range(1, k + 1)]
-            self._terms[rho, k] = tuple(itertools.chain.from_iterable(sizes))
-        return self._terms[rho, k]
+    def terms(self, rho: TypeExpr) -> tuple[Expr, ...]:
+        if rho not in self._terms:
+            self._sized(rho, self.k)
+            self._terms[rho] = tuple(itertools.chain.from_iterable(self._sizes[rho][1:]))
+        return self._terms[rho]
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +222,12 @@ class _Template:
     literal's unbound variables after the bound ones."""
 
     def __init__(self, g: _Grounding, index: int, shape: tuple) -> None:
-        clause, k = g.program.clauses[index], g.k
+        clause = g.program.clauses[index]
         n_bound = len(clause.formals) if g.bind_formals else 0
         self.rows = []
         variables = clause.variables()
         self.fields = fields = {v.name: i for i, v in enumerate(variables)}
-        self.domains = domains = [g.universe.terms(v.typ, k) for v in variables[n_bound:]]
+        self.domains = domains = [g.universe.terms(v.typ) for v in variables[n_bound:]]
         self.count = math.prod(map(len, domains))  # instances per call: 0 if a domain is empty
         self.head_pred = head_pred = clause.head_pred.name
         self.body = body = []  # (negated, atom), or (None, (lhs, rhs) builders) for an equality
@@ -355,8 +341,8 @@ class _Grounding:
     bind_formals = False
 
     def __init__(self, program: Program, k: int):
-        self.program, self.k = program, k
-        self.universe = Universe(program.signature)
+        self.program = program
+        self.universe = Universe(program.signature, k)
         self.table: list[Expr] = []  # the atoms by id
         self.ids: dict[str, int] = {}
         self.edges: dict[PredicateEdge, None] = {}

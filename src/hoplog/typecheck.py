@@ -40,7 +40,6 @@ from .syntax import (
     Var,
     is_argument_type,
     peel,
-    vars_in_order,
 )
 
 
@@ -312,10 +311,9 @@ def check_program(sp: SourceProgram) -> Program:
 
 
 def elaborate_ground_atom(program: Program, text: str) -> Expr:
-    """Typed ground atom from its text (for roots given on the command line)."""
+    """Typed ground atom from its text (for roots given on the command line).
+    A root types no variable, so its first one is ``AmbiguousVariableType``."""
     atom = _ClauseChecker(program.signature, None, text).build(parse_atom(text))
     if atom.typ is not OMICRON:
         raise IllTyped(f"root {atom.text} has type {atom.typ}, not o")
-    if vars_in_order(atom):
-        raise IllTyped(f"root {atom.text} is not ground")
     return atom

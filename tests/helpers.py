@@ -330,12 +330,12 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
     ``DEFAULT_MAX_ATOM_SIZE`` symbols is refused.  The universe terms come from ``Universe``, which
     ``enumerate_terms_closure`` checks on its own.
     """
-    universe = Universe(program.signature)
+    universe = Universe(program.signature, k)
 
     def instances(index: int, base: dict[str, Expr]):
         clause = program.clauses[index]
         free = [v for v in clause.variables() if v.name not in base]
-        domains = [universe.terms(v.typ, k) for v in free]
+        domains = [universe.terms(v.typ) for v in free]
         for combo in itertools.product(*domains):
             theta = dict(base)
             theta.update(zip((v.name for v in free), combo))
@@ -958,7 +958,6 @@ def _paren(text: str) -> str:
 def reference_ext_equal(
     oracle: ValuationOracle,
     universe: Universe,
-    k: int,
     rho: TypeExpr,
     d: Expr,
     dprime: Expr,
@@ -984,11 +983,11 @@ def reference_ext_equal(
     if key not in memo:
         result: bool | DepthExceeded = True
         try:
-            for e, eprime in itertools.product(universe.terms(rho.argument, k), repeat=2):
-                if not reference_ext_equal(oracle, universe, k, rho.argument, e, eprime, memo):
+            for e, eprime in itertools.product(universe.terms(rho.argument), repeat=2):
+                if not reference_ext_equal(oracle, universe, rho.argument, e, eprime, memo):
                     continue
                 if not reference_ext_equal(
-                    oracle, universe, k, rho.result, App(d, e), App(dprime, eprime), memo
+                    oracle, universe, rho.result, App(d, e), App(dprime, eprime), memo
                 ):
                     result = False
                     break

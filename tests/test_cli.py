@@ -485,6 +485,18 @@ class TestExtcheck:
         assert all(item["type"] == "i -> o" for item in report["unknown"])
         assert report["verdict"] == "extensional-at-depth-3"
 
+    def test_roots_leave_the_report_unchanged(self, run):
+        # extcheck always grounds on demand: --roots only adds its atoms to
+        # the oracle's demand, whose values do not depend on it.
+        entries = [entry for entry in CORPUS if entry.roots]
+        for entry in entries:
+            for k in ("1", "2", "3"):
+                plain = run(["extcheck", "--depth", k], program=entry.source)
+                rooted = run(["extcheck", "--depth", k, "--roots", ", ".join(entry.roots)],
+                             program=entry.source)
+                assert rooted == plain, (entry.name, k)
+        assert len(entries) == 3
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_is_refused(self, run, budget):
         # Under such a budget every item would be unknown, and the lemma 1

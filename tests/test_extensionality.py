@@ -34,7 +34,7 @@ def pred(program, name):
 def equal_pairs(checker, rho):
     """The pairs of size-k terms of rho, as texts, that ``checker.equal``
     relates."""
-    terms = checker.universe.terms(rho, checker.k)
+    terms = checker.universe.terms(rho)
     return frozenset(
         (d.text, dprime.text) for d, dprime in product(terms, repeat=2)
         if checker.equal(rho, d, dprime)
@@ -192,13 +192,13 @@ def assert_matches_reference(program, k, budget=None):
     def ref(rho, d, dprime):
         return _outcome(
             lambda: reference_ext_equal(
-                checker.oracle, checker.universe, k, rho, d, dprime, memo
+                checker.oracle, checker.universe, rho, d, dprime, memo
             )
         )
 
     witnesses, unknowns, applications = [], [], []
     for rho in argument_types(program):
-        terms = checker.universe.terms(rho, k)
+        terms = checker.universe.terms(rho)
         expected = {(d, dp): ref(rho, d, dp) for d, dp in product(terms, repeat=2)}
         for (d, dp), want in expected.items():
             assert _outcome(lambda: checker.equal(rho, d, dp)) == want, (str(rho), d, dp)
@@ -217,7 +217,7 @@ def assert_matches_reference(program, k, budget=None):
             if isinstance(verdict, tuple):
                 unknowns.append((str(rho), term.text, verdict[1]))
             elif not verdict:
-                pairs = product(checker.universe.terms(rho.argument, k), repeat=2)
+                pairs = product(checker.universe.terms(rho.argument), repeat=2)
                 e, ep = next(
                     (e, ep)
                     for e, ep in pairs

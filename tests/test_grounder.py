@@ -1,5 +1,6 @@
 """Universe enumeration and the two grounding modes."""
 
+import functools
 import gc
 import random
 import re
@@ -36,9 +37,11 @@ from helpers import (
     parse_type,
     random_program_source,
     random_stratified_source,
+    random_witness_source,
     reference_compile,
     reference_edges,
     reference_grounding,
+    to_source,
 )
 
 IO = parse_type("i -> o")
@@ -54,33 +57,66 @@ def atom_of(program, text):
     return elaborate_ground_atom(program, text)
 
 
+def agrees_with_closure(program, universe, rho, k) -> bool:
+    """``terms`` equals ``enumerate_terms_closure`` as a set and is ordered
+    by (size, text)."""
+    terms = [(t.size, t.text) for t in universe.terms(rho)]
+    texts = {text for _, text in terms}
+    return terms == sorted(terms) and texts == enumerate_terms_closure(program, rho, k)
+
+
+@functools.cache
+def _random_universes_against_closure() -> tuple[int, list]:
+    """Every argument type's universe in 100 programs from each random
+    generator, at k = 1..3: how many were checked, and those that disagree
+    with the closure enumeration.  Computed once for all the cases that read
+    it."""
+    checked, wrong = 0, []
+    for make in (random_program_source, random_stratified_source, random_witness_source):
+        rng = random.Random(11)
+        for _ in range(100):
+            program = load(make(rng))
+            for k in (1, 2, 3):
+                universe = Universe(program.signature, k)
+                for rho in argument_types(program):
+                    checked += 1
+                    if not agrees_with_closure(program, universe, rho, k):
+                        wrong.append((make.__name__, to_source(program), str(rho), k))
+    return checked, wrong
+
+
 class TestHerbrandUniverse:
     def test_individuals_of_positive_program(self):
         program = load(POSITIVE_ID)
-        assert keys(Universe(program.signature).terms(IOTA, 1)) == ["a", "b"]
+        assert keys(Universe(program.signature, 1).terms(IOTA)) == ["a", "b"]
 
     def test_unary_booleans_of_counterexample(self):
         program = load(NONEXTENSIONAL)
-        assert keys(Universe(program.signature).terms(OO, 1)) == ["p", "q", "w"]
+        assert keys(Universe(program.signature, 1).terms(OO)) == ["p", "q", "w"]
 
     def test_atoms_of_counterexample_at_two(self):
         program = load(NONEXTENSIONAL)
-        assert keys(Universe(program.signature).terms(O, 2)) == ["s p", "s q", "s w"]
+        assert keys(Universe(program.signature, 2).terms(O)) == ["s p", "s q", "s w"]
 
     @pytest.mark.parametrize("rho,k", [(O, 3), (OO, 3), (IO, 2), (IOTA, 2)])
     def test_matches_independent_closure_enumeration(self, rho, k):
         for src in (NONEXTENSIONAL, POSITIVE_ID):
             program = load(src)
-            mine = set(keys(Universe(program.signature).terms(rho, k)))
-            oracle = enumerate_terms_closure(program, rho, k)
-            assert mine == oracle
+            assert agrees_with_closure(program, Universe(program.signature, k), rho, k), src
+        checked, wrong = _random_universes_against_closure()
+        assert wrong == [] and checked == 3318
 
     def test_function_symbols_enumerate_by_size(self):
         src = "type q : i -> o.\ntype f : i -> i.\nq X <- X = a."
         program = load(src)
-        assert keys(Universe(program.signature).terms(IOTA, 3)) == ["a", "f a", "f (f a)"]
+        assert keys(Universe(program.signature, 3).terms(IOTA)) == ["a", "f a", "f (f a)"]
         oracle = enumerate_terms_closure(program, IOTA, 3)
-        assert set(keys(Universe(program.signature).terms(IOTA, 3))) == oracle
+        assert set(keys(Universe(program.signature, 3).terms(IOTA))) == oracle
+        # Within a size, by text, whatever the sizes of the arguments: no
+        # two terms of at most 3 symbols tell this from building order.
+        program = load("type a : i.\ntype f : i -> i.\ntype g : i -> i -> i.")
+        assert keys(Universe(program.signature, 4).terms(IOTA))[-4:] == [
+            "f (f (f a))", "f (g a a)", "g (f a) a", "g a (f a)"]
 
     def test_a_function_term_is_one_node_whoever_builds_it(self):
         """The checker, the universe and a clause's atom builder each make
@@ -90,7 +126,7 @@ class TestHerbrandUniverse:
         f, a = Const("f", Arrow(IOTA, IOTA)), Const("a", IOTA)
         f_f_a = App(f, App(f, a))
         checked = atom_of(program, "q (f (f a))").arg
-        universe = {t.text: t for t in Universe(program.signature).terms(IOTA, 3)}
+        universe = {t.text: t for t in Universe(program.signature, 3).terms(IOTA)}
         literal = program.clauses[0].body[0]  # q (f X)
         built = instance_builder(literal, {"X": 0})([universe["f a"]]).arg
         grounded = ground_instantiation(program, 2).atoms["q (f (f a))"].arg
@@ -99,13 +135,13 @@ class TestHerbrandUniverse:
 
     def test_empty_predicate_universe_is_not_an_error(self):
         program = load("type q : i -> o.\nq X <- X = a.")
-        assert Universe(program.signature).terms(OO, 3) == ()
+        assert Universe(program.signature, 3).terms(OO) == ()
 
     def test_prefix_monotone_in_k(self):
         program = load(POSITIVE_ID)
         for rho in (IOTA, IO, O):
-            small = keys(Universe(program.signature).terms(rho, 2))
-            big = keys(Universe(program.signature).terms(rho, 3))
+            small = keys(Universe(program.signature, 2).terms(rho))
+            big = keys(Universe(program.signature, 3).terms(rho))
             assert big[: len(small)] == small
 
 
@@ -310,18 +346,18 @@ class TestUniverseCap:
         # Sizes 1..1413 of f : i -> i hold 998,991 symbols; size 1414 passes
         # the cap, and the build stops there instead of running to 10,000.
         assert DEFAULT_MAX_UNIVERSE_SYMBOLS == 1_000_000
-        universe = Universe(load("type a : i.\ntype f : i -> i.").signature)
+        universe = Universe(load("type a : i.\ntype f : i -> i.").signature, 10_000)
         with pytest.raises(GroundingLimitExceeded, match="size 1414 .* 1000000 symbols"):
-            universe.terms(IOTA, 10_000)
+            universe.terms(IOTA)
         assert universe.symbols == 1_000_405
 
     def test_wide_universe_refused_within_one_size(self):
         # One constant and a binary g: the 58,786 terms of size 23 would take
         # the universe to 1.83 million symbols; the count stops at the
         # first term over the cap, part of the way through that size.
-        universe = Universe(load("type a : i.\ntype g : i -> i -> i.").signature)
+        universe = Universe(load("type a : i.\ntype g : i -> i -> i.").signature, 23)
         with pytest.raises(GroundingLimitExceeded, match="size 23 "):
-            universe.terms(IOTA, 23)
+            universe.terms(IOTA)
         assert 0 < universe.symbols - DEFAULT_MAX_UNIVERSE_SYMBOLS <= 23
 
 
@@ -333,9 +369,9 @@ class TestUniverseBuildOrder:
         # probe builds no term, so it meets no cap.
         program = load("type a : i.\ntype f : i -> i.")
         assert truncated_types(program, 3000) == ("i",)
-        universe = Universe(program.signature)
+        universe = Universe(program.signature, 3000)
         with pytest.raises(GroundingLimitExceeded, match="size 1414 "):
-            universe.terms(IOTA, 3000)
+            universe.terms(IOTA)
         assert universe.symbols == 1_000_405
 
 
@@ -368,7 +404,7 @@ class TestTruncationReport:
         # g (k a a) (k a a), of size 7, is built from types declared after g.
         program = load("type g : (i -> o) -> (i -> o) -> o.\ntype k : i -> i -> i -> o.\n"
                        "type a : i.")
-        assert max(t.size for t in Universe(program.signature).terms(O, 9)) == 7
+        assert max(t.size for t in Universe(program.signature, 9).terms(O)) == 7
         assert [truncated_types(program, k) for k in (3, 6, 7)] == [
             ("(i -> o) -> o", "o"), ("o",), ()]
 
@@ -379,9 +415,9 @@ class TestTruncationReport:
         rng, gaps = random.Random(3), 0
         for _ in range(100):
             program = load(random_program_source(rng))
-            universe = Universe(program.signature)
+            universe = Universe(program.signature, 7)
             for rho in argument_types(program):
-                sizes = {t.size for t in universe.terms(rho, 7)}
+                sizes = {t.size for t in universe.terms(rho)}
                 for k in (1, 2, 3):
                     truncated = str(rho) in truncated_types(program, k)
                     assert truncated == any(size > k for size in sizes), (program, rho, k)

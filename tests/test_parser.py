@@ -100,6 +100,11 @@ class TestParseProgram:
     def test_reserved_word(self):
         with pytest.raises(ParseError):
             parse_program("type type : o.")
+        # as a term: in a clause body, and as a --roots atom
+        with pytest.raises(ParseError, match="^2:6: 'type' is reserved$"):
+            parse_program("type p : o.\np <- type.")
+        with pytest.raises(ParseError, match="^1:1: 'type' is reserved$"):
+            parse_atom("type")
 
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):

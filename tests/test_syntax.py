@@ -311,10 +311,10 @@ def _table_size() -> int:
 def _corpus_universe_terms():
     for entry in CORPUS:
         program = load(entry.source)
-        universe = Universe(program.signature)
-        for rho in argument_types(program):
-            for k in (1, 2, 3):
-                yield from universe.terms(rho, k)
+        for k in (1, 2, 3):
+            universe = Universe(program.signature, k)
+            for rho in argument_types(program):
+                yield from universe.terms(rho)
 
 
 def _random_program_terms():
@@ -474,11 +474,11 @@ class TestDerivedFields:
         checked = 0
         for entry in CORPUS:
             program = load(entry.source)
-            universe = Universe(program.signature)
+            universe = Universe(program.signature, 2)
             for clause in program.clauses:
                 variables = clause.variables()
                 fields = {v.name: i for i, v in enumerate(variables)}
-                domains = [universe.terms(v.typ, 2) for v in variables]
+                domains = [universe.terms(v.typ) for v in variables]
                 atoms = [lit.atom if isinstance(lit, Neg) else lit
                          for lit in (clause.head_atom(), *clause.body) if not isinstance(lit, Eq)]
                 for atom in atoms:
