@@ -144,7 +144,7 @@ def cmd_ground(args) -> tuple[dict, int]:
     gp = _grounding(program, args)
     return {
         "depth": args.depth,
-        "atoms": sorted(gp.atoms),
+        "atoms": sorted(gp.texts),
         "clauses": [str(c) for c in gp.clauses],
         "truncated_types": list(truncated_types(program, args.depth)),
     }, 0

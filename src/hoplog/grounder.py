@@ -10,11 +10,11 @@ exceed a size bound k.  Two groundings are offered:
 * ``relevant_grounding``    — the dependency closure of a set of root atoms.
   Head formals are bound by matching the demanded atom (and are therefore
   not size-restricted); only body-only variables range over the size-k
-  universe.  A demanded atom is split into its head and arguments once, when
-  it is admitted, and meets only the clauses of its head whose guards on the
-  formals its argument nodes match: a fact row it does not match is counted,
-  not grounded.  A cap on the atoms and one on the size of a demanded atom
-  guard against runaway closures.
+  universe.  A demanded atom's head and arguments are read from its parts
+  once, when it is admitted, and it meets only the clauses of its head
+  whose guards on the formals its argument nodes match: a fact row it does
+  not match is counted, not grounded.  A cap on the atoms and one on the
+  size of a demanded atom guard against runaway closures.
 
 Each grounding builds one ``Universe`` for its bound k: per argument type,
 the terms of each size, built in order from size 1, each size from the
@@ -27,16 +27,20 @@ universes.
 
 Clauses that differ only in the ground sides t of their guards V = t share
 a shape, compiled once per grounding into atom builders, with one row of
-guard constants per clause.  The atom table maps each atom's ``text`` to the
-atom, the interned ground term of type o built from field values; it holds
-every atom of every instance, filled from each atom literal's projection.
-Equalities resolve at grounding time, by the identity of the interned terms
-on their two sides; an instance with a false one is dead.  The engines' form,
-``GroundProgram.rules`` over atom ids in atom-table order, comes from
-semi-naive joins over the possibly-true atoms, so it holds only rules that
-can fire.  ``clauses``, the instances as ``GroundClause`` records, is
-enumerated when first read.  A grounding whose instance count would pass
-``DEFAULT_MAX_CLAUSES`` is refused before any of it.
+guard constants per clause.  A builder gives an atom's parts, its head and
+the tuple of its argument nodes, read from field values, and its ``text``,
+printed from the parts by ``spine_text``; no atom node is built.  The atom
+table keeps each atom id's text and parts and finds an atom by its text; it
+holds every atom of every instance, filled from each atom literal's
+projection.  ``GroundProgram.atoms``, the interned nodes, is built when
+first read.  Equalities resolve at grounding time, by the identity of the
+interned terms on their two sides; an instance with a false one is dead.
+The engines' form, ``GroundProgram.rules`` over atom ids in atom-table
+order, comes from semi-naive joins over the possibly-true atoms, so it
+holds only rules that can fire.  ``clauses``, the instances as
+``GroundClause`` records, is enumerated when first read.  A grounding whose
+instance count would pass ``DEFAULT_MAX_CLAUSES`` is refused before any of
+it.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .syntax import (
     is_argument_type,
     is_predicate_type,
     spine,
+    spine_text,
     vars_in_order,
 )
 from .typecheck import Program
@@ -117,9 +122,15 @@ PredicateEdge = tuple[str, str, bool]
 class GroundProgram(Record):
     """A finite propositional program over an atom table.
 
-    ``atoms`` is the atom table, a dict from an atom's text to the atom, in
-    insertion order.  ``rules`` is the integer form both engines run on, a
-    tuple of rules per atom id.  Atom ids follow the atom table's order.
+    Atom ids number the atoms in table order.  ``texts[a]`` is atom a's
+    text, and ``parts[a]`` its head and tuple of argument nodes: the atom is
+    ``build_spine(head, args)``.  The head is a predicate constant, or the
+    partial application of one that a variable head stood for.  ``atoms``,
+    the atom table, is a dict from each text to its interned atom node, in
+    id order.  No engine reads it: it is given either as a dict or as a
+    function that builds the dict the first time ``atoms`` is read.
+    ``rules`` is the integer form both engines run on, a tuple of rules per
+    atom id.
     ``rules[h]`` lists one rule, a ``(positive ids, negative ids)`` pair, per
     live instance with head h whose positive atoms can all be true;
     ``true`` literals are stripped, so no rule carries a resolved
@@ -135,8 +146,9 @@ class GroundProgram(Record):
     builds the tuple the first time ``clauses`` is read.
     """
 
-    __slots__ = ("atoms", "rules", "predicate_edges", "_clauses")
-    _fields = ("atoms", "rules", "predicate_edges", "clauses")
+    __slots__ = ("texts", "parts", "_atoms", "rules", "predicate_edges", "_clauses")
+    _fields = ("texts", "parts", "atoms", "rules", "predicate_edges", "clauses")
+    atoms = built_when_read("_atoms")
     clauses = built_when_read("_clauses")
 
 
@@ -191,7 +203,7 @@ class Universe:
                 yield ()
             return
         rest = argtypes[1:]
-        for s in range(1, budget - len(rest) + 1):
+        for s in range(1 if rest else budget, budget - len(rest) + 1):  # the last takes the rest
             for t in self._sized(argtypes[0], s):
                 for tail in self._arg_tuples(rest, budget - s):
                     yield (t,) + tail
@@ -235,7 +247,7 @@ class _Template:
         # per atom literal, the head first: (projection pattern, free fields, builder)
         self.literals = literals = [_literal(clause.head_atom(), fields, n_bound)]
         self.checks, self.guards = [], []  # the equalities' builder pairs; per guard, its field
-        self.pos, looked_up = [], [0]  # the positive atoms' literals; the head's and negated ones'
+        self.pos, negs = [], []  # the positive atoms' literals; the negated ones'
         for lit in shape[2]:
             if isinstance(lit, (tuple, Eq)):  # a guard's ground side is the next parameter
                 param = itemgetter(len(variables) + len(self.guards))
@@ -248,7 +260,7 @@ class _Template:
             negated = isinstance(lit, Neg)
             atom = lit.atom if negated else lit
             body.append((negated, atom))
-            (looked_up if negated else self.pos).append(len(literals))
+            (negs if negated else self.pos).append(len(literals))
             literals.append(_literal(atom, fields, n_bound))
             if not self.count:  # no instance, so no edge
                 continue
@@ -260,7 +272,10 @@ class _Template:
             else:
                 for value in domains[fields[lead.name] - n_bound]:
                     g.edges[head_pred, spine(value)[0].name, negated] = None
-        self.looked_up = [(i, literals[i][1] and _key(literals[i][1])) for i in looked_up]
+        # the head's key, and each negated literal's with its place: () for a
+        # literal with no free field, whose projection is its one id
+        self.head_key = literals[0][1] and _key(literals[0][1])
+        self.negs = tuple((i, literals[i][1] and _key(literals[i][1])) for i in negs)
         # plans[q] joins a tuple of positive atom q with the others in body
         # order.  A step (r, key positions, the key of their fields, (field,
         # position) per field it binds) looks r's tuples up by the fields bound so far.
@@ -300,17 +315,32 @@ class _Template:
 
 def _literal(atom: Expr, fields: dict[str, int], n_bound: int) -> tuple:
     """(pattern, free fields, builder, reads) of an atom literal.  The builder takes the
-    bound fields, then the free ones in order of first use; the pattern is the atom with
-    each variable its builder's field.  The pattern and the values of the bound fields
-    the literal reads key its projection: ``reads`` picks those values out of the bound
-    ones, or is None when it reads them all."""
+    bound fields, then the free ones in order of first use, and gives the instance's
+    text, head and tuple of argument nodes, without building its node; the pattern
+    is the atom with each variable its builder's field.  The pattern and the values of
+    the bound fields the literal reads key its projection: ``reads`` picks those values
+    out of the bound ones, or is None when it reads them all."""
     names = dict.fromkeys(v.name for v in vars_in_order(atom))
     own = tuple(fields[x] for x in names if fields[x] >= n_bound)
     number = {x: n_bound + own.index(fields[x]) if fields[x] >= n_bound else fields[x]
               for x in names}  # bound fields keep theirs
     read = tuple(f for f in number.values() if f < n_bound)
-    return (_pattern(atom, number), own, instance_builder(atom, number),
-            None if len(read) == n_bound else _key(read))
+    pattern, reads = _pattern(atom, number), None if len(read) == n_bound else _key(read)
+    lead, args = spine(atom)
+    head = instance_builder(lead, number)
+    if not args:  # a lone variable, or a constant, of type o
+        return pattern, own, lambda values: ((h := head(values)).text, h, ()), reads
+    if all(isinstance(a, Var) for a in args):
+        get = _key(tuple([number[a.name] for a in args]))
+    else:
+        parts = [instance_builder(a, number) for a in args]
+        get = lambda values: tuple([part(values) for part in parts])
+
+    def build(values):
+        h, a = head(values), get(values)
+        return spine_text(h, a), h, a
+
+    return pattern, own, build, reads
 
 
 def _pattern(e: Expr, number: dict[str, int]):
@@ -334,16 +364,18 @@ def _key(fields: tuple[int, ...]) -> Callable[[list], tuple]:
 
 class _Grounding:
     """One grounding under way: shape templates, the atom table and the
-    compiled rules.  A literal's projection, its atoms by its own variables'
-    values, holds those of all instances, dead ones included.  Every atom is
-    built by its literal's builder and found in the table by its own text."""
+    compiled rules.  A literal's projection, its atom ids by its own
+    variables' values, holds those of all instances, dead ones included.
+    Every atom's text and parts come from its literal's builder, and the
+    atom is found in the table by its text; no atom node is built."""
 
     bind_formals = False
 
     def __init__(self, program: Program, k: int):
         self.program = program
         self.universe = Universe(program.signature, k)
-        self.table: list[Expr] = []  # the atoms by id
+        self.texts: list[str] = []  # the atoms' texts by id
+        self.parts: list[tuple] = []  # the atoms' (head, argument nodes) by id
         self.ids: dict[str, int] = {}
         self.edges: dict[PredicateEdge, None] = {}
         self.clause_count = 0
@@ -355,8 +387,10 @@ class _Grounding:
         self._uses: defaultdict[int, list] = defaultdict(list)
 
     def result(self, calls, heads=None, roots=()) -> GroundProgram:
-        return GroundProgram({atom.text: atom for atom in self.table}, self._solve(),
-                             tuple(self.edges), lambda: _clauses(calls, heads, roots))
+        texts, parts = tuple(self.texts), tuple(self.parts)
+        return GroundProgram(
+            texts, parts, lambda: dict(zip(texts, itertools.starmap(build_spine, parts))),
+            self._solve(), tuple(self.edges), lambda: _clauses(calls, heads, roots))
 
     def template(self, index: int) -> tuple[_Template, int]:
         """The template of clause ``index``'s shape, and the clause's row in it, once
@@ -398,9 +432,9 @@ class _Grounding:
             if literal[1]:
                 projected.append(self._project(t, literal, bound))
                 continue
-            atom = literal[2](bound)  # no free variable: one atom, likely known
-            a = ids.get(atom.text)
-            projected.append(self._admit(atom) if a is None else a)
+            text, lead, args = literal[2](bound)  # no free variable: one atom, likely known
+            a = ids.get(text)
+            projected.append(self._admit(text, lead, args) if a is None else a)
         c = len(self._live)
         self._live.append((t, r, bound, tuple(projected)))
         for q, i in enumerate(t.pos):
@@ -416,15 +450,16 @@ class _Grounding:
         if found is None:
             n, found, ids = len(bound), {}, self.ids
             for tup in itertools.product(*[t.domains[f - n] for f in free]):
-                atom = build(bound + tup)
-                a = ids.get(atom.text)
-                found[tup] = self._admit(atom) if a is None else a
+                text, head, args = build(bound + tup)
+                a = ids.get(text)
+                found[tup] = self._admit(text, head, args) if a is None else a
             self._projections[key] = found
         return found
 
-    def _admit(self, atom: Expr) -> int:  # the new atom's id
-        i = self.ids[atom.text] = len(self.table)
-        self.table.append(atom)
+    def _admit(self, text: str, head: Expr, args: tuple) -> int:  # the new atom's id
+        i = self.ids[text] = len(self.texts)
+        self.texts.append(text)
+        self.parts.append((head, args))
         return i
 
     def _solve(self) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
@@ -439,7 +474,7 @@ class _Grounding:
         list with its first rule, when it is found possibly true; every other
         atom keeps the empty tuple."""
         live, uses = self._live, self._uses
-        rules = [()] * len(self.table)
+        rules = [()] * len(self.texts)
         indexes: dict[tuple, dict] = {}  # (call, positive atom, key positions) -> tuples by key
         queue: deque[int] = deque()
 
@@ -454,11 +489,12 @@ class _Grounding:
                     values[f] = v
                 if t.checks and any(x(values) is not y(values) for x, y in t.checks):
                     continue
-                h, *neg = [at[i][key(values)] if key else at[i] for i, key in t.looked_up]
+                h = at[0][t.head_key(values)] if t.head_key else at[0]
+                neg = t.negs and tuple([at[j][key(values)] if key else at[j] for j, key in t.negs])
                 if not rules[h]:  # h is found possibly true
                     rules[h] = []
                     queue.append(h)
-                rules[h].append((pos_ids, tuple(neg)))
+                rules[h].append((pos_ids, neg))
 
         for c, (t, *_) in enumerate(live):  # the instances without a positive atom
             if not t.pos:
@@ -474,32 +510,34 @@ class _Grounding:
                 values = start(c)
                 for f, v in zip(t.literals[t.pos[q]][1], tup):
                     values[f] = v
-                _join(fire, indexes, c, t.plans[q], values, [a] * len(t.pos), a, q)
+                _join(fire, indexes, c, t.plans[q], 0, values, [a] * len(t.pos), a, q)
         return tuple(map(tuple, rules))
 
 
-def _join(fire, indexes: dict, c: int, steps, values: list, pos_ids: list, a: int, q: int) -> None:
-    """Fire call c's instances for each choice of a tuple per step that the
-    step's index holds for the fields bound so far.  A function of the
-    module, not a closure in ``_solve``, so that no closure refers to itself
-    and the grounding is freed as soon as it is dropped."""
-    if not steps:
+def _join(fire, indexes: dict, c: int, steps, s: int, values: list, pos_ids: list, a: int,
+          q: int) -> None:
+    """Fire call c's instances for each choice of a tuple per step, from step
+    s on, that the step's index holds for the fields bound so far.  A
+    function of the module, not a closure in ``_solve``, so that no closure
+    refers to itself and the grounding is freed as soon as it is dropped."""
+    if s == len(steps):
         fire(c, values, tuple(pos_ids))
         return
-    r, keys, key, binds = steps[0]
+    r, keys, key, binds = steps[s]
     for tup, b in indexes.get((c, r, keys), {}).get(key(values), ()):
         if b != a or r > q:
             for f, p in binds:
                 values[f] = tup[p]
             pos_ids[r] = b
-            _join(fire, indexes, c, steps[1:], values, pos_ids, a, q)
+            _join(fire, indexes, c, steps, s + 1, values, pos_ids, a, q)
 
 
 class _DemandGrounding(_Grounding):
     """A grounding that binds each clause's formals by matching a demanded
-    atom, and demands every atom it meets.  An atom is split into its spine
-    once, when it is admitted: its queue entry is its id, its (head predicate,
-    arity) key and its arguments.  The clauses of a key are compiled into a
+    atom, and demands every atom it meets.  An atom's queue entry, made when
+    it is admitted, is its id, its (head predicate, arity) key and its
+    arguments, read from its parts: only a head that is a partial
+    application is split.  The clauses of a key are compiled into a
     group when its first atom is met: their (template, row)s in source order,
     their instance count, and an index of them by the argument nodes that a
     clause with no atom literal requires of the formals it guards, compared
@@ -520,18 +558,23 @@ class _DemandGrounding(_Grounding):
         # {guarded fields: (their getter, {their nodes: (template, row)s})})
         self.groups: dict[tuple, tuple[int, list, dict]] = {}
 
-    def _admit(self, atom: Expr) -> int:
+    def _admit(self, text: str, head: Expr, args: tuple) -> int:
         """Admit and demand a new atom, a root or one an instance meets."""
-        head, args = spine(atom)
-        if len(self.table) >= DEFAULT_MAX_ATOMS:
+        if len(self.texts) >= DEFAULT_MAX_ATOMS:
             raise GroundingLimitExceeded(f"dependency closure exceeded {DEFAULT_MAX_ATOMS} atoms")
-        if atom.size > DEFAULT_MAX_ATOM_SIZE:
+        size, lead, demanded = head.size, head, args
+        for x in args:
+            size += x.size
+        if type(head) is App:  # a variable head took a partial application
+            lead, applied = spine(head)
+            demanded = (*applied, *args)
+        if size > DEFAULT_MAX_ATOM_SIZE:
             raise GroundingLimitExceeded(
-                f"a demanded {head.text} atom has {atom.size} symbols, "
+                f"a demanded {lead.text} atom has {size} symbols, "
                 f"over the cap of {DEFAULT_MAX_ATOM_SIZE}"
             )
-        self.queue.append((len(self.table), (head.name, len(args)), tuple(args)))
-        return super()._admit(atom)
+        self.queue.append((len(self.texts), (lead.name, len(demanded)), demanded))
+        return super()._admit(text, head, args)
 
     def close(self) -> None:
         while self.queue:
@@ -564,8 +607,7 @@ def _clauses(calls: list, heads=None, roots=()) -> tuple:
     ``heads``, the groups of a closed demand grounding, whose second fields
     are the (template, row)s of each key in order, the calls are its: the
     roots', then each atom's, after the instance that meets it first.  Each
-    atom is built anew: it is the atom-table node, which the
-    ``GroundProgram`` keeps alive."""
+    atom is built anew, as its interned node."""
 
     def calls_of(atom: Expr) -> list:
         head, args = spine(atom)
@@ -590,7 +632,7 @@ def _clauses(calls: list, heads=None, roots=()) -> tuple:
                     met.add(atom.text)
                     calls.extend(calls_of(atom))
                 body.append(Neg(atom) if negated else atom)
-            out.append(GroundClause(t.literals[0][2](values), tuple(body)))
+            out.append(GroundClause(build_spine(*t.literals[0][2](values)[1:]), tuple(body)))
     return tuple(out)
 
 
@@ -617,14 +659,14 @@ def relevant_grounding(program: Program, roots, k: int) -> GroundProgram:
     """
     if k < 1:
         raise ValueError("size bound k must be >= 1")
-    grounding = _DemandGrounding(program, k)
+    grounding, demanded = _DemandGrounding(program, k), []
     for atom in roots:
         if atom.text not in grounding.ids:
-            head = spine(atom)[0]
+            head, args = spine(atom)
             if not isinstance(head, Const) or not is_predicate_type(head.typ):
                 raise ValueError(f"not predicate-headed: {atom.text}")
-            grounding._admit(atom)
-    demanded = list(grounding.table)
+            grounding._admit(atom.text, head, tuple(args))
+            demanded.append(atom)
     grounding.close()
     # Only the groups outlive the grounding: every key met has one.
     return grounding.result([], grounding.groups, demanded)

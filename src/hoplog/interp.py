@@ -82,7 +82,7 @@ def interpretation(
     gp: GroundProgram, true_atoms=(), false_atoms=()
 ) -> PartialInterpretation:
     return PartialInterpretation(
-        frozenset(true_atoms), frozenset(false_atoms), frozenset(gp.atoms)
+        frozenset(true_atoms), frozenset(false_atoms), frozenset(gp.texts)
     )
 
 
@@ -99,7 +99,7 @@ class _Compiled:
     """Bitmask view of a ground program for fast enumeration."""
 
     def __init__(self, gp: GroundProgram):
-        self.index = {k: n for n, k in enumerate(gp.atoms)}
+        self.index = {k: n for n, k in enumerate(gp.texts)}
         self.clauses: list[tuple[int, int, int]] = []  # (head bit, pos mask, neg mask)
         for gc in gp.clauses:
             pos = neg = 0
@@ -153,7 +153,7 @@ def minimal_models_bruteforce(
     Walks all 3^|atoms| interpretations, so the atom table is capped; this
     is a desk-scale oracle, not an engine.
     """
-    n = len(gp.atoms)
+    n = len(gp.texts)
     if n > ORACLE_MAX_ATOMS:
         raise TooLarge(f"{n} atoms exceed the oracle limit of {ORACLE_MAX_ATOMS}")
     compiled = _Compiled(gp)

@@ -177,8 +177,8 @@ def localize(strat: Stratification, gp: GroundProgram) -> tuple[tuple[int, ...],
                 f"a {pred} atom is above the head of a {head} instance"
             )
     strata: list[list[int]] = [[] for _ in range(strat.count)]
-    for a, atom in enumerate(gp.atoms.values()):
-        strata[index[spine(atom)[0].name] - 1].append(a)
+    for a, (head, _) in enumerate(gp.parts):
+        strata[index[spine(head)[0].name] - 1].append(a)
     return tuple(map(tuple, strata))
 
 
@@ -207,7 +207,7 @@ def perfect_model(gp: GroundProgram, strata: tuple[tuple[int, ...], ...]) -> Per
     seals the atoms of stratum a - 1 still underived, then derives.  The
     atoms are kept in the order they are derived and sealed, and a mark per
     stratum counts both by its stage, so each stage is a pair of prefixes."""
-    keys = tuple(gp.atoms)
+    keys = gp.texts
     records, uses = occurrences(gp)
     negated: list[list[list]] = [[] for _ in keys]
     for rule in records:

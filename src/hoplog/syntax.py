@@ -246,7 +246,8 @@ class App(Expr):
             node = object.__new__(cls)
             _set(node, "op", op)
             _set(node, "arg", arg)
-            _set(node, "text", f"{op.text} {arg.atomic}")  # op's text prints the rest of the spine
+            # op's text prints the rest of the spine: spine_text is this rule over a spine
+            _set(node, "text", f"{op.text} {arg.atomic}")
             _set(node, "size", op.size + arg.size)
             ref = cls._table[key] = _Ref(node, cls._drop)
             ref.key = key
@@ -305,6 +306,16 @@ def build_spine(head: Expr, args: Sequence[Expr]) -> Expr:
     for a in args:
         out = App(out, a)
     return out
+
+
+def spine_text(head: Expr, args: Sequence[Expr]) -> str:
+    """The ``text`` of ``build_spine(head, args)``, without building it:
+    ``App``'s printing rule over a whole spine, the head's ``text``, then
+    each argument's ``atomic``, each after a space."""
+    text = head.text
+    for a in args:
+        text = f"{text} {a.atomic}"
+    return text
 
 
 # ---------------------------------------------------------------------------

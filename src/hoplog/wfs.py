@@ -61,7 +61,7 @@ _FALSE, _UNDEFINED, _TRUE = TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.T
 
 def _to_interp(values: list[TruthValue], gp: GroundProgram) -> PartialInterpretation:
     split = ([], [], [])  # the keys valued false, undefined and true, in one pass
-    for k, v in zip(gp.atoms, values):
+    for k, v in zip(gp.texts, values):
         split[v].append(k)
     return interpretation(gp, split[_TRUE], split[_FALSE])
 

@@ -383,9 +383,16 @@ def reference_grounding(program: Program, k: int, roots=None) -> GroundProgram:
         atoms.setdefault(reference_print(gc.head), gc.head)
         for atom, _ in atom_literals(gc):
             atoms.setdefault(reference_print(atom), atom)
-    return GroundProgram(
+    return ground_program(
         atoms, reference_compile(clauses, atoms), reference_edges(clauses), tuple(clauses)
     )
+
+
+def ground_program(atoms: dict[str, Expr], rules, predicate_edges, clauses) -> GroundProgram:
+    """The ``GroundProgram`` over the atom table ``atoms``, each atom split
+    into its parts at its leftmost constant."""
+    parts = tuple((head, tuple(args)) for head, args in map(spine, atoms.values()))
+    return GroundProgram(tuple(atoms), parts, atoms, rules, predicate_edges, clauses)
 
 
 def atom_literals(gc: GroundClause):

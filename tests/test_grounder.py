@@ -374,6 +374,22 @@ class TestUniverseBuildOrder:
             universe.terms(IOTA)
         assert universe.symbols == 1_000_405
 
+    def test_a_last_argument_takes_only_the_size_left(self, monkeypatch):
+        # Size s of a chain universe reads size s - 1 once, as f's one and
+        # last argument: 201 reads up to size 200.  Trying every size of
+        # the last argument and keeping the one that empties the budget
+        # read some 20,000 sizes, and took 0.37 s to the cap.
+        reads, sized = [], Universe._sized
+
+        def counting(self, rho, size):
+            reads.append(size)
+            return sized(self, rho, size)
+
+        monkeypatch.setattr(Universe, "_sized", counting)
+        universe = Universe(load("type a : i.\ntype f : i -> i.").signature, 200)
+        assert len(universe.terms(IOTA)) == 200
+        assert len(reads) <= 2 * 200
+
 
 class TestTruncationReport:
     def test_function_symbols_truncate_individuals(self):
@@ -885,6 +901,119 @@ class TestShapes:
                 check(program, 2, [elaborate_ground_atom(program, r) for r in entry.roots])
 
 
+class TestAtomParts:
+    """The grounder keeps each atom as its text and its parts, (head,
+    argument nodes), and builds no atom node: the text, from
+    ``spine_text``, is the text of the node the parts build, and ``atoms``
+    builds, when read, the nodes the reference grounding builds, in id
+    order."""
+
+    @staticmethod
+    def check(program, k, roots=None):
+        try:
+            expected = reference_grounding(program, k, roots)
+        except GroundingLimitExceeded:
+            with pytest.raises(GroundingLimitExceeded):
+                _ground(program, k, roots)
+            return None
+        gp = _ground(program, k, roots)
+        nodes = [build_spine(head, args) for head, args in gp.parts]
+        assert list(gp.texts) == [node.text for node in nodes]
+        assert list(gp.atoms) == list(gp.texts) and len(gp.atoms) == len(expected.atoms)
+        assert all(a is b is expected.atoms[text]
+                   for text, a, b in zip(gp.texts, gp.atoms.values(), nodes))
+        return gp
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_corpus(self, k):
+        for entry in CORPUS:
+            program = load(entry.source)
+            gp = self.check(program, k)
+            if entry.roots:
+                self.check(program, k, [atom_of(program, r) for r in entry.roots])
+            elif gp is not None:
+                self.check(program, k, _first_atoms(gp))
+
+    @pytest.mark.parametrize(
+        "generate", [random_program_source, random_stratified_source, random_witness_source]
+    )
+    def test_random_programs(self, generate):
+        rng = random.Random(34)
+        for _ in range(40):
+            program = load(generate(rng))
+            for k in (1, 2):
+                gp = self.check(program, k)
+                if gp is not None:
+                    self.check(program, k, _first_atoms(gp))
+
+    def test_a_variable_head_bound_to_a_partial_application(self):
+        # R X with R = edge na.  Demanded from r, edge na na is first met
+        # there, so its head is the node edge na; the grounding keys it by
+        # edge, of arity 2, and grounds it by edge's clause.
+        program = load(
+            "type na : i.\ntype nb : i.\ntype edge : i -> i -> o.\n"
+            "type gap : (i -> o) -> o.\ntype r : o.\n"
+            "edge X Y <- X = na, Y = nb.\ngap R <- R X.\nr <- gap (edge na).\n"
+        )
+        edge_na = atom_of(program, "gap (edge na)").arg
+        for roots in (None, [atom_of(program, "r")]):
+            self.check(program, 2, roots)
+            gp = TestTemplateGrounding.assert_same(program, 2, roots)
+            assert well_founded_model(gp).model.value("edge na nb") is TruthValue.TRUE
+        assert gp.texts == ("r", "gap (edge na)", "edge na na", "edge na nb")
+        na, nb = edge_na.arg, atom_of(program, "edge na nb").arg
+        assert gp.parts[2:] == ((edge_na, (na,)), (edge_na, (nb,)))
+
+    def test_arguments_that_are_applications(self):
+        program = load(
+            "type a : i.\ntype f : i -> i.\ntype p : i -> o.\ntype q : o.\n"
+            "p X <- X = f a.\nq <- p (f a), ~(p (f (f a))).\n"
+        )
+        for roots in (None, [atom_of(program, "q")]):
+            gp = self.check(program, 3, roots)
+            assert {"p (f a)", "p (f (f a))"} <= set(gp.texts)
+            assert well_founded_model(gp).model.value("q") is TruthValue.TRUE
+
+
+class TestAtomNodesBuiltWhenRead:
+    def test_no_atom_node_is_built_before_atoms_is_read(self, monkeypatch):
+        """A seed-1 game-wfs program at depth 1, whose universe holds only
+        constants: grounding it and computing its well-founded model leave
+        the live ``App`` nodes as they were, and build only the patterns of
+        the two clause heads, ``move X Y`` and ``win X``; reading ``atoms``
+        adds exactly the atoms and their partial applications."""
+        game = next(q for q in bench_workloads().game_pool(1) if "--roots" not in q.args)
+        program = load(game.source)
+        built, new = [], App.__new__
+
+        def counting(cls, op, arg):
+            built.append(op)
+            return new(cls, op, arg)
+
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = set(App._table)
+            with monkeypatch.context() as patch:
+                patch.setattr(App, "__new__", staticmethod(counting))
+                gp = ground_instantiation(program, 1)
+                model = well_founded_model(gp).model
+            assert len(App._table) == len(before) and len(built) == 3
+            atoms = gp.atoms
+            spines = set()
+            for node in atoms.values():
+                while isinstance(node, App):
+                    spines.add((node.op, node.arg))
+                    node = node.op
+            assert set(App._table) - before == spines - before
+            assert len(spines - before) > len(atoms) == 90
+        finally:
+            if enabled:
+                gc.enable()
+        assert model.universe == set(atoms)
+
+
 class TestProjections:
     """A literal's projection is computed once per pattern: literals that
     differ only in their variables' names, in any clause shape, share it."""
@@ -949,16 +1078,16 @@ class TestProjections:
         )
         roots = [atom_of(program, "win n0")]
         TestTemplateGrounding.assert_same(program, 1, roots)
-        built, new = [], App.__new__
+        built, text = [], grounder.spine_text
 
-        def counting(cls, op, arg):
+        def counting(head, args):  # once per atom a literal's builder builds
             built[-1] += 1
-            return new(cls, op, arg)
+            return text(head, args)
 
         def ground():
             built.append(0)
             with monkeypatch.context() as patch:
-                patch.setattr(App, "__new__", staticmethod(counting))
+                patch.setattr(grounder, "spine_text", counting)
                 return relevant_grounding(program, roots, 1)
 
         gp = ground()
@@ -968,7 +1097,8 @@ class TestProjections:
         every = ground()
         assert list(gp.atoms) == list(every.atoms) and len(gp.atoms) == 42
         assert gp.rules == every.rules
-        assert built == [81, 111]
+        assert built == [42, 72]
+
     def test_strat_perfect_seed_1_computes_nine_projections_a_query(self, monkeypatch):
         found = self.projections(monkeypatch)
         pool = bench_workloads().strat_pool(1)

@@ -21,6 +21,7 @@ from hoplog.wfs import well_founded_model
 from helpers import (
     everything_false,
     fitting_smaller_stable,
+    ground_program,
     is_fitting_minimal_stable,
     is_minimal_model,
     is_model,
@@ -48,7 +49,7 @@ def bare_atoms(*keys: str) -> GroundProgram:
     for k in keys:
         gp = gp_of(f"type {k} : o.\ntype zzz : o.\nzzz <- {k}.")
         program_atoms[k] = gp.atoms[k]
-    return GroundProgram(program_atoms, reference_compile((), program_atoms), (), ())
+    return ground_program(program_atoms, reference_compile((), program_atoms), (), ())
 
 
 NEG_PAIR = "type p : o.\ntype q : o.\np <- ~q."

@@ -84,9 +84,10 @@ SAMPLES = {
         "ConstLit(value=False)))",
     ),
     GroundProgram: (
-        lambda: GroundProgram({"p": _atom()}, ((),), (("p", "p", True),), ()),
-        f"GroundProgram(atoms={{'p': {ATOM_REPR}}}, rules=((),), "
-        "predicate_edges=(('p', 'p', True),), clauses=())",
+        lambda: GroundProgram(("p",), ((_atom(), ()),), {"p": _atom()}, ((),),
+                              (("p", "p", True),), ()),
+        f"GroundProgram(texts=('p',), parts=(({ATOM_REPR}, ()),), atoms={{'p': {ATOM_REPR}}}, "
+        "rules=((),), predicate_edges=(('p', 'p', True),), clauses=())",
     ),
     PartialInterpretation: (_interp, INTERP_REPR),
     Program: (
@@ -291,7 +292,7 @@ def test_ground_program_builds_its_clauses_once():
         built.append(True)
         return ()
 
-    gp = GroundProgram({"p": _atom()}, ((),), (), build)
+    gp = GroundProgram(("p",), ((_atom(), ()),), {"p": _atom()}, ((),), (), build)
     assert built == []
     assert gp.clauses is gp.clauses and built == [True]
     loaded = pickle.loads(pickle.dumps(gp))

@@ -384,7 +384,7 @@ class TestPossiblyTrueFilter:
         """Compare both engines with and without the filter; return the
         number of rules it drops."""
         full = unfiltered_compile(gp.clauses, gp.atoms)
-        unfiltered = GroundProgram(gp.atoms, full, gp.predicate_edges, gp.clauses)
+        unfiltered = GroundProgram(gp.texts, gp.parts, gp.atoms, full, gp.predicate_edges, gp.clauses)
         assert well_founded_model(gp) == well_founded_model(unfiltered)
         strat = stratify(program)
         if isinstance(strat, Stratification):
