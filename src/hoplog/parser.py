@@ -21,6 +21,7 @@ typed syntax.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, islice
 
 from .errors import DuplicateDeclaration, ParseError
 from .records import Record
@@ -76,9 +77,10 @@ _PUNCT = {
     ":": "COLON",
 }
 
-# Blanks (str.isspace()) and comments, skipped; then a token: punctuation,
-# a word (str.isalnum() or "_"), any other character, or the end.
-_TOKEN = re.compile(r"(?:\s+|%[^\n]*)*(?:(->|<-|[(),.~=:])|(\w+)|(.)|\Z)")
+# Split around each token or comment: punctuation, a word (str.isalnum() or
+# "_"), a comment, or any other character that is no blank (str.isspace()),
+# so what lies between is blanks.
+_TOKEN = re.compile(r"(->|<-|[(),.~=:]|\w+|%[^\n]*|\S)")
 
 # Nesting levels in one clause head, body literal, root atom or declared
 # type: the levels on the deepest path of its tree, where each parenthesis,
@@ -91,18 +93,15 @@ MAX_NESTING = 100
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """``(kind, text, offset)`` of each token, then an ``EOF`` token."""
+    parts = _TOKEN.split(text)  # blanks, then a token or comment, and so on
     tokens = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            word = m[1]
-            tokens.append((_PUNCT[word], word, m.start(1)))
-        elif group == 2 and m[2][0].isalpha():
-            tokens.append(("NAME", m[2], m.start(2)))
-        elif group:
-            raise ParseError(
-                f"unexpected character {m[group][0]!r}", *position(text, m.start(group))
-            )
+    for word, at in zip(parts[1::2], islice(accumulate(map(len, parts)), 0, None, 2)):
+        if word in _PUNCT:
+            tokens.append((_PUNCT[word], word, at))
+        elif word[0].isalpha():
+            tokens.append(("NAME", word, at))
+        elif word[0] != "%":
+            raise ParseError(f"unexpected character {word[0]!r}", *position(text, at))
     # A comment that ends the text leaves the end at its "%".
     end = text.find("%", text.rfind("\n") + 1)
     tokens.append(("EOF", "", len(text) if end < 0 else end))

@@ -20,8 +20,9 @@ the atoms of some live clause with every negated atom false in J and
 every positive atom derived.  It grows with J in the Fitting order, so
 ``perfect_model`` computes all stages in one countdown on the grounding's
 rules (``GroundProgram.rules``), where dead clauses are already dropped,
-with the well-founded engine's counter records (``wfs.occurrences``): each
-rule's counter is paid once, not once a stratum, and only the model
+with the rule numbering and occurrence lists of the well-founded engine
+(``wfs.occurrences``): each rule's counter is paid once, not once a
+stratum, and only the model
 becomes a ``PartialInterpretation`` at once: the stages are built when
 read.  ``localize`` reads the grounding's predicate edges, which every
 instance contributes to, dead ones included, so it checks the strata of
@@ -29,7 +30,6 @@ dead clauses too.
 """
 
 from __future__ import annotations
-
 
 from .errors import LocalStratificationViolation, NotIncreasing
 from .grounder import GroundProgram
@@ -208,24 +208,20 @@ def perfect_model(gp: GroundProgram, strata: tuple[tuple[int, ...], ...]) -> Per
     atoms are kept in the order they are derived and sealed, and a mark per
     stratum counts both by its stage, so each stage is a pair of prefixes."""
     keys = gp.texts
-    records, uses = occurrences(gp)
-    negated: list[list[list]] = [[] for _ in keys]
-    for rule in records:
-        rule[1] = len(rule[3]) + len(rule[4])  # the body atoms it waits on
-        for a in rule[4]:
-            negated[a].append(rule)
-    todo = [rule[0] for rule in records if not rule[1]]  # heads to derive
+    heads, bodies, uses, negated = occurrences(gp)
+    waits = [len(pos) + len(neg) for pos, neg in bodies]  # per rule, the body atoms it waits on
+    todo = [h for h, w in zip(heads, waits) if not w]  # heads to derive
     derived = [False] * len(keys)
     sealed = [False] * len(keys)
     true_keys: list[str] = []  # in the order they are derived
     false_keys: list[str] = []  # in the order they are sealed
     marks: list[tuple[int, int]] = []  # per stratum: atoms derived, atoms sealed
 
-    def count_down(rules: list[list]) -> None:
-        for rule in rules:
-            rule[1] -= 1
-            if not rule[1]:
-                todo.append(rule[0])
+    def count_down(rules: list[int]) -> None:
+        for r in rules:
+            waits[r] -= 1
+            if not waits[r]:
+                todo.append(heads[r])
 
     for stratum in strata:
         while todo:

@@ -18,19 +18,27 @@ vectors the first time they are read.
 
 The inner loop counts instead of rescanning, after Dowling and Gallier's
 linear-time Horn least model (J. Logic Programming, 1984): see ``_lfp``.
-The counter records are built once per model and reset at each stage, so a
-stage's Python-level loops run over the rules and the atoms that change;
-the atom table is met only by whole-list operations, such as comparing
-stages.  Rounds are synchronous, each reading only the previous round's
-values, so the stages and round counts are those of naive iteration of the
-stage operator; a differential test checks this against the reference
-operator ``theta_step`` in ``tests/helpers.py``.
+The counters it starts from depend on J alone, and J changes from stage to
+stage only on atoms that leave undefined, each at most once in the run.  So
+they are carried across the outer stages, as the alternating fixpoint's
+stages are (Van Gelder, JCSS 1993): per rule, the counts of its body atoms
+by their value in J, and per head, the counts of its rules by their start
+value (see ``well_founded_model``).  After a stage only the rules that hold
+an atom that left undefined are recounted (``_settle``), and the next stage
+starts from copies of flat lists.  So a stage's Python-level loops run over
+the atoms that change and the rules that hold them; the atom table is met
+only by whole-list operations, such as copying and comparing stages.
+Rounds are synchronous, each reading only the previous round's values, so
+the stages and round counts are those of naive iteration of the stage
+operator; a differential test checks this against the reference operator
+``theta_step`` in ``tests/helpers.py``, and another checks the carried
+counters against counters built from scratch for each stage's J.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import ne
+from operator import itemgetter, ne, not_
 
 from .errors import NotIncreasing
 from .grounder import GroundProgram
@@ -66,57 +74,87 @@ def _to_interp(values: list[TruthValue], gp: GroundProgram) -> PartialInterpreta
     return interpretation(gp, split[_TRUE], split[_FALSE])
 
 
-def occurrences(gp: GroundProgram) -> tuple[list[list], list]:
-    """A record ``[head, need_true, need_defined, positive ids, negative
-    ids]`` per rule, counters unset, and per atom id the records of the
-    rules that hold it positively, once per occurrence: a list only for an
-    atom that some rule holds so, the empty tuple for any other."""
-    uses = [()] * len(gp.rules)
-    records = []
+def occurrences(gp: GroundProgram) -> tuple[list[int], list[tuple], list, list]:
+    """The rules, numbered in head order: each one's head and its
+    ``(positive ids, negative ids)`` pair.  Then per atom id the numbers of
+    the rules that hold it positively, and of those that hold it negated,
+    once per occurrence: a list only for an atom that some rule holds so,
+    the empty tuple for any other."""
+    heads: list[int] = []
+    bodies: list[tuple] = []
     for h in compress(range(len(gp.rules)), gp.rules):  # the heads of rules
-        for pos, neg in gp.rules[h]:
-            rule = [h, -1, -1, pos, neg]
-            records.append(rule)
-            for a in pos:
-                if uses[a]:
-                    uses[a].append(rule)
-                else:
-                    uses[a] = [rule]
-    return records, uses
+        heads += [h] * len(gp.rules[h])
+        bodies += gp.rules[h]
+    uses, negated = [()] * len(gp.rules), [()] * len(gp.rules)
+    for r, (pos, neg) in enumerate(bodies):
+        for a in pos:
+            if uses[a]:
+                uses[a].append(r)
+            else:
+                uses[a] = [r]
+        for a in neg:
+            if negated[a]:
+                negated[a].append(r)
+            else:
+                negated[a] = [r]
+    return heads, bodies, uses, negated
 
 
-def _lfp(jv: list[TruthValue], records: list, uses: list) -> tuple[list[TruthValue], int]:
+def _settle(changed: list[int], values: list[TruthValue], state: tuple) -> int:
+    """Count the atoms ``changed``, undefined in J and valued ``values`` in
+    the next J, into the counters ``state`` that the stages carry (see
+    ``well_founded_model``), recount the rules that hold them, and revalue
+    their heads.  Returns the number of rules recounted."""
+    (heads, uses, negated, sizes,
+     pos_true, pos_false, neg_true, neg_undefined, t, d, rated, top) = state
+    touched = []
+    for a in changed:
+        true = values[a] == _TRUE
+        counts = pos_true if true else pos_false
+        for r in uses[a]:
+            counts[r] += 1
+        for r in negated[a]:
+            neg_undefined[r] -= 1
+            if true:
+                neg_true[r] += 1
+        touched += uses[a]
+        touched += negated[a]
+    recounted = 0
+    for r in touched:
+        recounted += 1
+        old = _TRUE if not t[r] else _UNDEFINED if not d[r] else _FALSE
+        if neg_true[r]:  # the body is false in J
+            t[r] = d[r] = -1
+        else:
+            t[r] = -1 if neg_undefined[r] else sizes[r] - pos_true[r]
+            d[r] = -1 if pos_false[r] else sizes[r]
+        new = _TRUE if not t[r] else _UNDEFINED if not d[r] else _FALSE
+        if new != old:
+            h = heads[r]
+            if old:
+                rated[old][h] -= 1
+            if new:
+                rated[new][h] += 1
+            top[h] = _TRUE if rated[_TRUE][h] else _UNDEFINED if rated[_UNDEFINED][h] else _FALSE
+    return recounted
+
+
+def _lfp(jv: list[TruthValue], t: list[int], d: list[int], top: list[TruthValue],
+         heads: list[int], uses: list) -> tuple[list[TruthValue], int]:
     """Least fixed point of the stage operator under the outer values jv,
     from the all-false start, and the number of rounds to stabilize.
 
     A rule with a negated atom true in J is dropped.  Each other rule counts
-    its positive atoms not yet true, in J or inside (kept when its negated
-    atoms are all false in J), and those still false inside (kept when none
-    is false in J).  Its head becomes true when the first count reaches
-    zero, and otherwise undefined when the second one does."""
-    n, get = len(jv), jv.__getitem__
-    # A counter the rule does not keep is -1, so never reaches zero.
-    top = [_FALSE] * n  # per head, the value its rules' counters give
-    dirty = []  # the heads that top raises above false, once each
-    for rule in records:
-        h, _, _, pos, neg = rule
-        t = d = -1
-        most = max(map(get, neg)) if neg else _FALSE  # the negated atoms' top value in J
-        if most != _TRUE:  # else the rule's body is false
-            if pos:
-                in_j = list(map(get, pos))
-                if most == _FALSE:
-                    t = len(pos) - in_j.count(_TRUE)
-                if _FALSE not in in_j:
-                    d = len(pos)
-            else:  # no positive atom to count
-                t, d = (0 if most == _FALSE else -1), 0
-        rule[1], rule[2] = t, d
-        v = _TRUE if not t else _UNDEFINED if not d else _FALSE
-        if v > top[h]:
-            if not top[h]:
-                dirty.append(h)
-            top[h] = v
+    its positive atoms not yet true, in J or inside (``t``, kept when its
+    negated atoms are all false in J), and those still false inside (``d``,
+    kept when none is false in J); a counter the rule does not keep is -1,
+    so never reaches zero.  Its head becomes true when the first count
+    reaches zero, and otherwise undefined when the second one does.  ``t``
+    and ``d`` come per rule, and ``top``, per head the value its rules'
+    counters give, as ``well_founded_model`` carries them for jv; all three
+    are used up.  ``heads`` and ``uses`` are those of ``occurrences``."""
+    n = len(jv)
+    dirty = list(compress(range(n), top))  # the heads that top raises above false
     values = [_FALSE] * n
     rounds = 0
     while True:
@@ -136,16 +174,16 @@ def _lfp(jv: list[TruthValue], records: list, uses: list) -> tuple[list[TruthVal
         for a, v in changed:
             leaves_false = values[a] == _FALSE
             becomes_true = v == _TRUE and jv[a] != _TRUE
-            for rule in uses[a]:
-                h = rule[0]
+            for r in uses[a]:
+                h = heads[r]
                 if leaves_false:
-                    rule[2] -= 1
-                    if not rule[2] and top[h] == _FALSE:
+                    d[r] -= 1
+                    if not d[r] and top[h] == _FALSE:
                         top[h] = _UNDEFINED
                         dirty.add(h)
                 if becomes_true:
-                    rule[1] -= 1
-                    if not rule[1]:
+                    t[r] -= 1
+                    if not t[r]:
                         top[h] = _TRUE
                         dirty.add(h)
             values[a] = v
@@ -161,17 +199,40 @@ def well_founded_model(gp: GroundProgram) -> WfsResult:
     The outer sequence must climb in the Fitting order; any violation is an
     internal-consistency failure, not a recoverable condition.
     """
-    records, uses = occurrences(gp)
-    jv = [_UNDEFINED] * len(gp.rules)
+    heads, bodies, uses, negated = occurrences(gp)
+    m, n = len(heads), len(gp.rules)
+    # The counters each stage starts from, carried across the stages.  Per
+    # rule: the counts of its positive atoms true and false in J and of its
+    # negated atoms true and undefined in J, and from these the counters t
+    # and d that _lfp runs.  Per head: the counts of its rules valued true
+    # and undefined by those counters (rated, by value), and from these its
+    # start value top.  J starts all undefined and changes only on atoms
+    # that leave undefined, each at most once, so _settle recounts only the
+    # rules that hold such an atom.
+    sizes = list(map(len, map(itemgetter(0), bodies)))
+    neg_undefined = list(map(len, map(itemgetter(1), bodies)))
+    t, d = sizes[:], sizes[:]
+    for r in compress(range(m), neg_undefined):  # t waits on the negated atoms
+        t[r] = -1
+    rated, top = (None, [0] * n, [0] * n), [_FALSE] * n
+    for r in compress(range(m), map(not_, sizes)):  # the rules valued above false
+        h, v = heads[r], _UNDEFINED if t[r] else _TRUE
+        rated[v][h] += 1
+        top[h] = max(top[h], v)
+    state = (heads, uses, negated, sizes,
+             [0] * m, [0] * m, [0] * m, neg_undefined, t, d, rated, top)
+    jv = [_UNDEFINED] * n
     stages, inner_lengths = [jv], []
     while True:
-        values, rounds = _lfp(jv, records, uses)
+        values, rounds = _lfp(jv, t[:], d[:], top[:], heads, uses)
         inner_lengths.append(rounds)
         if values == jv:
             break
+        changed = list(compress(range(n), map(ne, jv, values)))
         # Every atom whose value changed was undefined in J.
-        if not {_UNDEFINED}.issuperset(compress(jv, map(ne, jv, values))):
+        if not {_UNDEFINED}.issuperset(map(jv.__getitem__, changed)):
             raise NotIncreasing("outer stage sequence left the Fitting order")
+        _settle(changed, values, state)
         stages.append(values)
         jv = values
     return WfsResult(

@@ -50,11 +50,13 @@ fixpoint machinery:
   ``argparse``, option by option, where ``hoplog.cli`` parses argv from its
   table ``COMMANDS``;
 * ``reference_tokenize`` scans source text character by character, where
-  the parser's tokenizer matches one regular expression.
+  the parser's tokenizer splits it with one regular expression.
 
 ``theta_lfp`` is no oracle but the engine under test: the well-founded
-engine's inner loop (``wfs.occurrences`` and ``wfs._lfp``) run under any
-outer interpretation, so tests can compare it with ``naive_theta_lfp``.
+engine's inner loop (``wfs._lfp``) run under any outer interpretation,
+from counters that ``stage_counters`` builds from scratch for it, so tests
+can compare it with ``naive_theta_lfp``.  ``stage_counters`` is also the
+yardstick for the counters the engine carries from stage to stage.
 ``load`` parses and checks program text, ``parse_type`` parses a type's
 text, and ``to_source`` prints a checked program back as canonical source.
 """
@@ -612,11 +614,53 @@ def theta_step(
     return _to_interp([_head_value(rules, jv, iv) for rules in gp.rules], gp)
 
 
+def stage_counters(gp: GroundProgram, jv: list[TruthValue]) -> dict:
+    """The counters an outer stage starts from under the outer values jv,
+    built from scratch, keyed by the names that ``wfs.well_founded_model``
+    gives them.  Per rule, numbered as ``wfs.occurrences`` numbers them: its
+    positive atoms true and false in jv, its negated atoms true and
+    undefined in jv, and the inner loop's two counters, set as the engine
+    set them afresh at every stage before it kept them across stages.  Per
+    head: its rules valued true and undefined by those counters (``rated``,
+    by value) and its start value ``top``."""
+    heads, bodies, _, _ = occurrences(gp)
+    get = jv.__getitem__
+    out = {name: [] for name in ("pos_true", "pos_false", "neg_true", "neg_undefined", "t", "d")}
+    rated = (None, [0] * len(jv), [0] * len(jv))
+    top = [_FALSE] * len(jv)
+    for h, (pos, neg) in zip(heads, bodies):
+        in_j, neg_j = list(map(get, pos)), list(map(get, neg))
+        for name, values, value in (
+            ("pos_true", in_j, _TRUE), ("pos_false", in_j, _FALSE),
+            ("neg_true", neg_j, _TRUE), ("neg_undefined", neg_j, _UNDEFINED),
+        ):
+            out[name].append(values.count(value))
+        t = d = -1
+        most = max(neg_j, default=_FALSE)  # the negated atoms' top value in J
+        if most != _TRUE:  # else the rule's body is false
+            if most == _FALSE:
+                t = len(pos) - in_j.count(_TRUE)
+            if _FALSE not in in_j:
+                d = len(pos)
+        out["t"].append(t)
+        out["d"].append(d)
+        v = _TRUE if not t else _UNDEFINED if not d else _FALSE
+        if v:
+            rated[v][h] += 1
+            top[h] = max(top[h], v)
+    out["rated"], out["top"] = rated, top
+    return out
+
+
 def theta_lfp(J: PartialInterpretation, gp: GroundProgram) -> tuple[PartialInterpretation, int]:
     """The engine under test, not a reference: its inner loop run under any
-    outer interpretation J, from the all-false start.  Returns the fixpoint
+    outer interpretation J, from the all-false start and from counters
+    built from scratch for J (``stage_counters``).  Returns the fixpoint
     and the number of rounds to stabilize."""
-    values, rounds = _lfp([J.value(k) for k in gp.atoms], *occurrences(gp))
+    jv = [J.value(k) for k in gp.atoms]
+    heads, _, uses, _ = occurrences(gp)
+    start = stage_counters(gp, jv)
+    values, rounds = _lfp(jv, start["t"], start["d"], start["top"], heads, uses)
     return _to_interp(values, gp), rounds
 
 

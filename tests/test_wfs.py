@@ -1,12 +1,16 @@
 """Well-founded model engine: stage operator, fixpoints, discipline."""
 
+import collections
+import copy
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hoplog import wfs
+from hoplog import extensionality, wfs
 from hoplog.errors import GroundingLimitExceeded, NotIncreasing
+from hoplog.extensionality import ExtChecker
 from hoplog.grounder import GroundProgram, ground_instantiation, relevant_grounding
 from hoplog.interp import Ordering, TruthValue, interpretation
 from hoplog.perfect import Stratification, localize, perfect_model, stratify
@@ -33,6 +37,7 @@ from helpers import (
     random_ground_source,
     random_program_source,
     random_stratified_source,
+    stage_counters,
     theta_lfp,
     theta_step,
     unfiltered_compile,
@@ -50,6 +55,41 @@ def gp_of(src: str, k: int = 1, roots=None):
 def corpus_groundings():
     for entry in CORPUS:
         yield entry.name, gp_of(entry.source, entry.depth, entry.roots)
+
+
+@functools.cache
+def pool_groundings() -> tuple:
+    """``(label, grounding)`` of each seed-1 game-wfs and strat-perfect
+    query, grounded as its command line asks."""
+    workloads = bench_workloads()
+    out = []
+    for query in workloads.game_pool(1) + workloads.strat_pool(1):
+        k = int(query.args[query.args.index("--depth") + 1])
+        roots = [query.args[query.args.index("--roots") + 1]] if "--roots" in query.args else None
+        out.append((query.label, gp_of(query.source, k, roots)))
+    return tuple(out)
+
+
+@functools.cache
+def oracle_groundings() -> tuple:
+    """``(label, grounding)`` of each grounding that the extensionality
+    oracle solves over the seed-1 extcheck-ho queries."""
+    solve, out = extensionality.well_founded_model, []
+    label = None
+
+    def spy(gp):
+        out.append((label, gp))
+        return solve(gp)
+
+    extensionality.well_founded_model = spy
+    try:
+        for query in bench_workloads().ext_pool(1):
+            label = query.label
+            k = int(query.args[query.args.index("--depth") + 1])
+            ExtChecker(load(query.source), k).reflexivity_report()
+    finally:
+        extensionality.well_founded_model = solve
+    return tuple(out)
 
 
 class TestThetaStep:
@@ -197,8 +237,8 @@ class TestWellFoundedModel:
         atom = tuple(gp.atoms).index(key)
         lfp, calls = wfs._lfp, []
 
-        def corrupted(jv, records, uses):
-            values, rounds = lfp(jv, records, uses)
+        def corrupted(jv, t, d, top, heads, uses):
+            values, rounds = lfp(jv, t, d, top, heads, uses)
             calls.append(values)
             if len(calls) == at:
                 values = values[:atom] + [value] + values[atom + 1:]
@@ -317,6 +357,17 @@ class TestAlternatingFixpoint:
             checked += 1
         assert (checked, stratified) == (48, 24)
 
+    def test_extcheck_oracle_groundings(self):
+        """The oracle's groundings: the engine's trace against the naive
+        stage iteration, its model against the alternating fixpoint."""
+        groundings = oracle_groundings()
+        for label, gp in groundings:
+            result = well_founded_model(gp)
+            assert result.trace == naive_well_founded_model(gp).trace, label
+            assert result.model == alternating_fixpoint(gp), label
+        # one solve a query
+        assert len(groundings) == len(bench_workloads().ext_pool(1)) == 20
+
     def test_random_ground_programs(self):
         rng = random.Random(31)
         stratified = 0
@@ -331,6 +382,82 @@ class TestAlternatingFixpoint:
                 assert perfect_model(gp, localize(strat, gp)).model == model, src
                 stratified += 1
         assert stratified >= 40
+
+
+class TestCarriedCounters:
+    """The counters that each outer stage starts from, carried across the
+    stages, against counters built from scratch for that stage's J
+    (``helpers.stage_counters``)."""
+
+    # The carried counters' names, as in ``helpers.stage_counters``, in
+    # their order in the state that ``wfs._settle`` takes, after the four
+    # that never change (heads, uses, negated, sizes)
+    FIELDS = ("pos_true", "pos_false", "neg_true", "neg_undefined", "t", "d", "rated", "top")
+
+    def test_equal_counters_built_from_scratch(self, monkeypatch):
+        """Each stage's J and the counters it starts from: the copies that
+        the inner loop gets, and at each stage that changes J, all the
+        carried counters as the recount is entered; against
+        ``stage_counters``."""
+        runs = []  # per stage: J and the counters recorded for it
+        lfp, settle = wfs._lfp, wfs._settle
+
+        def recording_lfp(jv, t, d, top, heads, uses):
+            runs.append((list(jv), {"t": list(t), "d": list(d), "top": list(top)}))
+            return lfp(jv, t, d, top, heads, uses)
+
+        def recording_settle(changed, values, state):
+            runs[-1][1].update(zip(self.FIELDS, copy.deepcopy(state[4:])))
+            return settle(changed, values, state)
+
+        monkeypatch.setattr(wfs, "_lfp", recording_lfp)
+        monkeypatch.setattr(wfs, "_settle", recording_settle)
+        cases = [(f"{entry.name} k={k}", gp_of(entry.source, k, entry.roots))
+                 for entry in CORPUS for k in (1, 2, 3)]
+        rng = random.Random(5)
+        for generate in (random_program_source, random_stratified_source):
+            for _ in range(40):
+                src = generate(rng)
+                cases += [(src, gp_of(src, k)) for k in (1, 2)]
+        cases += [(src, gp_of(src)) for src in
+                  (random_ground_source(rng, n_atoms=rng.randint(2, 8)) for _ in range(100))]
+        cases += pool_groundings() + oracle_groundings()
+        stages = 0
+        for label, gp in cases:
+            runs.clear()
+            result = well_founded_model(gp)
+            assert len(runs) == len(result.trace.inner_lengths), label
+            # every stage but the last changes J, so its recount records all
+            assert all(len(counters) == len(self.FIELDS) for _, counters in runs[:-1]), label
+            for i, (jv, counters) in enumerate(runs):
+                expected = stage_counters(gp, jv)
+                assert counters == {name: expected[name] for name in counters}, (label, i)
+            stages += len(runs)
+        assert (len(cases), stages) == (412, 1250)
+
+    def test_recounts_only_the_rules_of_atoms_that_left_undefined(self, monkeypatch):
+        """On an ext-lemma-k4 oracle grounding, the rules recounted after
+        each stage are the rule occurrences of the atoms that left
+        undefined at it, counted from the grounding's rules."""
+        label, gp = next(item for item in oracle_groundings() if "-lemma-k4-" in item[0])
+        settle, recounted = wfs._settle, []
+
+        def counted(changed, values, state):
+            recounted.append(settle(changed, values, state))
+            return recounted[-1]
+
+        monkeypatch.setattr(wfs, "_settle", counted)
+        stages = well_founded_model(gp).trace.stages
+        held = collections.Counter(a for rules in gp.rules for pos, neg in rules for a in pos + neg)
+        expected = [
+            sum(held[a] for a, key in enumerate(gp.texts)
+                if before.value(key) == TruthValue.UNDEFINED != after.value(key))
+            for before, after in zip(stages, stages[1:])
+        ]
+        assert recounted == expected, label
+        rules = sum(map(len, gp.rules))
+        # 36 recounts in all, where setting up all 116 rules at each of 8 stages takes 928
+        assert (len(gp.atoms), rules, len(stages), sum(recounted)) == (120, 116, 8, 36)
 
 
 class TestRandomProgramsDifferential:
